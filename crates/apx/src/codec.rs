@@ -10,8 +10,9 @@ use bytes::Bytes;
 
 /// Encodes and decodes tuples for cross-container transport.
 pub trait Codec<T>: Send + Sync + 'static {
-    /// Serializes a tuple.
-    fn encode(&self, tuple: &T) -> Vec<u8>;
+    /// Serializes a tuple, appending to `out` (the stream's current
+    /// frame block, so encoding allocates nothing per tuple).
+    fn encode_into(&self, tuple: &T, out: &mut Vec<u8>);
 
     /// Deserializes a tuple.
     ///
@@ -28,8 +29,8 @@ pub trait Codec<T>: Send + Sync + 'static {
 pub struct BytesCodec;
 
 impl Codec<Bytes> for BytesCodec {
-    fn encode(&self, tuple: &Bytes) -> Vec<u8> {
-        tuple.to_vec()
+    fn encode_into(&self, tuple: &Bytes, out: &mut Vec<u8>) {
+        out.extend_from_slice(tuple);
     }
 
     fn decode(&self, bytes: &[u8]) -> Bytes {
@@ -42,8 +43,8 @@ impl Codec<Bytes> for BytesCodec {
 pub struct StringCodec;
 
 impl Codec<String> for StringCodec {
-    fn encode(&self, tuple: &String) -> Vec<u8> {
-        tuple.as_bytes().to_vec()
+    fn encode_into(&self, tuple: &String, out: &mut Vec<u8>) {
+        out.extend_from_slice(tuple.as_bytes());
     }
 
     fn decode(&self, bytes: &[u8]) -> String {
@@ -56,8 +57,8 @@ impl Codec<String> for StringCodec {
 pub struct U64Codec;
 
 impl Codec<u64> for U64Codec {
-    fn encode(&self, tuple: &u64) -> Vec<u8> {
-        tuple.to_be_bytes().to_vec()
+    fn encode_into(&self, tuple: &u64, out: &mut Vec<u8>) {
+        out.extend_from_slice(&tuple.to_be_bytes());
     }
 
     fn decode(&self, bytes: &[u8]) -> u64 {
@@ -72,11 +73,9 @@ impl Codec<u64> for U64Codec {
 pub struct StringU64Codec;
 
 impl Codec<(String, u64)> for StringU64Codec {
-    fn encode(&self, tuple: &(String, u64)) -> Vec<u8> {
-        let mut out = Vec::with_capacity(8 + tuple.0.len());
+    fn encode_into(&self, tuple: &(String, u64), out: &mut Vec<u8>) {
         out.extend_from_slice(&tuple.1.to_be_bytes());
         out.extend_from_slice(tuple.0.as_bytes());
-        out
     }
 
     fn decode(&self, bytes: &[u8]) -> (String, u64) {
@@ -92,35 +91,40 @@ impl Codec<(String, u64)> for StringU64Codec {
 mod tests {
     use super::*;
 
+    /// Encodes behind bytes already in the buffer (as inside a frame
+    /// block) and decodes only what was appended.
+    fn roundtrip<T>(codec: &impl Codec<T>, tuple: &T) -> T {
+        let mut out = b"earlier tuple".to_vec();
+        let at = out.len();
+        codec.encode_into(tuple, &mut out);
+        codec.decode(&out[at..])
+    }
+
     #[test]
     fn bytes_roundtrip() {
-        let c = BytesCodec;
         let t = Bytes::from_static(b"hello \xff");
-        assert_eq!(c.decode(&c.encode(&t)), t);
+        assert_eq!(roundtrip(&BytesCodec, &t), t);
     }
 
     #[test]
     fn string_roundtrip() {
-        let c = StringCodec;
         let t = "grüße".to_string();
-        assert_eq!(c.decode(&c.encode(&t)), t);
+        assert_eq!(roundtrip(&StringCodec, &t), t);
     }
 
     #[test]
     fn u64_roundtrip() {
-        let c = U64Codec;
         for t in [0u64, 1, u64::MAX, 123_456_789] {
-            assert_eq!(c.decode(&c.encode(&t)), t);
+            assert_eq!(roundtrip(&U64Codec, &t), t);
         }
     }
 
     #[test]
     fn pair_roundtrip() {
-        let c = StringU64Codec;
         let t = ("key".to_string(), 42u64);
-        assert_eq!(c.decode(&c.encode(&t)), t);
+        assert_eq!(roundtrip(&StringU64Codec, &t), t);
         let empty = (String::new(), 0u64);
-        assert_eq!(c.decode(&c.encode(&empty)), empty);
+        assert_eq!(roundtrip(&StringU64Codec, &empty), empty);
     }
 
     #[test]

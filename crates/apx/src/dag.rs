@@ -292,7 +292,7 @@ impl<T: Send + 'static> OpHandle<T> {
             Link::Container => {
                 let emitted = dag.register_op(name, OpKind::Generic, parent_container)?;
                 let make: MakeChain<U> = Box::new(move |dag, sink_u| {
-                    let mut server: BufferServer<T> = BufferServer::new();
+                    let mut server: BufferServer<Vec<T>> = BufferServer::new();
                     let publisher = server.publisher();
                     let rx = server.subscriber();
                     let body = Box::new(move || {

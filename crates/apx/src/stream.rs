@@ -1,10 +1,11 @@
 //! Window-framed streams between operators.
 //!
 //! Inside a container, fused (`ThreadLocal`) streams are direct nested
-//! calls. Between threads and containers, tuples travel as window-framed
-//! messages through a [`BufferServer`]; on cross-container streams every
+//! calls. Between threads and containers, tuples travel in window-framed
+//! blocks through a [`BufferServer`]; on cross-container streams every
 //! tuple additionally passes its [`Codec`](crate::Codec) — bytes in, bytes
-//! out — which is Apex's buffer-server serialization.
+//! out — which is Apex's buffer-server serialization. The codec is paid
+//! per tuple; the queue hand-off is paid per block.
 
 use crate::codec::Codec;
 use crate::operator::{Emitter, Operator, OperatorContext};
@@ -12,8 +13,17 @@ use crossbeam::channel::{bounded, Receiver, Sender};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Capacity of buffer-server queues, providing backpressure.
-const BUFFER_CAPACITY: usize = 4096;
+/// Most tuples one frame carries. Larger batches split, so a subscriber
+/// starts on the first block while the publisher still encodes the rest.
+const FRAME_TUPLES: usize = 512;
+
+/// Frames a buffer-server queue holds before its publisher blocks: at
+/// most 4096 tuples in flight per stream, however they were batched.
+const BUFFER_FRAMES: usize = 4096 / FRAME_TUPLES;
+
+/// Bytes of the length each encoded tuple is prefixed with inside a
+/// block (native `usize`: blocks never leave the process).
+const LEN_PREFIX: usize = std::mem::size_of::<usize>();
 
 /// The runtime face of an operator chain segment: window markers and
 /// tuples flow in, and eventually `end_stream` terminates it.
@@ -203,12 +213,13 @@ where
 
 /// A window-framed message on a buffer-server queue.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Frame<P> {
+pub enum Frame<B> {
     /// Start of window.
     Begin(u64),
-    /// Payload tuple (typed for thread/container-local streams, encoded
-    /// bytes for cross-container streams).
-    Tuple(P),
+    /// A block of at most 512 tuples (`FRAME_TUPLES`): a `Vec<T>` on
+    /// thread/container-local streams, length-prefixed encoded bytes on
+    /// cross-container streams.
+    Tuples(B),
     /// End of window.
     End(u64),
     /// End of stream.
@@ -225,19 +236,20 @@ pub struct StreamStats {
 }
 
 /// The per-stream pub/sub conduit (Apex's buffer server, reduced to the
-/// single-subscriber case the benchmark topologies need).
+/// single-subscriber case the benchmark topologies need). `B` is the
+/// block type its [`Frame::Tuples`] carry.
 #[derive(Debug)]
-pub struct BufferServer<P> {
-    sender: Option<Sender<Frame<P>>>,
-    receiver: Receiver<Frame<P>>,
+pub struct BufferServer<B> {
+    sender: Option<Sender<Frame<B>>>,
+    receiver: Receiver<Frame<B>>,
     tuples: Arc<AtomicU64>,
     bytes: Arc<AtomicU64>,
 }
 
-impl<P: Send> BufferServer<P> {
+impl<B: Send> BufferServer<B> {
     /// Creates a stream conduit.
     pub fn new() -> Self {
-        let (sender, receiver) = bounded(BUFFER_CAPACITY);
+        let (sender, receiver) = bounded(BUFFER_FRAMES);
         BufferServer {
             sender: Some(sender),
             receiver,
@@ -252,7 +264,7 @@ impl<P: Send> BufferServer<P> {
     /// # Panics
     ///
     /// Panics when called twice.
-    pub fn publisher(&mut self) -> Publisher<P> {
+    pub fn publisher(&mut self) -> Publisher<B> {
         Publisher {
             sender: Some(self.sender.take().expect("publisher already taken")),
             tuples: self.tuples.clone(),
@@ -261,7 +273,7 @@ impl<P: Send> BufferServer<P> {
     }
 
     /// The subscribing half.
-    pub fn subscriber(&self) -> Receiver<Frame<P>> {
+    pub fn subscriber(&self) -> Receiver<Frame<B>> {
         self.receiver.clone()
     }
 
@@ -274,7 +286,7 @@ impl<P: Send> BufferServer<P> {
     }
 }
 
-impl<P: Send> Default for BufferServer<P> {
+impl<B: Send> Default for BufferServer<B> {
     fn default() -> Self {
         Self::new()
     }
@@ -282,40 +294,54 @@ impl<P: Send> Default for BufferServer<P> {
 
 /// Publishing half of a buffer-server stream.
 #[derive(Debug)]
-pub struct Publisher<P> {
-    sender: Option<Sender<Frame<P>>>,
+pub struct Publisher<B> {
+    sender: Option<Sender<Frame<B>>>,
     tuples: Arc<AtomicU64>,
     bytes: Arc<AtomicU64>,
 }
 
-impl<P: Send> Publisher<P> {
-    fn send(&mut self, frame: Frame<P>) {
+impl<B: Send> Publisher<B> {
+    fn send(&mut self, frame: Frame<B>) {
         if let Some(sender) = &self.sender {
             // A dropped subscriber (downstream container failure) turns
             // the stream into a sink-hole rather than deadlocking.
             let _ = sender.send(frame);
         }
     }
+
+    /// Ships one block: one stats update and one channel operation for
+    /// all the tuples in it.
+    fn send_block(&mut self, block: B, tuples: usize, bytes: usize) {
+        self.tuples.fetch_add(tuples as u64, Ordering::Relaxed);
+        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.send(Frame::Tuples(block));
+    }
+
+    fn close(&mut self) {
+        self.send(Frame::Eos);
+        self.sender = None;
+    }
 }
 
 /// Typed (thread/container-local) publisher: no serialization.
-impl<T: Send> FrameSink<T> for Publisher<T> {
+impl<T: Send> FrameSink<T> for Publisher<Vec<T>> {
     fn begin_window(&mut self, window_id: u64) {
         self.send(Frame::Begin(window_id));
     }
 
     fn tuple(&mut self, tuple: T) {
-        self.tuples.fetch_add(1, Ordering::Relaxed);
-        self.send(Frame::Tuple(tuple));
+        self.send_block(vec![tuple], 1, 0);
     }
 
     fn tuple_batch(&mut self, tuples: &mut Vec<T>) {
-        // One stats update per batch; frames stay per-tuple so the
-        // wire protocol (and downstream pipelining) is unchanged.
-        self.tuples
-            .fetch_add(tuples.len() as u64, Ordering::Relaxed);
-        for tuple in tuples.drain(..) {
-            self.send(Frame::Tuple(tuple));
+        let mut rest = tuples.drain(..);
+        loop {
+            let block: Vec<T> = rest.by_ref().take(FRAME_TUPLES).collect();
+            if block.is_empty() {
+                break;
+            }
+            let count = block.len();
+            self.send_block(block, count, 0);
         }
     }
 
@@ -324,148 +350,110 @@ impl<T: Send> FrameSink<T> for Publisher<T> {
     }
 
     fn end_stream(&mut self) {
-        self.send(Frame::Eos);
-        self.sender = None;
+        self.close();
     }
 }
 
 /// Encoding publisher for cross-container streams: every tuple is
-/// serialized through the stream's codec.
+/// serialized through the stream's codec — the modeled cross-container
+/// cost — into the frame's byte block; the block is the transport unit.
 pub struct EncodingPublisher<T> {
     inner: Publisher<Vec<u8>>,
     codec: Arc<dyn Codec<T>>,
 }
 
-impl<T> EncodingPublisher<T> {
+impl<T: 'static> EncodingPublisher<T> {
     /// Wraps a byte publisher with a codec.
     pub fn new(inner: Publisher<Vec<u8>>, codec: Arc<dyn Codec<T>>) -> Self {
         EncodingPublisher { inner, codec }
+    }
+
+    /// Encodes `tuples` (at most `FRAME_TUPLES`) into one pooled block and
+    /// ships it.
+    fn publish(&mut self, tuples: &[T]) {
+        let mut block = logbus::pool::byte_vec();
+        for tuple in tuples {
+            let prefix = block.len();
+            block.extend_from_slice(&[0; LEN_PREFIX]);
+            self.codec.encode_into(tuple, &mut block);
+            let len = block.len() - prefix - LEN_PREFIX;
+            block[prefix..prefix + LEN_PREFIX].copy_from_slice(&len.to_ne_bytes());
+        }
+        let bytes = block.len() - tuples.len() * LEN_PREFIX;
+        self.inner.send_block(block, tuples.len(), bytes);
     }
 }
 
 impl<T: Send + 'static> FrameSink<T> for EncodingPublisher<T> {
     fn begin_window(&mut self, window_id: u64) {
-        self.inner.begin_window(window_id);
+        self.inner.send(Frame::Begin(window_id));
     }
 
     fn tuple(&mut self, tuple: T) {
-        let encoded = self.codec.encode(&tuple);
-        self.inner
-            .bytes
-            .fetch_add(encoded.len() as u64, Ordering::Relaxed);
-        self.inner.tuple(encoded);
+        self.publish(std::slice::from_ref(&tuple));
     }
 
     fn tuple_batch(&mut self, tuples: &mut Vec<T>) {
-        // Every tuple still pays the codec (the modeled buffer-server
-        // serialization); only the stats updates are amortized.
-        let mut bytes = 0u64;
-        let count = tuples.len() as u64;
-        for tuple in tuples.drain(..) {
-            let encoded = self.codec.encode(&tuple);
-            bytes += encoded.len() as u64;
-            self.inner.send(Frame::Tuple(encoded));
+        for chunk in tuples.chunks(FRAME_TUPLES) {
+            self.publish(chunk);
         }
-        self.inner.bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.inner.tuples.fetch_add(count, Ordering::Relaxed);
+        tuples.clear();
     }
 
     fn end_window(&mut self, window_id: u64) {
-        self.inner.end_window(window_id);
+        self.inner.send(Frame::End(window_id));
     }
 
     fn end_stream(&mut self) {
-        self.inner.end_stream();
+        self.inner.close();
     }
 }
 
-/// Drains a subscriber into a frame sink, decoding if needed; returns when
-/// the stream ends. This is the body of a downstream container's event
-/// loop.
-///
-/// Tuples already waiting in the queue are gathered opportunistically and
-/// handed downstream as one batch — an idle consumer still processes a
-/// lone tuple immediately (the blocking `recv` is per frame), but a busy
-/// stream amortizes the chain traversal over whole batches.
-pub fn drain_typed<T: Send>(rx: &Receiver<Frame<T>>, sink: &mut dyn FrameSink<T>) {
-    let mut batch: Vec<T> = Vec::new();
-    let mut pending: Option<Frame<T>> = None;
-    loop {
-        let frame = match pending.take() {
-            Some(frame) => frame,
-            None => match rx.recv() {
-                Ok(frame) => frame,
-                Err(_) => break,
-            },
-        };
+/// Drains a subscriber into a frame sink until the stream ends, handing
+/// each block to `unpack`, which forwards its tuples to the sink. This is
+/// the body of a downstream container's event loop: the blocking `recv`
+/// is per frame, so a lone tuple is processed as soon as it arrives and a
+/// busy stream amortizes the chain traversal over whole blocks.
+fn drain<B, T>(
+    rx: &Receiver<Frame<B>>,
+    sink: &mut dyn FrameSink<T>,
+    mut unpack: impl FnMut(B, &mut dyn FrameSink<T>),
+) {
+    // A publisher that vanished without EOS (upstream container died)
+    // still closes the chain so resources flush.
+    while let Ok(frame) = rx.recv() {
         match frame {
             Frame::Begin(w) => sink.begin_window(w),
-            Frame::Tuple(t) => {
-                batch.push(t);
-                while let Ok(next) = rx.try_recv() {
-                    match next {
-                        Frame::Tuple(t) => batch.push(t),
-                        other => {
-                            pending = Some(other);
-                            break;
-                        }
-                    }
-                }
-                sink.tuple_batch(&mut batch);
-            }
+            Frame::Tuples(block) => unpack(block, sink),
             Frame::End(w) => sink.end_window(w),
-            Frame::Eos => {
-                sink.end_stream();
-                return;
-            }
+            Frame::Eos => break,
         }
     }
-    // Publisher vanished without EOS (upstream container died): still
-    // close the chain so resources flush.
     sink.end_stream();
 }
 
-/// Drains an encoded subscriber, decoding every tuple through `codec`;
-/// consecutive queued tuples are decoded into one batch (see
-/// [`drain_typed`] for the gathering strategy).
+/// Drains a typed subscriber: every block is already the batch.
+pub fn drain_typed<T: Send>(rx: &Receiver<Frame<Vec<T>>>, sink: &mut dyn FrameSink<T>) {
+    drain(rx, sink, |mut block, sink| sink.tuple_batch(&mut block));
+}
+
+/// Drains an encoded subscriber, decoding every tuple through `codec`.
 pub fn drain_encoded<T: Send + 'static>(
     rx: &Receiver<Frame<Vec<u8>>>,
     codec: &dyn Codec<T>,
     sink: &mut dyn FrameSink<T>,
 ) {
     let mut batch: Vec<T> = Vec::new();
-    let mut pending: Option<Frame<Vec<u8>>> = None;
-    loop {
-        let frame = match pending.take() {
-            Some(frame) => frame,
-            None => match rx.recv() {
-                Ok(frame) => frame,
-                Err(_) => break,
-            },
-        };
-        match frame {
-            Frame::Begin(w) => sink.begin_window(w),
-            Frame::Tuple(bytes) => {
-                batch.push(codec.decode(&bytes));
-                while let Ok(next) = rx.try_recv() {
-                    match next {
-                        Frame::Tuple(bytes) => batch.push(codec.decode(&bytes)),
-                        other => {
-                            pending = Some(other);
-                            break;
-                        }
-                    }
-                }
-                sink.tuple_batch(&mut batch);
-            }
-            Frame::End(w) => sink.end_window(w),
-            Frame::Eos => {
-                sink.end_stream();
-                return;
-            }
+    drain(rx, sink, |block, sink| {
+        let mut rest = block.as_slice();
+        while let Some((len, after)) = rest.split_first_chunk::<LEN_PREFIX>() {
+            let (encoded, after) = after.split_at(usize::from_ne_bytes(*len));
+            batch.push(codec.decode(encoded));
+            rest = after;
         }
-    }
-    sink.end_stream();
+        logbus::pool::recycle_byte_vec(block);
+        sink.tuple_batch(&mut batch);
+    });
 }
 
 /// Terminal sink collecting tuples, for tests.
@@ -500,6 +488,9 @@ impl<T: Send> FrameSink<T> for CollectingSink<T> {
         self.ended = true;
     }
 }
+
+#[cfg(test)]
+mod framing_tests;
 
 #[cfg(test)]
 mod tests {
@@ -558,7 +549,7 @@ mod tests {
 
     #[test]
     fn typed_buffer_roundtrip() {
-        let mut server: BufferServer<i64> = BufferServer::new();
+        let mut server: BufferServer<Vec<i64>> = BufferServer::new();
         let mut publisher = server.publisher();
         let rx = server.subscriber();
         let handle = std::thread::spawn(move || {
@@ -597,7 +588,7 @@ mod tests {
 
     #[test]
     fn missing_eos_still_closes() {
-        let mut server: BufferServer<i64> = BufferServer::new();
+        let mut server: BufferServer<Vec<i64>> = BufferServer::new();
         let mut publisher = server.publisher();
         let rx = server.subscriber();
         publisher.begin_window(0);

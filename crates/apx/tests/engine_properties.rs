@@ -11,8 +11,8 @@ use yarnsim::{Resource, ResourceManager};
 struct I64Codec;
 
 impl Codec<i64> for I64Codec {
-    fn encode(&self, tuple: &i64) -> Vec<u8> {
-        tuple.to_be_bytes().to_vec()
+    fn encode_into(&self, tuple: &i64, out: &mut Vec<u8>) {
+        out.extend_from_slice(&tuple.to_be_bytes());
     }
 
     fn decode(&self, bytes: &[u8]) -> i64 {

@@ -199,10 +199,10 @@ fn engine_err(e: apx::Error) -> Error {
 struct RawElementCodec;
 
 impl apx::Codec<RawElement> for RawElementCodec {
-    fn encode(&self, tuple: &RawElement) -> Vec<u8> {
-        let mut out = logbus::pool::byte_vec();
-        WindowedValueCoder.encode_into(tuple, &mut out);
-        out
+    fn encode_into(&self, tuple: &RawElement, out: &mut Vec<u8>) {
+        // `Coder::encode` appends; `Coder::encode_into` would clear the
+        // frame block the stream is filling.
+        WindowedValueCoder.encode(tuple, out);
     }
 
     fn decode(&self, bytes: &[u8]) -> RawElement {

@@ -14,10 +14,15 @@
 //! of the zero-copy record path: `Bytes` clones are refcount bumps,
 //! segment arenas draw recycled chunks from the `bytes` shim free-list,
 //! and batch vectors cycle through the `logbus` pool tier.
+//!
+//! A second guard pins what a whole native `apx` cell allocates per
+//! record: its cross-container streams encode into pooled frame blocks,
+//! so only the subscriber-side codec copies (the modeled cost) remain.
 #![cfg(feature = "alloc-count")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Counts allocation *events* (alloc / alloc_zeroed / realloc) on the
 /// current thread; deallocations are pass-through. Thread-local counters
@@ -33,8 +38,17 @@ fn alloc_events() -> u64 {
     ALLOC_EVENTS.with(Cell::get)
 }
 
+/// Allocation events on every thread: an `apx` application runs one
+/// thread per container, so its guard cannot count thread-locally.
+static ALL_THREADS_EVENTS: AtomicU64 = AtomicU64::new(0);
+
+/// Held by each test while it measures, so the process-wide count sees
+/// one test at a time.
+static ONE_AT_A_TIME: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
 fn bump() {
     ALLOC_EVENTS.with(|c| c.set(c.get() + 1));
+    ALL_THREADS_EVENTS.fetch_add(1, Ordering::Relaxed);
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
@@ -90,6 +104,7 @@ fn round(
 
 #[test]
 fn steady_state_record_path_is_allocation_free() {
+    let _alone = ONE_AT_A_TIME.lock();
     let broker = logbus::Broker::new();
     // Small segments plus record-count retention keep segments (and
     // their arena chunks and record-index vectors) turning over through
@@ -132,5 +147,62 @@ fn steady_state_record_path_is_allocation_free() {
         per_record < 0.01,
         "steady state should be allocation-free: {events} allocation \
          events over {records} records ({per_record:.4}/record)"
+    );
+}
+
+const APX_RECORDS: u64 = 100_000;
+
+/// One bounded `native_apx` identity run from topic `in` into `output`.
+fn apx_identity_run(broker: &logbus::Broker, output: &str) {
+    broker
+        .create_topic(output, logbus::TopicConfig::default())
+        .expect("create output topic");
+    let mut rm = streambench_core::fresh_yarn_cluster();
+    streambench_core::queries::native_apx(
+        broker,
+        streambench_core::Query::Identity,
+        "in",
+        output,
+        1,
+        &mut rm,
+    )
+    .expect("fault-free apx run");
+    assert_eq!(
+        broker.latest_offset(output, 0).expect("output topic"),
+        APX_RECORDS,
+        "identity writes every record back"
+    );
+}
+
+#[test]
+fn native_apx_allocates_only_its_decode_copies() {
+    let _alone = ONE_AT_A_TIME.lock();
+    let broker = logbus::Broker::new();
+    broker
+        .create_topic("in", logbus::TopicConfig::default())
+        .expect("create input topic");
+    let config = streambench_core::SenderConfig {
+        records: APX_RECORDS,
+        ..Default::default()
+    };
+    streambench_core::send_workload(&broker, "in", &config).expect("preload");
+    // Warm-up run: fills the frame-block and batch pools, the chunk
+    // free-list and every lazy static.
+    apx_identity_run(&broker, "warm");
+
+    let before = ALL_THREADS_EVENTS.load(Ordering::Relaxed);
+    apx_identity_run(&broker, "out");
+    let events = ALL_THREADS_EVENTS.load(Ordering::Relaxed) - before;
+
+    // Two `Link::Network` hops, one `BytesCodec::decode` copy each, and
+    // a copied `Bytes` is two allocations (payload + shared header): 4.0
+    // per record, plus the run's fixed cost (deploy, threads, topic)
+    // spread over the records. A per-tuple encode buffer on each hop
+    // (how frames travelled before they were blocks) makes it 6.
+    let per_record = events as f64 / APX_RECORDS as f64;
+    assert!(
+        (4.0..4.1).contains(&per_record),
+        "native apx identity: {events} allocation events over \
+         {APX_RECORDS} records ({per_record:.3}/record), expected 4.0-4.1"
     );
 }

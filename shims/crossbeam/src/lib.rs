@@ -4,7 +4,7 @@
 
 pub mod channel {
     use std::collections::VecDeque;
-    use std::sync::{Arc, Condvar, Mutex};
+    use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -34,6 +34,11 @@ pub mod channel {
         queue: VecDeque<T>,
         senders: usize,
         receivers: usize,
+        /// Threads inside `not_full.wait` / `not_empty.wait`. Counted
+        /// under the state mutex, so whoever changes the queue knows
+        /// whether a `notify_one` (a futex syscall) has anyone to wake.
+        parked_senders: usize,
+        parked_receivers: usize,
     }
 
     struct Chan<T> {
@@ -82,6 +87,8 @@ pub mod channel {
                 queue: VecDeque::new(),
                 senders: 1,
                 receivers: 1,
+                parked_senders: 0,
+                parked_receivers: 0,
             }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
@@ -101,15 +108,33 @@ pub mod channel {
                 }
                 match self.chan.capacity {
                     Some(cap) if state.queue.len() >= cap => {
+                        state.parked_senders += 1;
                         state = self.chan.not_full.wait(state).expect("channel lock");
+                        state.parked_senders -= 1;
                     }
                     _ => break,
                 }
             }
             state.queue.push_back(value);
+            let wake = state.parked_receivers > 0;
             drop(state);
-            self.chan.not_empty.notify_one();
+            if wake {
+                self.chan.not_empty.notify_one();
+            }
             Ok(())
+        }
+    }
+
+    impl<T> Chan<T> {
+        /// Hands a popped message out, waking one sender only if one is
+        /// parked on the full queue.
+        fn popped(&self, state: MutexGuard<'_, State<T>>, value: T) -> T {
+            let wake = state.parked_senders > 0;
+            drop(state);
+            if wake {
+                self.not_full.notify_one();
+            }
+            value
         }
     }
 
@@ -120,14 +145,14 @@ pub mod channel {
             let mut state = self.chan.state.lock().expect("channel lock");
             loop {
                 if let Some(value) = state.queue.pop_front() {
-                    drop(state);
-                    self.chan.not_full.notify_one();
-                    return Ok(value);
+                    return Ok(self.chan.popped(state, value));
                 }
                 if state.senders == 0 {
                     return Err(RecvError);
                 }
+                state.parked_receivers += 1;
                 state = self.chan.not_empty.wait(state).expect("channel lock");
+                state.parked_receivers -= 1;
             }
         }
 
@@ -135,9 +160,7 @@ pub mod channel {
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.chan.state.lock().expect("channel lock");
             if let Some(value) = state.queue.pop_front() {
-                drop(state);
-                self.chan.not_full.notify_one();
-                return Ok(value);
+                return Ok(self.chan.popped(state, value));
             }
             if state.senders == 0 {
                 Err(TryRecvError::Disconnected)
@@ -271,5 +294,57 @@ mod tests {
         }
         producer.join().unwrap();
         assert_eq!(sum, 10_000 * 9_999 / 2);
+    }
+
+    /// Wake-ups are sent only to parked threads, so a miscounted parker
+    /// would show up as a lost wake-up: a hang, or a message nobody
+    /// receives. Capacity 1 makes nearly every send and receive park.
+    #[test]
+    fn no_lost_wakeups_under_contention() {
+        const PRODUCERS: u64 = 4;
+        const CONSUMERS: usize = 4;
+        const PER_PRODUCER: u64 = 5_000;
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let (tx, rx) = bounded::<u64>(1);
+            let producers: Vec<_> = (0..PRODUCERS)
+                .map(|p| {
+                    let tx = tx.clone();
+                    std::thread::spawn(move || {
+                        for i in 0..PER_PRODUCER {
+                            tx.send(p * PER_PRODUCER + i).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            drop(tx);
+            let consumers: Vec<_> = (0..CONSUMERS)
+                .map(|_| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || {
+                        let mut got = Vec::new();
+                        while let Ok(v) = rx.recv() {
+                            got.push(v);
+                        }
+                        got
+                    })
+                })
+                .collect();
+            drop(rx);
+            for producer in producers {
+                producer.join().unwrap();
+            }
+            let mut all: Vec<u64> = consumers
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect();
+            all.sort_unstable();
+            done_tx.send(all).unwrap();
+        });
+        let all = done_rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("channel hung: a parked thread was never woken");
+        let expected: Vec<u64> = (0..PRODUCERS * PER_PRODUCER).collect();
+        assert_eq!(all, expected, "every message delivered exactly once");
     }
 }
