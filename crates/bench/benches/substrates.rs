@@ -252,6 +252,50 @@ fn broker_scaleout(c: &mut Criterion) {
     group.finish();
 }
 
+/// Appends into a topic that did not exist a moment ago, as every
+/// benchmark cell's output topic is: 1 M records through the
+/// drained-batch contract, topic created and dropped per iteration, so
+/// the first touch of the segment index and arena pages is inside the
+/// measurement (the cases above append 10 k `&'static` records, which
+/// bypass the arena). At 6 B the cost is nearly all per-record index,
+/// at 60 B the payload bytes join it — the ledger's `projection` and
+/// `identity` write sizes.
+fn broker_fresh_topic_append(c: &mut Criterion) {
+    const RECORDS: u64 = 1_000_000;
+    let mut group = c.benchmark_group("broker_fresh_topic_append");
+    group.throughput(Throughput::Elements(RECORDS));
+    group
+        .sample_size(10)
+        .warm_up_time(std::time::Duration::from_secs(1))
+        .measurement_time(std::time::Duration::from_secs(3));
+    for payload_bytes in [60usize, 6] {
+        // A heap payload: cloning bumps a refcount and the append copies
+        // it into the segment arena, like an engine sink's output.
+        let record = logbus::Record::from_value(vec![b'x'; payload_bytes]);
+        group.bench_function(format!("1m_x_{payload_bytes}b"), |b| {
+            b.iter(|| {
+                let broker = logbus::Broker::new();
+                broker
+                    .create_topic("t", logbus::TopicConfig::default())
+                    .unwrap();
+                let writer = broker.partition_writer("t", 0).unwrap();
+                let mut batch = logbus::pool::record_vec();
+                let mut sent = 0u64;
+                while sent < RECORDS {
+                    let take = 512.min(RECORDS - sent);
+                    for _ in 0..take {
+                        batch.push(record.clone());
+                    }
+                    writer.produce_batch_drain(&mut batch).unwrap();
+                    sent += take;
+                }
+                logbus::pool::recycle_record_vec(batch);
+            });
+        });
+    }
+    group.finish();
+}
+
 fn engines_identity(c: &mut Criterion) {
     let broker = logbus::Broker::new();
     broker
@@ -333,6 +377,7 @@ fn bench(c: &mut Criterion) {
     broker_produce_fetch(c);
     broker_hot_path(c);
     broker_scaleout(c);
+    broker_fresh_topic_append(c);
     engines_identity(c);
 }
 

@@ -106,9 +106,9 @@ fn round(
 fn steady_state_record_path_is_allocation_free() {
     let _alone = ONE_AT_A_TIME.lock();
     let broker = logbus::Broker::new();
-    // Small segments plus record-count retention keep segments (and
-    // their arena chunks and record-index vectors) turning over through
-    // the pools, which is exactly the steady state being guarded.
+    // Small segments plus record-count retention keep segments turning
+    // over — each roll reuses the index of the segment retention dropped
+    // last — which is exactly the steady state being guarded.
     broker
         .create_topic(
             "t",

@@ -1,7 +1,7 @@
 //! Offline shim for the `bytes` API subset used by this workspace:
 //! [`Bytes`], a cheaply-cloneable, sliceable, immutable byte container,
-//! and [`BytesMut`], an append-only builder whose frozen prefixes become
-//! zero-copy `Bytes` views of one shared allocation.
+//! and [`BytesMut`], an append-only builder whose frozen prefix is served
+//! as zero-copy `Bytes` views of one shared allocation.
 //!
 //! # Storage model
 //!
@@ -14,15 +14,15 @@
 //!
 //! All `unsafe` in the workspace's byte path is confined to this shim.
 //! A [`Shared`] buffer may be referenced by any number of read-only
-//! `Bytes` views plus at most one writer region per disjoint
-//! `[off, cap_end)` window owned by a `BytesMut`:
+//! `Bytes` views plus at most one writer, the `BytesMut` that owns its
+//! `[off, cap)` window:
 //!
 //! * a `Bytes` view covers only bytes that were fully initialized
 //!   *before* the view was created, and those bytes are never written
-//!   again (freezing advances the writer's base past them);
+//!   again (freezing advances the writer's base past them, and
+//!   [`BytesMut::frozen`] refuses ranges beyond that base);
 //! * a `BytesMut` writes only at `off + len ..`, strictly beyond every
-//!   frozen view and disjoint from every sibling produced by
-//!   [`BytesMut::split_to`].
+//!   frozen view.
 //!
 //! Reads and writes therefore never overlap, so no `&`/`&mut` aliasing
 //! or data race can occur even when views live on other threads.
@@ -408,22 +408,20 @@ impl<'a> IntoIterator for &'a Bytes {
     }
 }
 
-/// An append-only byte builder over a pooled shared buffer. Appended
-/// bytes are split off as zero-copy [`Bytes`] views ([`BytesMut::split_to`]
-/// plus [`BytesMut::freeze`], or the fused [`BytesMut::pack`]); when
-/// capacity runs out the builder rolls to a fresh pooled chunk while
-/// earlier frozen views keep the old one alive.
+/// An append-only byte builder over a pooled shared buffer.
+/// [`BytesMut::pack_frozen`] appends bytes and freezes them in place,
+/// handing back only their start offset; [`BytesMut::frozen`] later
+/// serves any frozen range as a zero-copy [`Bytes`] view, so the owner
+/// can index its chunk with plain integers and pay the refcount bump
+/// only when a reader asks. When capacity runs out the builder rolls to
+/// a fresh pooled chunk while earlier views keep the old one alive.
 pub struct BytesMut {
     shared: Arc<Shared>,
-    /// Write base: every byte below `off` is frozen (visible to `Bytes`
-    /// views) or belongs to a sibling from `split_to`; this builder
-    /// never writes below it.
+    /// Write base and frozen mark: every byte below `off` is frozen
+    /// (visible to `Bytes` views); this builder never writes below it.
     off: usize,
     /// Initialized-but-unfrozen bytes at `off..off + len`.
     len: usize,
-    /// Exclusive upper bound of this builder's writable window
-    /// (`shared.cap` unless this half was produced by `split_to`).
-    cap_end: usize,
 }
 
 impl BytesMut {
@@ -433,20 +431,16 @@ impl BytesMut {
             shared: Shared::empty(),
             off: 0,
             len: 0,
-            cap_end: 0,
         }
     }
 
     /// Creates a builder with at least `cap` bytes of capacity, reusing
     /// a pooled chunk when one is available.
     pub fn with_capacity(cap: usize) -> Self {
-        let shared = Shared::from_vec(pool_acquire(cap));
-        let cap_end = shared.cap;
         BytesMut {
-            shared,
+            shared: Shared::from_vec(pool_acquire(cap)),
             off: 0,
             len: 0,
-            cap_end,
         }
     }
 
@@ -462,7 +456,7 @@ impl BytesMut {
 
     /// Writable capacity remaining (including pending bytes).
     pub fn capacity(&self) -> usize {
-        self.cap_end - self.off
+        self.shared.cap - self.off
     }
 
     /// Ensures room for `additional` more bytes, rolling to a fresh
@@ -485,7 +479,6 @@ impl BytesMut {
                 std::ptr::copy_nonoverlapping(self.shared.ptr.add(self.off), fresh.ptr, self.len);
             }
         }
-        self.cap_end = fresh.cap;
         self.shared = fresh;
         self.off = 0;
     }
@@ -493,10 +486,10 @@ impl BytesMut {
     /// Appends `src` to the pending region.
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         self.reserve(src.len());
-        // SAFETY: `reserve` guaranteed `off + len + src.len() <= cap_end
-        // <= cap`; per the module invariant no reader or sibling writer
-        // touches `[off + len, cap_end)`, and `src` cannot alias the
-        // destination (no `&` to the unwritten region can exist).
+        // SAFETY: `reserve` guaranteed `off + len + src.len() <= cap`;
+        // per the module invariant no reader touches `[off + len, cap)`,
+        // and `src` cannot alias the destination (no `&` to the
+        // unwritten region can exist).
         unsafe {
             std::ptr::copy_nonoverlapping(
                 src.as_ptr(),
@@ -512,58 +505,40 @@ impl BytesMut {
         self.extend_from_slice(src);
     }
 
-    /// Splits off the first `at` pending bytes into their own builder
-    /// (sharing storage); `self` keeps the remainder. The two halves
-    /// own disjoint write windows.
+    /// Copies `data` in behind any pending bytes and freezes the lot in
+    /// place, returning the offset of `data` within the current chunk:
+    /// the packer primitive of segment arenas, which costs one `memcpy`
+    /// and no refcount traffic. The offset indexes the chunk that is
+    /// current *after* the call — when `data` did not fit, that is a
+    /// fresh one (see [`BytesMut::reserve`]) — so an owner that keeps
+    /// offsets checks [`BytesMut::capacity`] first.
+    pub fn pack_frozen(&mut self, data: &[u8]) -> usize {
+        self.extend_from_slice(data);
+        self.off += self.len;
+        self.len = 0;
+        self.off - data.len()
+    }
+
+    /// Zero-copy view of `range`, given in chunk offsets as returned by
+    /// [`BytesMut::pack_frozen`]. An empty range costs no refcount.
     ///
     /// # Panics
     ///
-    /// Panics when `at > self.len()`.
-    pub fn split_to(&mut self, at: usize) -> BytesMut {
+    /// Panics when the range is inverted or reaches past the frozen
+    /// mark: bytes beyond it may still be written.
+    pub fn frozen(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(
-            at <= self.len,
-            "split_to at {at} out of bounds (len {})",
-            self.len
+            range.start <= range.end && range.end <= self.off,
+            "frozen range {range:?} reaches past the frozen mark {}",
+            self.off
         );
-        let front = BytesMut {
-            shared: self.shared.clone(),
-            off: self.off,
-            len: at,
-            cap_end: self.off + at,
-        };
-        self.off += at;
-        self.len -= at;
-        front
-    }
-
-    /// Splits off *all* pending bytes, leaving `self` empty (but still
-    /// writable in place).
-    pub fn split(&mut self) -> BytesMut {
-        let len = self.len;
-        self.split_to(len)
-    }
-
-    /// Freezes the pending bytes into an immutable zero-copy view.
-    pub fn freeze(self) -> Bytes {
-        Bytes {
-            start: self.off,
-            end: self.off + self.len,
-            data: Storage::Shared(self.shared),
+        if range.is_empty() {
+            return Bytes::new();
         }
-    }
-
-    /// Copies `data` in and returns it as a frozen zero-copy view in
-    /// one step: the packer primitive used by segment arenas. Equivalent
-    /// to `extend_from_slice(data); split_to(data.len()).freeze()`.
-    pub fn pack(&mut self, data: &[u8]) -> Bytes {
-        self.extend_from_slice(data);
-        let start = self.off;
-        self.off += data.len();
-        self.len -= data.len();
         Bytes {
-            start,
-            end: start + data.len(),
             data: Storage::Shared(self.shared.clone()),
+            start: range.start,
+            end: range.end,
         }
     }
 
@@ -583,9 +558,9 @@ impl Deref for BytesMut {
     type Target = [u8];
 
     fn deref(&self) -> &[u8] {
-        // SAFETY: `[off, off+len)` is initialized and no other writer
-        // may touch it (`extend_from_slice` writes at `off + len..`,
-        // siblings are disjoint), so a shared borrow is sound.
+        // SAFETY: `[off, off+len)` is initialized and this builder, its
+        // only writer, writes at `off + len..`, so a shared borrow is
+        // sound.
         unsafe { std::slice::from_raw_parts(self.shared.ptr.add(self.off), self.len) }
     }
 }
@@ -682,36 +657,56 @@ mod tests {
         assert_eq!(&slice[..], b"lived");
     }
 
+    /// Test helper: pack `data` and view exactly those bytes.
+    fn pack_view(buf: &mut BytesMut, data: &[u8]) -> Bytes {
+        let start = buf.pack_frozen(data);
+        buf.frozen(start..start + data.len())
+    }
+
     #[test]
-    fn bytesmut_pack_is_zero_copy_view() {
+    fn bytesmut_pack_frozen_is_zero_copy_view() {
         let mut buf = BytesMut::with_capacity(64);
-        let a = buf.pack(b"alpha");
-        let b = buf.pack(b"beta");
+        let a = buf.pack_frozen(b"alpha");
+        let b = buf.pack_frozen(b"beta");
+        assert_eq!((a, b), (0, 5), "offsets are positions in the chunk");
+        let (a, b) = (buf.frozen(a..a + 5), buf.frozen(b..b + 4));
         assert_eq!(&a[..], b"alpha");
         assert_eq!(&b[..], b"beta");
         // Both views are adjacent slices of the same allocation.
         let a_end = a.as_slice().as_ptr() as usize + a.len();
         assert_eq!(a_end, b.as_slice().as_ptr() as usize);
+        // A view may span several packs, and an empty one is free.
+        assert_eq!(&buf.frozen(3..7)[..], b"habe");
+        assert!(buf.frozen(9..9).is_static());
     }
 
     #[test]
-    fn bytesmut_split_freeze_round_trip() {
+    fn bytesmut_pack_frozen_freezes_pending_bytes_too() {
         let mut buf = BytesMut::with_capacity(16);
-        buf.extend_from_slice(b"headerbody");
-        let header = buf.split_to(6).freeze();
-        assert_eq!(&header[..], b"header");
-        assert_eq!(&buf[..], b"body");
-        let body = buf.split().freeze();
-        assert_eq!(&body[..], b"body");
+        buf.extend_from_slice(b"header");
+        assert_eq!(buf.pack_frozen(b"body"), 6);
+        assert!(buf.is_empty());
+        assert_eq!(&buf.frozen(0..10)[..], b"headerbody");
     }
 
     #[test]
-    fn bytesmut_growth_preserves_frozen_views() {
+    #[should_panic(expected = "past the frozen mark")]
+    fn frozen_view_past_the_frozen_mark_panics() {
+        let mut buf = BytesMut::with_capacity(16);
+        buf.pack_frozen(b"abcd");
+        buf.extend_from_slice(b"pending");
+        let _ = buf.frozen(2..5);
+    }
+
+    #[test]
+    fn views_stay_valid_after_the_builder_rolls() {
         let mut buf = BytesMut::with_capacity(8);
-        let first = buf.pack(b"12345678"); // fills the chunk
-        let second = buf.pack(b"abcdefgh"); // forces a roll to a new chunk
+        let first = pack_view(&mut buf, b"12345678"); // fills the chunk
+        assert_eq!(buf.capacity(), 0);
+        // Forces a roll to a new chunk, where offsets start over.
+        assert_eq!(buf.pack_frozen(b"abcdefgh"), 0);
         assert_eq!(&first[..], b"12345678", "frozen view survives the roll");
-        assert_eq!(&second[..], b"abcdefgh");
+        assert_eq!(&buf.frozen(0..8)[..], b"abcdefgh");
     }
 
     #[test]
@@ -720,7 +715,6 @@ mod tests {
         buf.extend_from_slice(b"abc");
         buf.extend_from_slice(b"defghij"); // exceeds capacity mid-build
         assert_eq!(&buf[..], b"abcdefghij");
-        assert_eq!(&buf.freeze()[..], b"abcdefghij");
     }
 
     #[test]
@@ -728,7 +722,7 @@ mod tests {
         let (reused_before, reclaimed_before) = pool_stats();
         for _ in 0..4 {
             let mut buf = BytesMut::with_capacity(POOL_MIN_CAP);
-            let view = buf.pack(&[9u8; 128]);
+            let view = pack_view(&mut buf, &[9u8; 128]);
             drop(buf);
             drop(view); // last ref: chunk goes back to the pool
         }
@@ -752,7 +746,7 @@ mod tests {
     #[test]
     fn cross_thread_views() {
         let mut buf = BytesMut::with_capacity(1024);
-        let view = buf.pack(b"shared across threads");
+        let view = pack_view(&mut buf, b"shared across threads");
         let handle = std::thread::spawn(move || view.to_vec());
         buf.extend_from_slice(b"writer keeps writing meanwhile");
         assert_eq!(handle.join().unwrap(), b"shared across threads");
