@@ -373,9 +373,54 @@ fn engines_identity(c: &mut Criterion) {
     group.finish();
 }
 
+/// One record per produce request, two ways: `PartitionWriter::produce`
+/// on the calling thread, and `AsyncProducer::send` + `flush` (how a
+/// per-element Beam bundle writes). Both pay one modeled round trip per
+/// record; what the second costs beyond the first is the producer's
+/// hand-off, with the RTT at the ledger's 25 µs and at 0.
+fn producer_per_record(c: &mut Criterion) {
+    const RECORDS: u64 = 2_000;
+    let mut group = c.benchmark_group("producer_per_record");
+    group.throughput(Throughput::Elements(RECORDS));
+    group
+        .sample_size(10)
+        .warm_up_time(std::time::Duration::from_secs(1))
+        .measurement_time(std::time::Duration::from_secs(2));
+    let record = logbus::Record::from_value("payload-0123456789abcdef");
+    for rtt_micros in [25, 0] {
+        let broker = logbus::Broker::new();
+        broker
+            .create_topic("t", logbus::TopicConfig::default().retention_records(4_096))
+            .unwrap();
+        broker.set_request_latency_micros(rtt_micros);
+        let writer = broker.partition_writer("t", 0).unwrap();
+        group.bench_function(format!("produce_sync1/rtt{rtt_micros}"), |b| {
+            b.iter(|| {
+                for _ in 0..RECORDS {
+                    writer.produce(record.clone()).unwrap();
+                }
+            });
+        });
+        let producer = logbus::AsyncProducer::new(broker.clone(), "t", 0);
+        group.bench_function(
+            format!("async_send_flush_per_record/rtt{rtt_micros}"),
+            |b| {
+                b.iter(|| {
+                    for _ in 0..RECORDS {
+                        producer.send(record.clone());
+                        producer.flush();
+                    }
+                });
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench(c: &mut Criterion) {
     broker_produce_fetch(c);
     broker_hot_path(c);
+    producer_per_record(c);
     broker_scaleout(c);
     broker_fresh_topic_append(c);
     engines_identity(c);

@@ -18,6 +18,10 @@
 //! A second guard pins what a whole native `apx` cell allocates per
 //! record: its cross-container streams encode into pooled frame blocks,
 //! so only the subscriber-side codec copies (the modeled cost) remain.
+//!
+//! A third guard covers the asynchronous producer's per-record `send`:
+//! its accumulator chunks cycle through the same pool tier whichever
+//! thread ships them.
 #![cfg(feature = "alloc-count")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -204,5 +208,54 @@ fn native_apx_allocates_only_its_decode_copies() {
         (4.0..4.1).contains(&per_record),
         "native apx identity: {events} allocation events over \
          {APX_RECORDS} records ({per_record:.3}/record), expected 4.0-4.1"
+    );
+}
+
+const ASYNC_RECORDS: usize = 100_000;
+
+/// Per-record `send` with a `flush` every 1 024 records — how the
+/// `rill` and `dstream` Beam sinks drive the producer.
+fn async_send_round(producer: &logbus::AsyncProducer, record: &logbus::Record) {
+    for i in 1..=ASYNC_RECORDS {
+        producer.send(record.clone());
+        if i % 1_024 == 0 {
+            producer.flush();
+        }
+    }
+    producer.flush();
+}
+
+#[test]
+fn async_producer_per_record_send_is_allocation_free() {
+    let _alone = ONE_AT_A_TIME.lock();
+    let broker = logbus::Broker::new();
+    broker
+        .create_topic(
+            "t",
+            logbus::TopicConfig::new()
+                .segment_bytes(16 << 10)
+                .retention_records(4_096),
+        )
+        .expect("create topic");
+    let producer = logbus::AsyncProducer::new(broker.clone(), "t", 0);
+    let record = logbus::Record::from_value("payload-0123456789abcdef");
+    // Warm-up: the accumulator's chunks reach `max_batch` capacity and
+    // settle into the pool on both the calling and the sender thread.
+    async_send_round(&producer, &record);
+
+    // Either thread may ship a chunk and recycle it, so count them all.
+    let before = ALL_THREADS_EVENTS.load(Ordering::Relaxed);
+    async_send_round(&producer, &record);
+    let events = ALL_THREADS_EVENTS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(
+        broker.latest_offset("t", 0).expect("topic"),
+        2 * ASYNC_RECORDS as u64
+    );
+    let per_record = events as f64 / ASYNC_RECORDS as f64;
+    assert!(
+        per_record < 0.01,
+        "warmed per-record send: {events} allocation events over \
+         {ASYNC_RECORDS} records ({per_record:.4}/record)"
     );
 }

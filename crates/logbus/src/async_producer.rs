@@ -15,36 +15,217 @@
 //!   caller that flushes after **every** record has synchronously paid a
 //!   full round trip per record — the degenerate behaviour behind the
 //!   benchmark's worst measured slowdowns.
+//!
+//! There is one accumulator (a queue of record chunks under one lock)
+//! and one *shipper token* (a second lock owning the cached writer).
+//! Whoever holds the token pops chunks and appends them, so append order
+//! is send order whichever thread ships: normally the sender thread, but
+//! a `flush` that finds the token free ships on the calling thread —
+//! same request, same round trip, no thread hand-off. Lock order is
+//! token → accumulator, never the reverse.
 
 use crate::bus::Bus;
 use crate::handle::PartitionWriter;
+use crate::pool::{record_vec, recycle_record_vec};
 use crate::record::Record;
-use crossbeam::channel::{bounded, Sender};
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::retry::{with_retry, RetryPolicy};
+use parking_lot::{Condvar, Mutex, MutexGuard};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Queue capacity; sending blocks once this many records are unshipped
-/// (client-side backpressure, like a full `buffer.memory`).
+/// Queue capacity in records; sending blocks once this many are queued
+/// (client-side backpressure, like a full `buffer.memory`) and resumes
+/// when the queue has drained to half of it.
 const QUEUE_CAPACITY: usize = 16_384;
 
-/// One unit of work for the sender thread: a single queued record, or a
-/// whole batch handed over in one channel message (the batch fast path —
-/// one queue operation and one atomic update per batch).
+/// The accumulator: everything `send` touches.
+#[derive(Debug, Default)]
+struct State {
+    /// Unshipped chunks, oldest first, each non-empty. `send` fills the
+    /// tail chunk up to `max_batch`; `send_batch` appends whole chunks.
+    queue: VecDeque<Vec<Record>>,
+    /// Records in `queue`.
+    queued: usize,
+    /// Records ever accepted.
+    accepted: u64,
+    /// Records shipped — appended, or dropped on a produce failure.
+    /// Everything in between is in `queue` or with the token holder.
+    appended: u64,
+    /// The part of `appended` that was dropped.
+    dropped: u64,
+    /// Smallest `appended` a `flush` parked on `done` waits for;
+    /// `u64::MAX` while nobody is parked.
+    wake_at: u64,
+    /// A sender is parked on `space`.
+    blocked: bool,
+    /// The sender thread is parked on `work`; implies an empty queue.
+    idle: bool,
+    closed: bool,
+}
+
+/// What the shipper token guards: the route to the partition.
 #[derive(Debug)]
-enum Queued {
-    One(Record),
-    Many(Vec<Record>),
+struct Shipper {
+    bus: Box<dyn Bus>,
+    topic: String,
+    partition: u32,
+    /// Cached idempotent handle; resolved on first use so topics created
+    /// after the producer still work, re-tried per batch until then.
+    writer: Option<PartitionWriter>,
+}
+
+impl Shipper {
+    /// Appends `batch` as one request; false when it had to be dropped.
+    fn produce(&mut self, batch: &mut Vec<Record>) -> bool {
+        if self.writer.is_none() {
+            // Transient resolution faults are retried; an unknown topic
+            // gives up at once, so a misdirected producer never stalls.
+            let retry = RetryPolicy::default();
+            let resolve = || self.bus.partition_writer(&self.topic, self.partition);
+            self.writer = with_retry(&retry, resolve)
+                .ok()
+                .map(|w| w.idempotent().with_retry(retry));
+        }
+        // The writer retries transient faults and dedups lost-ack resends
+        // itself; what still fails is dropped, like a fire-and-forget
+        // client, so flush cannot hang.
+        self.writer
+            .as_ref()
+            .is_some_and(|w| w.produce_batch_drain(batch).is_ok())
+    }
+}
+
+#[derive(Debug)]
+struct Shared {
+    state: Mutex<State>,
+    /// The shipper token.
+    shipper: Mutex<Shipper>,
+    /// The sender thread parks here while the queue is empty.
+    work: Condvar,
+    /// A `flush` that found the token taken parks here.
+    done: Condvar,
+    /// Senders park here while the queue is full.
+    space: Condvar,
+    max_batch: usize,
+}
+
+impl Shared {
+    fn pop(&self, state: &mut State) -> Option<Vec<Record>> {
+        let chunk = state.queue.pop_front()?;
+        state.queued -= chunk.len();
+        // Low-water mark, not every pop: a wake-up costs the shipper a
+        // system call for each one.
+        if state.blocked && state.queued <= QUEUE_CAPACITY / 2 {
+            state.blocked = false;
+            self.space.notify_all();
+        }
+        Some(chunk)
+    }
+
+    /// The next batch to ship: the oldest chunk, plus every chunk queued
+    /// behind it while the batch is below `max_batch`. `None` when the
+    /// queue is empty or `target` is already appended.
+    fn next_batch(&self, target: u64) -> Option<Vec<Record>> {
+        let mut batch = {
+            let mut state = self.state.lock();
+            if state.appended >= target {
+                return None;
+            }
+            self.pop(&mut state)?
+        };
+        while batch.len() < self.max_batch {
+            let next = self.pop(&mut self.state.lock());
+            let Some(mut next) = next else { break };
+            batch.append(&mut next);
+            recycle_record_vec(next);
+        }
+        Some(batch)
+    }
+
+    /// Ships batches on the calling thread, which holds the token, until
+    /// the queue is empty or `target` records are appended.
+    fn drain(&self, shipper: &mut Shipper, target: u64) {
+        while let Some(mut batch) = self.next_batch(target) {
+            let shipped = batch.len() as u64;
+            let ok = shipper.produce(&mut batch);
+            recycle_record_vec(batch);
+            let mut state = self.state.lock();
+            state.appended += shipped;
+            if !ok {
+                state.dropped += shipped;
+            }
+            let reached = state.appended >= state.wake_at;
+            if reached {
+                state.wake_at = u64::MAX;
+            }
+            let in_flight = state.accepted - state.appended;
+            drop(state);
+            if reached {
+                self.done.notify_all();
+            }
+            if obs::enabled() {
+                crate::telemetry::async_queue_depth().set(in_flight as i64);
+                if !ok {
+                    crate::telemetry::async_dropped_records().add(shipped);
+                }
+            }
+        }
+    }
+
+    /// Returns once `target` records are appended: ships them on this
+    /// thread if the token is free, otherwise waits for its holder —
+    /// or, when no sender thread is bound to finish the queue, for the
+    /// token itself.
+    fn ship_until(&self, target: u64, has_sender: bool) {
+        let token = if has_sender {
+            self.shipper.try_lock()
+        } else {
+            Some(self.shipper.lock())
+        };
+        if let Some(mut shipper) = token {
+            // An empty queue under the token means nothing is in flight.
+            return self.drain(&mut shipper, target);
+        }
+        let mut state = self.state.lock();
+        while state.appended < target {
+            state.wake_at = state.wake_at.min(target);
+            state = self.done.wait(state);
+        }
+    }
+
+    /// Publishes what `state` just queued: wakes the sender thread if it
+    /// is parked (one wake-up per park, not one per record).
+    fn publish(&self, mut state: MutexGuard<'_, State>) {
+        let wake = std::mem::take(&mut state.idle);
+        drop(state);
+        if wake {
+            self.work.notify_one();
+        }
+    }
+
+    fn run_sender(&self) {
+        loop {
+            self.drain(&mut self.shipper.lock(), u64::MAX);
+            let mut state = self.state.lock();
+            while state.queue.is_empty() {
+                if state.closed {
+                    return;
+                }
+                state.idle = true;
+                state = self.work.wait(state);
+            }
+        }
+    }
 }
 
 /// An asynchronous, adaptively batching producer for one partition.
 #[derive(Debug)]
 pub struct AsyncProducer {
-    sender: Option<Sender<Queued>>,
+    shared: Arc<Shared>,
+    /// `None` when the sender thread could not be spawned (or after
+    /// `close`): the producer then runs on its callers' threads.
     worker: Option<JoinHandle<()>>,
-    max_batch: usize,
-    /// Records accepted but not yet appended.
-    pending: Arc<AtomicU64>,
 }
 
 impl AsyncProducer {
@@ -65,141 +246,111 @@ impl AsyncProducer {
         max_batch: usize,
     ) -> Self {
         let topic = topic.into();
-        let max_batch = max_batch.max(1);
-        let (sender, receiver) = bounded::<Queued>(QUEUE_CAPACITY);
-        let pending = Arc::new(AtomicU64::new(0));
-        let pending_worker = pending.clone();
-        let retry = crate::RetryPolicy::default();
-        let worker = std::thread::Builder::new()
-            .name(format!("async-producer-{topic}"))
-            .spawn(move || {
-                // Cached partition handle; resolved on first use so topics
-                // created after the producer still work, re-tried per batch
-                // while unresolved.
-                let mut writer: Option<PartitionWriter> = None;
-                while let Ok(first) = receiver.recv() {
-                    // Batches come from (and return to) the pool tier, so
-                    // a steady stream reuses the same handful of buffers.
-                    let mut batch = match first {
-                        Queued::One(record) => {
-                            let mut batch = crate::pool::record_vec();
-                            batch.push(record);
-                            batch
-                        }
-                        Queued::Many(records) => records,
-                    };
-                    while batch.len() < max_batch {
-                        match receiver.try_recv() {
-                            Ok(Queued::One(record)) => batch.push(record),
-                            Ok(Queued::Many(mut records)) => {
-                                batch.append(&mut records);
-                                crate::pool::recycle_record_vec(records);
-                            }
-                            Err(_) => break,
-                        }
-                    }
-                    let shipped = batch.len() as u64;
-                    if writer.is_none() {
-                        // Transient resolution faults are retried here;
-                        // non-transient ones (unknown topic) give up
-                        // immediately so a misdirected producer never
-                        // stalls its queue.
-                        writer = crate::retry::with_retry(&retry, || {
-                            bus.partition_writer(&topic, partition)
-                        })
-                        .ok()
-                        .map(|w| w.idempotent().with_retry(retry.clone()));
-                    }
-                    // Failures (unknown topic) drop the batch, like a
-                    // fire-and-forget client; pending still decreases so
-                    // flush cannot hang. The idempotent writer retries
-                    // transient faults itself and dedups lost-ack resends.
-                    if let Some(w) = &writer {
-                        if w.produce_batch_drain(&mut batch).is_err() {
-                            batch.clear();
-                        }
-                    } else {
-                        batch.clear();
-                    }
-                    crate::pool::recycle_record_vec(batch);
-                    let remaining = pending_worker.fetch_sub(shipped, Ordering::AcqRel) - shipped;
-                    if obs::enabled() {
-                        crate::telemetry::async_queue_depth().set(remaining as i64);
-                    }
-                }
-            })
-            .expect("spawn async producer thread");
-        AsyncProducer {
-            sender: Some(sender),
-            worker: Some(worker),
-            max_batch,
-            pending,
+        let thread = std::thread::Builder::new().name(format!("async-producer-{topic}"));
+        let state = State {
+            wake_at: u64::MAX,
+            ..State::default()
+        };
+        let shipper = Shipper {
+            bus: Box::new(bus),
+            topic,
+            partition,
+            writer: None,
+        };
+        let shared = Arc::new(Shared {
+            state: Mutex::new(state),
+            shipper: Mutex::new(shipper),
+            work: Condvar::new(),
+            done: Condvar::new(),
+            space: Condvar::new(),
+            max_batch: max_batch.max(1),
+        });
+        let sender = shared.clone();
+        let worker = thread.spawn(move || sender.run_sender()).ok();
+        AsyncProducer { shared, worker }
+    }
+
+    /// Locks the accumulator once it has room for another chunk.
+    fn admit(&self) -> MutexGuard<'_, State> {
+        let mut state = self.shared.state.lock();
+        while state.queued >= QUEUE_CAPACITY {
+            if self.worker.is_some() {
+                state.blocked = true;
+                state = self.shared.space.wait(state);
+            } else {
+                drop(state);
+                self.shared.ship_until(u64::MAX, false);
+                state = self.shared.state.lock();
+            }
         }
+        state
     }
 
     /// Queues one record. Does not wait for the broker unless the client
     /// queue is full.
     pub fn send(&self, record: Record) {
-        if let Some(sender) = &self.sender {
-            let queued = self.pending.fetch_add(1, Ordering::AcqRel) + 1;
-            if sender.send(Queued::One(record)).is_err() {
-                self.pending.fetch_sub(1, Ordering::AcqRel);
-            } else if obs::enabled() {
-                crate::telemetry::async_queue_depth().set(queued as i64);
+        let mut state = self.admit();
+        match state.queue.back_mut() {
+            Some(tail) if tail.len() < self.shared.max_batch => tail.push(record),
+            _ => {
+                // Chunks come from (and return to) the pool tier, so a
+                // steady stream reuses the same handful of buffers.
+                let mut chunk = record_vec();
+                chunk.push(record);
+                state.queue.push_back(chunk);
             }
         }
+        state.queued += 1;
+        state.accepted += 1;
+        self.shared.publish(state);
     }
 
     /// Queues a whole batch, draining `records` (capacity kept for reuse).
     ///
-    /// One channel message and one pending-count update cover the entire
-    /// batch; batches larger than the producer's maximum batch size are
-    /// split so no single append exceeds it.
+    /// The batch crosses in chunks of at most the producer's maximum
+    /// batch size — one queue operation per chunk, none per record — so
+    /// no oversized batch becomes a single append.
     pub fn send_batch(&self, records: &mut Vec<Record>) {
-        if records.is_empty() {
-            return;
+        let mut rest = records.drain(..).peekable();
+        while rest.peek().is_some() {
+            let mut chunk = record_vec();
+            chunk.extend(rest.by_ref().take(self.shared.max_batch));
+            let mut state = self.admit();
+            state.queued += chunk.len();
+            state.accepted += chunk.len() as u64;
+            state.queue.push_back(chunk);
+            self.shared.publish(state);
         }
-        let Some(sender) = &self.sender else {
-            records.clear();
-            return;
-        };
-        let total = records.len() as u64;
-        self.pending.fetch_add(total, Ordering::AcqRel);
-        let mut shipped = 0u64;
-        while !records.is_empty() {
-            let take = records.len().min(self.max_batch);
-            let mut chunk = crate::pool::record_vec();
-            chunk.extend(records.drain(..take));
-            let len = chunk.len() as u64;
-            if sender.send(Queued::Many(chunk)).is_err() {
-                self.pending.fetch_sub(total - shipped, Ordering::AcqRel);
-                records.clear();
-                return;
-            }
-            shipped += len;
-        }
-        if obs::enabled() {
-            crate::telemetry::async_queue_depth().set(self.pending.load(Ordering::Acquire) as i64);
+        if self.worker.is_none() {
+            self.shared.ship_until(u64::MAX, false);
         }
     }
 
     /// Records accepted but not yet appended.
     pub fn in_flight(&self) -> u64 {
-        self.pending.load(Ordering::Acquire)
+        let state = self.shared.state.lock();
+        state.accepted - state.appended
+    }
+
+    /// Records given up on after a produce failure retries could not
+    /// cure (unknown topic, exhausted retry budget); `flush` counts them
+    /// as shipped, so it never hangs.
+    pub fn dropped_records(&self) -> u64 {
+        self.shared.state.lock().dropped
     }
 
     /// Blocks until every record sent so far has been appended.
     pub fn flush(&self) {
-        while self.in_flight() > 0 {
-            std::thread::yield_now();
-        }
+        let target = self.shared.state.lock().accepted;
+        self.shared.ship_until(target, self.worker.is_some());
     }
 
     /// Flushes and shuts the sender thread down.
     pub fn close(&mut self) {
         self.flush();
-        self.sender.take();
         if let Some(worker) = self.worker.take() {
+            self.shared.state.lock().closed = true;
+            self.shared.work.notify_one();
             let _ = worker.join();
         }
     }
@@ -377,6 +528,98 @@ mod tests {
         let mut producer = AsyncProducer::new(broker, "missing", 0);
         producer.send(Record::from_value("x"));
         producer.close();
+        assert_eq!(producer.dropped_records(), 1, "the drop is counted");
+        assert_eq!(producer.in_flight(), 0);
+    }
+
+    #[test]
+    fn lone_send_is_appended_without_a_flush() {
+        let broker = Broker::new();
+        broker.create_topic("t", TopicConfig::default()).unwrap();
+        let producer = AsyncProducer::new(broker.clone(), "t", 0);
+        // Twice: the second send finds the sender thread parked again.
+        for sent in 1..=2 {
+            producer.send(Record::from_value("x"));
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+            while broker.latest_offset("t", 0).unwrap() < sent {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "the sender thread never shipped send {sent}"
+                );
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+    }
+
+    #[test]
+    fn full_queue_blocks_senders_by_record_count() {
+        const MAX_BATCH: usize = 128;
+        const TOTAL: usize = 3 * QUEUE_CAPACITY;
+        let broker = Broker::new();
+        broker.create_topic("t", TopicConfig::default()).unwrap();
+        // Slow requests: the pusher outruns the shipper by far.
+        broker.set_request_latency_micros(1_000);
+        let producer = Arc::new(AsyncProducer::with_max_batch(
+            broker.clone(),
+            "t",
+            0,
+            MAX_BATCH,
+        ));
+        let pusher = {
+            let producer = producer.clone();
+            std::thread::spawn(move || {
+                let mut batch = Vec::new();
+                for base in (0..TOTAL).step_by(MAX_BATCH) {
+                    batch.extend(
+                        (base..base + MAX_BATCH).map(|i| Record::from_value(i.to_string())),
+                    );
+                    producer.send_batch(&mut batch);
+                }
+            })
+        };
+        let (mut deepest, mut saw_blocked) = (0, false);
+        while !pusher.is_finished() {
+            let state = producer.shared.state.lock();
+            deepest = deepest.max(state.queued);
+            if state.blocked {
+                saw_blocked = true;
+                assert!(
+                    state.queued > QUEUE_CAPACITY / 2,
+                    "a blocked sender is woken at the low-water mark"
+                );
+            }
+            drop(state);
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        pusher.join().unwrap();
+        assert!(saw_blocked, "{TOTAL} records never filled the queue");
+        assert!(
+            (QUEUE_CAPACITY..QUEUE_CAPACITY + MAX_BATCH).contains(&deepest),
+            "the bound counts records: deepest queue {deepest}"
+        );
+        producer.flush();
+        assert_eq!(broker.latest_offset("t", 0).unwrap(), TOTAL as u64);
+    }
+
+    #[test]
+    fn without_a_sender_thread_callers_ship() {
+        let broker = Broker::new();
+        broker.create_topic("t", TopicConfig::default()).unwrap();
+        let mut producer = AsyncProducer::with_max_batch(broker.clone(), "t", 0, 10);
+        // `close` leaves the producer as a failed spawn would.
+        producer.close();
+        assert!(producer.worker.is_none());
+        let mut batch: Vec<Record> = (0..25).map(|i| Record::from_value(i.to_string())).collect();
+        producer.send_batch(&mut batch);
+        assert_eq!(producer.in_flight(), 0, "send_batch ships inline");
+        producer.send(Record::from_value("25"));
+        assert_eq!(producer.in_flight(), 1, "a lone send waits for a flush");
+        producer.flush();
+        let records = broker.fetch("t", 0, 0, 100).unwrap();
+        assert_eq!(records.len(), 26);
+        for (i, stored) in records.iter().enumerate() {
+            assert_eq!(&stored.record.value[..], i.to_string().as_bytes());
+        }
     }
 
     #[test]

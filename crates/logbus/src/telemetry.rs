@@ -127,6 +127,12 @@ pub(crate) fn async_queue_depth() -> &'static obs::Gauge {
     DEPTH.get_or_init(|| obs::gauge("logbus.async_producer.queue_depth"))
 }
 
+/// Records [`crate::AsyncProducer`]s gave up on after a produce failure.
+pub(crate) fn async_dropped_records() -> &'static obs::Counter {
+    static DROPPED: OnceLock<obs::Counter> = OnceLock::new();
+    DROPPED.get_or_init(|| obs::counter("logbus.async_producer.dropped_records"))
+}
+
 /// Per-partition leader health: how often a produce found the append
 /// lock already held (a second producer contending on the same leader).
 pub(crate) struct LeaderPath {

@@ -10,6 +10,7 @@ use crate::Violation;
 /// measurement run, so failures must surface as typed errors.
 const HOT_PATH: &[&str] = &[
     "crates/logbus/src/handle.rs",
+    "crates/logbus/src/async_producer.rs",
     "crates/logbus/src/log.rs",
     "crates/logbus/src/broker.rs",
     "crates/logbus/src/cluster.rs",
