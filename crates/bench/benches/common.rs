@@ -1,24 +1,9 @@
-//! Shared Criterion scaffolding for the per-figure benches.
-//!
-//! Each figure bench measures the wall-clock execution of every setup of
-//! the paper's matrix on a scaled-down workload. Criterion gives
-//! statistically robust per-setup timings; the `reproduce` binary
-//! regenerates the figures with the paper's own LogAppendTime
-//! methodology.
-
-#![allow(dead_code)] // shared by several bench binaries; each uses a subset
-
-use criterion::Criterion;
-use std::sync::atomic::{AtomicU64, Ordering};
-use streambench_bench::{execute_setup_once, loaded_broker};
-use streambench_core::{all_setups, Query};
+//! Shared Criterion scaffolding for the ablation benches.
 
 /// Records per benchmarked run (small: Criterion repeats many times).
 pub const RECORDS: u64 = 2_000;
 /// Simulated broker request latency in microseconds.
 pub const LATENCY_MICROS: u64 = 50;
-
-static TAG: AtomicU64 = AtomicU64::new(0);
 
 /// Applies the shared group configuration: 10 samples with short warm-up
 /// and measurement phases — each iteration is a whole benchmark job, so
@@ -30,20 +15,4 @@ pub fn configure<M: criterion::measurement::Measurement>(
         .sample_size(10)
         .warm_up_time(std::time::Duration::from_secs(1))
         .measurement_time(std::time::Duration::from_secs(2));
-}
-
-/// Benchmarks one query over the full 12-setup matrix.
-pub fn bench_query_matrix(c: &mut Criterion, figure: &str, query: Query) {
-    let broker = loaded_broker(RECORDS, LATENCY_MICROS);
-    let mut group = c.benchmark_group(figure);
-    configure(&mut group);
-    for setup in all_setups(&[1, 2]) {
-        group.bench_function(setup.label(), |b| {
-            b.iter(|| {
-                let tag = TAG.fetch_add(1, Ordering::Relaxed);
-                execute_setup_once(&broker, query, setup, tag)
-            });
-        });
-    }
-    group.finish();
 }

@@ -7,8 +7,9 @@
 //! cargo run --release -p streambench-bench --bin failover -- --json failover.json
 //! ```
 //!
-//! Configuration comes from the `STREAMBENCH_FAILOVER_*` environment
-//! overrides (`RECORDS`, `BROKERS`, `KILLS`, `HOLD_MILLIS`).
+//! `STREAMBENCH_FAILOVER_RECORDS` sets the input records per cell; the
+//! fleet (three brokers) and the kill schedule (two leader kills per
+//! cell, 10 ms down each) are fixed.
 
 use std::io::Write as _;
 
@@ -33,10 +34,9 @@ fn main() {
 
     let config = FailoverConfig::from_env();
     eprintln!(
-        "failover campaign: {} records x {} cells, {} brokers, {} leader kills per cell",
+        "failover campaign: {} records x {} cells, {} leader kills per cell",
         config.records,
         config.cells.len(),
-        config.brokers,
         config.kills_per_cell,
     );
 

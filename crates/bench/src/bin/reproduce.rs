@@ -16,7 +16,7 @@
 //! # Latency mode: an open-loop, coordinated-omission-safe offered-rate
 //! # sweep per (engine, SDK, parallelism) cell, with p50/p95/p99/p999
 //! # and a sustainable-vs-overloaded verdict per trial
-//! # (`STREAMBENCH_LATENCY_*` env vars set records/warmup/bounds):
+//! # (`STREAMBENCH_LATENCY_*` env vars set records/warmup):
 //! cargo run --release -p streambench-bench --bin reproduce -- --latency --rates 500,2000,8000 --latency-json latency.json
 //! # Scale-out mode: binary-search the max sustainable open-loop rate
 //! # per (engine, SDK, parallelism) cell, input topic partitioned to
@@ -231,8 +231,8 @@ fn scaleout_mode(parallelisms: Option<&str>, json_path: Option<&str>) {
         config = config.parallelisms(parsed);
     }
     eprintln!(
-        "running scale-out sweep: {} query, {} records/probe, bracket [{:.0}, {:.0}] rec/s, parallelisms {:?}",
-        config.query, config.records, config.min_rate, config.max_rate, config.parallelisms
+        "running scale-out sweep: {} records/probe, bracket [{:.0}, {:.0}] rec/s, parallelisms {:?}",
+        config.records, config.min_rate, config.max_rate, config.parallelisms
     );
     let report = match streambench_core::run_scaleout(&config) {
         Ok(report) => report,

@@ -1,10 +1,8 @@
 //! Shared helpers for the benchmark binaries and Criterion benches.
 
-use logbus::{Broker, TopicConfig};
-use streambench_core::{
-    beam_pipeline, fresh_yarn_cluster, native_apx, native_dstream, native_rill, send_workload, Api,
-    Query, SenderConfig, Setup, System,
-};
+use logbus::Broker;
+use streambench_core::trial::Trial;
+use streambench_core::SenderConfig;
 
 /// A broker preloaded with `records` workload records in `input`.
 ///
@@ -14,89 +12,9 @@ use streambench_core::{
 pub fn loaded_broker(records: u64, latency_micros: u64) -> Broker {
     let broker = Broker::new();
     broker.set_request_latency_micros(latency_micros);
+    let sender = SenderConfig::default();
+    Trial::on_broker(&broker, records, sender.seed)
+        .preload(sender.acks)
+        .expect("load workload");
     broker
-        .create_topic("input", TopicConfig::default())
-        .expect("create input topic");
-    send_workload(
-        &broker,
-        "input",
-        &SenderConfig {
-            records,
-            ..SenderConfig::default()
-        },
-    )
-    .expect("load workload");
-    broker
-}
-
-/// Executes one setup against a fresh output topic and returns the topic
-/// name. Used by Criterion benches, which measure the wall time of this
-/// call.
-///
-/// # Panics
-///
-/// Panics on execution failures.
-pub fn execute_setup_once(broker: &Broker, query: Query, setup: Setup, tag: u64) -> String {
-    let output = format!("bench-out-{setup}-{tag}");
-    broker
-        .create_topic(&output, TopicConfig::default())
-        .expect("create output topic");
-    match (setup.system, setup.api) {
-        (System::Rill, Api::Native) => {
-            native_rill(broker, query, "input", &output, setup.parallelism)
-                .map(drop)
-                .unwrap();
-        }
-        (System::DStream, Api::Native) => {
-            native_dstream(broker, query, "input", &output, setup.parallelism, 2_000)
-                .map(drop)
-                .unwrap();
-        }
-        (System::Apx, Api::Native) => {
-            let mut rm = fresh_yarn_cluster();
-            native_apx(
-                broker,
-                query,
-                "input",
-                &output,
-                setup.parallelism as u32,
-                &mut rm,
-            )
-            .map(drop)
-            .unwrap();
-        }
-        (system, Api::Beam) => {
-            use beamline::PipelineRunner;
-            let pipeline = beam_pipeline(broker, query, "input", &output);
-            let result = match system {
-                System::Rill => beamline::runners::RillRunner::new()
-                    .with_parallelism(setup.parallelism)
-                    .run(&pipeline),
-                System::DStream => beamline::runners::DStreamRunner::new()
-                    .with_parallelism(setup.parallelism)
-                    .with_batch_records(2_000)
-                    .run(&pipeline),
-                System::Apx => beamline::runners::ApxRunner::new()
-                    .with_vcores(setup.parallelism as u32)
-                    .run(&pipeline),
-            };
-            result.map(drop).unwrap();
-        }
-    }
-    output
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn helpers_run_every_setup() {
-        let broker = loaded_broker(200, 0);
-        for (i, setup) in streambench_core::all_setups(&[1]).into_iter().enumerate() {
-            let topic = execute_setup_once(&broker, Query::Grep, setup, i as u64);
-            let n = broker.latest_offset(&topic, 0).unwrap();
-            assert_eq!(n, streambench_core::data::expected_grep_hits(200));
-        }
-    }
 }

@@ -161,16 +161,19 @@ fn apx_identity_run(broker: &logbus::Broker, output: &str) {
     broker
         .create_topic(output, logbus::TopicConfig::default())
         .expect("create output topic");
-    let mut rm = streambench_core::fresh_yarn_cluster();
-    streambench_core::queries::native_apx(
-        broker,
-        streambench_core::Query::Identity,
-        "in",
+    let setup = streambench_core::Setup {
+        system: streambench_core::System::Apx,
+        api: streambench_core::Api::Native,
+        parallelism: 1,
+    };
+    let job = streambench_core::trial::Job {
+        query: streambench_core::Query::Identity,
+        input: "in",
         output,
-        1,
-        &mut rm,
-    )
-    .expect("fault-free apx run");
+        follow: None,
+        dstream_batch_records: streambench_core::BenchConfig::default().dstream_batch_records,
+    };
+    streambench_core::trial::execute(&broker.into(), setup, &job).expect("fault-free apx run");
     assert_eq!(
         broker.latest_offset(output, 0).expect("output topic"),
         APX_RECORDS,

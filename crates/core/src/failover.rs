@@ -20,18 +20,23 @@
 //! failover appendix reports as percentiles.
 
 use crate::config::env_u64;
-use crate::data::QueryLogGenerator;
-use crate::queries::{self, Query};
-use crate::runner::{fresh_yarn_cluster_for, BenchError};
-use crate::sender::{send_workload, SenderConfig};
+use crate::queries::Query;
+use crate::runner::BenchError;
 use crate::setup::{Api, Setup, System};
-use beamline::runners::{ApxRunner, DStreamRunner, RillRunner};
-use beamline::PipelineRunner;
-use bytes::Bytes;
-use logbus::{Cluster, ClusterConfig, TopicConfig};
+use crate::trial::{self, Trial};
+use logbus::{Cluster, ClusterConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Broker count of the replicated cluster (the paper's Kafka cluster
+/// has three nodes).
+const BROKERS: u32 = 3;
+/// Micro-batch size of the `dstream` engine: small, so kills land
+/// between batches rather than after the only one.
+const DSTREAM_BATCH_RECORDS: usize = 256;
+/// Engine parallelism: 1 keeps the byte-identity check order-sensitive.
+const PARALLELISM: usize = 1;
 
 /// Configuration of a failover campaign.
 #[derive(Debug, Clone)]
@@ -40,24 +45,16 @@ pub struct FailoverConfig {
     pub records: u64,
     /// The query under test.
     pub query: Query,
-    /// Broker count of the replicated cluster (the paper's Kafka
-    /// cluster has three nodes).
-    pub brokers: u32,
     /// Leader kills injected while each cell's engine runs.
     pub kills_per_cell: u32,
     /// How long a killed broker stays down before it is restarted, in
     /// milliseconds. The cluster serves on the surviving replicas for
     /// the whole window.
     pub hold_millis: u64,
-    /// Micro-batch size of the `dstream` engine.
-    pub dstream_batch_records: usize,
     /// Workload seed.
     pub seed: u64,
     /// The (system, API) cells to run. Defaults to all six variants.
     pub cells: Vec<(System, Api)>,
-    /// Engine parallelism (1 keeps the byte-identity check
-    /// order-sensitive).
-    pub parallelism: usize,
 }
 
 impl Default for FailoverConfig {
@@ -65,34 +62,24 @@ impl Default for FailoverConfig {
         FailoverConfig {
             records: 2_000,
             query: Query::Identity,
-            brokers: 3,
             kills_per_cell: 2,
             hold_millis: 10,
-            dstream_batch_records: 256,
             seed: 2019,
             cells: System::ALL
                 .iter()
                 .flat_map(|&system| Api::ALL.iter().map(move |&api| (system, api)))
                 .collect(),
-            parallelism: 1,
         }
     }
 }
 
 impl FailoverConfig {
-    /// The default configuration with `STREAMBENCH_FAILOVER_*`
-    /// environment overrides applied: `RECORDS`, `BROKERS`, `KILLS`,
-    /// and `HOLD_MILLIS`.
+    /// The default configuration with the `STREAMBENCH_FAILOVER_RECORDS`
+    /// environment override applied.
     pub fn from_env() -> Self {
         let default = FailoverConfig::default();
         FailoverConfig {
             records: env_u64("STREAMBENCH_FAILOVER_RECORDS", default.records),
-            brokers: env_u64("STREAMBENCH_FAILOVER_BROKERS", u64::from(default.brokers)) as u32,
-            kills_per_cell: env_u64(
-                "STREAMBENCH_FAILOVER_KILLS",
-                u64::from(default.kills_per_cell),
-            ) as u32,
-            hold_millis: env_u64("STREAMBENCH_FAILOVER_HOLD_MILLIS", default.hold_millis),
             ..default
         }
     }
@@ -284,96 +271,70 @@ struct ChaosOutcome {
 /// workload load) or when an engine run fails outright; kills landing
 /// mid-run are expected to be survived, not retried.
 pub fn run_failover(config: &FailoverConfig) -> Result<FailoverReport, BenchError> {
-    if config.brokers < 2 {
-        return Err(BenchError::Broker(
-            "failover needs at least two brokers".into(),
-        ));
-    }
     if config.cells.is_empty() {
         return Err(BenchError::Broker("no failover cells configured".into()));
     }
-    let expected = reference(config.query, config.records, config.seed);
     let mut cells = Vec::new();
     for &(system, api) in &config.cells {
         let setup = Setup {
             system,
             api,
-            parallelism: config.parallelism,
+            parallelism: PARALLELISM,
         };
-        cells.push(run_cell(config, setup, &expected)?);
+        cells.push(run_cell(config, setup)?);
     }
     Ok(FailoverReport {
         query: config.query,
-        brokers: config.brokers,
+        brokers: BROKERS,
         records: config.records,
         cells,
     })
 }
 
-/// The fault-free reference output: `Query::apply` over the generated
-/// payloads in order.
-fn reference(query: Query, records: u64, seed: u64) -> Vec<Bytes> {
-    QueryLogGenerator::new(seed)
-        .payloads(records)
-        .iter()
-        .filter_map(|p| query.apply(p))
-        .collect()
-}
-
-fn run_cell(
-    config: &FailoverConfig,
-    setup: Setup,
-    expected: &[Bytes],
-) -> Result<FailoverCell, BenchError> {
+fn run_cell(config: &FailoverConfig, setup: Setup) -> Result<FailoverCell, BenchError> {
     let mut span = obs::span("failover.cell");
     span.field("setup", setup.to_string());
-    let cluster = Cluster::new(ClusterConfig {
-        brokers: config.brokers,
-    });
-    let replication = TopicConfig::default().replication_factor(config.brokers);
-    cluster.create_topic("input", replication.clone())?;
-    cluster.create_topic("output", replication)?;
-    send_workload(
-        &cluster,
-        "input",
-        &SenderConfig {
-            records: config.records,
-            seed: config.seed,
-            acks: logbus::Acks::All,
-            ..SenderConfig::default()
+    let cluster = Cluster::new(ClusterConfig { brokers: BROKERS });
+    let trial = Trial::on_cluster(&cluster, config.records, config.seed);
+    trial.preload(logbus::Acks::All)?;
+
+    let hosts = BrokerHosts::new(BROKERS)?;
+    let mut chaos_outcome = None;
+    let outcome = trial.run(
+        setup,
+        config.query,
+        "output",
+        DSTREAM_BATCH_RECORDS,
+        |engine| {
+            let stop = Arc::new(AtomicBool::new(false));
+            let chaos = spawn_chaos(
+                cluster.clone(),
+                hosts,
+                stop.clone(),
+                config.kills_per_cell,
+                config.hold_millis,
+            );
+            let result = engine();
+            stop.store(true, Ordering::Release);
+            chaos_outcome = Some(
+                chaos
+                    .join()
+                    .map_err(|_| BenchError::Broker("chaos thread panicked".into()))?,
+            );
+            result
         },
     )?;
+    outcome.engine?;
+    let chaos = chaos_outcome.expect("the chaos thread was joined beside a finished engine");
 
-    let hosts = BrokerHosts::new(config.brokers)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let chaos = spawn_chaos(
-        cluster.clone(),
-        hosts,
-        stop.clone(),
-        config.kills_per_cell,
-        config.hold_millis,
-    );
-
-    let exec = execute_cell(config, &cluster, setup);
-    stop.store(true, Ordering::Release);
-    let outcome = chaos
-        .join()
-        .map_err(|_| BenchError::Broker("chaos thread panicked".into()))?;
-    exec?;
-
-    let got: Vec<Bytes> = cluster
-        .fetch("output", 0, 0, expected.len() + 1_024)?
-        .into_iter()
-        .map(|stored| stored.record.value)
-        .collect();
     Ok(FailoverCell {
         setup,
-        output_records: got.len() as u64,
-        output_ok: got == expected,
-        kills: outcome.kills,
+        output_records: outcome.outputs.len() as u64,
+        output_ok: trial::verify(&trial, setup, config.query, &outcome.outputs).is_ok(),
+        kills: chaos.kills,
         input_epoch: cluster.leader_epoch("input", 0)?,
-        displaced_containers: outcome.displaced,
-        unavailability_micros: outcome.unavailability_micros,
+        displaced_containers: chaos.displaced,
+        unavailability_micros: chaos.unavailability_micros,
     })
 }
 
@@ -440,67 +401,6 @@ fn spawn_chaos(
     })
 }
 
-fn execute_cell(
-    config: &FailoverConfig,
-    cluster: &Cluster,
-    setup: Setup,
-) -> Result<(), BenchError> {
-    let fail = |message: String| BenchError::Execution {
-        setup: setup.to_string(),
-        message,
-    };
-    match (setup.system, setup.api) {
-        (System::Rill, Api::Native) => {
-            queries::native_rill(cluster, config.query, "input", "output", setup.parallelism)
-                .map(drop)
-                .map_err(|e| fail(e.to_string()))
-        }
-        (System::DStream, Api::Native) => queries::native_dstream(
-            cluster,
-            config.query,
-            "input",
-            "output",
-            setup.parallelism,
-            config.dstream_batch_records,
-        )
-        .map(drop)
-        .map_err(|e| fail(e.to_string())),
-        (System::Apx, Api::Native) => {
-            let mut rm = fresh_yarn_cluster_for(setup.parallelism);
-            queries::native_apx(
-                cluster,
-                config.query,
-                "input",
-                "output",
-                setup.parallelism as u32,
-                &mut rm,
-            )
-            .map(drop)
-            .map_err(|e| fail(e.to_string()))
-        }
-        (system, Api::Beam) => {
-            let pipeline = queries::beam_pipeline(cluster, config.query, "input", "output");
-            let runner: Box<dyn PipelineRunner> = match system {
-                System::Rill => Box::new(
-                    RillRunner::new()
-                        .with_parallelism(setup.parallelism)
-                        .with_cluster(rill::ClusterSpec::local_for(setup.parallelism)),
-                ),
-                System::DStream => Box::new(
-                    DStreamRunner::new()
-                        .with_parallelism(setup.parallelism)
-                        .with_batch_records(config.dstream_batch_records),
-                ),
-                System::Apx => Box::new(ApxRunner::new().with_vcores(setup.parallelism as u32)),
-            };
-            runner
-                .run(&pipeline)
-                .map(drop)
-                .map_err(|e| fail(e.to_string()))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -532,11 +432,6 @@ mod tests {
 
     #[test]
     fn rejects_degenerate_configs() {
-        let config = FailoverConfig {
-            brokers: 1,
-            ..FailoverConfig::default()
-        };
-        assert!(run_failover(&config).is_err());
         let config = FailoverConfig {
             cells: Vec::new(),
             ..FailoverConfig::default()

@@ -6,7 +6,8 @@
 //! latency dimension using the sustainable-throughput methodology of
 //! Karimov et al. (ICDE 2018):
 //!
-//! 1. **Open-loop generation** — an [`OpenLoopSchedule`]d sender
+//! 1. **Open-loop generation** — an
+//!    [`OpenLoopSchedule`](crate::sender::OpenLoopSchedule)d sender
 //!    (phase 1's data sender in streaming dress) appends records at a
 //!    configured rate. Each record's **event time** is its *scheduled*
 //!    arrival, fixed by the rate alone, so a stalled sender bursts to
@@ -33,14 +34,21 @@
 //! cluster; the reproduced quantity is the *relative* shape — which
 //! cells saturate first and what the abstraction layer adds.
 
-use crate::config::{env_f64, env_list, env_u64};
-use crate::queries::{self, Query};
-use crate::runner::{fresh_yarn_cluster_for, BenchError};
-use crate::sender::{parse_event_time_micros, send_open_loop_partitioned, OpenLoopSchedule};
-use crate::setup::{all_setups, Setup, System};
-use beamline::runners::{ApxRunner, DStreamRunner, RillRunner};
-use beamline::PipelineRunner;
-use logbus::{Broker, TopicConfig};
+use crate::config::{env_list, env_u64, BenchConfig};
+use crate::queries::Query;
+use crate::runner::BenchError;
+use crate::sender::parse_event_time_micros;
+use crate::setup::{all_setups, Setup};
+use crate::trial::{self, Trial};
+use logbus::Broker;
+
+/// A trial is sustainable only if its p99 latency is within this bound,
+/// µs.
+pub(crate) const P99_BOUND_MICROS: u64 = 200_000;
+/// A trial is sustainable only if the output topic's append span is at
+/// most this multiple of the offered arrival span (an engine that needs
+/// much longer than the arrival window to drain is falling behind).
+pub(crate) const CATCHUP_RATIO: f64 = 1.5;
 
 /// Configuration of a latency sweep.
 #[derive(Debug, Clone)]
@@ -57,27 +65,6 @@ pub struct LatencyConfig {
     pub parallelisms: Vec<usize>,
     /// The query under test.
     pub query: Query,
-    /// A trial is sustainable only if its p99 latency is within this
-    /// bound.
-    pub p99_bound_micros: u64,
-    /// A trial is sustainable only if the output topic's append span is
-    /// at most this multiple of the offered arrival span (an engine that
-    /// needs much longer than the arrival window to drain is falling
-    /// behind).
-    pub catchup_ratio: f64,
-    /// Simulated broker network round trip per request, in microseconds.
-    pub request_latency_micros: u64,
-    /// Partitions of the input topic. With more than one, the open-loop
-    /// sender key-hash-routes records through the shared producer
-    /// partitioner ([`send_open_loop_partitioned`]) and the engines'
-    /// consumer groups split the partitions among parallel sources.
-    pub input_partitions: usize,
-    /// Micro-batch size of the `dstream` engine.
-    pub dstream_batch_records: usize,
-    /// Streaming-window size of the `apx` engine.
-    pub apx_window_size: usize,
-    /// Workload seed.
-    pub seed: u64,
 }
 
 impl Default for LatencyConfig {
@@ -88,13 +75,6 @@ impl Default for LatencyConfig {
             rates: vec![500.0, 2_000.0, 8_000.0],
             parallelisms: vec![1, 2],
             query: Query::Identity,
-            p99_bound_micros: 200_000,
-            catchup_ratio: 1.5,
-            request_latency_micros: 25,
-            input_partitions: 1,
-            dstream_batch_records: 2_000,
-            apx_window_size: 2_048,
-            seed: 2019,
         }
     }
 }
@@ -102,8 +82,7 @@ impl Default for LatencyConfig {
 impl LatencyConfig {
     /// The default configuration with `STREAMBENCH_LATENCY_*`
     /// environment overrides applied: `RECORDS`, `WARMUP`, `RATES`
-    /// (comma-separated), `PARALLELISMS` (comma-separated),
-    /// `P99_BOUND_MICROS`, and `CATCHUP_RATIO`.
+    /// (comma-separated) and `PARALLELISMS` (comma-separated).
     pub fn from_env() -> Self {
         let default = LatencyConfig::default();
         LatencyConfig {
@@ -114,11 +93,6 @@ impl LatencyConfig {
                 .map(|ps: Vec<usize>| ps.into_iter().filter(|&p| p > 0).collect::<Vec<_>>())
                 .filter(|ps| !ps.is_empty())
                 .unwrap_or(default.parallelisms),
-            p99_bound_micros: env_u64(
-                "STREAMBENCH_LATENCY_P99_BOUND_MICROS",
-                default.p99_bound_micros,
-            ),
-            catchup_ratio: env_f64("STREAMBENCH_LATENCY_CATCHUP_RATIO", default.catchup_ratio),
             ..default
         }
     }
@@ -152,12 +126,6 @@ impl LatencyConfig {
         self.query = query;
         self
     }
-
-    /// Sets the input topic's partition count.
-    pub fn input_partitions(mut self, partitions: usize) -> Self {
-        self.input_partitions = partitions.max(1);
-        self
-    }
 }
 
 /// One (cell, offered rate) trial.
@@ -188,8 +156,8 @@ pub struct LatencyTrial {
     /// Worst sender wake-up lag behind its schedule, µs (the burst debt
     /// that was charged to latency rather than hidden).
     pub max_send_lag_micros: i64,
-    /// Whether the output record count matched the query's expectation
-    /// (always true for queries without a fixed expectation).
+    /// Whether the engine finished and its output is byte-for-byte the
+    /// reference output ([`trial::verify`]).
     pub output_ok: bool,
     /// The sustainable-vs-overloaded verdict for this trial.
     pub sustainable: bool,
@@ -323,7 +291,14 @@ pub fn run_latency(config: &LatencyConfig) -> Result<LatencyReport, BenchError> 
     for setup in all_setups(&config.parallelisms) {
         let mut trials = Vec::new();
         for &rate in &rates {
-            trials.push(run_trial(config, setup, rate)?);
+            trials.push(run_trial(
+                setup,
+                config.query,
+                config.records,
+                config.warmup_records,
+                1, // input partitions
+                rate,
+            )?);
         }
         cells.push(LatencyCell { setup, trials });
     }
@@ -331,63 +306,42 @@ pub fn run_latency(config: &LatencyConfig) -> Result<LatencyReport, BenchError> 
         query: config.query,
         records_per_trial: config.records,
         warmup_records: config.warmup_records,
-        p99_bound_micros: config.p99_bound_micros,
-        catchup_ratio: config.catchup_ratio,
+        p99_bound_micros: P99_BOUND_MICROS,
+        catchup_ratio: CATCHUP_RATIO,
         cells,
     })
 }
 
-/// Head start the schedule gives the engine to begin tailing before the
-/// first record is due.
-const SCHEDULE_LEAD_MICROS: i64 = 5_000;
-
-/// One trial: fresh broker, open-loop sender thread, follow-mode engine
-/// on the calling thread, sink-side latency measurement. `pub(crate)`
-/// so the scale-out sweep ([`crate::scaleout`]) can binary-search over
-/// the same trial machinery.
+/// One trial: fresh broker, `records` offered open-loop at `rate` into
+/// an input topic of `partitions` partitions (more than one key-hash
+/// routes them and lets the engine's consumer group split the
+/// partitions among its parallel sources), follow-mode engine, sink-side
+/// latency measurement past the first `warmup_records`. `pub(crate)` so
+/// the scale-out sweep ([`crate::scaleout`]) can binary-search over the
+/// same classifier.
 pub(crate) fn run_trial(
-    config: &LatencyConfig,
     setup: Setup,
+    query: Query,
+    records: u64,
+    warmup_records: u64,
+    partitions: u32,
     rate: f64,
 ) -> Result<LatencyTrial, BenchError> {
     let mut trial_span = obs::span("latency.trial");
     trial_span.field("setup", setup.to_string());
     trial_span.field("rate", format!("{rate}"));
-    let partitions = config.input_partitions.max(1) as u32;
+    let engine_config = BenchConfig::default();
     let broker = Broker::new();
-    broker.set_request_latency_micros(config.request_latency_micros);
-    broker.create_topic("input", TopicConfig::default().partitions(partitions))?;
-    broker.create_topic("output", TopicConfig::default())?;
-
-    let schedule = OpenLoopSchedule::new(broker.now_micros() + SCHEDULE_LEAD_MICROS, rate);
-    let sender = {
-        let broker = broker.clone();
-        let records = config.records;
-        let seed = config.seed;
-        std::thread::Builder::new()
-            .name("latency-open-loop-sender".into())
-            .spawn(move || {
-                send_open_loop_partitioned(&broker, "input", partitions, &schedule, records, seed)
-            })
-            .map_err(|e| BenchError::Broker(format!("sender thread spawn failed: {e}")))?
-    };
-
-    // The engine tails the input until it has consumed the trial's
-    // records; an engine-side failure classifies the trial overloaded.
-    let engine_result = execute_following(&broker, config, setup);
-    let send_report = sender
-        .join()
-        .map_err(|_| BenchError::Broker("open-loop sender panicked".into()))??;
-
-    let mut outputs = Vec::new();
-    let produced = broker.latest_offset("output", 0)?;
-    while (outputs.len() as u64) < produced {
-        let chunk = broker.fetch("output", 0, outputs.len() as u64, 4_096)?;
-        if chunk.is_empty() {
-            break;
-        }
-        outputs.extend(chunk);
-    }
+    broker.set_request_latency_micros(engine_config.request_latency_micros);
+    let trial = Trial::offered(&broker, records, engine_config.seed, partitions, rate);
+    let outcome = trial.run(
+        setup,
+        query,
+        "output",
+        engine_config.dstream_batch_records,
+        |engine| engine(),
+    )?;
+    let schedule = trial.schedule().expect("an offered trial has a schedule");
 
     // Latency per output record: sink observation (LogAppendTime) minus
     // the event time carried in the payload prefix. The local histogram
@@ -399,10 +353,10 @@ pub(crate) fn run_trial(
     } else {
         None
     };
-    let warmup_cutoff = schedule.event_time_micros(config.warmup_records.min(config.records));
+    let warmup_cutoff = schedule.event_time_micros(warmup_records.min(records));
     let mut first_out = i64::MAX;
     let mut last_out = i64::MIN;
-    for stored in &outputs {
+    for stored in &outcome.outputs {
         let out_micros = stored.timestamp.as_micros();
         first_out = first_out.min(out_micros);
         last_out = last_out.max(out_micros);
@@ -420,27 +374,24 @@ pub(crate) fn run_trial(
     }
     let snapshot = histogram.snapshot();
 
-    let offered_span = (schedule.event_time_micros(config.records.saturating_sub(1))
+    let offered_span = (schedule.event_time_micros(records.saturating_sub(1))
         - schedule.start_micros())
     .max(1) as f64;
-    let drain_ratio = if outputs.len() >= 2 {
+    let drain_ratio = if outcome.outputs.len() >= 2 {
         (last_out - first_out).max(0) as f64 / offered_span
     } else {
         0.0
     };
-    let output_ok = engine_result.is_ok()
-        && config
-            .query
-            .expected_outputs(config.records)
-            .is_none_or(|expected| expected == outputs.len() as u64);
+    let output_ok =
+        outcome.engine.is_ok() && trial::verify(&trial, setup, query, &outcome.outputs).is_ok();
     let sustainable = output_ok
         && snapshot.count > 0
-        && snapshot.p99() <= config.p99_bound_micros
-        && drain_ratio <= config.catchup_ratio;
+        && snapshot.p99() <= P99_BOUND_MICROS
+        && drain_ratio <= CATCHUP_RATIO;
 
     Ok(LatencyTrial {
         offered_rate: rate,
-        output_records: outputs.len() as u64,
+        output_records: outcome.outputs.len() as u64,
         measured: snapshot.count,
         p50_micros: snapshot.p50(),
         p95_micros: snapshot.p95(),
@@ -449,86 +400,18 @@ pub(crate) fn run_trial(
         max_micros: snapshot.max,
         mean_micros: snapshot.mean(),
         drain_ratio,
-        max_send_lag_micros: send_report.max_send_lag_micros,
+        max_send_lag_micros: outcome
+            .send_report
+            .map_or(0, |report| report.max_send_lag_micros),
         output_ok,
         sustainable,
     })
 }
 
-/// Runs `setup` in follow mode against the trial broker: the source
-/// tails `input` until `config.records` records are consumed.
-fn execute_following(broker: &Broker, config: &LatencyConfig, setup: Setup) -> Result<(), String> {
-    use crate::setup::Api;
-    match (setup.system, setup.api) {
-        (System::Rill, Api::Native) => queries::native_rill_following(
-            broker,
-            config.query,
-            "input",
-            "output",
-            setup.parallelism,
-            config.records,
-        )
-        .map(drop)
-        .map_err(|e| e.to_string()),
-        (System::DStream, Api::Native) => queries::native_dstream_following(
-            broker,
-            config.query,
-            "input",
-            "output",
-            setup.parallelism,
-            config.dstream_batch_records,
-            config.records,
-        )
-        .map(drop)
-        .map_err(|e| e.to_string()),
-        (System::Apx, Api::Native) => {
-            let mut rm = fresh_yarn_cluster_for(setup.parallelism);
-            queries::native_apx_following(
-                broker,
-                config.query,
-                "input",
-                "output",
-                setup.parallelism as u32,
-                &mut rm,
-                config.records,
-            )
-            .map(drop)
-            .map_err(|e| e.to_string())
-        }
-        (system, Api::Beam) => {
-            let pipeline = queries::beam_pipeline_following(
-                broker,
-                config.query,
-                "input",
-                "output",
-                config.records,
-            );
-            let runner: Box<dyn PipelineRunner> = match system {
-                System::Rill => Box::new(
-                    RillRunner::new()
-                        .with_parallelism(setup.parallelism)
-                        .with_cluster(rill::ClusterSpec::local_for(setup.parallelism)),
-                ),
-                System::DStream => Box::new(
-                    DStreamRunner::new()
-                        .with_parallelism(setup.parallelism)
-                        .with_batch_records(config.dstream_batch_records),
-                ),
-                System::Apx => Box::new(
-                    ApxRunner::new()
-                        .with_vcores(setup.parallelism as u32)
-                        .with_window_size(config.apx_window_size),
-                ),
-            };
-            runner.run(&pipeline).map(drop).map_err(|e| e.to_string())
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::setup::Api;
+    use crate::setup::{Api, System};
 
     fn trial(rate: f64, sustainable: bool) -> LatencyTrial {
         LatencyTrial {

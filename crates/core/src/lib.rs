@@ -50,6 +50,7 @@ pub mod setup;
 pub mod stateful;
 pub mod stats;
 pub mod systems;
+pub mod trial;
 
 pub use calculator::{measure, CalculatorError, QueryMeasurement};
 pub use config::BenchConfig;

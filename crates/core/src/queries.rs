@@ -75,30 +75,31 @@ impl Query {
     pub fn apply(self, payload: &Bytes) -> Option<Bytes> {
         match self {
             Query::Identity => Some(payload.clone()),
-            Query::Sample => sample_keeps(payload, SAMPLE_PERCENT).then(|| payload.clone()),
-            Query::Projection => {
-                let cut = payload
-                    .iter()
-                    .position(|&b| b == b'\t')
-                    .unwrap_or(payload.len());
-                Some(payload.slice(..cut))
-            }
-            Query::Grep => payload
-                .windows(4)
-                .any(|w| w == b"test")
-                .then(|| payload.clone()),
+            Query::Sample => sampled(payload).then(|| payload.clone()),
+            Query::Projection => Some(first_column(payload)),
+            Query::Grep => matches_needle(payload).then(|| payload.clone()),
         }
     }
+}
 
-    /// Expected output count for `n` inputs of the standard workload.
-    pub fn expected_outputs(self, n: u64) -> Option<u64> {
-        match self {
-            Query::Identity | Query::Projection => Some(n),
-            Query::Grep => Some(crate::data::expected_grep_hits(n)),
-            // Sample depends on content; ~40 %.
-            Query::Sample => None,
-        }
-    }
+/// The sample query's predicate.
+fn sampled(payload: &Bytes) -> bool {
+    sample_keeps(payload, SAMPLE_PERCENT)
+}
+
+/// The projection query's cut: the payload up to its first tab (the
+/// whole payload when it has none).
+fn first_column(payload: &Bytes) -> Bytes {
+    let cut = payload
+        .iter()
+        .position(|&b| b == b'\t')
+        .unwrap_or(payload.len());
+    payload.slice(..cut)
+}
+
+/// The grep query's predicate: the payload contains `"test"`.
+fn matches_needle(payload: &Bytes) -> bool {
+    payload.windows(4).any(|w| w == b"test")
 }
 
 impl fmt::Display for Query {
@@ -162,16 +163,11 @@ fn beam_pipeline_impl(
         .apply(Values::create(Arc::new(BytesCoder)));
     let transformed = match query {
         Query::Identity => values.apply(MapElements::into_bytes("Identity", |v: Bytes| v)),
-        Query::Sample => values.apply(Filter::new("Sample", |v: &Bytes| {
-            sample_keeps(v, SAMPLE_PERCENT)
-        })),
+        Query::Sample => values.apply(Filter::new("Sample", sampled)),
         Query::Projection => values.apply(MapElements::into_bytes("Projection", |v: Bytes| {
-            let cut = v.iter().position(|&b| b == b'\t').unwrap_or(v.len());
-            v.slice(..cut)
+            first_column(&v)
         })),
-        Query::Grep => values.apply(Filter::new("Grep", |v: &Bytes| {
-            v.windows(4).any(|w| w == b"test")
-        })),
+        Query::Grep => values.apply(Filter::new("Grep", matches_needle)),
     };
     transformed
         .apply(MapElements::into_bytes("FormatOutput", |v: Bytes| v))
@@ -233,6 +229,20 @@ fn native_rill_impl(
     let env =
         rill::StreamExecutionEnvironment::with_cluster(rill::ClusterSpec::local_for(parallelism));
     env.set_parallelism(parallelism);
+    rill_job(&env, bus, query, input_topic, output_topic, follow);
+    env.execute(&format!("native-{query}"))
+}
+
+/// Adds the native rill job for `query` to `env`: source → one operator
+/// → sink, three elements, as in the paper's Fig. 12.
+fn rill_job(
+    env: &rill::StreamExecutionEnvironment,
+    bus: &logbus::BusHandle,
+    query: Query,
+    input_topic: &str,
+    output_topic: &str,
+    follow: Option<u64>,
+) {
     let mut source = rill::BrokerSource::new(bus.clone(), input_topic);
     if let Some(target) = follow {
         source = source.follow_until(target);
@@ -242,37 +252,20 @@ fn native_rill_impl(
     // LogAppendTime measurement needs — while dense outputs amortize.
     let sink = rill::BrokerSink::new(bus.clone(), output_topic);
     let stream = env.add_source(source);
-    // One operator per query: the native plan is source → operator →
-    // sink, three elements, as in the paper's Fig. 12.
     let transformed = match query {
         Query::Identity => stream.map(|v: Bytes| v),
-        Query::Sample => stream.filter(|v: &Bytes| sample_keeps(v, SAMPLE_PERCENT)),
-        Query::Projection => stream.map(|v: Bytes| {
-            let cut = v.iter().position(|&b| b == b'\t').unwrap_or(v.len());
-            v.slice(..cut)
-        }),
-        Query::Grep => stream.filter(|v: &Bytes| v.windows(4).any(|w| w == b"test")),
+        Query::Sample => stream.filter(sampled),
+        Query::Projection => stream.map(|v: Bytes| first_column(&v)),
+        Query::Grep => stream.filter(matches_needle),
     };
     transformed.add_sink(sink);
-    env.execute(&format!("native-{query}"))
 }
 
 /// Builds (without executing) the native rill job for `query` and
 /// returns its execution plan — the paper's Fig. 12 view.
 pub fn native_rill_plan(bus: impl Into<logbus::BusHandle>, query: Query) -> rill::ExecutionPlan {
-    let bus = bus.into();
     let env = rill::StreamExecutionEnvironment::local();
-    let stream = env.add_source(rill::BrokerSource::new(bus.clone(), "plan-input"));
-    let transformed = match query {
-        Query::Identity => stream.map(|v: Bytes| v),
-        Query::Sample => stream.filter(|v: &Bytes| sample_keeps(v, SAMPLE_PERCENT)),
-        Query::Projection => stream.map(|v: Bytes| {
-            let cut = v.iter().position(|&b| b == b'\t').unwrap_or(v.len());
-            v.slice(..cut)
-        }),
-        Query::Grep => stream.filter(|v: &Bytes| v.windows(4).any(|w| w == b"test")),
-    };
-    transformed.add_sink(rill::BrokerSink::new(bus.clone(), "plan-output"));
+    rill_job(&env, &bus.into(), query, "plan-input", "plan-output", None);
     env.execution_plan()
 }
 
@@ -341,12 +334,9 @@ fn native_dstream_impl(
     };
     let transformed = match query {
         Query::Identity => stream.map(|v: Bytes| v),
-        Query::Sample => stream.filter(|v: &Bytes| sample_keeps(v, SAMPLE_PERCENT)),
-        Query::Projection => stream.map(|v: Bytes| {
-            let cut = v.iter().position(|&b| b == b'\t').unwrap_or(v.len());
-            v.slice(..cut)
-        }),
-        Query::Grep => stream.filter(|v: &Bytes| v.windows(4).any(|w| w == b"test")),
+        Query::Sample => stream.filter(sampled),
+        Query::Projection => stream.map(|v: Bytes| first_column(&v)),
+        Query::Grep => stream.filter(matches_needle),
     };
     transformed.save_to_broker(&ssc, bus.clone(), output_topic);
     ssc.run_to_completion()
@@ -480,13 +470,5 @@ mod tests {
         }
         assert_eq!(Query::Identity.to_string(), "identity");
         assert_eq!(Query::ALL.len(), 4);
-    }
-
-    #[test]
-    fn expected_outputs() {
-        assert_eq!(Query::Identity.expected_outputs(100), Some(100));
-        assert_eq!(Query::Projection.expected_outputs(100), Some(100));
-        assert_eq!(Query::Grep.expected_outputs(1000), Some(4));
-        assert_eq!(Query::Sample.expected_outputs(100), None);
     }
 }

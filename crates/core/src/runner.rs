@@ -1,15 +1,13 @@
 //! The benchmark orchestrator: runs the three-phase process of
 //! paper §III-A over the full setup matrix.
 
-use crate::calculator::{self, QueryMeasurement};
+use crate::calculator;
 use crate::config::BenchConfig;
 use crate::noise::NoiseModel;
-use crate::queries::{self, Query};
-use crate::sender::{send_workload, SenderConfig};
-use crate::setup::{all_setups, Api, Setup, System};
-use beamline::runners::{ApxRunner, DStreamRunner, RillRunner};
-use beamline::PipelineRunner;
-use logbus::{Broker, TopicConfig};
+use crate::queries::Query;
+use crate::setup::{all_setups, Setup};
+use crate::trial::{self, Trial};
+use logbus::Broker;
 use std::fmt;
 
 /// One completed benchmark run.
@@ -76,8 +74,8 @@ pub enum BenchError {
     },
     /// Result calculation failure.
     Calculator(String),
-    /// The produced output is wrong (count mismatch against the query's
-    /// expectation) — measurements of broken runs are worthless.
+    /// The produced output is not the reference output
+    /// ([`trial::verify`]) — measurements of broken runs are worthless.
     WrongOutput {
         /// The failing setup.
         setup: String,
@@ -85,6 +83,8 @@ pub enum BenchError {
         expected: u64,
         /// Actual record count.
         actual: u64,
+        /// First output offset that departs from the reference.
+        first_difference: u64,
     },
 }
 
@@ -100,9 +100,11 @@ impl fmt::Display for BenchError {
                 setup,
                 expected,
                 actual,
+                first_difference,
             } => write!(
                 f,
-                "{setup} produced {actual} output records, expected {expected}"
+                "{setup} produced {actual} output records, expected {expected}; \
+                 first difference at offset {first_difference}"
             ),
         }
     }
@@ -170,43 +172,61 @@ impl BenchmarkRunner {
         let mut query_span = obs::span("query");
         query_span.field("query", query.to_string());
         let broker = Broker::new();
-        broker.set_request_latency_micros(self.config.request_latency_micros);
+        let rtt = self.config.request_latency_micros;
+        broker.set_request_latency_micros(rtt);
         // Replication factor one, one partition: paper §III-A1.
-        broker.create_topic("input", TopicConfig::default())?;
-        {
-            let _send_span = obs::span("send");
-            send_workload(
-                &broker,
-                "input",
-                &SenderConfig {
-                    records: self.config.records,
-                    acks: self.config.sender_acks,
-                    seed: self.config.seed,
-                    ..SenderConfig::default()
-                },
-            )?;
-        }
+        let trial = Trial::on_broker(&broker, self.config.records, self.config.seed);
+        trial.preload(self.config.sender_acks)?;
 
+        // What happens beside each attempt's engine: environment noise
+        // (this attempt's broker round trips are genuinely slower by the
+        // drawn factor) and the seeded fault plan. Both are gone again
+        // before the output is drained and measured.
         let mut noise = self.config.noise_seed.map(NoiseModel::new);
+        let fault_seed = self.config.fault_seed;
+        let mut disturb = |attempt: u32, _output: &str, engine: Engine<'_>| {
+            if let Some(model) = noise.as_mut() {
+                broker.set_request_latency_micros((rtt as f64 * model.next_factor()) as u64);
+            }
+            if let Some(seed) = fault_seed {
+                // A distinct per-attempt stream keeps retries from
+                // replaying the exact fault schedule that failed.
+                broker.install_fault_plan(logbus::FaultPlan::seeded(
+                    seed.wrapping_add(u64::from(attempt) - 1),
+                ));
+            }
+            let result = engine();
+            if fault_seed.is_some() {
+                broker.clear_fault_plan();
+            }
+            broker.set_request_latency_micros(rtt);
+            result
+        };
         let mut report = QueryReport::default();
         for setup in all_setups(&self.config.parallelisms) {
             for run in 0..self.config.runs {
-                self.run_once(&broker, query, setup, run, &mut noise, &mut report)?;
+                let (measurement, incident) =
+                    self.run_once(&broker, &trial, query, setup, run, &mut disturb)?;
+                report.measurements.extend(measurement);
+                report.incidents.extend(incident);
             }
         }
         Ok(report)
     }
 
     /// One (setup, run) cell: attempts until measured or out of budget.
+    /// `disturb` is called with the attempt number, the attempt's output
+    /// topic and the engine, and runs the engine. Returns the
+    /// measurement (unless abandoned) and the incident (unless clean).
     fn run_once(
         &self,
         broker: &Broker,
+        trial: &Trial,
         query: Query,
         setup: Setup,
         run: u32,
-        noise: &mut Option<NoiseModel>,
-        report: &mut QueryReport,
-    ) -> Result<(), BenchError> {
+        disturb: &mut dyn FnMut(u32, &str, Engine<'_>) -> Result<(), BenchError>,
+    ) -> Result<(Option<Measurement>, Option<RunIncident>), BenchError> {
         let max_attempts = self.config.max_run_retries.saturating_add(1);
         let mut attempts = 0u32;
         let mut last_error: Option<BenchError> = None;
@@ -219,72 +239,52 @@ impl BenchmarkRunner {
             } else {
                 format!("output-{setup}-r{run}-a{attempts}")
             };
-            broker.create_topic(&output_topic, TopicConfig::default())?;
-            // Environment noise: this attempt's broker round trips are
-            // genuinely slower by the drawn factor.
-            if let Some(model) = noise.as_mut() {
-                let factor = model.next_factor();
-                broker.set_request_latency_micros(
-                    (self.config.request_latency_micros as f64 * factor) as u64,
-                );
-            }
-            let result = {
-                let mut process_span = obs::span("process");
-                process_span.field("setup", setup.to_string());
-                process_span.field("run", run.to_string());
-                process_span.field("attempt", attempts.to_string());
-                if let Some(seed) = self.config.fault_seed {
-                    // A distinct per-attempt stream keeps retries from
-                    // replaying the exact fault schedule that failed.
-                    broker.install_fault_plan(logbus::FaultPlan::seeded(
-                        seed.wrapping_add(u64::from(attempts) - 1),
-                    ));
-                }
-                let result = self.execute_setup(broker, query, setup, &output_topic);
-                if self.config.fault_seed.is_some() {
-                    broker.clear_fault_plan();
-                }
-                result
-            };
-            broker.set_request_latency_micros(self.config.request_latency_micros);
-            let outcome = result
-                .and_then(|()| self.measure(broker, setup, &output_topic))
-                .and_then(|m| self.check_output(setup, query, &m).map(|()| m));
-            match outcome {
+            let outcome = trial.run(
+                setup,
+                query,
+                &output_topic,
+                self.config.dstream_batch_records,
+                |engine| disturb(attempts, &output_topic, engine),
+            )?;
+            let measured = outcome
+                .engine
+                .and_then(|()| {
+                    calculator::measure(broker, &output_topic)
+                        .map_err(|e| BenchError::Calculator(format!("{setup}: {e}")))
+                })
+                .and_then(|m| trial::verify(trial, setup, query, &outcome.outputs).map(|()| m));
+            match measured {
                 Ok(measurement) => {
-                    if attempts > 1 {
-                        report.incidents.push(RunIncident {
-                            setup,
-                            query,
-                            run,
-                            attempts,
-                            error: last_error
-                                .map_or_else(|| "unknown failure".to_string(), |e| e.to_string()),
-                            recovered: true,
-                        });
-                    }
-                    report.measurements.push(Measurement {
+                    let incident = last_error.map(|e| RunIncident {
+                        setup,
+                        query,
+                        run,
+                        attempts,
+                        error: e.to_string(),
+                        recovered: true,
+                    });
+                    let measurement = Measurement {
                         setup,
                         query,
                         run,
                         execution_seconds: measurement.execution_seconds,
                         output_records: measurement.output_records,
                         attempts,
-                    });
-                    return Ok(());
+                    };
+                    return Ok((Some(measurement), incident));
                 }
                 Err(e) => last_error = Some(e),
             }
         }
-        report.incidents.push(RunIncident {
+        let abandoned = RunIncident {
             setup,
             query,
             run,
             attempts,
             error: last_error.map_or_else(|| "unknown failure".to_string(), |e| e.to_string()),
             recovered: false,
-        });
-        Ok(())
+        };
+        Ok((None, Some(abandoned)))
     }
 
     /// Benchmarks all four queries.
@@ -314,102 +314,10 @@ impl BenchmarkRunner {
         }
         Ok(all)
     }
-
-    fn measure(
-        &self,
-        broker: &Broker,
-        setup: Setup,
-        output_topic: &str,
-    ) -> Result<QueryMeasurement, BenchError> {
-        calculator::measure(broker, output_topic)
-            .map_err(|e| BenchError::Calculator(format!("{setup}: {e}")))
-    }
-
-    fn check_output(
-        &self,
-        setup: Setup,
-        query: Query,
-        measurement: &QueryMeasurement,
-    ) -> Result<(), BenchError> {
-        if let Some(expected) = query.expected_outputs(self.config.records) {
-            if measurement.output_records != expected {
-                return Err(BenchError::WrongOutput {
-                    setup: setup.to_string(),
-                    expected,
-                    actual: measurement.output_records,
-                });
-            }
-        }
-        Ok(())
-    }
-
-    fn execute_setup(
-        &self,
-        broker: &Broker,
-        query: Query,
-        setup: Setup,
-        output_topic: &str,
-    ) -> Result<(), BenchError> {
-        let fail = |message: String| BenchError::Execution {
-            setup: setup.to_string(),
-            message,
-        };
-        match (setup.system, setup.api) {
-            (System::Rill, Api::Native) => {
-                queries::native_rill(broker, query, "input", output_topic, setup.parallelism)
-                    .map(drop)
-                    .map_err(|e| fail(e.to_string()))
-            }
-            (System::DStream, Api::Native) => queries::native_dstream(
-                broker,
-                query,
-                "input",
-                output_topic,
-                setup.parallelism,
-                self.config.dstream_batch_records,
-            )
-            .map(drop)
-            .map_err(|e| fail(e.to_string())),
-            (System::Apx, Api::Native) => {
-                let mut rm = fresh_yarn_cluster();
-                queries::native_apx(
-                    broker,
-                    query,
-                    "input",
-                    output_topic,
-                    setup.parallelism as u32,
-                    &mut rm,
-                )
-                .map(drop)
-                .map_err(|e| fail(e.to_string()))
-            }
-            (system, Api::Beam) => {
-                let pipeline = queries::beam_pipeline(broker, query, "input", output_topic);
-                let runner: Box<dyn PipelineRunner> = match system {
-                    System::Rill => Box::new(
-                        RillRunner::new()
-                            .with_parallelism(setup.parallelism)
-                            .with_cluster(rill::ClusterSpec::local_for(setup.parallelism)),
-                    ),
-                    System::DStream => Box::new(
-                        DStreamRunner::new()
-                            .with_parallelism(setup.parallelism)
-                            .with_batch_records(self.config.dstream_batch_records),
-                    ),
-                    System::Apx => Box::new(
-                        ApxRunner::new()
-                            .with_vcores(setup.parallelism as u32)
-                            .with_window_size(self.config.apx_window_size),
-                    ),
-                };
-                runner
-                    .run(&pipeline)
-                    .map(drop)
-                    .map_err(|e| fail(e.to_string()))
-            }
-        }
-    }
 }
+
+/// The engine of one attempt, as handed to a disturbance.
+type Engine<'a> = &'a dyn Fn() -> Result<(), BenchError>;
 
 /// A fresh two-worker YARN-style cluster, matching the paper's two
 /// worker nodes.
@@ -474,6 +382,53 @@ mod tests {
         for incident in &report.incidents {
             assert!(incident.attempts >= 2, "{incident:?}");
         }
+    }
+
+    /// Sample has no expected count, so only a byte comparison can tell
+    /// a tampered output from a good one: an attempt whose output topic
+    /// gained a record, and one whose output has the right count but one
+    /// altered record, are both retried; the third attempt is measured.
+    #[test]
+    fn tampered_sample_output_is_a_retried_incident_not_a_measurement() {
+        use crate::data::QueryLogGenerator;
+        use logbus::Record;
+
+        let config = BenchConfig::quick().records(200);
+        let broker = Broker::new();
+        let trial = Trial::on_broker(&broker, config.records, config.seed);
+        trial.preload(config.sender_acks).unwrap();
+        let setup = all_setups(&[1])[0];
+        let mut tamper = |attempt: u32, output: &str, engine: Engine<'_>| match attempt {
+            1 => {
+                engine()?;
+                broker.produce(output, 0, Record::from_value("extra"))?;
+                Ok(())
+            }
+            2 => {
+                let mut outputs: Vec<Record> = QueryLogGenerator::new(config.seed)
+                    .payloads(config.records)
+                    .iter()
+                    .filter_map(|p| Query::Sample.apply(p))
+                    .map(Record::from_value)
+                    .collect();
+                outputs[5] = Record::from_value("altered");
+                broker.produce_batch(output, 0, outputs)?;
+                Ok(())
+            }
+            _ => engine(),
+        };
+        let (measurement, incident) = BenchmarkRunner::new(config.clone())
+            .run_once(&broker, &trial, Query::Sample, setup, 0, &mut tamper)
+            .unwrap();
+        assert_eq!(measurement.unwrap().attempts, 3);
+        let incident = incident.unwrap();
+        assert!(incident.recovered);
+        assert_eq!(incident.attempts, 3);
+        assert!(
+            incident.error.contains("first difference at offset 5"),
+            "{}",
+            incident.error
+        );
     }
 
     #[test]

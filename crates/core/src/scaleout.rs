@@ -24,10 +24,14 @@
 //! produced a sustainable trial, never an interpolation.
 
 use crate::config::{env_f64, env_list, env_u64};
-use crate::latency::{fmt_f64, run_trial, LatencyConfig, LatencyTrial};
+use crate::latency::{fmt_f64, run_trial, LatencyTrial, CATCHUP_RATIO, P99_BOUND_MICROS};
 use crate::queries::Query;
 use crate::runner::BenchError;
 use crate::setup::{Api, Setup, System};
+
+/// The query every probe runs: the computational baseline, so the
+/// ceiling found is the engine's, not the operator's.
+const QUERY: Query = Query::Identity;
 
 /// Configuration of the scale-out sweep.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,20 +49,11 @@ pub struct ScaleoutConfig {
     pub max_rate: f64,
     /// Bisection rounds after the floor and ceiling probes.
     pub search_iters: u32,
-    /// The query under test.
-    pub query: Query,
-    /// A probe is sustainable only if its p99 latency is within this
-    /// bound, µs.
-    pub p99_bound_micros: u64,
-    /// ... and its drain ratio is within this bound.
-    pub catchup_ratio: f64,
     /// The (system, SDK) pairs to sweep. Defaults to the paper's
     /// headline comparison (native rill vs beamline-on-rill) plus the
     /// native dstream and apx engines, so the default sweep covers every
     /// system at least once.
     pub cells: Vec<(System, Api)>,
-    /// Workload seed.
-    pub seed: u64,
 }
 
 impl Default for ScaleoutConfig {
@@ -70,16 +65,12 @@ impl Default for ScaleoutConfig {
             min_rate: 500.0,
             max_rate: 64_000.0,
             search_iters: 5,
-            query: Query::Identity,
-            p99_bound_micros: 200_000,
-            catchup_ratio: 1.5,
             cells: vec![
                 (System::Rill, Api::Native),
                 (System::Rill, Api::Beam),
                 (System::DStream, Api::Native),
                 (System::Apx, Api::Native),
             ],
-            seed: 2019,
         }
     }
 }
@@ -87,8 +78,8 @@ impl Default for ScaleoutConfig {
 impl ScaleoutConfig {
     /// The default configuration with `STREAMBENCH_SCALEOUT_*`
     /// environment overrides applied: `RECORDS`, `WARMUP`,
-    /// `PARALLELISMS` (comma-separated), `MIN_RATE`, `MAX_RATE`,
-    /// `ITERS`, `P99_BOUND_MICROS`, and `CATCHUP_RATIO`.
+    /// `PARALLELISMS` (comma-separated), `MIN_RATE`, `MAX_RATE` and
+    /// `ITERS`.
     pub fn from_env() -> Self {
         let default = ScaleoutConfig::default();
         ScaleoutConfig {
@@ -101,11 +92,6 @@ impl ScaleoutConfig {
             min_rate: env_f64("STREAMBENCH_SCALEOUT_MIN_RATE", default.min_rate),
             max_rate: env_f64("STREAMBENCH_SCALEOUT_MAX_RATE", default.max_rate),
             search_iters: env_u64("STREAMBENCH_SCALEOUT_ITERS", default.search_iters as u64) as u32,
-            p99_bound_micros: env_u64(
-                "STREAMBENCH_SCALEOUT_P99_BOUND_MICROS",
-                default.p99_bound_micros,
-            ),
-            catchup_ratio: env_f64("STREAMBENCH_SCALEOUT_CATCHUP_RATIO", default.catchup_ratio),
             ..default
         }
     }
@@ -141,32 +127,10 @@ impl ScaleoutConfig {
         self
     }
 
-    /// Sets the query under test.
-    pub fn query(mut self, query: Query) -> Self {
-        self.query = query;
-        self
-    }
-
     /// Sets the (system, SDK) pairs to sweep.
     pub fn cells(mut self, cells: Vec<(System, Api)>) -> Self {
         self.cells = cells;
         self
-    }
-
-    /// The per-probe latency configuration for `parallelism` workers:
-    /// the input topic gets one partition per worker so the consumer
-    /// group has something to split.
-    fn probe_config(&self, parallelism: usize) -> LatencyConfig {
-        LatencyConfig {
-            records: self.records,
-            warmup_records: self.warmup_records,
-            query: self.query,
-            p99_bound_micros: self.p99_bound_micros,
-            catchup_ratio: self.catchup_ratio,
-            seed: self.seed,
-            ..LatencyConfig::default()
-        }
-        .input_partitions(parallelism)
     }
 }
 
@@ -302,11 +266,11 @@ pub fn run_scaleout(config: &ScaleoutConfig) -> Result<ScaleoutReport, BenchErro
         }
     }
     Ok(ScaleoutReport {
-        query: config.query,
+        query: QUERY,
         records_per_trial: config.records,
         warmup_records: config.warmup_records,
-        p99_bound_micros: config.p99_bound_micros,
-        catchup_ratio: config.catchup_ratio,
+        p99_bound_micros: P99_BOUND_MICROS,
+        catchup_ratio: CATCHUP_RATIO,
         min_rate: config.min_rate,
         max_rate: config.max_rate,
         cells,
@@ -318,10 +282,18 @@ pub fn run_scaleout(config: &ScaleoutConfig) -> Result<ScaleoutReport, BenchErro
 fn search_cell(config: &ScaleoutConfig, setup: Setup) -> Result<ScaleoutCell, BenchError> {
     let mut span = obs::span("scaleout.cell");
     span.field("setup", setup.to_string());
-    let probe_config = config.probe_config(setup.parallelism);
     let mut probes = Vec::new();
     let probe = |rate: f64, probes: &mut Vec<LatencyTrial>| -> Result<bool, BenchError> {
-        let trial = run_trial(&probe_config, setup, rate)?;
+        // One input partition per worker, so the consumer group has
+        // something to split.
+        let trial = run_trial(
+            setup,
+            QUERY,
+            config.records,
+            config.warmup_records,
+            setup.parallelism as u32,
+            rate,
+        )?;
         let sustainable = trial.sustainable;
         probes.push(trial);
         Ok(sustainable)

@@ -194,43 +194,17 @@ pub fn send_open_loop(
     records: u64,
     seed: u64,
 ) -> logbus::Result<OpenLoopSendReport> {
-    let clock = broker.clock();
-    let mut generator = QueryLogGenerator::new(seed);
-    let mut next = 0u64;
-    let mut max_lag = 0i64;
-    let mut batch: Vec<Record> = Vec::new();
-    while next < records {
-        let scheduled = schedule.event_time_micros(next);
-        let mut now = clock.now_micros();
-        while now < scheduled {
-            let nap = (scheduled - now).min(OPEN_LOOP_NAP_MICROS) as u64;
-            std::thread::sleep(std::time::Duration::from_micros(nap));
-            now = clock.now_micros();
-        }
-        max_lag = max_lag.max(now - scheduled);
-        let due = schedule.due_count(now, next, records).max(1);
-        for i in 0..due {
-            batch.push(Record::from_value(stamp_event_time(
-                schedule.event_time_micros(next + i),
-                &generator.next_payload(),
-            )));
-        }
-        broker.produce_batch(topic, 0, std::mem::take(&mut batch))?;
-        next += due;
-    }
-    Ok(OpenLoopSendReport {
-        sent: records,
-        max_send_lag_micros: max_lag,
-    })
+    send_open_loop_partitioned(broker, topic, 1, schedule, records, seed)
 }
 
-/// [`send_open_loop`] across a partitioned topic: each record routes by
-/// the key-hash of its query-log id column through
-/// [`logbus::partition_for_key`] — the same routing the shared producer
-/// partitioner applies for [`logbus::Partitioner::KeyHash`] — so
-/// placement is content-deterministic and every partition's substream
-/// keeps schedule order. Due records are shipped as one append per
-/// partition with records due.
+/// [`send_open_loop`] across a partitioned topic: with more than one
+/// partition each record routes by the key-hash of its query-log id
+/// column through [`logbus::partition_for_key`] — the same routing the
+/// shared producer partitioner applies for
+/// [`logbus::Partitioner::KeyHash`] — so placement is
+/// content-deterministic and every partition's substream keeps schedule
+/// order. Due records are shipped as one append per partition with
+/// records due.
 ///
 /// # Errors
 ///
@@ -243,9 +217,7 @@ pub fn send_open_loop_partitioned(
     records: u64,
     seed: u64,
 ) -> logbus::Result<OpenLoopSendReport> {
-    if partitions <= 1 {
-        return send_open_loop(broker, topic, schedule, records, seed);
-    }
+    let partitions = partitions.max(1);
     let clock = broker.clock();
     let mut generator = QueryLogGenerator::new(seed);
     let mut next = 0u64;
@@ -263,15 +235,18 @@ pub fn send_open_loop_partitioned(
         let due = schedule.due_count(now, next, records).max(1);
         for i in 0..due {
             let payload = generator.next_payload();
+            let stamped = stamp_event_time(schedule.event_time_micros(next + i), &payload);
+            if partitions == 1 {
+                batches[0].push(Record::from_value(stamped));
+                continue;
+            }
             let key_len = payload
                 .iter()
                 .position(|&b| b == b'\t')
                 .unwrap_or(payload.len());
             let partition = logbus::partition_for_key(&payload[..key_len], partitions);
-            batches[partition as usize].push(Record::from_key_value(
-                payload.slice(..key_len),
-                stamp_event_time(schedule.event_time_micros(next + i), &payload),
-            ));
+            batches[partition as usize]
+                .push(Record::from_key_value(payload.slice(..key_len), stamped));
         }
         for (p, batch) in batches.iter_mut().enumerate() {
             if batch.is_empty() {
@@ -291,7 +266,7 @@ pub fn send_open_loop_partitioned(
 /// The prefix survives every benchmark query: identity/sample/grep keep
 /// the record whole, and projection cuts at the *first* tab — leaving
 /// exactly the event-time column.
-fn stamp_event_time(event_micros: i64, payload: &[u8]) -> Bytes {
+pub(crate) fn stamp_event_time(event_micros: i64, payload: &[u8]) -> Bytes {
     let mut buf = Vec::with_capacity(20 + 1 + payload.len());
     buf.extend_from_slice(event_micros.to_string().as_bytes());
     buf.push(b'\t');

@@ -14,15 +14,11 @@
 //! shared producer partitioner) so the engines' consumer groups have to
 //! split real partitions — again compared as multisets.
 
-use beamline::runners::{ApxRunner, DStreamRunner, RillRunner};
-use beamline::PipelineRunner;
 use bytes::Bytes;
-use logbus::{Broker, Partitioner, Producer, ProducerConfig, Record, TopicConfig};
+use logbus::{Acks, Broker, Partitioner, Producer, ProducerConfig, Record, TopicConfig};
 use proptest::prelude::*;
-use streambench_core::{
-    beam_pipeline, fresh_yarn_cluster, native_apx, native_dstream, native_rill, send_workload,
-    Query, QueryLogGenerator, SenderConfig,
-};
+use streambench_core::trial::{self, Trial};
+use streambench_core::{all_setups, BenchError, Query, QueryLogGenerator, Setup, System};
 
 /// Partition count of the multi-partition equivalence phase.
 const INPUT_PARTITIONS: u32 = 4;
@@ -31,23 +27,12 @@ const RECORDS: u64 = 400;
 const SEED: u64 = 97;
 const BATCH_RECORDS: usize = 128;
 
-/// A broker with the standard workload loaded into the `input` topic.
-fn load_input(records: u64, seed: u64) -> Broker {
-    let broker = Broker::new();
-    broker
-        .create_topic("input", TopicConfig::default())
-        .unwrap();
-    send_workload(
-        &broker,
-        "input",
-        &SenderConfig {
-            records,
-            seed,
-            ..SenderConfig::default()
-        },
-    )
-    .unwrap();
-    broker
+/// Loads the standard workload into `broker`'s `input` topic; the
+/// returned trial runs from it.
+fn loaded(broker: &Broker, records: u64, seed: u64) -> Trial {
+    let trial = Trial::on_broker(broker, records, seed);
+    trial.preload(Acks::Leader).unwrap();
+    trial
 }
 
 /// A broker whose `input` topic has `partitions` partitions, loaded
@@ -82,131 +67,47 @@ fn load_input_partitioned(records: u64, seed: u64, partitions: u32) -> Broker {
     broker
 }
 
-/// The per-element reference: `Query::apply` over the generated payloads
-/// in generation order.
-fn reference(query: Query, records: u64, seed: u64) -> Vec<Bytes> {
-    QueryLogGenerator::new(seed)
-        .payloads(records)
-        .iter()
-        .filter_map(|p| query.apply(p))
-        .collect()
+fn quiet(engine: &dyn Fn() -> Result<(), BenchError>) -> Result<(), BenchError> {
+    engine()
 }
 
-/// All record values of an output topic, in log order.
-fn outputs(broker: &Broker, topic: &str) -> Vec<Bytes> {
-    broker
-        .fetch(topic, 0, 0, 100_000)
-        .unwrap()
-        .into_iter()
-        .map(|stored| stored.record.value)
-        .collect()
-}
-
-/// The six implementation variants of the benchmark matrix.
-#[derive(Debug, Clone, Copy)]
-enum Impl {
-    RillNative,
-    DStreamNative,
-    ApxNative,
-    RillBeam,
-    DStreamBeam,
-    ApxBeam,
-}
-
-const ALL_IMPLS: [Impl; 6] = [
-    Impl::RillNative,
-    Impl::DStreamNative,
-    Impl::ApxNative,
-    Impl::RillBeam,
-    Impl::DStreamBeam,
-    Impl::ApxBeam,
-];
-
-fn execute(imp: Impl, broker: &Broker, query: Query, output: &str, parallelism: usize) {
-    match imp {
-        Impl::RillNative => {
-            native_rill(broker, query, "input", output, parallelism).unwrap();
-        }
-        Impl::DStreamNative => {
-            native_dstream(broker, query, "input", output, parallelism, BATCH_RECORDS).unwrap();
-        }
-        Impl::ApxNative => {
-            let mut rm = fresh_yarn_cluster();
-            native_apx(broker, query, "input", output, parallelism as u32, &mut rm).unwrap();
-        }
-        Impl::RillBeam => {
-            let pipeline = beam_pipeline(broker, query, "input", output);
-            RillRunner::new()
-                .with_parallelism(parallelism)
-                .run(&pipeline)
-                .unwrap();
-        }
-        Impl::DStreamBeam => {
-            let pipeline = beam_pipeline(broker, query, "input", output);
-            DStreamRunner::new()
-                .with_parallelism(parallelism)
-                .with_batch_records(BATCH_RECORDS)
-                .run(&pipeline)
-                .unwrap();
-        }
-        Impl::ApxBeam => {
-            let pipeline = beam_pipeline(broker, query, "input", output);
-            ApxRunner::new()
-                .with_vcores(parallelism as u32)
-                .run(&pipeline)
-                .unwrap();
-        }
-    }
+/// Runs `query` on `setup` through the production dispatch into a fresh
+/// `output` topic and checks the drained bytes against the per-element
+/// reference: in order at parallelism 1, as a multiset above.
+fn assert_matches_reference(
+    trial: &Trial,
+    setup: Setup,
+    query: Query,
+    output: &str,
+    around: impl FnOnce(&dyn Fn() -> Result<(), BenchError>) -> Result<(), BenchError>,
+) {
+    let outcome = trial
+        .run(setup, query, output, BATCH_RECORDS, around)
+        .unwrap();
+    outcome
+        .engine
+        .unwrap_or_else(|e| panic!("{setup} failed ({query}): {e}"));
+    assert!(!outcome.outputs.is_empty(), "workload must produce output");
+    trial::verify(trial, setup, query, &outcome.outputs)
+        .unwrap_or_else(|e| panic!("{setup} must match the reference ({query}): {e}"));
 }
 
 /// Runs all six implementations at parallelism 1 and 2 (single-partition
 /// input), then at parallelism 4 against a 4-partition key-routed input,
 /// checking each against the per-element reference.
 fn assert_query_equivalence(query: Query) {
-    let broker = load_input(RECORDS, SEED);
-    let expected = reference(query, RECORDS, SEED);
-    assert!(!expected.is_empty(), "workload must produce output");
-    let mut expected_sorted = expected.clone();
-    expected_sorted.sort();
-
-    for parallelism in [1usize, 2] {
-        for imp in ALL_IMPLS {
-            let topic = format!("out-{imp:?}-p{parallelism}");
-            broker.create_topic(&topic, TopicConfig::default()).unwrap();
-            execute(imp, &broker, query, &topic, parallelism);
-            let got = outputs(&broker, &topic);
-            if parallelism == 1 {
-                assert_eq!(
-                    got, expected,
-                    "{imp:?} at parallelism 1 must match the reference byte-for-byte, in order ({query})"
-                );
-            } else {
-                let mut got_sorted = got;
-                got_sorted.sort();
-                assert_eq!(
-                    got_sorted, expected_sorted,
-                    "{imp:?} at parallelism 2 must match the reference as a multiset ({query})"
-                );
-            }
-        }
+    let trial = loaded(&Broker::new(), RECORDS, SEED);
+    for setup in all_setups(&[1, 2]) {
+        assert_matches_reference(&trial, setup, query, &format!("out-{setup}"), quiet);
     }
 
     // Parallelism 4 over a genuinely partitioned input: the consumer
     // group splits 4 partitions across the parallel sources, and the
     // union of their outputs must still be the reference multiset.
     let partitioned = load_input_partitioned(RECORDS, SEED, INPUT_PARTITIONS);
-    for imp in ALL_IMPLS {
-        let topic = format!("out-{imp:?}-p4-multi");
-        partitioned
-            .create_topic(&topic, TopicConfig::default())
-            .unwrap();
-        execute(imp, &partitioned, query, &topic, 4);
-        let mut got_sorted = outputs(&partitioned, &topic);
-        got_sorted.sort();
-        assert_eq!(
-            got_sorted, expected_sorted,
-            "{imp:?} at parallelism 4 over {INPUT_PARTITIONS} partitions must match the reference as a multiset ({query})"
-        );
+    let trial = Trial::on_broker(&partitioned, RECORDS, SEED);
+    for setup in all_setups(&[4]) {
+        assert_matches_reference(&trial, setup, query, &format!("out-{setup}-multi"), quiet);
     }
 }
 
@@ -219,33 +120,15 @@ fn assert_query_equivalence(query: Query) {
 #[test]
 fn all_impls_match_reference_under_fault_plan() {
     for query in Query::ALL {
-        let broker = load_input(RECORDS, SEED);
-        let expected = reference(query, RECORDS, SEED);
-        let mut expected_sorted = expected.clone();
-        expected_sorted.sort();
-
-        for parallelism in [1usize, 2] {
-            for imp in ALL_IMPLS {
-                let topic = format!("chaos-{imp:?}-p{parallelism}");
-                broker.create_topic(&topic, TopicConfig::default()).unwrap();
+        let broker = Broker::new();
+        let trial = loaded(&broker, RECORDS, SEED);
+        for setup in all_setups(&[1, 2]) {
+            assert_matches_reference(&trial, setup, query, &format!("chaos-{setup}"), |engine| {
                 broker.install_fault_plan(logbus::FaultPlan::seeded(SEED ^ 0x00C0_FFEE));
-                execute(imp, &broker, query, &topic, parallelism);
+                let result = engine();
                 broker.clear_fault_plan();
-                let got = outputs(&broker, &topic);
-                if parallelism == 1 {
-                    assert_eq!(
-                        got, expected,
-                        "{imp:?} under faults must match the fault-free reference in order ({query})"
-                    );
-                } else {
-                    let mut got_sorted = got;
-                    got_sorted.sort();
-                    assert_eq!(
-                        got_sorted, expected_sorted,
-                        "{imp:?} under faults must match the fault-free reference as a multiset ({query})"
-                    );
-                }
-            }
+                result
+            });
         }
     }
 }
@@ -262,13 +145,11 @@ fn identity_matches_per_element_reference() {
 /// around the pooled batch path while the byte-equivalence still holds.
 #[test]
 fn pool_tier_is_live_during_equivalence_runs() {
-    let broker = load_input(RECORDS, SEED);
+    let trial = loaded(&Broker::new(), RECORDS, SEED);
     let (reused_before, recycled_before) = logbus::pool::stats();
-    for imp in ALL_IMPLS {
-        let topic = format!("pool-probe-{imp:?}");
-        broker.create_topic(&topic, TopicConfig::default()).unwrap();
-        execute(imp, &broker, Query::Identity, &topic, 1);
-        assert!(!outputs(&broker, &topic).is_empty());
+    for setup in all_setups(&[1]) {
+        let topic = format!("pool-probe-{setup}");
+        assert_matches_reference(&trial, setup, Query::Identity, &topic, quiet);
     }
     let (reused_after, recycled_after) = logbus::pool::stats();
     assert!(
@@ -304,25 +185,18 @@ proptest! {
     #[test]
     fn batched_rill_chain_equals_per_element_reference(seed in any::<u64>(), n in 20u64..120) {
         let query = Query::ALL[(seed % 4) as usize];
-        let broker = load_input(n, seed);
-        let expected = reference(query, n, seed);
-
-        broker.create_topic("native-out", TopicConfig::default()).unwrap();
-        native_rill(&broker, query, "input", "native-out", 1).unwrap();
-        prop_assert_eq!(outputs(&broker, "native-out"), expected.clone());
-
-        broker.create_topic("beam-out", TopicConfig::default()).unwrap();
-        let pipeline = beam_pipeline(&broker, query, "input", "beam-out");
-        RillRunner::new().with_parallelism(1).run(&pipeline).unwrap();
-        prop_assert_eq!(outputs(&broker, "beam-out"), expected.clone());
-
-        let mut expected_sorted = expected;
-        expected_sorted.sort();
-        broker.create_topic("native-out-p2", TopicConfig::default()).unwrap();
-        native_rill(&broker, query, "input", "native-out-p2", 2).unwrap();
-        let mut got = outputs(&broker, "native-out-p2");
-        got.sort();
-        prop_assert_eq!(got, expected_sorted);
+        let trial = loaded(&Broker::new(), n, seed);
+        for setup in all_setups(&[1, 2]) {
+            if setup.system != System::Rill {
+                continue;
+            }
+            let outcome = trial
+                .run(setup, query, &format!("out-{setup}"), BATCH_RECORDS, quiet)
+                .unwrap();
+            prop_assert!(outcome.engine.is_ok(), "{}: {:?}", setup, outcome.engine);
+            let verdict = trial::verify(&trial, setup, query, &outcome.outputs);
+            prop_assert!(verdict.is_ok(), "{}: {:?}", setup, verdict);
+        }
     }
 }
 
@@ -344,7 +218,8 @@ fn group_rebalance_mid_run_is_exactly_once() {
     const N: u64 = 2_000;
     const GROUP: &str = "chaos-rebalance";
     let broker = load_input_partitioned(N, SEED, INPUT_PARTITIONS);
-    let mut expected_sorted = reference(Query::Identity, N, SEED);
+    // Identity: the reference output is the input.
+    let mut expected_sorted = QueryLogGenerator::new(SEED).payloads(N);
     expected_sorted.sort();
     broker
         .create_topic("rebalance-out", TopicConfig::default())
@@ -406,7 +281,12 @@ fn group_rebalance_mid_run_is_exactly_once() {
     disturber.join().unwrap();
     broker.clear_fault_plan();
 
-    let mut got_sorted = outputs(&broker, "rebalance-out");
+    let mut got_sorted: Vec<Bytes> = broker
+        .fetch("rebalance-out", 0, 0, 100_000)
+        .unwrap()
+        .into_iter()
+        .map(|stored| stored.record.value)
+        .collect();
     got_sorted.sort();
     assert_eq!(
         got_sorted, expected_sorted,

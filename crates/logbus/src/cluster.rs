@@ -289,9 +289,10 @@ impl Cluster {
     }
 
     /// Restarts broker `index` and repairs its logs: every partition it
-    /// replicates is truncated back to the replica's last confirmed
-    /// offset (discarding any unacknowledged tail a deposed leader wrote)
-    /// and fenced at the current epoch. The broker rejoins each in-sync
+    /// replicates is truncated back to its divergence point — the
+    /// replica's last confirmed offset, capped at the start of the first
+    /// epoch elected while it was down (discarding any unacknowledged
+    /// tail a deposed leader wrote) — and fenced at the current epoch. The broker rejoins each in-sync
     /// set only after the next produce or read repair catches it up.
     ///
     /// # Panics
@@ -316,6 +317,10 @@ impl Cluster {
             let Ok(t) = self.inner.brokers[index].topic(&topic) else {
                 continue;
             };
+            // The replica's own fence, read before it is raised: the
+            // last election it was alive for.
+            let own_epoch = t.leader_epoch(partition).unwrap_or(0);
+            st.synced[pos] = st.divergence_point(pos, own_epoch);
             let truncated = t.truncate_to(partition, st.synced[pos]).unwrap_or(0);
             let _ = t.set_leader_epoch(partition, st.epoch);
             if pos != st.leader_pos {
@@ -392,6 +397,7 @@ impl Cluster {
         let leader_topic = self.inner.brokers[leader_id].topic(topic)?;
         leader_topic.set_leader_epoch(partition, st.epoch)?;
         let leader_end = leader_topic.latest_offset(partition)?;
+        st.epoch_starts.push((st.epoch, leader_end));
         let mut epoch_bumps = 1u64;
         let mut truncated = 0u64;
         for (pos, &replica) in route.replicas.iter().enumerate() {

@@ -44,6 +44,10 @@ pub(crate) struct PartitionState {
     /// High-watermark: consumers observe only offsets below this. Never
     /// moves backwards.
     pub(crate) hw: u64,
+    /// `(epoch, start offset)` per election, in election order: the log
+    /// end the epoch's leader held when it took over. A replica that was
+    /// dead during an election consults this on rejoin (KIP-101).
+    pub(crate) epoch_starts: Vec<(u64, u64)>,
 }
 
 impl PartitionState {
@@ -57,6 +61,24 @@ impl PartitionState {
             in_sync: vec![true; replicas],
             synced: vec![0; replicas],
             hw: 0,
+            epoch_starts: Vec::new(),
+        }
+    }
+
+    /// Where the replica at `pos`, last fenced at `own_epoch`, may
+    /// diverge from the current leader's log: its confirmed end, capped
+    /// at the start of the first epoch it missed. Anything it holds past
+    /// that point was written under a leader that has since been deposed
+    /// without this replica hearing of it, so `synced[pos]` alone would
+    /// vouch for records the newer timeline may have replaced.
+    pub(crate) fn divergence_point(&self, pos: usize, own_epoch: u64) -> u64 {
+        let missed = self
+            .epoch_starts
+            .iter()
+            .find(|&&(epoch, _)| epoch > own_epoch);
+        match missed {
+            Some(&(_, start)) => self.synced[pos].min(start),
+            None => self.synced[pos],
         }
     }
 
@@ -172,6 +194,22 @@ mod tests {
         assert_eq!(st.elect(&[false, true, true]), Some(1));
         assert_eq!(st.elect(&[true, false, true]), Some(2));
         assert_eq!(st.epoch, 2);
+    }
+
+    #[test]
+    fn divergence_point_is_the_first_missed_epochs_start() {
+        let mut st = PartitionState::new(3);
+        st.synced = vec![9, 9, 4];
+        // No election missed: the confirmed end stands.
+        assert_eq!(st.divergence_point(1, 0), 9);
+        st.epoch_starts = vec![(1, 4), (2, 7)];
+        // Fenced at epoch 0, missed both: cut at epoch 1's start.
+        assert_eq!(st.divergence_point(1, 0), 4);
+        // Heard of epoch 1, missed epoch 2.
+        assert_eq!(st.divergence_point(1, 1), 7);
+        // Up to date, or confirmed end already below the start.
+        assert_eq!(st.divergence_point(1, 2), 9);
+        assert_eq!(st.divergence_point(2, 1), 4);
     }
 
     #[test]

@@ -58,6 +58,26 @@ const FAULT_HOME: &[&str] = &[
     "crates/logbus/src/election.rs",
 ];
 
+/// Files where an engine dispatch — a call to one of the native query
+/// entry points — may appear: the one trial loop, the definitions
+/// themselves, the teaching examples, and the benchmark's frozen twin.
+const DISPATCH_HOME: &[&str] = &[
+    "crates/core/src/trial.rs",
+    "crates/core/src/queries.rs",
+    "examples/",
+    "ledger/",
+];
+
+/// The native query entry points, bounded and follow-mode.
+const DISPATCH_PATTERNS: &[&str] = &[
+    "native_rill(",
+    "native_rill_following(",
+    "native_dstream(",
+    "native_dstream_following(",
+    "native_apx(",
+    "native_apx_following(",
+];
+
 /// How many preceding lines an `obs::enabled()` gate may sit above a
 /// telemetry recording site and still count as guarding it.
 const GATE_WINDOW: usize = 15;
@@ -90,6 +110,7 @@ pub fn lint_file(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
     batch_contract(rel, src, out);
     std_sync_lock(rel, src, out);
     fault_confinement(rel, src, out);
+    dispatch_confinement(rel, src, out);
     zero_copy(rel, src, out);
 }
 
@@ -277,6 +298,31 @@ fn fault_confinement(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
                     line.number,
                     &line.raw,
                     format!("`{pat}` outside the broker fault layer; inject via `FaultPlan`"),
+                ));
+            }
+        }
+    }
+}
+
+/// `dispatch-confinement`: only `core::trial::execute` maps a
+/// (system, API) setup to an engine. A second caller of the native query
+/// entry points — tests included — is a second trial harness in the
+/// making, with its own topic set-up, engine sizing and drain.
+fn dispatch_confinement(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
+    if matches_any(rel, DISPATCH_HOME) {
+        return;
+    }
+    for line in &src.lines {
+        for pat in DISPATCH_PATTERNS {
+            if line.code.contains(pat) {
+                out.push(Violation::new(
+                    "dispatch-confinement",
+                    rel,
+                    line.number,
+                    &line.raw,
+                    format!(
+                        "`{pat}` outside `core::trial`; run the setup through `trial::execute`"
+                    ),
                 ));
             }
         }

@@ -80,6 +80,20 @@ fn fault_confinement_fixture() {
     );
 }
 
+#[test]
+fn dispatch_confinement_fixture() {
+    assert_trips_once(
+        "dispatch_confinement.rs",
+        "crates/core/src/latency.rs",
+        "dispatch-confinement",
+    );
+    // The same call is the whole point of the trial loop, and a test
+    // file gets no exemption.
+    let src = fixture("dispatch_confinement.rs");
+    assert!(lint_source("crates/core/src/trial.rs", &src).is_empty());
+    assert_eq!(lint_source("tests/cross_engine.rs", &src).len(), 1);
+}
+
 /// The fixtures are bad only *because of where they claim to live*: the
 /// same panic fixture on a cold-path module is clean, and the ungated
 /// observe is fine off the hot path. Guards against the lints becoming

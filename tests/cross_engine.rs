@@ -1,102 +1,71 @@
-//! Cross-engine, cross-API output equality: for every query, all eight
+//! Cross-engine, cross-API output equality: for every query, all seven
 //! implementation variants (3 native engines + the abstraction layer on
-//! 4 runners) must produce byte-identical output sets. This is the
+//! 4 runners) must produce byte-identical output. This is the
 //! precondition that makes the paper's performance comparison meaningful.
+//!
+//! The six benchmarked variants run through the production dispatch
+//! (`trial::execute` via `Trial::run`) and are verified against
+//! `Query::apply`; the `DirectRunner` — the abstraction layer on no
+//! engine at all, which no campaign runs — is compared with them here.
 
-use beamline::runners::{ApxRunner, DStreamRunner, DirectRunner, RillRunner};
+use beamline::runners::DirectRunner;
 use beamline::PipelineRunner;
-use logbus::{Broker, TopicConfig};
-use streambench_core::{
-    beam_pipeline, fresh_yarn_cluster, native_apx, native_dstream, native_rill, Query, SenderConfig,
-};
+use logbus::{Acks, Broker, StoredRecord, TopicConfig};
+use streambench_core::trial::{self, Trial};
+use streambench_core::{all_setups, beam_pipeline, Api, Query, SenderConfig, Setup, System};
 
 const RECORDS: u64 = 500;
+const BATCH_RECORDS: usize = 128;
 
-fn loaded_broker() -> Broker {
-    let broker = Broker::new();
-    broker
-        .create_topic("input", TopicConfig::default())
+fn loaded(broker: &Broker) -> Trial {
+    let trial = Trial::on_broker(broker, RECORDS, SenderConfig::default().seed);
+    trial.preload(Acks::Leader).unwrap();
+    trial
+}
+
+/// Runs `query` on `setup` and returns the verified output.
+fn verified_output(trial: &Trial, setup: Setup, query: Query) -> Vec<StoredRecord> {
+    let outcome = trial
+        .run(
+            setup,
+            query,
+            &format!("out-{setup}"),
+            BATCH_RECORDS,
+            |engine| engine(),
+        )
         .unwrap();
-    streambench_core::send_workload(
-        &broker,
-        "input",
-        &SenderConfig {
-            records: RECORDS,
-            ..SenderConfig::default()
-        },
-    )
-    .unwrap();
-    broker
+    outcome.engine.unwrap();
+    trial::verify(trial, setup, query, &outcome.outputs).unwrap_or_else(|e| panic!("{query}: {e}"));
+    outcome.outputs
 }
 
-fn sorted_output(broker: &Broker, topic: &str) -> Vec<Vec<u8>> {
-    let n = broker.latest_offset(topic, 0).unwrap();
-    let mut values: Vec<Vec<u8>> = broker
-        .fetch(topic, 0, 0, n as usize)
-        .unwrap()
-        .into_iter()
-        .map(|r| r.record.value.to_vec())
-        .collect();
-    values.sort();
-    values
-}
-
-fn run_all_variants(query: Query) -> Vec<(String, Vec<Vec<u8>>)> {
-    let broker = loaded_broker();
-    let mut outputs = Vec::new();
-
-    let fresh = |name: &str| {
-        let topic = format!("out-{name}");
-        broker.create_topic(&topic, TopicConfig::default()).unwrap();
-        topic
-    };
-
-    let topic = fresh("native-rill");
-    native_rill(&broker, query, "input", &topic, 1).unwrap();
-    outputs.push(("native rill".to_string(), sorted_output(&broker, &topic)));
-
-    let topic = fresh("native-dstream");
-    native_dstream(&broker, query, "input", &topic, 1, 128).unwrap();
-    outputs.push(("native dstream".to_string(), sorted_output(&broker, &topic)));
-
-    let topic = fresh("native-apx");
-    let mut rm = fresh_yarn_cluster();
-    native_apx(&broker, query, "input", &topic, 1, &mut rm).unwrap();
-    outputs.push(("native apx".to_string(), sorted_output(&broker, &topic)));
-
-    let runners: Vec<(&str, Box<dyn PipelineRunner>)> = vec![
-        ("beam direct", Box::new(DirectRunner::new())),
-        ("beam rill", Box::new(RillRunner::new())),
-        (
-            "beam dstream",
-            Box::new(DStreamRunner::new().with_batch_records(128)),
-        ),
-        ("beam apx", Box::new(ApxRunner::new().with_window_size(64))),
-    ];
-    for (name, runner) in runners {
-        let topic = fresh(&name.replace(' ', "-"));
-        let pipeline = beam_pipeline(&broker, query, "input", &topic);
-        runner.run(&pipeline).unwrap();
-        outputs.push((name.to_string(), sorted_output(&broker, &topic)));
-    }
-    outputs
+fn values(records: &[StoredRecord]) -> Vec<&[u8]> {
+    records.iter().map(|r| &r.record.value[..]).collect()
 }
 
 fn assert_all_equal(query: Query) {
-    let outputs = run_all_variants(query);
-    let (reference_name, reference) = &outputs[0];
-    assert!(!reference.is_empty(), "{query}: empty reference output");
-    for (name, output) in &outputs[1..] {
-        assert_eq!(
-            output.len(),
-            reference.len(),
-            "{query}: {name} count differs from {reference_name}"
-        );
-        assert_eq!(
-            output, reference,
-            "{query}: {name} differs from {reference_name}"
-        );
+    let broker = Broker::new();
+    let trial = loaded(&broker);
+    let mut reference = Vec::new();
+    for setup in all_setups(&[1]) {
+        reference = verified_output(&trial, setup, query);
+        assert!(!reference.is_empty(), "{query}: {setup} produced nothing");
     }
+
+    broker
+        .create_topic("out-direct", TopicConfig::default())
+        .unwrap();
+    DirectRunner::new()
+        .run(&beam_pipeline(&broker, query, "input", "out-direct"))
+        .unwrap();
+    let direct = broker
+        .fetch("out-direct", 0, 0, RECORDS as usize + 1)
+        .unwrap();
+    assert_eq!(
+        values(&direct),
+        values(&reference),
+        "{query}: beam direct differs from the verified engines"
+    );
 }
 
 #[test]
@@ -119,12 +88,22 @@ fn grep_outputs_identical_everywhere() {
     assert_all_equal(Query::Grep);
 }
 
+fn native(system: System) -> Setup {
+    Setup {
+        system,
+        api: Api::Native,
+        parallelism: 1,
+    }
+}
+
 #[test]
 fn projection_extracts_first_column() {
-    let broker = loaded_broker();
-    broker.create_topic("out", TopicConfig::default()).unwrap();
-    native_rill(&broker, Query::Projection, "input", "out", 1).unwrap();
-    for value in sorted_output(&broker, "out") {
+    let trial = loaded(&Broker::new());
+    for value in values(&verified_output(
+        &trial,
+        native(System::Rill),
+        Query::Projection,
+    )) {
         assert!(!value.contains(&b'\t'), "projected value contains a tab");
         assert!(!value.is_empty());
         assert!(
@@ -136,15 +115,13 @@ fn projection_extracts_first_column() {
 
 #[test]
 fn grep_outputs_contain_the_needle() {
-    let broker = loaded_broker();
-    broker.create_topic("out", TopicConfig::default()).unwrap();
-    native_dstream(&broker, Query::Grep, "input", "out", 1, 64).unwrap();
-    let out = sorted_output(&broker, "out");
+    let trial = loaded(&Broker::new());
+    let out = verified_output(&trial, native(System::DStream), Query::Grep);
     assert_eq!(
         out.len() as u64,
         streambench_core::data::expected_grep_hits(RECORDS)
     );
-    for value in out {
+    for value in values(&out) {
         assert!(value.windows(4).any(|w| w == b"test"));
     }
 }
