@@ -3,7 +3,7 @@
 
 use crate::operator::{Emitter, InputOperator, Operator, OperatorContext};
 use bytes::Bytes;
-use logbus::{AssignmentStrategy, Bus, BusHandle, GroupedReader, PartitionWriter, Record};
+use logbus::{AssignmentStrategy, BusHandle, GroupedReader, PartitionWriter, Record};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Monotonic suffix for auto-generated consumer-group names.
@@ -116,7 +116,7 @@ impl InputOperator<Bytes> for KafkaInput {
         let group = self.group.clone().unwrap_or_else(|| {
             format!("apx-src-{}", NEXT_GROUP_ID.fetch_add(1, Ordering::Relaxed))
         });
-        let bus = self.bus.as_bus();
+        let bus = self.bus.clone();
         // A missing topic stays harmless: the operator just emits
         // nothing, as before the group protocol.
         self.reader = if self.follow_target.is_some() {

@@ -211,7 +211,7 @@ impl RawSource for BrokerRawSource {
             self.read_following(target, emit);
             return;
         }
-        let bus = self.bus.as_bus();
+        let bus = self.bus.clone();
         let Ok(mut reader) = logbus::GroupedReader::bounded(
             bus,
             &self.topic,
@@ -239,7 +239,7 @@ impl BrokerRawSource {
     /// pass, with backoff while caught up) until `target` records have
     /// been emitted or the producer stalls past [`FOLLOW_STALL_LIMIT`].
     fn read_following(&mut self, target: u64, mut emit: RawEmit<'_>) {
-        let bus = self.bus.as_bus();
+        let bus = self.bus.clone();
         let Ok(mut reader) = logbus::GroupedReader::following(
             bus,
             &self.topic,

@@ -15,6 +15,9 @@
 //! segment arenas draw recycled chunks from the `bytes` shim free-list,
 //! and batch vectors cycle through the `logbus` pool tier.
 //!
+//! The same bound holds one record per request through cluster-routed
+//! handles on a replicated topic: a handle resolves its route once.
+//!
 //! A second guard pins what a whole native `apx` cell allocates per
 //! record: its cross-container streams encode into pooled frame blocks,
 //! so only the subscriber-side codec copies (the modeled cost) remain.
@@ -151,6 +154,58 @@ fn steady_state_record_path_is_allocation_free() {
         per_record < 0.01,
         "steady state should be allocation-free: {events} allocation \
          events over {records} records ({per_record:.4}/record)"
+    );
+}
+
+const ROUTED_ROUNDS: usize = 8_192;
+
+/// One record per request through cluster-routed handles, so a
+/// per-request cost — resolving the topic name to a route and the route
+/// to each replica's log — cannot hide behind a batch.
+#[test]
+fn routed_handle_requests_are_allocation_free() {
+    let _alone = ONE_AT_A_TIME.lock();
+    let cluster = logbus::Cluster::new(logbus::ClusterConfig { brokers: 3 });
+    cluster
+        .create_topic(
+            "t",
+            logbus::TopicConfig::new()
+                .replication_factor(3)
+                .segment_bytes(16 << 10)
+                .retention_records(4_096),
+        )
+        .expect("create topic");
+    let writer = cluster.partition_writer("t", 0).expect("writer");
+    let reader = cluster.partition_reader("t", 0).expect("reader");
+    let record = logbus::Record::from_value("payload-0123456789abcdef");
+    let mut fetched: Vec<logbus::StoredRecord> = Vec::with_capacity(1);
+    let mut request = || {
+        let offset = writer.produce(record.clone()).expect("fault-free append");
+        fetched.clear();
+        let appended = reader
+            .fetch_into(offset, 1, &mut fetched)
+            .expect("fetch the just-committed record");
+        assert_eq!(appended, 1);
+    };
+
+    for _ in 0..ROUTED_ROUNDS {
+        request();
+    }
+    let before = alloc_events();
+    assert!(before > 0, "counting allocator is not wired in");
+    for _ in 0..ROUTED_ROUNDS {
+        request();
+    }
+    let events = alloc_events() - before;
+
+    // Held to the single-broker bound. A handle that re-resolves its
+    // route by name allocates the `(topic, partition)` key on every
+    // request and reads 2.0 or more here.
+    let per_record = events as f64 / ROUTED_ROUNDS as f64;
+    assert!(
+        per_record < 0.01,
+        "routed steady state should be allocation-free: {events} allocation \
+         events over {ROUTED_ROUNDS} records ({per_record:.4}/record)"
     );
 }
 

@@ -1,0 +1,92 @@
+//! Every produce and fetch door is observed exactly once.
+//!
+//! One test, alone in its binary: the obs registry is process-wide, so
+//! exact counter deltas hold only when nothing else records.
+
+use logbus::{Broker, BusHandle, Cluster, ClusterConfig, Record, TopicConfig};
+
+fn counter(name: &str) -> u64 {
+    let snap = obs::global().registry().snapshot();
+    snap.counters.get(name).copied().unwrap_or(0)
+}
+
+fn requests(name: &str) -> u64 {
+    let snap = obs::global().registry().snapshot();
+    snap.histograms.get(name).map_or(0, |h| h.count)
+}
+
+fn pair() -> Vec<Record> {
+    vec![Record::from_value("a"), Record::from_value("b")]
+}
+
+/// Drives every door of `bus` once with a batch of two and checks each
+/// moved the produce (or fetch) instruments by one request of two
+/// records — a routed writer's `replicated_append` and a named call's
+/// inner handle path must not count a second time.
+fn each_door_counts_once(bus: &BusHandle, replication: u32) {
+    bus.create_topic("t", TopicConfig::default().replication_factor(replication))
+        .unwrap();
+    let writer = bus.partition_writer("t", 0).unwrap();
+    let reader = bus.partition_reader("t", 0).unwrap();
+    let mut buffer = pair();
+    let produce_doors: [&mut dyn FnMut(); 4] = [
+        &mut || assert!(bus.produce_batch("t", 0, pair()).is_ok()),
+        &mut || assert!(writer.produce_batch(pair()).is_ok()),
+        &mut || assert!(writer.produce_batch_drain(&mut buffer).is_ok()),
+        &mut || {
+            writer.produce(Record::from_value("c")).unwrap();
+            writer.produce(Record::from_value("d")).unwrap();
+        },
+    ];
+    for (door, produce) in produce_doors.into_iter().enumerate() {
+        let (records, calls) = (
+            counter("logbus.produce.records"),
+            requests("logbus.produce.micros"),
+        );
+        produce();
+        assert_eq!(
+            counter("logbus.produce.records") - records,
+            2,
+            "produce door {door} on {bus:?}"
+        );
+        // The last door is two single-record requests.
+        let expected = if door == 3 { 2 } else { 1 };
+        assert_eq!(
+            requests("logbus.produce.micros") - calls,
+            expected,
+            "produce door {door} on {bus:?}"
+        );
+    }
+    let mut out = Vec::new();
+    let fetch_doors: [&mut dyn FnMut(); 4] = [
+        &mut || assert_eq!(bus.fetch("t", 0, 0, 2).unwrap().len(), 2),
+        &mut || assert_eq!(bus.fetch_into("t", 0, 0, 2, &mut Vec::new()).unwrap(), 2),
+        &mut || assert_eq!(reader.fetch(0, 2).unwrap().len(), 2),
+        &mut || assert_eq!(reader.fetch_into(0, 2, &mut out).unwrap(), 2),
+    ];
+    for (door, fetch) in fetch_doors.into_iter().enumerate() {
+        let (records, calls) = (
+            counter("logbus.fetch.records"),
+            requests("logbus.fetch.micros"),
+        );
+        fetch();
+        assert_eq!(
+            counter("logbus.fetch.records") - records,
+            2,
+            "fetch door {door} on {bus:?}"
+        );
+        assert_eq!(
+            requests("logbus.fetch.micros") - calls,
+            1,
+            "fetch door {door} on {bus:?}"
+        );
+    }
+}
+
+#[test]
+fn every_door_is_observed_exactly_once() {
+    obs::set_enabled(true);
+    each_door_counts_once(&Broker::new().into(), 1);
+    each_door_counts_once(&Cluster::new(ClusterConfig { brokers: 3 }).into(), 3);
+    obs::set_enabled(false);
+}

@@ -21,7 +21,7 @@ use crate::sender::{
 use crate::setup::{Api, Setup, System};
 use beamline::runners::{ApxRunner, DStreamRunner, RillRunner};
 use beamline::PipelineRunner;
-use logbus::{Acks, Broker, Bus, BusHandle, Cluster, StoredRecord, TopicConfig};
+use logbus::{Acks, Broker, BusHandle, Cluster, StoredRecord, TopicConfig};
 use std::collections::HashMap;
 
 /// The input topic every [`Trial`] loads and runs from.

@@ -102,8 +102,7 @@ impl BrokerBatchSource {
         max_batch_records: usize,
         group: impl Into<String>,
     ) -> logbus::Result<Self> {
-        let reader =
-            GroupedReader::bounded(bus.into().as_bus(), topic, group, AssignmentStrategy::Range)?;
+        let reader = GroupedReader::bounded(bus, topic, group, AssignmentStrategy::Range)?;
         Ok(BrokerBatchSource {
             max_batch_records: max_batch_records.max(1),
             reader,
@@ -147,8 +146,7 @@ impl BrokerBatchSource {
         target_records: u64,
         group: impl Into<String>,
     ) -> logbus::Result<Self> {
-        let reader =
-            GroupedReader::following(bus.into().as_bus(), topic, group, AssignmentStrategy::Range)?;
+        let reader = GroupedReader::following(bus, topic, group, AssignmentStrategy::Range)?;
         Ok(BrokerBatchSource {
             max_batch_records: max_batch_records.max(1),
             reader,

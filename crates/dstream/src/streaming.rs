@@ -5,7 +5,7 @@ use crate::rdd::Rdd;
 use crate::source::BatchSource;
 use crate::stream::DStream;
 use bytes::Bytes;
-use logbus::{Bus, BusHandle, Record};
+use logbus::{BusHandle, Record};
 use parking_lot::Mutex;
 use std::sync::Arc;
 use std::time::{Duration, Instant};

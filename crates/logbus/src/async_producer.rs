@@ -24,7 +24,7 @@
 //! same request, same round trip, no thread hand-off. Lock order is
 //! token → accumulator, never the reverse.
 
-use crate::bus::Bus;
+use crate::bus::BusHandle;
 use crate::handle::PartitionWriter;
 use crate::pool::{record_vec, recycle_record_vec};
 use crate::record::Record;
@@ -67,7 +67,7 @@ struct State {
 /// What the shipper token guards: the route to the partition.
 #[derive(Debug)]
 struct Shipper {
-    bus: Box<dyn Bus>,
+    bus: BusHandle,
     topic: String,
     partition: u32,
     /// Cached idempotent handle; resolved on first use so topics created
@@ -234,13 +234,13 @@ impl AsyncProducer {
     /// [`Cluster`](crate::Cluster) the cached writer re-resolves the
     /// partition leader per attempt, so the background sender rides
     /// through leader failover.
-    pub fn new(bus: impl Bus + 'static, topic: impl Into<String>, partition: u32) -> Self {
+    pub fn new(bus: impl Into<BusHandle>, topic: impl Into<String>, partition: u32) -> Self {
         Self::with_max_batch(bus, topic, partition, 500)
     }
 
     /// Creates a producer with an explicit maximum batch size.
     pub fn with_max_batch(
-        bus: impl Bus + 'static,
+        bus: impl Into<BusHandle>,
         topic: impl Into<String>,
         partition: u32,
         max_batch: usize,
@@ -252,7 +252,7 @@ impl AsyncProducer {
             ..State::default()
         };
         let shipper = Shipper {
-            bus: Box::new(bus),
+            bus: bus.into(),
             topic,
             partition,
             writer: None,

@@ -5,9 +5,10 @@ use crate::clock::{Clock, SystemClock};
 use crate::config::TopicConfig;
 use crate::error::{Error, Result};
 use crate::fault::{FaultAction, FaultInjector, FaultOp, FaultPlan};
-use crate::group::{AssignmentStrategy, GroupState, GroupView, TopicPartition};
+use crate::group::{AssignmentStrategy, Coordinator, GroupView, TopicPartition};
+use crate::handle::{Route, WriteTarget};
 use crate::record::{Record, StoredRecord, Timestamp};
-use crate::topic::Topic;
+use crate::topic::{spin_delay, Topic};
 use parking_lot::RwLock;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -19,11 +20,11 @@ use std::sync::Arc;
 /// topics (the scale-out sweep runs one topic set per cell) effectively
 /// never contend on a map lock, while the per-broker footprint stays a
 /// few hundred bytes.
-const MAP_SHARDS: usize = 16;
+pub(crate) const MAP_SHARDS: usize = 16;
 
 /// Picks the shard for a name. `DefaultHasher` is SipHash-backed, so
 /// adversarial or sequential names still spread evenly.
-fn shard_index(name: &str) -> usize {
+pub(crate) fn shard_index(name: &str) -> usize {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     name.hash(&mut hasher);
     (hasher.finish() as usize) % MAP_SHARDS
@@ -40,22 +41,6 @@ pub struct Broker {
     inner: Arc<BrokerInner>,
 }
 
-/// Committed offsets for one consumer group: `topic -> partition -> offset`.
-type GroupOffsets = HashMap<String, HashMap<u32, u64>>;
-
-/// Everything the broker tracks per consumer group — committed offsets
-/// plus coordinator state — kept in one entry so a lookup touches exactly
-/// one shard lock.
-#[derive(Debug, Default)]
-struct GroupEntry {
-    /// Committed offsets, nested `topic -> partition -> offset` so
-    /// lookups borrow the caller's `&str`s instead of allocating a
-    /// composite key per call.
-    offsets: GroupOffsets,
-    /// Membership, generation, and target assignment.
-    state: GroupState,
-}
-
 #[derive(Debug)]
 struct BrokerInner {
     /// The topic map, sharded by name hash so topic resolution from
@@ -63,11 +48,10 @@ struct BrokerInner {
     /// partition's append lock lives inside its [`Topic`]; the shards
     /// only guard the name→topic mapping.
     topic_shards: [RwLock<HashMap<String, Arc<Topic>>>; MAP_SHARDS],
-    /// Consumer-group entries (offsets + coordinator state), sharded by
-    /// group name with the same spread. Group operations take exactly one
-    /// shard lock and never a topic-shard lock — partition counts are
-    /// resolved *before* joining — so the lock-order graph stays acyclic.
-    group_shards: [RwLock<HashMap<String, GroupEntry>>; MAP_SHARDS],
+    /// Consumer-group offsets and coordinator state. Group operations
+    /// never hold a topic-shard lock — partition counts are resolved
+    /// *before* joining — so the lock-order graph stays acyclic.
+    groups: Coordinator,
     clock: Arc<dyn Clock>,
     /// Simulated network round-trip per client request, in microseconds.
     request_latency_micros: std::sync::atomic::AtomicU64,
@@ -100,7 +84,7 @@ impl Broker {
         Broker {
             inner: Arc::new(BrokerInner {
                 topic_shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-                group_shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+                groups: Coordinator::default(),
                 clock,
                 request_latency_micros: std::sync::atomic::AtomicU64::new(0),
                 faults: RwLock::new(None),
@@ -177,15 +161,7 @@ impl Broker {
         }
         let injector = self.inner.faults.read().clone()?;
         let action = injector.decide(op, topic, partition)?;
-        if obs::enabled() {
-            let path = crate::telemetry::fault_path();
-            match &action {
-                FaultAction::Error(_) => path.errors.add(1),
-                FaultAction::AckLost => path.ack_losses.add(1),
-                FaultAction::Duplicate => path.duplicates.add(1),
-                FaultAction::Latency(_) => path.latencies.add(1),
-            }
-        }
+        action.count();
         Some(action)
     }
 
@@ -196,7 +172,7 @@ impl Broker {
         match self.fault_action(op, topic, partition) {
             None => Ok(()),
             Some(FaultAction::Latency(extra)) => {
-                crate::topic::spin_delay(extra);
+                spin_delay(extra);
                 Ok(())
             }
             Some(FaultAction::Error(e)) => Err(e),
@@ -314,111 +290,78 @@ impl Broker {
             .ok_or_else(|| Error::UnknownTopic(name.to_string()))
     }
 
-    /// Appends one record, stamping it with the broker clock as needed.
-    /// Returns the assigned offset.
+    /// Appends one record — a batch of one — stamping it with the broker
+    /// clock as needed. Returns the assigned offset.
     ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownTopic`] or [`Error::UnknownPartition`].
     pub fn produce(&self, topic: &str, partition: u32, record: Record) -> Result<u64> {
-        self.ensure_alive()?;
-        let t = self.topic(topic)?;
-        if !obs::enabled() {
-            return self.produce_faulted(&t, partition, record);
-        }
-        let started = std::time::Instant::now();
-        let result = self.produce_faulted(&t, partition, record);
-        crate::telemetry::produce_path().observe(1, started.elapsed(), result.is_ok());
-        result
-    }
-
-    fn produce_faulted(&self, t: &Topic, partition: u32, record: Record) -> Result<u64> {
-        match self.fault_action(FaultOp::Produce, t.name(), partition) {
-            None => {}
-            Some(FaultAction::Latency(extra)) => crate::topic::spin_delay(extra),
-            Some(FaultAction::Error(e)) => return Err(e),
-            Some(FaultAction::AckLost) => {
-                // The append happened; the ack did not. A naive client
-                // that retries will duplicate the record — at-least-once.
-                t.append_delayed(partition, record, self.now(), self.request_delay())?;
-                return Err(Error::RequestTimedOut);
-            }
-            Some(FaultAction::Duplicate) => {
-                let offset =
-                    t.append_delayed(partition, record.clone(), self.now(), self.request_delay())?;
-                t.append_delayed(partition, record, self.now(), self.request_delay())?;
-                return Ok(offset);
-            }
-        }
-        t.append_delayed(partition, record, self.now(), self.request_delay())
+        let mut batch = crate::pool::record_vec();
+        batch.push(record);
+        self.produce_batch(topic, partition, batch)
     }
 
     /// Appends a batch of records; all records in the batch receive the
     /// same `LogAppendTime` stamp (one broker-side append), mirroring
     /// Kafka's per-batch stamping. Returns the base offset.
     ///
+    /// One shot: the request runs the same liveness → fault gate →
+    /// append a [`PartitionWriter`](crate::PartitionWriter) runs, without
+    /// the writer's retry loop, so an injected fault surfaces as its raw
+    /// error (wrap the call in [`with_retry`](crate::with_retry) to ride
+    /// it out).
+    ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownTopic`] or [`Error::UnknownPartition`].
-    pub fn produce_batch(&self, topic: &str, partition: u32, records: Vec<Record>) -> Result<u64> {
+    pub fn produce_batch(
+        &self,
+        topic: &str,
+        partition: u32,
+        mut records: Vec<Record>,
+    ) -> Result<u64> {
         self.ensure_alive()?;
         let t = self.topic(topic)?;
-        let mut records = records;
-        let result = if obs::enabled() {
-            let count = records.len() as u64;
-            let started = std::time::Instant::now();
-            let result = self.produce_batch_faulted(&t, partition, &mut records);
-            crate::telemetry::produce_path().observe(count, started.elapsed(), result.is_ok());
-            result
-        } else {
-            self.produce_batch_faulted(&t, partition, &mut records)
+        let target = WriteTarget {
+            broker: self,
+            topic: &t,
+            fence: None,
         };
-        if result.is_ok() {
-            crate::pool::recycle_record_vec(records);
-        }
+        let result = crate::telemetry::observed_produce(&mut records, |records| {
+            target.append_batch(partition, records, None)
+        });
+        crate::pool::recycle_record_vec(records);
         result
     }
 
-    /// Drains `records` on success (the drained-Vec contract); leaves
-    /// them intact on failure for the caller's resend.
-    fn produce_batch_faulted(
+    /// The one fetch request, shared by the named calls, the cached
+    /// readers and the cluster's committed reads: liveness → the fetch
+    /// fault gate → the simulated round trip → the read. The delay is
+    /// paid *outside* any partition lock — concurrent fetches overlap,
+    /// whereas produces spin **while holding** the partition append lock
+    /// (one partition has one leader, so same-partition produce requests
+    /// serialize). **Appends** into `out`, returning the number of
+    /// records appended.
+    pub(crate) fn read_request(
         &self,
-        t: &Topic,
+        topic: &Topic,
         partition: u32,
-        records: &mut Vec<Record>,
-    ) -> Result<u64> {
-        match self.fault_action(FaultOp::Produce, t.name(), partition) {
-            None => {}
-            Some(FaultAction::Latency(extra)) => crate::topic::spin_delay(extra),
-            Some(FaultAction::Error(e)) => return Err(e),
-            Some(FaultAction::AckLost) => {
-                t.append_batch_delayed(partition, records, self.now(), self.request_delay())?;
-                return Err(Error::RequestTimedOut);
-            }
-            Some(FaultAction::Duplicate) => {
-                // Fault path: the duplicated append consumes a pooled
-                // copy, the original batch drains into the second.
-                let mut copy = crate::pool::record_vec();
-                copy.extend(records.iter().cloned());
-                let offset =
-                    t.append_batch_delayed(partition, &mut copy, self.now(), self.request_delay())?;
-                crate::pool::recycle_record_vec(copy);
-                t.append_batch_delayed(partition, records, self.now(), self.request_delay())?;
-                return Ok(offset);
-            }
-        }
-        t.append_batch_delayed(partition, records, self.now(), self.request_delay())
+        offset: u64,
+        max: usize,
+        out: &mut Vec<StoredRecord>,
+    ) -> Result<usize> {
+        self.ensure_alive()?;
+        self.fault_gate(FaultOp::Fetch, topic.name(), partition)?;
+        spin_delay(self.request_delay());
+        topic.read_into(partition, offset, max, out)
     }
 
     /// Fetches up to `max` records from `offset`.
     ///
     /// The topic is validated **before** the simulated round trip is paid:
     /// a request for an unknown topic fails fast, like a metadata error on
-    /// a real client. The delay itself is paid *outside* any partition
-    /// lock — concurrent fetches overlap, whereas produces spin **while
-    /// holding** the partition append lock (one partition has one leader,
-    /// so same-partition produce requests serialize; see
-    /// [`Topic::append_delayed`]).
+    /// a real client.
     ///
     /// # Errors
     ///
@@ -431,20 +374,9 @@ impl Broker {
         offset: u64,
         max: usize,
     ) -> Result<Vec<StoredRecord>> {
-        self.ensure_alive()?;
-        let t = self.topic(topic)?;
-        if !obs::enabled() {
-            self.fault_gate(FaultOp::Fetch, topic, partition)?;
-            crate::topic::spin_delay(self.request_delay());
-            return t.read(partition, offset, max);
-        }
-        let started = std::time::Instant::now();
-        self.fault_gate(FaultOp::Fetch, topic, partition)?;
-        crate::topic::spin_delay(self.request_delay());
-        let result = t.read(partition, offset, max);
-        let returned = result.as_ref().map_or(0, std::vec::Vec::len) as u64;
-        crate::telemetry::fetch_path().observe(returned, started.elapsed());
-        result
+        let mut out = Vec::new();
+        self.fetch_into(topic, partition, offset, max, &mut out)?;
+        Ok(out)
     }
 
     /// Like [`Broker::fetch`], but **appends** into `out` (never clearing
@@ -463,18 +395,25 @@ impl Broker {
     ) -> Result<usize> {
         self.ensure_alive()?;
         let t = self.topic(topic)?;
-        if !obs::enabled() {
-            self.fault_gate(FaultOp::Fetch, topic, partition)?;
-            crate::topic::spin_delay(self.request_delay());
-            return t.read_into(partition, offset, max, out);
+        crate::telemetry::observed_fetch(|| self.read_request(&t, partition, offset, max, out))
+    }
+
+    /// Resolves `(topic, partition)` for a cached handle: one metadata
+    /// request.
+    fn resolve(&self, topic: &str, partition: u32) -> Result<Route> {
+        self.ensure_alive()?;
+        let t = self.topic(topic)?;
+        self.fault_gate(FaultOp::Metadata, topic, partition)?;
+        if partition >= t.partition_count() {
+            return Err(Error::UnknownPartition {
+                topic: topic.to_string(),
+                partition,
+            });
         }
-        let started = std::time::Instant::now();
-        self.fault_gate(FaultOp::Fetch, topic, partition)?;
-        crate::topic::spin_delay(self.request_delay());
-        let result = t.read_into(partition, offset, max, out);
-        let appended = *result.as_ref().unwrap_or(&0) as u64;
-        crate::telemetry::fetch_path().observe(appended, started.elapsed());
-        result
+        Ok(Route::Direct {
+            broker: self.clone(),
+            topic: t,
+        })
     }
 
     /// Resolves a cached produce handle for one partition; see
@@ -484,21 +423,8 @@ impl Broker {
     ///
     /// Returns [`Error::UnknownTopic`] or [`Error::UnknownPartition`].
     pub fn partition_writer(&self, topic: &str, partition: u32) -> Result<crate::PartitionWriter> {
-        self.ensure_alive()?;
-        let t = self.topic(topic)?;
-        self.fault_gate(FaultOp::Metadata, topic, partition)?;
-        if partition >= t.partition_count() {
-            return Err(Error::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            });
-        }
-        let target = crate::handle::WriteTarget {
-            broker: self.clone(),
-            topic: t,
-            fence: None,
-        };
-        Ok(crate::PartitionWriter::new(vec![target], partition))
+        let route = self.resolve(topic, partition)?;
+        Ok(crate::PartitionWriter::new(route, partition))
     }
 
     /// Resolves a cached fetch handle for one partition; see
@@ -508,16 +434,8 @@ impl Broker {
     ///
     /// Returns [`Error::UnknownTopic`] or [`Error::UnknownPartition`].
     pub fn partition_reader(&self, topic: &str, partition: u32) -> Result<crate::PartitionReader> {
-        self.ensure_alive()?;
-        let t = self.topic(topic)?;
-        self.fault_gate(FaultOp::Metadata, topic, partition)?;
-        if partition >= t.partition_count() {
-            return Err(Error::UnknownPartition {
-                topic: topic.to_string(),
-                partition,
-            });
-        }
-        Ok(crate::PartitionReader::new(self.clone(), t, partition))
+        let route = self.resolve(topic, partition)?;
+        Ok(crate::PartitionReader::new(route, partition))
     }
 
     /// Next offset to be written in the partition (the "latest" offset).
@@ -549,43 +467,22 @@ impl Broker {
             return Err(Error::UnknownTopic(topic.to_string()));
         }
         self.fault_gate(FaultOp::Metadata, topic, partition)?;
-        let mut shard = self.inner.group_shards[shard_index(group)].write();
-        // Allocate the group/topic key strings only on their first commit;
-        // the steady-state commit path borrows the caller's `&str`s.
-        if !shard.contains_key(group) {
-            shard.insert(group.to_string(), GroupEntry::default());
-        }
-        let Some(entry) = shard.get_mut(group) else {
-            return Err(Error::UnknownGroup(group.to_string()));
-        };
-        if !entry.offsets.contains_key(topic) {
-            entry.offsets.insert(topic.to_string(), HashMap::new());
-        }
-        let Some(partitions) = entry.offsets.get_mut(topic) else {
-            return Err(Error::UnknownTopic(topic.to_string()));
-        };
-        partitions.insert(partition, offset);
+        self.inner
+            .groups
+            .commit_offset(group, topic, partition, offset);
         Ok(())
     }
 
     /// Fetches the committed offset for a consumer group, if any.
     /// Allocation-free: the lookup borrows `group` and `topic` directly.
     pub fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
-        self.inner.group_shards[shard_index(group)]
-            .read()
-            .get(group)?
-            .offsets
-            .get(topic)?
-            .get(&partition)
-            .copied()
+        self.inner.groups.committed_offset(group, topic, partition)
     }
 
     // ---- consumer-group coordination -----------------------------------
     //
-    // Partition counts are resolved from the topic shards *before* the
-    // group shard lock is taken, so no group operation ever holds two
-    // locks — the `check-sync` lock-order graph stays a forest even with
-    // group traffic interleaved with produces and fetches.
+    // The state and its operations live in [`Coordinator`]; the broker
+    // adds its liveness gate.
 
     /// Joins (or re-registers in) a consumer group, subscribing to
     /// `topics`. Bumps the group generation and recomputes the sticky
@@ -608,29 +505,7 @@ impl Broker {
             let t = self.topic(name)?;
             with_counts.push(((*name).to_string(), t.partition_count()));
         }
-        Ok(self.join_group_with(group, member, with_counts, strategy))
-    }
-
-    /// Join with pre-resolved partition counts. [`Cluster`](crate::Cluster)
-    /// resolves counts against partition leaders, then delegates here on
-    /// its coordinator broker.
-    pub(crate) fn join_group_with(
-        &self,
-        group: &str,
-        member: &str,
-        topics_with_counts: Vec<(String, u32)>,
-        strategy: AssignmentStrategy,
-    ) -> u64 {
-        let mut shard = self.inner.group_shards[shard_index(group)].write();
-        let entry = shard.entry(group.to_string()).or_default();
-        let generation = entry.state.join(member, topics_with_counts, strategy);
-        drop(shard);
-        if obs::enabled() {
-            let path = crate::telemetry::group_path();
-            path.rebalances.add(1);
-            path.generation.set(generation as i64);
-        }
-        generation
+        Ok(self.inner.groups.join(group, member, with_counts, strategy))
     }
 
     /// Leaves a consumer group, releasing every partition the member
@@ -638,18 +513,7 @@ impl Broker {
     /// or non-members (leaving twice must be safe).
     pub fn leave_group(&self, group: &str, member: &str) -> Result<()> {
         self.ensure_alive()?;
-        let mut shard = self.inner.group_shards[shard_index(group)].write();
-        let Some(entry) = shard.get_mut(group) else {
-            return Ok(());
-        };
-        let changed = entry.state.leave(member);
-        let generation = entry.state.generation();
-        drop(shard);
-        if changed && obs::enabled() {
-            let path = crate::telemetry::group_path();
-            path.rebalances.add(1);
-            path.generation.set(generation as i64);
-        }
+        self.inner.groups.leave(group, member);
         Ok(())
     }
 
@@ -657,18 +521,12 @@ impl Broker {
     /// poll this cheaply to detect rebalances).
     pub fn group_generation(&self, group: &str) -> Result<u64> {
         self.ensure_alive()?;
-        Ok(self.inner.group_shards[shard_index(group)]
-            .read()
-            .get(group)
-            .map_or(0, |entry| entry.state.generation()))
+        Ok(self.inner.groups.generation(group))
     }
 
     /// Total membership changes the group has seen.
     pub fn group_rebalances(&self, group: &str) -> u64 {
-        self.inner.group_shards[shard_index(group)]
-            .read()
-            .get(group)
-            .map_or(0, |entry| entry.state.rebalances())
+        self.inner.groups.rebalances(group)
     }
 
     /// Fetches a member's target assignment at the current generation.
@@ -679,11 +537,7 @@ impl Broker {
     /// member is not registered in it.
     pub fn sync_group(&self, group: &str, member: &str) -> Result<GroupView> {
         self.ensure_alive()?;
-        self.inner.group_shards[shard_index(group)]
-            .read()
-            .get(group)
-            .and_then(|entry| entry.state.view(member))
-            .ok_or_else(|| Error::UnknownGroup(group.to_string()))
+        self.inner.groups.sync(group, member)
     }
 
     /// Claims ownership of targeted partitions; returns the granted
@@ -700,11 +554,7 @@ impl Broker {
         parts: &[TopicPartition],
     ) -> Result<Vec<TopicPartition>> {
         self.ensure_alive()?;
-        let mut shard = self.inner.group_shards[shard_index(group)].write();
-        let Some(entry) = shard.get_mut(group) else {
-            return Err(Error::UnknownGroup(group.to_string()));
-        };
-        Ok(entry.state.claim(member, parts))
+        self.inner.groups.claim(group, member, parts)
     }
 
     /// Releases ownership of partitions held by `member`. A no-op for
@@ -716,10 +566,7 @@ impl Broker {
         parts: &[TopicPartition],
     ) -> Result<()> {
         self.ensure_alive()?;
-        let mut shard = self.inner.group_shards[shard_index(group)].write();
-        if let Some(entry) = shard.get_mut(group) {
-            entry.state.release(member, parts);
-        }
+        self.inner.groups.release(group, member, parts);
         Ok(())
     }
 }
@@ -865,6 +712,13 @@ mod tests {
         assert_eq!(err, Error::RequestTimedOut);
         // The record landed even though the ack was lost.
         assert_eq!(broker.latest_offset("t", 0).unwrap(), 1);
+        // `max_consecutive` lets the next request through; the one after
+        // loses its ack again — a batch lands whole, exactly once.
+        broker.produce("t", 0, Record::from_value("y")).unwrap();
+        let batch = vec![Record::from_value("a"), Record::from_value("b")];
+        let err = broker.produce_batch("t", 0, batch).unwrap_err();
+        assert_eq!(err, Error::RequestTimedOut);
+        assert_eq!(broker.latest_offset("t", 0).unwrap(), 4);
     }
 
     #[test]

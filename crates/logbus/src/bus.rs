@@ -189,25 +189,28 @@ mod sealed {
     pub trait Sealed {}
     impl Sealed for super::Broker {}
     impl Sealed for super::Cluster {}
-    impl Sealed for super::BusHandle {}
 }
 
-/// A cheaply cloneable, type-erased handle to any [`Bus`].
+/// A cheaply cloneable, type-erased handle to any [`Bus`] — the one way
+/// clients and connectors hold a bus.
 ///
-/// Engine connectors take `impl Into<BusHandle>`, so call sites pass a
-/// [`Broker`], a [`Cluster`], or an existing handle without ceremony —
-/// and a topology chosen at runtime (single broker for the fault-free
-/// benchmarks, replicated cluster for failover runs) flows through the
-/// same connector code. `BusHandle` implements [`Bus`] itself by
-/// delegation, so anything generic over `impl Bus` accepts one too.
+/// [`Producer`](crate::Producer), [`Consumer`](crate::Consumer),
+/// [`AsyncProducer`](crate::AsyncProducer), the group readers and every
+/// engine connector take `impl Into<BusHandle>`, so call sites pass a
+/// [`Broker`], a [`Cluster`], a reference to either, an `Arc<dyn Bus>`
+/// or an existing handle without ceremony — and a topology chosen at
+/// runtime (single broker for the fault-free benchmarks, replicated
+/// cluster for failover runs) flows through the same code. The handle
+/// dereferences to `dyn Bus`: with [`Bus`] in scope every trait method
+/// is callable on it directly.
 #[derive(Debug, Clone)]
 pub struct BusHandle(Arc<dyn Bus>);
 
-impl BusHandle {
-    /// The underlying type-erased bus, for APIs that want an
-    /// `Arc<dyn Bus>` (e.g. [`GroupedReader`](crate::GroupedReader)).
-    pub fn as_bus(&self) -> Arc<dyn Bus> {
-        self.0.clone()
+impl std::ops::Deref for BusHandle {
+    type Target = dyn Bus;
+
+    fn deref(&self) -> &Self::Target {
+        &*self.0
     }
 }
 
@@ -244,121 +247,6 @@ impl From<&BusHandle> for BusHandle {
 impl From<Arc<dyn Bus>> for BusHandle {
     fn from(bus: Arc<dyn Bus>) -> Self {
         BusHandle(bus)
-    }
-}
-
-impl Bus for BusHandle {
-    fn create_topic(&self, name: &str, config: TopicConfig) -> Result<()> {
-        self.0.create_topic(name, config)
-    }
-
-    fn has_topic(&self, name: &str) -> bool {
-        self.0.has_topic(name)
-    }
-
-    fn produce_batch(&self, topic: &str, partition: u32, records: Vec<Record>) -> Result<u64> {
-        self.0.produce_batch(topic, partition, records)
-    }
-
-    fn fetch(
-        &self,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-        max: usize,
-    ) -> Result<Vec<StoredRecord>> {
-        self.0.fetch(topic, partition, offset, max)
-    }
-
-    fn fetch_into(
-        &self,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-        max: usize,
-        out: &mut Vec<StoredRecord>,
-    ) -> Result<usize> {
-        self.0.fetch_into(topic, partition, offset, max, out)
-    }
-
-    fn partition_writer(&self, topic: &str, partition: u32) -> Result<PartitionWriter> {
-        self.0.partition_writer(topic, partition)
-    }
-
-    fn partition_reader(&self, topic: &str, partition: u32) -> Result<PartitionReader> {
-        self.0.partition_reader(topic, partition)
-    }
-
-    fn latest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        self.0.latest_offset(topic, partition)
-    }
-
-    fn earliest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        self.0.earliest_offset(topic, partition)
-    }
-
-    fn partition_count(&self, topic: &str) -> Result<u32> {
-        self.0.partition_count(topic)
-    }
-
-    fn first_timestamp(&self, topic: &str, partition: u32) -> Result<Option<Timestamp>> {
-        self.0.first_timestamp(topic, partition)
-    }
-
-    fn last_timestamp(&self, topic: &str, partition: u32) -> Result<Option<Timestamp>> {
-        self.0.last_timestamp(topic, partition)
-    }
-
-    fn commit_offset(&self, group: &str, topic: &str, partition: u32, offset: u64) -> Result<()> {
-        self.0.commit_offset(group, topic, partition, offset)
-    }
-
-    fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
-        self.0.committed_offset(group, topic, partition)
-    }
-
-    fn join_group(
-        &self,
-        group: &str,
-        member: &str,
-        topics: &[&str],
-        strategy: AssignmentStrategy,
-    ) -> Result<u64> {
-        self.0.join_group(group, member, topics, strategy)
-    }
-
-    fn leave_group(&self, group: &str, member: &str) -> Result<()> {
-        self.0.leave_group(group, member)
-    }
-
-    fn group_generation(&self, group: &str) -> Result<u64> {
-        self.0.group_generation(group)
-    }
-
-    fn sync_group(&self, group: &str, member: &str) -> Result<GroupView> {
-        self.0.sync_group(group, member)
-    }
-
-    fn claim_partitions(
-        &self,
-        group: &str,
-        member: &str,
-        parts: &[TopicPartition],
-    ) -> Result<Vec<TopicPartition>> {
-        self.0.claim_partitions(group, member, parts)
-    }
-
-    fn release_partitions(
-        &self,
-        group: &str,
-        member: &str,
-        parts: &[TopicPartition],
-    ) -> Result<()> {
-        self.0.release_partitions(group, member, parts)
-    }
-
-    fn now(&self) -> Timestamp {
-        self.0.now()
     }
 }
 
@@ -526,7 +414,7 @@ impl Bus for Cluster {
     }
 
     fn earliest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        self.committed_earliest_offset(topic, partition)
+        Cluster::earliest_offset(self, topic, partition)
     }
 
     fn partition_count(&self, topic: &str) -> Result<u32> {

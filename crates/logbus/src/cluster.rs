@@ -33,13 +33,14 @@ use crate::config::{Acks, TopicConfig};
 use crate::election::PartitionState;
 use crate::error::{Error, Result};
 use crate::fault::{FaultAction, FaultInjector, FaultOp, FaultPlan};
-use crate::group::{AssignmentStrategy, GroupState, GroupView, TopicPartition};
+use crate::group::{AssignmentStrategy, Coordinator, GroupView, TopicPartition};
+use crate::handle::{Route, WriteTarget};
 use crate::record::{Record, StoredRecord};
 use crate::topic::{spin_delay, Topic};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::time::Instant;
 
 /// Cluster construction parameters.
@@ -56,13 +57,21 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Routing and replication state for one partition.
+/// Routing and replication state for one partition — what a
+/// `(topic, partition)` name resolves to on a cluster. Named calls look
+/// it up per call; routed handles hold it.
 #[derive(Debug)]
-struct PartitionRoute {
+pub(crate) struct PartitionRoute {
+    topic: String,
+    partition: u32,
     /// The fixed replica set (broker indices), designated leader first.
     /// Membership never changes; liveness and sync are tracked in
     /// `state`.
     replicas: Vec<usize>,
+    /// Each replica's log, parallel to `replicas`, so a request never
+    /// resolves the topic name on a broker. Weak: the hosting broker's
+    /// topic map owns the log, and deleting the topic there frees it.
+    logs: Vec<Weak<Topic>>,
     /// Serialises replicated produces, elections, and read repair for
     /// this partition — the single-writer rule the leader would enforce.
     produce: Mutex<()>,
@@ -70,17 +79,18 @@ struct PartitionRoute {
     state: RwLock<PartitionState>,
 }
 
-/// Everything the cluster tracks per consumer group. Conceptually this
-/// is the replicated `__consumer_offsets` state: it lives cluster-side,
-/// so commits and membership survive the death of whichever broker is
-/// currently acting as coordinator.
-#[derive(Debug, Default)]
-struct GroupEntry {
-    /// Committed offsets, nested `topic -> partition -> offset` so the
-    /// steady-state commit path borrows the caller's `&str`s.
-    offsets: HashMap<String, HashMap<u32, u64>>,
-    /// Membership, generation, and target assignment.
-    state: GroupState,
+impl PartitionRoute {
+    /// The topic this route belongs to.
+    pub(crate) fn topic(&self) -> &str {
+        &self.topic
+    }
+
+    /// The log of replica `pos`.
+    fn log(&self, pos: usize) -> Result<Arc<Topic>> {
+        self.logs[pos]
+            .upgrade()
+            .ok_or_else(|| Error::UnknownTopic(self.topic.clone()))
+    }
 }
 
 /// A set of brokers with per-partition leader assignment, synchronous
@@ -99,10 +109,15 @@ pub struct Cluster {
 #[derive(Debug)]
 struct ClusterInner {
     brokers: Vec<Broker>,
-    routes: RwLock<HashMap<(String, u32), Arc<PartitionRoute>>>,
+    /// `topic -> partition -> route`, so a lookup borrows the caller's
+    /// `&str`.
+    routes: RwLock<HashMap<String, Vec<Arc<PartitionRoute>>>>,
     next_leader: RwLock<usize>,
-    /// Replicated consumer-group coordination state (see [`GroupEntry`]).
-    groups: RwLock<HashMap<String, GroupEntry>>,
+    /// Consumer-group coordination state. Conceptually the replicated
+    /// `__consumer_offsets` topic: it lives cluster-side, so commits and
+    /// membership survive the death of whichever broker is currently
+    /// acting as coordinator.
+    groups: Coordinator,
     /// Crash schedule, consulted per replicated produce; `crash_enabled`
     /// mirrors its presence so the fault-free path pays one relaxed load.
     crash_plan: RwLock<Option<Arc<FaultInjector>>>,
@@ -128,7 +143,7 @@ impl Cluster {
                 brokers,
                 routes: RwLock::new(HashMap::new()),
                 next_leader: RwLock::new(0),
-                groups: RwLock::new(HashMap::new()),
+                groups: Coordinator::default(),
                 crash_plan: RwLock::new(None),
                 crash_enabled: AtomicBool::new(false),
                 restarts: Mutex::new(Vec::new()),
@@ -173,49 +188,51 @@ impl Cluster {
         }
         let mut routes = self.inner.routes.write();
         let mut next = self.inner.next_leader.write();
+        let mut partitions = Vec::with_capacity(config.partitions as usize);
         for partition in 0..config.partitions {
             let leader = *next % n;
             *next += 1;
             let replicas: Vec<usize> = (0..config.replication_factor as usize)
                 .map(|i| (leader + i) % n)
                 .collect();
+            let mut logs = Vec::with_capacity(replicas.len());
             for &b in &replicas {
+                let broker = &self.inner.brokers[b];
                 // A broker hosts the topic once even when it holds several
                 // of its partitions.
-                if !self.inner.brokers[b].has_topic(&name) {
-                    self.inner.brokers[b].create_topic(&name, config.clone())?;
+                if !broker.has_topic(&name) {
+                    broker.create_topic(&name, config.clone())?;
                 }
+                logs.push(Arc::downgrade(&broker.topic(&name)?));
             }
             let state = PartitionState::new(replicas.len());
-            routes.insert(
-                (name.clone(), partition),
-                Arc::new(PartitionRoute {
-                    replicas,
-                    produce: Mutex::new(()),
-                    state: RwLock::new(state),
-                }),
-            );
+            partitions.push(Arc::new(PartitionRoute {
+                topic: name.clone(),
+                partition,
+                replicas,
+                logs,
+                produce: Mutex::new(()),
+                state: RwLock::new(state),
+            }));
         }
+        routes.insert(name, partitions);
         Ok(())
     }
 
+    /// Resolves a partition name to its route — the per-call cost of a
+    /// named cluster operation, paid once by a handle.
     fn route(&self, topic: &str, partition: u32) -> Result<Arc<PartitionRoute>> {
-        if let Some(route) = self
-            .inner
-            .routes
-            .read()
-            .get(&(topic.to_string(), partition))
-        {
-            return Ok(route.clone());
-        }
-        Err(if self.inner.brokers.iter().any(|b| b.has_topic(topic)) {
-            Error::UnknownPartition {
+        let routes = self.inner.routes.read();
+        let Some(partitions) = routes.get(topic) else {
+            return Err(Error::UnknownTopic(topic.to_string()));
+        };
+        partitions
+            .get(partition as usize)
+            .cloned()
+            .ok_or_else(|| Error::UnknownPartition {
                 topic: topic.to_string(),
                 partition,
-            }
-        } else {
-            Error::UnknownTopic(topic.to_string())
-        })
+            })
     }
 
     /// Index of the leader broker for a partition.
@@ -300,21 +317,23 @@ impl Cluster {
     /// Panics if `index` is out of range.
     pub fn restart_broker(&self, index: usize) {
         self.inner.brokers[index].restart();
-        let hosted: Vec<((String, u32), Arc<PartitionRoute>)> = self
+        let hosted: Vec<Arc<PartitionRoute>> = self
             .inner
             .routes
             .read()
-            .iter()
-            .filter(|(_, route)| route.replicas.contains(&index))
-            .map(|(key, route)| (key.clone(), route.clone()))
+            .values()
+            .flatten()
+            .filter(|route| route.replicas.contains(&index))
+            .cloned()
             .collect();
-        for ((topic, partition), route) in hosted {
+        for route in hosted {
+            let partition = route.partition;
             let _produce = route.produce.lock();
             let mut st = route.state.write();
             let Some(pos) = route.replicas.iter().position(|&b| b == index) else {
                 continue;
             };
-            let Ok(t) = self.inner.brokers[index].topic(&topic) else {
+            let Ok(t) = route.log(pos) else {
                 continue;
             };
             // The replica's own fence, read before it is raised: the
@@ -370,13 +389,8 @@ impl Cluster {
 
     /// Runs an election for a partition whose leader is dead. Requires
     /// the route's produce lock and state write lock (passed as `st`).
-    fn elect_locked(
-        &self,
-        topic: &str,
-        partition: u32,
-        route: &PartitionRoute,
-        st: &mut PartitionState,
-    ) -> Result<()> {
+    fn elect_locked(&self, route: &PartitionRoute, st: &mut PartitionState) -> Result<()> {
+        let partition = route.partition;
         let mut alive = [false; 64];
         let n = route.replicas.len().min(alive.len());
         for (pos, flag) in alive.iter_mut().enumerate().take(n) {
@@ -384,7 +398,7 @@ impl Cluster {
         }
         if st.elect(&alive[..n]).is_none() {
             return Err(Error::PartitionOffline {
-                topic: topic.to_string(),
+                topic: route.topic.clone(),
                 partition,
             });
         }
@@ -393,18 +407,17 @@ impl Cluster {
         // leader appended without full acknowledgement disappear here,
         // before anything ever read them (they were above the
         // high-watermark by construction).
-        let leader_id = route.replicas[st.leader_pos];
-        let leader_topic = self.inner.brokers[leader_id].topic(topic)?;
+        let leader_topic = route.log(st.leader_pos)?;
         leader_topic.set_leader_epoch(partition, st.epoch)?;
         let leader_end = leader_topic.latest_offset(partition)?;
         st.epoch_starts.push((st.epoch, leader_end));
         let mut epoch_bumps = 1u64;
         let mut truncated = 0u64;
-        for (pos, &replica) in route.replicas.iter().enumerate() {
+        for pos in 0..route.replicas.len() {
             if pos == st.leader_pos || !alive.get(pos).copied().unwrap_or(false) {
                 continue;
             }
-            let t = self.inner.brokers[replica].topic(topic)?;
+            let t = route.log(pos)?;
             t.set_leader_epoch(partition, st.epoch)?;
             truncated += t.truncate_to(partition, leader_end)?;
             st.synced[pos] = st.synced[pos].min(leader_end);
@@ -423,7 +436,7 @@ impl Cluster {
     }
 
     /// Ensures the partition has a live leader, electing one if needed.
-    fn ensure_leader(&self, topic: &str, partition: u32, route: &PartitionRoute) -> Result<()> {
+    fn ensure_leader(&self, route: &PartitionRoute) -> Result<()> {
         let leader_dead = {
             let st = route.state.read();
             !self.inner.brokers[route.replicas[st.leader_pos]].is_alive()
@@ -437,7 +450,7 @@ impl Cluster {
         let _produce = route.produce.lock();
         let mut st = route.state.write();
         if !self.inner.brokers[route.replicas[st.leader_pos]].is_alive() {
-            self.elect_locked(topic, partition, route, &mut st)?;
+            self.elect_locked(route, &mut st)?;
         }
         Ok(())
     }
@@ -448,8 +461,8 @@ impl Cluster {
     /// skipping anything the follower already holds.
     fn copy_replica(
         &self,
-        leader_topic: &Arc<Topic>,
-        follower_topic: &Arc<Topic>,
+        leader_topic: &Topic,
+        follower_topic: &Topic,
         partition: u32,
         from: u64,
         to: u64,
@@ -470,13 +483,12 @@ impl Cluster {
     /// holding the high-watermark back until they recover.
     fn sync_followers(
         &self,
-        topic: &str,
-        partition: u32,
         route: &PartitionRoute,
         st: &mut PartitionState,
-        leader_topic: &Arc<Topic>,
+        leader_topic: &Topic,
         leader_end: u64,
     ) -> Result<()> {
+        let partition = route.partition;
         for (pos, &replica) in route.replicas.iter().enumerate() {
             if pos == st.leader_pos {
                 continue;
@@ -490,13 +502,14 @@ impl Cluster {
                 st.in_sync[pos] = true;
                 continue;
             }
-            // The replication fetch pays the same fault gate a client
-            // produce would: transient errors leave the follower lagging
+            // The replication fetch keeps a fault gate of its own — a
+            // replica copy is keyed by offset, so its outcomes differ from
+            // a client produce's: transient errors leave the follower lagging
             // (in sync, but holding the high-watermark back), a lost ack
             // applies the copy without confirming it — the next round
             // skips what the follower already holds.
             let mut acked = true;
-            match follower.fault_action(FaultOp::Produce, topic, partition) {
+            match follower.fault_action(FaultOp::Produce, &route.topic, partition) {
                 None => {}
                 Some(FaultAction::Latency(extra)) => spin_delay(extra),
                 Some(FaultAction::Error(_)) => continue,
@@ -505,7 +518,7 @@ impl Cluster {
                 // delivery is absorbed broker-side.
                 Some(FaultAction::Duplicate) => {}
             }
-            let follower_topic = follower.topic(topic)?;
+            let follower_topic = route.log(pos)?;
             spin_delay(follower.request_delay());
             self.copy_replica(
                 leader_topic,
@@ -538,13 +551,12 @@ impl Cluster {
     /// lookup failures.
     pub(crate) fn replicated_append(
         &self,
-        topic: &str,
-        partition: u32,
+        route: &PartitionRoute,
         records: &mut Vec<Record>,
         seq: Option<(u64, u64)>,
         acks: Acks,
     ) -> Result<u64> {
-        let route = self.route(topic, partition)?;
+        let partition = route.partition;
         if self.inner.crash_enabled.load(Ordering::Relaxed) {
             self.tick_restarts();
         }
@@ -555,7 +567,7 @@ impl Cluster {
         if self.inner.crash_enabled.load(Ordering::Relaxed) {
             let injector = self.inner.crash_plan.read().clone();
             if let Some(injector) = injector {
-                if injector.decide_crash(topic, partition) {
+                if injector.decide_crash(&route.topic, partition) {
                     let leader = {
                         let st = route.state.read();
                         route.replicas[st.leader_pos]
@@ -570,31 +582,30 @@ impl Cluster {
 
         let mut st = route.state.write();
         if !self.inner.brokers[route.replicas[st.leader_pos]].is_alive() {
-            self.elect_locked(topic, partition, &route, &mut st)?;
+            self.elect_locked(route, &mut st)?;
         }
-        let epoch = st.epoch;
-        let leader_id = route.replicas[st.leader_pos];
-        let leader_broker = &self.inner.brokers[leader_id];
-        let leader_topic = leader_broker.topic(topic)?;
+        let leader_pos = st.leader_pos;
+        let leader_topic = route.log(leader_pos)?;
 
-        // Leader append through the fault gate, fenced at the epoch this
-        // request resolved. The leader consumes a pooled copy so the
-        // caller's buffer survives an `acks=all` shortfall for resend
-        // (record clones are refcount bumps).
-        let target = crate::handle::WriteTarget {
-            broker: leader_broker.clone(),
-            topic: leader_topic.clone(),
-            fence: Some(epoch),
+        // The leader append is the same produce request a single broker
+        // runs, fenced at the epoch this request resolved. The leader
+        // consumes a pooled copy so the caller's buffer survives an
+        // `acks=all` shortfall for resend (record clones are refcount
+        // bumps).
+        let target = WriteTarget {
+            broker: &self.inner.brokers[route.replicas[leader_pos]],
+            topic: &leader_topic,
+            fence: Some(st.epoch),
         };
-        let mut copy = crate::handle::clone_into_pooled(records);
+        let mut copy = crate::pool::record_vec();
+        copy.extend(records.iter().cloned());
         let appended = target.append_batch(partition, &mut copy, seq);
         crate::pool::recycle_record_vec(copy);
         let base = appended?;
         let leader_end = leader_topic.latest_offset(partition)?;
-        let leader_pos = st.leader_pos;
         st.synced[leader_pos] = leader_end;
 
-        self.sync_followers(topic, partition, &route, &mut st, &leader_topic, leader_end)?;
+        self.sync_followers(route, &mut st, &leader_topic, leader_end)?;
 
         if acks == Acks::All && !st.fully_acked(leader_end) {
             // The leader holds the batch but the in-sync set has not
@@ -613,25 +624,31 @@ impl Cluster {
     /// rejoined), catch the followers up so it can advance. Skips
     /// silently when a producer holds the partition lock — that produce
     /// will advance the watermark itself.
-    fn try_advance_hw(&self, topic: &str, partition: u32, route: &PartitionRoute) -> Result<()> {
+    fn try_advance_hw(&self, route: &PartitionRoute) -> Result<()> {
         let Some(_produce) = route.produce.try_lock() else {
             return Ok(());
         };
         let mut st = route.state.write();
-        let leader_id = route.replicas[st.leader_pos];
-        if !self.inner.brokers[leader_id].is_alive() {
-            self.elect_locked(topic, partition, route, &mut st)?;
+        if !self.inner.brokers[route.replicas[st.leader_pos]].is_alive() {
+            self.elect_locked(route, &mut st)?;
         }
         let leader_pos = st.leader_pos;
-        let leader_topic = self.inner.brokers[route.replicas[leader_pos]].topic(topic)?;
-        let leader_end = leader_topic.latest_offset(partition)?;
+        let leader_topic = route.log(leader_pos)?;
+        let leader_end = leader_topic.latest_offset(route.partition)?;
         st.synced[leader_pos] = leader_end;
         if !st.fully_acked(leader_end) {
-            self.sync_followers(topic, partition, route, &mut st, &leader_topic, leader_end)?;
+            self.sync_followers(route, &mut st, &leader_topic, leader_end)?;
         } else {
             st.recompute_hw();
         }
         Ok(())
+    }
+
+    /// The current leader: its position in the replica set and its
+    /// broker.
+    fn leader<'a>(&'a self, route: &PartitionRoute) -> (usize, &'a Broker) {
+        let pos = route.state.read().leader_pos;
+        (pos, &self.inner.brokers[route.replicas[pos]])
     }
 
     /// Fetches up to `max` committed records (below the high-watermark)
@@ -640,69 +657,54 @@ impl Cluster {
     /// frontier.
     pub(crate) fn committed_read_into(
         &self,
-        topic: &str,
-        partition: u32,
+        route: &PartitionRoute,
         offset: u64,
         max: usize,
         out: &mut Vec<StoredRecord>,
     ) -> Result<usize> {
-        let route = self.route(topic, partition)?;
-        self.ensure_leader(topic, partition, &route)?;
+        self.ensure_leader(route)?;
         let mut hw = route.state.read().hw;
         if offset >= hw {
             // Nothing committed past the cursor: repair the watermark
             // (laggards may be holding it back) and re-check.
-            self.try_advance_hw(topic, partition, &route)?;
+            self.try_advance_hw(route)?;
             hw = route.state.read().hw;
             if offset >= hw {
                 return Ok(0);
             }
         }
-        let leader_id = {
-            let st = route.state.read();
-            route.replicas[st.leader_pos]
-        };
-        let broker = &self.inner.brokers[leader_id];
-        broker.ensure_alive()?;
-        broker.fault_gate(FaultOp::Fetch, topic, partition)?;
-        spin_delay(broker.request_delay());
+        let (pos, broker) = self.leader(route);
         let capped = max.min((hw - offset) as usize);
-        broker
-            .topic(topic)?
-            .read_into(partition, offset, capped, out)
+        broker.read_request(&*route.log(pos)?, route.partition, offset, capped, out)
     }
 
     /// The committed frontier consumers can read to — the
     /// high-watermark, repaired forward if followers were lagging.
-    pub(crate) fn committed_latest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        let route = self.route(topic, partition)?;
-        self.ensure_leader(topic, partition, &route)?;
-        self.try_advance_hw(topic, partition, &route)?;
-        let (leader_id, hw) = {
+    pub(crate) fn committed_latest_offset(&self, route: &PartitionRoute) -> Result<u64> {
+        self.ensure_leader(route)?;
+        self.try_advance_hw(route)?;
+        let (broker, hw) = {
             let st = route.state.read();
-            (route.replicas[st.leader_pos], st.hw)
+            (&self.inner.brokers[route.replicas[st.leader_pos]], st.hw)
         };
-        let broker = &self.inner.brokers[leader_id];
         broker.ensure_alive()?;
-        broker.fault_gate(FaultOp::Metadata, topic, partition)?;
+        broker.fault_gate(FaultOp::Metadata, &route.topic, route.partition)?;
         Ok(hw)
     }
 
     /// Earliest retained offset on the partition leader.
-    pub(crate) fn committed_earliest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        let route = self.route(topic, partition)?;
-        self.ensure_leader(topic, partition, &route)?;
-        let leader_id = {
-            let st = route.state.read();
-            route.replicas[st.leader_pos]
-        };
-        let broker = &self.inner.brokers[leader_id];
+    pub(crate) fn committed_earliest_offset(&self, route: &PartitionRoute) -> Result<u64> {
+        self.ensure_leader(route)?;
+        let (pos, broker) = self.leader(route);
         broker.ensure_alive()?;
-        broker.fault_gate(FaultOp::Metadata, topic, partition)?;
-        broker.topic(topic)?.earliest_offset(partition)
+        broker.fault_gate(FaultOp::Metadata, &route.topic, route.partition)?;
+        route.log(pos)?.earliest_offset(route.partition)
     }
 
-    // ---- named convenience paths ---------------------------------------
+    // ---- named paths ---------------------------------------------------
+    //
+    // Each resolves the route by name, then runs what a routed handle
+    // runs — one shot, without the handle's retry loop.
 
     /// Appends a batch through the replicated produce path with
     /// [`Acks::All`] (one shot — no client retry; use a
@@ -712,21 +714,30 @@ impl Cluster {
     /// # Errors
     ///
     /// Same as the replicated produce path.
-    pub fn produce_batch(&self, topic: &str, partition: u32, records: Vec<Record>) -> Result<u64> {
-        let mut records = records;
-        let base = self.replicated_append(topic, partition, &mut records, None, Acks::All)?;
+    pub fn produce_batch(
+        &self,
+        topic: &str,
+        partition: u32,
+        mut records: Vec<Record>,
+    ) -> Result<u64> {
+        let route = self.route(topic, partition)?;
+        let result = crate::telemetry::observed_produce(&mut records, |records| {
+            self.replicated_append(&route, records, None, Acks::All)
+        });
         crate::pool::recycle_record_vec(records);
-        Ok(base)
+        result
     }
 
-    /// Appends one record through the replicated produce path. Returns
-    /// the assigned offset.
+    /// Appends one record — a batch of one — through the replicated
+    /// produce path. Returns the assigned offset.
     ///
     /// # Errors
     ///
     /// Same as [`Cluster::produce_batch`].
     pub fn produce(&self, topic: &str, partition: u32, record: Record) -> Result<u64> {
-        self.produce_batch(topic, partition, vec![record])
+        let mut batch = crate::pool::record_vec();
+        batch.push(record);
+        self.produce_batch(topic, partition, batch)
     }
 
     /// Next committed offset (the high-watermark).
@@ -735,7 +746,16 @@ impl Cluster {
     ///
     /// Propagates topic/partition lookup failures.
     pub fn latest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        self.committed_latest_offset(topic, partition)
+        self.committed_latest_offset(&*self.route(topic, partition)?)
+    }
+
+    /// Earliest retained offset on the partition leader.
+    ///
+    /// # Errors
+    ///
+    /// Propagates topic/partition lookup failures.
+    pub(crate) fn earliest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
+        self.committed_earliest_offset(&*self.route(topic, partition)?)
     }
 
     /// Fetches committed records from the partition leader.
@@ -751,7 +771,7 @@ impl Cluster {
         max: usize,
     ) -> Result<Vec<StoredRecord>> {
         let mut out = Vec::new();
-        self.committed_read_into(topic, partition, offset, max, &mut out)?;
+        self.fetch_into(topic, partition, offset, max, &mut out)?;
         Ok(out)
     }
 
@@ -769,22 +789,24 @@ impl Cluster {
         max: usize,
         out: &mut Vec<StoredRecord>,
     ) -> Result<usize> {
-        self.committed_read_into(topic, partition, offset, max, out)
+        let route = self.route(topic, partition)?;
+        crate::telemetry::observed_fetch(|| self.committed_read_into(&route, offset, max, out))
     }
 
-    /// Resolves a cached produce handle routed through the cluster: every
-    /// attempt re-resolves the partition leader, so the handle rides
-    /// through leader changes, and it defaults to [`Acks::All`] (tune
-    /// with [`PartitionWriter::with_acks`](crate::PartitionWriter::with_acks)).
+    /// Resolves a cached produce handle routed through the cluster: it
+    /// holds the partition's route, every attempt re-picks the leader
+    /// from it, so the handle rides through leader changes, and it
+    /// defaults to [`Acks::All`] (tune with
+    /// [`PartitionWriter::with_acks`](crate::PartitionWriter::with_acks)).
     ///
     /// # Errors
     ///
     /// Propagates topic/partition lookup failures.
     pub fn partition_writer(&self, topic: &str, partition: u32) -> Result<crate::PartitionWriter> {
-        self.route(topic, partition)?;
-        Ok(crate::PartitionWriter::routed(
-            self.clone(),
-            topic.to_string(),
+        let route = self.route(topic, partition)?;
+        let cluster = self.clone();
+        Ok(crate::PartitionWriter::new(
+            Route::Routed { cluster, route },
             partition,
         ))
     }
@@ -797,10 +819,10 @@ impl Cluster {
     ///
     /// Propagates topic/partition lookup failures.
     pub fn partition_reader(&self, topic: &str, partition: u32) -> Result<crate::PartitionReader> {
-        self.route(topic, partition)?;
-        Ok(crate::PartitionReader::routed(
-            self.clone(),
-            topic.to_string(),
+        let route = self.route(topic, partition)?;
+        let cluster = self.clone();
+        Ok(crate::PartitionReader::new(
+            Route::Routed { cluster, route },
             partition,
         ))
     }
@@ -840,30 +862,15 @@ impl Cluster {
             return Err(Error::UnknownTopic(topic.to_string()));
         }
         coordinator.fault_gate(FaultOp::Metadata, topic, partition)?;
-        let mut groups = self.inner.groups.write();
-        let entry = match groups.get_mut(group) {
-            Some(entry) => entry,
-            None => groups.entry(group.to_string()).or_default(),
-        };
-        if !entry.offsets.contains_key(topic) {
-            entry.offsets.insert(topic.to_string(), HashMap::new());
-        }
-        if let Some(partitions) = entry.offsets.get_mut(topic) {
-            partitions.insert(partition, offset);
-        }
+        self.inner
+            .groups
+            .commit_offset(group, topic, partition, offset);
         Ok(())
     }
 
     /// Fetches the committed offset for a consumer group, if any.
     pub fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
-        self.inner
-            .groups
-            .read()
-            .get(group)?
-            .offsets
-            .get(topic)?
-            .get(&partition)
-            .copied()
+        self.inner.groups.committed_offset(group, topic, partition)
     }
 
     /// Join with pre-resolved partition counts (see
@@ -876,17 +883,10 @@ impl Cluster {
         strategy: AssignmentStrategy,
     ) -> Result<u64> {
         self.coordinator()?;
-        let generation = {
-            let mut groups = self.inner.groups.write();
-            let entry = groups.entry(group.to_string()).or_default();
-            entry.state.join(member, topics_with_counts, strategy)
-        };
-        if obs::enabled() {
-            let path = crate::telemetry::group_path();
-            path.rebalances.add(1);
-            path.generation.set(generation as i64);
-        }
-        Ok(generation)
+        Ok(self
+            .inner
+            .groups
+            .join(group, member, topics_with_counts, strategy))
     }
 
     /// Leaves a consumer group (see [`Broker::leave_group`]).
@@ -896,19 +896,7 @@ impl Cluster {
     /// Returns [`Error::BrokerDown`] when the whole cluster is down.
     pub fn leave_group(&self, group: &str, member: &str) -> Result<()> {
         self.coordinator()?;
-        let outcome = {
-            let mut groups = self.inner.groups.write();
-            groups
-                .get_mut(group)
-                .map(|entry| (entry.state.leave(member), entry.state.generation()))
-        };
-        if let Some((true, generation)) = outcome {
-            if obs::enabled() {
-                let path = crate::telemetry::group_path();
-                path.rebalances.add(1);
-                path.generation.set(generation as i64);
-            }
-        }
+        self.inner.groups.leave(group, member);
         Ok(())
     }
 
@@ -919,12 +907,7 @@ impl Cluster {
     /// Returns [`Error::BrokerDown`] when the whole cluster is down.
     pub fn group_generation(&self, group: &str) -> Result<u64> {
         self.coordinator()?;
-        Ok(self
-            .inner
-            .groups
-            .read()
-            .get(group)
-            .map_or(0, |entry| entry.state.generation()))
+        Ok(self.inner.groups.generation(group))
     }
 
     /// A member's target assignment at the current generation.
@@ -935,12 +918,7 @@ impl Cluster {
     /// [`Error::BrokerDown`] when the whole cluster is down.
     pub fn sync_group(&self, group: &str, member: &str) -> Result<GroupView> {
         self.coordinator()?;
-        self.inner
-            .groups
-            .read()
-            .get(group)
-            .and_then(|entry| entry.state.view(member))
-            .ok_or_else(|| Error::UnknownGroup(group.to_string()))
+        self.inner.groups.sync(group, member)
     }
 
     /// Claims ownership of targeted partitions; returns the granted
@@ -957,11 +935,7 @@ impl Cluster {
         parts: &[TopicPartition],
     ) -> Result<Vec<TopicPartition>> {
         self.coordinator()?;
-        let mut groups = self.inner.groups.write();
-        let Some(entry) = groups.get_mut(group) else {
-            return Err(Error::UnknownGroup(group.to_string()));
-        };
-        Ok(entry.state.claim(member, parts))
+        self.inner.groups.claim(group, member, parts)
     }
 
     /// Releases ownership of partitions held by `member`.
@@ -976,10 +950,7 @@ impl Cluster {
         parts: &[TopicPartition],
     ) -> Result<()> {
         self.coordinator()?;
-        let mut groups = self.inner.groups.write();
-        if let Some(entry) = groups.get_mut(group) {
-            entry.state.release(member, parts);
-        }
+        self.inner.groups.release(group, member, parts);
         Ok(())
     }
 }
@@ -1176,9 +1147,10 @@ mod tests {
 
         // acks=all: the leader takes the batch but the in-sync set never
         // confirms it.
+        let route = cluster.route("t", 0).unwrap();
         let mut batch = vec![Record::from_value("a")];
         assert!(matches!(
-            cluster.replicated_append("t", 0, &mut batch, None, Acks::All),
+            cluster.replicated_append(&route, &mut batch, None, Acks::All),
             Err(Error::RequestTimedOut)
         ));
         assert_eq!(batch.len(), 1, "failed batch stays with the caller");
@@ -1186,7 +1158,7 @@ mod tests {
         // back by the lagging follower — committed reads see nothing.
         let mut batch = vec![Record::from_value("b")];
         cluster
-            .replicated_append("t", 0, &mut batch, None, Acks::Leader)
+            .replicated_append(&route, &mut batch, None, Acks::Leader)
             .unwrap();
         assert!(batch.is_empty(), "acked batch drains");
         assert_eq!(cluster.high_watermark_of("t", 0).unwrap(), 0);

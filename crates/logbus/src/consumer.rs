@@ -1,12 +1,11 @@
 //! Consumers: polling, seeking, and group offset management.
 
-use crate::bus::Bus;
+use crate::bus::BusHandle;
 use crate::error::{Error, Result};
 use crate::group::{AssignmentStrategy, TopicPartition};
 use crate::handle::PartitionReader;
 use crate::record::StoredRecord;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Consumer configuration.
 #[derive(Debug, Clone)]
@@ -117,7 +116,7 @@ static NEXT_MEMBER_ID: AtomicU64 = AtomicU64::new(0);
 
 #[derive(Debug)]
 pub struct Consumer {
-    bus: Arc<dyn Bus>,
+    bus: BusHandle,
     config: ConsumerConfig,
     /// Assigned partitions, kept sorted by (topic, partition) so polling
     /// order is deterministic without per-poll clone + sort.
@@ -131,14 +130,14 @@ pub struct Consumer {
 
 impl Consumer {
     /// Creates a consumer with default configuration.
-    pub fn new(bus: impl Bus + 'static) -> Self {
+    pub fn new(bus: impl Into<BusHandle>) -> Self {
         Self::with_config(bus, ConsumerConfig::default())
     }
 
     /// Creates a consumer with an explicit configuration.
-    pub fn with_config(bus: impl Bus + 'static, config: ConsumerConfig) -> Self {
+    pub fn with_config(bus: impl Into<BusHandle>, config: ConsumerConfig) -> Self {
         Consumer {
-            bus: Arc::new(bus),
+            bus: bus.into(),
             config,
             assigned: Vec::new(),
             cursor: 0,

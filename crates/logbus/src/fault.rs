@@ -142,6 +142,22 @@ pub(crate) enum FaultAction {
     Latency(Duration),
 }
 
+impl FaultAction {
+    /// Counts the drawn fault by class when observability is on.
+    pub(crate) fn count(&self) {
+        if !obs::enabled() {
+            return;
+        }
+        let path = crate::telemetry::fault_path();
+        match self {
+            FaultAction::Error(_) => path.errors.add(1),
+            FaultAction::AckLost => path.ack_losses.add(1),
+            FaultAction::Duplicate => path.duplicates.add(1),
+            FaultAction::Latency(_) => path.latencies.add(1),
+        }
+    }
+}
+
 /// Per-key decision stream state.
 #[derive(Debug)]
 struct KeyState {

@@ -24,18 +24,21 @@
 //!   exactly once.
 //!
 //! The split of responsibilities mirrors the real system: [`GroupState`]
-//! is the broker-side coordinator bookkeeping (stored under the group
-//! shard lock in [`Broker`](crate::Broker)), while [`GroupMember`] is the
-//! client-side helper that connectors embed to drive the
+//! is one group's coordinator bookkeeping, [`Coordinator`] the sharded
+//! map of groups (state plus committed offsets) that a
+//! [`Broker`](crate::Broker) and a [`Cluster`](crate::Cluster) each own
+//! one of and gate with their own liveness rule, while [`GroupMember`]
+//! is the client-side helper that connectors embed to drive the
 //! join → poll → revoke/claim cycle with callbacks.
 //!
 //! [`Range`]: AssignmentStrategy::Range
 //! [`RoundRobin`]: AssignmentStrategy::RoundRobin
 
-use crate::bus::Bus;
-use crate::error::Result;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use crate::broker::{shard_index, MAP_SHARDS};
+use crate::bus::BusHandle;
+use crate::error::{Error, Result};
+use parking_lot::RwLock;
+use std::collections::{BTreeMap, HashMap};
 
 /// A (topic, partition) coordinate, the unit of group assignment.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -330,6 +333,159 @@ impl GroupState {
     }
 }
 
+/// Everything tracked per consumer group — committed offsets plus
+/// coordinator state — kept in one entry so a lookup touches exactly one
+/// shard lock.
+#[derive(Debug, Default)]
+struct GroupEntry {
+    /// Committed offsets, nested `topic -> partition -> offset` so
+    /// lookups borrow the caller's `&str`s instead of allocating a
+    /// composite key per call.
+    offsets: HashMap<String, HashMap<u32, u64>>,
+    /// Membership, generation, and target assignment.
+    state: GroupState,
+}
+
+/// The group coordinator: every group's entry, sharded by group name so
+/// concurrent groups never contend on a map lock. Each operation takes
+/// exactly one shard lock and no other lock. The owner decides who may
+/// call: a [`Broker`](crate::Broker) gates on its own liveness, a
+/// [`Cluster`](crate::Cluster) — where this is the replicated
+/// `__consumer_offsets` state — on any broker being alive.
+#[derive(Debug)]
+pub(crate) struct Coordinator {
+    shards: [RwLock<HashMap<String, GroupEntry>>; MAP_SHARDS],
+}
+
+impl Default for Coordinator {
+    fn default() -> Self {
+        Coordinator {
+            shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
+        }
+    }
+}
+
+impl Coordinator {
+    fn shard(&self, group: &str) -> &RwLock<HashMap<String, GroupEntry>> {
+        &self.shards[shard_index(group)]
+    }
+
+    /// Counts one membership change.
+    fn note_rebalance(generation: u64) {
+        if obs::enabled() {
+            let path = crate::telemetry::group_path();
+            path.rebalances.add(1);
+            path.generation.set(generation as i64);
+        }
+    }
+
+    /// Commits `offset` for `group`. The steady-state commit borrows the
+    /// caller's `&str`s; the group and topic key strings are allocated
+    /// only on their first commit.
+    pub(crate) fn commit_offset(&self, group: &str, topic: &str, partition: u32, offset: u64) {
+        let mut shard = self.shard(group).write();
+        let known = shard
+            .get_mut(group)
+            .and_then(|entry| entry.offsets.get_mut(topic));
+        if let Some(partitions) = known {
+            partitions.insert(partition, offset);
+            return;
+        }
+        let entry = shard.entry(group.to_string()).or_default();
+        let partitions = entry.offsets.entry(topic.to_string()).or_default();
+        partitions.insert(partition, offset);
+    }
+
+    /// The committed offset, if any. Allocation-free.
+    pub(crate) fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
+        self.shard(group)
+            .read()
+            .get(group)?
+            .offsets
+            .get(topic)?
+            .get(&partition)
+            .copied()
+    }
+
+    /// Joins `member` with pre-resolved partition counts; returns the new
+    /// generation.
+    pub(crate) fn join(
+        &self,
+        group: &str,
+        member: &str,
+        topics_with_counts: Vec<(String, u32)>,
+        strategy: AssignmentStrategy,
+    ) -> u64 {
+        let generation = self
+            .shard(group)
+            .write()
+            .entry(group.to_string())
+            .or_default()
+            .state
+            .join(member, topics_with_counts, strategy);
+        Self::note_rebalance(generation);
+        generation
+    }
+
+    /// Removes `member`; a no-op for unknown groups or non-members.
+    pub(crate) fn leave(&self, group: &str, member: &str) {
+        let left = self
+            .shard(group)
+            .write()
+            .get_mut(group)
+            .and_then(|entry| entry.state.leave(member).then(|| entry.state.generation()));
+        if let Some(generation) = left {
+            Self::note_rebalance(generation);
+        }
+    }
+
+    /// The group's current generation (0 before the first join).
+    pub(crate) fn generation(&self, group: &str) -> u64 {
+        self.shard(group)
+            .read()
+            .get(group)
+            .map_or(0, |entry| entry.state.generation())
+    }
+
+    /// Total membership changes the group has seen.
+    pub(crate) fn rebalances(&self, group: &str) -> u64 {
+        self.shard(group)
+            .read()
+            .get(group)
+            .map_or(0, |entry| entry.state.rebalances())
+    }
+
+    /// `member`'s target assignment at the current generation.
+    pub(crate) fn sync(&self, group: &str, member: &str) -> Result<GroupView> {
+        self.shard(group)
+            .read()
+            .get(group)
+            .and_then(|entry| entry.state.view(member))
+            .ok_or_else(|| Error::UnknownGroup(group.to_string()))
+    }
+
+    /// Claims targeted partitions; returns the granted subset.
+    pub(crate) fn claim(
+        &self,
+        group: &str,
+        member: &str,
+        parts: &[TopicPartition],
+    ) -> Result<Vec<TopicPartition>> {
+        let mut shard = self.shard(group).write();
+        let Some(entry) = shard.get_mut(group) else {
+            return Err(Error::UnknownGroup(group.to_string()));
+        };
+        Ok(entry.state.claim(member, parts))
+    }
+
+    /// Releases partitions held by `member`; a no-op for unknown groups.
+    pub(crate) fn release(&self, group: &str, member: &str, parts: &[TopicPartition]) {
+        if let Some(entry) = self.shard(group).write().get_mut(group) {
+            entry.state.release(member, parts);
+        }
+    }
+}
+
 /// Client-side group membership helper.
 ///
 /// Engine connectors embed one `GroupMember` per worker. The lifecycle:
@@ -344,7 +500,7 @@ impl GroupState {
 /// 3. [`GroupMember::leave`] deregisters and releases everything.
 #[derive(Debug)]
 pub struct GroupMember {
-    bus: Arc<dyn Bus>,
+    bus: BusHandle,
     group: String,
     member: String,
     generation: u64,
@@ -358,12 +514,13 @@ pub struct GroupMember {
 impl GroupMember {
     /// Joins `group` under `member` id, subscribing to `topics`.
     pub fn join(
-        bus: Arc<dyn Bus>,
+        bus: impl Into<BusHandle>,
         group: impl Into<String>,
         member: impl Into<String>,
         topics: &[&str],
         strategy: AssignmentStrategy,
     ) -> Result<Self> {
+        let bus = bus.into();
         let group = group.into();
         let member = member.into();
         bus.join_group(&group, &member, topics, strategy)?;
@@ -494,7 +651,7 @@ static NEXT_READER_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU
 /// therefore read exactly once across the whole group, rebalances
 /// included.
 pub struct GroupedReader {
-    bus: Arc<dyn Bus>,
+    bus: BusHandle,
     topic: String,
     member: GroupMember,
     cursors: Vec<GroupCursor>,
@@ -535,12 +692,12 @@ impl GroupedReader {
     /// Fails when the topic does not exist or the coordinator rejects
     /// the join after retries.
     pub fn bounded(
-        bus: Arc<dyn Bus>,
+        bus: impl Into<BusHandle>,
         topic: impl Into<String>,
         group: impl Into<String>,
         strategy: AssignmentStrategy,
     ) -> Result<Self> {
-        Self::join_reader(bus, topic.into(), group.into(), strategy, true)
+        Self::join_reader(bus.into(), topic.into(), group.into(), strategy, true)
     }
 
     /// Joins `group` for a tailing read: ends refresh on every pass, so
@@ -551,16 +708,16 @@ impl GroupedReader {
     /// Fails when the topic does not exist or the coordinator rejects
     /// the join after retries.
     pub fn following(
-        bus: Arc<dyn Bus>,
+        bus: impl Into<BusHandle>,
         topic: impl Into<String>,
         group: impl Into<String>,
         strategy: AssignmentStrategy,
     ) -> Result<Self> {
-        Self::join_reader(bus, topic.into(), group.into(), strategy, false)
+        Self::join_reader(bus.into(), topic.into(), group.into(), strategy, false)
     }
 
     fn join_reader(
-        bus: Arc<dyn Bus>,
+        bus: BusHandle,
         topic: String,
         group: String,
         strategy: AssignmentStrategy,
@@ -939,13 +1096,8 @@ mod tests {
             }
         }
         // A record produced after the join is outside the finish line.
-        let mut reader = GroupedReader::bounded(
-            Arc::new(broker.clone()),
-            "t",
-            "g",
-            AssignmentStrategy::Range,
-        )
-        .unwrap();
+        let mut reader =
+            GroupedReader::bounded(broker.clone(), "t", "g", AssignmentStrategy::Range).unwrap();
         broker
             .produce("t", 0, crate::Record::from_value("late"))
             .unwrap();
@@ -977,7 +1129,7 @@ mod tests {
                 let broker = broker.clone();
                 std::thread::spawn(move || {
                     let mut reader = GroupedReader::bounded(
-                        Arc::new(broker),
+                        broker,
                         "t",
                         "share",
                         AssignmentStrategy::RoundRobin,

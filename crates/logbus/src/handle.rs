@@ -1,34 +1,37 @@
-//! Cached partition handles: the steady-state fast path.
+//! Cached partition handles, and the one produce request they share
+//! with the named calls.
 //!
-//! Every named broker operation (`produce`, `fetch`, …) pays the same
-//! fixed toll per call: hash the topic name, take the topic-map read
-//! lock, clone the topic `Arc`, and — for clients that buffer per
-//! partition — allocate a `(String, u32)` key. None of that work changes
-//! between calls in a steady-state pipeline, which produces to and
-//! fetches from the same partition millions of times.
+//! Every named operation (`Broker::produce_batch`, `Cluster::fetch`, …)
+//! names its partition by `(topic, partition)` and pays for that on each
+//! call: hash the topic name, take a map read lock, clone an `Arc`. None
+//! of that work changes between calls in a steady-state pipeline, which
+//! produces to and fetches from the same partition millions of times.
 //!
 //! [`PartitionWriter`] and [`PartitionReader`] hoist that resolution out
 //! of the loop: they are obtained once (from a [`Broker`], a
-//! [`Cluster`](crate::Cluster), or any [`Bus`](crate::Bus)) and hold the
-//! resolved `Arc<Topic>` plus partition index. Per-record work is then
-//! exactly the per-partition lock and the append/read — plus the
-//! *deliberately preserved* simulated network round trip
+//! [`Cluster`], or any [`Bus`](crate::Bus)) and hold what the name
+//! resolved to — the `Arc<Topic>` on a broker, the partition's route
+//! (replica set, election state, each replica's log) on a cluster.
+//! Behind the name there is one path: a named call and a handle run the
+//! same [`WriteTarget::append_batch`] and the same broker read request,
+//! *including* the simulated network round trip
 //! ([`Broker::set_request_latency_micros`]), which models the paper's
-//! remote Kafka cluster and must cost the same on both paths.
+//! remote Kafka cluster. A handle adds the client-side retry loop; a
+//! named call is one shot.
 //!
 //! Handles pin their topic: like a Kafka client with cached metadata,
-//! a handle keeps appending to (or reading from) the log it resolved,
-//! even if the topic is deleted from the broker's name map afterwards.
-//! The named-lookup methods on [`Broker`] remain the source of truth for
-//! topic existence.
+//! a broker handle keeps appending to (or reading from) the log it
+//! resolved, even if the topic is deleted from the broker's name map
+//! afterwards. The named-lookup methods on [`Broker`] remain the source
+//! of truth for topic existence.
 
 use crate::broker::Broker;
-use crate::cluster::Cluster;
+use crate::cluster::{Cluster, PartitionRoute};
 use crate::config::Acks;
 use crate::error::{Error, Result};
 use crate::fault::{FaultAction, FaultOp};
 use crate::record::{Record, StoredRecord};
-use crate::retry::{RetryPolicy, RetryState};
+use crate::retry::{with_retry, RetryPolicy};
 use crate::topic::{spin_delay, Topic};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -64,214 +67,98 @@ impl Sequencer {
     }
 }
 
-/// One replica target of a writer: the hosting broker (for its clock,
-/// simulated request latency, and fault plan) and its resolved topic.
-#[derive(Debug, Clone)]
-pub(crate) struct WriteTarget {
-    pub(crate) broker: Broker,
-    pub(crate) topic: Arc<Topic>,
-    /// Leader epoch this target was resolved at; appends carrying it are
-    /// rejected once an election bumps the partition past it. `None` for
-    /// single-broker targets, which have no elections to fence against.
+/// Where one produce request lands: the hosting broker (for its
+/// liveness, clock, simulated request latency, and fault plan) and the
+/// log it hosts.
+#[derive(Debug)]
+pub(crate) struct WriteTarget<'a> {
+    pub(crate) broker: &'a Broker,
+    pub(crate) topic: &'a Topic,
+    /// Leader epoch the request was resolved at; the append is rejected
+    /// once an election bumps the partition past it. `None` on a single
+    /// broker, which has no elections to fence against.
     pub(crate) fence: Option<u64>,
 }
 
-/// A failed append attempt: the error plus, when the records never
-/// reached the log (or reached it with a lost ack), the records
-/// themselves so the retry loop can resend without cloning on the
-/// fault-free fast path.
-type AppendFailure<R> = (Error, Option<R>);
-
-/// Clones a batch into a pooled buffer (record clones are refcount
-/// bumps; only the pointer vector would allocate, and the pool avoids
-/// even that in steady state).
-pub(crate) fn clone_into_pooled(records: &[Record]) -> Vec<Record> {
-    let mut copy = crate::pool::record_vec();
-    copy.extend(records.iter().cloned());
-    copy
-}
-
-/// Whether an error signals a failover in progress (as opposed to an
-/// injected flaky-network fault): the leader moved, was fenced, or its
-/// broker is dead.
-fn failover_class(error: &Error) -> bool {
-    matches!(
-        error,
-        Error::BrokerDown
-            | Error::NotLeader { .. }
-            | Error::FencedEpoch { .. }
-            | Error::PartitionOffline { .. }
-    )
-}
-
-/// Measures the client-visible unavailability window of one request: the
-/// span from the first failover-class error to the next success. Costs
-/// nothing unless observability is enabled when the first error lands.
-struct OutageClock(Option<std::time::Instant>);
-
-impl OutageClock {
-    fn new() -> Self {
-        OutageClock(None)
-    }
-
-    fn note_error(&mut self, error: &Error) {
-        if self.0.is_none() && failover_class(error) && obs::enabled() {
-            self.0 = Some(std::time::Instant::now());
-        }
-    }
-
-    fn note_success(&mut self) {
-        if let Some(started) = self.0.take() {
-            crate::telemetry::failover_path().unavailability(started.elapsed());
-        }
-    }
-}
-
-/// Retry loop for cluster-routed requests: like
-/// [`with_retry`](crate::retry::with_retry), plus the unavailability
-/// window instrument around failover-class outages.
-fn routed_retry<T>(retry: &RetryPolicy, mut op: impl FnMut() -> Result<T>) -> Result<T> {
-    let mut state = RetryState::new();
-    let mut outage = OutageClock::new();
-    loop {
-        match op() {
-            Ok(value) => {
-                state.note_success();
-                outage.note_success();
-                return Ok(value);
-            }
-            Err(error) => {
-                outage.note_error(&error);
-                state.backoff_or_give_up(retry, error)?;
-            }
-        }
-    }
-}
-
-impl WriteTarget {
-    fn raw_append(&self, partition: u32, record: Record, seq: Option<(u64, u64)>) -> Result<u64> {
-        match seq {
-            None => self.topic.append_fenced_delayed(
-                partition,
-                record,
-                self.broker.now(),
-                self.broker.request_delay(),
-                self.fence,
-            ),
-            Some((producer_id, seq)) => self.topic.append_sequenced_delayed(
-                partition,
-                record,
-                self.broker.now(),
-                self.broker.request_delay(),
-                producer_id,
-                seq,
-                self.fence,
-            ),
-        }
-    }
-
-    /// Drains `records` on success; leaves them in place on failure so
-    /// the retry loop can resend without cloning on the fault-free path.
-    fn raw_append_batch(
-        &self,
-        partition: u32,
-        records: &mut Vec<Record>,
-        seq: Option<(u64, u64)>,
-    ) -> Result<u64> {
-        match seq {
-            None => self.topic.append_batch_fenced_delayed(
-                partition,
-                records,
-                self.broker.now(),
-                self.broker.request_delay(),
-                self.fence,
-            ),
-            Some((producer_id, first_seq)) => self.topic.append_batch_sequenced_delayed(
-                partition,
-                records,
-                self.broker.now(),
-                self.broker.request_delay(),
-                producer_id,
-                first_seq,
-                self.fence,
-            ),
-        }
-    }
-
-    // The Err variant deliberately carries the un-appended record so the
-    // retry loop can resend without cloning up front; boxing it would put
-    // an allocation on the fault path.
-    #[allow(clippy::result_large_err)]
-    fn append(
-        &self,
-        partition: u32,
-        record: Record,
-        seq: Option<(u64, u64)>,
-    ) -> std::result::Result<u64, AppendFailure<Record>> {
-        if let Err(error) = self.broker.ensure_alive() {
-            return Err((error, Some(record)));
-        }
-        match self
-            .broker
-            .fault_action(FaultOp::Produce, self.topic.name(), partition)
-        {
-            None => {}
-            Some(FaultAction::Latency(extra)) => spin_delay(extra),
-            Some(FaultAction::Error(e)) => return Err((e, Some(record))),
-            Some(FaultAction::AckLost) => {
-                let _ = self.raw_append(partition, record.clone(), seq);
-                return Err((Error::RequestTimedOut, Some(record)));
-            }
-            Some(FaultAction::Duplicate) => {
-                let offset = self
-                    .raw_append(partition, record.clone(), seq)
-                    .map_err(|e| (e, None))?;
-                // Sequenced writers dedup this broker-side; plain ones
-                // genuinely get the record twice.
-                let _ = self.raw_append(partition, record, seq);
-                return Ok(offset);
-            }
-        }
-        self.raw_append(partition, record, seq)
-            .map_err(|e| (e, None))
-    }
-
-    /// Batch append through the fault gate. Drains `records` on success
-    /// and leaves them intact on failure — the caller's buffer *is* the
-    /// resend queue, so the fault-free path never clones.
+impl WriteTarget<'_> {
+    /// The one produce request: liveness → the produce fault gate → the
+    /// one [`Topic`] append (lock → round trip → fence → dedup → stamp).
+    /// Drains `records` on success and leaves them intact on failure —
+    /// the caller's buffer *is* the resend queue, so the fault-free path
+    /// never clones.
     pub(crate) fn append_batch(
         &self,
         partition: u32,
         records: &mut Vec<Record>,
         seq: Option<(u64, u64)>,
     ) -> Result<u64> {
-        self.broker.ensure_alive()?;
-        match self
-            .broker
-            .fault_action(FaultOp::Produce, self.topic.name(), partition)
-        {
+        let broker = self.broker;
+        broker.ensure_alive()?;
+        let append = |records: &mut Vec<Record>| {
+            self.topic.append_request(
+                partition,
+                records,
+                broker.now(),
+                broker.request_delay(),
+                seq,
+                self.fence,
+            )
+        };
+        // The faulted arms append a pooled copy (record clones are
+        // refcount bumps; this is the fault path).
+        let append_copy = || {
+            let mut copy = crate::pool::record_vec();
+            copy.extend(records.iter().cloned());
+            let result = append(&mut copy);
+            crate::pool::recycle_record_vec(copy);
+            result
+        };
+        match broker.fault_action(FaultOp::Produce, self.topic.name(), partition) {
             None => {}
             Some(FaultAction::Latency(extra)) => spin_delay(extra),
             Some(FaultAction::Error(e)) => return Err(e),
             Some(FaultAction::AckLost) => {
-                // The append reaches the log but the ack is lost: the
-                // log consumes a pooled copy; the caller's records stay
-                // put for the resend. Cloning here is fine — this is the
-                // fault path.
-                let mut copy = clone_into_pooled(records);
-                let _ = self.raw_append_batch(partition, &mut copy, seq);
-                crate::pool::recycle_record_vec(copy);
+                // The append reaches the log but the ack is lost; the
+                // caller's records stay put for the resend, which
+                // duplicates them unless the writer is sequenced.
+                let _ = append_copy();
                 return Err(Error::RequestTimedOut);
             }
             Some(FaultAction::Duplicate) => {
-                let mut copy = clone_into_pooled(records);
-                let offset = self.raw_append_batch(partition, &mut copy, seq)?;
-                crate::pool::recycle_record_vec(copy);
-                let _ = self.raw_append_batch(partition, records, seq);
+                let offset = append_copy()?;
+                // Sequenced writers dedup this broker-side; plain ones
+                // genuinely get the batch twice.
+                let _ = append(records);
                 return Ok(offset);
             }
         }
-        self.raw_append_batch(partition, records, seq)
+        append(records)
+    }
+}
+
+/// What a handle resolved its `(topic, partition)` to, once.
+#[derive(Debug, Clone)]
+pub(crate) enum Route {
+    /// One pinned broker and its resolved topic — the single-broker
+    /// path, where there are no elections and the topic stays valid.
+    Direct { broker: Broker, topic: Arc<Topic> },
+    /// The cluster and the partition's route. Each attempt re-picks the
+    /// leader from the route's election state, so the handle survives
+    /// leader changes without being rebuilt — and without resolving a
+    /// name again. Appends replicate; reads observe only records below
+    /// the high-watermark.
+    Routed {
+        cluster: Cluster,
+        route: Arc<PartitionRoute>,
+    },
+}
+
+impl Route {
+    fn topic(&self) -> &str {
+        match self {
+            Route::Direct { topic, .. } => topic.name(),
+            Route::Routed { route, .. } => route.topic(),
+        }
     }
 }
 
@@ -279,10 +166,10 @@ impl WriteTarget {
 ///
 /// Obtained via [`Broker::partition_writer`] or
 /// [`Bus::partition_writer`](crate::Bus::partition_writer). Appends skip
-/// the topic-name lookup entirely; on a [`Cluster`](crate::Cluster) the
-/// handle holds the leader first and every follower after it, so each
-/// produce replicates exactly as the named path does — each broker paying
-/// its own simulated round trip while holding the partition append lock.
+/// the topic-name lookup entirely; on a [`Cluster`] each produce goes
+/// through the same replicated append the named path uses — leader first,
+/// then every live follower, each broker paying its own simulated round
+/// trip.
 ///
 /// # Example
 ///
@@ -303,7 +190,7 @@ impl WriteTarget {
 /// ```
 #[derive(Debug, Clone)]
 pub struct PartitionWriter {
-    route: WriteRoute,
+    route: Route,
     partition: u32,
     /// Retry schedule for transient errors (fault-plan injections and
     /// failover windows).
@@ -314,36 +201,12 @@ pub struct PartitionWriter {
     acks: Acks,
 }
 
-/// Where a writer's appends go.
-#[derive(Debug, Clone)]
-enum WriteRoute {
-    /// Fixed replica targets, leader first — the single-broker path,
-    /// where there are no elections and the resolved topic stays valid.
-    Direct(Vec<WriteTarget>),
-    /// Cluster-routed: each attempt goes through the cluster's
-    /// replicated append, which re-resolves the partition leader, so the
-    /// handle survives leader changes without being rebuilt.
-    Routed { cluster: Cluster, topic: String },
-}
-
 impl PartitionWriter {
-    pub(crate) fn new(targets: Vec<WriteTarget>, partition: u32) -> Self {
-        debug_assert!(!targets.is_empty(), "a writer needs a leader target");
+    /// A writer over a resolved route. Cluster-routed writers are
+    /// safe-by-default ([`Acks::All`]).
+    pub(crate) fn new(route: Route, partition: u32) -> Self {
         PartitionWriter {
-            route: WriteRoute::Direct(targets),
-            partition,
-            retry: RetryPolicy::default(),
-            sequencer: None,
-            acks: Acks::All,
-        }
-    }
-
-    /// A cluster-routed writer: safe-by-default (`Acks::All`), and
-    /// re-resolves the leader on every attempt so it rides through
-    /// elections.
-    pub(crate) fn routed(cluster: Cluster, topic: String, partition: u32) -> Self {
-        PartitionWriter {
-            route: WriteRoute::Routed { cluster, topic },
+            route,
             partition,
             retry: RetryPolicy::default(),
             sequencer: None,
@@ -383,10 +246,7 @@ impl PartitionWriter {
 
     /// The topic this writer appends to.
     pub fn topic(&self) -> &str {
-        match &self.route {
-            WriteRoute::Direct(targets) => targets[0].topic.name(),
-            WriteRoute::Routed { topic, .. } => topic,
-        }
+        self.route.topic()
     }
 
     /// The partition this writer appends to.
@@ -394,7 +254,9 @@ impl PartitionWriter {
         self.partition
     }
 
-    /// Appends one record, returning the leader's assigned offset.
+    /// Appends one record — a batch of one, so it costs one request and
+    /// its round trip — returning the leader's assigned offset. The
+    /// pooled buffer makes the wrap allocation-free in steady state.
     ///
     /// # Errors
     ///
@@ -402,89 +264,23 @@ impl PartitionWriter {
     /// for out-of-range partitions (only possible if the handle was built
     /// unchecked — construction validates the partition).
     pub fn produce(&self, record: Record) -> Result<u64> {
-        if !obs::enabled() {
-            return self.produce_inner(record);
-        }
-        let started = std::time::Instant::now();
-        let result = self.produce_inner(record);
-        crate::telemetry::produce_path().observe(1, started.elapsed(), result.is_ok());
-        result
-    }
-
-    fn produce_inner(&self, record: Record) -> Result<u64> {
-        let targets = match &self.route {
-            WriteRoute::Direct(targets) => targets,
-            WriteRoute::Routed { cluster, topic } => {
-                let seq = self.sequencer.as_ref().map(|s| s.reserve(1));
-                // A routed single produce is a batch of one; the pooled
-                // buffer makes the wrap allocation-free in steady state.
-                let mut batch = crate::pool::record_vec();
-                batch.push(record);
-                let result = self.routed_append(cluster, topic, &mut batch, seq);
-                if result.is_ok() {
-                    crate::pool::recycle_record_vec(batch);
-                }
-                return result;
-            }
-        };
-        let Some((leader, followers)) = targets.split_first() else {
-            return Err(Error::BrokerUnavailable);
-        };
-        let seq = self.sequencer.as_ref().map(|s| s.reserve(1));
-        if followers.is_empty() {
-            // Single-broker fast path: the record is moved into the
-            // append and only comes back (for the resend) on failure —
-            // no clone when nothing faults.
-            let mut record = record;
-            let mut state = RetryState::new();
-            loop {
-                match leader.append(self.partition, record, seq) {
-                    Ok(offset) => {
-                        state.note_success();
-                        return Ok(offset);
-                    }
-                    Err((error, recovered)) => {
-                        state.backoff_or_give_up(&self.retry, error)?;
-                        match recovered {
-                            Some(rec) => record = rec,
-                            // Non-fault append errors are non-transient
-                            // and were propagated above; unreachable.
-                            None => return Err(Error::BrokerUnavailable),
-                        }
-                    }
-                }
-            }
-        }
-        let offset = crate::retry::with_retry(&self.retry, || {
-            leader
-                .append(self.partition, record.clone(), seq)
-                .map_err(|(e, _)| e)
-        })?;
-        for follower in followers {
-            crate::retry::with_retry(&self.retry, || {
-                follower
-                    .append(self.partition, record.clone(), seq)
-                    .map_err(|(e, _)| e)
-            })?;
-        }
-        Ok(offset)
+        let mut batch = crate::pool::record_vec();
+        batch.push(record);
+        self.produce_batch(batch)
     }
 
     /// Appends a batch — one broker-side append, one shared
-    /// `LogAppendTime` stamp — returning the leader's base offset. On
-    /// success the vector is recycled through the pool tier; callers
-    /// holding a long-lived buffer should prefer
+    /// `LogAppendTime` stamp — returning the leader's base offset. The
+    /// vector is recycled through the pool tier; callers holding a
+    /// long-lived buffer should prefer
     /// [`PartitionWriter::produce_batch_drain`].
     ///
     /// # Errors
     ///
     /// Same as [`PartitionWriter::produce`].
-    pub fn produce_batch(&self, records: Vec<Record>) -> Result<u64> {
-        let mut records = records;
+    pub fn produce_batch(&self, mut records: Vec<Record>) -> Result<u64> {
         let result = self.produce_batch_drain(&mut records);
-        if result.is_ok() {
-            crate::pool::recycle_record_vec(records);
-        }
+        crate::pool::recycle_record_vec(records);
         result
     }
 
@@ -494,85 +290,32 @@ impl PartitionWriter {
     /// for the caller to resend. The steady-state path allocates
     /// nothing.
     ///
+    /// On a cluster a leader kill surfaces as a transient error inside
+    /// the retry loop, the cluster promotes an in-sync follower, and the
+    /// next attempt lands on the new leader.
+    ///
     /// # Errors
     ///
     /// Same as [`PartitionWriter::produce`].
     pub fn produce_batch_drain(&self, records: &mut Vec<Record>) -> Result<u64> {
-        if !obs::enabled() {
-            return self.produce_batch_inner(records);
-        }
-        let count = records.len() as u64;
-        let started = std::time::Instant::now();
-        let result = self.produce_batch_inner(records);
-        crate::telemetry::produce_path().observe(count, started.elapsed(), result.is_ok());
-        result
-    }
-
-    fn produce_batch_inner(&self, records: &mut Vec<Record>) -> Result<u64> {
-        // Empty batches reserve no sequence numbers (a zero-length
-        // reservation would collide with the next real batch).
-        let seq = match (&self.sequencer, records.is_empty()) {
-            (Some(s), false) => Some(s.reserve(records.len() as u64)),
-            _ => None,
-        };
-        let targets = match &self.route {
-            WriteRoute::Direct(targets) => targets,
-            WriteRoute::Routed { cluster, topic } => {
-                return self.routed_append(cluster, topic, records, seq);
-            }
-        };
-        let Some((leader, followers)) = targets.split_first() else {
-            return Err(Error::BrokerUnavailable);
-        };
-        if followers.is_empty() {
-            // Single-broker fast path: the batch drains straight into
-            // the log; on failure the records are still in `records`
-            // for the next attempt — no clone when nothing faults.
-            let mut state = RetryState::new();
-            loop {
-                match leader.append_batch(self.partition, records, seq) {
-                    Ok(offset) => {
-                        state.note_success();
-                        return Ok(offset);
-                    }
-                    Err(error) => state.backoff_or_give_up(&self.retry, error)?,
+        crate::telemetry::observed_produce(records, |records| {
+            // Empty batches reserve no sequence numbers (a zero-length
+            // reservation would collide with the next real batch).
+            let seq = match (&self.sequencer, records.is_empty()) {
+                (Some(s), false) => Some(s.reserve(records.len() as u64)),
+                _ => None,
+            };
+            with_retry(&self.retry, || match &self.route {
+                Route::Direct { broker, topic } => WriteTarget {
+                    broker,
+                    topic,
+                    fence: None,
                 }
-            }
-        }
-        // Replication path: every target consumes its own pooled copy so
-        // the caller's buffer stays intact until all replicas ack.
-        let offset = crate::retry::with_retry(&self.retry, || {
-            let mut copy = clone_into_pooled(records);
-            let result = leader.append_batch(self.partition, &mut copy, seq);
-            crate::pool::recycle_record_vec(copy);
-            result
-        })?;
-        for follower in followers {
-            crate::retry::with_retry(&self.retry, || {
-                let mut copy = clone_into_pooled(records);
-                let result = follower.append_batch(self.partition, &mut copy, seq);
-                crate::pool::recycle_record_vec(copy);
-                result
-            })?;
-        }
-        records.clear();
-        Ok(offset)
-    }
-
-    /// Append through the cluster's replicated produce path, retrying
-    /// through elections: a leader kill surfaces as a transient error
-    /// here, the cluster promotes an in-sync follower, and the next
-    /// attempt lands on the new leader. Drains `records` on success and
-    /// leaves them intact on failure, like the direct path.
-    fn routed_append(
-        &self,
-        cluster: &Cluster,
-        topic: &str,
-        records: &mut Vec<Record>,
-        seq: Option<(u64, u64)>,
-    ) -> Result<u64> {
-        routed_retry(&self.retry, || {
-            cluster.replicated_append(topic, self.partition, records, seq, self.acks)
+                .append_batch(self.partition, records, seq),
+                Route::Routed { cluster, route } => {
+                    cluster.replicated_append(route, records, seq, self.acks)
+                }
+            })
         })
     }
 }
@@ -581,44 +324,23 @@ impl PartitionWriter {
 ///
 /// Obtained via [`Broker::partition_reader`] or
 /// [`Bus::partition_reader`](crate::Bus::partition_reader); on a
-/// [`Cluster`](crate::Cluster) it reads from the partition leader, like
-/// the named fetch path. Reads pay the leader broker's simulated round
-/// trip *without* holding any partition lock (fetches from different
-/// consumers overlap, unlike same-partition produces — see
-/// [`Broker::fetch`]).
+/// [`Cluster`] it reads from the partition leader, like the named fetch
+/// path. Reads pay the leader broker's simulated round trip *without*
+/// holding any partition lock (fetches from different consumers overlap,
+/// unlike same-partition produces — see [`Broker::fetch`]).
 #[derive(Debug, Clone)]
 pub struct PartitionReader {
-    route: ReadRoute,
+    route: Route,
     partition: u32,
     /// Retry schedule for transient errors (fault-plan injections and
     /// failover windows).
     retry: RetryPolicy,
 }
 
-/// Where a reader's fetches go.
-#[derive(Debug, Clone)]
-enum ReadRoute {
-    /// One pinned broker and its resolved topic (single-broker path).
-    Direct { broker: Broker, topic: Arc<Topic> },
-    /// Cluster-routed: fetches re-resolve the partition leader per
-    /// attempt and observe only records below the high-watermark.
-    Routed { cluster: Cluster, topic: String },
-}
-
 impl PartitionReader {
-    pub(crate) fn new(broker: Broker, topic: Arc<Topic>, partition: u32) -> Self {
+    pub(crate) fn new(route: Route, partition: u32) -> Self {
         PartitionReader {
-            route: ReadRoute::Direct { broker, topic },
-            partition,
-            retry: RetryPolicy::default(),
-        }
-    }
-
-    /// A cluster-routed reader: survives leader changes and reads only
-    /// committed records (those below the high-watermark).
-    pub(crate) fn routed(cluster: Cluster, topic: String, partition: u32) -> Self {
-        PartitionReader {
-            route: ReadRoute::Routed { cluster, topic },
+            route,
             partition,
             retry: RetryPolicy::default(),
         }
@@ -633,10 +355,7 @@ impl PartitionReader {
 
     /// The topic this reader fetches from.
     pub fn topic(&self) -> &str {
-        match &self.route {
-            ReadRoute::Direct { topic, .. } => topic.name(),
-            ReadRoute::Routed { topic, .. } => topic,
-        }
+        self.route.topic()
     }
 
     /// The partition this reader fetches from.
@@ -669,33 +388,22 @@ impl PartitionReader {
         max: usize,
         out: &mut Vec<StoredRecord>,
     ) -> Result<usize> {
-        if !obs::enabled() {
-            return self.fetch_into_inner(offset, max, out);
-        }
-        let started = std::time::Instant::now();
-        let result = self.fetch_into_inner(offset, max, out);
-        let appended = *result.as_ref().unwrap_or(&0) as u64;
-        crate::telemetry::fetch_path().observe(appended, started.elapsed());
-        result
+        crate::telemetry::observed_fetch(|| {
+            with_retry(&self.retry, || match &self.route {
+                Route::Direct { broker, topic } => {
+                    broker.read_request(topic, self.partition, offset, max, out)
+                }
+                Route::Routed { cluster, route } => {
+                    cluster.committed_read_into(route, offset, max, out)
+                }
+            })
+        })
     }
 
-    fn fetch_into_inner(
-        &self,
-        offset: u64,
-        max: usize,
-        out: &mut Vec<StoredRecord>,
-    ) -> Result<usize> {
-        match &self.route {
-            ReadRoute::Direct { broker, topic } => crate::retry::with_retry(&self.retry, || {
-                broker.ensure_alive()?;
-                broker.fault_gate(FaultOp::Fetch, topic.name(), self.partition)?;
-                spin_delay(broker.request_delay());
-                topic.read_into(self.partition, offset, max, out)
-            }),
-            ReadRoute::Routed { cluster, topic } => routed_retry(&self.retry, || {
-                cluster.committed_read_into(topic, self.partition, offset, max, out)
-            }),
-        }
+    /// One metadata request against a pinned broker.
+    fn metadata_request(&self, broker: &Broker, topic: &Topic) -> Result<()> {
+        broker.ensure_alive()?;
+        broker.fault_gate(FaultOp::Metadata, topic.name(), self.partition)
     }
 
     /// Next offset to be written in the partition.
@@ -705,18 +413,15 @@ impl PartitionReader {
     /// Returns [`Error::UnknownPartition`](crate::Error::UnknownPartition)
     /// (not possible for handles built through validated construction).
     pub fn latest_offset(&self) -> Result<u64> {
-        match &self.route {
-            ReadRoute::Direct { broker, topic } => crate::retry::with_retry(&self.retry, || {
-                broker.ensure_alive()?;
-                broker.fault_gate(FaultOp::Metadata, topic.name(), self.partition)?;
+        with_retry(&self.retry, || match &self.route {
+            Route::Direct { broker, topic } => {
+                self.metadata_request(broker, topic)?;
                 topic.latest_offset(self.partition)
-            }),
+            }
             // Routed readers see the committed frontier: offsets past the
             // high-watermark do not exist yet from a consumer's view.
-            ReadRoute::Routed { cluster, topic } => routed_retry(&self.retry, || {
-                cluster.committed_latest_offset(topic, self.partition)
-            }),
-        }
+            Route::Routed { cluster, route } => cluster.committed_latest_offset(route),
+        })
     }
 
     /// Earliest retained offset in the partition.
@@ -725,16 +430,13 @@ impl PartitionReader {
     ///
     /// Same as [`PartitionReader::latest_offset`].
     pub fn earliest_offset(&self) -> Result<u64> {
-        match &self.route {
-            ReadRoute::Direct { broker, topic } => crate::retry::with_retry(&self.retry, || {
-                broker.ensure_alive()?;
-                broker.fault_gate(FaultOp::Metadata, topic.name(), self.partition)?;
+        with_retry(&self.retry, || match &self.route {
+            Route::Direct { broker, topic } => {
+                self.metadata_request(broker, topic)?;
                 topic.earliest_offset(self.partition)
-            }),
-            ReadRoute::Routed { cluster, topic } => routed_retry(&self.retry, || {
-                cluster.committed_earliest_offset(topic, self.partition)
-            }),
-        }
+            }
+            Route::Routed { cluster, route } => cluster.committed_earliest_offset(route),
+        })
     }
 }
 
@@ -859,8 +561,12 @@ mod tests {
         assert!(start.elapsed() >= std::time::Duration::from_millis(10));
     }
 
+    /// The obs gate is process-wide: tests that flip it take turns.
+    static OBS_GATE: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+
     #[test]
     fn enabled_telemetry_reaches_registry() {
+        let _turn = OBS_GATE.lock();
         let broker = Broker::new();
         broker.create_topic("tel", TopicConfig::default()).unwrap();
         let writer = broker.partition_writer("tel", 0).unwrap();
@@ -881,6 +587,37 @@ mod tests {
         assert!(snap.histograms["logbus.produce.micros"].count >= 2);
         assert!(snap.histograms["logbus.produce.batch_records"].max >= 2);
         assert!(snap.histograms["logbus.fetch.micros"].count >= 1);
+    }
+
+    #[test]
+    fn cluster_named_paths_reach_registry() {
+        let _turn = OBS_GATE.lock();
+        let cluster = Cluster::new(ClusterConfig { brokers: 3 });
+        cluster
+            .create_topic("tel", TopicConfig::default().replication_factor(3))
+            .unwrap();
+        let count = |name: &str| {
+            let snap = obs::global().registry().snapshot();
+            snap.counters.get(name).copied().unwrap_or(0)
+        };
+        obs::set_enabled(true);
+        let (produced, fetched) = (
+            count("logbus.produce.records"),
+            count("logbus.fetch.records"),
+        );
+        cluster
+            .produce_batch(
+                "tel",
+                0,
+                vec![Record::from_value("a"), Record::from_value("b")],
+            )
+            .unwrap();
+        assert_eq!(cluster.fetch("tel", 0, 0, 10).unwrap().len(), 2);
+        obs::set_enabled(false);
+        // `>=`: other tests in this process may also have recorded. The
+        // exact once-per-request count is pinned by `bench/tests/observed_once`.
+        assert!(count("logbus.produce.records") >= produced + 2);
+        assert!(count("logbus.fetch.records") >= fetched + 2);
     }
 
     fn produce_only_plan(seed: u64, ack_loss: f64, produce_error: f64) -> crate::FaultPlan {

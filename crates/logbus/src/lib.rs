@@ -22,10 +22,17 @@
 //!   commit offsets under a group id.
 //! * A [`Cluster`] of brokers assigns partition leaders and maintains
 //!   follower replicas according to the topic's replication factor.
-//! * **Partition handles** ([`PartitionWriter`], [`PartitionReader`])
-//!   cache topic resolution once so steady-state hot loops skip name
-//!   hashing, topic-map locking, and key allocation entirely — while the
-//!   simulated network round trip stays on both paths.
+//! * The data plane is **one path**: every produce — a named
+//!   `Broker`/`Cluster` call or a handle, one record (a batch of one) or
+//!   five hundred — runs the same liveness → fault gate → append-under-
+//!   the-partition-lock (round trip, epoch fence, dedup, one
+//!   `LogAppendTime` stamp per batch), and every fetch the same liveness
+//!   → fault gate → round trip → read. **Partition handles**
+//!   ([`PartitionWriter`], [`PartitionReader`]) differ from named calls
+//!   only in naming the partition once: they hold what `(topic,
+//!   partition)` resolved to — on a broker or a cluster — so
+//!   steady-state hot loops skip name hashing, map locking, and key
+//!   allocation entirely, and they retry under a [`RetryPolicy`].
 //! * A seeded, deterministic **fault plan** ([`FaultPlan`]) injects
 //!   transient broker errors, lost acks, duplicate appends, and added
 //!   latency; clients retry under a [`RetryPolicy`] and idempotent

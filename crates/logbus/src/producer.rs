@@ -1,13 +1,12 @@
 //! Producers: batched, acknowledged, optionally rate-limited sends.
 
-use crate::bus::Bus;
+use crate::bus::{Bus, BusHandle};
 use crate::config::Acks;
 use crate::error::{Error, Result};
 use crate::handle::PartitionWriter;
 use crate::record::Record;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How a producer picks the partition for a record.
@@ -128,7 +127,7 @@ struct ProducerCounters {
 /// ```
 #[derive(Debug)]
 pub struct Producer {
-    bus: Arc<dyn Bus>,
+    bus: BusHandle,
     config: ProducerConfig,
     /// Per-topic state. A linear-scanned `Vec` rather than a map: a
     /// producer talks to a handful of topics (the benchmark uses one), so
@@ -179,14 +178,14 @@ impl TopicState {
 
 impl Producer {
     /// Creates a producer with default configuration.
-    pub fn new(bus: impl Bus + 'static) -> Self {
+    pub fn new(bus: impl Into<BusHandle>) -> Self {
         Self::with_config(bus, ProducerConfig::default())
     }
 
     /// Creates a producer with an explicit configuration.
-    pub fn with_config(bus: impl Bus + 'static, config: ProducerConfig) -> Self {
+    pub fn with_config(bus: impl Into<BusHandle>, config: ProducerConfig) -> Self {
         Producer {
-            bus: Arc::new(bus),
+            bus: bus.into(),
             config,
             topics: Vec::new(),
             counters: ProducerCounters::default(),
@@ -249,11 +248,11 @@ impl Producer {
         let partitioner = self.config.partitioner;
         let picked = match partitioner {
             Partitioner::Fixed(p) => Ok(p),
-            Partitioner::RoundRobin => next_round_robin(self.bus.as_ref(), state, topic),
+            Partitioner::RoundRobin => next_round_robin(&*self.bus, state, topic),
             Partitioner::KeyHash => match &record.key {
-                Some(key) => cached_partition_count(self.bus.as_ref(), state, topic)
+                Some(key) => cached_partition_count(&*self.bus, state, topic)
                     .map(|n| partition_for_key(key, n)),
-                None => next_round_robin(self.bus.as_ref(), state, topic),
+                None => next_round_robin(&*self.bus, state, topic),
             },
         };
         let partition = match picked {
@@ -310,11 +309,11 @@ impl Producer {
             let state = &mut self.topics[index].state;
             let picked = match self.config.partitioner {
                 Partitioner::Fixed(p) => Ok(p),
-                Partitioner::RoundRobin => next_round_robin(self.bus.as_ref(), state, topic),
+                Partitioner::RoundRobin => next_round_robin(&*self.bus, state, topic),
                 Partitioner::KeyHash => match &record.key {
-                    Some(key) => cached_partition_count(self.bus.as_ref(), state, topic)
+                    Some(key) => cached_partition_count(&*self.bus, state, topic)
                         .map(|n| partition_for_key(key, n)),
-                    None => next_round_robin(self.bus.as_ref(), state, topic),
+                    None => next_round_robin(&*self.bus, state, topic),
                 },
             };
             let partition = match picked {
@@ -426,7 +425,7 @@ impl Producer {
         }
         if state.writers[p].is_none() {
             let retry = &self.config.retry;
-            let bus = self.bus.as_ref();
+            let bus = &*self.bus;
             let writer =
                 crate::retry::with_retry(retry, || bus.partition_writer(topic, partition))?
                     .idempotent()

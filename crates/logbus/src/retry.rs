@@ -75,31 +75,29 @@ impl RetryPolicy {
     }
 }
 
-/// Per-call retry bookkeeping: attempt count, wall-clock budget, and the
-/// lazily seeded jitter stream. Lets callers that must recover state
-/// between attempts (e.g. a produce retry taking its records back) run
-/// the same loop [`with_retry`] does.
-#[derive(Debug)]
-pub(crate) struct RetryState {
+/// Per-call retry bookkeeping: attempt count, wall-clock budget, the
+/// lazily seeded jitter stream, and the outage clock.
+#[derive(Debug, Default)]
+struct RetryState {
     attempt: u32,
     first_failure: Option<Instant>,
     rng: Option<StdRng>,
+    /// When the call's first failover-class error landed (the leader
+    /// moved, was fenced, or its broker is dead — as opposed to a flaky
+    /// network): the start of the client-visible unavailability window,
+    /// which the next success closes. Set only while observability is on.
+    outage: Option<Instant>,
 }
 
 impl RetryState {
-    pub(crate) fn new() -> Self {
-        RetryState {
-            attempt: 0,
-            first_failure: None,
-            rng: None,
-        }
-    }
-
-    /// Marks the call's eventual success (counts the recovery if any
-    /// retries happened).
-    pub(crate) fn note_success(&self) {
+    /// Marks the call's eventual success: counts the recovery if any
+    /// retries happened, and closes the unavailability window.
+    fn note_success(&mut self) {
         if self.attempt > 0 && obs::enabled() {
             crate::telemetry::retry_path().recoveries.add(1);
+        }
+        if let Some(started) = self.outage.take() {
+            crate::telemetry::failover_path().unavailability(started.elapsed());
         }
     }
 
@@ -107,9 +105,19 @@ impl RetryState {
     /// untouched, converts a spent budget into
     /// [`Error::RetriesExhausted`], and otherwise backs off (busy-wait,
     /// like the simulated network round trips) so the caller can retry.
-    pub(crate) fn backoff_or_give_up(&mut self, policy: &RetryPolicy, error: Error) -> Result<()> {
+    fn backoff_or_give_up(&mut self, policy: &RetryPolicy, error: Error) -> Result<()> {
         if !error.is_transient() {
             return Err(error);
+        }
+        let failover = matches!(
+            error,
+            Error::BrokerDown
+                | Error::NotLeader { .. }
+                | Error::FencedEpoch { .. }
+                | Error::PartitionOffline { .. }
+        );
+        if failover && self.outage.is_none() && obs::enabled() {
+            self.outage = Some(Instant::now());
         }
         let started = *self.first_failure.get_or_insert_with(Instant::now);
         let timed_out = started.elapsed() >= policy.timeout;
@@ -143,14 +151,16 @@ impl RetryState {
 /// The backoff is busy-waited (like the simulated network round trips),
 /// so microsecond-scale backoffs stay microsecond-scale. Retry attempts,
 /// timeouts, and give-ups are counted through the `obs` registry when
-/// instrumentation is enabled.
+/// instrumentation is enabled, as is the unavailability window of a
+/// request that rode out a failover (its first failover-class error to
+/// its success).
 ///
 /// # Errors
 ///
 /// Returns the first non-transient error as-is, or
 /// [`Error::RetriesExhausted`] once the attempt or time budget is spent.
 pub fn with_retry<T>(policy: &RetryPolicy, mut op: impl FnMut() -> Result<T>) -> Result<T> {
-    let mut state = RetryState::new();
+    let mut state = RetryState::default();
     loop {
         match op() {
             Ok(value) => {

@@ -1,25 +1,30 @@
 //! Cached broker-path instruments.
 //!
-//! Both the named broker methods and the cached partition handles report
-//! into the same global instruments, so a produce costs the same
-//! telemetry no matter which path it took. Handles are resolved once per
-//! process into statics: a hot-path call while instrumentation is
-//! enabled pays only the atomic adds of the instruments themselves, and
-//! while disabled only the `obs::enabled()` branch at the call site.
+//! Every produce request — a named `Broker`/`Cluster` call or a cached
+//! partition handle — is observed by [`observed_produce`], every fetch
+//! by [`observed_fetch`]: one site each, wrapped around the whole
+//! request (retries and replication included), so a request costs the
+//! same telemetry and is counted exactly once whichever door it came in
+//! by. Instruments are resolved once per process into statics: a
+//! hot-path call while instrumentation is enabled pays only the atomic
+//! adds of the instruments themselves, and while disabled only the
+//! `obs::enabled()` branch.
 
+use crate::error::Result;
+use crate::record::Record;
 use std::sync::OnceLock;
 
-/// Instruments on the produce path (named and handle-based).
-pub(crate) struct ProducePath {
+/// Instruments on the produce path.
+struct ProducePath {
     /// End-to-end append latency, including the simulated round trip.
-    pub(crate) latency_micros: obs::Histogram,
+    latency_micros: obs::Histogram,
     /// Records per broker-side append.
-    pub(crate) batch_records: obs::Histogram,
+    batch_records: obs::Histogram,
     /// Total records successfully appended.
-    pub(crate) records: obs::Counter,
+    records: obs::Counter,
 }
 
-pub(crate) fn produce_path() -> &'static ProducePath {
+fn produce_path() -> &'static ProducePath {
     static PATH: OnceLock<ProducePath> = OnceLock::new();
     PATH.get_or_init(|| ProducePath {
         latency_micros: obs::histogram("logbus.produce.micros"),
@@ -28,26 +33,37 @@ pub(crate) fn produce_path() -> &'static ProducePath {
     })
 }
 
-impl ProducePath {
-    /// Records one append of `records` records taking `elapsed`.
-    pub(crate) fn observe(&self, records: u64, elapsed: std::time::Duration, ok: bool) {
-        self.latency_micros.record(elapsed.as_micros() as u64);
-        self.batch_records.record(records);
-        if ok {
-            self.records.add(records);
-        }
+/// Runs one produce request over `records`, timing and counting it when
+/// the obs gate is on. The only place a produce is observed.
+pub(crate) fn observed_produce(
+    records: &mut Vec<Record>,
+    produce: impl FnOnce(&mut Vec<Record>) -> Result<u64>,
+) -> Result<u64> {
+    if !obs::enabled() {
+        return produce(records);
     }
+    let count = records.len() as u64;
+    let started = std::time::Instant::now();
+    let result = produce(records);
+    let path = produce_path();
+    path.latency_micros
+        .record(started.elapsed().as_micros() as u64);
+    path.batch_records.record(count);
+    if result.is_ok() {
+        path.records.add(count);
+    }
+    result
 }
 
-/// Instruments on the fetch path (named and handle-based).
-pub(crate) struct FetchPath {
+/// Instruments on the fetch path.
+struct FetchPath {
     /// End-to-end fetch latency, including the simulated round trip.
-    pub(crate) latency_micros: obs::Histogram,
+    latency_micros: obs::Histogram,
     /// Total records returned to fetchers.
-    pub(crate) records: obs::Counter,
+    records: obs::Counter,
 }
 
-pub(crate) fn fetch_path() -> &'static FetchPath {
+fn fetch_path() -> &'static FetchPath {
     static PATH: OnceLock<FetchPath> = OnceLock::new();
     PATH.get_or_init(|| FetchPath {
         latency_micros: obs::histogram("logbus.fetch.micros"),
@@ -55,12 +71,20 @@ pub(crate) fn fetch_path() -> &'static FetchPath {
     })
 }
 
-impl FetchPath {
-    /// Records one fetch returning `records` records after `elapsed`.
-    pub(crate) fn observe(&self, records: u64, elapsed: std::time::Duration) {
-        self.latency_micros.record(elapsed.as_micros() as u64);
-        self.records.add(records);
+/// Runs one fetch request (which returns the number of records it
+/// appended to the caller's buffer), timing and counting it when the
+/// obs gate is on. The only place a fetch is observed.
+pub(crate) fn observed_fetch(fetch: impl FnOnce() -> Result<usize>) -> Result<usize> {
+    if !obs::enabled() {
+        return fetch();
     }
+    let started = std::time::Instant::now();
+    let result = fetch();
+    let path = fetch_path();
+    path.latency_micros
+        .record(started.elapsed().as_micros() as u64);
+    path.records.add(*result.as_ref().unwrap_or(&0) as u64);
+    result
 }
 
 /// Fleet-wide producer totals (sums over all [`crate::Producer`]

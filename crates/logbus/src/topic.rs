@@ -162,133 +162,50 @@ impl Topic {
         Ok(copied)
     }
 
-    /// Appends `record` to `partition`, resolving the stored timestamp
-    /// according to the topic's [`TimestampType`]. `now` is the broker
-    /// clock reading. Returns the assigned offset.
+    /// The one client append: every produce request — a named call or a
+    /// cached handle, a single record (a batch of one) or five hundred,
+    /// plain, sequenced or fenced — lands here.
     ///
-    /// # Errors
+    /// In order, all under the partition's append lock: pay `delay` (the
+    /// broker's simulated network round trip — a partition has one
+    /// leader, so concurrent producers to the same partition serialize
+    /// their requests rather than overlapping them); reject a `fence`
+    /// (leader epoch) older than the one the log enforces, so a deposed
+    /// leader's late write can never land after an election; skip a
+    /// batch whose `seq` (`(producer_id, first_seq)` of an idempotent
+    /// writer) the log already applied — a retry after a lost ack —
+    /// returning the offset it got then; stamp once per batch; append.
     ///
-    /// Returns [`Error::UnknownPartition`] for out-of-range partitions.
-    pub fn append(&self, partition: u32, record: Record, now: Timestamp) -> Result<u64> {
-        self.append_delayed(partition, record, now, std::time::Duration::ZERO)
-    }
-
-    /// Like [`Topic::append`], but holds the partition's append lock for
-    /// an extra `delay` first — the broker's simulated network round
-    /// trip. Holding the lock is deliberate: a partition has one leader,
-    /// so concurrent producers to the same partition serialize their
-    /// requests rather than overlapping them.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownPartition`] for out-of-range partitions.
-    pub fn append_delayed(
-        &self,
-        partition: u32,
-        record: Record,
-        now: Timestamp,
-        delay: std::time::Duration,
-    ) -> Result<u64> {
-        self.append_fenced_delayed(partition, record, now, delay, None)
-    }
-
-    /// Like [`Topic::append_delayed`], with an optional leader-epoch
-    /// fence: a request carrying an epoch older than the log's current
-    /// one is rejected under the append lock, so a deposed leader's late
-    /// write can never land after an election.
+    /// Drains `records` (the drained-Vec contract): on success, a
+    /// deduplicated retry included, the batch comes back empty with its
+    /// capacity intact, so steady-state producers flush the same buffer
+    /// forever; on failure the records are left in place for the resend.
+    /// Returns the offset of the first record; the batch is contiguous.
     ///
     /// # Errors
     ///
     /// Returns [`Error::UnknownPartition`] or [`Error::FencedEpoch`].
-    pub(crate) fn append_fenced_delayed(
-        &self,
-        partition: u32,
-        record: Record,
-        now: Timestamp,
-        delay: std::time::Duration,
-        fence: Option<u64>,
-    ) -> Result<u64> {
-        let lock = self.partition(partition)?;
-        let mut log = Self::write_log(lock);
-        spin_delay(delay);
-        Self::check_fence(&log, fence)?;
-        let stamp = match self.config.timestamp_type {
-            // Clamped under the append lock: concurrent producers may
-            // sample the clock out of order, but `LogAppendTime` is
-            // assigned by the (serialized) append, so it never decreases
-            // along a partition.
-            TimestampType::LogAppendTime => log.last_timestamp().map_or(now, |last| now.max(last)),
-            TimestampType::CreateTime => record.timestamp.unwrap_or(now),
-        };
-        Ok(log.append(record, stamp))
-    }
-
-    /// Like [`Topic::append_delayed`], for an idempotent producer: the
-    /// append carries `(producer_id, seq)` and is skipped — returning the
-    /// previously assigned offset — when the broker already applied it
-    /// (a retry after a lost ack). The dedup decision happens under the
-    /// same partition append lock as the append itself.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownPartition`] for out-of-range partitions.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn append_sequenced_delayed(
-        &self,
-        partition: u32,
-        record: Record,
-        now: Timestamp,
-        delay: std::time::Duration,
-        producer_id: u64,
-        seq: u64,
-        fence: Option<u64>,
-    ) -> Result<u64> {
-        let lock = self.partition(partition)?;
-        let mut log = Self::write_log(lock);
-        spin_delay(delay);
-        Self::check_fence(&log, fence)?;
-        if let Some(base) = log.duplicate_of(producer_id, seq) {
-            return Ok(base);
-        }
-        let stamp = match self.config.timestamp_type {
-            TimestampType::LogAppendTime => log.last_timestamp().map_or(now, |last| now.max(last)),
-            TimestampType::CreateTime => record.timestamp.unwrap_or(now),
-        };
-        let offset = log.append(record, stamp);
-        log.record_seq(producer_id, seq, offset);
-        Ok(offset)
-    }
-
-    /// Sequenced batch append; see [`Topic::append_sequenced_delayed`]
-    /// and [`Topic::append_batch_delayed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownPartition`] for out-of-range partitions.
-    /// Drains `records` (the drained-Vec contract: the batch comes back
-    /// empty with its capacity intact, even when the broker skips a
-    /// duplicate), so producer buffers recycle instead of reallocating.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn append_batch_sequenced_delayed(
+    pub(crate) fn append_request(
         &self,
         partition: u32,
         records: &mut Vec<Record>,
         now: Timestamp,
         delay: std::time::Duration,
-        producer_id: u64,
-        first_seq: u64,
+        seq: Option<(u64, u64)>,
         fence: Option<u64>,
     ) -> Result<u64> {
         let lock = self.partition(partition)?;
         let mut log = Self::write_log(lock);
         spin_delay(delay);
         Self::check_fence(&log, fence)?;
-        if let Some(base) = log.duplicate_of(producer_id, first_seq) {
-            // The broker already holds these records; the retried batch
-            // is accepted (and therefore drained) without re-appending.
+        if let Some(base) = seq.and_then(|(producer, first)| log.duplicate_of(producer, first)) {
             records.clear();
             return Ok(base);
         }
+        // One shared `LogAppendTime` stamp for the whole batch, clamped
+        // under the append lock: concurrent producers may sample the
+        // clock out of order, but the stamp is assigned by the
+        // (serialized) append, so it never decreases along a partition.
         let append_stamp = log.last_timestamp().map_or(now, |last| now.max(last));
         let base = log.next_offset();
         for record in records.drain(..) {
@@ -298,8 +215,22 @@ impl Topic {
             };
             log.append(record, stamp);
         }
-        log.record_seq(producer_id, first_seq, base);
+        if let Some((producer, first)) = seq {
+            log.record_seq(producer, first, base);
+        }
         Ok(base)
+    }
+
+    /// Appends `record` to `partition` — a batch of one, with no round
+    /// trip, sequence or fence — resolving the stored timestamp according
+    /// to the topic's [`TimestampType`]. `now` is the broker clock
+    /// reading. Returns the assigned offset.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::UnknownPartition`] for out-of-range partitions.
+    pub fn append(&self, partition: u32, record: Record, now: Timestamp) -> Result<u64> {
+        self.append_batch(partition, vec![record], now)
     }
 
     /// Appends a batch, returning the offset of the first record.
@@ -313,69 +244,21 @@ impl Topic {
     pub fn append_batch(
         &self,
         partition: u32,
-        records: Vec<Record>,
+        mut records: Vec<Record>,
         now: Timestamp,
     ) -> Result<u64> {
-        let mut records = records;
-        let result =
-            self.append_batch_delayed(partition, &mut records, now, std::time::Duration::ZERO);
+        let result = self.append_request(
+            partition,
+            &mut records,
+            now,
+            std::time::Duration::ZERO,
+            None,
+            None,
+        );
         if result.is_ok() {
             crate::pool::recycle_record_vec(records);
         }
         result
-    }
-
-    /// Like [`Topic::append_batch`], holding the partition's append lock
-    /// for an extra `delay` first (see [`Topic::append_delayed`]).
-    ///
-    /// Drains `records`: on success the batch comes back empty with its
-    /// capacity intact, so steady-state producers flush the same buffer
-    /// forever; on failure the records are left in place for the resend.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownPartition`] for out-of-range partitions.
-    pub fn append_batch_delayed(
-        &self,
-        partition: u32,
-        records: &mut Vec<Record>,
-        now: Timestamp,
-        delay: std::time::Duration,
-    ) -> Result<u64> {
-        self.append_batch_fenced_delayed(partition, records, now, delay, None)
-    }
-
-    /// Like [`Topic::append_batch_delayed`], with an optional leader-epoch
-    /// fence (see [`Topic::append_fenced_delayed`]). On a fencing
-    /// rejection the records are left in place, as on any other failure.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownPartition`] or [`Error::FencedEpoch`].
-    pub(crate) fn append_batch_fenced_delayed(
-        &self,
-        partition: u32,
-        records: &mut Vec<Record>,
-        now: Timestamp,
-        delay: std::time::Duration,
-        fence: Option<u64>,
-    ) -> Result<u64> {
-        let lock = self.partition(partition)?;
-        let mut log = Self::write_log(lock);
-        spin_delay(delay);
-        Self::check_fence(&log, fence)?;
-        // One shared, monotone `LogAppendTime` stamp for the whole batch
-        // (see `append_delayed` for why the clamp happens under the lock).
-        let append_stamp = log.last_timestamp().map_or(now, |last| now.max(last));
-        let base = log.next_offset();
-        for record in records.drain(..) {
-            let stamp = match self.config.timestamp_type {
-                TimestampType::LogAppendTime => append_stamp,
-                TimestampType::CreateTime => record.timestamp.unwrap_or(now),
-            };
-            log.append(record, stamp);
-        }
-        Ok(base)
     }
 
     /// Reads up to `max` records of `partition` starting at `offset`.
@@ -544,29 +427,45 @@ mod tests {
         assert_eq!(topic.partition_count(), 2);
     }
 
+    /// One zero-delay request against `topic`'s partition 0.
+    fn request(
+        topic: &Topic,
+        batch: &mut Vec<Record>,
+        now: i64,
+        seq: Option<(u64, u64)>,
+        fence: Option<u64>,
+    ) -> Result<u64> {
+        topic.append_request(
+            0,
+            batch,
+            Timestamp(now),
+            std::time::Duration::ZERO,
+            seq,
+            fence,
+        )
+    }
+
     #[test]
     fn stale_epoch_appends_are_fenced() {
         let topic = Topic::new("t", TopicConfig::default()).unwrap();
         topic.set_leader_epoch(0, 2).unwrap();
         // Current or newer epochs pass; older ones are rejected.
-        topic
-            .append_fenced_delayed(
-                0,
-                Record::from_value("ok"),
-                Timestamp(1),
-                std::time::Duration::ZERO,
-                Some(2),
-            )
-            .unwrap();
-        let err = topic
-            .append_fenced_delayed(
-                0,
-                Record::from_value("stale"),
-                Timestamp(2),
-                std::time::Duration::ZERO,
-                Some(1),
-            )
-            .unwrap_err();
+        request(
+            &topic,
+            &mut vec![Record::from_value("ok")],
+            1,
+            None,
+            Some(2),
+        )
+        .unwrap();
+        let err = request(
+            &topic,
+            &mut vec![Record::from_value("stale")],
+            2,
+            None,
+            Some(1),
+        )
+        .unwrap_err();
         assert!(matches!(
             err,
             Error::FencedEpoch {
@@ -586,17 +485,38 @@ mod tests {
         let topic = Topic::new("t", TopicConfig::default()).unwrap();
         topic.set_leader_epoch(0, 5).unwrap();
         let mut batch = vec![Record::from_value("a"), Record::from_value("b")];
-        let err = topic
-            .append_batch_fenced_delayed(
-                0,
-                &mut batch,
-                Timestamp(1),
-                std::time::Duration::ZERO,
-                Some(4),
-            )
-            .unwrap_err();
+        let err = request(&topic, &mut batch, 1, None, Some(4)).unwrap_err();
         assert!(matches!(err, Error::FencedEpoch { .. }));
         assert_eq!(batch.len(), 2, "failed batch stays intact for resend");
+        // A fenced sequenced request must not be remembered either: the
+        // resend at the right epoch is a first delivery, not a duplicate.
+        let err = request(&topic, &mut batch, 1, Some((7, 0)), Some(4)).unwrap_err();
+        assert!(matches!(err, Error::FencedEpoch { .. }));
+        assert_eq!(request(&topic, &mut batch, 2, Some((7, 0)), Some(5)), Ok(0));
+        assert!(batch.is_empty(), "accepted batch drains");
+        assert_eq!(topic.latest_offset(0).unwrap(), 2);
+    }
+
+    #[test]
+    fn sequenced_retry_of_a_batch_of_one_returns_the_original_offset() {
+        let topic = Topic::new("t", TopicConfig::default()).unwrap();
+        topic
+            .append(0, Record::from_value("before"), Timestamp(1))
+            .unwrap();
+        let record = Record::from_value("once");
+        let mut batch = vec![record.clone()];
+        assert_eq!(request(&topic, &mut batch, 2, Some((9, 0)), None), Ok(1));
+        assert!(batch.is_empty());
+        // The ack was lost; the client resends the same sequence number.
+        batch.push(record);
+        let capacity = batch.capacity();
+        assert_eq!(request(&topic, &mut batch, 3, Some((9, 0)), None), Ok(1));
+        assert!(batch.is_empty(), "a deduplicated retry still drains");
+        assert_eq!(batch.capacity(), capacity, "capacity survives the drain");
+        assert_eq!(topic.latest_offset(0).unwrap(), 2, "applied exactly once");
+        // The next sequence number is a new batch.
+        batch.push(Record::from_value("next"));
+        assert_eq!(request(&topic, &mut batch, 4, Some((9, 1)), None), Ok(2));
     }
 
     #[test]

@@ -267,7 +267,7 @@ fn group_handover_survives_coordinator_death() {
             )
             .unwrap();
     }
-    let bus = BusHandle::from(&cluster).as_bus();
+    let bus = BusHandle::from(&cluster);
 
     let mut seen: Vec<u64> = Vec::new();
     let mut reader_a =

@@ -2,7 +2,7 @@
 
 use crate::operator::Collector;
 use bytes::Bytes;
-use logbus::{AssignmentStrategy, Bus, BusHandle, Consumer, ConsumerConfig, StoredRecord};
+use logbus::{AssignmentStrategy, BusHandle, Consumer, ConsumerConfig, StoredRecord};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

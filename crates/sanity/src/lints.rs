@@ -1,6 +1,7 @@
 //! The lint catalog: each lint enforces one contract DESIGN.md states in
 //! prose (§7 hot-path discipline, §8 observability gating, §9 batching
-//! contract, §10 fault confinement, §11 this tool).
+//! contract, §10 fault confinement, §7 the one produce path, §11 this
+//! tool).
 
 use crate::strip::Stripped;
 use crate::Violation;
@@ -78,6 +79,20 @@ const DISPATCH_PATTERNS: &[&str] = &[
     "native_apx_following(",
 ];
 
+/// Files that may call `Topic`'s one client append: the produce request
+/// in `handle.rs` and the definition (with its thin unit-test wrappers).
+const APPEND_HOME: &[&str] = &["crates/logbus/src/handle.rs", "crates/logbus/src/topic.rs"];
+
+/// Files that may each name `FaultAction::AckLost` — the marker of a
+/// produce-side fault gate — once: the one gate (`handle.rs`), the
+/// fetch/metadata gate's cannot-happen arm (`broker.rs`), and follower
+/// replication's own gate (`cluster.rs`). `fault.rs` defines it.
+const PRODUCE_GATE_HOME: &[&str] = &[
+    "crates/logbus/src/handle.rs",
+    "crates/logbus/src/broker.rs",
+    "crates/logbus/src/cluster.rs",
+];
+
 /// How many preceding lines an `obs::enabled()` gate may sit above a
 /// telemetry recording site and still count as guarding it.
 const GATE_WINDOW: usize = 15;
@@ -111,6 +126,7 @@ pub fn lint_file(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
     std_sync_lock(rel, src, out);
     fault_confinement(rel, src, out);
     dispatch_confinement(rel, src, out);
+    produce_path_confinement(rel, src, out);
     zero_copy(rel, src, out);
 }
 
@@ -326,6 +342,50 @@ fn dispatch_confinement(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
                 ));
             }
         }
+    }
+}
+
+/// `produce-path-confinement`: one append, one produce fault gate
+/// (DESIGN.md §7). `Topic::append_request` is called only from the
+/// produce request in `handle.rs` (tests included), and a second
+/// `FaultAction::AckLost` arm — a second copy of the gate — cannot
+/// appear in any file, nor a first one outside the three that own one.
+fn produce_path_confinement(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
+    if !matches_any(rel, APPEND_HOME) {
+        for line in src
+            .lines
+            .iter()
+            .filter(|l| l.code.contains(".append_request("))
+        {
+            out.push(Violation::new(
+                "produce-path-confinement",
+                rel,
+                line.number,
+                &line.raw,
+                "`Topic::append_request` outside `handle.rs`; produce through \
+                 `WriteTarget::append_batch`"
+                    .to_string(),
+            ));
+        }
+    }
+    if rel.ends_with("crates/logbus/src/fault.rs") {
+        return;
+    }
+    let allowed = usize::from(matches_any(rel, PRODUCE_GATE_HOME));
+    let gates = src
+        .lines
+        .iter()
+        .filter(|l| !l.in_test && l.code.contains("FaultAction::AckLost"));
+    for line in gates.skip(allowed) {
+        out.push(Violation::new(
+            "produce-path-confinement",
+            rel,
+            line.number,
+            &line.raw,
+            "a second produce-side fault gate; every produce goes through the one in \
+             `WriteTarget::append_batch`"
+                .to_string(),
+        ));
     }
 }
 

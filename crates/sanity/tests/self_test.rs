@@ -94,6 +94,26 @@ fn dispatch_confinement_fixture() {
     assert_eq!(lint_source("tests/cross_engine.rs", &src).len(), 1);
 }
 
+#[test]
+fn produce_path_confinement_fixture() {
+    // A named-path copy of the produce fault gate next to the
+    // fetch/metadata gate `broker.rs` legitimately holds.
+    assert_trips_once(
+        "produce_path_confinement.rs",
+        "crates/logbus/src/broker.rs",
+        "produce-path-confinement",
+    );
+    // Outside the gate homes the first arm is already one too many.
+    let src = fixture("produce_path_confinement.rs");
+    assert_eq!(lint_source("crates/logbus/src/producer.rs", &src).len(), 2);
+    // The one append is `handle.rs`'s to call, test code included.
+    let call = "fn f(t: &Topic) { t.append_request(0, &mut v, now, delay, None, None); }\n";
+    assert!(lint_source("crates/logbus/src/handle.rs", call).is_empty());
+    let found = lint_source("crates/logbus/src/consumer.rs", call);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].lint, "produce-path-confinement");
+}
+
 /// The fixtures are bad only *because of where they claim to live*: the
 /// same panic fixture on a cold-path module is clean, and the ungated
 /// observe is fine off the hot path. Guards against the lints becoming
