@@ -2,7 +2,7 @@
 //! engines, independent of the benchmark queries.
 
 use bytes::Bytes;
-use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static TAG: AtomicU64 = AtomicU64::new(0);
@@ -417,7 +417,59 @@ fn producer_per_record(c: &mut Criterion) {
     group.finish();
 }
 
+/// The driver's own cost, which every trial pays before it measures
+/// anything: generating the stream — the arena fast path, the typed
+/// specification it is tested against (the ratio of the two is what the
+/// fast path saves) and the stamped open-loop form — and a whole preload
+/// into a broker that charges no round trip.
+fn data_sender(c: &mut Criterion) {
+    const RECORDS: u64 = 100_000;
+    let mut group = c.benchmark_group("data_sender");
+    group.throughput(Throughput::Elements(RECORDS));
+    group
+        .sample_size(10)
+        .warm_up_time(std::time::Duration::from_secs(1))
+        .measurement_time(std::time::Duration::from_secs(2));
+    let mut generator = streambench_core::QueryLogGenerator::new(2019);
+    group.bench_function("next_payload", |b| {
+        b.iter(|| {
+            for _ in 0..RECORDS {
+                black_box(generator.next_payload());
+            }
+        });
+    });
+    group.bench_function("next_record_to_tsv", |b| {
+        b.iter(|| {
+            for _ in 0..RECORDS {
+                black_box(Bytes::from(generator.next_record().to_tsv()));
+            }
+        });
+    });
+    group.bench_function("next_stamped_payload", |b| {
+        b.iter(|| {
+            for i in 0..RECORDS as i64 {
+                black_box(generator.next_stamped_payload(1_700_000_000_000_000 + i));
+            }
+        });
+    });
+    group.bench_function("send_workload_100k_rtt0", |b| {
+        b.iter(|| {
+            let broker = logbus::Broker::new();
+            broker
+                .create_topic("t", logbus::TopicConfig::default())
+                .unwrap();
+            let config = streambench_core::SenderConfig {
+                records: RECORDS,
+                ..Default::default()
+            };
+            streambench_core::send_workload(&broker, "t", &config).unwrap();
+        });
+    });
+    group.finish();
+}
+
 fn bench(c: &mut Criterion) {
+    data_sender(c);
     broker_produce_fetch(c);
     broker_hot_path(c);
     producer_per_record(c);

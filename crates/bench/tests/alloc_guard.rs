@@ -25,6 +25,11 @@
 //! A third guard covers the asynchronous producer's per-record `send`:
 //! its accumulator chunks cycle through the same pool tier whichever
 //! thread ships them.
+//!
+//! A fourth guard covers the driver: the data sender formats each line
+//! into a generator-owned arena, so generating a payload — plain or
+//! event-time stamped — and preloading a topic allocate per arena
+//! chunk, not per record.
 #![cfg(feature = "alloc-count")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -315,5 +320,60 @@ fn async_producer_per_record_send_is_allocation_free() {
         per_record < 0.01,
         "warmed per-record send: {events} allocation events over \
          {ASYNC_RECORDS} records ({per_record:.4}/record)"
+    );
+}
+
+const SENDER_RECORDS: u64 = 50_000;
+
+#[test]
+fn data_sender_is_allocation_free() {
+    let _alone = ONE_AT_A_TIME.lock();
+    let per_record = |events: u64| events as f64 / SENDER_RECORDS as f64;
+    let mut generator = streambench_core::QueryLogGenerator::new(2019);
+    // Warm-up: the line buffer reaches its size and retired arena
+    // chunks reach the free-list.
+    for _ in 0..SENDER_RECORDS {
+        generator.next_payload();
+    }
+
+    let before = alloc_events();
+    assert!(before > 0, "counting allocator is not wired in");
+    for _ in 0..SENDER_RECORDS {
+        std::hint::black_box(generator.next_payload());
+    }
+    let plain = alloc_events() - before;
+    for i in 0..SENDER_RECORDS as i64 {
+        std::hint::black_box(generator.next_stamped_payload(1_700_000_000_000_000 + i));
+    }
+    let stamped = alloc_events() - before - plain;
+    // What remains is the refcount header of each 64 KiB arena chunk,
+    // one per ~800 records. A `String` per line reads 1.0 or more.
+    for (path, events) in [("next_payload", plain), ("next_stamped_payload", stamped)] {
+        assert!(
+            per_record(events) < 0.01,
+            "{path}: {events} allocation events over {SENDER_RECORDS} records"
+        );
+    }
+
+    let broker = logbus::Broker::new();
+    let config = streambench_core::SenderConfig {
+        records: SENDER_RECORDS,
+        ..Default::default()
+    };
+    let preload = |topic: &str| {
+        broker
+            .create_topic(topic, logbus::TopicConfig::default())
+            .expect("create topic");
+        streambench_core::send_workload(&broker, topic, &config).expect("preload");
+    };
+    preload("warm");
+    let before = alloc_events();
+    preload("in");
+    let events = alloc_events() - before;
+    // The topic keeps every record: its segments' arena chunks and
+    // index growth are the preload's whole allocation bill.
+    assert!(
+        per_record(events) < 0.01,
+        "send_workload: {events} allocation events over {SENDER_RECORDS} records"
     );
 }

@@ -10,7 +10,7 @@
 //! only depend on column structure, record count, and match rates, so
 //! the substitution preserves the measured behaviour (see DESIGN.md).
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -117,15 +117,43 @@ const DOMAINS: &[&str] = &[
     "wiki.example.edu",
 ];
 
+/// Size of one payload arena chunk: about 800 lines.
+const ARENA_CHUNK: usize = 64 << 10;
+
 /// Deterministic generator of AOL-shaped records.
 ///
 /// Two generators with the same seed produce identical streams, so every
 /// engine and every run of a benchmark observes the same input.
-#[derive(Debug, Clone)]
+///
+/// The stream is specified by [`next_record`](Self::next_record) +
+/// [`QueryLogRecord::to_tsv`]; [`next_payload`](Self::next_payload) is
+/// the same stream without the typed detour, for the data sender. Its
+/// payloads are refcounted views of a generator-owned arena: generating
+/// one allocates nothing, and a payload keeps its 64 KiB chunk (not the
+/// generator) alive until it is dropped.
+#[derive(Debug)]
 pub struct QueryLogGenerator {
     rng: StdRng,
     seed: u64,
     index: u64,
+    /// The line being formatted, reused from record to record.
+    line: Vec<u8>,
+    /// Where finished lines live; payloads are views of its chunks.
+    arena: BytesMut,
+}
+
+impl Clone for QueryLogGenerator {
+    /// The clone continues the stream from the same record in an arena
+    /// of its own.
+    fn clone(&self) -> Self {
+        QueryLogGenerator {
+            rng: self.rng.clone(),
+            seed: self.seed,
+            index: self.index,
+            line: Vec::new(),
+            arena: BytesMut::new(),
+        }
+    }
 }
 
 impl QueryLogGenerator {
@@ -135,6 +163,8 @@ impl QueryLogGenerator {
             rng: StdRng::seed_from_u64(seed),
             seed,
             index: 0,
+            line: Vec::new(),
+            arena: BytesMut::new(),
         }
     }
 
@@ -191,15 +221,115 @@ impl QueryLogGenerator {
         }
     }
 
-    /// Generates the next record as a tab-separated byte payload.
+    /// Generates the next record as a tab-separated byte payload:
+    /// byte for byte `self.next_record().to_tsv()`.
     pub fn next_payload(&mut self) -> Bytes {
-        Bytes::from(self.next_record().to_tsv())
+        self.line.clear();
+        self.write_line();
+        self.pack_line()
+    }
+
+    /// [`next_payload`](Self::next_payload) behind an event-time column:
+    /// `"<event_micros>\t<line>"`, the open-loop sender's wire format.
+    /// The prefix survives every benchmark query: identity/sample/grep
+    /// keep the record whole, and projection cuts at the *first* tab —
+    /// leaving exactly the event-time column.
+    pub fn next_stamped_payload(&mut self, event_micros: i64) -> Bytes {
+        self.line.clear();
+        if event_micros < 0 {
+            self.line.push(b'-');
+        }
+        push_decimal(&mut self.line, event_micros.unsigned_abs());
+        self.line.push(b'\t');
+        self.write_line();
+        self.pack_line()
+    }
+
+    /// Appends the next record's TSV line to `self.line`, drawing what
+    /// [`next_record`](Self::next_record) draws, in its order.
+    fn write_line(&mut self) {
+        let index = self.index;
+        self.index += 1;
+        let user_id: u64 = self.rng.gen_range(100_000..10_000_000);
+        let mut word_count = self.rng.gen_range(1usize..=4);
+        let mut words = [""; 5];
+        for word in &mut words[..word_count] {
+            *word = WORDS[self.rng.gen_range(0..WORDS.len())];
+        }
+        if index.is_multiple_of(GREP_HIT_INTERVAL) {
+            let pos = self.rng.gen_range(0..=word_count);
+            words.copy_within(pos..word_count, pos + 1);
+            words[pos] = "test";
+            word_count += 1;
+        }
+        let click = self.rng.gen_bool(0.5).then(|| {
+            let rank: u32 = self.rng.gen_range(1..=10);
+            (rank, DOMAINS[self.rng.gen_range(0..DOMAINS.len())])
+        });
+
+        let line = &mut self.line;
+        push_decimal(line, user_id);
+        let mut separator = b'\t';
+        for word in &words[..word_count] {
+            line.push(separator);
+            line.extend_from_slice(word.as_bytes());
+            separator = b' ';
+        }
+        line.extend_from_slice(b"\t2006-03-");
+        push_two_digits(line, 1 + (index / 86_400) % 28);
+        line.push(b' ');
+        push_two_digits(line, (index / 3_600) % 24);
+        line.push(b':');
+        push_two_digits(line, (index / 60) % 60);
+        line.push(b':');
+        push_two_digits(line, index % 60);
+        line.push(b'\t');
+        match click {
+            Some((rank, domain)) => {
+                push_decimal(line, u64::from(rank));
+                line.extend_from_slice(b"\thttp://");
+                line.extend_from_slice(domain.as_bytes());
+                line.push(b'/');
+                line.extend_from_slice(words[0].as_bytes());
+            }
+            None => line.push(b'\t'),
+        }
+    }
+
+    /// Moves the finished line into the arena and returns the view of
+    /// it, starting a fresh pooled chunk when the current one is full.
+    fn pack_line(&mut self) -> Bytes {
+        if self.arena.capacity() < self.line.len() {
+            self.arena = BytesMut::with_capacity(ARENA_CHUNK);
+        }
+        let start = self.arena.pack_frozen(&self.line);
+        self.arena.frozen(start..start + self.line.len())
     }
 
     /// Generates `n` payloads.
     pub fn payloads(&mut self, n: u64) -> Vec<Bytes> {
         (0..n).map(|_| self.next_payload()).collect()
     }
+}
+
+/// Appends `value` in decimal.
+fn push_decimal(line: &mut Vec<u8>, mut value: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    line.extend_from_slice(&digits[at..]);
+}
+
+/// Appends `value` (below 100) as two digits, zero-padded.
+fn push_two_digits(line: &mut Vec<u8>, value: u64) {
+    line.extend_from_slice(&[b'0' + (value / 10) as u8, b'0' + (value % 10) as u8]);
 }
 
 /// Number of records whose query contains `"test"` among the first `n`

@@ -6,7 +6,10 @@
 
 use crate::data::QueryLogGenerator;
 use bytes::Bytes;
-use logbus::{Acks, Broker, BusHandle, Partitioner, Producer, ProducerConfig, RateLimit, Record};
+use logbus::{
+    Acks, Broker, BusHandle, PartitionWriter, Partitioner, Producer, ProducerConfig, RateLimit,
+    Record, RetryPolicy,
+};
 
 /// Data-sender configuration.
 #[derive(Debug, Clone)]
@@ -70,7 +73,7 @@ pub fn send_workload(
             batch_records: config.batch_records,
             partitioner: Partitioner::Fixed(0),
             rate_limit: config.rate.map(RateLimit::per_second),
-            retry: logbus::RetryPolicy::default(),
+            retry: RetryPolicy::default(),
         },
     );
     let chunk_size = config.batch_records.max(1);
@@ -222,6 +225,16 @@ pub fn send_open_loop_partitioned(
     let mut generator = QueryLogGenerator::new(seed);
     let mut next = 0u64;
     let mut max_lag = 0i64;
+    // A burst is one shot per partition, as a named produce is: a fault
+    // surfaces as its raw error. The writers drain the batches, which
+    // keep their capacity from burst to burst.
+    let writers = (0..partitions)
+        .map(|p| {
+            Ok(broker
+                .partition_writer(topic, p)?
+                .with_retry(RetryPolicy::none()))
+        })
+        .collect::<logbus::Result<Vec<PartitionWriter>>>()?;
     let mut batches: Vec<Vec<Record>> = (0..partitions).map(|_| Vec::new()).collect();
     while next < records {
         let scheduled = schedule.event_time_micros(next);
@@ -234,25 +247,19 @@ pub fn send_open_loop_partitioned(
         max_lag = max_lag.max(now - scheduled);
         let due = schedule.due_count(now, next, records).max(1);
         for i in 0..due {
-            let payload = generator.next_payload();
-            let stamped = stamp_event_time(schedule.event_time_micros(next + i), &payload);
+            let stamped = generator.next_stamped_payload(schedule.event_time_micros(next + i));
             if partitions == 1 {
                 batches[0].push(Record::from_value(stamped));
                 continue;
             }
-            let key_len = payload
-                .iter()
-                .position(|&b| b == b'\t')
-                .unwrap_or(payload.len());
-            let partition = logbus::partition_for_key(&payload[..key_len], partitions);
-            batches[partition as usize]
-                .push(Record::from_key_value(payload.slice(..key_len), stamped));
+            let key = id_column(&stamped);
+            let partition = logbus::partition_for_key(&key, partitions);
+            batches[partition as usize].push(Record::from_key_value(key, stamped));
         }
-        for (p, batch) in batches.iter_mut().enumerate() {
-            if batch.is_empty() {
-                continue;
+        for (writer, batch) in writers.iter().zip(&mut batches) {
+            if !batch.is_empty() {
+                writer.produce_batch_drain(batch)?;
             }
-            broker.produce_batch(topic, p as u32, std::mem::take(batch))?;
         }
         next += due;
     }
@@ -262,16 +269,11 @@ pub fn send_open_loop_partitioned(
     })
 }
 
-/// Prefixes `payload` with its event time: `"<micros>\t<payload>"`.
-/// The prefix survives every benchmark query: identity/sample/grep keep
-/// the record whole, and projection cuts at the *first* tab — leaving
-/// exactly the event-time column.
-pub(crate) fn stamp_event_time(event_micros: i64, payload: &[u8]) -> Bytes {
-    let mut buf = Vec::with_capacity(20 + 1 + payload.len());
-    buf.extend_from_slice(event_micros.to_string().as_bytes());
-    buf.push(b'\t');
-    buf.extend_from_slice(payload);
-    Bytes::from(buf)
+/// The query-log id column of a stamped line — the one behind the
+/// event-time prefix — as a view of the same bytes.
+fn id_column(stamped: &Bytes) -> Bytes {
+    let id = stamped.split(|&b| b == b'\t').nth(1).unwrap_or_default();
+    stamped.slice_ref(id)
 }
 
 /// Parses the event-time prefix off an output record produced from a
@@ -369,12 +371,16 @@ mod tests {
 
     #[test]
     fn event_time_prefix_roundtrips_through_queries() {
-        let stamped = stamp_event_time(123_456_789, b"42\tsome query\t2006-03-01 00:00:00\t\t");
-        assert_eq!(parse_event_time_micros(&stamped), Some(123_456_789));
-        // Projection cuts at the first tab — exactly the prefix column.
-        let cut = stamped.iter().position(|&b| b == b'\t').unwrap();
-        assert_eq!(parse_event_time_micros(&stamped[..cut]), Some(123_456_789));
-        // Identity/grep/sample keep the record whole.
+        let mut generator = QueryLogGenerator::new(7);
+        for micros in [123_456_789, 0, -1, -987_654_321, i64::MAX, i64::MIN] {
+            let stamped = generator.next_stamped_payload(micros);
+            // Identity/grep/sample keep the record whole.
+            assert_eq!(parse_event_time_micros(&stamped), Some(micros));
+            // Projection cuts at the first tab — exactly the prefix column.
+            let cut = stamped.iter().position(|&b| b == b'\t').unwrap();
+            assert_eq!(parse_event_time_micros(&stamped[..cut]), Some(micros));
+            assert_eq!(stamped[..cut], *micros.to_string().as_bytes());
+        }
         assert_eq!(parse_event_time_micros(b"junk"), None);
         assert_eq!(parse_event_time_micros(b""), None);
     }

@@ -15,8 +15,7 @@ use crate::data::QueryLogGenerator;
 use crate::queries::{self, Query};
 use crate::runner::{fresh_yarn_cluster_for, BenchError};
 use crate::sender::{
-    send_open_loop_partitioned, send_workload, stamp_event_time, OpenLoopSchedule,
-    OpenLoopSendReport, SenderConfig,
+    send_open_loop_partitioned, send_workload, OpenLoopSchedule, OpenLoopSendReport, SenderConfig,
 };
 use crate::setup::{Api, Setup, System};
 use beamline::runners::{ApxRunner, DStreamRunner, RillRunner};
@@ -346,13 +345,10 @@ pub fn verify(
     let mut generator = QueryLogGenerator::new(trial.seed);
     let reference: Vec<bytes::Bytes> = (0..trial.records)
         .filter_map(|i| {
-            let payload = generator.next_payload();
-            match trial.schedule() {
-                Some(schedule) => {
-                    query.apply(&stamp_event_time(schedule.event_time_micros(i), &payload))
-                }
-                None => query.apply(&payload),
-            }
+            query.apply(&match trial.schedule() {
+                Some(schedule) => generator.next_stamped_payload(schedule.event_time_micros(i)),
+                None => generator.next_payload(),
+            })
         })
         .collect();
     let first_difference = if setup.parallelism == 1 && trial.partitions == 1 {

@@ -6,9 +6,10 @@
 use crate::strip::Stripped;
 use crate::Violation;
 
-/// Hot-path modules: broker/log/handle tiers plus every engine
-/// operator/collector/connector path. A panic here can poison a
-/// measurement run, so failures must surface as typed errors.
+/// Hot-path modules: broker/log/handle tiers, every engine
+/// operator/collector/connector path, and the data sender with its
+/// generator. A panic here can poison a measurement run, so failures
+/// must surface as typed errors.
 const HOT_PATH: &[&str] = &[
     "crates/logbus/src/handle.rs",
     "crates/logbus/src/async_producer.rs",
@@ -33,6 +34,7 @@ const HOT_PATH: &[&str] = &[
     "crates/beamline/src/coder.rs",
     "crates/beamline/src/runners/",
     "crates/core/src/sender.rs",
+    "crates/core/src/data.rs",
 ];
 
 /// Panicking constructs forbidden on hot paths.
@@ -447,6 +449,7 @@ mod tests {
         assert!(is_hot_path("crates/logbus/src/cluster.rs"));
         assert!(is_hot_path("crates/logbus/src/election.rs"));
         assert!(is_hot_path("crates/beamline/src/runners/direct.rs"));
+        assert!(is_hot_path("crates/core/src/data.rs"));
         assert!(!is_hot_path("crates/logbus/src/config.rs"));
         assert!(!is_hot_path("crates/core/src/report.rs"));
     }

@@ -114,6 +114,14 @@ fn produce_path_confinement_fixture() {
     assert_eq!(found[0].lint, "produce-path-confinement");
 }
 
+#[test]
+fn zero_copy_fixture() {
+    assert_trips_once("zero_copy.rs", "crates/core/src/data.rs", "zero-copy");
+    // Off the hot path a copy is nobody's business.
+    let src = fixture("zero_copy.rs");
+    assert!(lint_source("crates/core/src/report.rs", &src).is_empty());
+}
+
 /// The fixtures are bad only *because of where they claim to live*: the
 /// same panic fixture on a cold-path module is clean, and the ungated
 /// observe is fine off the hot path. Guards against the lints becoming

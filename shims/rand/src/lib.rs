@@ -52,13 +52,24 @@ fn unit_f64(bits: u64) -> f64 {
     (bits >> 11) as f64 / (1u64 << 53) as f64
 }
 
+/// `bits % span` for 64 random bits. Every bounded range of a type up
+/// to 64 bits wide spans less than 2^64, so the division is a 64-bit
+/// one; only the full-width inclusive ranges (span exactly 2^64) take
+/// the 128-bit remainder, a library call.
+fn reduce(bits: u64, span: u128) -> u64 {
+    match u64::try_from(span) {
+        Ok(span) => bits % span,
+        Err(_) => (u128::from(bits) % span) as u64,
+    }
+}
+
 macro_rules! impl_int_ranges {
     ($($t:ty),*) => {$(
         impl SampleRange<$t> for std::ops::Range<$t> {
             fn sample(self, rng: &mut dyn RngCore) -> $t {
                 assert!(self.start < self.end, "empty range");
-                let span = (self.end as u128).wrapping_sub(self.start as u128) as u128;
-                self.start.wrapping_add((rng.next_u64() as u128 % span) as $t)
+                let span = (self.end as u128).wrapping_sub(self.start as u128);
+                self.start.wrapping_add(reduce(rng.next_u64(), span) as $t)
             }
         }
 
@@ -67,7 +78,7 @@ macro_rules! impl_int_ranges {
                 let (start, end) = self.into_inner();
                 assert!(start <= end, "empty range");
                 let span = (end as u128).wrapping_sub(start as u128) + 1;
-                start.wrapping_add((rng.next_u64() as u128 % span) as $t)
+                start.wrapping_add(reduce(rng.next_u64(), span) as $t)
             }
         }
     )*};
@@ -136,6 +147,40 @@ mod tests {
             let f = rng.gen_range(0.5f64..2.0);
             assert!((0.5..2.0).contains(&f));
         }
+    }
+
+    /// The workspace's data streams are functions of this sampler, so
+    /// the 64-bit fast path must return what the 128-bit formula it
+    /// replaced returns, draw for draw.
+    #[test]
+    fn sampler_matches_the_128_bit_formula() {
+        macro_rules! check {
+            ($t:ty: $($range:expr),+) => {$({
+                let mut new = StdRng::seed_from_u64(2019);
+                let mut old = StdRng::seed_from_u64(2019);
+                let (start, end, inclusive): ($t, $t, u128) = $range;
+                let span = (end as u128).wrapping_sub(start as u128) + inclusive;
+                for draw in 0..10_000 {
+                    let got = if inclusive == 1 {
+                        new.gen_range(start..=end)
+                    } else {
+                        new.gen_range(start..end)
+                    };
+                    let want = start.wrapping_add((old.next_u64() as u128 % span) as $t);
+                    assert_eq!(got, want, "{} draw {draw} of {:?}", stringify!($t), $range);
+                }
+            })+};
+        }
+        macro_rules! check_type {
+            ($($t:ty),*) => {$(
+                check!($t: (0, 1, 0), (1, 4, 1), (<$t>::MIN, <$t>::MAX, 0), (<$t>::MIN, <$t>::MAX, 1));
+            )*};
+        }
+        check_type!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+        check!(u32: (100_000, 10_000_000, 0));
+        check!(u64: (100_000, 10_000_000, 0), (0, u64::MAX, 1));
+        check!(i64: (-10_000_000, -100_000, 1), (i64::MIN, i64::MAX, 1));
+        check!(usize: (0, 30, 0), (0, 5, 0));
     }
 
     #[test]
