@@ -3,151 +3,79 @@
 
 use crate::operator::{Emitter, InputOperator, Operator, OperatorContext};
 use bytes::Bytes;
-use logbus::{AssignmentStrategy, BusHandle, GroupedReader, PartitionWriter, Record};
-use std::sync::atomic::{AtomicU64, Ordering};
+use logbus::{AssignmentStrategy, BusHandle, FollowTarget, GroupedReader, PartitionWriter, Record};
 
-/// Monotonic suffix for auto-generated consumer-group names.
-static NEXT_GROUP_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Bounded input operator reading a `logbus` topic, one streaming window
-/// per `window_size` records (paper's Kafka input operator). In follow
-/// mode ([`KafkaInput::follow_until`]) the operator tails the topic —
-/// blocking inside `emit_window` with [`logbus::Backoff`] while caught up
-/// — until a target record count has been emitted, so the window loop is
-/// throttled to the producer's rate instead of spinning through empty
-/// windows.
+/// Input operator reading a `logbus` topic, one streaming window per
+/// [`GroupedReader::next_batch`] of up to `window_size` records (paper's
+/// Kafka input operator): bounded at the offsets current at setup, or in
+/// follow mode ([`KafkaInput::follow_until`]) tailing the topic until a
+/// target record count has been emitted. `emit_window` blocks while the
+/// reader waits, so the window loop is throttled to the producer's rate
+/// instead of spinning through empty windows; the stream ends with the
+/// one empty window in which the reader reports its finish line.
 ///
-/// The operator is a consumer-group member (auto-named per operator;
-/// [`KafkaInput::in_group`] shares a named group across parallel
-/// operators so they split the topic via the coordinator's rebalance
-/// protocol). Ownership handovers commit positions, so the group reads
-/// the topic exactly once.
+/// The operator is the one member of a fresh consumer group; ownership
+/// and position handover are the reader's.
 #[derive(Debug)]
 pub struct KafkaInput {
     bus: BusHandle,
     topic: String,
     window_size: usize,
-    /// Explicit consumer-group name; auto-generated at setup when unset.
-    group: Option<String>,
-    /// Group-coordinated cursors, joined at setup.
+    /// Joined at setup.
     reader: Option<GroupedReader>,
     /// `Some(target)` puts the operator in follow mode.
     follow_target: Option<u64>,
-    emitted_total: u64,
 }
 
-/// How long a follow-mode input waits inside one window without any new
-/// record before concluding the producer is gone and ending the stream.
-const FOLLOW_STALL_LIMIT: std::time::Duration = std::time::Duration::from_secs(10);
-
 impl KafkaInput {
-    /// Creates an input over `topic`, joining a fresh single-member
-    /// consumer group at setup. Accepts a [`Broker`](logbus::Broker), a
-    /// [`Cluster`](logbus::Cluster), or an existing [`BusHandle`].
+    /// Creates an input over `topic`. Accepts a
+    /// [`Broker`](logbus::Broker), a [`Cluster`](logbus::Cluster), or an
+    /// existing [`BusHandle`].
     pub fn new(bus: impl Into<BusHandle>, topic: impl Into<String>) -> Self {
         KafkaInput {
             bus: bus.into(),
             topic: topic.into(),
             window_size: 2048,
-            group: None,
             reader: None,
             follow_target: None,
-            emitted_total: 0,
         }
-    }
-
-    /// Joins the named consumer group instead of a fresh one — parallel
-    /// operators sharing a group split the topic's partitions.
-    pub fn in_group(mut self, group: impl Into<String>) -> Self {
-        self.group = Some(group.into());
-        self
     }
 
     /// Switches to follow mode: windows keep reading past the offsets
-    /// current at setup, polling with backoff while caught up, until
-    /// `records` records have been emitted in total.
+    /// current at setup until `records` records have been emitted in
+    /// total.
     pub fn follow_until(mut self, records: u64) -> Self {
         self.follow_target = Some(records);
         self
-    }
-
-    /// Follow-mode window: block (refreshing ends, backing off) until at
-    /// least one tuple is available, the target is reached, or the
-    /// producer stalls past [`FOLLOW_STALL_LIMIT`].
-    fn emit_window_following(&mut self, target: u64, out: &mut dyn Emitter<Bytes>) -> bool {
-        let Some(reader) = self.reader.as_mut() else {
-            return false;
-        };
-        if self.emitted_total >= target {
-            let _ = reader.leave();
-            return false;
-        }
-        let mut backoff = logbus::Backoff::new();
-        let started = std::time::Instant::now();
-        loop {
-            let _ = reader.poll_rebalance();
-            reader.refresh_ends();
-            let cap = self
-                .window_size
-                .min((target - self.emitted_total) as usize)
-                .max(1);
-            let emitted = reader.fetch_pass(cap, &mut |_p, stored| out.emit(stored.record.value));
-            if emitted > 0 {
-                self.emitted_total += emitted as u64;
-                // Commit so an ownership handover resumes past what this
-                // operator already emitted.
-                let _ = reader.commit();
-                return self.emitted_total < target;
-            }
-            if started.elapsed() >= FOLLOW_STALL_LIMIT {
-                // No producer progress for the whole stall window: end
-                // the stream instead of hanging the DAG.
-                let _ = reader.leave();
-                return false;
-            }
-            backoff.snooze();
-        }
     }
 }
 
 impl InputOperator<Bytes> for KafkaInput {
     fn setup(&mut self, ctx: &OperatorContext) {
         self.window_size = ctx.window_size;
-        let group = self.group.clone().unwrap_or_else(|| {
-            format!("apx-src-{}", NEXT_GROUP_ID.fetch_add(1, Ordering::Relaxed))
-        });
-        let bus = self.bus.clone();
+        let (bus, topic) = (self.bus.clone(), &self.topic);
+        let group = GroupedReader::fresh_group("apx-src");
+        let strategy = AssignmentStrategy::Range;
         // A missing topic stays harmless: the operator just emits
-        // nothing, as before the group protocol.
-        self.reader = if self.follow_target.is_some() {
-            GroupedReader::following(bus, &self.topic, &group, AssignmentStrategy::Range).ok()
-        } else {
-            GroupedReader::bounded(bus, &self.topic, &group, AssignmentStrategy::Range).ok()
-        };
+        // nothing.
+        self.reader = match self.follow_target {
+            Some(target) => {
+                GroupedReader::following(bus, topic, group, strategy, FollowTarget::new(target))
+            }
+            None => GroupedReader::bounded(bus, topic, group, strategy),
+        }
+        .ok();
     }
 
     fn emit_window(&mut self, _window_id: u64, out: &mut dyn Emitter<Bytes>) -> bool {
-        if let Some(target) = self.follow_target {
-            return self.emit_window_following(target, out);
-        }
         let Some(reader) = self.reader.as_mut() else {
             return false;
         };
-        let _ = reader.poll_rebalance();
-        let emitted = reader.fetch_pass(self.window_size, &mut |_p, stored| {
-            out.emit(stored.record.value);
-        });
-        let _ = reader.commit();
-        if reader.drained() {
-            let _ = reader.leave();
-            return false;
-        }
-        if emitted == 0 {
-            // A peer still owns an undrained partition (or a fetch
-            // faulted); keep the window loop alive without spinning hot.
-            std::thread::yield_now();
-        }
-        true
+        reader
+            .next_batch(self.window_size, &mut |_p, stored| {
+                out.emit(stored.record.value);
+            })
+            .is_some()
     }
 }
 
@@ -284,7 +212,11 @@ mod tests {
                 break;
             }
         }
-        assert_eq!(windows, vec![10, 10, 5]);
+        assert_eq!(
+            windows,
+            vec![10, 10, 5, 0],
+            "an empty window ends the stream"
+        );
     }
 
     #[test]
@@ -298,10 +230,8 @@ mod tests {
         broker.produce("in", 0, Record::from_value("late")).unwrap();
         let mut count = 0;
         let mut emitter = |_t: Bytes| count += 1;
-        assert!(
-            !input.emit_window(0, &mut emitter),
-            "single window drains it"
-        );
+        assert!(input.emit_window(0, &mut emitter));
+        assert!(!input.emit_window(1, &mut emitter), "one window drains it");
         assert_eq!(count, 5, "the late record is outside the bounded range");
     }
 

@@ -7,7 +7,7 @@ use crate::pardo::{DoFn, ParDo, ProcessContext};
 use crate::pipeline::{PCollection, PTransform, Pipeline, RootTransform};
 use crate::transforms::MapElements;
 use bytes::Bytes;
-use logbus::{BusHandle, Record};
+use logbus::{AssignmentStrategy, BusHandle, FollowTarget, GroupedReader, Record};
 use std::sync::Arc;
 
 /// A consumed broker record with its metadata, the analog of Beam's
@@ -105,7 +105,6 @@ impl BrokerIO {
             topic: topic.into(),
             fetch_size: 2048,
             follow: None,
-            group: None,
         }
     }
 
@@ -125,18 +124,16 @@ impl BrokerIO {
 /// the record-assembly flat map — exactly the `Source` + `Flat Map` head
 /// of the paper's Fig. 13 plan.
 ///
-/// Every expanded read is backed by one consumer group (auto-named per
-/// transform, or [`BrokerRead::consumer_group`]): each parallel source
-/// instance joins as a member and the coordinator's rebalance protocol
-/// splits the topic's partitions among them, with position handover on
-/// ownership changes.
+/// Every expanded read is backed by one auto-named consumer group: each
+/// parallel source instance joins as a member and the coordinator's
+/// rebalance protocol splits the topic's partitions among them, with
+/// position handover on ownership changes.
 #[derive(Debug, Clone)]
 pub struct BrokerRead {
     bus: BusHandle,
     topic: String,
     fetch_size: usize,
     follow: Option<u64>,
-    group: Option<String>,
 }
 
 impl BrokerRead {
@@ -146,28 +143,16 @@ impl BrokerRead {
         self
     }
 
-    /// Names the consumer group the expanded source instances join —
-    /// reads sharing a name share partition ownership.
-    pub fn consumer_group(mut self, group: impl Into<String>) -> Self {
-        self.group = Some(group.into());
-        self
-    }
-
     /// Switches to follow mode: instead of stopping at the offsets
-    /// current at read time, the source tails the topic — polling with
-    /// [`logbus::Backoff`] while caught up with the producer — until
-    /// `records` records have been emitted. The source thread blocks on
-    /// producer progress, so downstream bundles are backpressured to the
-    /// offered rate.
+    /// current at read time, the source tails the topic until `records`
+    /// records have been emitted. The source thread blocks on producer
+    /// progress, so downstream bundles are backpressured to the offered
+    /// rate.
     pub fn follow_until(mut self, records: u64) -> Self {
         self.follow = Some(records);
         self
     }
 }
-
-/// How long a follow-mode raw source waits without any new record before
-/// concluding the producer is gone and ending the read.
-const FOLLOW_STALL_LIMIT: std::time::Duration = std::time::Duration::from_secs(10);
 
 struct BrokerRawSource {
     bus: BusHandle,
@@ -207,80 +192,26 @@ impl BrokerRawSource {
 
 impl RawSource for BrokerRawSource {
     fn read(&mut self, mut emit: RawEmit<'_>) {
-        if let Some(target) = self.follow {
-            self.read_following(target, emit);
-            return;
-        }
-        let bus = self.bus.clone();
-        let Ok(mut reader) = logbus::GroupedReader::bounded(
-            bus,
-            &self.topic,
-            &self.group,
-            logbus::AssignmentStrategy::Range,
-        ) else {
+        let (bus, topic, group) = (self.bus.clone(), &self.topic, &self.group);
+        let strategy = AssignmentStrategy::Range;
+        let reader = match self.follow {
+            // Each source instance counts towards the target alone.
+            Some(target) => {
+                GroupedReader::following(bus, topic, group, strategy, FollowTarget::new(target))
+            }
+            None => GroupedReader::bounded(bus, topic, group, strategy),
+        };
+        let Ok(mut reader) = reader else {
             return;
         };
-        let topic = self.topic.clone();
         while reader
-            .next_batch(
-                self.fetch_size,
-                FOLLOW_STALL_LIMIT,
-                &mut |partition, stored| {
-                    Self::emit_record(&topic, &mut emit, partition, stored);
-                },
-            )
+            .next_batch(self.fetch_size, &mut |partition, stored| {
+                Self::emit_record(topic, &mut emit, partition, stored);
+            })
             .is_some()
         {}
     }
 }
-
-impl BrokerRawSource {
-    /// Tailing read: poll the owned partitions (ends refreshed each
-    /// pass, with backoff while caught up) until `target` records have
-    /// been emitted or the producer stalls past [`FOLLOW_STALL_LIMIT`].
-    fn read_following(&mut self, target: u64, mut emit: RawEmit<'_>) {
-        let bus = self.bus.clone();
-        let Ok(mut reader) = logbus::GroupedReader::following(
-            bus,
-            &self.topic,
-            &self.group,
-            logbus::AssignmentStrategy::Range,
-        ) else {
-            return;
-        };
-        let topic = self.topic.clone();
-        let mut backoff = logbus::Backoff::new();
-        let mut last_progress = std::time::Instant::now();
-        let mut emitted = 0u64;
-        while emitted < target {
-            let _ = reader.poll_rebalance();
-            reader.refresh_ends();
-            let want = self.fetch_size.min((target - emitted) as usize).max(1);
-            let delivered = reader.fetch_pass(want, &mut |partition, stored| {
-                Self::emit_record(&topic, &mut emit, partition, stored);
-            });
-            if delivered > 0 {
-                emitted += delivered as u64;
-                // Commit so an ownership handover resumes past what this
-                // instance already emitted.
-                let _ = reader.commit();
-                backoff.reset();
-                last_progress = std::time::Instant::now();
-            } else {
-                if last_progress.elapsed() >= FOLLOW_STALL_LIMIT {
-                    // No producer progress for the whole stall window:
-                    // end the read instead of hanging the pipeline.
-                    break;
-                }
-                backoff.snooze();
-            }
-        }
-        let _ = reader.leave();
-    }
-}
-
-/// Monotonic suffix for auto-generated consumer-group names.
-static NEXT_GROUP_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 impl RootTransform<KafkaRecord> for BrokerRead {
     fn expand(self, pipeline: &Pipeline) -> PCollection<KafkaRecord> {
@@ -290,12 +221,7 @@ impl RootTransform<KafkaRecord> for BrokerRead {
         let follow = self.follow;
         // One group per expanded read: every parallel source instance the
         // runner creates from this factory joins it as a member.
-        let group = self.group.clone().unwrap_or_else(|| {
-            format!(
-                "beamline-src-{}",
-                NEXT_GROUP_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-            )
-        });
+        let group = GroupedReader::fresh_group("beamline-src");
         let factory: Arc<dyn Fn() -> Box<dyn RawSource> + Send + Sync> = Arc::new(move || {
             Box::new(BrokerRawSource {
                 bus: bus.clone(),

@@ -1,9 +1,13 @@
-//! Every produce and fetch door is observed exactly once.
+//! Every produce and fetch door is observed exactly once, and so is a
+//! read that gives up.
 //!
 //! One test, alone in its binary: the obs registry is process-wide, so
 //! exact counter deltas hold only when nothing else records.
 
-use logbus::{Broker, BusHandle, Cluster, ClusterConfig, Record, TopicConfig};
+use logbus::{
+    AssignmentStrategy, Broker, BusHandle, Cluster, ClusterConfig, FollowTarget, GroupedReader,
+    Record, TopicConfig,
+};
 
 fn counter(name: &str) -> u64 {
     let snap = obs::global().registry().snapshot();
@@ -83,10 +87,33 @@ fn each_door_counts_once(bus: &BusHandle, replication: u32) {
     }
 }
 
+/// The stall exit of the one read drive: a read that reaches its finish
+/// line leaves `logbus.reader.stalled` alone, one that gives up short of
+/// it — here a follow read whose producer stopped a record early, which
+/// takes the drive's whole 10 s stall window — counts exactly once.
+fn stall_exit_counts_once(bus: &BusHandle) {
+    let strategy = AssignmentStrategy::Range;
+    let before = counter("logbus.reader.stalled");
+    let mut clean = GroupedReader::bounded(bus.clone(), "t", "clean", strategy).unwrap();
+    while clean.next_batch(64, &mut |_, _| {}).is_some() {}
+    assert_eq!(counter("logbus.reader.stalled"), before, "clean read");
+
+    let short = bus.latest_offset("t", 0).unwrap() + 1;
+    let target = FollowTarget::new(short);
+    let mut stalled =
+        GroupedReader::following(bus.clone(), "t", "short", strategy, target).unwrap();
+    let mut seen = 0;
+    while stalled.next_batch(64, &mut |_, _| seen += 1).is_some() {}
+    assert_eq!(seen + 1, short, "everything but the missing record");
+    assert_eq!(counter("logbus.reader.stalled"), before + 1, "stalled read");
+}
+
 #[test]
 fn every_door_is_observed_exactly_once() {
     obs::set_enabled(true);
-    each_door_counts_once(&Broker::new().into(), 1);
+    let broker: BusHandle = Broker::new().into();
+    each_door_counts_once(&broker, 1);
     each_door_counts_once(&Cluster::new(ClusterConfig { brokers: 3 }).into(), 3);
+    stall_exit_counts_once(&broker);
     obs::set_enabled(false);
 }

@@ -2,10 +2,8 @@
 
 use crate::bus::BusHandle;
 use crate::error::{Error, Result};
-use crate::group::{AssignmentStrategy, TopicPartition};
 use crate::handle::PartitionReader;
 use crate::record::StoredRecord;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Consumer configuration.
 #[derive(Debug, Clone)]
@@ -31,37 +29,6 @@ impl Default for ConsumerConfig {
             max_poll_records: 4096,
             start_from_earliest: true,
             retry: crate::RetryPolicy::default(),
-        }
-    }
-}
-
-/// Static assignment of partitions to the members of a consumer group.
-///
-/// The simple, protocol-free alternative to
-/// [`Consumer::subscribe_group`]: callers that know their member count up
-/// front compute a static round-robin split and [`Consumer::assign`] each
-/// slice. Dynamic membership (members joining or leaving mid-run) goes
-/// through the coordinator-backed subscription instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupAssignment {
-    /// `assignment[i]` lists the partitions owned by member `i`.
-    pub members: Vec<Vec<u32>>,
-}
-
-impl GroupAssignment {
-    /// Distributes `partitions` over `members` round-robin.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` is zero.
-    pub fn round_robin(partitions: u32, members: usize) -> Self {
-        assert!(members > 0, "a group needs at least one member");
-        let mut assignment = vec![Vec::new(); members];
-        for p in 0..partitions {
-            assignment[p as usize % members].push(p);
-        }
-        GroupAssignment {
-            members: assignment,
         }
     }
 }
@@ -99,21 +66,6 @@ struct AssignedPartition {
 /// # Ok(())
 /// # }
 /// ```
-/// Coordinator-backed group membership of a [`Consumer`].
-#[derive(Debug)]
-struct Membership {
-    group: String,
-    member: String,
-    /// Generation of the last synced assignment.
-    generation: u64,
-    /// True while targeted partitions are still held by previous owners;
-    /// forces a re-sync on the next poll.
-    pending: bool,
-}
-
-/// Process-wide counter for auto-generated member ids.
-static NEXT_MEMBER_ID: AtomicU64 = AtomicU64::new(0);
-
 #[derive(Debug)]
 pub struct Consumer {
     bus: BusHandle,
@@ -123,9 +75,6 @@ pub struct Consumer {
     assigned: Vec<AssignedPartition>,
     /// Round-robin cursor over assignments for fair polling.
     cursor: usize,
-    /// Present after [`Consumer::subscribe_group`]: the coordinator drives
-    /// this consumer's assignment instead of explicit `assign` calls.
-    membership: Option<Membership>,
 }
 
 impl Consumer {
@@ -141,7 +90,6 @@ impl Consumer {
             config,
             assigned: Vec::new(),
             cursor: 0,
-            membership: None,
         }
     }
 
@@ -203,149 +151,6 @@ impl Consumer {
     pub fn subscribe(&mut self, topic: &str) -> Result<()> {
         for p in 0..self.bus.partition_count(topic)? {
             self.assign(topic, p)?;
-        }
-        Ok(())
-    }
-
-    /// Joins the configured consumer group, letting the coordinator
-    /// assign partitions of `topics` to this consumer. From here on every
-    /// poll reconciles with the coordinator: when other members join or
-    /// leave, partitions are revoked (positions committed first) and
-    /// claimed automatically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownGroup`] when the consumer has no group id
-    /// configured; fails for unknown topics.
-    pub fn subscribe_group(&mut self, topics: &[&str], strategy: AssignmentStrategy) -> Result<()> {
-        let group = self
-            .config
-            .group
-            .clone()
-            .ok_or_else(|| Error::UnknownGroup("<none>".to_string()))?;
-        let member = format!(
-            "{group}-member-{}",
-            NEXT_MEMBER_ID.fetch_add(1, Ordering::Relaxed)
-        );
-        crate::retry::with_retry(&self.config.retry, || {
-            self.bus.join_group(&group, &member, topics, strategy)
-        })?;
-        self.membership = Some(Membership {
-            group,
-            member,
-            generation: 0,
-            pending: true,
-        });
-        self.maybe_rebalance()
-    }
-
-    /// Leaves the group joined by [`Consumer::subscribe_group`]: commits
-    /// positions, releases owned partitions, and deregisters, triggering
-    /// a rebalance for the survivors. A no-op without a membership.
-    ///
-    /// # Errors
-    ///
-    /// Propagates commit failures.
-    pub fn leave_group(&mut self) -> Result<()> {
-        let Some(m) = self.membership.take() else {
-            return Ok(());
-        };
-        let owned: Vec<TopicPartition> = self
-            .assigned
-            .iter()
-            .map(|a| TopicPartition::new(a.topic.clone(), a.partition))
-            .collect();
-        for a in &self.assigned {
-            crate::retry::with_retry(&self.config.retry, || {
-                self.bus
-                    .commit_offset(&m.group, &a.topic, a.partition, a.position)
-            })?;
-        }
-        self.bus.release_partitions(&m.group, &m.member, &owned)?;
-        self.bus.leave_group(&m.group, &m.member)?;
-        self.assigned.clear();
-        Ok(())
-    }
-
-    /// The coordinator-assigned member id, if subscribed via group.
-    pub fn group_member_id(&self) -> Option<&str> {
-        self.membership.as_ref().map(|m| m.member.as_str())
-    }
-
-    /// Generation of the last synced group assignment.
-    pub fn group_generation(&self) -> Option<u64> {
-        self.membership.as_ref().map(|m| m.generation)
-    }
-
-    /// Reconciles a group-subscribed consumer with the coordinator: one
-    /// cheap generation read per poll, a full revoke/claim cycle only
-    /// when membership changed (or claims are still pending).
-    fn maybe_rebalance(&mut self) -> Result<()> {
-        let (group, member, generation, pending) = match &self.membership {
-            Some(m) => (m.group.clone(), m.member.clone(), m.generation, m.pending),
-            None => return Ok(()),
-        };
-        let current = self.bus.group_generation(&group)?;
-        if current == generation && !pending {
-            return Ok(());
-        }
-        let view = self.bus.sync_group(&group, &member)?;
-
-        // Revoke partitions no longer targeted at us: commit positions
-        // first, then release, so the next owner resumes exactly where
-        // we stopped — no record is read twice or skipped.
-        let revoked: Vec<TopicPartition> = self
-            .assigned
-            .iter()
-            .filter(|a| {
-                !view
-                    .target
-                    .iter()
-                    .any(|tp| tp.partition == a.partition && tp.topic == a.topic)
-            })
-            .map(|a| TopicPartition::new(a.topic.clone(), a.partition))
-            .collect();
-        if !revoked.is_empty() {
-            for a in &self.assigned {
-                if revoked
-                    .iter()
-                    .any(|tp| tp.partition == a.partition && tp.topic == a.topic)
-                {
-                    crate::retry::with_retry(&self.config.retry, || {
-                        self.bus
-                            .commit_offset(&group, &a.topic, a.partition, a.position)
-                    })?;
-                }
-            }
-            self.bus.release_partitions(&group, &member, &revoked)?;
-            self.assigned.retain(|a| {
-                view.target
-                    .iter()
-                    .any(|tp| tp.partition == a.partition && tp.topic == a.topic)
-            });
-        }
-
-        // Claim newly targeted partitions; grants are partial while the
-        // previous owners still hold on — stay pending and retry.
-        let wanted: Vec<TopicPartition> = view
-            .target
-            .iter()
-            .filter(|tp| self.find(&tp.topic, tp.partition).is_none())
-            .cloned()
-            .collect();
-        if !wanted.is_empty() {
-            let granted = self.bus.claim_partitions(&group, &member, &wanted)?;
-            for tp in &granted {
-                // `assign` starts from the committed offset — the position
-                // the previous owner handed over.
-                self.assign(&tp.topic, tp.partition)?;
-            }
-        }
-
-        let target_len = view.target.len();
-        if let Some(m) = &mut self.membership {
-            m.generation = view.generation;
-            m.pending = self.assigned.len() < target_len;
         }
         Ok(())
     }
@@ -418,13 +223,7 @@ impl Consumer {
     /// Same as [`Consumer::poll`].
     pub fn poll_into(&mut self, max: usize, out: &mut Vec<StoredRecord>) -> Result<usize> {
         out.clear();
-        self.maybe_rebalance()?;
         if self.assigned.is_empty() {
-            // A group member with nothing assigned is waiting for claims
-            // (or is a standby in an over-provisioned group), not broken.
-            if self.membership.is_some() {
-                return Ok(0);
-            }
             return Err(Error::NoAssignment);
         }
         let max = max.min(self.config.max_poll_records);
@@ -682,114 +481,5 @@ mod tests {
             assert_eq!(stored.offset, i as u64);
         }
         assert_eq!(broker.committed_offset("g", "t", 0), Some(200));
-    }
-
-    #[test]
-    fn round_robin_assignment_helper() {
-        let ga = GroupAssignment::round_robin(5, 2);
-        assert_eq!(ga.members[0], vec![0, 2, 4]);
-        assert_eq!(ga.members[1], vec![1, 3]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one member")]
-    fn empty_group_panics() {
-        let _ = GroupAssignment::round_robin(1, 0);
-    }
-
-    fn group_consumer(broker: &Broker, group: &str) -> Consumer {
-        Consumer::with_config(
-            broker.clone(),
-            ConsumerConfig {
-                group: Some(group.to_string()),
-                ..ConsumerConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn subscribe_group_requires_group_id() {
-        let broker = setup(1, 1);
-        let mut consumer = Consumer::new(broker);
-        assert!(matches!(
-            consumer.subscribe_group(&["t"], AssignmentStrategy::Range),
-            Err(Error::UnknownGroup(_))
-        ));
-    }
-
-    #[test]
-    fn sole_group_member_drains_everything() {
-        let broker = setup(4, 5);
-        let mut consumer = group_consumer(&broker, "g1");
-        consumer
-            .subscribe_group(&["t"], AssignmentStrategy::Range)
-            .unwrap();
-        assert_eq!(consumer.assignment().len(), 4);
-        assert!(consumer.group_member_id().is_some());
-        let mut total = 0;
-        loop {
-            let batch = consumer.poll(16).unwrap();
-            if batch.is_empty() {
-                break;
-            }
-            total += batch.len();
-        }
-        assert_eq!(total, 20);
-    }
-
-    #[test]
-    fn rebalance_hands_over_position_exactly_once() {
-        let broker = setup(2, 10);
-        let mut a = group_consumer(&broker, "g2");
-        a.subscribe_group(&["t"], AssignmentStrategy::Range)
-            .unwrap();
-        assert_eq!(a.assignment().len(), 2);
-        // `a` reads part of the input before `b` arrives.
-        let mut seen = Vec::new();
-        for _ in 0..3 {
-            seen.extend(a.poll(4).unwrap());
-        }
-
-        let mut b = group_consumer(&broker, "g2");
-        b.subscribe_group(&["t"], AssignmentStrategy::Range)
-            .unwrap();
-        // `b`'s claim is pending until `a` observes the new generation
-        // (commits + releases the partition it lost).
-        seen.extend(a.poll(16).unwrap());
-        assert_eq!(a.assignment().len(), 1);
-        loop {
-            // Drain both members to completion.
-            let got_a = a.poll(16).unwrap();
-            let got_b = b.poll(16).unwrap();
-            if got_a.is_empty() && got_b.is_empty() && b.assignment().len() == 1 {
-                break;
-            }
-            seen.extend(got_a);
-            seen.extend(got_b);
-        }
-        // Every record read exactly once across the handover.
-        let mut values: Vec<Vec<u8>> = seen.iter().map(|r| r.record.value.to_vec()).collect();
-        values.sort();
-        values.dedup();
-        assert_eq!(seen.len(), 20, "no loss, no duplication across rebalance");
-        assert_eq!(values.len(), 20);
-    }
-
-    #[test]
-    fn leave_group_rebalances_survivors() {
-        let broker = setup(2, 4);
-        let mut a = group_consumer(&broker, "g3");
-        let mut b = group_consumer(&broker, "g3");
-        a.subscribe_group(&["t"], AssignmentStrategy::RoundRobin)
-            .unwrap();
-        b.subscribe_group(&["t"], AssignmentStrategy::RoundRobin)
-            .unwrap();
-        // Settle the two-member assignment.
-        let _ = a.poll(16).unwrap();
-        let _ = b.poll(16).unwrap();
-        b.leave_group().unwrap();
-        let _ = a.poll(16).unwrap();
-        assert_eq!(a.assignment().len(), 2, "survivor absorbs the partitions");
-        b.leave_group().unwrap(); // idempotent
     }
 }

@@ -27,9 +27,10 @@
 //! is one group's coordinator bookkeeping, [`Coordinator`] the sharded
 //! map of groups (state plus committed offsets) that a
 //! [`Broker`](crate::Broker) and a [`Cluster`](crate::Cluster) each own
-//! one of and gate with their own liveness rule, while [`GroupMember`]
-//! is the client-side helper that connectors embed to drive the
-//! join → poll → revoke/claim cycle with callbacks.
+//! one of and gate with their own liveness rule, [`GroupMember`] is the
+//! one client of the protocol — the join → poll → revoke/claim cycle
+//! with callbacks — and [`GroupedReader`] the one read drive on top of
+//! it, which every engine connector calls.
 //!
 //! [`Range`]: AssignmentStrategy::Range
 //! [`RoundRobin`]: AssignmentStrategy::RoundRobin
@@ -39,6 +40,9 @@ use crate::bus::BusHandle;
 use crate::error::{Error, Result};
 use parking_lot::RwLock;
 use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// A (topic, partition) coordinate, the unit of group assignment.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -254,37 +258,25 @@ impl GroupState {
             return;
         }
         let n = count as usize;
-        let base = n / subscribers.len();
-        let extra = n % subscribers.len();
+        let (base, extra) = (n / subscribers.len(), n % subscribers.len());
         // Sorted member order decides who absorbs the remainder, so the
         // quota vector is deterministic across brokers and reruns.
-        let quota: BTreeMap<&str, usize> = subscribers
-            .iter()
-            .enumerate()
-            .map(|(i, id)| (id.as_str(), base + usize::from(i < extra)))
+        let quota: Vec<usize> = (0..subscribers.len())
+            .map(|i| base + usize::from(i < extra))
             .collect();
+        // Partitions per subscriber, by position in `subscribers`.
+        let mut assigned: Vec<Vec<u32>> = vec![Vec::new(); subscribers.len()];
 
         // Pass 1 — sticky retention: a partition stays with its previous
         // target while that member is still subscribed and under quota.
-        let mut kept: BTreeMap<&str, usize> =
-            subscribers.iter().map(|id| (id.as_str(), 0)).collect();
         let mut unassigned: Vec<u32> = Vec::new();
         for p in 0..count {
-            let tp = TopicPartition::new(topic, p);
-            let keeper = previous.get(&tp).and_then(|id| {
-                let under_quota = kept.get(id.as_str()).copied().unwrap_or(usize::MAX)
-                    < quota.get(id.as_str()).copied().unwrap_or(0);
-                under_quota.then_some(id.clone())
-            });
+            let keeper = previous
+                .get(&TopicPartition::new(topic, p))
+                .and_then(|id| subscribers.iter().position(|s| s == id))
+                .filter(|&i| assigned[i].len() < quota[i]);
             match keeper {
-                Some(id) => {
-                    *kept.get_mut(id.as_str()).expect("subscriber") += 1;
-                    self.members
-                        .get_mut(&id)
-                        .expect("member exists")
-                        .target
-                        .push(tp);
-                }
+                Some(i) => assigned[i].push(p),
                 None => unassigned.push(p),
             }
         }
@@ -295,39 +287,31 @@ impl GroupState {
                 // Contiguous blocks: walk members in order, give each its
                 // remaining quota as one run of partitions.
                 let mut rest = unassigned.into_iter();
-                for id in &subscribers {
-                    let want = quota[id.as_str()] - kept[id.as_str()];
-                    for _ in 0..want {
-                        let Some(p) = rest.next() else { return };
-                        self.members
-                            .get_mut(id)
-                            .expect("member exists")
-                            .target
-                            .push(TopicPartition::new(topic, p));
-                    }
+                for (parts, quota) in assigned.iter_mut().zip(&quota) {
+                    let want = quota - parts.len();
+                    parts.extend(rest.by_ref().take(want));
                 }
             }
             AssignmentStrategy::RoundRobin => {
-                // Deal leftovers one at a time, skipping full members.
+                // Deal leftovers one at a time, skipping full members;
+                // quotas sum to the partition count, so one has room.
                 let mut cursor = 0usize;
                 for p in unassigned {
-                    let mut placed = false;
                     for _ in 0..subscribers.len() {
-                        let id = &subscribers[cursor];
+                        let i = cursor;
                         cursor = (cursor + 1) % subscribers.len();
-                        if kept[id.as_str()] < quota[id.as_str()] {
-                            *kept.get_mut(id.as_str()).expect("subscriber") += 1;
-                            self.members
-                                .get_mut(id)
-                                .expect("member exists")
-                                .target
-                                .push(TopicPartition::new(topic, p));
-                            placed = true;
+                        if assigned[i].len() < quota[i] {
+                            assigned[i].push(p);
                             break;
                         }
                     }
-                    debug_assert!(placed, "quota sums to partition count");
                 }
+            }
+        }
+        for (id, parts) in subscribers.iter().zip(assigned) {
+            if let Some(member) = self.members.get_mut(id) {
+                let parts = parts.into_iter().map(|p| TopicPartition::new(topic, p));
+                member.target.extend(parts);
             }
         }
     }
@@ -486,9 +470,8 @@ impl Coordinator {
     }
 }
 
-/// Client-side group membership helper.
-///
-/// Engine connectors embed one `GroupMember` per worker. The lifecycle:
+/// Client-side group membership: the only implementation of the
+/// revoke → commit → release → claim protocol. The lifecycle:
 ///
 /// 1. [`GroupMember::join`] registers with the coordinator.
 /// 2. Each poll loop calls [`GroupMember::poll_rebalance`] with revoke
@@ -636,14 +619,74 @@ impl GroupMember {
     }
 }
 
-/// Monotonic suffix for auto-generated [`GroupedReader`] member ids.
-static NEXT_READER_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// Monotonic suffix for auto-generated group names and member ids.
+static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 
-/// A group-coordinated multi-partition reader: a [`GroupMember`] plus
-/// fetch cursors for whatever the coordinator currently assigns this
-/// member. This is the shared consumption engine behind the engine
-/// connectors' group modes — it replaces each connector's private
-/// all-partitions cursor cache with protocol-driven ownership.
+/// A read that delivers nothing for this long gives up: the peer that
+/// owns the rest died mid-handover, or the sender stopped short of the
+/// follow target. A stalled trial then fails verification instead of
+/// hanging the driver.
+const STALL_LIMIT: Duration = Duration::from_secs(10);
+
+/// The finish line of a follow read: a record count, and the counter of
+/// records emitted towards it. Clones share the counter, so the members
+/// one job creates (rill's subtasks) stop at `target` *together*; a
+/// reader given a fresh `FollowTarget` counts alone.
+#[derive(Debug, Clone)]
+pub struct FollowTarget {
+    target: u64,
+    emitted: Arc<AtomicU64>,
+}
+
+impl FollowTarget {
+    /// A finish line of `target` records with nothing emitted yet.
+    pub fn new(target: u64) -> Self {
+        FollowTarget {
+            target,
+            emitted: Arc::new(AtomicU64::new(0)),
+        }
+    }
+
+    fn emitted(&self) -> u64 {
+        self.emitted.load(Ordering::SeqCst)
+    }
+
+    /// Claims up to `want` of the records still missing and returns how
+    /// many were granted. Reserving *before* the fetch is what keeps the
+    /// members' total at or below `target`; what the fetch then does not
+    /// deliver goes back through [`FollowTarget::refund`].
+    fn reserve(&self, want: u64) -> u64 {
+        let mut granted = 0;
+        let _ = self
+            .emitted
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |emitted| {
+                granted = want.min(self.target.saturating_sub(emitted));
+                Some(emitted + granted)
+            });
+        granted
+    }
+
+    fn refund(&self, unused: u64) {
+        self.emitted.fetch_sub(unused, Ordering::SeqCst);
+    }
+}
+
+/// Where a [`GroupedReader`] stops.
+#[derive(Debug)]
+enum Finish {
+    /// Bounded: the per-partition end offsets captured at join.
+    Ends(Vec<u64>),
+    /// Follow: ends refresh on every pass until the target is emitted.
+    Follow(FollowTarget),
+}
+
+/// The one read drive of the workspace: a [`GroupMember`] plus fetch
+/// cursors for whatever the coordinator currently assigns it, driven by
+/// [`GroupedReader::next_batch`] to one of two finish lines — *bounded*
+/// (the end offsets captured at join) or *follow* (a [`FollowTarget`]).
+/// All four engine connectors build one and call `next_batch` until it
+/// returns `None`; rebalance, end refresh, capping, fetch, commit, the
+/// stall exit and [`Backoff`](crate::Backoff) are sequenced here only.
 ///
 /// Positions hand over through committed offsets: on revoke the cursor's
 /// position is committed before the partition is released, and a newly
@@ -653,11 +696,13 @@ static NEXT_READER_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU
 pub struct GroupedReader {
     bus: BusHandle,
     topic: String,
+    group: String,
     member: GroupMember,
     cursors: Vec<GroupCursor>,
-    /// Bounded finish line per partition, captured at join; `None` in
-    /// follow mode, where ends refresh on every pass.
-    ends: Option<Vec<u64>>,
+    finish: Finish,
+    /// Retry schedule for offset commits (fetches retry inside the
+    /// cursors' readers).
+    retry: crate::RetryPolicy,
     /// Fetch buffer reused across passes.
     fetch_buffer: Vec<crate::StoredRecord>,
 }
@@ -674,16 +719,23 @@ impl std::fmt::Debug for GroupedReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("GroupedReader")
             .field("topic", &self.topic)
-            .field("group", &self.member.group())
+            .field("group", &self.group)
             .field("member", &self.member.member_id())
             .field("generation", &self.member.generation())
             .field("cursors", &self.cursors)
-            .field("bounded", &self.ends.is_some())
+            .field("finish", &self.finish)
             .finish_non_exhaustive()
     }
 }
 
 impl GroupedReader {
+    /// A group name no other caller of this function gets: `prefix` plus
+    /// a process-wide sequence number. Connectors that need no shared
+    /// offsets name their group with this.
+    pub fn fresh_group(prefix: &str) -> String {
+        format!("{prefix}-{}", NEXT_ID.fetch_add(1, Ordering::Relaxed))
+    }
+
     /// Joins `group` for a bounded read of `topic`: the finish line is
     /// the per-partition end offsets current at join.
     ///
@@ -697,11 +749,18 @@ impl GroupedReader {
         group: impl Into<String>,
         strategy: AssignmentStrategy,
     ) -> Result<Self> {
-        Self::join_reader(bus.into(), topic.into(), group.into(), strategy, true)
+        let (bus, topic) = (bus.into(), topic.into());
+        let retry = crate::RetryPolicy::default();
+        let count = crate::with_retry(&retry, || bus.partition_count(&topic))?;
+        let ends = (0..count)
+            .map(|p| crate::with_retry(&retry, || bus.latest_offset(&topic, p)))
+            .collect::<Result<Vec<u64>>>()?;
+        Self::join(bus, topic, group.into(), strategy, Finish::Ends(ends))
     }
 
     /// Joins `group` for a tailing read: ends refresh on every pass, so
-    /// records appended after the join are part of the stream.
+    /// records appended after the join are part of the stream, and the
+    /// read finishes once `target` has been emitted.
     ///
     /// # Errors
     ///
@@ -712,41 +771,32 @@ impl GroupedReader {
         topic: impl Into<String>,
         group: impl Into<String>,
         strategy: AssignmentStrategy,
+        target: FollowTarget,
     ) -> Result<Self> {
-        Self::join_reader(bus.into(), topic.into(), group.into(), strategy, false)
+        let finish = Finish::Follow(target);
+        Self::join(bus.into(), topic.into(), group.into(), strategy, finish)
     }
 
-    fn join_reader(
+    fn join(
         bus: BusHandle,
         topic: String,
         group: String,
         strategy: AssignmentStrategy,
-        bounded: bool,
+        finish: Finish,
     ) -> Result<Self> {
         let retry = crate::RetryPolicy::default();
-        let count = crate::with_retry(&retry, || bus.partition_count(&topic))?;
-        let ends = if bounded {
-            let mut ends = Vec::with_capacity(count as usize);
-            for p in 0..count {
-                ends.push(crate::with_retry(&retry, || bus.latest_offset(&topic, p))?);
-            }
-            Some(ends)
-        } else {
-            None
-        };
-        let member_id = format!(
-            "{group}-reader-{}",
-            NEXT_READER_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
-        );
+        let member_id = Self::fresh_group(&format!("{group}-reader"));
         let member = crate::with_retry(&retry, || {
             GroupMember::join(bus.clone(), &group, &member_id, &[&topic], strategy)
         })?;
         let mut reader = GroupedReader {
             bus,
             topic,
+            group,
             member,
             cursors: Vec::new(),
-            ends,
+            finish,
+            retry,
             fetch_buffer: Vec::new(),
         };
         // Best-effort initial claim: a transient fault here just leaves
@@ -772,7 +822,8 @@ impl GroupedReader {
 
     /// Reconciles with the coordinator: commits and drops cursors for
     /// revoked partitions, builds cursors (resuming from the committed
-    /// offset) for newly claimed ones.
+    /// offset) for newly claimed ones. One generation read when nothing
+    /// changed.
     ///
     /// Returns `true` if ownership changed.
     ///
@@ -780,24 +831,36 @@ impl GroupedReader {
     ///
     /// Propagates coordinator faults; safe to retry on the next pass.
     pub fn poll_rebalance(&mut self) -> Result<bool> {
-        let bus = self.bus.clone();
-        let topic = self.topic.clone();
-        let group = self.member.group().to_string();
-        let ends = self.ends.clone();
+        let GroupedReader {
+            bus,
+            topic,
+            group,
+            member,
+            cursors,
+            finish,
+            retry,
+            ..
+        } = self;
         // The callbacks run sequentially (revoke, then assign) but both
         // mutate the cursor set, so share it through a `RefCell`.
-        let cursors = std::cell::RefCell::new(&mut self.cursors);
-        self.member.poll_rebalance(
+        let cursors = std::cell::RefCell::new(cursors);
+        member.poll_rebalance(
             |revoked| {
                 let mut cursors = cursors.borrow_mut();
                 for tp in revoked {
                     let Some(i) = cursors.iter().position(|c| c.partition == tp.partition) else {
                         continue;
                     };
-                    let cursor = cursors.swap_remove(i);
-                    // Commit before release (the caller releases after this
-                    // callback) so the next owner resumes from our position.
-                    bus.commit_offset(&group, &topic, cursor.partition, cursor.position)?;
+                    // Commit before release (the caller releases after
+                    // this callback) so the next owner resumes from our
+                    // position. The cursor goes only once the commit is
+                    // in: a failed one fails the revoke with the position
+                    // still here for the retry.
+                    let (partition, position) = (cursors[i].partition, cursors[i].position);
+                    crate::with_retry(retry, || {
+                        bus.commit_offset(group, topic, partition, position)
+                    })?;
+                    cursors.remove(i);
                 }
                 Ok(())
             },
@@ -807,15 +870,17 @@ impl GroupedReader {
                     if cursors.iter().any(|c| c.partition == tp.partition) {
                         continue;
                     }
-                    let reader = bus.partition_reader(&topic, tp.partition)?;
-                    let earliest = bus.earliest_offset(&topic, tp.partition).unwrap_or(0);
+                    let reader = bus.partition_reader(topic, tp.partition)?;
+                    let earliest = bus.earliest_offset(topic, tp.partition).unwrap_or(0);
                     let position = bus
-                        .committed_offset(&group, &topic, tp.partition)
+                        .committed_offset(group, topic, tp.partition)
                         .unwrap_or(0)
                         .max(earliest);
-                    let end = match &ends {
-                        Some(ends) => ends.get(tp.partition as usize).copied().unwrap_or(position),
-                        None => bus.latest_offset(&topic, tp.partition).unwrap_or(position),
+                    let end = match finish {
+                        Finish::Ends(ends) => {
+                            ends.get(tp.partition as usize).copied().unwrap_or(position)
+                        }
+                        Finish::Follow(_) => reader.latest_offset().unwrap_or(position),
                     };
                     cursors.push(GroupCursor {
                         partition: tp.partition,
@@ -832,8 +897,8 @@ impl GroupedReader {
 
     /// Follow mode: refreshes cursor ends to the current latest offsets.
     /// No-op for a bounded reader, whose finish line is fixed at join.
-    pub fn refresh_ends(&mut self) {
-        if self.ends.is_some() {
+    fn refresh_ends(&mut self) {
+        if matches!(self.finish, Finish::Ends(_)) {
             return;
         }
         for cursor in &mut self.cursors {
@@ -841,6 +906,21 @@ impl GroupedReader {
                 cursor.end = cursor.end.max(end);
             }
         }
+    }
+
+    /// How many records the next fetch pass may deliver: `cap`, and in
+    /// follow mode no more than is both fetchable now and still missing
+    /// from the target — reserved on the shared counter.
+    fn reserve(&self, cap: usize) -> usize {
+        let Finish::Follow(follow) = &self.finish else {
+            return cap;
+        };
+        let available: u64 = self
+            .cursors
+            .iter()
+            .map(|c| c.end.saturating_sub(c.position))
+            .sum();
+        follow.reserve(available.min(cap as u64)) as usize
     }
 
     /// One fetch pass over the owned cursors: up to `cap` records handed
@@ -882,67 +962,118 @@ impl GroupedReader {
     ///
     /// # Errors
     ///
-    /// Propagates commit faults; positions stay local and the commit can
-    /// be retried.
+    /// Propagates commit faults that outlast the retries; positions stay
+    /// local and the commit can be repeated.
     pub fn commit(&self) -> Result<()> {
         for cursor in &self.cursors {
-            self.bus.commit_offset(
-                self.member.group(),
-                &self.topic,
-                cursor.partition,
-                cursor.position,
-            )?;
+            crate::with_retry(&self.retry, || {
+                self.bus
+                    .commit_offset(&self.group, &self.topic, cursor.partition, cursor.position)
+            })?;
         }
         Ok(())
     }
 
-    /// Whether the **group** has drained the bounded read: every
-    /// partition has reached the end captured at join — own partitions
-    /// judged by live cursor position, peers' by their committed offset.
-    /// Always `false` in follow mode.
+    /// Whether the **group** has reached this reader's finish line.
+    /// Bounded: every partition is at the end captured at join — own
+    /// partitions judged by live cursor position, peers' by their
+    /// committed offset. Follow: the target has been emitted.
     pub fn drained(&self) -> bool {
-        let Some(ends) = &self.ends else {
-            return false;
-        };
-        ends.iter().enumerate().all(|(p, end)| {
-            if let Some(cursor) = self.cursors.iter().find(|c| c.partition == p as u32) {
-                return cursor.position >= *end;
-            }
-            self.bus
-                .committed_offset(self.member.group(), &self.topic, p as u32)
-                .unwrap_or(0)
-                >= *end
-        })
+        match &self.finish {
+            Finish::Follow(follow) => follow.emitted() >= follow.target,
+            Finish::Ends(ends) => ends.iter().enumerate().all(|(p, end)| {
+                let position = match self.cursors.iter().find(|c| c.partition == p as u32) {
+                    Some(cursor) => cursor.position,
+                    None => self
+                        .bus
+                        .committed_offset(&self.group, &self.topic, p as u32)
+                        .unwrap_or(0),
+                };
+                position >= *end
+            }),
+        }
     }
 
-    /// Drives one bounded batch: polls for rebalances, fetches up to
-    /// `cap` records into `sink`, commits, and backs off while peers
-    /// drain their share. Returns the number delivered, or `None` once
-    /// the group has drained the topic (or nothing arrived for `stall`),
+    /// One pass of the drive, without waiting: reconcile with the
+    /// coordinator, refresh ends, fetch up to `cap` records (capped to
+    /// what the follow target still misses) into `sink`, commit.
+    /// Returns the number delivered — `Some(0)` when caught up with the
+    /// read not finished — or `None` once the group is at the finish
+    /// line, after committing and leaving the group.
+    /// [`GroupedReader::next_batch`] is this plus the wait; schedules
+    /// that interleave members on one thread call this directly.
+    pub fn try_next_batch(
+        &mut self,
+        cap: usize,
+        sink: &mut dyn FnMut(u32, crate::StoredRecord),
+    ) -> Option<usize> {
+        let _ = self.poll_rebalance();
+        self.refresh_ends();
+        let reserved = self.reserve(cap);
+        let delivered = self.fetch_pass(reserved, sink);
+        if let Finish::Follow(follow) = &self.finish {
+            follow.refund((reserved - delivered) as u64);
+        }
+        // Commit so an ownership handover resumes past what this member
+        // already delivered, and so peers see this member's progress.
+        let _ = self.commit();
+        if delivered == 0 && self.drained() {
+            let _ = self.leave();
+            return None;
+        }
+        Some(delivered)
+    }
+
+    /// Delivers the next batch of up to `cap` records to `sink`, waiting
+    /// with [`Backoff`](crate::Backoff) while caught up — a peer still
+    /// owns an undrained partition, a claim is pending, or the sender has
+    /// not produced yet. Returns the number delivered, or `None` once the
+    /// group has reached the finish line or nothing arrived for 10 s,
     /// after committing and leaving the group.
     pub fn next_batch(
         &mut self,
         cap: usize,
-        stall: std::time::Duration,
+        sink: &mut dyn FnMut(u32, crate::StoredRecord),
+    ) -> Option<usize> {
+        self.drive(cap, STALL_LIMIT, sink)
+    }
+
+    fn drive(
+        &mut self,
+        cap: usize,
+        stall: Duration,
         sink: &mut dyn FnMut(u32, crate::StoredRecord),
     ) -> Option<usize> {
         let mut backoff = crate::Backoff::new();
-        let started = std::time::Instant::now();
+        let mut idle_since = Instant::now();
+        let mut group_emitted = self.follow_emitted();
         loop {
-            let _ = self.poll_rebalance();
-            let delivered = self.fetch_pass(cap, sink);
-            if delivered > 0 {
-                let _ = self.commit();
-                return Some(delivered);
+            match self.try_next_batch(cap, sink) {
+                Some(0) => {}
+                delivered_or_finished => return delivered_or_finished,
             }
-            let _ = self.commit();
-            if self.drained() || started.elapsed() >= stall {
+            // What a peer emits towards the shared target is progress
+            // too: an idle member waits for as long as the job moves.
+            let emitted = self.follow_emitted();
+            if emitted != group_emitted {
+                group_emitted = emitted;
+                idle_since = Instant::now();
+            }
+            if idle_since.elapsed() >= stall {
+                if obs::enabled() {
+                    crate::telemetry::reader_stalled().add(1);
+                }
                 let _ = self.leave();
                 return None;
             }
-            // Caught up but the group is not done — a peer still owns an
-            // undrained partition, or our claim is pending.
             backoff.snooze();
+        }
+    }
+
+    fn follow_emitted(&self) -> u64 {
+        match &self.finish {
+            Finish::Follow(follow) => follow.emitted(),
+            Finish::Ends(_) => 0,
         }
     }
 
@@ -1082,19 +1213,25 @@ mod tests {
         assert!((x.len() as i64 - y.len() as i64).abs() <= 1);
     }
 
-    #[test]
-    fn grouped_reader_drains_bounded_topic() {
+    /// A topic of `partitions` x `per_partition` records.
+    fn loaded(partitions: u32, per_partition: u64) -> crate::Broker {
         let broker = crate::Broker::new();
         broker
-            .create_topic("t", crate::TopicConfig::default().partitions(3))
+            .create_topic("t", crate::TopicConfig::default().partitions(partitions))
             .unwrap();
-        for p in 0..3 {
-            for i in 0..7 {
+        for p in 0..partitions {
+            for i in 0..per_partition {
                 broker
                     .produce("t", p, crate::Record::from_value(format!("p{p}-{i}")))
                     .unwrap();
             }
         }
+        broker
+    }
+
+    #[test]
+    fn grouped_reader_drains_bounded_topic() {
+        let broker = loaded(3, 7);
         // A record produced after the join is outside the finish line.
         let mut reader =
             GroupedReader::bounded(broker.clone(), "t", "g", AssignmentStrategy::Range).unwrap();
@@ -1103,27 +1240,16 @@ mod tests {
             .unwrap();
         assert_eq!(reader.owned_partitions(), 3, "sole member owns the topic");
         let mut seen = Vec::new();
-        while let Some(_n) =
-            reader.next_batch(5, std::time::Duration::from_secs(5), &mut |p, stored| {
-                seen.push((p, stored.record.value));
-            })
+        while reader
+            .next_batch(5, &mut |p, stored| seen.push((p, stored.record.value)))
+            .is_some()
         {}
         assert_eq!(seen.len(), 21, "bounded read stops at ends-at-join");
     }
 
     #[test]
     fn concurrent_grouped_readers_share_topic_exactly_once() {
-        let broker = crate::Broker::new();
-        broker
-            .create_topic("t", crate::TopicConfig::default().partitions(4))
-            .unwrap();
-        for p in 0..4 {
-            for i in 0..50 {
-                broker
-                    .produce("t", p, crate::Record::from_value(format!("p{p}-{i}")))
-                    .unwrap();
-            }
-        }
+        let broker = loaded(4, 50);
         let handles: Vec<_> = (0..2)
             .map(|_| {
                 let broker = broker.clone();
@@ -1137,9 +1263,7 @@ mod tests {
                     .unwrap();
                     let mut seen = Vec::new();
                     while reader
-                        .next_batch(8, std::time::Duration::from_secs(5), &mut |p, stored| {
-                            seen.push((p, stored.record.value));
-                        })
+                        .next_batch(8, &mut |p, stored| seen.push((p, stored.record.value)))
                         .is_some()
                     {}
                     seen
@@ -1153,5 +1277,94 @@ mod tests {
         all.sort();
         all.dedup();
         assert_eq!(all.len(), 200, "group reads every record exactly once");
+    }
+
+    #[test]
+    fn rebalance_hands_over_position_exactly_once() {
+        let broker = loaded(2, 10);
+        let join = || GroupedReader::bounded(broker.clone(), "t", "g", AssignmentStrategy::Range);
+        let mut seen = Vec::new();
+        let mut sink = |p: u32, stored: crate::StoredRecord| seen.push((p, stored.offset));
+        // `a` reads part of the input before `b` arrives.
+        let mut a = join().unwrap();
+        assert_eq!(a.owned_partitions(), 2);
+        assert_eq!(a.try_next_batch(7, &mut sink), Some(7));
+        let mut b = join().unwrap();
+        assert_eq!(b.owned_partitions(), 0, "the claim waits for `a`'s release");
+        // `a`'s next pass sees the new generation: commit, release.
+        assert!(a.try_next_batch(2, &mut sink).is_some());
+        assert_eq!(a.owned_partitions(), 1);
+        let (mut a_live, mut b_live) = (true, true);
+        while a_live || b_live {
+            a_live = a_live && a.try_next_batch(16, &mut sink).is_some();
+            b_live = b_live && b.try_next_batch(16, &mut sink).is_some();
+        }
+        seen.sort_unstable();
+        let all: Vec<(u32, u64)> = (0..2).flat_map(|p| (0..10).map(move |o| (p, o))).collect();
+        assert_eq!(seen, all, "no loss, no duplication across the rebalance");
+    }
+
+    #[test]
+    fn leave_group_rebalances_survivors() {
+        let broker = loaded(2, 4);
+        let join =
+            || GroupedReader::bounded(broker.clone(), "t", "g", AssignmentStrategy::RoundRobin);
+        let (mut a, mut b) = (join().unwrap(), join().unwrap());
+        // Settle the two-member assignment without reading anything.
+        let mut sink = |_p: u32, _stored: crate::StoredRecord| {};
+        assert_eq!(a.try_next_batch(0, &mut sink), Some(0));
+        assert_eq!(b.try_next_batch(0, &mut sink), Some(0));
+        assert_eq!((a.owned_partitions(), b.owned_partitions()), (1, 1));
+        b.leave().unwrap();
+        assert_eq!(a.try_next_batch(0, &mut sink), Some(0));
+        assert_eq!(a.owned_partitions(), 2, "survivor absorbs the partitions");
+        b.leave().unwrap(); // idempotent
+    }
+
+    const SHORT_STALL: Duration = Duration::from_millis(30);
+
+    #[test]
+    fn bounded_reader_gives_up_on_a_peer_that_never_commits() {
+        let broker = loaded(2, 4);
+        let mut reader =
+            GroupedReader::bounded(broker.clone(), "t", "g", AssignmentStrategy::Range).unwrap();
+        // The peer takes one partition over and then neither reads nor
+        // commits: the group can never reach the reader's finish line.
+        let mut peer =
+            GroupMember::join(broker, "g", "peer", &["t"], AssignmentStrategy::Range).unwrap();
+        let mut seen = 0;
+        let mut sink = |_p: u32, _stored: crate::StoredRecord| seen += 1;
+        assert_eq!(reader.drive(8, SHORT_STALL, &mut sink), Some(4));
+        peer.poll_rebalance(|_| Ok(()), |_| Ok(())).unwrap();
+        assert_eq!(peer.owned().len(), 1, "the peer holds the other partition");
+        let started = Instant::now();
+        assert_eq!(reader.drive(8, SHORT_STALL, &mut sink), None, "stall exit");
+        assert!(started.elapsed() >= SHORT_STALL);
+        assert!(!reader.drained(), "gave up short of the finish line");
+        assert_eq!(seen, 4);
+    }
+
+    #[test]
+    fn follow_reader_gives_up_when_the_producer_stops_short() {
+        let broker = loaded(1, 5);
+        let group = GroupedReader::fresh_group("stall");
+        let mut reader = GroupedReader::following(
+            broker,
+            "t",
+            group,
+            AssignmentStrategy::Range,
+            FollowTarget::new(8),
+        )
+        .unwrap();
+        let mut seen = 0;
+        let mut sink = |_p: u32, _stored: crate::StoredRecord| seen += 1;
+        assert_eq!(reader.drive(100, SHORT_STALL, &mut sink), Some(5));
+        assert_eq!(
+            reader.drive(100, SHORT_STALL, &mut sink),
+            None,
+            "stall exit"
+        );
+        assert!(!reader.drained(), "three records short of the target");
+        assert_eq!(seen, 5);
     }
 }

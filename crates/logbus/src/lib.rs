@@ -19,7 +19,12 @@
 //! * **Producers** batch records, honour an acknowledgement level
 //!   ([`Acks`]), and can be rate-limited (the benchmark's data-sender knob).
 //! * **Consumers** poll from explicit offsets, track positions, and may
-//!   commit offsets under a group id.
+//!   commit offsets under a group id. Group *membership* has one client,
+//!   [`GroupMember`], and one read drive on top of it,
+//!   [`GroupedReader::next_batch`]: rebalance, end refresh, capping to
+//!   the finish line (bounded: ends at join; follow: a [`FollowTarget`]),
+//!   fetch, commit, the stall exit and [`Backoff`] in one loop that all
+//!   four engine connectors call.
 //! * A [`Cluster`] of brokers assigns partition leaders and maintains
 //!   follower replicas according to the topic's replication factor.
 //! * The data plane is **one path**: every produce — a named
@@ -96,10 +101,12 @@ pub use bus::{Bus, BusHandle};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use cluster::{Cluster, ClusterConfig};
 pub use config::{Acks, CompressionHint, TimestampType, TopicConfig};
-pub use consumer::{Consumer, ConsumerConfig, GroupAssignment};
+pub use consumer::{Consumer, ConsumerConfig};
 pub use error::{Error, Result};
 pub use fault::{FaultOp, FaultPlan};
-pub use group::{AssignmentStrategy, GroupMember, GroupView, GroupedReader, TopicPartition};
+pub use group::{
+    AssignmentStrategy, FollowTarget, GroupMember, GroupView, GroupedReader, TopicPartition,
+};
 pub use handle::{PartitionReader, PartitionWriter};
 pub use log::{LogStats, OffsetError, PartitionLog};
 pub use producer::{

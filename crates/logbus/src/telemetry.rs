@@ -222,3 +222,11 @@ pub(crate) fn group_path() -> &'static GroupPath {
         generation: obs::gauge("logbus.group.generation"),
     })
 }
+
+/// Reads that gave up at the stall limit: nothing arrived for the whole
+/// window with the finish line not reached (see
+/// [`crate::GroupedReader::next_batch`]).
+pub(crate) fn reader_stalled() -> &'static obs::Counter {
+    static STALLED: OnceLock<obs::Counter> = OnceLock::new();
+    STALLED.get_or_init(|| obs::counter("logbus.reader.stalled"))
+}

@@ -2,23 +2,9 @@
 
 use crate::operator::Collector;
 use bytes::Bytes;
-use logbus::{AssignmentStrategy, BusHandle, Consumer, ConsumerConfig, StoredRecord};
+use logbus::{AssignmentStrategy, BusHandle, FollowTarget, GroupedReader};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// A bounded group read that makes no progress for this long gives up —
-/// the connector-path guard against a peer that died mid-handover.
-const GROUP_STALL_LIMIT: std::time::Duration = std::time::Duration::from_secs(10);
-
-/// Process-wide counters for auto-generated group and member names.
-static NEXT_GROUP_ID: AtomicU64 = AtomicU64::new(0);
-
-/// Bounded exponential backoff for idle polls, shared with every engine
-/// connector through `logbus` (see [`logbus::Backoff`]): spin, then
-/// yield, then capped sleeps, with `reset` re-arming the fast path after
-/// progress.
-pub use logbus::Backoff;
 
 /// One parallel instance of a source, driving elements into the head of an
 /// operator chain.
@@ -31,11 +17,11 @@ pub trait SourceFunction<T>: Send {
 
 /// A factory creating one [`SourceFunction`] per parallel subtask.
 ///
-/// Instances must divide the input among themselves using
-/// `(subtask, parallelism)` — e.g. [`BrokerSource`] assigns topic
-/// partitions round-robin, so with more subtasks than partitions the extra
-/// subtasks emit nothing (exactly Flink's Kafka source behaviour, and the
-/// reason the paper sees little benefit from parallelism 2 on a
+/// Instances must divide the input among themselves — by
+/// `(subtask, parallelism)`, or as [`BrokerSource`] does through a
+/// consumer group: with more subtasks than partitions the extra subtasks
+/// emit nothing (exactly Flink's Kafka source behaviour, and the reason
+/// the paper sees little benefit from parallelism 2 on a
 /// single-partition topic).
 pub trait ParallelSource<T>: Send + Sync + 'static {
     /// Creates the instance for `subtask` of `parallelism`.
@@ -98,39 +84,26 @@ impl<T: Clone + Send + Sync> SourceFunction<T> for VecSourceInstance<T> {
     }
 }
 
-/// Bounded source reading a `logbus` topic.
+/// Source reading a `logbus` topic through the workspace's one read
+/// drive, [`GroupedReader::next_batch`].
 ///
-/// By default the subtasks form a **consumer group**: each instance joins
-/// the broker's group coordinator under a source-wide group name, and the
+/// The subtasks form a **consumer group**: each instance joins the
+/// broker's group coordinator under a source-wide group name, and the
 /// sticky rebalance protocol decides which partitions each subtask owns —
 /// members joining or leaving mid-run hand partitions over with their
 /// committed positions, so no record is lost or read twice. Reads stop at
-/// the offsets that were current when the job started.
-/// [`BrokerSource::static_assignment`] opts out, reverting to the fixed
-/// `partition % parallelism == subtask` split.
+/// the offsets that were current when the job started, or, after
+/// [`BrokerSource::follow_until`], once the subtasks together have
+/// emitted the target.
 #[derive(Debug, Clone)]
 pub struct BrokerSource {
     bus: BusHandle,
     topic: String,
     fetch_size: usize,
-    follow: Option<FollowMode>,
-    group: Option<GroupSpec>,
-}
-
-/// Consumer-group configuration shared by all subtasks of one source.
-#[derive(Debug, Clone)]
-struct GroupSpec {
-    name: String,
+    /// Shared by every subtask, so they stop at the target together.
+    follow: Option<FollowTarget>,
+    group: String,
     strategy: AssignmentStrategy,
-}
-
-/// Tailing configuration: instead of stopping at the offsets current at
-/// job start, the source polls until `target` records have been emitted
-/// across all subtasks, backing off while caught up with the producer.
-#[derive(Debug, Clone)]
-struct FollowMode {
-    target: u64,
-    emitted: Arc<AtomicU64>,
 }
 
 impl BrokerSource {
@@ -140,16 +113,13 @@ impl BrokerSource {
     /// [`Cluster`](logbus::Cluster), or an existing [`BusHandle`]; on a
     /// cluster the reads ride through broker failover.
     pub fn new(bus: impl Into<BusHandle>, topic: impl Into<String>) -> Self {
-        let group = format!("rill-src-{}", NEXT_GROUP_ID.fetch_add(1, Ordering::Relaxed));
         BrokerSource {
             bus: bus.into(),
             topic: topic.into(),
             fetch_size: 2048,
             follow: None,
-            group: Some(GroupSpec {
-                name: group,
-                strategy: AssignmentStrategy::Range,
-            }),
+            group: GroupedReader::fresh_group("rill-src"),
+            strategy: AssignmentStrategy::Range,
         }
     }
 
@@ -162,57 +132,23 @@ impl BrokerSource {
     /// Names the consumer group explicitly (e.g. to share committed
     /// offsets across job restarts) and picks the assignment strategy.
     pub fn consumer_group(mut self, name: impl Into<String>, strategy: AssignmentStrategy) -> Self {
-        self.group = Some(GroupSpec {
-            name: name.into(),
-            strategy,
-        });
+        self.group = name.into();
+        self.strategy = strategy;
         self
     }
 
-    /// Disables group coordination: subtask `i` of `p` reads exactly the
-    /// partitions with `partition % p == i`, with no rebalancing.
-    pub fn static_assignment(mut self) -> Self {
-        self.group = None;
-        self
-    }
-
-    /// Keeps polling (with [`Backoff`]) until `records` records have been
-    /// emitted across all subtasks — a bounded tail read over a topic
-    /// that is still being produced to.
+    /// Keeps reading past the offsets current at job start until
+    /// `records` records have been emitted across all subtasks — a
+    /// bounded tail read over a topic that is still being produced to.
     pub fn follow_until(mut self, records: u64) -> Self {
-        self.follow = Some(FollowMode {
-            target: records,
-            emitted: Arc::new(AtomicU64::new(0)),
-        });
+        self.follow = Some(FollowTarget::new(records));
         self
     }
-}
-
-struct BrokerSourceInstance {
-    bus: BusHandle,
-    topic: String,
-    fetch_size: usize,
-    partitions: Vec<u32>,
-    follow: Option<FollowMode>,
-    group: Option<GroupSpec>,
 }
 
 impl ParallelSource<Bytes> for BrokerSource {
-    fn create(&self, subtask: usize, parallelism: usize) -> Box<dyn SourceFunction<Bytes>> {
-        // Static fallback split; group mode lets the coordinator assign
-        // partitions instead.
-        let total = self.bus.partition_count(&self.topic).unwrap_or(0);
-        let partitions = (0..total)
-            .filter(|p| (*p as usize) % parallelism == subtask)
-            .collect();
-        Box::new(BrokerSourceInstance {
-            bus: self.bus.clone(),
-            topic: self.topic.clone(),
-            fetch_size: self.fetch_size,
-            partitions,
-            follow: self.follow.clone(),
-            group: self.group.clone(),
-        })
+    fn create(&self, _subtask: usize, _parallelism: usize) -> Box<dyn SourceFunction<Bytes>> {
+        Box::new(self.clone())
     }
 
     fn name(&self) -> String {
@@ -220,211 +156,25 @@ impl ParallelSource<Bytes> for BrokerSource {
     }
 }
 
-impl SourceFunction<Bytes> for BrokerSourceInstance {
+impl SourceFunction<Bytes> for BrokerSource {
     fn run(&mut self, out: &mut dyn Collector<Bytes>) {
-        match (self.group.clone(), self.follow.clone()) {
-            (Some(spec), None) => self.run_bounded_group(&spec, out),
-            (Some(spec), Some(follow)) => self.run_following_group(&spec, &follow, out),
-            (None, None) => self.run_bounded(out),
-            (None, Some(follow)) => self.run_following(&follow, out),
-        }
-    }
-}
-
-impl BrokerSourceInstance {
-    /// Builds the group-mode consumer for this instance and joins the
-    /// source's consumer group.
-    fn join_group(&self, spec: &GroupSpec) -> Option<Consumer> {
-        let mut consumer = Consumer::with_config(
-            self.bus.clone(),
-            ConsumerConfig {
-                group: Some(spec.name.clone()),
-                max_poll_records: self.fetch_size.max(1),
-                ..ConsumerConfig::default()
-            },
-        );
-        consumer
-            .subscribe_group(&[&self.topic], spec.strategy)
-            .ok()?;
-        Some(consumer)
-    }
-
-    /// Bounded group read: members drain the partitions the coordinator
-    /// assigns them, committing positions as they go. A member is done
-    /// when **every** partition of the topic is committed past the end
-    /// offset captured at start — not merely its own share, because a
-    /// rebalance may retarget partitions mid-run and the work only
-    /// finishes when the group collectively drains the topic.
-    fn run_bounded_group(&mut self, spec: &GroupSpec, out: &mut dyn Collector<Bytes>) {
-        let retry = logbus::RetryPolicy::default();
-        let Ok(total) = logbus::with_retry(&retry, || self.bus.partition_count(&self.topic)) else {
+        let (bus, topic, group) = (self.bus.clone(), &self.topic, &self.group);
+        let reader = match self.follow.clone() {
+            Some(target) => GroupedReader::following(bus, topic, group, self.strategy, target),
+            None => GroupedReader::bounded(bus, topic, group, self.strategy),
+        };
+        let Ok(mut reader) = reader else {
             return;
         };
-        // End offsets current at start: the bounded read's finish line.
-        let mut ends = Vec::with_capacity(total as usize);
-        for p in 0..total {
-            let Ok(end) = logbus::with_retry(&retry, || self.bus.latest_offset(&self.topic, p))
-            else {
-                return;
-            };
-            ends.push(end);
-        }
-        let Some(mut consumer) = self.join_group(spec) else {
-            return;
-        };
-        let mut batch: Vec<StoredRecord> = Vec::with_capacity(self.fetch_size);
+        // The fetched batch goes downstream whole, in a reused buffer.
         let mut payloads: Vec<Bytes> = Vec::with_capacity(self.fetch_size);
-        let mut backoff = Backoff::new();
-        let mut last_progress = std::time::Instant::now();
-        loop {
-            let polled = consumer.poll_into(self.fetch_size, &mut batch).unwrap_or(0);
-            if polled > 0 {
-                payloads.extend(batch.drain(..).map(|stored| stored.record.value));
-                out.collect_batch(&mut payloads);
-                // Commit after emitting so a peer resuming from the
-                // committed position never re-reads what went downstream.
-                let _ = consumer.commit();
-                backoff.reset();
-                last_progress = std::time::Instant::now();
-                continue;
-            }
-            let _ = consumer.commit();
-            let drained = (0..total as usize).all(|p| {
-                self.bus
-                    .committed_offset(&spec.name, &self.topic, p as u32)
-                    .unwrap_or(0)
-                    >= ends[p]
-            });
-            if drained || last_progress.elapsed() > GROUP_STALL_LIMIT {
-                break;
-            }
-            // Caught up but the group is not done (a peer still owns an
-            // undrained partition, or our claim is pending) — back off.
-            backoff.snooze();
-        }
-        let _ = consumer.leave_group();
-    }
-
-    /// Tailing group read: like [`BrokerSourceInstance::run_following`],
-    /// with the coordinator deciding partition ownership. Positions hand
-    /// over through commits on revoke, so the shared emitted count never
-    /// double-counts a record across a rebalance.
-    fn run_following_group(
-        &mut self,
-        spec: &GroupSpec,
-        follow: &FollowMode,
-        out: &mut dyn Collector<Bytes>,
-    ) {
-        let Some(mut consumer) = self.join_group(spec) else {
-            return;
-        };
-        let mut batch: Vec<StoredRecord> = Vec::with_capacity(self.fetch_size);
-        let mut payloads: Vec<Bytes> = Vec::with_capacity(self.fetch_size);
-        let mut backoff = Backoff::new();
-        while follow.emitted.load(Ordering::SeqCst) < follow.target {
-            let polled = consumer.poll_into(self.fetch_size, &mut batch).unwrap_or(0);
-            if polled > 0 {
-                follow.emitted.fetch_add(polled as u64, Ordering::SeqCst);
-                payloads.extend(batch.drain(..).map(|stored| stored.record.value));
-                out.collect_batch(&mut payloads);
-                backoff.reset();
-            } else {
-                backoff.snooze();
-            }
-        }
-        let _ = consumer.leave_group();
-    }
-
-    /// Bounded read: stop at the per-partition offsets current at start.
-    fn run_bounded(&mut self, out: &mut dyn Collector<Bytes>) {
-        // One cached partition handle per assigned partition and one fetch
-        // buffer reused across every fetch: the read loop resolves the
-        // topic name once, not once per request. The payload buffer is
-        // reused too — the already-fetched batch goes downstream whole.
-        let mut batch = Vec::with_capacity(self.fetch_size);
-        let mut payloads: Vec<Bytes> = Vec::with_capacity(self.fetch_size);
-        let retry = logbus::RetryPolicy::default();
-        for &partition in &self.partitions {
-            // Resolution and the end-offset lookup retry through transient
-            // broker faults; only a genuinely missing partition is skipped.
-            let Ok(reader) =
-                logbus::with_retry(&retry, || self.bus.partition_reader(&self.topic, partition))
-            else {
-                continue;
-            };
-            let Ok(end) = reader.latest_offset() else {
-                continue;
-            };
-            let mut offset = reader.earliest_offset().unwrap_or(0);
-            while offset < end {
-                let max = self.fetch_size.min((end - offset) as usize);
-                batch.clear();
-                let Ok(appended) = reader.fetch_into(offset, max, &mut batch) else {
-                    break;
-                };
-                if appended == 0 {
-                    break;
-                }
-                // `appended > 0` was checked, but guard instead of panic
-                // on the connector path.
-                let Some(last) = batch.last() else {
-                    break;
-                };
-                offset = last.offset + 1;
-                payloads.extend(batch.drain(..).map(|stored| stored.record.value));
-                out.collect_batch(&mut payloads);
-            }
-        }
-    }
-
-    /// Tailing read: poll every assigned partition until the shared
-    /// emitted count reaches the follow target, backing off exponentially
-    /// while caught up with the producer instead of spinning on empty
-    /// fetches.
-    fn run_following(&mut self, follow: &FollowMode, out: &mut dyn Collector<Bytes>) {
-        let mut cursors = Vec::new();
-        let retry = logbus::RetryPolicy::default();
-        for &partition in &self.partitions {
-            let Ok(reader) =
-                logbus::with_retry(&retry, || self.bus.partition_reader(&self.topic, partition))
-            else {
-                continue;
-            };
-            let position = reader.earliest_offset().unwrap_or(0);
-            cursors.push((reader, position));
-        }
-        if cursors.is_empty() {
-            return;
-        }
-        let mut batch = Vec::with_capacity(self.fetch_size);
-        let mut payloads: Vec<Bytes> = Vec::with_capacity(self.fetch_size);
-        let mut backoff = Backoff::new();
-        while follow.emitted.load(Ordering::SeqCst) < follow.target {
-            let mut progressed = false;
-            for (reader, position) in &mut cursors {
-                batch.clear();
-                let Ok(appended) = reader.fetch_into(*position, self.fetch_size, &mut batch) else {
-                    continue;
-                };
-                if appended == 0 {
-                    continue;
-                }
-                // Guard instead of panic on the connector path; an empty
-                // batch after `appended > 0` cannot happen.
-                let Some(last) = batch.last() else {
-                    continue;
-                };
-                *position = last.offset + 1;
-                follow.emitted.fetch_add(appended as u64, Ordering::SeqCst);
-                payloads.extend(batch.drain(..).map(|stored| stored.record.value));
-                out.collect_batch(&mut payloads);
-                progressed = true;
-            }
-            if progressed {
-                backoff.reset();
-            } else {
-                backoff.snooze();
-            }
+        while reader
+            .next_batch(self.fetch_size, &mut |_partition, stored| {
+                payloads.push(stored.record.value);
+            })
+            .is_some()
+        {
+            out.collect_batch(&mut payloads);
         }
     }
 }
@@ -526,57 +276,28 @@ mod tests {
         assert!(parts[1].is_empty(), "subtask 1 has no partition to read");
     }
 
-    #[test]
-    fn broker_source_multi_partition_split() {
+    fn partitioned_input(partitions: u32, per_partition: usize) -> Broker {
         let broker = Broker::new();
         broker
-            .create_topic("in", TopicConfig::default().partitions(3))
+            .create_topic("in", TopicConfig::default().partitions(partitions))
             .unwrap();
-        for p in 0..3 {
-            for i in 0..10 {
+        for p in 0..partitions {
+            for i in 0..per_partition {
                 broker
                     .produce("in", p, Record::from_value(format!("p{p}-{i}")))
                     .unwrap();
             }
         }
-        // Static assignment splits by `partition % parallelism`.
-        let source = BrokerSource::new(broker.clone(), "in").static_assignment();
-        let parts = collect_all(&source, 2);
-        assert_eq!(parts[0].len(), 20, "partitions 0 and 2");
-        assert_eq!(parts[1].len(), 10, "partition 1");
-
-        // Group mode makes no per-subtask ownership promise under the
-        // sequential harness (the first member may drain everything), but
-        // the group as a whole reads each record exactly once.
-        let grouped = BrokerSource::new(broker, "in");
-        let parts = collect_all(&grouped, 2);
-        let mut seen: Vec<Vec<u8>> = parts
-            .iter()
-            .flat_map(|p| p.iter().map(bytes::Bytes::to_vec))
-            .collect();
-        seen.sort();
-        seen.dedup();
-        assert_eq!(seen.len(), 30, "group reads every record exactly once");
+        broker
     }
 
-    #[test]
-    fn concurrent_group_members_share_the_topic_exactly_once() {
-        let broker = Broker::new();
-        broker
-            .create_topic("in", TopicConfig::default().partitions(4))
-            .unwrap();
-        for p in 0..4 {
-            for i in 0..25 {
-                broker
-                    .produce("in", p, Record::from_value(format!("p{p}-{i}")))
-                    .unwrap();
-            }
-        }
-        let source = BrokerSource::new(broker, "in").fetch_size(7);
+    /// Runs the subtasks of `source` on one thread each; returns the
+    /// distinct payloads and the total number emitted.
+    fn run_concurrently(source: &BrokerSource, parallelism: usize) -> (usize, usize) {
         let items = Arc::new(Mutex::new(Vec::new()));
-        let handles: Vec<_> = (0..2)
+        let handles: Vec<_> = (0..parallelism)
             .map(|subtask| {
-                let mut instance = source.create(subtask, 2);
+                let mut instance = source.create(subtask, parallelism);
                 let items = items.clone();
                 std::thread::spawn(move || {
                     let closed = Arc::new(AtomicU64::new(0));
@@ -589,9 +310,51 @@ mod tests {
             handle.join().unwrap();
         }
         let mut seen: Vec<Vec<u8>> = items.lock().iter().map(bytes::Bytes::to_vec).collect();
+        let total = seen.len();
         seen.sort();
         seen.dedup();
-        assert_eq!(seen.len(), 100, "two live members drain 100 unique records");
+        (seen.len(), total)
+    }
+
+    #[test]
+    fn broker_source_multi_partition_split() {
+        // The sequential harness makes no per-subtask ownership promise
+        // (the first member may drain everything before the second
+        // joins), but the group as a whole reads each record exactly once.
+        let source = BrokerSource::new(partitioned_input(3, 10), "in");
+        let parts = collect_all(&source, 2);
+        let mut seen: Vec<Vec<u8>> = parts
+            .iter()
+            .flat_map(|p| p.iter().map(bytes::Bytes::to_vec))
+            .collect();
+        assert_eq!(seen.len(), 30);
+        seen.sort();
+        seen.dedup();
+        assert_eq!(seen.len(), 30, "group reads every record exactly once");
+    }
+
+    #[test]
+    fn concurrent_group_members_share_the_topic_exactly_once() {
+        let source = BrokerSource::new(partitioned_input(4, 25), "in").fetch_size(7);
+        assert_eq!(
+            run_concurrently(&source, 2),
+            (100, 100),
+            "two live members drain 100 unique records"
+        );
+    }
+
+    #[test]
+    fn follow_source_stops_at_target_with_extra_records() {
+        // The default fetch size is far above what is left of the target.
+        for parallelism in [1, 2] {
+            let broker = partitioned_input(parallelism as u32, 20);
+            let source = BrokerSource::new(broker, "in").follow_until(12);
+            assert_eq!(
+                run_concurrently(&source, parallelism),
+                (12, 12),
+                "target reached ends the read at parallelism {parallelism}"
+            );
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The lint catalog: each lint enforces one contract DESIGN.md states in
 //! prose (§7 hot-path discipline, §8 observability gating, §9 batching
-//! contract, §10 fault confinement, §7 the one produce path, §11 this
-//! tool).
+//! contract, §10 fault confinement, §7 the one produce path, §14 the one
+//! consume path, §11 this tool).
 
 use crate::strip::Stripped;
 use crate::Violation;
@@ -20,6 +20,8 @@ const HOT_PATH: &[&str] = &[
     "crates/logbus/src/topic.rs",
     "crates/logbus/src/segment.rs",
     "crates/logbus/src/telemetry.rs",
+    "crates/logbus/src/group.rs",
+    "crates/logbus/src/consumer.rs",
     "crates/rill/src/operator.rs",
     "crates/rill/src/sink.rs",
     "crates/rill/src/source.rs",
@@ -95,6 +97,20 @@ const PRODUCE_GATE_HOME: &[&str] = &[
     "crates/logbus/src/cluster.rs",
 ];
 
+/// Files that may name the group protocol's client calls: the one
+/// client (`GroupMember` in `group.rs`) and the three files that define
+/// or forward them.
+const GROUP_PROTOCOL_HOME: &[&str] = &[
+    "crates/logbus/src/group.rs",
+    "crates/logbus/src/bus.rs",
+    "crates/logbus/src/broker.rs",
+    "crates/logbus/src/cluster.rs",
+];
+
+/// The sync → release → claim calls of a rebalance.
+const GROUP_PROTOCOL_PATTERNS: &[&str] =
+    &[".sync_group(", ".claim_partitions(", ".release_partitions("];
+
 /// How many preceding lines an `obs::enabled()` gate may sit above a
 /// telemetry recording site and still count as guarding it.
 const GATE_WINDOW: usize = 15;
@@ -126,9 +142,10 @@ pub fn lint_file(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
     obs_gate(rel, src, out);
     batch_contract(rel, src, out);
     std_sync_lock(rel, src, out);
-    fault_confinement(rel, src, out);
-    dispatch_confinement(rel, src, out);
+    confine(&FAULT_CONFINEMENT, rel, src, out);
+    confine(&DISPATCH_CONFINEMENT, rel, src, out);
     produce_path_confinement(rel, src, out);
+    confine(&CONSUME_PATH_CONFINEMENT, rel, src, out);
     zero_copy(rel, src, out);
 }
 
@@ -299,53 +316,72 @@ fn std_sync_lock(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
     }
 }
 
+/// A confinement lint: none of `patterns` may appear outside the `home`
+/// files. `advice` completes "`{pat}` outside …".
+struct Confinement {
+    lint: &'static str,
+    home: &'static [&'static str],
+    patterns: &'static [&'static str],
+    /// Whether `#[cfg(test)]` code is held to the rule too.
+    tests_too: bool,
+    advice: &'static str,
+}
+
+fn confine(rule: &Confinement, rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
+    if matches_any(rel, rule.home) {
+        return;
+    }
+    for line in src.lines.iter().filter(|l| rule.tests_too || !l.in_test) {
+        for pat in rule.patterns.iter().filter(|p| line.code.contains(**p)) {
+            let message = format!("`{pat}` outside {}", rule.advice);
+            out.push(Violation::new(
+                rule.lint,
+                rel,
+                line.number,
+                &line.raw,
+                message,
+            ));
+        }
+    }
+}
+
 /// `fault-confinement`: the fault-injection machinery (`FaultInjector`,
 /// the `fault_action`/`fault_gate` hooks) lives only in the broker
 /// layer; every other crate configures faults exclusively via
 /// `FaultPlan` installation.
-fn fault_confinement(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
-    if matches_any(rel, FAULT_HOME) {
-        return;
-    }
-    for line in src.lines.iter().filter(|l| !l.in_test) {
-        for pat in ["FaultInjector", ".fault_action(", ".fault_gate("] {
-            if line.code.contains(pat) {
-                out.push(Violation::new(
-                    "fault-confinement",
-                    rel,
-                    line.number,
-                    &line.raw,
-                    format!("`{pat}` outside the broker fault layer; inject via `FaultPlan`"),
-                ));
-            }
-        }
-    }
-}
+const FAULT_CONFINEMENT: Confinement = Confinement {
+    lint: "fault-confinement",
+    home: FAULT_HOME,
+    patterns: &["FaultInjector", ".fault_action(", ".fault_gate("],
+    tests_too: false,
+    advice: "the broker fault layer; inject via `FaultPlan`",
+};
 
 /// `dispatch-confinement`: only `core::trial::execute` maps a
 /// (system, API) setup to an engine. A second caller of the native query
 /// entry points — tests included — is a second trial harness in the
 /// making, with its own topic set-up, engine sizing and drain.
-fn dispatch_confinement(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
-    if matches_any(rel, DISPATCH_HOME) {
-        return;
-    }
-    for line in &src.lines {
-        for pat in DISPATCH_PATTERNS {
-            if line.code.contains(pat) {
-                out.push(Violation::new(
-                    "dispatch-confinement",
-                    rel,
-                    line.number,
-                    &line.raw,
-                    format!(
-                        "`{pat}` outside `core::trial`; run the setup through `trial::execute`"
-                    ),
-                ));
-            }
-        }
-    }
-}
+const DISPATCH_CONFINEMENT: Confinement = Confinement {
+    lint: "dispatch-confinement",
+    home: DISPATCH_HOME,
+    patterns: DISPATCH_PATTERNS,
+    tests_too: true,
+    advice: "`core::trial`; run the setup through `trial::execute`",
+};
+
+/// `consume-path-confinement`: one rebalance client (DESIGN.md §14).
+/// The revoke → commit → release → claim protocol is
+/// `GroupMember::poll_rebalance`; a `sync_group` / `claim_partitions` /
+/// `release_partitions` call anywhere else — tests included — is a
+/// second client in the making, with its own idea of when a position is
+/// committed.
+const CONSUME_PATH_CONFINEMENT: Confinement = Confinement {
+    lint: "consume-path-confinement",
+    home: GROUP_PROTOCOL_HOME,
+    patterns: GROUP_PROTOCOL_PATTERNS,
+    tests_too: true,
+    advice: "`group.rs`; rebalance through `GroupMember::poll_rebalance`",
+};
 
 /// `produce-path-confinement`: one append, one produce fault gate
 /// (DESIGN.md §7). `Topic::append_request` is called only from the
@@ -448,6 +484,8 @@ mod tests {
         assert!(is_hot_path("crates/logbus/src/broker.rs"));
         assert!(is_hot_path("crates/logbus/src/cluster.rs"));
         assert!(is_hot_path("crates/logbus/src/election.rs"));
+        assert!(is_hot_path("crates/logbus/src/group.rs"));
+        assert!(is_hot_path("crates/logbus/src/consumer.rs"));
         assert!(is_hot_path("crates/beamline/src/runners/direct.rs"));
         assert!(is_hot_path("crates/core/src/data.rs"));
         assert!(!is_hot_path("crates/logbus/src/config.rs"));
