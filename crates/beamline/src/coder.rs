@@ -5,6 +5,7 @@
 //! costs an encode and a decode — structural overhead that native engine
 //! programs (whose operators pass typed values directly) never pay.
 
+use crate::arena;
 use crate::element::{Instant, Kv, PaneInfo, PaneTiming, WindowRef, WindowedValue};
 use bytes::Bytes;
 use std::fmt;
@@ -112,6 +113,17 @@ pub(crate) fn get_varint(input: &mut &[u8]) -> Result<u64, CoderError> {
     }
 }
 
+/// Appends what `encode` writes behind its own varint length. The body
+/// is written in place and the prefix rotated in front of it, so nesting
+/// costs no temporary buffer.
+fn put_length_prefixed(out: &mut Vec<u8>, encode: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    encode(out);
+    let body = out.len() - start;
+    put_varint(body as u64, out);
+    out[start..].rotate_left(body);
+}
+
 fn take<'a>(input: &mut &'a [u8], len: usize) -> Result<&'a [u8], CoderError> {
     if input.len() < len {
         return Err(CoderError::new(format!(
@@ -124,7 +136,17 @@ fn take<'a>(input: &mut &'a [u8], len: usize) -> Result<&'a [u8], CoderError> {
     Ok(head)
 }
 
-/// Length-prefixed raw bytes.
+/// Takes a fixed-width field (a big-endian integer's bytes).
+pub(crate) fn take_array<const N: usize>(input: &mut &[u8]) -> Result<[u8; N], CoderError> {
+    let (head, rest) = input
+        .split_first_chunk::<N>()
+        .ok_or_else(|| CoderError::new(format!("needed {N} bytes, had {}", input.len())))?;
+    *input = rest;
+    Ok(*head)
+}
+
+/// Length-prefixed raw bytes. A decoded value is a view of the decoding
+/// thread's arena (see [`crate::arena`]): one copy, no allocation.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BytesCoder;
 
@@ -136,7 +158,7 @@ impl Coder<Bytes> for BytesCoder {
 
     fn decode(&self, input: &mut &[u8]) -> Result<Bytes, CoderError> {
         let len = get_varint(input)? as usize;
-        Ok(Bytes::copy_from_slice(take(input, len)?))
+        Ok(arena::copy(take(input, len)?))
     }
 }
 
@@ -195,10 +217,7 @@ impl<K, V> fmt::Debug for KvCoder<K, V> {
 impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Coder<Kv<K, V>> for KvCoder<K, V> {
     fn encode(&self, value: &Kv<K, V>, out: &mut Vec<u8>) {
         // Length-prefix the key so group-by-encoded-key can split pairs.
-        let mut key_bytes = Vec::new();
-        self.key.encode(&value.key, &mut key_bytes);
-        put_varint(key_bytes.len() as u64, out);
-        out.extend_from_slice(&key_bytes);
+        put_length_prefixed(out, |out| self.key.encode(&value.key, out));
         self.value.encode(&value.value, out);
     }
 
@@ -251,10 +270,7 @@ impl<T: Send + Sync + 'static> Coder<Vec<T>> for IterableCoder<T> {
     fn encode(&self, value: &Vec<T>, out: &mut Vec<u8>) {
         put_varint(value.len() as u64, out);
         for item in value {
-            let mut item_bytes = Vec::new();
-            self.element.encode(item, &mut item_bytes);
-            put_varint(item_bytes.len() as u64, out);
-            out.extend_from_slice(&item_bytes);
+            put_length_prefixed(out, |out| self.element.encode(item, out));
         }
     }
 
@@ -272,7 +288,8 @@ impl<T: Send + Sync + 'static> Coder<Vec<T>> for IterableCoder<T> {
 
 /// Coder for the full [`WindowedValue`] envelope around coded payload
 /// bytes: timestamp, window, pane, payload. Cross-container runner
-/// boundaries (the `apx` runner) serialize the whole envelope.
+/// boundaries (the `apx` runner) serialize the whole envelope. The
+/// decoded payload is an arena view, like every other decoded value.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct WindowedValueCoder;
 
@@ -293,11 +310,8 @@ impl WindowedValueCoder {
         match tag {
             0 => Ok(WindowRef::Global),
             1 => {
-                let mut buf = [0u8; 8];
-                buf.copy_from_slice(take(input, 8)?);
-                let start = Instant(i64::from_be_bytes(buf));
-                buf.copy_from_slice(take(input, 8)?);
-                let end = Instant(i64::from_be_bytes(buf));
+                let start = Instant(i64::from_be_bytes(take_array(input)?));
+                let end = Instant(i64::from_be_bytes(take_array(input)?));
                 Ok(WindowRef::Interval { start, end })
             }
             other => Err(CoderError::new(format!("unknown window tag {other}"))),
@@ -305,8 +319,8 @@ impl WindowedValueCoder {
     }
 }
 
-impl Coder<WindowedValue<Vec<u8>>> for WindowedValueCoder {
-    fn encode(&self, value: &WindowedValue<Vec<u8>>, out: &mut Vec<u8>) {
+impl Coder<WindowedValue<Bytes>> for WindowedValueCoder {
+    fn encode(&self, value: &WindowedValue<Bytes>, out: &mut Vec<u8>) {
         out.extend_from_slice(&value.timestamp.0.to_be_bytes());
         Self::encode_window(&value.window, out);
         let timing = match value.pane.timing {
@@ -323,10 +337,8 @@ impl Coder<WindowedValue<Vec<u8>>> for WindowedValueCoder {
         out.extend_from_slice(&value.value);
     }
 
-    fn decode(&self, input: &mut &[u8]) -> Result<WindowedValue<Vec<u8>>, CoderError> {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(take(input, 8)?);
-        let timestamp = Instant(i64::from_be_bytes(buf));
+    fn decode(&self, input: &mut &[u8]) -> Result<WindowedValue<Bytes>, CoderError> {
+        let timestamp = Instant(i64::from_be_bytes(take_array(input)?));
         let window = Self::decode_window(input)?;
         let pane_byte = take(input, 1)?[0];
         let timing = match pane_byte & 0b11 {
@@ -343,12 +355,8 @@ impl Coder<WindowedValue<Vec<u8>>> for WindowedValueCoder {
             index,
         };
         let len = get_varint(input)? as usize;
-        // Decoded payload buffers come from the pool tier so boundary
-        // round trips reuse the same buffers in steady state.
-        let mut value = logbus::pool::byte_vec();
-        value.extend_from_slice(take(input, len)?);
         Ok(WindowedValue {
-            value,
+            value: arena::copy(take(input, len)?),
             timestamp,
             window,
             pane,
@@ -439,9 +447,9 @@ mod tests {
     fn windowed_value_coder_roundtrip() {
         let coder = WindowedValueCoder;
         let values = vec![
-            WindowedValue::in_global_window(b"abc".to_vec()),
+            WindowedValue::in_global_window(Bytes::from_static(b"abc")),
             WindowedValue {
-                value: vec![],
+                value: Bytes::new(),
                 timestamp: Instant(-5),
                 window: WindowRef::Interval {
                     start: Instant(0),

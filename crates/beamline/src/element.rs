@@ -115,7 +115,7 @@ impl WindowRef {
 
 /// A value with its event-time and windowing metadata.
 ///
-/// The payload type is usually `Vec<u8>` inside runners (elements cross
+/// The payload type is usually `Bytes` inside runners (elements cross
 /// stage boundaries in coded form) and a typed `T` inside user `DoFn`s.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowedValue<T> {

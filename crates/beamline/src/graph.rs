@@ -2,17 +2,19 @@
 //!
 //! The typed `PCollection` API erases each applied transform into a
 //! [`StageNode`] whose payload operates on **raw elements** —
-//! [`WindowedValue`]`<Vec<u8>>`, i.e. coded payloads with windowing
-//! metadata. Runners translate stages onto their engine and move raw
-//! elements between them; every stage decodes its input and encodes its
-//! output through the `PCollection` coders. That uniform, coder-mediated
-//! data plane is the abstraction layer's structural overhead.
+//! [`WindowedValue`]`<Bytes>`, i.e. coded payloads with windowing
+//! metadata, each payload a view of its writer's arena (`crate::arena`).
+//! Runners translate stages onto their engine and move raw elements
+//! between them; every stage decodes its input and encodes its output
+//! through the `PCollection` coders. That uniform, coder-mediated data
+//! plane is the abstraction layer's structural overhead.
 
 use crate::element::WindowedValue;
+use bytes::Bytes;
 use std::sync::Arc;
 
 /// A coded element with windowing metadata — the runner-level currency.
-pub type RawElement = WindowedValue<Vec<u8>>;
+pub type RawElement = WindowedValue<Bytes>;
 
 /// Output callback handed to raw stages.
 pub type RawEmit<'a> = &'a mut dyn FnMut(RawElement);

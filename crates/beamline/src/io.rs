@@ -1,6 +1,7 @@
 //! `BrokerIO` — the KafkaIO analog: reading and writing `logbus` topics.
 
-use crate::coder::{Coder, CoderError};
+use crate::arena;
+use crate::coder::{take_array, Coder, CoderError};
 use crate::element::{Instant, Kv, WindowedValue};
 use crate::graph::{RawEmit, RawSource, StagePayload};
 use crate::pardo::{DoFn, ParDo, ProcessContext};
@@ -8,14 +9,16 @@ use crate::pipeline::{PCollection, PTransform, Pipeline, RootTransform};
 use crate::transforms::MapElements;
 use bytes::Bytes;
 use logbus::{AssignmentStrategy, BusHandle, FollowTarget, GroupedReader, Record};
+use std::cell::RefCell;
 use std::sync::Arc;
 
 /// A consumed broker record with its metadata, the analog of Beam's
 /// `KafkaRecord`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KafkaRecord {
-    /// Source topic.
-    pub topic: String,
+    /// Source topic. Shared, not owned: a record is decoded at three
+    /// stages and the name is the same every time.
+    pub topic: Arc<str>,
     /// Source partition.
     pub partition: u32,
     /// Record offset.
@@ -28,9 +31,33 @@ pub struct KafkaRecord {
     pub value: Bytes,
 }
 
-/// Coder for [`KafkaRecord`].
+/// Coder for [`KafkaRecord`]. The encoded form carries the topic bytes;
+/// decoding interns them per thread and copies key and value into the
+/// decoding thread's arena.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct KafkaRecordCoder;
+
+thread_local! {
+    /// The topic this thread decoded last: a stage decodes one topic's
+    /// records, so one slot makes the name an `Arc` clone per record.
+    static LAST_TOPIC: RefCell<Option<Arc<str>>> = const { RefCell::new(None) };
+}
+
+fn intern_topic(bytes: &[u8]) -> Result<Arc<str>, CoderError> {
+    LAST_TOPIC.with(|slot| {
+        let mut slot = slot.borrow_mut();
+        match &*slot {
+            Some(topic) if topic.as_bytes() == bytes => Ok(topic.clone()),
+            _ => {
+                let topic: Arc<str> = std::str::from_utf8(bytes)
+                    .map_err(|e| CoderError::new(e.to_string()))?
+                    .into();
+                *slot = Some(topic.clone());
+                Ok(topic)
+            }
+        }
+    })
+}
 
 impl Coder<KafkaRecord> for KafkaRecordCoder {
     fn encode(&self, value: &KafkaRecord, out: &mut Vec<u8>) {
@@ -61,25 +88,19 @@ impl Coder<KafkaRecord> for KafkaRecordCoder {
             Ok(head)
         }
         let topic_len = crate::coder::get_varint(input)? as usize;
-        let topic = String::from_utf8(take(input, topic_len)?.to_vec())
-            .map_err(|e| CoderError::new(e.to_string()))?;
-        let mut buf4 = [0u8; 4];
-        buf4.copy_from_slice(take(input, 4)?);
-        let partition = u32::from_be_bytes(buf4);
-        let mut buf8 = [0u8; 8];
-        buf8.copy_from_slice(take(input, 8)?);
-        let offset = u64::from_be_bytes(buf8);
-        buf8.copy_from_slice(take(input, 8)?);
-        let timestamp_micros = i64::from_be_bytes(buf8);
+        let topic = intern_topic(take(input, topic_len)?)?;
+        let partition = u32::from_be_bytes(take_array(input)?);
+        let offset = u64::from_be_bytes(take_array(input)?);
+        let timestamp_micros = i64::from_be_bytes(take_array(input)?);
         let key = match take(input, 1)?[0] {
             0 => None,
             _ => {
                 let len = crate::coder::get_varint(input)? as usize;
-                Some(Bytes::copy_from_slice(take(input, len)?))
+                Some(arena::copy(take(input, len)?))
             }
         };
         let len = crate::coder::get_varint(input)? as usize;
-        let value = Bytes::copy_from_slice(take(input, len)?);
+        let value = arena::copy(take(input, len)?);
         Ok(KafkaRecord {
             topic,
             partition,
@@ -156,7 +177,7 @@ impl BrokerRead {
 
 struct BrokerRawSource {
     bus: BusHandle,
-    topic: String,
+    topic: Arc<str>,
     fetch_size: usize,
     follow: Option<u64>,
     group: String,
@@ -165,26 +186,27 @@ struct BrokerRawSource {
 impl BrokerRawSource {
     /// Encodes one fetched record and hands it to `emit`.
     fn emit_record(
-        topic: &str,
+        topic: &Arc<str>,
+        scratch: &mut Vec<u8>,
         emit: &mut RawEmit<'_>,
         partition: u32,
         stored: logbus::StoredRecord,
     ) {
         // Key/value move out of the fetched record — refcounted views of
-        // segment storage, never payload copies. The encode buffer comes
-        // from the pool tier the downstream stage recycles into.
+        // segment storage, never payload copies. The encoding goes
+        // through the source's scratch buffer into the reading thread's
+        // arena.
         let record = KafkaRecord {
-            topic: topic.to_string(),
+            topic: topic.clone(),
             partition,
             offset: stored.offset,
             timestamp_micros: stored.timestamp.as_micros(),
             key: stored.record.key,
             value: stored.record.value,
         };
-        let mut buf = logbus::pool::byte_vec();
-        KafkaRecordCoder.encode_into(&record, &mut buf);
+        KafkaRecordCoder.encode_into(&record, scratch);
         emit(WindowedValue::timestamped(
-            buf,
+            arena::copy(scratch),
             Instant(record.timestamp_micros),
         ));
     }
@@ -193,20 +215,21 @@ impl BrokerRawSource {
 impl RawSource for BrokerRawSource {
     fn read(&mut self, mut emit: RawEmit<'_>) {
         let (bus, topic, group) = (self.bus.clone(), &self.topic, &self.group);
+        let mut scratch = Vec::new();
         let strategy = AssignmentStrategy::Range;
         let reader = match self.follow {
             // Each source instance counts towards the target alone.
             Some(target) => {
-                GroupedReader::following(bus, topic, group, strategy, FollowTarget::new(target))
+                GroupedReader::following(bus, &**topic, group, strategy, FollowTarget::new(target))
             }
-            None => GroupedReader::bounded(bus, topic, group, strategy),
+            None => GroupedReader::bounded(bus, &**topic, group, strategy),
         };
         let Ok(mut reader) = reader else {
             return;
         };
         while reader
             .next_batch(self.fetch_size, &mut |partition, stored| {
-                Self::emit_record(topic, &mut emit, partition, stored);
+                Self::emit_record(topic, &mut scratch, &mut emit, partition, stored);
             })
             .is_some()
         {}
@@ -216,7 +239,7 @@ impl RawSource for BrokerRawSource {
 impl RootTransform<KafkaRecord> for BrokerRead {
     fn expand(self, pipeline: &Pipeline) -> PCollection<KafkaRecord> {
         let bus = self.bus.clone();
-        let topic = self.topic.clone();
+        let topic: Arc<str> = self.topic.as_str().into();
         let fetch_size = self.fetch_size;
         let follow = self.follow;
         // One group per expanded read: every parallel source instance the
@@ -402,7 +425,7 @@ mod tests {
                 value: Bytes::from_static(b"v"),
             },
             KafkaRecord {
-                topic: String::new(),
+                topic: "".into(),
                 partition: 0,
                 offset: 0,
                 timestamp_micros: i64::MAX,

@@ -37,6 +37,7 @@
 //! ```
 
 pub mod aggregates;
+mod arena;
 pub mod coder;
 mod element;
 mod error;

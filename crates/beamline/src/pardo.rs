@@ -1,5 +1,6 @@
 //! `ParDo`: element-by-element processing with `DoFn`s.
 
+use crate::arena;
 use crate::coder::Coder;
 use crate::element::{Instant, PaneInfo, WindowRef, WindowedValue};
 use crate::graph::{RawDoFn, RawElement, RawEmit, StagePayload};
@@ -17,6 +18,8 @@ pub struct ProcessContext<'a, O> {
     window: WindowRef,
     pane: PaneInfo,
     coder: &'a dyn Coder<O>,
+    /// The adapter's encode buffer, reused for every output.
+    scratch: &'a mut Vec<u8>,
     emit: RawEmit<'a>,
 }
 
@@ -38,27 +41,18 @@ impl<O: 'static> ProcessContext<'_, O> {
 
     /// Emits an output element inheriting the input's metadata.
     ///
-    /// The encoded payload buffer comes from the pool tier (and returns
-    /// to it once the consuming stage decodes the element), so
-    /// steady-state emission allocates nothing: encoding writes directly
-    /// into the emitted buffer instead of a scratch-then-copy round trip.
+    /// The value is encoded into the adapter's reused scratch buffer and
+    /// copied once into the emitting thread's arena; the emitted payload
+    /// is a view of that, so emission allocates nothing.
     pub fn output(&mut self, value: O) {
-        let mut buf = logbus::pool::byte_vec();
-        self.coder.encode_into(&value, &mut buf);
-        (self.emit)(WindowedValue {
-            value: buf,
-            timestamp: self.timestamp,
-            window: self.window,
-            pane: self.pane,
-        });
+        self.output_with_timestamp(value, self.timestamp);
     }
 
     /// Emits an output element with an explicit timestamp.
     pub fn output_with_timestamp(&mut self, value: O, timestamp: Instant) {
-        let mut buf = logbus::pool::byte_vec();
-        self.coder.encode_into(&value, &mut buf);
+        self.coder.encode_into(&value, self.scratch);
         (self.emit)(WindowedValue {
-            value: buf,
+            value: arena::copy(self.scratch),
             timestamp,
             window: self.window,
             pane: self.pane,
@@ -113,6 +107,7 @@ pub struct RawAdapter<I, O, D> {
     dofn: D,
     in_coder: Arc<dyn Coder<I>>,
     out_coder: Arc<dyn Coder<O>>,
+    scratch: Vec<u8>,
 }
 
 impl<I, O, D> RawAdapter<I, O, D> {
@@ -122,6 +117,7 @@ impl<I, O, D> RawAdapter<I, O, D> {
             dofn,
             in_coder,
             out_coder,
+            scratch: Vec::new(),
         }
     }
 }
@@ -141,14 +137,12 @@ where
             .in_coder
             .decode_all(&element.value)
             .expect("stage input bytes produced by the declared coder");
-        // The input's coded buffer is dead after decoding; hand it back
-        // to the pool the upstream stage's emits draw from.
-        logbus::pool::recycle_byte_vec(element.value);
         let mut ctx = ProcessContext {
             timestamp: element.timestamp,
             window: element.window,
             pane: element.pane,
             coder: &*self.out_coder,
+            scratch: &mut self.scratch,
             emit,
         };
         self.dofn.process(decoded, &mut ctx);
@@ -160,6 +154,7 @@ where
             window: WindowRef::Global,
             pane: PaneInfo::NO_FIRING,
             coder: &*self.out_coder,
+            scratch: &mut self.scratch,
             emit,
         };
         self.dofn.finish_bundle(&mut ctx);
@@ -238,7 +233,7 @@ mod tests {
             Arc::new(VarIntCoder) as _,
         );
         let input = WindowedValue::timestamped(
-            StrUtf8Coder.encode_to_vec(&"abcd".to_string()),
+            StrUtf8Coder.encode_to_vec(&"abcd".to_string()).into(),
             Instant(55),
         );
         let out = run_bundle(&mut adapter, vec![input]);
@@ -270,8 +265,8 @@ mod tests {
             Arc::new(VarIntCoder) as _,
         );
         let inputs = vec![
-            WindowedValue::in_global_window(VarIntCoder.encode_to_vec(&2)),
-            WindowedValue::in_global_window(VarIntCoder.encode_to_vec(&3)),
+            WindowedValue::in_global_window(VarIntCoder.encode_to_vec(&2).into()),
+            WindowedValue::in_global_window(VarIntCoder.encode_to_vec(&3).into()),
         ];
         let out = run_bundle(&mut adapter, inputs);
         assert_eq!(out.len(), 1);
@@ -290,16 +285,17 @@ mod tests {
         );
         let inputs = vec![
             WindowedValue::in_global_window(
-                StrUtf8Coder.encode_to_vec(&"a-long-first-element".to_string()),
+                StrUtf8Coder
+                    .encode_to_vec(&"a-long-first-element".to_string())
+                    .into(),
             ),
-            WindowedValue::in_global_window(StrUtf8Coder.encode_to_vec(&"x".to_string())),
+            WindowedValue::in_global_window(StrUtf8Coder.encode_to_vec(&"x".to_string()).into()),
         ];
         let out = run_bundle(&mut adapter, inputs);
         assert_eq!(out.len(), 2);
         // The shorter second output must not carry bytes of the first:
-        // pooled buffers are recycled between elements, but `encode_into`
-        // clears them so each emit holds exactly one encoding. (Capacity
-        // may exceed the payload — that's the pool retaining storage.)
+        // the scratch buffer is reused between elements, but
+        // `encode_into` clears it so each emit holds exactly one encoding.
         assert_eq!(
             StrUtf8Coder.decode_all(&out[1].value).unwrap(),
             "x".to_string()
@@ -320,8 +316,10 @@ mod tests {
             Arc::new(StrUtf8Coder) as _,
             Arc::new(StrUtf8Coder) as _,
         );
-        let input =
-            WindowedValue::timestamped(StrUtf8Coder.encode_to_vec(&"x".to_string()), Instant(1));
+        let input = WindowedValue::timestamped(
+            StrUtf8Coder.encode_to_vec(&"x".to_string()).into(),
+            Instant(1),
+        );
         let out = run_bundle(&mut adapter, vec![input]);
         assert_eq!(out[0].timestamp, Instant(99));
     }

@@ -146,7 +146,7 @@ pub(crate) fn group_by_key(input: &[RawElement]) -> Result<Vec<RawElement>> {
         }
         let payload = crate::coder::join_encoded_kv(&key, &iterable);
         out.push(WindowedValue {
-            value: payload,
+            value: payload.into(),
             // Beam's default timestamp combiner: end of window.
             timestamp: window.max_timestamp(),
             window,
@@ -254,7 +254,10 @@ mod tests {
             Arc::new(StrUtf8Coder) as Arc<dyn Coder<String>>,
             Arc::new(VarIntCoder) as Arc<dyn Coder<i64>>,
         );
-        WindowedValue::timestamped(coder.encode_to_vec(&Kv::new(key.to_string(), value)), ts)
+        WindowedValue::timestamped(
+            coder.encode_to_vec(&Kv::new(key.to_string(), value)).into(),
+            ts,
+        )
     }
 
     #[test]

@@ -122,7 +122,11 @@ impl PipelineRunner for DStreamRunner {
             match stage {
                 Stage::Middle(name, factory) => {
                     stream = stream.map_partitions(move |part: Vec<RawElement>| {
-                        run_bundle(&name, &factory, part)
+                        // The benchmarked stages emit at most one element
+                        // per input.
+                        let mut out = Vec::with_capacity(part.len());
+                        run_bundle(&name, &factory, part, &mut out);
+                        out
                     });
                 }
                 Stage::Leaf(name, factory) => {
@@ -131,7 +135,7 @@ impl PipelineRunner for DStreamRunner {
                         let name = name.clone();
                         let factory = factory.clone();
                         rdd.foreach_partition(move |_i, part| {
-                            let _ = run_bundle(&name, &factory, part);
+                            run_bundle(&name, &factory, part, &mut Vec::new());
                         });
                     });
                 }
@@ -159,33 +163,27 @@ impl PipelineRunner for DStreamRunner {
     }
 }
 
-/// Runs one bundle of a raw `DoFn` over a batch partition, recording
-/// per-transform volume and busy time when instrumentation is enabled
-/// (instrument resolution is per bundle, not per element).
-fn run_bundle(name: &str, factory: &DoFnFactory, part: Vec<RawElement>) -> Vec<RawElement> {
-    let instruments = if obs::enabled() {
-        Some((
-            obs::counter(&format!("beam.dstream.{name}.records_in")),
+/// Runs one bundle of a raw `DoFn` over a batch partition into `out`,
+/// recording per-transform volume and busy time when instrumentation is
+/// enabled (instrument resolution is per bundle, not per element).
+fn run_bundle(name: &str, factory: &DoFnFactory, part: Vec<RawElement>, out: &mut Vec<RawElement>) {
+    // The clock is read only for an instrumented run.
+    let busy_since = obs::enabled().then(|| {
+        obs::counter(&format!("beam.dstream.{name}.records_in")).add(part.len() as u64);
+        (
             obs::counter(&format!("beam.dstream.{name}.busy_micros")),
-        ))
-    } else {
-        None
-    };
-    if let Some((records_in, _)) = &instruments {
-        records_in.add(part.len() as u64);
-    }
-    let started = std::time::Instant::now();
+            std::time::Instant::now(),
+        )
+    });
     let mut dofn = factory();
-    let mut out = Vec::new();
     dofn.start_bundle();
     for element in part {
         dofn.process(element, &mut |e| out.push(e));
     }
     dofn.finish_bundle(&mut |e| out.push(e));
-    if let Some((_, busy)) = &instruments {
+    if let Some((busy, started)) = busy_since {
         busy.add(started.elapsed().as_micros() as u64);
     }
-    out
 }
 
 /// Discretizes a pipeline source: a bounded [`SourceFeed`] streams the

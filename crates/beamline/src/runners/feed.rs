@@ -140,7 +140,7 @@ mod tests {
     impl RawSource for CountingSource {
         fn read(&mut self, emit: RawEmit<'_>) {
             for i in 0..self.total {
-                emit(WindowedValue::in_global_window(vec![i as u8]));
+                emit(WindowedValue::in_global_window(vec![i as u8].into()));
                 self.emitted.fetch_add(1, Ordering::SeqCst);
             }
         }
@@ -165,7 +165,7 @@ mod tests {
         assert_eq!(all.len(), 5_000);
         assert_eq!(emitted.load(Ordering::SeqCst), 5_000);
         for (i, element) in all.iter().enumerate() {
-            assert_eq!(element.value, vec![i as u8]);
+            assert_eq!(element.value, [i as u8][..]);
         }
     }
 

@@ -216,7 +216,7 @@ fn assemble_group(slot: (WindowRef, Vec<u8>), group: Vec<RawElement>) -> RawElem
         iterable.extend_from_slice(&value);
     }
     RawElement {
-        value: crate::coder::join_encoded_kv(&key, &iterable),
+        value: crate::coder::join_encoded_kv(&key, &iterable).into(),
         timestamp: window.max_timestamp(),
         window,
         pane: crate::element::PaneInfo::ON_TIME_AND_ONLY,
@@ -300,7 +300,8 @@ const SOURCE_BATCH: usize = 1024;
 struct SerializedBoundary<C> {
     downstream: C,
     /// Reused envelope-encode buffer; the round trip itself — the modeled
-    /// overhead — is still paid per element.
+    /// overhead — is still paid per element, and the decoded payload is a
+    /// fresh arena copy.
     scratch: Vec<u8>,
 }
 
@@ -316,18 +317,14 @@ impl<C: Collector<RawElement>> SerializedBoundary<C> {
 impl<C: Collector<RawElement>> Collector<RawElement> for SerializedBoundary<C> {
     fn collect(&mut self, item: RawElement) {
         let decoded = self.round_trip(&item);
-        logbus::pool::recycle_byte_vec(item.value);
         self.downstream.collect(decoded);
     }
 
     fn collect_batch(&mut self, items: &mut Vec<RawElement>) {
         // Per-element envelope round trips (the engine's per-boundary
-        // serialization), forwarded as one batch. The pre-round-trip
-        // payload buffers recycle into the pool the decode draws from.
+        // serialization), forwarded as one batch.
         for item in items.iter_mut() {
-            let decoded = self.round_trip(item);
-            let old = std::mem::replace(item, decoded);
-            logbus::pool::recycle_byte_vec(old.value);
+            *item = self.round_trip(item);
         }
         self.downstream.collect_batch(items);
     }

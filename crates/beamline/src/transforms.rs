@@ -44,7 +44,7 @@ impl Create<Bytes> {
 }
 
 struct CreateSource {
-    encoded: Arc<Vec<Vec<u8>>>,
+    encoded: Arc<Vec<Bytes>>,
 }
 
 impl RawSource for CreateSource {
@@ -60,7 +60,7 @@ impl<T: Send + Sync + 'static> RootTransform<T> for Create<T> {
         let encoded = Arc::new(
             self.items
                 .iter()
-                .map(|t| self.coder.encode_to_vec(t))
+                .map(|t| Bytes::from(self.coder.encode_to_vec(t)))
                 .collect::<Vec<_>>(),
         );
         let factory: Arc<dyn Fn() -> Box<dyn RawSource> + Send + Sync> = Arc::new(move || {

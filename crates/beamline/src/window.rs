@@ -196,7 +196,7 @@ mod tests {
         };
         let mut out = Vec::new();
         dofn.process(
-            WindowedValue::timestamped(vec![1u8], Instant(25)),
+            WindowedValue::timestamped(vec![1u8].into(), Instant(25)),
             &mut |e| out.push(e),
         );
         assert_eq!(

@@ -112,7 +112,7 @@ proptest! {
     ) {
         let coder = WindowedValueCoder;
         let value = WindowedValue {
-            value: payload,
+            value: Bytes::from(payload),
             timestamp: Instant(timestamp),
             window,
             pane,

@@ -47,18 +47,20 @@ fn chaining(c: &mut Criterion) {
 }
 
 /// The coder round trip that every abstraction-layer stage pays,
-/// measured in isolation: encode + decode of a workload record.
+/// measured in isolation as a stage adapter runs it: encode a workload
+/// record into a reused scratch buffer, decode it into the arena.
 fn coder_roundtrip(c: &mut Criterion) {
     use beamline::Coder;
     let mut generator = streambench_core::QueryLogGenerator::new(7);
     let records: Vec<Bytes> = (0..1_000).map(|_| generator.next_payload()).collect();
     let coder = beamline::BytesCoder;
     c.bench_function("ablation_coder_roundtrip_1k_records", |b| {
+        let mut scratch = Vec::new();
         b.iter(|| {
             let mut total = 0usize;
             for record in &records {
-                let encoded = coder.encode_to_vec(record);
-                let decoded = coder.decode_all(&encoded).unwrap();
+                coder.encode_into(record, &mut scratch);
+                let decoded = coder.decode_all(&scratch).unwrap();
                 total += decoded.len();
             }
             total

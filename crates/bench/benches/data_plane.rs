@@ -77,14 +77,14 @@ fn data_plane(c: &mut Criterion) {
 
     // The coded stage boundary of the abstraction layer: every element
     // crossing a translated stage pays one `WindowedValueCoder` encode on
-    // the producing side and one decode on the consuming side. The copy
-    // variant allocates a fresh encode buffer per element and drops the
-    // decoded payload (so the byte-vec pool drains and decode allocates
-    // too) — the shape before the pooled path. The pooled variant runs
-    // the drained steady state: encode into a pooled buffer, recycle it
-    // and the decoded payload after the crossing (DESIGN.md §12).
+    // the producing side and one decode on the consuming side. Decoding
+    // copies the payload into the thread's arena in both variants
+    // (DESIGN.md §12); the copy variant also allocates a fresh encode
+    // buffer per element, the pooled variant encodes into one reused
+    // scratch buffer as the runners' adapters do.
     let coder = WindowedValueCoder;
-    let wv = WindowedValue::in_global_window(b"payload-0123456789abcdef".to_vec());
+    let wv =
+        WindowedValue::in_global_window(bytes::Bytes::from_static(b"payload-0123456789abcdef"));
     group.bench_function("coded_boundary_copy", |b| {
         b.iter(|| {
             let mut survived = 0u64;
@@ -97,16 +97,14 @@ fn data_plane(c: &mut Criterion) {
         });
     });
     group.bench_function("coded_boundary_pooled", |b| {
+        let mut scratch = Vec::new();
         b.iter(|| {
-            let mut buf = logbus::pool::byte_vec();
             let mut survived = 0u64;
             for _ in 0..N {
-                coder.encode_into(&wv, &mut buf);
-                let out = coder.decode_all(&buf).unwrap();
+                coder.encode_into(&wv, &mut scratch);
+                let out = coder.decode_all(&scratch).unwrap();
                 survived += u64::from(!out.value.is_empty());
-                logbus::pool::recycle_byte_vec(out.value);
             }
-            logbus::pool::recycle_byte_vec(buf);
             survived
         });
     });

@@ -14,9 +14,10 @@
 //! [`MAX_KEEP_ELEMS`] elements, so the pool bounds memory instead of
 //! hoarding a high-water mark.
 //!
-//! Byte storage is pooled separately by the `bytes` shim's chunk
-//! free-list (see `bytes::pool_stats`); this module only recycles the
-//! record-pointer vectors.
+//! Record payloads are pooled separately by the `bytes` shim's chunk
+//! free-list (see `bytes::pool_stats`). Besides the two record-vector
+//! tiers this module carries one `u8` tier, whose only user is
+//! `apx::stream`'s frame blocks.
 
 use crate::record::{Record, StoredRecord};
 use parking_lot::Mutex;
@@ -110,8 +111,9 @@ pool_tier!(
     STORED_VECS,
     STORED_OVERFLOW
 );
-// Coder scratch for the engines' coded data planes (beamline emits one
-// encoded `Vec<u8>` per element); capacity cap = 64 KiB per buffer.
+// Frame blocks of `apx::stream`'s cross-container links (a publisher
+// fills one, the subscriber recycles it); capacity cap = 64 KiB per
+// buffer.
 pool_tier!(byte_vec, recycle_byte_vec, u8, BYTE_VECS, BYTE_OVERFLOW);
 
 #[cfg(test)]

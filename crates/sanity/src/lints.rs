@@ -31,6 +31,7 @@ const HOT_PATH: &[&str] = &[
     "crates/apx/src/operator.rs",
     "crates/apx/src/stream.rs",
     "crates/apx/src/malhar.rs",
+    "crates/beamline/src/arena.rs",
     "crates/beamline/src/pardo.rs",
     "crates/beamline/src/io.rs",
     "crates/beamline/src/coder.rs",
