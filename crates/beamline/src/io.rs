@@ -8,7 +8,7 @@ use crate::pardo::{DoFn, ParDo, ProcessContext};
 use crate::pipeline::{PCollection, PTransform, Pipeline, RootTransform};
 use crate::transforms::MapElements;
 use bytes::Bytes;
-use logbus::{AssignmentStrategy, BusHandle, FollowTarget, GroupedReader, Record};
+use logbus::{AssignmentStrategy, AsyncProducer, BusHandle, FollowTarget, GroupedReader, Record};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -305,14 +305,15 @@ impl PTransform<KafkaRecord, Kv<Bytes, Bytes>> for WithoutMetadata {
     }
 }
 
-/// The write transform: a `ParDo` sending records through an
-/// asynchronous producer and **flushing at every bundle boundary** (the
+/// The write transform: a `ParDo` writing records through an
+/// asynchronous producer and **committing at every bundle boundary** (the
 /// bundle's writes must be durable before the bundle commits).
 ///
 /// Bundle size is a **runner** choice: with whole-stream or micro-batch
 /// bundles the async producer amortizes broker round trips over adaptive
-/// batches, while a runner with per-element bundles flushes after every
-/// record — one synchronous round trip per output tuple. The paper's
+/// batches, while a runner with per-element bundles commits after every
+/// record — one synchronous round trip per output tuple, and nothing
+/// else: the commit ships on the operator thread. The paper's
 /// output-volume-dependent Apex slowdown follows from exactly this
 /// difference.
 #[derive(Debug, Clone)]
@@ -342,13 +343,20 @@ impl Coder<()> for UnitCoder {
     }
 }
 
+/// Buffers the open bundle in `pending`, hands it to the producer
+/// whenever it holds `max_batch` records, and commits the rest in
+/// `finish_bundle`. A bundle that never finishes is not committed: what
+/// is still pending is dropped with the instance, for the runner to
+/// retry (Beam's contract).
 struct WriteDoFn {
     bus: BusHandle,
     topic: String,
     max_batch: usize,
-    /// Lazily created per instance; an `Arc` so the `DoFn` stays `Sync`
-    /// while the producer thread is shared within one instance.
-    producer: Option<std::sync::Arc<logbus::AsyncProducer>>,
+    /// Created by the first hand-over, so an instance whose bundles are
+    /// all empty never spawns a sender thread.
+    producer: Option<AsyncProducer>,
+    /// The open bundle's records not yet handed over; capacity reused.
+    pending: Vec<Record>,
 }
 
 impl Clone for WriteDoFn {
@@ -358,34 +366,36 @@ impl Clone for WriteDoFn {
             topic: self.topic.clone(),
             max_batch: self.max_batch,
             producer: None,
+            pending: Vec::new(),
         }
     }
 }
 
 impl WriteDoFn {
-    fn producer(&mut self) -> &logbus::AsyncProducer {
-        self.producer.get_or_insert_with(|| {
-            std::sync::Arc::new(logbus::AsyncProducer::with_max_batch(
-                self.bus.clone(),
-                self.topic.clone(),
-                0,
-                self.max_batch,
-            ))
-        })
+    /// Passes `pending` to the producer, created on first use, by
+    /// `AsyncProducer::send_batch` or `AsyncProducer::commit`.
+    fn hand_over(&mut self, how: fn(&AsyncProducer, &mut Vec<Record>)) {
+        let producer = self.producer.get_or_insert_with(|| {
+            AsyncProducer::with_max_batch(self.bus.clone(), &*self.topic, 0, self.max_batch)
+        });
+        how(producer, &mut self.pending);
     }
 }
 
 impl DoFn<Bytes, ()> for WriteDoFn {
     fn process(&mut self, element: Bytes, _ctx: &mut ProcessContext<'_, ()>) {
-        self.producer().send(Record::from_value(element));
+        self.pending.push(Record::from_value(element));
+        if self.pending.len() >= self.max_batch {
+            self.hand_over(AsyncProducer::send_batch);
+        }
     }
 
     fn finish_bundle(&mut self, _ctx: &mut ProcessContext<'_, ()>) {
         // The bundle's writes must be durable before the bundle commits;
         // under per-element bundles this is a synchronous round trip per
         // record.
-        if let Some(producer) = &self.producer {
-            producer.flush();
+        if self.producer.is_some() || !self.pending.is_empty() {
+            self.hand_over(AsyncProducer::commit);
         }
     }
 }
@@ -397,6 +407,7 @@ impl PTransform<Bytes, ()> for BrokerWrite {
             topic: self.topic.clone(),
             max_batch: self.flush_records,
             producer: None,
+            pending: Vec::new(),
         };
         ParDo::of(
             format!("BrokerIO.Write({})", self.topic),
@@ -468,6 +479,60 @@ mod tests {
         let kv = Kv::new(record.key.clone().unwrap_or_default(), record.value.clone());
         assert_eq!(kv.key, Bytes::new());
         assert_eq!(kv.value, Bytes::from_static(b"payload"));
+    }
+
+    /// The write `ParDo`'s raw `DoFn`, as a runner instantiates it.
+    fn write_dofn(broker: &Broker, max_batch: usize) -> Box<dyn crate::graph::RawDoFn> {
+        let p = Pipeline::new();
+        p.apply(crate::Create::bytes(Vec::new()))
+            .apply(BrokerIO::write(broker.clone(), "out").flush_records(max_batch));
+        p.with_graph(|g| match &g.nodes().last().unwrap().payload {
+            StagePayload::ParDo(factory) => factory(),
+            other => panic!("the write is a ParDo, not {other:?}"),
+        })
+    }
+
+    /// Writes `r0`, `r1`, … in bundles of the given sizes and returns
+    /// the sizes of the log's appends. The broker's clock ticks on every
+    /// reading and an append is stamped once, so records share a stamp
+    /// exactly when they were one request.
+    fn appends_of(bundles: &[usize], max_batch: usize) -> Vec<usize> {
+        let broker = Broker::with_clock(Arc::new(logbus::ManualClock::new(0)));
+        broker.create_topic("out", TopicConfig::default()).unwrap();
+        let mut dofn = write_dofn(&broker, max_batch);
+        let mut written = 0..;
+        for bundle in bundles {
+            dofn.start_bundle();
+            for i in written.by_ref().take(*bundle) {
+                let value = Bytes::from(format!("r{i}"));
+                let coded = crate::BytesCoder.encode_to_vec(&value).into();
+                dofn.process(WindowedValue::in_global_window(coded), &mut |_| {});
+            }
+            dofn.finish_bundle(&mut |_| {});
+            let durable = broker.latest_offset("out", 0).unwrap();
+            assert_eq!(durable, written.start, "a finished bundle is appended");
+        }
+        let log = broker.fetch("out", 0, 0, usize::MAX).unwrap();
+        let mut appends: Vec<usize> = Vec::new();
+        for (i, stored) in log.iter().enumerate() {
+            assert_eq!(&stored.record.value[..], format!("r{i}").as_bytes());
+            match appends.last_mut() {
+                Some(size) if log[i - 1].timestamp == stored.timestamp => *size += 1,
+                _ => appends.push(1),
+            }
+        }
+        assert_eq!(appends.iter().sum::<usize>() as u64, written.start);
+        appends
+    }
+
+    #[test]
+    fn bundle_size_decides_the_request_count() {
+        const MAX_BATCH: usize = 8;
+        assert_eq!(appends_of(&[1; 40], MAX_BATCH), vec![1; 40]);
+        assert_eq!(appends_of(&[MAX_BATCH - 1], MAX_BATCH), vec![MAX_BATCH - 1]);
+        let split = appends_of(&[2 * MAX_BATCH + 1], MAX_BATCH);
+        assert!(split.len() >= 3, "an oversized bundle is split: {split:?}");
+        assert!(split.iter().all(|size| *size < 2 * MAX_BATCH), "{split:?}");
     }
 
     #[test]

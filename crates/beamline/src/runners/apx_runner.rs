@@ -15,8 +15,8 @@
 //!   the full [`WindowedValueCoder`] envelope.
 //! * **Single-element bundles**: each element gets its own
 //!   `start_bundle`/`finish_bundle` pair, so a buffering write `DoFn`
-//!   flushes **per record** — one synchronous broker produce request per
-//!   output tuple. With the benchmark's simulated broker network latency
+//!   commits **per record** — one synchronous broker produce request per
+//!   output tuple, on the operator's own thread. With the benchmark's simulated broker network latency
 //!   this makes the overhead proportional to the *output* volume,
 //!   matching the paper's observation that Apex-Beam costs collapse for
 //!   the low-output grep query (Fig. 9) while identity/projection are
@@ -300,7 +300,7 @@ impl Operator<RawElement, RawElement> for PerElementBundleOperator {
 }
 
 /// Terminal operator driving a leaf `DoFn` with one bundle per element —
-/// a buffering write flushes every record individually.
+/// a buffering write commits every record individually.
 struct PerElementBundleOutput {
     factory: DoFnFactory,
     dofn: Option<Box<dyn RawDoFn>>,

@@ -78,10 +78,8 @@ fn data_plane(c: &mut Criterion) {
     // The coded stage boundary of the abstraction layer: every element
     // crossing a translated stage pays one `WindowedValueCoder` encode on
     // the producing side and one decode on the consuming side. Decoding
-    // copies the payload into the thread's arena in both variants
-    // (DESIGN.md §12); the copy variant also allocates a fresh encode
-    // buffer per element, the pooled variant encodes into one reused
-    // scratch buffer as the runners' adapters do.
+    // copies the payload into the thread's arena (DESIGN.md §12); the
+    // encode allocates a fresh buffer per element.
     let coder = WindowedValueCoder;
     let wv =
         WindowedValue::in_global_window(bytes::Bytes::from_static(b"payload-0123456789abcdef"));
@@ -96,19 +94,6 @@ fn data_plane(c: &mut Criterion) {
             survived
         });
     });
-    group.bench_function("coded_boundary_pooled", |b| {
-        let mut scratch = Vec::new();
-        b.iter(|| {
-            let mut survived = 0u64;
-            for _ in 0..N {
-                coder.encode_into(&wv, &mut scratch);
-                let out = coder.decode_all(&scratch).unwrap();
-                survived += u64::from(!out.value.is_empty());
-            }
-            survived
-        });
-    });
-
     group.finish();
 }
 

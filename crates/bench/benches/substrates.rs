@@ -373,11 +373,13 @@ fn engines_identity(c: &mut Criterion) {
     group.finish();
 }
 
-/// One record per produce request, two ways: `PartitionWriter::produce`
-/// on the calling thread, and `AsyncProducer::send` + `flush` (how a
-/// per-element Beam bundle writes). Both pay one modeled round trip per
-/// record; what the second costs beyond the first is the producer's
-/// hand-off, with the RTT at the ledger's 25 µs and at 0.
+/// One record per produce request, three ways: `PartitionWriter::produce`
+/// on the calling thread, `AsyncProducer::send` + `flush`, and
+/// `AsyncProducer::commit` of a bundle of one (how a per-element Beam
+/// bundle writes). All pay one modeled round trip per record; what the
+/// second costs beyond the first is the wake-up of the parked sender
+/// thread, which the third does not pay — with the RTT at the ledger's
+/// 25 µs and at 0.
 fn producer_per_record(c: &mut Criterion) {
     const RECORDS: u64 = 2_000;
     let mut group = c.benchmark_group("producer_per_record");
@@ -413,6 +415,15 @@ fn producer_per_record(c: &mut Criterion) {
                 });
             },
         );
+        let mut bundle = Vec::new();
+        group.bench_function(format!("commit_per_record/rtt{rtt_micros}"), |b| {
+            b.iter(|| {
+                for _ in 0..RECORDS {
+                    bundle.push(record.clone());
+                    producer.commit(&mut bundle);
+                }
+            });
+        });
     }
     group.finish();
 }

@@ -342,8 +342,8 @@ fn beam_cells_allocate_per_chunk_not_per_record() {
 
 const ASYNC_RECORDS: usize = 100_000;
 
-/// Per-record `send` with a `flush` every 1 024 records — how the
-/// `rill` and `dstream` Beam sinks drive the producer.
+/// Per-record `send` with a `flush` every 1 024 records: the tail
+/// chunk fills in place, which `send` alone exercises.
 fn async_send_round(producer: &logbus::AsyncProducer, record: &logbus::Record) {
     for i in 1..=ASYNC_RECORDS {
         producer.send(record.clone());
@@ -387,6 +387,43 @@ fn async_producer_per_record_send_is_allocation_free() {
         "warmed per-record send: {events} allocation events over \
          {ASYNC_RECORDS} records ({per_record:.4}/record)"
     );
+}
+
+#[test]
+fn bundle_commit_per_record_is_allocation_free() {
+    let _alone = ONE_AT_A_TIME.lock();
+    let broker = logbus::Broker::new();
+    broker
+        .create_topic(
+            "t",
+            logbus::TopicConfig::new()
+                .segment_bytes(16 << 10)
+                .retention_records(4_096),
+        )
+        .expect("create topic");
+    let producer = logbus::AsyncProducer::new(broker.clone(), "t", 0);
+    let record = logbus::Record::from_value("payload-0123456789abcdef");
+    // A bundle of one, as the `apx` runner drives the Beam write: push
+    // into the reused bundle buffer, `commit`.
+    let mut bundle = Vec::new();
+    let mut round = || {
+        for _ in 0..ASYNC_RECORDS {
+            bundle.push(record.clone());
+            producer.commit(&mut bundle);
+        }
+    };
+    // Warm-up: the one chunk a commit needs settles into the pool.
+    round();
+
+    let before = ALL_THREADS_EVENTS.load(Ordering::Relaxed);
+    round();
+    let events = ALL_THREADS_EVENTS.load(Ordering::Relaxed) - before;
+
+    assert_eq!(
+        broker.latest_offset("t", 0).expect("topic"),
+        2 * ASYNC_RECORDS as u64
+    );
+    assert_eq!(events, 0, "warmed per-record commit allocates");
 }
 
 const SENDER_RECORDS: u64 = 50_000;

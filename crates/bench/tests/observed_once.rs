@@ -1,12 +1,13 @@
 //! Every produce and fetch door is observed exactly once, and so is a
-//! read that gives up.
+//! read that gives up; a bundle of one is one request and no thread
+//! hand-off.
 //!
 //! One test, alone in its binary: the obs registry is process-wide, so
 //! exact counter deltas hold only when nothing else records.
 
 use logbus::{
-    AssignmentStrategy, Broker, BusHandle, Cluster, ClusterConfig, FollowTarget, GroupedReader,
-    Record, TopicConfig,
+    AssignmentStrategy, AsyncProducer, Broker, BusHandle, Cluster, ClusterConfig, FollowTarget,
+    GroupedReader, Record, TopicConfig,
 };
 
 fn counter(name: &str) -> u64 {
@@ -108,12 +109,75 @@ fn stall_exit_counts_once(bus: &BusHandle) {
     assert_eq!(counter("logbus.reader.stalled"), before + 1, "stalled read");
 }
 
+/// A bundle of one costs one produce request on the calling thread and
+/// wakes nobody — through `AsyncProducer::commit` itself, and through
+/// `BrokerIO`'s write `ParDo` driven as the `apx` runner drives it. The
+/// second loop is what fails if the write `DoFn` goes back to a `send`
+/// per record, which wakes the parked sender thread every time.
+fn bundle_of_one_is_one_request_and_no_wakeup(bus: &BusHandle) {
+    const BUNDLES: u64 = 200;
+    bus.create_topic("bundles", TopicConfig::default()).unwrap();
+    let producer = AsyncProducer::new(bus.clone(), "bundles", 0);
+    let mut bundle = Vec::new();
+    let commits: &mut dyn FnMut() = &mut || {
+        for _ in 0..BUNDLES {
+            bundle.push(Record::from_value("a"));
+            producer.commit(&mut bundle);
+        }
+    };
+
+    let pipeline = beamline::Pipeline::new();
+    pipeline
+        .apply(beamline::Create::bytes(Vec::new()))
+        .apply(beamline::BrokerIO::write(bus.clone(), "bundles"));
+    let mut write = pipeline.with_graph(|graph| match &graph.nodes().last().unwrap().payload {
+        beamline::graph::StagePayload::ParDo(factory) => factory(),
+        other => panic!("the write is a ParDo, not {other:?}"),
+    });
+    let element = beamline::Coder::encode_to_vec(&beamline::BytesCoder, &"a".into());
+    let element = beamline::WindowedValue::in_global_window(bytes::Bytes::from(element));
+    let bundles: &mut dyn FnMut() = &mut || {
+        for _ in 0..BUNDLES {
+            write.start_bundle();
+            write.process(element.clone(), &mut |_| {});
+            write.finish_bundle(&mut |_| {});
+        }
+    };
+
+    for (name, run) in [("commit", commits), ("write ParDo", bundles)] {
+        let (wakeups, calls) = (
+            counter("logbus.async_producer.sender_wakeups"),
+            requests("logbus.produce.micros"),
+        );
+        run();
+        assert_eq!(
+            counter("logbus.async_producer.sender_wakeups"),
+            wakeups,
+            "{name}: a bundle of one woke the sender thread"
+        );
+        assert_eq!(
+            requests("logbus.produce.micros") - calls,
+            BUNDLES,
+            "{name}: one request per bundle of one"
+        );
+    }
+    // The meter does move: a `send` that finds the sender parked wakes it.
+    let wakeups = counter("logbus.async_producer.sender_wakeups");
+    for _ in 0..BUNDLES {
+        producer.send(Record::from_value("a"));
+        producer.flush();
+    }
+    let woken = counter("logbus.async_producer.sender_wakeups") - wakeups;
+    assert!((1..=BUNDLES).contains(&woken), "{woken} wake-ups");
+}
+
 #[test]
 fn every_door_is_observed_exactly_once() {
     obs::set_enabled(true);
     let broker: BusHandle = Broker::new().into();
     each_door_counts_once(&broker, 1);
     each_door_counts_once(&Cluster::new(ClusterConfig { brokers: 3 }).into(), 3);
+    bundle_of_one_is_one_request_and_no_wakeup(&broker);
     stall_exit_counts_once(&broker);
     obs::set_enabled(false);
 }

@@ -14,15 +14,20 @@
 //!   appended, which is what bundle/checkpoint finalization needs. A
 //!   caller that flushes after **every** record has synchronously paid a
 //!   full round trip per record — the degenerate behaviour behind the
-//!   benchmark's worst measured slowdowns.
+//!   benchmark's worst measured slowdowns;
+//! * [`AsyncProducer::commit`] is the bundle boundary in one call: it
+//!   queues the bundle's last records behind everything sent so far and
+//!   returns once all of it is appended. It does not wake a parked
+//!   sender thread for records it is about to ship itself, so a bundle
+//!   of one costs its round trip and no thread hand-off.
 //!
 //! There is one accumulator (a queue of record chunks under one lock)
 //! and one *shipper token* (a second lock owning the cached writer).
 //! Whoever holds the token pops chunks and appends them, so append order
 //! is send order whichever thread ships: normally the sender thread, but
-//! a `flush` that finds the token free ships on the calling thread —
-//! same request, same round trip, no thread hand-off. Lock order is
-//! token → accumulator, never the reverse.
+//! a `flush` or `commit` that finds the token free ships on the calling
+//! thread — same request, same round trip, no thread hand-off. Lock
+//! order is token → accumulator, never the reverse.
 
 use crate::bus::BusHandle;
 use crate::handle::PartitionWriter;
@@ -59,7 +64,8 @@ struct State {
     wake_at: u64,
     /// A sender is parked on `space`.
     blocked: bool,
-    /// The sender thread is parked on `work`; implies an empty queue.
+    /// The sender thread is parked on `work`. The queue was empty when
+    /// it parked; only a `commit` queues behind it without clearing this.
     idle: bool,
     closed: bool,
 }
@@ -103,7 +109,7 @@ struct Shared {
     shipper: Mutex<Shipper>,
     /// The sender thread parks here while the queue is empty.
     work: Condvar,
-    /// A `flush` that found the token taken parks here.
+    /// A `flush` or `commit` that found the token taken parks here.
     done: Condvar,
     /// Senders park here while the queue is full.
     space: Condvar,
@@ -174,9 +180,9 @@ impl Shared {
     }
 
     /// Returns once `target` records are appended: ships them on this
-    /// thread if the token is free, otherwise waits for its holder —
-    /// or, when no sender thread is bound to finish the queue, for the
-    /// token itself.
+    /// thread if the token is free, otherwise waits for its holder and
+    /// the sender thread — or, when there is no sender thread to finish
+    /// the queue, for the token itself.
     fn ship_until(&self, target: u64, has_sender: bool) {
         let token = if has_sender {
             self.shipper.try_lock()
@@ -188,19 +194,35 @@ impl Shared {
             return self.drain(&mut shipper, target);
         }
         let mut state = self.state.lock();
+        if state.appended < target && std::mem::take(&mut state.idle) {
+            // The token's holder may be another caller's `flush` that
+            // stops at its own smaller target, and a `commit` queues
+            // without waking the sender: nobody else is bound to ship
+            // up to `target`.
+            self.wake_sender();
+        }
         while state.appended < target {
             state.wake_at = state.wake_at.min(target);
             state = self.done.wait(state);
         }
     }
 
+    /// Wakes the parked sender thread, whose `idle` flag the caller has
+    /// just cleared (one wake-up per park, not one per record).
+    fn wake_sender(&self) {
+        self.work.notify_one();
+        if obs::enabled() {
+            crate::telemetry::async_sender_wakeups().inc();
+        }
+    }
+
     /// Publishes what `state` just queued: wakes the sender thread if it
-    /// is parked (one wake-up per park, not one per record).
+    /// is parked.
     fn publish(&self, mut state: MutexGuard<'_, State>) {
         let wake = std::mem::take(&mut state.idle);
         drop(state);
         if wake {
-            self.work.notify_one();
+            self.wake_sender();
         }
     }
 
@@ -305,25 +327,49 @@ impl AsyncProducer {
         self.shared.publish(state);
     }
 
-    /// Queues a whole batch, draining `records` (capacity kept for reuse).
-    ///
-    /// The batch crosses in chunks of at most the producer's maximum
-    /// batch size — one queue operation per chunk, none per record — so
-    /// no oversized batch becomes a single append.
-    pub fn send_batch(&self, records: &mut Vec<Record>) {
+    /// Queues `records` in chunks of at most `max_batch`, draining them.
+    /// Every chunk is published but the last, which is only when
+    /// `publish_last` is set.
+    fn enqueue(&self, records: &mut Vec<Record>, publish_last: bool) {
         let mut rest = records.drain(..).peekable();
         while rest.peek().is_some() {
+            // Chunks come from (and return to) the pool tier.
             let mut chunk = record_vec();
             chunk.extend(rest.by_ref().take(self.shared.max_batch));
             let mut state = self.admit();
             state.queued += chunk.len();
             state.accepted += chunk.len() as u64;
             state.queue.push_back(chunk);
-            self.shared.publish(state);
+            if publish_last || rest.peek().is_some() {
+                self.shared.publish(state);
+            }
         }
+    }
+
+    /// Queues a whole batch, draining `records` (capacity kept for reuse).
+    ///
+    /// The batch crosses in chunks of at most the producer's maximum
+    /// batch size — one queue operation per chunk, none per record — so
+    /// no oversized batch becomes a single append.
+    pub fn send_batch(&self, records: &mut Vec<Record>) {
+        self.enqueue(records, true);
         if self.worker.is_none() {
             self.shared.ship_until(u64::MAX, false);
         }
+    }
+
+    /// The bundle boundary: queues `records` (drained, capacity kept)
+    /// behind everything sent so far, then blocks until all of it is
+    /// appended. With nothing to queue it is [`flush`](Self::flush).
+    ///
+    /// The records cross as [`send_batch`](Self::send_batch) chunks,
+    /// except that the last chunk does not wake a parked sender thread:
+    /// the caller ships it itself when the shipper token is free, so a
+    /// bundle of one record is one produce request on the calling thread
+    /// and no thread hand-off.
+    pub fn commit(&self, records: &mut Vec<Record>) {
+        self.enqueue(records, false);
+        self.flush();
     }
 
     /// Records accepted but not yet appended.
@@ -615,8 +661,19 @@ mod tests {
         producer.send(Record::from_value("25"));
         assert_eq!(producer.in_flight(), 1, "a lone send waits for a flush");
         producer.flush();
+        producer.send(Record::from_value("26"));
+        let mut bundle: Vec<Record> = (27..53)
+            .map(|i| Record::from_value(i.to_string()))
+            .collect();
+        producer.commit(&mut bundle);
+        assert!(bundle.is_empty(), "the bundle must be drained");
+        assert_eq!(
+            producer.in_flight(),
+            0,
+            "commit ships the send before it too"
+        );
         let records = broker.fetch("t", 0, 0, 100).unwrap();
-        assert_eq!(records.len(), 26);
+        assert_eq!(records.len(), 53);
         for (i, stored) in records.iter().enumerate() {
             assert_eq!(&stored.record.value[..], i.to_string().as_bytes());
         }

@@ -157,6 +157,13 @@ pub(crate) fn async_dropped_records() -> &'static obs::Counter {
     DROPPED.get_or_init(|| obs::counter("logbus.async_producer.dropped_records"))
 }
 
+/// Times an [`crate::AsyncProducer`] caller woke the parked sender
+/// thread: a futex call on the caller and a thread hand-off per count.
+pub(crate) fn async_sender_wakeups() -> &'static obs::Counter {
+    static WAKEUPS: OnceLock<obs::Counter> = OnceLock::new();
+    WAKEUPS.get_or_init(|| obs::counter("logbus.async_producer.sender_wakeups"))
+}
+
 /// Per-partition leader health: how often a produce found the append
 /// lock already held (a second producer contending on the same leader).
 pub(crate) struct LeaderPath {
