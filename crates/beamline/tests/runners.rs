@@ -8,24 +8,18 @@ use beamline::{
     StrUtf8Coder, Values, WithKeys, WithoutMetadata,
 };
 use bytes::Bytes;
-use logbus::{Broker, Producer, Record, TopicConfig};
+use logbus::{Broker, Record, TopicConfig};
 use std::sync::Arc;
 
 fn broker_with_input(records: usize) -> Broker {
     let broker = Broker::new();
     broker.create_topic("in", TopicConfig::default()).unwrap();
     broker.create_topic("out", TopicConfig::default()).unwrap();
-    let mut producer = Producer::new(broker.clone());
-    for i in 0..records {
+    let input = (0..records).map(|i| {
         let marker = if i % 7 == 0 { "test" } else { "data" };
-        producer
-            .send(
-                "in",
-                Record::from_value(format!("user{i}\t{marker} query {i}")),
-            )
-            .unwrap();
-    }
-    producer.flush().unwrap();
+        Record::from_value(format!("user{i}\t{marker} query {i}"))
+    });
+    broker.produce_batch("in", 0, input.collect()).unwrap();
     broker
 }
 

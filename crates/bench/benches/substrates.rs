@@ -25,17 +25,15 @@ fn broker_produce_fetch(c: &mut Criterion) {
             broker
                 .create_topic("t", logbus::TopicConfig::default())
                 .unwrap();
-            let mut producer = logbus::Producer::with_config(
-                broker.clone(),
-                logbus::ProducerConfig {
-                    batch_records: 512,
-                    ..Default::default()
-                },
-            );
-            for _ in 0..N {
-                producer.send("t", record.clone()).unwrap();
+            let writer = broker.partition_writer("t", 0).unwrap();
+            let mut batch = Vec::with_capacity(512);
+            let mut left = N as usize;
+            while left > 0 {
+                let take = left.min(512);
+                batch.extend(std::iter::repeat_n(&record, take).cloned());
+                writer.produce_batch_drain(&mut batch).unwrap();
+                left -= take;
             }
-            producer.flush().unwrap();
         });
     });
     group.bench_function("fetch_2048", |b| {
@@ -301,17 +299,9 @@ fn engines_identity(c: &mut Criterion) {
     broker
         .create_topic("input", logbus::TopicConfig::default())
         .unwrap();
-    let mut generator = streambench_core::QueryLogGenerator::new(1);
-    let mut producer = logbus::Producer::new(broker.clone());
-    for _ in 0..N {
-        producer
-            .send(
-                "input",
-                logbus::Record::from_value(generator.next_payload()),
-            )
-            .unwrap();
-    }
-    producer.flush().unwrap();
+    let input = streambench_core::QueryLogGenerator::new(1).payloads(N);
+    let input = input.into_iter().map(logbus::Record::from_value);
+    broker.produce_batch("input", 0, input.collect()).unwrap();
 
     let fresh = |prefix: &str| {
         let topic = format!("{prefix}-{}", TAG.fetch_add(1, Ordering::Relaxed));

@@ -210,7 +210,7 @@ fn latency_mode(rates: Option<&str>, json_path: Option<&str>) {
 /// The scale-out benchmark: binary-searches the max sustainable
 /// open-loop rate per (engine, SDK, parallelism) cell. The input topic
 /// is partitioned to the cell's parallelism, records are key-hash
-/// routed through the shared producer partitioner, and the engine's
+/// routed with `logbus::partition_for_key`, and the engine's
 /// consumer group splits the partitions across its parallel sources.
 /// Defaults come from `STREAMBENCH_SCALEOUT_*`; `--parallelisms a,b,c`
 /// overrides the sweep.

@@ -7,8 +7,8 @@
 //! and how does that ceiling move as parallelism grows?* Each probe is
 //! one [`latency`](crate::latency) trial — fresh sharded broker, the
 //! input topic partitioned to the cell's parallelism, the open-loop
-//! sender key-hash-routing records through the shared producer
-//! partitioner ([`crate::sender::send_open_loop_partitioned`]), and the
+//! sender key-hash-routing records with `logbus::partition_for_key`
+//! ([`crate::sender::send_open_loop_partitioned`]), and the
 //! engine's consumer group splitting those partitions across its
 //! parallel sources. The sustainable/overloaded verdict is the same
 //! coordinated-omission-safe classifier the latency sweep uses

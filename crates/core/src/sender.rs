@@ -6,19 +6,17 @@
 
 use crate::data::QueryLogGenerator;
 use bytes::Bytes;
-use logbus::{
-    Acks, Broker, BusHandle, PartitionWriter, Partitioner, Producer, ProducerConfig, RateLimit,
-    Record, RetryPolicy,
-};
+use logbus::{Acks, Broker, BusHandle, PartitionWriter, Record, RetryPolicy};
+use std::time::{Duration, Instant};
 
 /// Data-sender configuration.
 #[derive(Debug, Clone)]
 pub struct SenderConfig {
     /// Records to send (the paper sends 1,000,001).
     pub records: u64,
-    /// Producer acknowledgement level.
+    /// Acknowledgement level awaited per batch.
     pub acks: Acks,
-    /// Producer batch size.
+    /// Records per produce request.
     pub batch_records: usize,
     /// Optional ingestion rate in records per second.
     pub rate: Option<f64>,
@@ -51,46 +49,58 @@ pub struct SendReport {
 /// order is guaranteed (paper §III-A1: Kafka only orders within one
 /// partition).
 ///
-/// Records are generated into reused `batch_records`-sized chunks and
-/// handed to [`Producer::send_batch`]: the closed check, pacing, and
-/// topic lookup are paid once per chunk, and full buffers flush through
-/// the producer's cached partition handle — no per-record producer
-/// bookkeeping at all.
+/// Records are generated into one reused `batch_records`-sized chunk;
+/// each full chunk waits out its share of the ingestion rate, if one is
+/// set, and goes out as one request through an idempotent, retrying
+/// [`PartitionWriter`] — a lost ack or a transient broker error resends
+/// the chunk and the broker deduplicates it, so the topic holds the
+/// generator stream exactly once.
 ///
 /// # Errors
 ///
-/// Propagates broker errors (unknown topic, etc.).
+/// Returns [`logbus::Error::InvalidConfig`], before sending anything,
+/// for a rate that is not positive and finite or is too small for the
+/// whole send to have a representable duration; propagates broker errors
+/// (unknown topic, etc.).
 pub fn send_workload(
     bus: impl Into<BusHandle>,
     topic: &str,
     config: &SenderConfig,
 ) -> logbus::Result<SendReport> {
+    if let Some(rate) = config.rate {
+        let whole_send = Duration::try_from_secs_f64(config.records as f64 / rate);
+        if !(rate.is_finite() && rate > 0.0) || whole_send.is_err() {
+            return Err(logbus::Error::InvalidConfig(format!(
+                "unusable ingestion rate: {rate} records per second"
+            )));
+        }
+    }
+    let bus = bus.into();
+    let retry = RetryPolicy::default();
+    let writer = logbus::with_retry(&retry, || bus.partition_writer(topic, 0))?
+        .idempotent()
+        .with_acks(config.acks)
+        .with_retry(retry);
     let mut generator = QueryLogGenerator::new(config.seed);
-    let mut producer = Producer::with_config(
-        bus.into(),
-        ProducerConfig {
-            acks: config.acks,
-            batch_records: config.batch_records,
-            partitioner: Partitioner::Fixed(0),
-            rate_limit: config.rate.map(RateLimit::per_second),
-            retry: RetryPolicy::default(),
-        },
-    );
     let chunk_size = config.batch_records.max(1);
     let mut chunk: Vec<Record> = Vec::with_capacity(chunk_size);
-    let mut remaining = config.records;
-    while remaining > 0 {
-        let take = (chunk_size as u64).min(remaining);
+    let started = Instant::now();
+    let mut sent = 0u64;
+    while sent < config.records {
+        let take = (chunk_size as u64).min(config.records - sent);
         for _ in 0..take {
             chunk.push(Record::from_value(generator.next_payload()));
         }
-        producer.send_batch(topic, &mut chunk)?;
-        remaining -= take;
+        sent += take;
+        if let Some(rate) = config.rate {
+            // A chunk sleeps once for its whole deficit: record `sent` is
+            // due `sent / rate` seconds after the first.
+            let due = Duration::from_secs_f64(sent as f64 / rate);
+            std::thread::sleep(due.saturating_sub(started.elapsed()));
+        }
+        writer.produce_batch_drain(&mut chunk)?;
     }
-    producer.close()?;
-    Ok(SendReport {
-        sent: config.records,
-    })
+    Ok(SendReport { sent })
 }
 
 /// An open-loop arrival schedule: record `i` is *due* at
@@ -202,9 +212,7 @@ pub fn send_open_loop(
 
 /// [`send_open_loop`] across a partitioned topic: with more than one
 /// partition each record routes by the key-hash of its query-log id
-/// column through [`logbus::partition_for_key`] — the same routing the
-/// shared producer partitioner applies for
-/// [`logbus::Partitioner::KeyHash`] — so placement is
+/// column through [`logbus::partition_for_key`], so placement is
 /// content-deterministic and every partition's substream keeps schedule
 /// order. Due records are shipped as one append per partition with
 /// records due.
@@ -241,7 +249,7 @@ pub fn send_open_loop_partitioned(
         let mut now = clock.now_micros();
         while now < scheduled {
             let nap = (scheduled - now).min(OPEN_LOOP_NAP_MICROS) as u64;
-            std::thread::sleep(std::time::Duration::from_micros(nap));
+            std::thread::sleep(Duration::from_micros(nap));
             now = clock.now_micros();
         }
         max_lag = max_lag.max(now - scheduled);
@@ -290,7 +298,7 @@ pub fn parse_event_time_micros(payload: &[u8]) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logbus::TopicConfig;
+    use logbus::{Cluster, ClusterConfig, FaultPlan, TopicConfig};
 
     #[test]
     fn sends_exact_count_in_order() {
@@ -334,6 +342,94 @@ mod tests {
         let start = std::time::Instant::now();
         send_workload(&broker, "in", &config).unwrap();
         assert!(start.elapsed() >= std::time::Duration::from_millis(20));
+    }
+
+    #[test]
+    fn unusable_rates_are_rejected_before_anything_is_sent() {
+        let broker = Broker::new();
+        broker.create_topic("in", TopicConfig::default()).unwrap();
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE] {
+            let config = SenderConfig {
+                records: 10,
+                rate: Some(rate),
+                ..SenderConfig::default()
+            };
+            let result = send_workload(&broker, "in", &config);
+            assert!(
+                matches!(result, Err(logbus::Error::InvalidConfig(_))),
+                "rate {rate}: {result:?}"
+            );
+            assert_eq!(broker.latest_offset("in", 0).unwrap(), 0, "rate {rate}");
+        }
+    }
+
+    /// A plan of the faults a preload can meet: failed produces, acks
+    /// lost after the append, failed metadata requests. Two consecutive
+    /// faults per broker at most, so even a request that meets the
+    /// leader's and both followers' runs back to back fits the default
+    /// retry budget.
+    fn preload_faults(seed: u64) -> FaultPlan {
+        let mut plan = FaultPlan::seeded(seed);
+        plan.produce_error = 0.2;
+        plan.ack_loss = 0.2;
+        plan.metadata_error = 0.2;
+        plan.max_consecutive = 2;
+        plan.duplicate = 0.0;
+        plan.fetch_error = 0.0;
+        plan.extra_latency = 0.0;
+        plan
+    }
+
+    const FAULTED_PRELOAD: SenderConfig = SenderConfig {
+        records: 1_500,
+        acks: Acks::All,
+        batch_records: 16,
+        rate: None,
+        seed: 31,
+    };
+
+    fn assert_generator_stream_exactly_once(stored: &[logbus::StoredRecord]) {
+        assert_eq!(
+            stored.len() as u64,
+            FAULTED_PRELOAD.records,
+            "no loss, no duplicate"
+        );
+        let mut generator = QueryLogGenerator::new(FAULTED_PRELOAD.seed);
+        for (i, record) in stored.iter().enumerate() {
+            assert_eq!(record.offset, i as u64);
+            assert_eq!(record.record.value, generator.next_payload(), "record {i}");
+        }
+    }
+
+    #[test]
+    fn preload_is_exactly_once_on_a_faulted_broker() {
+        let broker = Broker::new();
+        broker.create_topic("in", TopicConfig::default()).unwrap();
+        broker.install_fault_plan(preload_faults(47));
+        let report = send_workload(&broker, "in", &FAULTED_PRELOAD).unwrap();
+        broker.clear_fault_plan();
+        assert_eq!(report.sent, FAULTED_PRELOAD.records);
+        assert_generator_stream_exactly_once(&broker.fetch("in", 0, 0, 10_000).unwrap());
+    }
+
+    #[test]
+    fn preload_is_exactly_once_on_a_faulted_rf3_cluster_under_acks_all() {
+        let cluster = Cluster::new(ClusterConfig { brokers: 3 });
+        let replicated = TopicConfig::default().replication_factor(3);
+        cluster.create_topic("in", replicated).unwrap();
+        for (b, seed) in [53, 59, 61].into_iter().enumerate() {
+            cluster.broker(b).install_fault_plan(preload_faults(seed));
+        }
+        send_workload(&cluster, "in", &FAULTED_PRELOAD).unwrap();
+        for b in 0..3 {
+            cluster.broker(b).clear_fault_plan();
+        }
+        assert_generator_stream_exactly_once(&cluster.fetch("in", 0, 0, 10_000).unwrap());
+        // Acks::All: every acknowledged chunk is on every replica.
+        for b in 0..3 {
+            let replica = cluster.broker(b).fetch("in", 0, 0, 10_000).unwrap();
+            assert_generator_stream_exactly_once(&replica);
+        }
     }
 
     #[test]
@@ -424,7 +520,7 @@ mod tests {
             total += stored.len() as u64;
             let mut last_event = i64::MIN;
             for record in &stored {
-                // Placement equals the shared partitioner's key hash.
+                // Placement is `partition_for_key`'s verdict for the key.
                 let key = record.record.key.as_ref().expect("keyed record");
                 assert_eq!(logbus::partition_for_key(key, 4), p);
                 // Event times stay schedule-ordered within the partition.

@@ -10,12 +10,12 @@
 //! runner repartitions every micro-batch, rill splits the source across
 //! subtasks) may legally interleave outputs, but must neither drop,
 //! duplicate, nor alter a single byte. Parallelism 4 runs against a
-//! **multi-partition** input topic (records key-hash routed through the
-//! shared producer partitioner) so the engines' consumer groups have to
+//! **multi-partition** input topic (records key-hash routed with
+//! `logbus::partition_for_key`) so the engines' consumer groups have to
 //! split real partitions — again compared as multisets.
 
 use bytes::Bytes;
-use logbus::{Acks, Broker, Partitioner, Producer, ProducerConfig, Record, TopicConfig};
+use logbus::{partition_for_key, Acks, Broker, Record, TopicConfig};
 use proptest::prelude::*;
 use streambench_core::trial::{self, Trial};
 use streambench_core::{all_setups, BenchError, Query, QueryLogGenerator, Setup, System};
@@ -36,34 +36,27 @@ fn loaded(broker: &Broker, records: u64, seed: u64) -> Trial {
 }
 
 /// A broker whose `input` topic has `partitions` partitions, loaded
-/// with the standard workload key-hash routed through the shared
-/// producer partitioner (key = the payload's first column, the same
-/// routing the scale-out sender uses).
+/// with the standard workload key-hash routed with `partition_for_key`
+/// (key = the payload's first column, the same routing the scale-out
+/// sender uses).
 fn load_input_partitioned(records: u64, seed: u64, partitions: u32) -> Broker {
     let broker = Broker::new();
     broker
         .create_topic("input", TopicConfig::default().partitions(partitions))
         .unwrap();
-    let mut producer = Producer::with_config(
-        broker.clone(),
-        ProducerConfig {
-            partitioner: Partitioner::KeyHash,
-            ..ProducerConfig::default()
-        },
-    );
+    let mut batches: Vec<Vec<Record>> = vec![Vec::new(); partitions as usize];
     for payload in QueryLogGenerator::new(seed).payloads(records) {
         let cut = payload
             .iter()
             .position(|&b| b == b'\t')
             .unwrap_or(payload.len());
-        producer
-            .send(
-                "input",
-                Record::from_key_value(payload.slice(..cut), payload.clone()),
-            )
-            .unwrap();
+        let key = payload.slice(..cut);
+        let partition = partition_for_key(&key, partitions);
+        batches[partition as usize].push(Record::from_key_value(key, payload));
     }
-    producer.flush().unwrap();
+    for (partition, batch) in (0..partitions).zip(batches) {
+        broker.produce_batch("input", partition, batch).unwrap();
+    }
     broker
 }
 

@@ -252,7 +252,7 @@ pub struct AsyncProducer {
 
 impl AsyncProducer {
     /// Creates a producer appending to `topic`/`partition` with a maximum
-    /// batch of 500 records. Works over any [`Bus`]: against a
+    /// batch of 500 records. Works over any [`Bus`](crate::Bus): against a
     /// [`Cluster`](crate::Cluster) the cached writer re-resolves the
     /// partition leader per attempt, so the background sender rides
     /// through leader failover.

@@ -2,8 +2,8 @@
 //! fetched from.
 //!
 //! Both a single [`Broker`](crate::Broker) and a replicated
-//! [`Cluster`](crate::Cluster) implement [`Bus`], so producers, consumers,
-//! and the stream-processing engines' connectors work against either
+//! [`Cluster`](crate::Cluster) implement [`Bus`], so the data sender and the
+//! stream-processing engines' connectors work against either
 //! topology unchanged.
 
 use crate::broker::Broker;
@@ -194,7 +194,6 @@ mod sealed {
 /// A cheaply cloneable, type-erased handle to any [`Bus`] — the one way
 /// clients and connectors hold a bus.
 ///
-/// [`Producer`](crate::Producer), [`Consumer`](crate::Consumer),
 /// [`AsyncProducer`](crate::AsyncProducer), the group readers and every
 /// engine connector take `impl Into<BusHandle>`, so call sites pass a
 /// [`Broker`], a [`Cluster`], a reference to either, an `Arc<dyn Bus>`

@@ -49,33 +49,6 @@ impl fmt::Display for Acks {
     }
 }
 
-/// A hint describing the (simulated) compression applied to batches.
-///
-/// `logbus` stores records uncompressed; the hint only influences the
-/// simulated wire-size accounting exposed by
-/// [`LogStats`](crate::LogStats), which some experiments report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum CompressionHint {
-    /// No compression (the default, and what the paper's setup used).
-    #[default]
-    NoCompression,
-    /// Pretend a ~2:1 ratio.
-    Light,
-    /// Pretend a ~4:1 ratio.
-    Heavy,
-}
-
-impl CompressionHint {
-    /// Divisor applied to wire sizes for stats accounting.
-    pub fn ratio(self) -> usize {
-        match self {
-            CompressionHint::NoCompression => 1,
-            CompressionHint::Light => 2,
-            CompressionHint::Heavy => 4,
-        }
-    }
-}
-
 /// Per-topic configuration.
 ///
 /// Constructed with builder-style methods:
@@ -103,8 +76,6 @@ pub struct TopicConfig {
     /// Maximum number of retained records per partition (`None` = retain
     /// everything, which is what benchmark runs use).
     pub retention_records: Option<u64>,
-    /// Simulated compression for stats accounting.
-    pub compression: CompressionHint,
 }
 
 impl Default for TopicConfig {
@@ -115,7 +86,6 @@ impl Default for TopicConfig {
             timestamp_type: TimestampType::LogAppendTime,
             segment_bytes: 1 << 20,
             retention_records: None,
-            compression: CompressionHint::NoCompression,
         }
     }
 }
@@ -164,12 +134,6 @@ impl TopicConfig {
         self
     }
 
-    /// Sets the simulated compression hint.
-    pub fn compression(mut self, hint: CompressionHint) -> Self {
-        self.compression = hint;
-        self
-    }
-
     /// Validates the configuration, as done by the broker on topic
     /// creation.
     pub fn validate(&self) -> Result<(), String> {
@@ -206,14 +170,12 @@ mod tests {
             .replication_factor(2)
             .timestamp_type(TimestampType::CreateTime)
             .segment_bytes(512)
-            .retention_records(10)
-            .compression(CompressionHint::Light);
+            .retention_records(10);
         assert_eq!(c.partitions, 4);
         assert_eq!(c.replication_factor, 2);
         assert_eq!(c.timestamp_type, TimestampType::CreateTime);
         assert_eq!(c.segment_bytes, 512);
         assert_eq!(c.retention_records, Some(10));
-        assert_eq!(c.compression.ratio(), 2);
     }
 
     #[test]

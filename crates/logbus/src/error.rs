@@ -6,7 +6,7 @@ use std::fmt;
 /// Convenience alias for broker results.
 pub type Result<T> = std::result::Result<T, Error>;
 
-/// Errors produced by broker, producer, and consumer operations.
+/// Errors produced by broker, writer, and reader operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
     /// The referenced topic does not exist.
@@ -20,7 +20,7 @@ pub enum Error {
     },
     /// A topic with this name already exists.
     TopicExists(String),
-    /// The topic configuration failed validation.
+    /// A topic or sender configuration failed validation.
     InvalidConfig(String),
     /// A read was attempted at an offset outside the retained range.
     OffsetOutOfRange {
@@ -38,12 +38,8 @@ pub enum Error {
         /// Brokers available.
         available: u32,
     },
-    /// A consumer operation needs an assignment but none exists.
-    NoAssignment,
     /// A consumer-group operation referenced an unknown group.
     UnknownGroup(String),
-    /// The producer has been closed.
-    ProducerClosed,
     /// The broker is temporarily unreachable (transient; retryable).
     BrokerUnavailable,
     /// The partition leader is temporarily offline (transient; retryable).
@@ -110,7 +106,7 @@ impl fmt::Display for Error {
                 write!(f, "unknown partition {partition} of topic `{topic}`")
             }
             Error::TopicExists(t) => write!(f, "topic `{t}` already exists"),
-            Error::InvalidConfig(msg) => write!(f, "invalid topic config: {msg}"),
+            Error::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
             Error::OffsetOutOfRange {
                 requested,
                 earliest,
@@ -126,9 +122,7 @@ impl fmt::Display for Error {
                 f,
                 "replication factor {requested} exceeds available brokers ({available})"
             ),
-            Error::NoAssignment => f.write_str("consumer has no partition assignment"),
             Error::UnknownGroup(g) => write!(f, "unknown consumer group `{g}`"),
-            Error::ProducerClosed => f.write_str("producer is closed"),
             Error::BrokerUnavailable => f.write_str("broker temporarily unavailable"),
             Error::PartitionOffline { topic, partition } => {
                 write!(f, "partition {partition} of topic `{topic}` is offline")
@@ -195,9 +189,7 @@ mod tests {
                 requested: 3,
                 available: 1,
             },
-            Error::NoAssignment,
             Error::UnknownGroup("g".into()),
-            Error::ProducerClosed,
             Error::BrokerUnavailable,
             Error::PartitionOffline {
                 topic: "t".into(),
@@ -265,7 +257,6 @@ mod tests {
         }
         .is_transient());
         assert!(!Error::UnknownTopic("t".into()).is_transient());
-        assert!(!Error::ProducerClosed.is_transient());
         assert!(!Error::RetriesExhausted {
             attempts: 2,
             last: Box::new(Error::RequestTimedOut)

@@ -16,11 +16,12 @@
 //!   monotonically increasing **offsets**.
 //! * Records are stamped either with the producer-provided `CreateTime` or
 //!   with the broker's `LogAppendTime`, selected per topic.
-//! * **Producers** batch records, honour an acknowledgement level
-//!   ([`Acks`]), and can be rate-limited (the benchmark's data-sender knob).
-//! * **Consumers** poll from explicit offsets, track positions, and may
-//!   commit offsets under a group id. Group *membership* has one client,
-//!   [`GroupMember`], and one read drive on top of it,
+//! * **Writes** go through a [`PartitionWriter`] — one request per
+//!   batch, an acknowledgement level ([`Acks`]), optional idempotence —
+//!   or through the [`AsyncProducer`] that batches over one.
+//! * **Reads** go through a [`PartitionReader`] from explicit offsets;
+//!   offsets are committed under a group id. Group *membership* has one
+//!   client, [`GroupMember`], and one read drive on top of it,
 //!   [`GroupedReader::next_batch`]: rebalance, end refresh, capping to
 //!   the finish line (bounded: ends at join; follow: a [`FollowTarget`]),
 //!   fetch, commit, the stall exit and [`Backoff`] in one loop that all
@@ -49,18 +50,16 @@
 //! ```
 //! # use std::error::Error;
 //! # fn main() -> Result<(), Box<dyn Error>> {
-//! use logbus::{Broker, Consumer, Producer, Record, TopicConfig};
+//! use logbus::{Broker, Record, TopicConfig};
 //!
 //! let broker = Broker::new();
 //! broker.create_topic("events", TopicConfig::default().partitions(1))?;
 //!
-//! let mut producer = Producer::new(broker.clone());
-//! producer.send("events", Record::from_value("hello"))?;
-//! producer.flush()?;
+//! let writer = broker.partition_writer("events", 0)?;
+//! writer.produce(Record::from_value("hello"))?;
 //!
-//! let mut consumer = Consumer::new(broker.clone());
-//! consumer.assign("events", 0)?;
-//! let records = consumer.poll(10)?;
+//! let reader = broker.partition_reader("events", 0)?;
+//! let records = reader.fetch(0, 10)?;
 //! assert_eq!(records.len(), 1);
 //! assert_eq!(&records[0].record.value[..], b"hello");
 //! # Ok(())
@@ -78,7 +77,6 @@ mod bus;
 mod clock;
 mod cluster;
 mod config;
-mod consumer;
 mod election;
 mod error;
 mod fault;
@@ -86,7 +84,6 @@ mod group;
 mod handle;
 mod log;
 pub mod pool;
-mod producer;
 mod record;
 mod retry;
 mod segment;
@@ -100,8 +97,7 @@ pub use broker::Broker;
 pub use bus::{Bus, BusHandle};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use cluster::{Cluster, ClusterConfig};
-pub use config::{Acks, CompressionHint, TimestampType, TopicConfig};
-pub use consumer::{Consumer, ConsumerConfig};
+pub use config::{Acks, TimestampType, TopicConfig};
 pub use error::{Error, Result};
 pub use fault::{FaultOp, FaultPlan};
 pub use group::{
@@ -109,10 +105,7 @@ pub use group::{
 };
 pub use handle::{PartitionReader, PartitionWriter};
 pub use log::{LogStats, OffsetError, PartitionLog};
-pub use producer::{
-    partition_for_key, Partitioner, Producer, ProducerConfig, ProducerMetricsSnapshot, RateLimit,
-};
-pub use record::{Header, Record, StoredRecord, Timestamp};
+pub use record::{partition_for_key, Header, Record, StoredRecord, Timestamp};
 pub use retry::{with_retry, RetryPolicy};
 pub use segment::Segment;
 pub use topic::Topic;

@@ -14,7 +14,7 @@ pub struct LogStats {
     pub appended: u64,
     /// Number of live segments.
     pub segments: usize,
-    /// Accumulated (compression-adjusted) wire bytes of retained records.
+    /// Accumulated wire bytes of retained records.
     pub bytes: usize,
 }
 
@@ -353,12 +353,11 @@ impl PartitionLog {
 
     /// Current statistics.
     pub fn stats(&self) -> LogStats {
-        let bytes: usize = self.segments.iter().map(Segment::bytes).sum();
         LogStats {
             records: self.len(),
             appended: self.appended,
             segments: self.segments.len(),
-            bytes: bytes / self.config.compression.ratio(),
+            bytes: self.segments.iter().map(Segment::bytes).sum(),
         }
     }
 }

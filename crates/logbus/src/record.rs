@@ -1,7 +1,9 @@
-//! Record types: what producers send and what the log stores.
+//! Record types: what writers append and what the log stores.
 
 use bytes::Bytes;
+use std::collections::hash_map::DefaultHasher;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A broker timestamp in microseconds since the Unix epoch.
 ///
@@ -68,7 +70,7 @@ impl Header {
     }
 }
 
-/// A record as handed to a [`Producer`](crate::Producer).
+/// A record as handed to a [`PartitionWriter`](crate::PartitionWriter).
 ///
 /// Records are cheap to clone: key and value are reference-counted
 /// [`Bytes`]. Construction from owned data (`Vec<u8>`, `String`,
@@ -162,6 +164,19 @@ impl From<Bytes> for Record {
     fn from(value: Bytes) -> Self {
         Record::from_value(value)
     }
+}
+
+/// Routes a record key to a partition: the one key-hash placement rule.
+///
+/// The benchmark's partitioned load generators and the scale-out
+/// placement checks all call this one function, so a key always lands on
+/// the same partition no matter which path produced it — the property
+/// keyed engine shuffles depend on.
+#[must_use]
+pub fn partition_for_key(key: &[u8], partition_count: u32) -> u32 {
+    let mut hasher = DefaultHasher::new();
+    key.hash(&mut hasher);
+    (hasher.finish() % u64::from(partition_count.max(1))) as u32
 }
 
 /// A record as stored in (and fetched from) a partition log.

@@ -1,9 +1,9 @@
 //! Bounded retries with exponential backoff and deterministic jitter.
 //!
-//! Every client tier — [`Producer`](crate::Producer),
-//! [`AsyncProducer`](crate::AsyncProducer), [`Consumer`](crate::Consumer),
-//! and the cached [`PartitionWriter`](crate::PartitionWriter) /
-//! [`PartitionReader`](crate::PartitionReader) handles — retries
+//! Every client — the [`PartitionWriter`](crate::PartitionWriter) /
+//! [`PartitionReader`](crate::PartitionReader) handles, the
+//! [`AsyncProducer`](crate::AsyncProducer) over a writer and the
+//! [`GroupedReader`](crate::GroupedReader) over readers — retries
 //! *transient* errors (see [`Error::is_transient`]) under a
 //! [`RetryPolicy`]: capped attempt count, capped wall-clock budget,
 //! exponential backoff with jitter drawn from the seeded RNG shim so a

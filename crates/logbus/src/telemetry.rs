@@ -87,24 +87,7 @@ pub(crate) fn observed_fetch(fetch: impl FnOnce() -> Result<usize>) -> Result<us
     result
 }
 
-/// Fleet-wide producer totals (sums over all [`crate::Producer`]
-/// instances); the per-instance counts live on each producer.
-pub(crate) struct ProducerTotals {
-    pub(crate) sent: obs::Counter,
-    pub(crate) dropped: obs::Counter,
-    pub(crate) flushes: obs::Counter,
-}
-
-pub(crate) fn producer_totals() -> &'static ProducerTotals {
-    static TOTALS: OnceLock<ProducerTotals> = OnceLock::new();
-    TOTALS.get_or_init(|| ProducerTotals {
-        sent: obs::counter("logbus.producer.sent"),
-        dropped: obs::counter("logbus.producer.dropped"),
-        flushes: obs::counter("logbus.producer.flushes"),
-    })
-}
-
-/// Retry-loop outcomes across every client tier (see
+/// Retry-loop outcomes across every client (see
 /// [`crate::retry::with_retry`] and the handle-internal retry loops).
 pub(crate) struct RetryPath {
     /// Retry attempts made (excludes each call's first attempt).

@@ -2,15 +2,13 @@
 //! fault plans.
 //!
 //! A random [`FaultPlan`] is installed on the broker, a random record
-//! stream is produced through the retrying client tiers, and the suite
+//! stream is produced through the retrying partition handles, and the suite
 //! asserts the delivery contract from DESIGN.md §10: **no record is
 //! lost**, duplicates are **bounded** (and absent entirely for the
 //! idempotent writers), and `LogAppendTime` stays **monotone** per
 //! partition even across fault-recovery retries.
 
-use logbus::{
-    Broker, Consumer, ConsumerConfig, FaultPlan, Producer, ProducerConfig, Record, TopicConfig,
-};
+use logbus::{with_retry, Broker, FaultPlan, Record, RetryPolicy, TopicConfig};
 use proptest::prelude::*;
 
 fn arb_plan() -> impl Strategy<Value = FaultPlan> {
@@ -47,8 +45,8 @@ fn arb_values() -> impl Strategy<Value = Vec<u32>> {
 }
 
 proptest! {
-    /// Idempotent produce through the batching `Producer` plus a
-    /// retrying `Consumer` yields exactly-once contents under any plan:
+    /// Idempotent batched produce plus a retrying reader — both resolved
+    /// and driven entirely under the plan — yields exactly-once contents:
     /// every value survives, nothing is duplicated, offsets are dense,
     /// and broker append timestamps never run backwards.
     #[test]
@@ -57,25 +55,17 @@ proptest! {
         broker.create_topic("t", TopicConfig::default()).unwrap();
         broker.install_fault_plan(plan);
 
-        let mut producer = Producer::with_config(
-            broker.clone(),
-            ProducerConfig { batch_records: batch, ..ProducerConfig::default() },
-        );
-        for v in &values {
-            producer.send("t", Record::from_value(v.to_le_bytes().to_vec())).unwrap();
+        let retry = RetryPolicy::default();
+        let writer = with_retry(&retry, || broker.partition_writer("t", 0)).unwrap().idempotent();
+        let mut pending = Vec::with_capacity(batch);
+        for chunk in values.chunks(batch) {
+            pending.extend(chunk.iter().map(|v| Record::from_value(v.to_le_bytes().to_vec())));
+            writer.produce_batch_drain(&mut pending).unwrap();
         }
-        producer.close().unwrap();
 
-        let mut consumer = Consumer::with_config(broker.clone(), ConsumerConfig::default());
-        consumer.assign("t", 0).unwrap();
+        let reader = with_retry(&retry, || broker.partition_reader("t", 0)).unwrap();
         let mut seen = Vec::new();
-        loop {
-            let polled = consumer.poll(64).unwrap();
-            if polled.is_empty() {
-                break;
-            }
-            seen.extend(polled);
-        }
+        while reader.fetch_into(seen.len() as u64, 64, &mut seen).unwrap() > 0 {}
         broker.clear_fault_plan();
 
         prop_assert_eq!(seen.len(), values.len(), "no loss, no duplicates");
@@ -160,8 +150,8 @@ proptest! {
             .with_retry(logbus::RetryPolicy::default());
         broker.install_fault_plan(plan);
 
-        // One pool vector reused for every batch — the producer-tier
-        // steady state.
+        // One pool vector reused for every batch — the sinks' steady
+        // state.
         let mut buffer = logbus::pool::record_vec();
         for chunk in values.chunks(batch) {
             prop_assert!(buffer.is_empty(), "nothing leaks across batches");

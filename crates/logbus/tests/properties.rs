@@ -1,9 +1,6 @@
 //! Property-based tests for the broker's core invariants.
 
-use logbus::{
-    Broker, Cluster, ClusterConfig, Consumer, ManualClock, Producer, ProducerConfig, Record,
-    TopicConfig,
-};
+use logbus::{Broker, Cluster, ClusterConfig, ManualClock, Record, TopicConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -13,19 +10,26 @@ fn arb_payloads() -> impl Strategy<Value = Vec<Vec<u8>>> {
 
 proptest! {
     /// Offsets are dense and fetch returns exactly what was produced, in
-    /// order, regardless of how the producer batches.
+    /// order, however the stream is split into produce requests.
     #[test]
-    fn produce_fetch_roundtrip(payloads in arb_payloads(), batch in 1usize..64) {
+    fn produce_fetch_roundtrip(
+        payloads in arb_payloads(),
+        batch_sizes in prop::collection::vec(1usize..64, 1..100),
+    ) {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
-        let mut producer = Producer::with_config(
-            broker.clone(),
-            ProducerConfig { batch_records: batch, ..ProducerConfig::default() },
-        );
-        for p in &payloads {
-            producer.send("t", Record::from_value(p.clone())).unwrap();
+        let writer = broker.partition_writer("t", 0).unwrap();
+        let mut rest = &payloads[..];
+        let mut sizes = batch_sizes.iter().cycle();
+        while !rest.is_empty() {
+            let size = *sizes.next().unwrap();
+            let (batch, tail) = rest.split_at(size.min(rest.len()));
+            let base = writer
+                .produce_batch(batch.iter().cloned().map(Record::from_value).collect())
+                .unwrap();
+            prop_assert_eq!(base as usize, payloads.len() - rest.len(), "base offset of the batch");
+            rest = tail;
         }
-        producer.flush().unwrap();
 
         let fetched = broker.fetch("t", 0, 0, payloads.len() + 10).unwrap();
         prop_assert_eq!(fetched.len(), payloads.len());
@@ -49,33 +53,33 @@ proptest! {
         prop_assert!(fetched.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
     }
 
-    /// A consumer polling with arbitrary poll sizes sees every record
-    /// exactly once, in order.
+    /// A reader fetching with arbitrary read sizes from where it left
+    /// off sees every record exactly once, in order.
     #[test]
     fn consumer_sees_everything_once(
         payloads in arb_payloads(),
-        poll_sizes in prop::collection::vec(1usize..50, 1..100),
+        read_sizes in prop::collection::vec(1usize..50, 1..100),
     ) {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
         for p in &payloads {
             broker.produce("t", 0, Record::from_value(p.clone())).unwrap();
         }
-        let mut consumer = Consumer::new(broker);
-        consumer.assign("t", 0).unwrap();
+        let reader = broker.partition_reader("t", 0).unwrap();
         let mut seen = Vec::new();
-        let mut sizes = poll_sizes.iter().cycle();
+        let mut sizes = read_sizes.iter().cycle();
         while seen.len() < payloads.len() {
-            let batch = consumer.poll(*sizes.next().unwrap()).unwrap();
-            prop_assert!(!batch.is_empty(), "poll stalled before draining the topic");
-            seen.extend(batch);
+            let max = *sizes.next().unwrap();
+            let appended = reader.fetch_into(seen.len() as u64, max, &mut seen).unwrap();
+            prop_assert!(appended > 0, "fetch stalled before draining the topic");
+            prop_assert!(appended <= max, "a fetch returns at most what was asked for");
         }
         prop_assert_eq!(seen.len(), payloads.len());
         for (i, stored) in seen.iter().enumerate() {
             prop_assert_eq!(stored.offset, i as u64);
             prop_assert_eq!(&stored.record.value[..], &payloads[i][..]);
         }
-        prop_assert!(consumer.poll(10).unwrap().is_empty());
+        prop_assert_eq!(reader.fetch_into(seen.len() as u64, 10, &mut seen).unwrap(), 0);
     }
 
     /// Segment rolling never changes what reads observe.
@@ -222,66 +226,22 @@ proptest! {
     }
 }
 
-fn arb_keyed_payloads() -> impl Strategy<Value = Vec<(Vec<u8>, Vec<u8>)>> {
-    prop::collection::vec(
-        (
-            prop::collection::vec(any::<u8>(), 0..24),
-            prop::collection::vec(any::<u8>(), 0..48),
-        ),
-        1..150,
-    )
-}
-
 proptest! {
-    /// Both producer tiers — per-record `send` and batched `send_batch`
-    /// — route identical keys to identical partitions for any partition
-    /// count, and both agree with the shared `partition_for_key`
-    /// partitioner the benchmark's parallel load generators use.
+    /// The key-hash placement rule is a pure function of the key: in
+    /// range for any partition count and the same verdict every time —
+    /// what `send_open_loop_partitioned` and the scale-out checks rely
+    /// on when they route with it and verify with it.
     #[test]
-    fn producer_tiers_route_keys_identically(
-        keyed in arb_keyed_payloads(),
+    fn partition_for_key_is_in_range_and_deterministic(
+        keys in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 1..150),
         partitions in 1u32..32,
-        batch in 1usize..64,
     ) {
-        let broker = Broker::new();
-        for topic in ["per-record", "batched"] {
-            broker
-                .create_topic(topic, TopicConfig::default().partitions(partitions))
-                .unwrap();
-        }
-        let config = ProducerConfig {
-            batch_records: batch,
-            partitioner: logbus::Partitioner::KeyHash,
-            ..ProducerConfig::default()
-        };
-
-        let mut per_record = Producer::with_config(broker.clone(), config.clone());
-        for (key, value) in &keyed {
-            per_record
-                .send("per-record", Record::from_key_value(key.clone(), value.clone()))
-                .unwrap();
-        }
-        per_record.flush().unwrap();
-
-        let mut batched = Producer::with_config(broker.clone(), config);
-        let mut records: Vec<Record> = keyed
-            .iter()
-            .map(|(key, value)| Record::from_key_value(key.clone(), value.clone()))
-            .collect();
-        batched.send_batch("batched", &mut records).unwrap();
-        batched.flush().unwrap();
-
-        for p in 0..partitions {
-            let a = broker.fetch("per-record", p, 0, keyed.len() + 1).unwrap();
-            let b = broker.fetch("batched", p, 0, keyed.len() + 1).unwrap();
-            prop_assert_eq!(a.len(), b.len(), "partition {} diverged", p);
-            for (x, y) in a.iter().zip(&b) {
-                prop_assert_eq!(&x.record.value[..], &y.record.value[..]);
-                // ... and the partition each record landed on is the
-                // shared partitioner's verdict for its key.
-                let key = x.record.key.as_ref().expect("keyed record");
-                prop_assert_eq!(logbus::partition_for_key(key, partitions), p);
-            }
+        for key in &keys {
+            let partition = logbus::partition_for_key(key, partitions);
+            prop_assert!(partition < partitions);
+            prop_assert_eq!(logbus::partition_for_key(&key.clone(), partitions), partition);
+            prop_assert_eq!(logbus::partition_for_key(key, 1), 0);
+            prop_assert_eq!(logbus::partition_for_key(key, 0), 0, "a zero count clamps to one");
         }
     }
 

@@ -100,7 +100,7 @@ impl Default for Tracer {
 
 impl Tracer {
     /// An empty tracer. Tracer instances are always live; the global
-    /// enable switch is applied by the [`crate::span`] front door, not
+    /// enable switch is applied by the [`crate::span()`] front door, not
     /// here, so tests can drive a private tracer directly.
     pub fn new() -> Self {
         Tracer::default()

@@ -220,7 +220,7 @@ impl<T: Send + Sync> SourceFunction<T> for QueueSourceInstance<T> {
 mod tests {
     use super::*;
     use crate::operator::VecCollector;
-    use logbus::{Broker, Producer, Record, TopicConfig};
+    use logbus::{Broker, Record, TopicConfig};
     use std::sync::atomic::AtomicU64;
 
     fn collect_all<T, S: ParallelSource<T>>(source: &S, parallelism: usize) -> Vec<Vec<T>>
@@ -251,13 +251,8 @@ mod tests {
     fn broker_source_reads_bounded() {
         let broker = Broker::new();
         broker.create_topic("in", TopicConfig::default()).unwrap();
-        let mut producer = Producer::new(broker.clone());
-        for i in 0..100 {
-            producer
-                .send("in", Record::from_value(format!("r{i}")))
-                .unwrap();
-        }
-        producer.flush().unwrap();
+        let records = (0..100).map(|i| Record::from_value(format!("r{i}")));
+        broker.produce_batch("in", 0, records.collect()).unwrap();
 
         let source = BrokerSource::new(broker.clone(), "in").fetch_size(7);
         let parts = collect_all(&source, 1);

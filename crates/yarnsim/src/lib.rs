@@ -45,4 +45,3 @@ pub use error::{Error, Result};
 pub use node::{NodeId, NodeInfo};
 pub use resource::{Resource, ResourceRequest};
 pub use rm::{ClusterMetrics, ResourceManager};
-pub use scheduler::{CapacityScheduler, FifoScheduler, Scheduler};

@@ -6,7 +6,7 @@ use crate::container::{Container, ContainerId, ContainerState};
 use crate::error::{Error, Result};
 use crate::node::{NodeId, NodeInfo, NodeState};
 use crate::resource::{Resource, ResourceRequest};
-use crate::scheduler::{CapacityScheduler, Scheduler};
+use crate::scheduler::place_least_loaded;
 use std::collections::HashMap;
 
 /// Cluster-wide aggregate numbers.
@@ -30,7 +30,6 @@ pub struct ClusterMetrics {
 /// concurrency, and the `apx` engine drives it from its launcher thread.
 #[derive(Debug)]
 pub struct ResourceManager {
-    scheduler: Box<dyn Scheduler>,
     nodes: Vec<NodeState>,
     apps: HashMap<ApplicationId, Application>,
     containers: HashMap<ContainerId, Container>,
@@ -50,16 +49,10 @@ impl Default for ResourceManager {
 }
 
 impl ResourceManager {
-    /// Creates a resource manager with the capacity scheduler and a
+    /// Creates a resource manager with least-loaded placement and a
     /// liveness window of 10 ticks.
     pub fn new() -> Self {
-        Self::with_scheduler(Box::new(CapacityScheduler))
-    }
-
-    /// Creates a resource manager with an explicit placement strategy.
-    pub fn with_scheduler(scheduler: Box<dyn Scheduler>) -> Self {
         ResourceManager {
-            scheduler,
             nodes: Vec::new(),
             apps: HashMap::new(),
             containers: HashMap::new(),
@@ -316,7 +309,7 @@ impl ResourceManager {
                     .filter(|n| n.healthy)
                     .map(NodeState::info)
                     .collect();
-                let idx = self.scheduler.place(&healthy, request.resource).ok_or(
+                let idx = place_least_loaded(&healthy, request.resource).ok_or(
                     Error::InsufficientResources {
                         requested: request.resource,
                     },
@@ -481,7 +474,6 @@ impl ResourceManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheduler::FifoScheduler;
 
     fn two_node_rm() -> (ResourceManager, NodeId, NodeId) {
         let mut rm = ResourceManager::new();
@@ -709,20 +701,6 @@ mod tests {
             "the expired node's work moved over"
         );
         assert!(rm.live_containers(app).iter().all(|c| c.node == b));
-    }
-
-    #[test]
-    fn fifo_scheduler_packs_first_node() {
-        let mut rm = ResourceManager::with_scheduler(Box::new(FifoScheduler));
-        let a = rm.register_node(Resource::new(4096, 8));
-        let _b = rm.register_node(Resource::new(4096, 8));
-        let app = rm
-            .submit_application("bench", Resource::new(512, 1))
-            .unwrap();
-        let granted = rm
-            .allocate(app, &[ResourceRequest::new(Resource::new(256, 1)); 3])
-            .unwrap();
-        assert!(granted.iter().all(|c| c.node == a));
     }
 
     #[test]

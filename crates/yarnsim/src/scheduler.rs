@@ -1,48 +1,24 @@
-//! Container placement strategies.
+//! Container placement.
 
 use crate::node::NodeInfo;
 use crate::resource::Resource;
 
-/// Picks a node for one container request.
-///
-/// Implementations see only healthy nodes with their current usage and
-/// must return the index of a node whose available resources fit the
-/// request, or `None` when nothing fits.
-pub trait Scheduler: Send + Sync + std::fmt::Debug {
-    /// Chooses an index into `nodes` for a container of size `request`.
-    fn place(&self, nodes: &[NodeInfo], request: Resource) -> Option<usize>;
-}
-
-/// First-fit placement in node registration order, like YARN's FIFO
-/// scheduler's behaviour under a single queue.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FifoScheduler;
-
-impl Scheduler for FifoScheduler {
-    fn place(&self, nodes: &[NodeInfo], request: Resource) -> Option<usize> {
-        nodes.iter().position(|n| n.available().fits(&request))
-    }
-}
-
-/// Least-loaded placement: picks the fitting node with the smallest
-/// dominant share of used resources, approximating the balancing effect of
-/// YARN's capacity scheduler on a single queue.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CapacityScheduler;
-
-impl Scheduler for CapacityScheduler {
-    fn place(&self, nodes: &[NodeInfo], request: Resource) -> Option<usize> {
-        nodes
-            .iter()
-            .enumerate()
-            .filter(|(_, n)| n.available().fits(&request))
-            .min_by(|(_, a), (_, b)| {
-                let sa = a.used.dominant_share(&a.capacity);
-                let sb = b.used.dominant_share(&b.capacity);
-                sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .map(|(i, _)| i)
-    }
+/// Picks a node for one container request: the index into `nodes` (the
+/// healthy nodes with their current usage) of the fitting node with the
+/// smallest dominant share of used resources, or `None` when nothing
+/// fits — the balancing effect of YARN's capacity scheduler on a single
+/// queue.
+pub(crate) fn place_least_loaded(nodes: &[NodeInfo], request: Resource) -> Option<usize> {
+    nodes
+        .iter()
+        .enumerate()
+        .filter(|(_, n)| n.available().fits(&request))
+        .min_by(|(_, a), (_, b)| {
+            let sa = a.used.dominant_share(&a.capacity);
+            let sb = b.used.dominant_share(&b.capacity);
+            sa.partial_cmp(&sb).unwrap_or(std::cmp::Ordering::Equal)
+        })
+        .map(|(i, _)| i)
 }
 
 #[cfg(test)]
@@ -61,36 +37,23 @@ mod tests {
     }
 
     #[test]
-    fn fifo_takes_first_fit() {
-        let a = node(0, Resource::new(100, 4), Resource::new(100, 4)); // full
-        let b = node(1, Resource::new(100, 4), Resource::zero());
-        let c = node(2, Resource::new(100, 4), Resource::zero());
-        let nodes = vec![a, b, c];
-        let s = FifoScheduler;
-        assert_eq!(s.place(&nodes, Resource::new(50, 1)), Some(1));
-    }
-
-    #[test]
     fn capacity_balances() {
         let a = node(0, Resource::new(100, 4), Resource::new(80, 1));
         let b = node(1, Resource::new(100, 4), Resource::new(10, 1));
         let nodes = vec![a, b];
-        let s = CapacityScheduler;
-        assert_eq!(s.place(&nodes, Resource::new(10, 1)), Some(1));
+        assert_eq!(place_least_loaded(&nodes, Resource::new(10, 1)), Some(1));
     }
 
     #[test]
     fn nothing_fits() {
         let a = node(0, Resource::new(10, 1), Resource::zero());
         let nodes = vec![a];
-        assert_eq!(FifoScheduler.place(&nodes, Resource::new(20, 1)), None);
-        assert_eq!(CapacityScheduler.place(&nodes, Resource::new(20, 1)), None);
+        assert_eq!(place_least_loaded(&nodes, Resource::new(20, 1)), None);
     }
 
     #[test]
     fn empty_cluster() {
         let nodes: Vec<NodeInfo> = Vec::new();
-        assert_eq!(FifoScheduler.place(&nodes, Resource::new(1, 1)), None);
-        assert_eq!(CapacityScheduler.place(&nodes, Resource::new(1, 1)), None);
+        assert_eq!(place_least_loaded(&nodes, Resource::new(1, 1)), None);
     }
 }

@@ -1,5 +1,5 @@
-//! A tour of the `logbus` broker substrate: topics, producers,
-//! consumers, replication, and the LogAppendTime-based measurement trick
+//! A tour of the `logbus` broker substrate: topics, partition writers
+//! and readers, replication, and the LogAppendTime-based measurement trick
 //! the benchmark is built on.
 //!
 //! ```sh
@@ -7,50 +7,44 @@
 //! ```
 
 use logbus::{
-    Acks, Broker, Cluster, ClusterConfig, Consumer, Producer, ProducerConfig, Record,
-    TimestampType, TopicConfig, TopicDescription,
+    Acks, Broker, Cluster, ClusterConfig, Record, TimestampType, TopicConfig, TopicDescription,
 };
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
-    // --- Single broker: produce, consume, seek. ---
+    // --- Single broker: write in batches, read from any offset. ---
     let broker = Broker::new();
     broker.create_topic(
         "events",
         TopicConfig::default().timestamp_type(TimestampType::LogAppendTime),
     )?;
 
-    let mut producer = Producer::with_config(
-        broker.clone(),
-        ProducerConfig {
-            acks: Acks::Leader,
-            batch_records: 8,
-            ..ProducerConfig::default()
-        },
-    );
-    for i in 0..32 {
-        producer.send("events", Record::from_value(format!("event-{i}")))?;
+    let writer = broker
+        .partition_writer("events", 0)?
+        .idempotent()
+        .with_acks(Acks::Leader);
+    let mut batch = Vec::with_capacity(8);
+    for chunk in 0..4 {
+        batch.extend((0..8).map(|i| Record::from_value(format!("event-{}", chunk * 8 + i))));
+        // One request, one LogAppendTime stamp; the batch comes back empty.
+        writer.produce_batch_drain(&mut batch)?;
     }
-    producer.close()?;
-    println!("produced 32 records, metrics: {:?}", producer.metrics());
+    println!("produced 32 records in 4 requests");
 
-    let mut consumer = Consumer::new(broker.clone());
-    consumer.assign("events", 0)?;
-    let first_batch = consumer.poll(10)?;
+    let reader = broker.partition_reader("events", 0)?;
+    let mut fetched = Vec::new();
+    reader.fetch_into(0, 10, &mut fetched)?;
     println!(
-        "first poll: {} records, offsets {}..{}",
-        first_batch.len(),
-        first_batch[0].offset,
-        first_batch.last().unwrap().offset
+        "first fetch: {} records, offsets {}..{}",
+        fetched.len(),
+        fetched[0].offset,
+        fetched.last().unwrap().offset
     );
-    consumer.seek("events", 0, 30)?;
+    fetched.clear();
+    reader.fetch_into(30, 10, &mut fetched)?;
     println!(
-        "after seek(30): {:?}",
-        consumer
-            .poll(10)?
-            .iter()
-            .map(|r| r.offset)
-            .collect::<Vec<_>>()
+        "fetch from 30: {:?}",
+        fetched.iter().map(|r| r.offset).collect::<Vec<_>>()
     );
 
     // --- The measurement trick (paper §III-A3): the broker stamps every

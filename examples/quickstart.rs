@@ -8,7 +8,7 @@
 use beamline::runners::{ApxRunner, DStreamRunner, RillRunner};
 use beamline::{BrokerIO, BytesCoder, Filter, PipelineRunner, Values, WithoutMetadata};
 use bytes::Bytes;
-use logbus::{Broker, Producer, Record, TopicConfig};
+use logbus::{Broker, Record, TopicConfig};
 use std::error::Error;
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     // A broker with an input topic holding a few log lines.
     let broker = Broker::new();
     broker.create_topic("logs", TopicConfig::default())?;
-    let mut producer = Producer::new(broker.clone());
+    let writer = broker.partition_writer("logs", 0)?;
     for line in [
         "2026-07-07 10:00:01 INFO service started",
         "2026-07-07 10:00:02 ERROR disk full",
@@ -24,9 +24,8 @@ fn main() -> Result<(), Box<dyn Error>> {
         "2026-07-07 10:00:04 ERROR connection reset",
         "2026-07-07 10:00:05 INFO heartbeat",
     ] {
-        producer.send("logs", Record::from_value(line))?;
+        writer.produce(Record::from_value(line))?;
     }
-    producer.flush()?;
 
     // One pipeline definition: read -> drop metadata -> values -> filter
     // errors -> write.

@@ -5,7 +5,7 @@
 //! it for later holders.
 //!
 //! With the `check-sync` cargo feature the shim becomes the workspace's
-//! dynamic lock-order and race checker (see [`sync_check`]): every
+//! dynamic lock-order and race checker (see the `sync_check` module): every
 //! acquisition is recorded into a global lock-order graph with eager
 //! cycle detection, contention and hold-time accounting, and a
 //! monotonic-write witness for broker append invariants. With the

@@ -312,7 +312,7 @@ pub mod prop {
             }
         }
 
-        /// Strategy returned by [`vec`].
+        /// Strategy returned by [`vec()`].
         pub struct VecStrategy<S> {
             element: S,
             size: SizeRange,
