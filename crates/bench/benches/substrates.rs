@@ -294,6 +294,58 @@ fn broker_fresh_topic_append(c: &mut Criterion) {
     group.finish();
 }
 
+/// One whole life of a topic — create, 100 k records of 100 heap bytes
+/// in batches of 512, delete — per iteration, on a broker and on an RF-3
+/// cluster (`Acks::All`, RTT 0): the quick check for warm log memory and
+/// block copies. From the second iteration on every arena chunk and
+/// index block comes out of a pool, so the time per record is the append
+/// (and, on the cluster, two block copies) with no first-touch page
+/// faults in it; a chunk pool too small for the topic, or a follower
+/// that re-appends record by record, shows up here first.
+fn topic_churn(c: &mut Criterion) {
+    const RECORDS: u64 = 100_000;
+    let mut group = c.benchmark_group("topic_churn");
+    group.throughput(Throughput::Elements(RECORDS));
+    group
+        .sample_size(10)
+        .warm_up_time(std::time::Duration::from_secs(1))
+        .measurement_time(std::time::Duration::from_secs(3));
+    let record = logbus::Record::from_value(vec![b'x'; 100]);
+    let fill = |writer: logbus::PartitionWriter| {
+        let mut batch = logbus::pool::record_vec();
+        let mut sent = 0u64;
+        while sent < RECORDS {
+            let take = 512.min(RECORDS - sent);
+            batch.extend((0..take).map(|_| record.clone()));
+            writer.produce_batch_drain(&mut batch).unwrap();
+            sent += take;
+        }
+        logbus::pool::recycle_record_vec(batch);
+    };
+    let broker = logbus::Broker::new();
+    group.bench_function("broker", |b| {
+        b.iter(|| {
+            broker
+                .create_topic("t", logbus::TopicConfig::default())
+                .unwrap();
+            fill(broker.partition_writer("t", 0).unwrap());
+            broker.delete_topic("t").unwrap();
+        });
+    });
+    let cluster = logbus::Cluster::new(logbus::ClusterConfig { brokers: 3 });
+    group.bench_function("cluster_rf3", |b| {
+        b.iter(|| {
+            let config = logbus::TopicConfig::default().replication_factor(3);
+            cluster.create_topic("t", config).unwrap();
+            fill(cluster.partition_writer("t", 0).unwrap());
+            for broker in 0..3 {
+                cluster.broker(broker).delete_topic("t").unwrap();
+            }
+        });
+    });
+    group.finish();
+}
+
 fn engines_identity(c: &mut Criterion) {
     let broker = logbus::Broker::new();
     broker
@@ -476,6 +528,7 @@ fn bench(c: &mut Criterion) {
     producer_per_record(c);
     broker_scaleout(c);
     broker_fresh_topic_append(c);
+    topic_churn(c);
     engines_identity(c);
 }
 

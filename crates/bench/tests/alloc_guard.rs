@@ -35,6 +35,13 @@
 //! decoded value and every emitted payload is a view of a thread-local
 //! arena, so a Beam cell — seven stages, a coder round trip at each —
 //! allocates per arena chunk and per batch, not per record.
+//!
+//! A sixth guard covers the log's own memory across topics: a deleted
+//! topic's arena chunks and index blocks are the next topic's, on a
+//! broker and on every replica of a cluster, so a warmed create → fill →
+//! drain → delete cycle never asks the allocator for a kilobyte — and
+//! the chunk pool that makes it so holds its byte budget, not whatever
+//! the largest topic ever needed.
 #![cfg(feature = "alloc-count")]
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -63,28 +70,43 @@ static ALL_THREADS_EVENTS: AtomicU64 = AtomicU64::new(0);
 /// one test at a time.
 static ONE_AT_A_TIME: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
-fn bump() {
+/// Allocation events of a kilobyte or more on every thread: what a
+/// recycled arena chunk (64 KiB) or index block (48 KiB) would have been.
+static ALL_THREADS_KILOBYTE_EVENTS: AtomicU64 = AtomicU64::new(0);
+
+/// Arena-chunk-sized allocations handed back to the allocator.
+static ARENA_CHUNK_FREES: AtomicU64 = AtomicU64::new(0);
+
+const ARENA_CHUNK: usize = 64 << 10;
+
+fn bump(size: usize) {
     ALLOC_EVENTS.with(|c| c.set(c.get() + 1));
     ALL_THREADS_EVENTS.fetch_add(1, Ordering::Relaxed);
+    if size >= 1024 {
+        ALL_THREADS_KILOBYTE_EVENTS.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        if layout.size() == ARENA_CHUNK {
+            ARENA_CHUNK_FREES.fetch_add(1, Ordering::Relaxed);
+        }
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -479,4 +501,118 @@ fn data_sender_is_allocation_free() {
         per_record(events) < 0.01,
         "send_workload: {events} allocation events over {SENDER_RECORDS} records"
     );
+}
+
+const CHURN_RECORDS: u64 = 100_000;
+
+/// One life of topic `churn` on `bus`: create, fill with
+/// [`CHURN_RECORDS`] in batches of 512, read everything back, delete —
+/// `delete` says how, as a cluster's topic goes broker by broker.
+fn churn_cycle(
+    bus: &logbus::BusHandle,
+    replication: u32,
+    delete: &dyn Fn(),
+    fetched: &mut Vec<logbus::StoredRecord>,
+) {
+    let config = logbus::TopicConfig::default().replication_factor(replication);
+    bus.create_topic("churn", config).expect("create topic");
+    let writer = bus.partition_writer("churn", 0).expect("writer");
+    let reader = bus.partition_reader("churn", 0).expect("reader");
+    // A heap payload, which the append copies into the segment arena (a
+    // `&'static` one would be kept as it is, beside the arena).
+    let record = logbus::Record::from_value(b"payload-0123456789abcdef".to_vec());
+    let mut batch = logbus::pool::record_vec();
+    let mut sent = 0;
+    while sent < CHURN_RECORDS {
+        let take = 512.min(CHURN_RECORDS - sent);
+        batch.extend((0..take).map(|_| record.clone()));
+        writer.produce_batch_drain(&mut batch).expect("append");
+        sent += take;
+    }
+    logbus::pool::recycle_record_vec(batch);
+    let mut offset = 0;
+    while offset < CHURN_RECORDS {
+        fetched.clear();
+        offset += reader.fetch_into(offset, 4_096, fetched).expect("fetch") as u64;
+    }
+    fetched.clear();
+    drop((writer, reader));
+    delete();
+}
+
+/// Arena chunks one replica of `churn` fills: 24 payload bytes a record.
+const CHURN_CHUNKS: usize = CHURN_RECORDS as usize * 24 / ARENA_CHUNK;
+
+#[test]
+fn topic_churn_runs_on_recycled_chunks_and_index_blocks() {
+    let _alone = ONE_AT_A_TIME.lock();
+    let broker = logbus::Broker::new();
+    let cluster = logbus::Cluster::new(logbus::ClusterConfig { brokers: 3 });
+    let delete_on_broker = || broker.delete_topic("churn").expect("delete");
+    let delete_on_cluster = || {
+        for b in 0..3 {
+            cluster.broker(b).delete_topic("churn").expect("delete");
+        }
+    };
+    let cases: [(&str, logbus::BusHandle, u32, &dyn Fn()); 2] = [
+        ("broker", broker.clone().into(), 1, &delete_on_broker),
+        ("cluster rf3", cluster.clone().into(), 3, &delete_on_cluster),
+    ];
+    let mut fetched = Vec::with_capacity(4_096);
+    for (name, bus, replication, delete) in cases {
+        // Warm-up life: the chunks, the index blocks, the pools' own
+        // stacks and every lazy static come from the allocator once.
+        churn_cycle(&bus, replication, delete, &mut fetched);
+        for cycle in 1..=3 {
+            let kilobytes = ALL_THREADS_KILOBYTE_EVENTS.load(Ordering::Relaxed);
+            let fresh = bytes::pool_fresh_chunks();
+            let (reused, _) = bytes::pool_stats();
+            churn_cycle(&bus, replication, delete, &mut fetched);
+            // Index blocks that are freed instead of pooled read 51 here
+            // on the broker; a chunk pool of 64 slots, which covers the
+            // broker's 36 chunks, reads 59 on the cluster's 109.
+            assert_eq!(
+                ALL_THREADS_KILOBYTE_EVENTS.load(Ordering::Relaxed) - kilobytes,
+                0,
+                "{name}, cycle {cycle}: allocations of 1 KiB or more"
+            );
+            assert_eq!(bytes::pool_fresh_chunks(), fresh, "{name}, cycle {cycle}");
+            assert!(
+                bytes::pool_stats().0 - reused >= CHURN_CHUNKS * replication as usize,
+                "{name}, cycle {cycle}: every chunk comes out of the pool"
+            );
+        }
+    }
+}
+
+/// The chunk pool bounds memory: past its byte budget, retired arena
+/// chunks go back to the allocator. Chunk by chunk rather than through
+/// a topic — a topic past the budget would make this guard touch
+/// 130 MiB, and a deleted topic's chunks take this same way out.
+#[test]
+fn chunk_pool_returns_the_surplus_past_its_budget() {
+    const SURPLUS: usize = 64;
+    let _alone = ONE_AT_A_TIME.lock();
+    let budget = bytes::POOL_ARENA_BUDGET / ARENA_CHUNK;
+    let hold = || -> Vec<bytes::BytesMut> {
+        (0..budget + SURPLUS)
+            .map(|_| bytes::BytesMut::with_capacity(ARENA_CHUNK))
+            .collect()
+    };
+    // More chunks alive at once than the budget covers (never written,
+    // so they cost address space), then all retired.
+    let frees = ARENA_CHUNK_FREES.load(Ordering::Relaxed);
+    drop(hold());
+    assert_eq!(
+        ARENA_CHUNK_FREES.load(Ordering::Relaxed) - frees,
+        SURPLUS as u64,
+        "what does not fit the budget is freed"
+    );
+    // The pool kept exactly its budget: that many come back out, the
+    // rest are fresh.
+    let (reused, fresh) = (bytes::pool_stats().0, bytes::pool_fresh_chunks());
+    let held = hold();
+    assert_eq!(bytes::pool_stats().0 - reused, budget);
+    assert_eq!(bytes::pool_fresh_chunks() - fresh, SURPLUS);
+    drop(held);
 }

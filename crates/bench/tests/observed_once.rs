@@ -1,6 +1,7 @@
 //! Every produce and fetch door is observed exactly once, and so is a
 //! read that gives up; a bundle of one is one request and no thread
-//! hand-off.
+//! hand-off; a follower's copy of a produce round is a block or two, and
+//! a topic's second life runs on its first life's memory.
 //!
 //! One test, alone in its binary: the obs registry is process-wide, so
 //! exact counter deltas hold only when nothing else records.
@@ -171,6 +172,53 @@ fn bundle_of_one_is_one_request_and_no_wakeup(bus: &BusHandle) {
     assert!((1..=BUNDLES).contains(&woken), "{woken} wake-ups");
 }
 
+fn gauge(name: &str) -> i64 {
+    let snap = obs::global().registry().snapshot();
+    snap.gauges.get(name).copied().unwrap_or(0)
+}
+
+/// 10 000 records onto an RF-3 topic in batches of 512: each follower
+/// copies every record, a produce round's worth per block (a block also
+/// ends with a leader arena chunk and a segment). The topic's second
+/// life takes every chunk it needs from the pool its first life retired
+/// them to, so the fresh-chunk gauge stays where it was.
+fn replication_copies_blocks_into_recycled_memory() {
+    const RECORDS: u64 = 10_000;
+    let cluster = Cluster::new(ClusterConfig { brokers: 3 });
+    let one_life = || {
+        cluster
+            .create_topic("blocks", TopicConfig::default().replication_factor(3))
+            .unwrap();
+        let writer = cluster.partition_writer("blocks", 0).unwrap();
+        let record = Record::from_value(vec![b'x'; 100]);
+        for _ in 0..RECORDS.div_ceil(512) {
+            let left = RECORDS - cluster.latest_offset("blocks", 0).unwrap();
+            let batch = vec![record.clone(); left.min(512) as usize];
+            writer.produce_batch(batch).unwrap();
+        }
+        drop(writer);
+        for broker in 0..3 {
+            cluster.broker(broker).delete_topic("blocks").unwrap();
+        }
+    };
+    let (records, blocks) = (
+        counter("logbus.replica.records"),
+        counter("logbus.replica.blocks"),
+    );
+    one_life();
+    let records = counter("logbus.replica.records") - records;
+    let blocks = counter("logbus.replica.blocks") - blocks;
+    assert_eq!(records, 2 * RECORDS, "two followers copy every record");
+    assert!(
+        (1..=records / 100).contains(&blocks),
+        "{blocks} blocks for {records} records"
+    );
+    let fresh = gauge("bytes.pool.fresh_chunks");
+    assert!(fresh > 0, "the first life's chunks came from the allocator");
+    one_life();
+    assert_eq!(gauge("bytes.pool.fresh_chunks"), fresh, "second life");
+}
+
 #[test]
 fn every_door_is_observed_exactly_once() {
     obs::set_enabled(true);
@@ -178,6 +226,7 @@ fn every_door_is_observed_exactly_once() {
     each_door_counts_once(&broker, 1);
     each_door_counts_once(&Cluster::new(ClusterConfig { brokers: 3 }).into(), 3);
     bundle_of_one_is_one_request_and_no_wakeup(&broker);
+    replication_copies_blocks_into_recycled_memory();
     stall_exit_counts_once(&broker);
     obs::set_enabled(false);
 }

@@ -457,26 +457,6 @@ impl Cluster {
 
     // ---- replicated produce --------------------------------------------
 
-    /// Copies leader-stored records `[from, to)` onto a follower,
-    /// skipping anything the follower already holds.
-    fn copy_replica(
-        &self,
-        leader_topic: &Topic,
-        follower_topic: &Topic,
-        partition: u32,
-        from: u64,
-        to: u64,
-    ) -> Result<()> {
-        if from >= to {
-            return Ok(());
-        }
-        let mut buffer = crate::pool::stored_vec();
-        leader_topic.read_into(partition, from, (to - from) as usize, &mut buffer)?;
-        follower_topic.append_replica_batch(partition, &buffer)?;
-        crate::pool::recycle_stored_vec(buffer);
-        Ok(())
-    }
-
     /// Brings every live follower up to `leader_end` through its fault
     /// gate, maintaining the in-sync set: dead followers drop out,
     /// caught-up followers (re-)enter, faulted ones stay in but lag —
@@ -520,13 +500,15 @@ impl Cluster {
             }
             let follower_topic = route.log(pos)?;
             spin_delay(follower.request_delay());
-            self.copy_replica(
-                leader_topic,
-                &follower_topic,
-                partition,
-                st.synced[pos],
-                leader_end,
-            )?;
+            match follower_topic.append_range(partition, leader_topic, st.synced[pos], leader_end) {
+                Ok(_) => {}
+                // The follower's log and the range do not line up, or the
+                // leader retired the range: a replica fault like the ones
+                // above — the follower lags and holds the high-watermark
+                // back; nothing was appended.
+                Err(Error::ReplicaMisaligned { .. } | Error::OffsetOutOfRange { .. }) => continue,
+                Err(other) => return Err(other),
+            }
             if acked {
                 st.synced[pos] = leader_end;
                 st.in_sync[pos] = true;

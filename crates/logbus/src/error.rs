@@ -72,6 +72,18 @@ pub enum Error {
         /// Stale epoch the request carried.
         requested: u64,
     },
+    /// A follower was handed a leader log range its own log does not
+    /// line up with: it ends before `from` (copying would leave a gap) or
+    /// past `to` (it holds records the range does not cover). The
+    /// replication round leaves that follower lagging.
+    ReplicaMisaligned {
+        /// The follower's log end.
+        replica_end: u64,
+        /// First offset of the range.
+        from: u64,
+        /// One past the last offset of the range.
+        to: u64,
+    },
     /// A retried request exhausted its [`RetryPolicy`](crate::RetryPolicy)
     /// budget; the boxed error is the last attempt's failure.
     RetriesExhausted {
@@ -141,6 +153,14 @@ impl fmt::Display for Error {
                     "leader epoch {requested} fenced off (current epoch {current})"
                 )
             }
+            Error::ReplicaMisaligned {
+                replica_end,
+                from,
+                to,
+            } => write!(
+                f,
+                "replica log end {replica_end} outside the copied range {from}..{to}"
+            ),
             Error::RetriesExhausted { attempts, last } => {
                 write!(f, "gave up after {attempts} attempts: {last}")
             }
@@ -204,6 +224,11 @@ mod tests {
             Error::FencedEpoch {
                 current: 2,
                 requested: 1,
+            },
+            Error::ReplicaMisaligned {
+                replica_end: 3,
+                from: 5,
+                to: 9,
             },
             Error::RetriesExhausted {
                 attempts: 4,

@@ -1,6 +1,7 @@
 //! The per-partition append-only log.
 
 use crate::config::TopicConfig;
+use crate::error::{Error, Result};
 use crate::record::{Record, StoredRecord, Timestamp};
 use crate::segment::Segment;
 use std::collections::HashMap;
@@ -33,7 +34,8 @@ pub struct PartitionLog {
     config: TopicConfig,
     segments: Vec<Segment>,
     /// The segment retention dropped last, emptied: the next roll reuses
-    /// its index allocation, so a log at its retention limit turns
+    /// its chunk and spill tables (its index blocks went to the pool
+    /// every segment draws from), so a log at its retention limit turns
     /// segments over without allocating.
     spare: Option<Segment>,
     /// Offset of the earliest retained record.
@@ -133,34 +135,93 @@ impl PartitionLog {
         next - offset
     }
 
-    /// Appends a replica copy verbatim, preserving the leader-assigned
-    /// offset and timestamp (the catch-up path for a rejoining follower).
+    /// Appends `leader`'s records `from..to` verbatim — leader-assigned
+    /// offsets and stamps, the same byte accounting, roll points and
+    /// retention as appending them one by one — skipping what this log
+    /// already holds: how a follower replicates, a produce round or a
+    /// whole catch-up at a time. The records move in blocks (see
+    /// `Segment::append_block`): one `memcpy` per run that sits back to
+    /// back in a leader arena chunk, not one materialised record each.
+    /// Returns how many records and how many blocks were copied.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `stored.offset` is not the log's next offset; the caller
-    /// copies contiguously from the leader's log.
-    pub fn append_stored(&mut self, stored: StoredRecord) {
-        assert_eq!(
-            stored.offset,
-            self.next_offset(),
-            "replica copy must be contiguous"
-        );
-        #[cfg(feature = "check-sync")]
-        parking_lot::sync_check::witness_monotonic(
-            "logbus.offset",
-            self.witness_id,
-            stored.offset,
-            true,
-        );
-        if self.active_segment_full() {
-            self.roll(stored.offset);
+    /// [`Error::ReplicaMisaligned`] when this log ends before `from` (the
+    /// copy would leave a gap) or past `to` (it holds records the range
+    /// does not vouch for); [`Error::OffsetOutOfRange`] when the leader no
+    /// longer retains, or does not yet hold, part of what is left to
+    /// copy. Nothing is appended in either case.
+    pub fn append_range(
+        &mut self,
+        leader: &PartitionLog,
+        from: u64,
+        to: u64,
+    ) -> Result<(u64, u64)> {
+        if from >= to {
+            return Ok((0, 0));
         }
-        if let Some(segment) = self.segments.last_mut() {
-            segment.append(stored);
+        let held = self.next_offset();
+        if held < from || held > to {
+            return Err(Error::ReplicaMisaligned {
+                replica_end: held,
+                from,
+                to,
+            });
         }
-        self.appended += 1;
-        self.apply_retention();
+        if held == to {
+            return Ok((0, 0));
+        }
+        let out_of_range = |requested| Error::OffsetOutOfRange {
+            requested,
+            earliest: leader.log_start_offset,
+            latest: leader.next_offset(),
+        };
+        if held < leader.log_start_offset {
+            return Err(out_of_range(held));
+        }
+        if to > leader.next_offset() {
+            return Err(out_of_range(to));
+        }
+        let first = leader
+            .segments
+            .partition_point(|s| s.base_offset() <= held)
+            .saturating_sub(1);
+        let (mut at, mut blocks) = (held, 0);
+        for source in &leader.segments[first..] {
+            while at < to && source.contains(at) {
+                if self.active_segment_full() {
+                    self.roll(at);
+                }
+                let Some(segment) = self.segments.last_mut() else {
+                    break;
+                };
+                let copied = segment.append_block(source, at, to, self.config.segment_bytes) as u64;
+                if copied == 0 {
+                    break;
+                }
+                // A block rewinding into offsets this log already issued
+                // trips the same witness a torn `append` would.
+                #[cfg(feature = "check-sync")]
+                for (offset, strict) in [(at, true), (at + copied - 1, false)] {
+                    parking_lot::sync_check::witness_monotonic(
+                        "logbus.offset",
+                        self.witness_id,
+                        offset,
+                        strict,
+                    );
+                }
+                at += copied;
+                blocks += 1;
+                self.appended += copied;
+                self.apply_retention();
+            }
+        }
+        if at < to {
+            // Unreachable while segments stay contiguous; reported, not
+            // asserted, so a replication round can never panic.
+            return Err(out_of_range(at));
+        }
+        Ok((at - held, blocks))
     }
 
     /// Offset that the next appended record will receive.
@@ -253,7 +314,7 @@ impl PartitionLog {
                 let mut removed = self.segments.remove(0);
                 self.log_start_offset = removed.next_offset();
                 // Let the arena go now (chunks recycle once outstanding
-                // fetch views drop); keep the index for the next roll.
+                // fetch views drop); keep the tables for the next roll.
                 removed.reset(self.log_start_offset);
                 self.spare = Some(removed);
             } else {
@@ -270,7 +331,11 @@ impl PartitionLog {
     /// `offset` lies before the earliest retained record or after the next
     /// offset. Reading *at* the next offset yields an empty batch (a poll
     /// on a caught-up consumer).
-    pub fn read(&self, offset: u64, max: usize) -> Result<Vec<StoredRecord>, OffsetError> {
+    pub fn read(
+        &self,
+        offset: u64,
+        max: usize,
+    ) -> std::result::Result<Vec<StoredRecord>, OffsetError> {
         let mut out = Vec::new();
         self.read_into(offset, max, &mut out)?;
         Ok(out)
@@ -289,7 +354,7 @@ impl PartitionLog {
         offset: u64,
         max: usize,
         out: &mut Vec<StoredRecord>,
-    ) -> Result<usize, OffsetError> {
+    ) -> std::result::Result<usize, OffsetError> {
         if offset < self.log_start_offset || offset > self.next_offset() {
             return Err(OffsetError::OffsetOutOfRange {
                 requested: offset,
@@ -599,18 +664,43 @@ mod tests {
     }
 
     #[test]
-    fn append_stored_preserves_offsets_and_stamps() {
+    fn append_range_preserves_offsets_and_stamps() {
+        let mut leader = log_with(1 << 20);
+        append_n(&mut leader, 2);
+        leader.append(Record::from_value("replica"), Timestamp::from_micros(77));
         let mut log = log_with(1 << 20);
         append_n(&mut log, 2);
-        log.append_stored(StoredRecord {
-            offset: 2,
-            timestamp: Timestamp::from_micros(77),
-            record: Record::from_value("replica"),
-        });
+        assert_eq!(log.append_range(&leader, 0, 3), Ok((1, 1)));
         let all = log.read(0, 10).unwrap();
         assert_eq!(all.len(), 3);
         assert_eq!(all[2].offset, 2);
         assert_eq!(all[2].timestamp.as_micros(), 77);
+        assert_eq!(log.stats(), leader.stats());
+    }
+
+    #[test]
+    fn append_range_rolls_and_retains_like_single_appends() {
+        let config = TopicConfig::default()
+            .segment_bytes(200)
+            .retention_records(30);
+        let mut leader = PartitionLog::new(config.clone());
+        append_n(&mut leader, 100);
+        // A leader that never dropped anything, so the whole history can
+        // be copied; the follower applies its own retention to it.
+        let mut source = log_with(1 << 20);
+        append_n(&mut source, 100);
+        let mut follower = PartitionLog::new(config);
+        let (records, blocks) = follower.append_range(&source, 0, 100).unwrap();
+        assert_eq!(records, 100);
+        assert!(blocks < records, "several records per block");
+        assert_eq!(follower.stats(), leader.stats());
+        assert_eq!(follower.earliest_offset(), leader.earliest_offset());
+        let bases = |log: &PartitionLog| -> Vec<u64> {
+            log.segments.iter().map(Segment::base_offset).collect()
+        };
+        assert_eq!(bases(&follower), bases(&leader));
+        let start = leader.earliest_offset();
+        assert_eq!(follower.read(start, 100), leader.read(start, 100));
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! Pool tier: capped free-lists for hot-path batch `Vec`s.
 //!
-//! The batched data plane moves records in `Vec<Record>` /
-//! `Vec<StoredRecord>` buffers. Most of them live their whole life on
-//! one thread (producer flush buffers, consumer fetch buffers), so the
-//! fast tier is a plain thread-local free-list. Buffers that cross
-//! threads (the async producer hands batches from the caller thread to
-//! its sender thread) drain into a small global overflow list the
-//! originating thread refills from, closing the loop without a lock on
-//! the same-thread path.
+//! The batched data plane moves records in `Vec<Record>` buffers. Most
+//! of them live their whole life on one thread (producer flush
+//! buffers), so the fast tier is a plain thread-local free-list.
+//! Buffers that cross threads (the async producer hands batches from
+//! the caller thread to its sender thread) drain into a small global
+//! overflow list the originating thread refills from, closing the loop
+//! without a lock on the same-thread path.
 //!
 //! Both tiers are capped: at most [`LOCAL_MAX`] / [`GLOBAL_MAX`] idle
 //! buffers, each retained only when its capacity is at most
@@ -15,11 +14,12 @@
 //! hoarding a high-water mark.
 //!
 //! Record payloads are pooled separately by the `bytes` shim's chunk
-//! free-list (see `bytes::pool_stats`). Besides the two record-vector
-//! tiers this module carries one `u8` tier, whose only user is
-//! `apx::stream`'s frame blocks.
+//! free-list (see `bytes::pool_stats`), segment indexes by the block
+//! pool in `segment.rs`. Besides the record-vector tier this module
+//! carries one `u8` tier, whose only user is `apx::stream`'s frame
+//! blocks.
 
-use crate::record::{Record, StoredRecord};
+use crate::record::Record;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -104,13 +104,6 @@ pool_tier!(
     RECORD_VECS,
     RECORD_OVERFLOW
 );
-pool_tier!(
-    stored_vec,
-    recycle_stored_vec,
-    StoredRecord,
-    STORED_VECS,
-    STORED_OVERFLOW
-);
 // Frame blocks of `apx::stream`'s cross-container links (a publisher
 // fills one, the subscriber recycles it); capacity cap = 64 KiB per
 // buffer.
@@ -142,14 +135,6 @@ mod tests {
         recycle_record_vec(Vec::new());
         let (_, recycled_after) = stats();
         assert_eq!(recycled_before, recycled_after);
-    }
-
-    #[test]
-    fn stored_vec_tier_is_independent() {
-        let mut v = stored_vec();
-        v.reserve(8);
-        recycle_stored_vec(v);
-        assert!(stored_vec().capacity() >= 8);
     }
 
     #[test]

@@ -129,16 +129,18 @@ impl Record {
         self
     }
 
+    /// Fixed part of [`Record::wire_size`]: offset + timestamp + lengths.
+    pub(crate) const WIRE_OVERHEAD: usize = 24;
+
     /// Approximate wire size of the record in bytes, used for segment
     /// rolling and batch-size accounting.
     pub fn wire_size(&self) -> usize {
-        const RECORD_OVERHEAD: usize = 24; // offset + timestamp + lengths
         let headers: usize = self
             .headers
             .iter()
             .map(|h| h.key.len() + h.value.len() + 8)
             .sum();
-        RECORD_OVERHEAD
+        Self::WIRE_OVERHEAD
             + self.key.as_ref().map_or(0, bytes::Bytes::len)
             + self.value.len()
             + headers

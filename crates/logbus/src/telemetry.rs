@@ -22,6 +22,11 @@ struct ProducePath {
     batch_records: obs::Histogram,
     /// Total records successfully appended.
     records: obs::Counter,
+    /// `bytes::pool_fresh_chunks()` as of the last request: buffers the
+    /// chunk pool could not supply, so the allocator (and a first touch
+    /// of their pages) did. Flat across a trial means it ran on
+    /// recycled memory.
+    fresh_chunks: obs::Gauge,
 }
 
 fn produce_path() -> &'static ProducePath {
@@ -30,6 +35,7 @@ fn produce_path() -> &'static ProducePath {
         latency_micros: obs::histogram("logbus.produce.micros"),
         batch_records: obs::histogram("logbus.produce.batch_records"),
         records: obs::counter("logbus.produce.records"),
+        fresh_chunks: obs::gauge("bytes.pool.fresh_chunks"),
     })
 }
 
@@ -52,6 +58,7 @@ pub(crate) fn observed_produce(
     if result.is_ok() {
         path.records.add(count);
     }
+    path.fresh_chunks.set(bytes::pool_fresh_chunks() as i64);
     result
 }
 
@@ -187,6 +194,23 @@ pub(crate) fn failover_path() -> &'static FailoverPath {
         epoch_bumps: obs::counter("logbus.failover.epoch_bumps"),
         truncated_records: obs::counter("logbus.failover.truncated_records"),
         unavailability_micros: obs::histogram("logbus.failover.unavailability_micros"),
+    })
+}
+
+/// Follower replication: what [`crate::topic::Topic::append_range`]
+/// moved, so `records / blocks` is the records one `memcpy` carried.
+pub(crate) struct ReplicaPath {
+    /// Blocks copied from leader logs (one arena run or spilled record).
+    pub(crate) blocks: obs::Counter,
+    /// Records those blocks held.
+    pub(crate) records: obs::Counter,
+}
+
+pub(crate) fn replica_path() -> &'static ReplicaPath {
+    static PATH: OnceLock<ReplicaPath> = OnceLock::new();
+    PATH.get_or_init(|| ReplicaPath {
+        blocks: obs::counter("logbus.replica.blocks"),
+        records: obs::counter("logbus.replica.records"),
     })
 }
 

@@ -141,25 +141,43 @@ impl Topic {
         Ok(self.partition(partition)?.write().truncate_to(offset))
     }
 
-    /// Appends leader-stored records verbatim onto `partition`, skipping
-    /// any the replica already holds — the catch-up path for a follower
-    /// rejoining after a crash. Offsets and timestamps are preserved.
+    /// Copies `leader`'s records `from..to` of `partition` onto this
+    /// topic's, verbatim and in blocks, skipping any this replica already
+    /// holds (see [`PartitionLog::append_range`]) — a follower's
+    /// replication fetch and a rejoining follower's catch-up. Returns the
+    /// number of records copied.
+    ///
+    /// Holds both partitions' locks for the copy, the leader's shared and
+    /// this one's exclusive, taken in address order: which of two
+    /// replicas leads changes with every election, so "leader first"
+    /// would be two orders.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::UnknownPartition`] for out-of-range partitions.
-    pub fn append_replica_batch(&self, partition: u32, records: &[StoredRecord]) -> Result<u64> {
-        let lock = self.partition(partition)?;
-        let mut log = lock.write();
-        let mut copied = 0;
-        for stored in records {
-            if stored.offset < log.next_offset() {
-                continue;
-            }
-            log.append_stored(stored.clone());
-            copied += 1;
+    /// Returns [`Error::UnknownPartition`] for out-of-range partitions,
+    /// or [`Error::ReplicaMisaligned`] / [`Error::OffsetOutOfRange`] when
+    /// the range does not continue this log or is not in the leader's.
+    pub fn append_range(&self, partition: u32, leader: &Topic, from: u64, to: u64) -> Result<u64> {
+        let target = self.partition(partition)?;
+        let source = leader.partition(partition)?;
+        if std::ptr::eq(source, target) {
+            // A log already holds whatever it could copy from itself.
+            return Ok(0);
         }
-        Ok(copied)
+        let (source, mut target) = if std::ptr::from_ref(source) < std::ptr::from_ref(target) {
+            let source = source.read();
+            (source, target.write())
+        } else {
+            let target = target.write();
+            (source.read(), target)
+        };
+        let (records, blocks) = target.append_range(&source, from, to)?;
+        if obs::enabled() && records > 0 {
+            let path = crate::telemetry::replica_path();
+            path.records.add(records);
+            path.blocks.add(blocks);
+        }
+        Ok(records)
     }
 
     /// The one client append: every produce request — a named call or a
@@ -531,14 +549,79 @@ mod tests {
         follower
             .append(0, Record::from_value("r0"), Timestamp(0))
             .unwrap();
-        let all = leader.read(0, 0, 100).unwrap();
-        let copied = follower.append_replica_batch(0, &all).unwrap();
+        let copied = follower.append_range(0, &leader, 0, 5).unwrap();
         assert_eq!(copied, 4, "record 0 already held");
         assert_eq!(follower.latest_offset(0).unwrap(), 5);
-        let mirrored = follower.read(0, 0, 100).unwrap();
-        for (i, r) in mirrored.iter().enumerate() {
-            assert_eq!(r.offset, i as u64);
+        assert_eq!(
+            follower.read(0, 0, 100).unwrap(),
+            leader.read(0, 0, 100).unwrap()
+        );
+        // The same range again is all held; a topic copies nothing from
+        // itself; an unknown partition is an error on either side.
+        assert_eq!(follower.append_range(0, &leader, 0, 5), Ok(0));
+        assert_eq!(leader.append_range(0, &leader, 0, 5), Ok(0));
+        assert!(matches!(
+            follower.append_range(1, &leader, 0, 5),
+            Err(Error::UnknownPartition { .. })
+        ));
+    }
+
+    #[test]
+    fn replica_ranges_that_do_not_line_up_are_typed_errors() {
+        let config = || {
+            TopicConfig::default()
+                .segment_bytes(64)
+                .retention_records(4)
+        };
+        let leader = Topic::new("t", config()).unwrap();
+        for i in 0..20 {
+            leader
+                .append(0, Record::from_value(format!("r{i}")), Timestamp(i))
+                .unwrap();
         }
+        let earliest = leader.earliest_offset(0).unwrap();
+        assert!(earliest > 0, "retention dropped the head");
+        let follower = Topic::new("t", TopicConfig::default()).unwrap();
+        // The follower ends before the range starts: a gap.
+        assert_eq!(
+            follower.append_range(0, &leader, earliest, 20),
+            Err(Error::ReplicaMisaligned {
+                replica_end: 0,
+                from: earliest,
+                to: 20
+            })
+        );
+        // What it still needs is no longer on the leader, or not yet.
+        assert_eq!(
+            follower.append_range(0, &leader, 0, 20),
+            Err(Error::OffsetOutOfRange {
+                requested: 0,
+                earliest,
+                latest: 20
+            })
+        );
+        let caught_up = Topic::new("t", TopicConfig::default()).unwrap();
+        for i in 0..20 {
+            caught_up
+                .append(0, Record::from_value(format!("r{i}")), Timestamp(i))
+                .unwrap();
+        }
+        assert!(matches!(
+            caught_up.append_range(0, &leader, 20, 21),
+            Err(Error::OffsetOutOfRange { requested: 21, .. })
+        ));
+        // The follower holds more than the range vouches for.
+        assert_eq!(
+            caught_up.append_range(0, &leader, earliest, 19),
+            Err(Error::ReplicaMisaligned {
+                replica_end: 20,
+                from: earliest,
+                to: 19
+            })
+        );
+        // Nothing was appended by any of them.
+        assert_eq!(follower.latest_offset(0).unwrap(), 0);
+        assert_eq!(caught_up.latest_offset(0).unwrap(), 20);
     }
 
     #[test]

@@ -30,10 +30,19 @@
 //! # Chunk pool
 //!
 //! Dropping the last reference to a shared buffer returns its
-//! allocation to a small capped free-list instead of the global
-//! allocator; [`BytesMut::with_capacity`] takes from the same list.
-//! In steady state (all buffers recycled through the pool) the byte
-//! path performs zero heap allocations. See [`pool_stats`].
+//! allocation to a free-list instead of the global allocator;
+//! [`BytesMut::with_capacity`] takes from the same list. The list is
+//! one LIFO stack per power-of-two size class, so taking and returning
+//! a buffer are a pop and a push whatever else sits idle, and a reused
+//! buffer is the one retired last — memory that has been touched
+//! before. Each class is bounded in bytes, not slots: the class of the
+//! 64 KiB arena chunks (segment storage, the Beam arena, the data
+//! sender's lines) keeps up to [`POOL_ARENA_BUDGET`], enough for a
+//! whole benchmark topic to retire and come back without a page fault;
+//! every other class keeps 4 MiB. Beyond its budget a class hands
+//! buffers back to the allocator, so resident memory is the high-water
+//! mark only up to the budget. See [`pool_stats`] and
+//! [`pool_fresh_chunks`].
 
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
@@ -42,20 +51,93 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 /// Smallest buffer capacity worth keeping in the recycle pool.
 const POOL_MIN_CAP: usize = 1024;
-/// Largest buffer capacity the pool will retain (oversize chunks are
-/// freed rather than hoarded).
-const POOL_MAX_CAP: usize = 8 << 20;
-/// Maximum number of idle chunks retained; beyond this the allocator
-/// takes them back.
-const POOL_MAX_CHUNKS: usize = 64;
+/// Largest buffer capacity the pool will retain: one such buffer is a
+/// class's whole budget (oversize chunks are freed rather than hoarded).
+const POOL_MAX_CAP: usize = POOL_CLASS_BUDGET;
+/// Capacity of the arena chunks the workspace packs records into; its
+/// size class is the one a retired topic lands in.
+const POOL_ARENA_CAP: usize = 64 << 10;
+/// Idle bytes the arena class may hold: the largest topic a `ledger`
+/// workload retires and refills is ~110 MB (identity, 1 M records).
+pub const POOL_ARENA_BUDGET: usize = 128 << 20;
+/// Idle bytes every other class may hold.
+const POOL_CLASS_BUDGET: usize = 4 << 20;
+/// One class per power of two in `POOL_MIN_CAP..=POOL_MAX_CAP`.
+const POOL_CLASSES: usize =
+    (POOL_MAX_CAP.trailing_zeros() - POOL_MIN_CAP.trailing_zeros() + 1) as usize;
 
-/// Free-list of retired backing buffers, shared across threads: buffers
-/// can be dropped on a different thread than the one that filled them
-/// (consumer vs. producer), so the pool must be global. It is locked
-/// once per *chunk*, never per record.
-static CHUNK_POOL: Mutex<Vec<Vec<u8>>> = Mutex::new(Vec::new());
+/// Free-lists of retired backing buffers, one stack per size class.
+/// Class `k` holds buffers whose capacity lies in
+/// `[POOL_MIN_CAP << k, POOL_MIN_CAP << (k + 1))`: a request is rounded
+/// *up* to its class and a retired buffer *down*, so whatever a stack
+/// holds is large enough for whoever pops it and no capacity is ever
+/// compared.
+struct ChunkPool {
+    classes: [Mutex<Vec<Vec<u8>>>; POOL_CLASSES],
+}
+
+impl ChunkPool {
+    const fn new() -> Self {
+        ChunkPool {
+            classes: [const { Mutex::new(Vec::new()) }; POOL_CLASSES],
+        }
+    }
+
+    /// The class whose buffers all hold at least `cap` bytes.
+    fn class_fitting(cap: usize) -> Option<usize> {
+        (POOL_MIN_CAP..=POOL_MAX_CAP).contains(&cap).then(|| {
+            (cap.next_power_of_two().trailing_zeros() - POOL_MIN_CAP.trailing_zeros()) as usize
+        })
+    }
+
+    /// The class a buffer of capacity `cap` belongs to.
+    fn class_of(cap: usize) -> Option<usize> {
+        (POOL_MIN_CAP..=POOL_MAX_CAP)
+            .contains(&cap)
+            .then(|| (cap.ilog2() - POOL_MIN_CAP.trailing_zeros()) as usize)
+    }
+
+    /// How many idle buffers `class` may hold.
+    const fn limit(class: usize) -> usize {
+        let cap = POOL_MIN_CAP << class;
+        if cap == POOL_ARENA_CAP {
+            POOL_ARENA_BUDGET / cap
+        } else {
+            POOL_CLASS_BUDGET / cap
+        }
+    }
+
+    /// Pops the buffer retired last in `cap`'s class, if any.
+    fn take(&self, cap: usize) -> Option<Vec<u8>> {
+        let class = Self::class_fitting(cap)?;
+        self.classes[class].lock().ok()?.pop()
+    }
+
+    /// Pushes `v` onto its class's stack; hands it back when the class
+    /// is at its budget or `v` is outside the pooled range.
+    fn put(&self, mut v: Vec<u8>) -> Option<Vec<u8>> {
+        let Some(class) = Self::class_of(v.capacity()) else {
+            return Some(v);
+        };
+        let Ok(mut stack) = self.classes[class].lock() else {
+            return Some(v);
+        };
+        if stack.len() >= Self::limit(class) {
+            return Some(v);
+        }
+        v.clear();
+        stack.push(v);
+        None
+    }
+}
+
+/// Shared across threads: buffers can be dropped on a different thread
+/// than the one that filled them (consumer vs. producer), so the pool
+/// must be global. A class is locked once per *chunk*, never per record.
+static CHUNK_POOL: ChunkPool = ChunkPool::new();
 static POOL_REUSED: AtomicUsize = AtomicUsize::new(0);
 static POOL_RECLAIMED: AtomicUsize = AtomicUsize::new(0);
+static POOL_FRESH: AtomicUsize = AtomicUsize::new(0);
 
 /// (buffers handed back out of the pool, buffers returned to the pool)
 /// since process start. Test/diagnostic hook for asserting the recycle
@@ -67,30 +149,30 @@ pub fn pool_stats() -> (usize, usize) {
     )
 }
 
+/// Pool-sized buffers that came from the allocator because their class
+/// was empty, since process start: memory that had to be touched for
+/// the first time. A trial that ran on recycled memory leaves it alone.
+pub fn pool_fresh_chunks() -> usize {
+    POOL_FRESH.load(Ordering::Relaxed)
+}
+
 fn pool_acquire(cap: usize) -> Vec<u8> {
-    if cap >= POOL_MIN_CAP {
-        if let Ok(mut pool) = CHUNK_POOL.lock() {
-            if let Some(idx) = pool.iter().position(|v| v.capacity() >= cap) {
-                let v = pool.swap_remove(idx);
-                POOL_REUSED.fetch_add(1, Ordering::Relaxed);
-                return v;
-            }
-        }
+    if let Some(v) = CHUNK_POOL.take(cap) {
+        POOL_REUSED.fetch_add(1, Ordering::Relaxed);
+        return v;
     }
-    Vec::with_capacity(cap)
+    if ChunkPool::class_fitting(cap).is_none() {
+        return Vec::with_capacity(cap);
+    }
+    POOL_FRESH.fetch_add(1, Ordering::Relaxed);
+    // A whole class's worth, so the buffer retires into the class the
+    // next request of this size pops from.
+    Vec::with_capacity(cap.next_power_of_two())
 }
 
 fn pool_reclaim(v: Vec<u8>) {
-    let cap = v.capacity();
-    if (POOL_MIN_CAP..=POOL_MAX_CAP).contains(&cap) {
-        if let Ok(mut pool) = CHUNK_POOL.lock() {
-            if pool.len() < POOL_MAX_CHUNKS {
-                POOL_RECLAIMED.fetch_add(1, Ordering::Relaxed);
-                let mut v = v;
-                v.clear();
-                pool.push(v);
-            }
-        }
+    if CHUNK_POOL.put(v).is_none() {
+        POOL_RECLAIMED.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -732,6 +814,86 @@ mod tests {
             "dropping the last view must reclaim the chunk"
         );
         assert!(reused > reused_before, "later builders must reuse chunks");
+    }
+
+    #[test]
+    fn fresh_chunks_count_pool_misses_only() {
+        // A class of its own (512 KiB), so no other test feeds or
+        // drains the stack under this one.
+        const CAP: usize = 512 << 10;
+        let fresh = pool_fresh_chunks();
+        drop(BytesMut::with_capacity(CAP));
+        assert!(pool_fresh_chunks() > fresh, "an empty class allocates");
+        let fresh = pool_fresh_chunks();
+        let again = BytesMut::with_capacity(CAP - 1);
+        assert_eq!(pool_fresh_chunks(), fresh, "a retired buffer is reused");
+        assert_eq!(again.capacity(), CAP, "requests round up to their class");
+        // Below the pooled range nothing is counted or rounded.
+        assert_eq!(BytesMut::with_capacity(100).capacity(), 100);
+        assert_eq!(pool_fresh_chunks(), fresh);
+    }
+
+    /// Taking and returning a buffer are a pop and a push on one class's
+    /// stack, however many buffers of whatever sizes sit idle: the pool
+    /// is filled to the brim (10 000+ buffers across every class), and a
+    /// request must then come back with the buffer its class retired
+    /// *last* — a first-fit scan hands out the oldest one that fits —
+    /// while every other stack keeps its length.
+    #[test]
+    fn pool_take_and_put_are_o1_with_10_000_idle_buffers() {
+        let pool = ChunkPool::new();
+        let lens = |pool: &ChunkPool| -> Vec<usize> {
+            pool.classes
+                .iter()
+                .map(|stack| stack.lock().unwrap().len())
+                .collect()
+        };
+        // Capacities spread over each class's range (never touched, so
+        // the test costs address space, not memory).
+        for class in 0..POOL_CLASSES {
+            let base = POOL_MIN_CAP << class;
+            for i in 0..ChunkPool::limit(class) {
+                let cap = (base + (i % 4) * base / 4).min(POOL_MAX_CAP);
+                assert!(pool.put(Vec::with_capacity(cap)).is_none());
+            }
+        }
+        let full = lens(&pool);
+        assert!(full.iter().sum::<usize>() >= 10_000, "{full:?}");
+        assert_eq!(
+            full[ChunkPool::class_of(POOL_ARENA_CAP).unwrap()],
+            POOL_ARENA_BUDGET / POOL_ARENA_CAP,
+            "the arena class is bounded by its byte budget"
+        );
+        // What a stack holds fits whoever pops it: no capacity check on
+        // the way out.
+        for (class, stack) in pool.classes.iter().enumerate() {
+            let base = POOL_MIN_CAP << class;
+            assert!(stack
+                .lock()
+                .unwrap()
+                .iter()
+                .all(|v| (base..2 * base).contains(&v.capacity())));
+        }
+        for cap in [POOL_MIN_CAP, 1500, 4096, POOL_ARENA_CAP, POOL_ARENA_CAP + 1] {
+            let class = ChunkPool::class_fitting(cap).unwrap();
+            // A full class turns a buffer away without disturbing it...
+            let marked = Vec::with_capacity(POOL_MIN_CAP << class);
+            let (ptr, marked) = (marked.as_ptr(), pool.put(marked).expect("class is full"));
+            assert_eq!(lens(&pool), full);
+            // ...and with room for one, the next request gets that one.
+            let older = pool.take(cap).expect("class is stocked");
+            assert!(pool.put(marked).is_none());
+            let taken = pool.take(cap).expect("class is stocked");
+            assert_eq!(taken.as_ptr(), ptr, "LIFO: the buffer retired last");
+            assert!(taken.capacity() >= cap);
+            assert!(pool.put(older).is_none());
+            assert_eq!(lens(&pool), full, "one stack moved, by one buffer");
+        }
+        // Outside the pooled range nothing is kept or served.
+        assert!(pool.put(Vec::with_capacity(POOL_MIN_CAP - 1)).is_some());
+        assert!(pool.put(Vec::with_capacity(POOL_MAX_CAP + 1)).is_some());
+        assert!(pool.take(POOL_MAX_CAP + 1).is_none());
+        assert_eq!(lens(&pool), full);
     }
 
     #[test]
