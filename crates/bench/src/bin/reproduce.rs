@@ -18,12 +18,10 @@
 //! # and a sustainable-vs-overloaded verdict per trial
 //! # (`STREAMBENCH_LATENCY_*` env vars set records/warmup):
 //! cargo run --release -p streambench-bench --bin reproduce -- --latency --rates 500,2000,8000 --latency-json latency.json
-//! # Scale-out mode: binary-search the max sustainable open-loop rate
-//! # per (engine, SDK, parallelism) cell, input topic partitioned to
-//! # the cell's parallelism and split by the engine's consumer group
-//! # (`STREAMBENCH_SCALEOUT_*` env vars set records/bracket/iters):
-//! cargo run --release -p streambench-bench --bin reproduce -- --scaleout --parallelisms 1,2,4,8,16,32 --scaleout-json scaleout.json
 //! ```
+//!
+//! Any other argument — a second target, an unknown flag, a latency
+//! flag without `--latency` — is an error (exit code 2), never ignored.
 //!
 //! Absolute numbers differ from the paper (this substrate is an
 //! in-process simulation, not a virtualized JVM cluster); the reproduced
@@ -32,90 +30,131 @@
 
 use std::collections::BTreeMap;
 use streambench_core::{
-    report, Api, BenchConfig, BenchmarkRunner, LatencyConfig, Measurement, Query, ScaleoutConfig,
-    System,
+    report, Api, BenchConfig, BenchmarkRunner, LatencyConfig, Measurement, Query, System,
 };
 
-fn main() {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let obs_json = take_obs_json(&mut args);
-    let fault_seed = take_fault_seed(&mut args);
-    let latency = take_flag(&mut args, "--latency");
-    let rates = take_value(&mut args, "--rates");
-    let latency_json = take_value(&mut args, "--latency-json");
-    let scaleout = take_flag(&mut args, "--scaleout");
-    let parallelisms = take_value(&mut args, "--parallelisms");
-    let scaleout_json = take_value(&mut args, "--scaleout-json");
-    let target = args.first().map_or("all", String::as_str);
+/// One invocation's arguments.
+#[derive(Debug, PartialEq)]
+struct Args {
+    /// The artifact to print; `None` in latency mode.
+    target: Option<String>,
+    obs_json: Option<String>,
+    /// Installs a `logbus::FaultPlan` of transient broker faults for
+    /// every processing phase; the run-incident table at the end of the
+    /// campaign records which runs needed retries.
+    fault_seed: Option<u64>,
+    /// `--rates`, `--latency-json`: only with `--latency`.
+    rates: Option<String>,
+    latency_json: Option<String>,
+}
 
-    if obs_json.is_some() {
+/// Parses the arguments after the program name. Everything is
+/// accounted for: an unknown flag, a second target, or a flag outside
+/// its mode is an error naming the argument.
+fn parse(mut args: Vec<String>) -> Result<Args, String> {
+    let obs_json = take_value(&mut args, "--obs-json")?;
+    let fault_seed = take_value(&mut args, "--fault-seed")?
+        .map(|raw| {
+            raw.parse()
+                .map_err(|_| format!("--fault-seed requires a numeric seed, got `{raw}`"))
+        })
+        .transpose()?;
+    let latency = args
+        .iter()
+        .position(|a| a == "--latency")
+        .map(|at| args.remove(at))
+        .is_some();
+    let rates = take_value(&mut args, "--rates")?;
+    let latency_json = take_value(&mut args, "--latency-json")?;
+    if let Some(flag) = args.iter().find(|a| a.starts_with("--")) {
+        return Err(format!("unknown flag `{flag}`"));
+    }
+    let mut rest = args.into_iter();
+    let target = if latency {
+        if fault_seed.is_some() {
+            return Err("--fault-seed does not apply to --latency".into());
+        }
+        None
+    } else {
+        for (flag, value) in [("--rates", &rates), ("--latency-json", &latency_json)] {
+            if value.is_some() {
+                return Err(format!("{flag} requires --latency"));
+            }
+        }
+        Some(rest.next().unwrap_or_else(|| "all".into()))
+    };
+    if let Some(extra) = rest.next() {
+        return Err(format!("unexpected argument `{extra}`"));
+    }
+    Ok(Args {
+        target,
+        obs_json,
+        fault_seed,
+        rates,
+        latency_json,
+    })
+}
+
+/// Removes `<flag> <value>` from the argument list, if present.
+fn take_value(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(at) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    if at + 1 >= args.len() {
+        return Err(format!("{flag} requires an argument"));
+    }
+    let value = args.remove(at + 1);
+    args.remove(at);
+    Ok(Some(value))
+}
+
+fn main() {
+    let args = parse(std::env::args().skip(1).collect()).unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
+    let fault_seed = args.fault_seed;
+
+    if args.obs_json.is_some() {
         obs::set_enabled(true);
         obs::global().reset();
     }
 
-    if latency {
-        latency_mode(rates.as_deref(), latency_json.as_deref());
-        if let Some(path) = obs_json {
+    let Some(target) = args.target.as_deref() else {
+        latency_mode(args.rates.as_deref(), args.latency_json.as_deref());
+        if let Some(path) = args.obs_json {
             export_obs(&path);
         }
         return;
-    }
-
-    if scaleout {
-        scaleout_mode(parallelisms.as_deref(), scaleout_json.as_deref());
-        if let Some(path) = obs_json {
-            export_obs(&path);
-        }
-        return;
-    }
+    };
 
     match target {
         "smoke" => smoke(fault_seed),
         "table1" => print!("{}", report::table_one()),
         "table2" => print!("{}", report::table_two()),
-        "fig6" => figures(&[Query::Identity], fault_seed),
-        "fig7" => figures(&[Query::Sample], fault_seed),
-        "fig8" => figures(&[Query::Projection], fault_seed),
-        "fig9" => figures(&[Query::Grep], fault_seed),
-        "fig10" => fig10_and_table3(false, fault_seed),
-        "table3" => fig10_and_table3(true, fault_seed),
-        "fig11" => fig11(fault_seed),
+        "fig6" => execution_times(&campaign(&[Query::Identity], fault_seed)),
+        "fig7" => execution_times(&campaign(&[Query::Sample], fault_seed)),
+        "fig8" => execution_times(&campaign(&[Query::Projection], fault_seed)),
+        "fig9" => execution_times(&campaign(&[Query::Grep], fault_seed)),
+        "fig10" => fig10(&campaign(&Query::ALL, fault_seed)),
+        "table3" => {
+            let measurements = campaign(&Query::ALL, fault_seed);
+            fig10(&measurements);
+            table3(&measurements);
+        }
+        "fig11" => fig11(&campaign(&Query::ALL, fault_seed)),
         "all" => {
             println!("=== Table I: system comparison ===");
             print!("{}", report::table_one());
             println!("\n=== Table II: benchmark queries ===");
             print!("{}", report::table_two());
             println!();
-            // One noise-off campaign feeds Figs. 6-9 and 11; the noisy
-            // campaign feeds Fig. 10 and Table III.
-            let measurements = campaign(&Query::ALL, false, fault_seed);
-            for query in Query::ALL {
-                let rows = report::average_times(&measurements, query);
-                println!(
-                    "{}",
-                    report::render_bars(
-                        &format!(
-                            "=== Fig. {}: average execution times — {query} query (s) ===",
-                            figure_number(query)
-                        ),
-                        &rows,
-                        "s"
-                    )
-                );
-            }
-            let mut rows = Vec::new();
-            for query in Query::ALL {
-                rows.extend(report::slowdown_factors(&measurements, query));
-            }
-            println!(
-                "{}",
-                report::render_bars(
-                    "=== Fig. 11: slowdown factor sf(dsps, query) ===",
-                    &rows,
-                    "x"
-                )
-            );
-            fig10_and_table3(true, fault_seed);
+            // One campaign feeds every figure and Table III.
+            let measurements = campaign(&Query::ALL, fault_seed);
+            execution_times(&measurements);
+            fig11(&measurements);
+            fig10(&measurements);
+            table3(&measurements);
         }
         other => {
             eprintln!(
@@ -125,45 +164,9 @@ fn main() {
         }
     }
 
-    if let Some(path) = obs_json {
+    if let Some(path) = args.obs_json {
         export_obs(&path);
     }
-}
-
-/// Removes `--obs-json <path>` from the argument list, if present.
-fn take_obs_json(args: &mut Vec<String>) -> Option<String> {
-    let at = args.iter().position(|a| a == "--obs-json")?;
-    if at + 1 >= args.len() {
-        eprintln!("--obs-json requires a path argument");
-        std::process::exit(2);
-    }
-    let path = args.remove(at + 1);
-    args.remove(at);
-    Some(path)
-}
-
-/// Removes a boolean flag from the argument list, returning whether it
-/// was present.
-fn take_flag(args: &mut Vec<String>, flag: &str) -> bool {
-    match args.iter().position(|a| a == flag) {
-        Some(at) => {
-            args.remove(at);
-            true
-        }
-        None => false,
-    }
-}
-
-/// Removes `<flag> <value>` from the argument list, if present.
-fn take_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
-    let at = args.iter().position(|a| a == flag)?;
-    if at + 1 >= args.len() {
-        eprintln!("{flag} requires an argument");
-        std::process::exit(2);
-    }
-    let value = args.remove(at + 1);
-    args.remove(at);
-    Some(value)
 }
 
 /// The latency-mode benchmark: sweeps offered rates per (engine, SDK,
@@ -204,71 +207,6 @@ fn latency_mode(rates: Option<&str>, json_path: Option<&str>) {
             std::process::exit(1);
         }
         eprintln!("latency report written to {path}");
-    }
-}
-
-/// The scale-out benchmark: binary-searches the max sustainable
-/// open-loop rate per (engine, SDK, parallelism) cell. The input topic
-/// is partitioned to the cell's parallelism, records are key-hash
-/// routed with `logbus::partition_for_key`, and the engine's
-/// consumer group splits the partitions across its parallel sources.
-/// Defaults come from `STREAMBENCH_SCALEOUT_*`; `--parallelisms a,b,c`
-/// overrides the sweep.
-fn scaleout_mode(parallelisms: Option<&str>, json_path: Option<&str>) {
-    let mut config = ScaleoutConfig::from_env();
-    if let Some(raw) = parallelisms {
-        let parsed: Vec<usize> = raw
-            .split(',')
-            .filter_map(|part| part.trim().parse().ok())
-            .filter(|p: &usize| *p > 0)
-            .collect();
-        if parsed.is_empty() {
-            eprintln!(
-                "--parallelisms requires a comma-separated list of positive integers, got `{raw}`"
-            );
-            std::process::exit(2);
-        }
-        config = config.parallelisms(parsed);
-    }
-    eprintln!(
-        "running scale-out sweep: {} records/probe, bracket [{:.0}, {:.0}] rec/s, parallelisms {:?}",
-        config.records, config.min_rate, config.max_rate, config.parallelisms
-    );
-    let report = match streambench_core::run_scaleout(&config) {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("scale-out sweep failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    print!("{}", report::scaleout_table(&report));
-    if let Some(path) = json_path {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!("scale-out report written to {path}");
-    }
-}
-
-/// Removes `--fault-seed <n>` from the argument list, if present.
-/// The seed installs a `logbus::FaultPlan` of transient broker faults
-/// for every processing phase; the run-incident table at the end of the
-/// campaign records which runs needed retries.
-fn take_fault_seed(args: &mut Vec<String>) -> Option<u64> {
-    let at = args.iter().position(|a| a == "--fault-seed")?;
-    if at + 1 >= args.len() {
-        eprintln!("--fault-seed requires a numeric seed argument");
-        std::process::exit(2);
-    }
-    let raw = args.remove(at + 1);
-    args.remove(at);
-    match raw.parse() {
-        Ok(seed) => Some(seed),
-        Err(_) => {
-            eprintln!("--fault-seed requires a numeric seed, got `{raw}`");
-            std::process::exit(2);
-        }
     }
 }
 
@@ -338,20 +276,18 @@ fn export_obs(path: &str) {
     eprintln!("obs snapshot written to {path}");
 }
 
-fn campaign(queries: &[Query], noise: bool, fault_seed: Option<u64>) -> Vec<Measurement> {
+/// Runs `queries` over the 12-setup matrix, every run byte-verified,
+/// and prints the incident table once.
+fn campaign(queries: &[Query], fault_seed: Option<u64>) -> Vec<Measurement> {
     let mut config = BenchConfig::default();
-    if noise {
-        config = config.with_noise(2019);
-    }
     if let Some(seed) = fault_seed {
         config = config.with_fault_seed(seed);
     }
     eprintln!(
-        "running campaign: {} records, {} runs, parallelisms {:?}, noise {}{}",
+        "running campaign: {} records, {} runs, parallelisms {:?}{}",
         config.records,
         config.runs,
         config.parallelisms,
-        if noise { "on" } else { "off" },
         fault_seed
             .map(|s| format!(", fault seed {s}"))
             .unwrap_or_default()
@@ -378,10 +314,13 @@ fn figure_number(query: Query) -> u32 {
     }
 }
 
-fn figures(queries: &[Query], fault_seed: Option<u64>) {
-    let measurements = campaign(queries, false, fault_seed);
-    for &query in queries {
-        let rows = report::average_times(&measurements, query);
+/// Figs. 6–9, one per query the campaign ran.
+fn execution_times(measurements: &[Measurement]) {
+    for query in Query::ALL {
+        let rows = report::average_times(measurements, query);
+        if rows.is_empty() {
+            continue;
+        }
         println!(
             "{}",
             report::render_bars(
@@ -396,11 +335,10 @@ fn figures(queries: &[Query], fault_seed: Option<u64>) {
     }
 }
 
-fn fig11(fault_seed: Option<u64>) {
-    let measurements = campaign(&Query::ALL, false, fault_seed);
+fn fig11(measurements: &[Measurement]) {
     let mut rows = Vec::new();
     for query in Query::ALL {
-        rows.extend(report::slowdown_factors(&measurements, query));
+        rows.extend(report::slowdown_factors(measurements, query));
     }
     println!(
         "{}",
@@ -412,12 +350,9 @@ fn fig11(fault_seed: Option<u64>) {
     );
 }
 
-fn fig10_and_table3(with_table3: bool, fault_seed: Option<u64>) {
-    // The variance experiments run with the environment-noise model on:
-    // the paper's cluster had noisy neighbours, this substrate does not
-    // (see DESIGN.md).
-    let measurements = campaign(&Query::ALL, true, fault_seed);
-    let rows = report::relative_std_devs(&measurements);
+/// Fig. 10: the measured run-to-run spread of the same campaign.
+fn fig10(measurements: &[Measurement]) {
+    let rows = report::relative_std_devs(measurements);
     println!(
         "{}",
         report::render_bars(
@@ -426,10 +361,64 @@ fn fig10_and_table3(with_table3: bool, fault_seed: Option<u64>) {
             ""
         )
     );
-    if with_table3 {
-        let per_run: BTreeMap<usize, Vec<f64>> =
-            report::per_run_times(&measurements, System::Rill, Api::Native, Query::Identity);
-        println!("=== Table III: per-run identity times on the Flink analog ===");
-        print!("{}", report::table_three(&per_run));
+}
+
+fn table3(measurements: &[Measurement]) {
+    let per_run: BTreeMap<usize, Vec<f64>> =
+        report::per_run_times(measurements, System::Rill, Api::Native, Query::Identity);
+    println!("=== Table III: per-run identity times on the Flink analog ===");
+    print!("{}", report::table_three(&per_run));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse_args(args: &[&str]) -> Result<Args, String> {
+        parse(args.iter().map(ToString::to_string).collect())
+    }
+
+    #[test]
+    fn removed_sweep_flag_is_rejected() {
+        let err = parse_args(&["--scaleout"]).unwrap_err();
+        assert!(err.contains("--scaleout"), "{err}");
+        let err = parse_args(&["fig6", "--scaleout"]).unwrap_err();
+        assert!(err.contains("--scaleout"), "{err}");
+    }
+
+    #[test]
+    fn latency_flags_without_latency_are_rejected() {
+        let err = parse_args(&["--rates", "1000"]).unwrap_err();
+        assert!(err.contains("--rates"), "{err}");
+        let err = parse_args(&["fig9", "--latency-json", "l.json"]).unwrap_err();
+        assert!(err.contains("--latency-json"), "{err}");
+    }
+
+    #[test]
+    fn a_second_target_is_rejected() {
+        let err = parse_args(&["fig6", "fig7"]).unwrap_err();
+        assert!(err.contains("fig7"), "{err}");
+        let err = parse_args(&["--latency", "fig6"]).unwrap_err();
+        assert!(err.contains("fig6"), "{err}");
+    }
+
+    #[test]
+    fn target_with_fault_seed_and_obs_json_parses() {
+        assert_eq!(
+            parse_args(&["fig6", "--fault-seed", "3", "--obs-json", "x"]),
+            Ok(Args {
+                target: Some("fig6".into()),
+                obs_json: Some("x".into()),
+                fault_seed: Some(3),
+                rates: None,
+                latency_json: None,
+            })
+        );
+        assert_eq!(parse_args(&[]).unwrap().target.as_deref(), Some("all"));
+        let latency = parse_args(&["--latency", "--rates", "1000,8000"]).unwrap();
+        assert_eq!(latency.target, None);
+        assert_eq!(latency.rates.as_deref(), Some("1000,8000"));
+        assert!(parse_args(&["fig6", "--fault-seed", "x"]).is_err());
+        assert!(parse_args(&["fig6", "--obs-json"]).is_err());
     }
 }

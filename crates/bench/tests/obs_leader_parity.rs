@@ -1,7 +1,7 @@
 //! Disabled-path parity for the sharded broker's per-partition leader
 //! and group-coordinator telemetry. The append contention probe
 //! (`logbus.leader.*`) and the rebalance instruments (`logbus.group.*`)
-//! sit on the hottest paths of the scale-out data plane, so they are
+//! sit on the hottest paths of the sharded data plane, so they are
 //! behind the `obs::enabled()` runtime gate: with instrumentation off a
 //! full sharded produce + rebalance workload must leave the registry
 //! dark, and with it on every append must be classified exactly once as

@@ -30,9 +30,6 @@ pub struct BenchConfig {
     pub dstream_batch_records: usize,
     /// Streaming-window size of the `apx` engine.
     pub apx_window_size: usize,
-    /// Seed of the environment-noise model; `None` disables noise (the
-    /// default — only the variance experiments enable it).
-    pub noise_seed: Option<u64>,
     /// Seed of the broker fault plan installed during each run's
     /// processing phase (`logbus::FaultPlan::seeded`); `None` (the
     /// default) benchmarks a fault-free broker. Load and measurement
@@ -54,7 +51,6 @@ impl Default for BenchConfig {
             sender_acks: Acks::Leader,
             dstream_batch_records: 2_000,
             apx_window_size: 2_048,
-            noise_seed: None,
             fault_seed: None,
             max_run_retries: 2,
         }
@@ -62,13 +58,6 @@ impl Default for BenchConfig {
 }
 
 pub(crate) fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
-}
-
-pub(crate) fn env_f64(name: &str, default: f64) -> f64 {
     std::env::var(name)
         .ok()
         .and_then(|v| v.parse().ok())
@@ -137,12 +126,6 @@ impl BenchConfig {
         self
     }
 
-    /// Enables the environment-noise model with the given seed.
-    pub fn with_noise(mut self, seed: u64) -> Self {
-        self.noise_seed = Some(seed);
-        self
-    }
-
     /// Sets the workload seed.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -173,7 +156,6 @@ mod tests {
         assert!(c.records >= 1);
         assert!(c.runs >= 1);
         assert_eq!(c.parallelisms, vec![1, 2]);
-        assert!(c.noise_seed.is_none());
     }
 
     #[test]
@@ -183,7 +165,6 @@ mod tests {
             .runs(5)
             .parallelisms(vec![1])
             .request_latency_micros(42)
-            .with_noise(7)
             .seed(1)
             .with_fault_seed(13)
             .max_run_retries(4);
@@ -191,7 +172,6 @@ mod tests {
         assert_eq!(c.runs, 5);
         assert_eq!(c.parallelisms, vec![1]);
         assert_eq!(c.request_latency_micros, 42);
-        assert_eq!(c.noise_seed, Some(7));
         assert_eq!(c.seed, 1);
         assert_eq!(c.fault_seed, Some(13));
         assert_eq!(c.max_run_retries, 4);
@@ -208,8 +188,6 @@ mod tests {
         std::env::set_var("STREAMBENCH_TEST_U64", "7");
         assert_eq!(env_u64("STREAMBENCH_TEST_U64", 1), 7);
         assert_eq!(env_u64("STREAMBENCH_TEST_U64_UNSET", 1), 1);
-        std::env::set_var("STREAMBENCH_TEST_F64", "2.5");
-        assert!((env_f64("STREAMBENCH_TEST_F64", 0.0) - 2.5).abs() < 1e-12);
         std::env::set_var("STREAMBENCH_TEST_LIST", "500, 2000,junk");
         assert_eq!(
             env_list::<u64>("STREAMBENCH_TEST_LIST"),

@@ -44,11 +44,11 @@ use logbus::Broker;
 
 /// A trial is sustainable only if its p99 latency is within this bound,
 /// µs.
-pub(crate) const P99_BOUND_MICROS: u64 = 200_000;
+const P99_BOUND_MICROS: u64 = 200_000;
 /// A trial is sustainable only if the output topic's append span is at
 /// most this multiple of the offered arrival span (an engine that needs
 /// much longer than the arrival window to drain is falling behind).
-pub(crate) const CATCHUP_RATIO: f64 = 1.5;
+const CATCHUP_RATIO: f64 = 1.5;
 
 /// Configuration of a latency sweep.
 #[derive(Debug, Clone)]
@@ -261,7 +261,7 @@ impl LatencyReport {
 }
 
 /// Formats a float as JSON (finite; `NaN`/inf degrade to `0`).
-pub(crate) fn fmt_f64(v: f64) -> String {
+fn fmt_f64(v: f64) -> String {
     if v.is_finite() {
         format!("{v}")
     } else {
@@ -296,7 +296,6 @@ pub fn run_latency(config: &LatencyConfig) -> Result<LatencyReport, BenchError> 
                 config.query,
                 config.records,
                 config.warmup_records,
-                1, // input partitions
                 rate,
             )?);
         }
@@ -312,19 +311,14 @@ pub fn run_latency(config: &LatencyConfig) -> Result<LatencyReport, BenchError> 
     })
 }
 
-/// One trial: fresh broker, `records` offered open-loop at `rate` into
-/// an input topic of `partitions` partitions (more than one key-hash
-/// routes them and lets the engine's consumer group split the
-/// partitions among its parallel sources), follow-mode engine, sink-side
-/// latency measurement past the first `warmup_records`. `pub(crate)` so
-/// the scale-out sweep ([`crate::scaleout`]) can binary-search over the
-/// same classifier.
-pub(crate) fn run_trial(
+/// One trial: fresh broker, `records` offered open-loop at `rate` into a
+/// one-partition input topic, follow-mode engine, sink-side latency
+/// measurement past the first `warmup_records`.
+fn run_trial(
     setup: Setup,
     query: Query,
     records: u64,
     warmup_records: u64,
-    partitions: u32,
     rate: f64,
 ) -> Result<LatencyTrial, BenchError> {
     let mut trial_span = obs::span("latency.trial");
@@ -333,7 +327,7 @@ pub(crate) fn run_trial(
     let engine_config = BenchConfig::default();
     let broker = Broker::new();
     broker.set_request_latency_micros(engine_config.request_latency_micros);
-    let trial = Trial::offered(&broker, records, engine_config.seed, partitions, rate);
+    let trial = Trial::offered(&broker, records, engine_config.seed, rate);
     let outcome = trial.run(
         setup,
         query,

@@ -40,11 +40,9 @@ pub mod config;
 pub mod data;
 pub mod failover;
 pub mod latency;
-pub mod noise;
 pub mod queries;
 pub mod report;
 pub mod runner;
-pub mod scaleout;
 pub mod sender;
 pub mod setup;
 pub mod stateful;
@@ -57,16 +55,14 @@ pub use config::BenchConfig;
 pub use data::{QueryLogGenerator, QueryLogRecord};
 pub use failover::{percentile_micros, run_failover, FailoverCell, FailoverConfig, FailoverReport};
 pub use latency::{run_latency, LatencyCell, LatencyConfig, LatencyReport, LatencyTrial};
-pub use noise::NoiseModel;
 pub use queries::{beam_pipeline, native_apx, native_dstream, native_rill, Query};
 pub use runner::{
     fresh_yarn_cluster, fresh_yarn_cluster_for, BenchError, BenchmarkRunner, Measurement,
     QueryReport, RunIncident,
 };
-pub use scaleout::{run_scaleout, ScaleoutCell, ScaleoutConfig, ScaleoutReport};
 pub use sender::{
-    parse_event_time_micros, send_open_loop, send_open_loop_partitioned, send_workload,
-    OpenLoopSchedule, OpenLoopSendReport, SendReport, SenderConfig,
+    parse_event_time_micros, send_open_loop, send_workload, OpenLoopSchedule, OpenLoopSendReport,
+    SendReport, SenderConfig,
 };
 pub use setup::{all_setups, Api, Setup, System};
 pub use systems::{profile, system_profiles, SystemProfile};

@@ -224,7 +224,7 @@ fn native_rill_impl(
     follow: Option<u64>,
 ) -> rill::Result<rill::JobResult> {
     // `local_for` widens the slot pool past the host core count when
-    // needed, so high-parallelism scale-out cells schedule instead of
+    // needed, so high-parallelism setups schedule instead of
     // failing with "not enough slots" on small hosts.
     let env =
         rill::StreamExecutionEnvironment::with_cluster(rill::ClusterSpec::local_for(parallelism));

@@ -8,7 +8,6 @@
 use crate::latency::LatencyReport;
 use crate::queries::Query;
 use crate::runner::{Measurement, RunIncident};
-use crate::scaleout::ScaleoutReport;
 use crate::setup::{Api, Setup, System};
 use crate::stats;
 use std::collections::BTreeMap;
@@ -355,67 +354,6 @@ pub fn latency_table(report: &LatencyReport) -> String {
     out.push_str(&render_table(
         &["Setup", "Rate (rec/s)", "p50 (ms)", "p99 (ms)", "p999 (ms)"],
         &summary,
-    ));
-    out
-}
-
-/// Renders the scale-out sweep: one row per (cell, parallelism) with
-/// the binary-searched max sustainable rate, its probe count, and the
-/// speedup over the same cell at parallelism 1.
-pub fn scaleout_table(report: &ScaleoutReport) -> String {
-    let mut out = format!(
-        "Scale-out sweep — {} query, {} records/probe (warmup {}), bracket \
-         [{:.0}, {:.0}] rec/s, sustainable ⇔ p99 ≤ {} ms and drain ratio ≤ {}\n",
-        report.query,
-        report.records_per_trial,
-        report.warmup_records,
-        report.min_rate,
-        report.max_rate,
-        report.p99_bound_micros as f64 / 1_000.0,
-        report.catchup_ratio,
-    );
-    // Baseline (parallelism 1) max rate per (system, sdk) for speedups.
-    let baseline = |cell: &crate::scaleout::ScaleoutCell| -> Option<f64> {
-        report
-            .cells
-            .iter()
-            .find(|c| {
-                c.setup.system == cell.setup.system
-                    && c.setup.api == cell.setup.api
-                    && c.setup.parallelism == 1
-            })
-            .and_then(|c| c.max_sustainable_rate)
-    };
-    let rows: Vec<Vec<String>> = report
-        .cells
-        .iter()
-        .map(|cell| {
-            let max = match cell.max_sustainable_rate {
-                Some(rate) => format!("{rate:.0}"),
-                None => "none (overloaded at floor)".to_string(),
-            };
-            let speedup = match (cell.max_sustainable_rate, baseline(cell)) {
-                (Some(rate), Some(base)) if base > 0.0 => format!("{:.2}x", rate / base),
-                _ => String::new(),
-            };
-            vec![
-                cell.setup.label(),
-                format!("{}", cell.setup.parallelism),
-                max,
-                speedup,
-                format!("{}", cell.probes.len()),
-            ]
-        })
-        .collect();
-    out.push_str(&render_table(
-        &[
-            "Setup",
-            "Parallelism",
-            "Max rate (rec/s)",
-            "vs P1",
-            "Probes",
-        ],
-        &rows,
     ));
     out
 }

@@ -3,7 +3,6 @@
 
 use crate::calculator;
 use crate::config::BenchConfig;
-use crate::noise::NoiseModel;
 use crate::queries::Query;
 use crate::setup::{all_setups, Setup};
 use crate::trial::{self, Trial};
@@ -172,34 +171,25 @@ impl BenchmarkRunner {
         let mut query_span = obs::span("query");
         query_span.field("query", query.to_string());
         let broker = Broker::new();
-        let rtt = self.config.request_latency_micros;
-        broker.set_request_latency_micros(rtt);
+        broker.set_request_latency_micros(self.config.request_latency_micros);
         // Replication factor one, one partition: paper §III-A1.
         let trial = Trial::on_broker(&broker, self.config.records, self.config.seed);
         trial.preload(self.config.sender_acks)?;
 
-        // What happens beside each attempt's engine: environment noise
-        // (this attempt's broker round trips are genuinely slower by the
-        // drawn factor) and the seeded fault plan. Both are gone again
-        // before the output is drained and measured.
-        let mut noise = self.config.noise_seed.map(NoiseModel::new);
+        // What happens beside each attempt's engine: the seeded fault
+        // plan, gone again before the output is drained and measured.
         let fault_seed = self.config.fault_seed;
         let mut disturb = |attempt: u32, _output: &str, engine: Engine<'_>| {
-            if let Some(model) = noise.as_mut() {
-                broker.set_request_latency_micros((rtt as f64 * model.next_factor()) as u64);
-            }
-            if let Some(seed) = fault_seed {
-                // A distinct per-attempt stream keeps retries from
-                // replaying the exact fault schedule that failed.
-                broker.install_fault_plan(logbus::FaultPlan::seeded(
-                    seed.wrapping_add(u64::from(attempt) - 1),
-                ));
-            }
+            let Some(seed) = fault_seed else {
+                return engine();
+            };
+            // A distinct per-attempt stream keeps retries from replaying
+            // the exact fault schedule that failed.
+            broker.install_fault_plan(logbus::FaultPlan::seeded(
+                seed.wrapping_add(u64::from(attempt) - 1),
+            ));
             let result = engine();
-            if fault_seed.is_some() {
-                broker.clear_fault_plan();
-            }
-            broker.set_request_latency_micros(rtt);
+            broker.clear_fault_plan();
             result
         };
         let mut report = QueryReport::default();
@@ -286,34 +276,6 @@ impl BenchmarkRunner {
         };
         Ok((None, Some(abandoned)))
     }
-
-    /// Benchmarks all four queries.
-    ///
-    /// # Errors
-    ///
-    /// See [`BenchmarkRunner::run_query`].
-    pub fn run_all(&self) -> Result<Vec<Measurement>, BenchError> {
-        let mut all = Vec::new();
-        for query in Query::ALL {
-            all.extend(self.run_query(query)?);
-        }
-        Ok(all)
-    }
-
-    /// Benchmarks all four queries, with the combined incident log.
-    ///
-    /// # Errors
-    ///
-    /// See [`BenchmarkRunner::run_query_report`].
-    pub fn run_all_report(&self) -> Result<QueryReport, BenchError> {
-        let mut all = QueryReport::default();
-        for query in Query::ALL {
-            let report = self.run_query_report(query)?;
-            all.measurements.extend(report.measurements);
-            all.incidents.extend(report.incidents);
-        }
-        Ok(all)
-    }
 }
 
 /// The engine of one attempt, as handed to a disturbance.
@@ -327,8 +289,7 @@ pub fn fresh_yarn_cluster() -> yarnsim::ResourceManager {
 
 /// A fresh YARN-style cluster sized for `parallelism` engine workers:
 /// the paper's two worker nodes, plus one more per eight additional
-/// containers so high-parallelism scale-out cells never starve on
-/// vcores.
+/// containers so a setup of any parallelism gets its vcores.
 pub fn fresh_yarn_cluster_for(parallelism: usize) -> yarnsim::ResourceManager {
     let nodes = 2.max(parallelism.div_ceil(8));
     let mut rm = yarnsim::ResourceManager::new();

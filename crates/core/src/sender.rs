@@ -5,8 +5,7 @@
 //! the same knobs as the paper's Scala data sender.
 
 use crate::data::QueryLogGenerator;
-use bytes::Bytes;
-use logbus::{Acks, Broker, BusHandle, PartitionWriter, Record, RetryPolicy};
+use logbus::{Acks, Broker, BusHandle, Record, RetryPolicy};
 use std::time::{Duration, Instant};
 
 /// Data-sender configuration.
@@ -52,7 +51,7 @@ pub struct SendReport {
 /// Records are generated into one reused `batch_records`-sized chunk;
 /// each full chunk waits out its share of the ingestion rate, if one is
 /// set, and goes out as one request through an idempotent, retrying
-/// [`PartitionWriter`] — a lost ack or a transient broker error resends
+/// [`logbus::PartitionWriter`] — a lost ack or a transient broker error resends
 /// the chunk and the broker deduplicates it, so the topic holds the
 /// generator stream exactly once.
 ///
@@ -207,43 +206,17 @@ pub fn send_open_loop(
     records: u64,
     seed: u64,
 ) -> logbus::Result<OpenLoopSendReport> {
-    send_open_loop_partitioned(broker, topic, 1, schedule, records, seed)
-}
-
-/// [`send_open_loop`] across a partitioned topic: with more than one
-/// partition each record routes by the key-hash of its query-log id
-/// column through [`logbus::partition_for_key`], so placement is
-/// content-deterministic and every partition's substream keeps schedule
-/// order. Due records are shipped as one append per partition with
-/// records due.
-///
-/// # Errors
-///
-/// Propagates broker errors (unknown topic, etc.).
-pub fn send_open_loop_partitioned(
-    broker: &Broker,
-    topic: &str,
-    partitions: u32,
-    schedule: &OpenLoopSchedule,
-    records: u64,
-    seed: u64,
-) -> logbus::Result<OpenLoopSendReport> {
-    let partitions = partitions.max(1);
     let clock = broker.clock();
     let mut generator = QueryLogGenerator::new(seed);
     let mut next = 0u64;
     let mut max_lag = 0i64;
-    // A burst is one shot per partition, as a named produce is: a fault
-    // surfaces as its raw error. The writers drain the batches, which
-    // keep their capacity from burst to burst.
-    let writers = (0..partitions)
-        .map(|p| {
-            Ok(broker
-                .partition_writer(topic, p)?
-                .with_retry(RetryPolicy::none()))
-        })
-        .collect::<logbus::Result<Vec<PartitionWriter>>>()?;
-    let mut batches: Vec<Vec<Record>> = (0..partitions).map(|_| Vec::new()).collect();
+    // A burst is one shot, as a named produce is: a fault surfaces as its
+    // raw error. The writer drains the batch, which keeps its capacity
+    // from burst to burst.
+    let writer = broker
+        .partition_writer(topic, 0)?
+        .with_retry(RetryPolicy::none());
+    let mut batch: Vec<Record> = Vec::new();
     while next < records {
         let scheduled = schedule.event_time_micros(next);
         let mut now = clock.now_micros();
@@ -256,32 +229,15 @@ pub fn send_open_loop_partitioned(
         let due = schedule.due_count(now, next, records).max(1);
         for i in 0..due {
             let stamped = generator.next_stamped_payload(schedule.event_time_micros(next + i));
-            if partitions == 1 {
-                batches[0].push(Record::from_value(stamped));
-                continue;
-            }
-            let key = id_column(&stamped);
-            let partition = logbus::partition_for_key(&key, partitions);
-            batches[partition as usize].push(Record::from_key_value(key, stamped));
+            batch.push(Record::from_value(stamped));
         }
-        for (writer, batch) in writers.iter().zip(&mut batches) {
-            if !batch.is_empty() {
-                writer.produce_batch_drain(batch)?;
-            }
-        }
+        writer.produce_batch_drain(&mut batch)?;
         next += due;
     }
     Ok(OpenLoopSendReport {
         sent: records,
         max_send_lag_micros: max_lag,
     })
-}
-
-/// The query-log id column of a stamped line — the one behind the
-/// event-time prefix — as a view of the same bytes.
-fn id_column(stamped: &Bytes) -> Bytes {
-    let id = stamped.split(|&b| b == b'\t').nth(1).unwrap_or_default();
-    stamped.slice_ref(id)
 }
 
 /// Parses the event-time prefix off an output record produced from a
@@ -503,33 +459,6 @@ mod tests {
             let tab = value.iter().position(|&b| b == b'\t').unwrap();
             assert_eq!(&value[tab + 1..], &generator.next_payload()[..]);
         }
-    }
-
-    #[test]
-    fn partitioned_open_loop_routes_by_key_hash() {
-        let broker = Broker::new();
-        broker
-            .create_topic("in", TopicConfig::default().partitions(4))
-            .unwrap();
-        let schedule = OpenLoopSchedule::new(broker.now_micros(), 50_000.0);
-        let report = send_open_loop_partitioned(&broker, "in", 4, &schedule, 300, 7).unwrap();
-        assert_eq!(report.sent, 300);
-        let mut total = 0u64;
-        for p in 0..4 {
-            let stored = broker.fetch("in", p, 0, 1_000).unwrap();
-            total += stored.len() as u64;
-            let mut last_event = i64::MIN;
-            for record in &stored {
-                // Placement is `partition_for_key`'s verdict for the key.
-                let key = record.record.key.as_ref().expect("keyed record");
-                assert_eq!(logbus::partition_for_key(key, 4), p);
-                // Event times stay schedule-ordered within the partition.
-                let event = parse_event_time_micros(&record.record.value).unwrap();
-                assert!(event >= last_event, "partition {p} out of order");
-                last_event = event;
-            }
-        }
-        assert_eq!(total, 300, "every record lands in exactly one partition");
     }
 
     mod schedule_properties {

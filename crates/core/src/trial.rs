@@ -1,21 +1,21 @@
 //! One trial: the paper's three-phase process (Fig. 5) spelled once.
 //!
 //! Every campaign in this crate — the figure [runner](crate::runner),
-//! the [latency](crate::latency) and [scale-out](crate::scaleout)
-//! sweeps, the [failover](crate::failover) campaign — and the
-//! equivalence suites run a setup the same way: create the topics, load
-//! the input, [`execute`] the setup (with whatever the campaign wants
-//! to happen beside it), drain the output topic, and [`verify`] the
-//! drained bytes against [`Query::apply`]. This module is the only place
-//! that knows how; the campaigns add policy on top (retry budgets, rate
-//! sweeps, kill schedules) and nothing underneath.
+//! the [latency](crate::latency) sweep, the [failover](crate::failover)
+//! campaign — and the equivalence suites run a setup the same way:
+//! create the topics, load the input, [`execute`] the setup (with
+//! whatever the campaign wants to happen beside it), drain the output
+//! topic, and [`verify`] the drained bytes against [`Query::apply`].
+//! This module is the only place that knows how; the campaigns add
+//! policy on top (retry budgets, rate sweeps, kill schedules) and
+//! nothing underneath.
 
 use crate::config::BenchConfig;
 use crate::data::QueryLogGenerator;
 use crate::queries::{self, Query};
 use crate::runner::{fresh_yarn_cluster_for, BenchError};
 use crate::sender::{
-    send_open_loop_partitioned, send_workload, OpenLoopSchedule, OpenLoopSendReport, SenderConfig,
+    send_open_loop, send_workload, OpenLoopSchedule, OpenLoopSendReport, SenderConfig,
 };
 use crate::setup::{Api, Setup, System};
 use beamline::runners::{ApxRunner, DStreamRunner, RillRunner};
@@ -146,8 +146,6 @@ pub struct Trial {
     replication: u32,
     records: u64,
     seed: u64,
-    /// Partitions of the input topic.
-    partitions: u32,
     /// Open-loop: the broker the sender thread appends to, and the
     /// schedule that fixes every record's event time.
     offered: Option<(Broker, OpenLoopSchedule)>,
@@ -173,7 +171,6 @@ impl Trial {
             replication,
             records,
             seed,
-            partitions: 1,
             offered: None,
         }
     }
@@ -190,14 +187,13 @@ impl Trial {
         Trial::new(cluster.into(), cluster.broker_count(), records, seed)
     }
 
-    /// An open-loop trial: [`Trial::run`] creates an input topic of
-    /// `partitions` partitions and offers the records at `rate` per
-    /// second on a sender thread while the engine tails it. The schedule
-    /// — and with it every record's event-time stamp — is fixed here.
-    pub fn offered(broker: &Broker, records: u64, seed: u64, partitions: u32, rate: f64) -> Trial {
+    /// An open-loop trial: [`Trial::run`] creates a one-partition input
+    /// topic and offers the records at `rate` per second on a sender
+    /// thread while the engine tails it. The schedule — and with it every
+    /// record's event-time stamp — is fixed here.
+    pub fn offered(broker: &Broker, records: u64, seed: u64, rate: f64) -> Trial {
         let schedule = OpenLoopSchedule::new(broker.now_micros() + SCHEDULE_LEAD_MICROS, rate);
         Trial {
-            partitions: partitions.max(1),
             offered: Some((broker.clone(), schedule)),
             ..Trial::on_broker(broker, records, seed)
         }
@@ -270,20 +266,12 @@ impl Trial {
         let (engine, send_report) = match &self.offered {
             None => (process(), None),
             Some((broker, schedule)) => {
-                self.bus
-                    .create_topic(INPUT, self.topic().partitions(self.partitions))?;
+                self.bus.create_topic(INPUT, self.topic())?;
                 std::thread::scope(|scope| {
                     let sender = std::thread::Builder::new()
                         .name("open-loop-sender".into())
                         .spawn_scoped(scope, || {
-                            send_open_loop_partitioned(
-                                broker,
-                                INPUT,
-                                self.partitions,
-                                schedule,
-                                self.records,
-                                self.seed,
-                            )
+                            send_open_loop(broker, INPUT, schedule, self.records, self.seed)
                         })
                         .map_err(|e| BenchError::Broker(format!("sender thread spawn: {e}")))?;
                     // The engine tails the input until it has consumed
@@ -326,10 +314,10 @@ impl Trial {
 
 /// Checks drained `outputs` against the reference: [`Query::apply`] over
 /// the trial's generated payloads (stamped with their scheduled event
-/// times when the trial was offered open-loop). With one worker over one
-/// input partition the comparison is order-sensitive; otherwise sources
-/// may legally interleave and the outputs are compared as a multiset —
-/// nothing dropped, duplicated or altered.
+/// times when the trial was offered open-loop). With one worker the
+/// comparison is order-sensitive; otherwise workers may legally
+/// interleave and the outputs are compared as a multiset — nothing
+/// dropped, duplicated or altered.
 ///
 /// # Errors
 ///
@@ -351,7 +339,7 @@ pub fn verify(
             })
         })
         .collect();
-    let first_difference = if setup.parallelism == 1 && trial.partitions == 1 {
+    let first_difference = if setup.parallelism == 1 {
         outputs
             .iter()
             .zip(&reference)
@@ -419,8 +407,7 @@ mod tests {
     fn execute_runs_every_setup_following_an_offered_input() {
         for setup in all_setups(&[1, 2]) {
             let broker = Broker::new();
-            let partitions = setup.parallelism as u32;
-            let trial = Trial::offered(&broker, RECORDS, SEED, partitions, 50_000.0);
+            let trial = Trial::offered(&broker, RECORDS, SEED, 50_000.0);
             let outcome = trial
                 .run(setup, Query::Projection, "output", BATCH, quiet)
                 .unwrap();

@@ -37,8 +37,7 @@ fn loaded(broker: &Broker, records: u64, seed: u64) -> Trial {
 
 /// A broker whose `input` topic has `partitions` partitions, loaded
 /// with the standard workload key-hash routed with `partition_for_key`
-/// (key = the payload's first column, the same routing the scale-out
-/// sender uses).
+/// (key = the payload's first column).
 fn load_input_partitioned(records: u64, seed: u64, partitions: u32) -> Broker {
     let broker = Broker::new();
     broker

@@ -229,8 +229,8 @@ proptest! {
 proptest! {
     /// The key-hash placement rule is a pure function of the key: in
     /// range for any partition count and the same verdict every time —
-    /// what `send_open_loop_partitioned` and the scale-out checks rely
-    /// on when they route with it and verify with it.
+    /// what `batch_equivalence`'s partitioned input load relies on when
+    /// it routes with it.
     #[test]
     fn partition_for_key_is_in_range_and_deterministic(
         keys in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 1..150),

@@ -85,18 +85,3 @@ fn measurements_are_reproducible_in_output() {
     let counts = |ms: &[Measurement]| -> Vec<u64> { ms.iter().map(|m| m.output_records).collect() };
     assert_eq!(counts(&a), counts(&b));
 }
-
-#[test]
-fn noise_model_changes_timings_not_outputs() {
-    let config = BenchConfig::quick()
-        .records(300)
-        .runs(2)
-        .parallelisms(vec![1])
-        .request_latency_micros(200)
-        .with_noise(42);
-    let measurements = BenchmarkRunner::new(config).run_query(Query::Grep).unwrap();
-    let expected = streambench_core::data::expected_grep_hits(300);
-    for m in &measurements {
-        assert_eq!(m.output_records, expected);
-    }
-}

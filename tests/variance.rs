@@ -1,66 +1,7 @@
-//! The variance experiments (paper Fig. 10 / Table III): with the
-//! environment-noise model enabled, run-to-run execution times show the
-//! outlier-driven coefficients of variation the paper reports; without
-//! it, the in-process substrate is nearly deterministic.
+//! The variance experiments (paper Fig. 10 / Table III): per-run
+//! execution times of one cell, as measured — no outlier is added.
 
-use streambench_core::{report, stats, Api, BenchConfig, BenchmarkRunner, Query, System};
-
-fn times_of(measurements: &[streambench_core::Measurement], system: System, api: Api) -> Vec<f64> {
-    measurements
-        .iter()
-        .filter(|m| m.setup.system == system && m.setup.api == api)
-        .map(|m| m.execution_seconds)
-        .collect()
-}
-
-#[test]
-fn noise_inflates_relative_std_dev() {
-    let base = BenchConfig::quick()
-        .records(2_000)
-        .runs(6)
-        .parallelisms(vec![1])
-        .request_latency_micros(100);
-
-    let quiet = BenchmarkRunner::new(base.clone())
-        .run_query(Query::Identity)
-        .unwrap();
-    let noisy = BenchmarkRunner::new(base.with_noise(2019))
-        .run_query(Query::Identity)
-        .unwrap();
-
-    // Use the most latency-bound cell (identity via the abstraction layer
-    // on the apx engine pays a broker round trip per output record), so
-    // the drawn latency factors dominate the measured time.
-    let quiet_rsd = stats::relative_std_dev(&times_of(&quiet, System::Apx, Api::Beam));
-    let noisy_rsd = stats::relative_std_dev(&times_of(&noisy, System::Apx, Api::Beam));
-    assert!(
-        noisy_rsd > quiet_rsd,
-        "noise must raise the CV: quiet {quiet_rsd:.3} vs noisy {noisy_rsd:.3}"
-    );
-    assert!(
-        noisy_rsd > 0.10,
-        "outliers should be clearly visible, got {noisy_rsd:.3}"
-    );
-}
-
-#[test]
-fn noise_is_reproducible_by_seed() {
-    let config = BenchConfig::quick()
-        .records(1_000)
-        .runs(3)
-        .parallelisms(vec![1])
-        .request_latency_micros(100)
-        .with_noise(7);
-    let a = BenchmarkRunner::new(config.clone())
-        .run_query(Query::Grep)
-        .unwrap();
-    let b = BenchmarkRunner::new(config).run_query(Query::Grep).unwrap();
-    // Outputs identical; timings similar in structure (same factors drawn).
-    let counts = |ms: &[streambench_core::Measurement]| -> Vec<u64> {
-        ms.iter().map(|m| m.output_records).collect()
-    };
-    assert_eq!(counts(&a), counts(&b));
-}
+use streambench_core::{report, Api, BenchConfig, BenchmarkRunner, Query, System};
 
 #[test]
 fn table_three_renders_per_run_series() {
@@ -68,8 +9,7 @@ fn table_three_renders_per_run_series() {
         .records(1_500)
         .runs(4)
         .parallelisms(vec![1, 2])
-        .request_latency_micros(100)
-        .with_noise(2019);
+        .request_latency_micros(100);
     let measurements = BenchmarkRunner::new(config)
         .run_query(Query::Identity)
         .unwrap();
