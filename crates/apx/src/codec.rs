@@ -68,25 +68,6 @@ impl Codec<u64> for U64Codec {
     }
 }
 
-/// Codec for `(String, u64)` pairs, e.g. keyed counts.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct StringU64Codec;
-
-impl Codec<(String, u64)> for StringU64Codec {
-    fn encode_into(&self, tuple: &(String, u64), out: &mut Vec<u8>) {
-        out.extend_from_slice(&tuple.1.to_be_bytes());
-        out.extend_from_slice(tuple.0.as_bytes());
-    }
-
-    fn decode(&self, bytes: &[u8]) -> (String, u64) {
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(&bytes[..8]);
-        let n = u64::from_be_bytes(buf);
-        let s = String::from_utf8(bytes[8..].to_vec()).expect("valid UTF-8 key");
-        (s, n)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,14 +98,6 @@ mod tests {
         for t in [0u64, 1, u64::MAX, 123_456_789] {
             assert_eq!(roundtrip(&U64Codec, &t), t);
         }
-    }
-
-    #[test]
-    fn pair_roundtrip() {
-        let t = ("key".to_string(), 42u64);
-        assert_eq!(roundtrip(&StringU64Codec, &t), t);
-        let empty = (String::new(), 0u64);
-        assert_eq!(roundtrip(&StringU64Codec, &empty), empty);
     }
 
     #[test]

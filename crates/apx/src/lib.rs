@@ -53,7 +53,7 @@ mod stram_config;
 mod stream;
 pub mod testkit;
 
-pub use codec::{BytesCodec, Codec, StringCodec, StringU64Codec, U64Codec};
+pub use codec::{BytesCodec, Codec, StringCodec, U64Codec};
 pub use dag::{Dag, Link, OpHandle, OpKind, OpMeta};
 pub use error::{Error, Result};
 pub use malhar::{KafkaInput, KafkaOutput};

@@ -216,7 +216,7 @@ impl<K, V> fmt::Debug for KvCoder<K, V> {
 
 impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Coder<Kv<K, V>> for KvCoder<K, V> {
     fn encode(&self, value: &Kv<K, V>, out: &mut Vec<u8>) {
-        // Length-prefix the key so group-by-encoded-key can split pairs.
+        // The key is length-prefixed (Beam's nested context).
         put_length_prefixed(out, |out| self.key.encode(&value.key, out));
         self.value.encode(&value.value, out);
     }
@@ -227,62 +227,6 @@ impl<K: Send + Sync + 'static, V: Send + Sync + 'static> Coder<Kv<K, V>> for KvC
         let key = self.key.decode(&mut key_bytes)?;
         let value = self.value.decode(input)?;
         Ok(Kv { key, value })
-    }
-}
-
-/// Splits an encoded `Kv` into (encoded key, encoded value) without
-/// decoding either — `GroupByKey` groups by encoded key bytes.
-pub fn split_encoded_kv(input: &[u8]) -> Result<(Vec<u8>, Vec<u8>), CoderError> {
-    let mut cursor = input;
-    let key_len = get_varint(&mut cursor)? as usize;
-    let key = take(&mut cursor, key_len)?.to_vec();
-    Ok((key, cursor.to_vec()))
-}
-
-/// Reassembles an encoded `Kv` from its encoded halves.
-pub fn join_encoded_kv(key: &[u8], value: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(key.len() + value.len() + 4);
-    put_varint(key.len() as u64, &mut out);
-    out.extend_from_slice(key);
-    out.extend_from_slice(value);
-    out
-}
-
-/// Coder for `Vec<T>` (`IterableCoder`): count, then elements.
-pub struct IterableCoder<T> {
-    element: Arc<dyn Coder<T>>,
-}
-
-impl<T> IterableCoder<T> {
-    /// Creates an iterable coder from an element coder.
-    pub fn new(element: Arc<dyn Coder<T>>) -> Self {
-        IterableCoder { element }
-    }
-}
-
-impl<T> fmt::Debug for IterableCoder<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("IterableCoder")
-    }
-}
-
-impl<T: Send + Sync + 'static> Coder<Vec<T>> for IterableCoder<T> {
-    fn encode(&self, value: &Vec<T>, out: &mut Vec<u8>) {
-        put_varint(value.len() as u64, out);
-        for item in value {
-            put_length_prefixed(out, |out| self.element.encode(item, out));
-        }
-    }
-
-    fn decode(&self, input: &mut &[u8]) -> Result<Vec<T>, CoderError> {
-        let count = get_varint(input)? as usize;
-        let mut out = Vec::with_capacity(count.min(1 << 16));
-        for _ in 0..count {
-            let len = get_varint(input)? as usize;
-            let mut item_bytes = take(input, len)?;
-            out.push(self.element.decode(&mut item_bytes)?);
-        }
-        Ok(out)
     }
 }
 
@@ -416,31 +360,10 @@ mod tests {
     }
 
     #[test]
-    fn kv_coder_roundtrip_and_split() {
+    fn kv_coder_roundtrip() {
         let coder = KvCoder::new(Arc::new(StrUtf8Coder), Arc::new(VarIntCoder));
         let kv = Kv::new("user".to_string(), -42i64);
-        let encoded = coder.encode_to_vec(&kv);
-        assert_eq!(coder.decode_all(&encoded).unwrap(), kv);
-
-        let (key, value) = split_encoded_kv(&encoded).unwrap();
-        assert_eq!(StrUtf8Coder.decode_all(&key).unwrap(), "user");
-        assert_eq!(VarIntCoder.decode_all(&value).unwrap(), -42);
-        assert_eq!(join_encoded_kv(&key, &value), encoded);
-    }
-
-    #[test]
-    fn iterable_coder_roundtrip() {
-        let coder = IterableCoder::new(Arc::new(StrUtf8Coder));
-        let items = vec!["a".to_string(), String::new(), "ccc".to_string()];
-        assert_eq!(
-            coder.decode_all(&coder.encode_to_vec(&items)).unwrap(),
-            items
-        );
-        let empty: Vec<String> = Vec::new();
-        assert_eq!(
-            coder.decode_all(&coder.encode_to_vec(&empty)).unwrap(),
-            empty
-        );
+        assert_eq!(coder.decode_all(&coder.encode_to_vec(&kv)).unwrap(), kv);
     }
 
     #[test]

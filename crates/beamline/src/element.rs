@@ -64,16 +64,7 @@ pub struct PaneInfo {
 }
 
 impl PaneInfo {
-    /// The pane carried by elements that were never retriggered: first,
-    /// last, on time.
-    pub const ON_TIME_AND_ONLY: PaneInfo = PaneInfo {
-        is_first: true,
-        is_last: true,
-        timing: PaneTiming::OnTime,
-        index: 0,
-    };
-
-    /// The default pane of data that never passed a `GroupByKey`.
+    /// The default pane of data that was never grouped or triggered.
     pub const NO_FIRING: PaneInfo = PaneInfo {
         is_first: true,
         is_last: true,
@@ -101,16 +92,6 @@ pub enum WindowRef {
         /// Exclusive end.
         end: Instant,
     },
-}
-
-impl WindowRef {
-    /// The maximum timestamp of data in this window.
-    pub fn max_timestamp(&self) -> Instant {
-        match self {
-            WindowRef::Global => Instant::MAX,
-            WindowRef::Interval { end, .. } => Instant(end.0 - 1),
-        }
-    }
 }
 
 /// A value with its event-time and windowing metadata.
@@ -192,16 +173,6 @@ mod tests {
     }
 
     #[test]
-    fn window_max_timestamp() {
-        assert_eq!(WindowRef::Global.max_timestamp(), Instant::MAX);
-        let w = WindowRef::Interval {
-            start: Instant(0),
-            end: Instant(100),
-        };
-        assert_eq!(w.max_timestamp(), Instant(99));
-    }
-
-    #[test]
     fn windowed_value_constructors() {
         let v = WindowedValue::in_global_window("x");
         assert_eq!(v.timestamp, Instant::MIN);
@@ -218,7 +189,6 @@ mod tests {
 
     #[test]
     fn pane_constants() {
-        assert_eq!(PaneInfo::ON_TIME_AND_ONLY.timing, PaneTiming::OnTime);
         assert_eq!(PaneInfo::default(), PaneInfo::NO_FIRING);
     }
 

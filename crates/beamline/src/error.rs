@@ -8,10 +8,7 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Errors raised when validating or running a pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
-    /// The chosen runner cannot translate a transform — the capability
-    /// matrix is real: e.g. the micro-batch runner does not support
-    /// `GroupByKey` (stateful processing), which is the paper's reason to
-    /// exclude stateful queries (§III-B).
+    /// The chosen runner cannot translate a transform.
     UnsupportedTransform {
         /// The runner that rejected the pipeline.
         runner: &'static str,
@@ -77,7 +74,7 @@ mod tests {
         let samples = vec![
             Error::UnsupportedTransform {
                 runner: "dstream",
-                transform: "GroupByKey".into(),
+                transform: "Flatten".into(),
             },
             Error::UnsupportedShape {
                 runner: "rill",

@@ -60,9 +60,6 @@ pub enum StagePayload {
     Read(SourceFactory),
     /// A `ParDo` over raw elements.
     ParDo(DoFnFactory),
-    /// Group raw KV elements by (window, encoded key); values of a group
-    /// are concatenated into an `IterableCoder` layout.
-    GroupByKey,
     /// Merge this stage's primary input with the listed extra inputs.
     Flatten(Vec<NodeId>),
 }
@@ -72,7 +69,6 @@ impl std::fmt::Debug for StagePayload {
         match self {
             StagePayload::Read(_) => f.write_str("Read"),
             StagePayload::ParDo(_) => f.write_str("ParDo"),
-            StagePayload::GroupByKey => f.write_str("GroupByKey"),
             StagePayload::Flatten(extra) => write!(f, "Flatten(+{})", extra.len()),
         }
     }

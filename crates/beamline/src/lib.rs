@@ -4,10 +4,9 @@
 //! This is the *abstraction layer* whose performance impact the
 //! StreamBench reproduction measures (Hesse et al., ICDCS 2019). A
 //! [`Pipeline`] is described once against the beamline SDK —
-//! [`PCollection`]s transformed by `PTransform`s such as [`ParDo`],
-//! [`GroupByKey`](transforms::GroupByKey), and
-//! [`Flatten`](transforms::Flatten) — and can then be executed unchanged
-//! by any supported engine through a [`PipelineRunner`]:
+//! [`PCollection`]s transformed by element-wise `PTransform`s such as
+//! [`ParDo`], [`MapElements`] and [`Filter`] — and can then be executed
+//! unchanged by any supported engine through a [`PipelineRunner`]:
 //!
 //! * [`runners::DirectRunner`] — in-memory reference execution,
 //! * [`runners::RillRunner`] — the Flink-analog engine,
@@ -18,7 +17,11 @@
 //! elements cross every translated stage as coder-serialized
 //! [`WindowedValue`]s, translated plans contain more operators than
 //! native programs (paper Figs. 12–13), and runner maturity varies — see
-//! the module docs of [`runners`] for the capability/behaviour matrix.
+//! the module docs of [`runners`] for how each runner bundles and
+//! translates.
+//!
+//! The transforms are the stateless ones the paper's four queries use
+//! (§III-B); there is no grouping, combining or windowing transform.
 //!
 //! # Example
 //!
@@ -36,7 +39,6 @@
 //! # }
 //! ```
 
-pub mod aggregates;
 mod arena;
 pub mod coder;
 mod element;
@@ -47,12 +49,9 @@ mod pardo;
 mod pipeline;
 pub mod runners;
 pub mod transforms;
-pub mod window;
 
-pub use aggregates::{CombinePerKey, Count, Distinct, KvSwap};
 pub use coder::{
-    BytesCoder, Coder, CoderError, IterableCoder, KvCoder, StrUtf8Coder, VarIntCoder,
-    WindowedValueCoder,
+    BytesCoder, Coder, CoderError, KvCoder, StrUtf8Coder, VarIntCoder, WindowedValueCoder,
 };
 pub use element::{Instant, Kv, PaneInfo, PaneTiming, WindowRef, WindowedValue};
 pub use error::{Error, Result};
@@ -62,7 +61,4 @@ pub use io::{
 pub use pardo::{DoFn, FnDoFn, ParDo, ProcessContext, RAW_PAR_DO};
 pub use pipeline::{PCollection, PTransform, Pipeline, RootTransform};
 pub use runners::{EngineReport, PipelineResult, PipelineRunner};
-pub use transforms::{
-    Create, Filter, FlatMapElements, Flatten, GroupByKey, Keys, MapElements, Values, WithKeys,
-};
-pub use window::{AccumulationMode, Trigger, WindowFn, WindowInto, WindowingStrategy};
+pub use transforms::{Create, Filter, FlatMapElements, Flatten, MapElements, Values};

@@ -21,8 +21,6 @@
 //!   matching the paper's observation that Apex-Beam costs collapse for
 //!   the low-output grep query (Fig. 9) while identity/projection are
 //!   slowest (Figs. 6/8).
-//!
-//! `GroupByKey` is not translated.
 
 use crate::coder::{Coder, WindowedValueCoder};
 use crate::error::{Error, Result};
@@ -118,12 +116,6 @@ impl PipelineRunner for ApxRunner {
                     }
                     StagePayload::ParDo(factory) => {
                         stages.push(Stage::Middle(factory.clone(), name));
-                    }
-                    StagePayload::GroupByKey => {
-                        return Err(Error::UnsupportedTransform {
-                            runner: "apx",
-                            transform: "GroupByKey (stateful processing)".into(),
-                        })
                     }
                     other => {
                         return Err(Error::UnsupportedTransform {

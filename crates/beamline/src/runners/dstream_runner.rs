@@ -7,11 +7,6 @@
 //! the paper's observation that Beam-on-Spark gets *slower* with
 //! parallelism 2 on trivial queries), and each `ParDo` runs once per batch
 //! partition with one bundle per partition.
-//!
-//! `GroupByKey` is rejected: the abstraction layer does not support
-//! stateful processing on the micro-batch engine, which is exactly why
-//! the paper's benchmark uses only the stateless StreamBench queries
-//! (§III-B).
 
 use crate::error::{Error, Result};
 use crate::graph::{DoFnFactory, RawElement, SourceFactory, StagePayload};
@@ -91,12 +86,6 @@ impl PipelineRunner for DStreamRunner {
                     }
                     StagePayload::ParDo(factory) => {
                         stages.push(Stage::Middle(node.translated_name.clone(), factory.clone()));
-                    }
-                    StagePayload::GroupByKey => {
-                        return Err(Error::UnsupportedTransform {
-                            runner: "dstream",
-                            transform: "GroupByKey (stateful processing)".into(),
-                        })
                     }
                     other => {
                         return Err(Error::UnsupportedTransform {

@@ -8,12 +8,12 @@
 //! paper's central finding is that those differences make the layer's
 //! overhead engine-specific and unpredictable.
 //!
-//! | Runner | Engine | Bundles | GroupByKey | Notes |
-//! |---|---|---|---|---|
-//! | [`DirectRunner`] | none (in-memory) | whole input | yes | reference semantics, any DAG shape |
-//! | [`RillRunner`] | `rill` (Flink analog) | whole stream | yes | one engine operator per stage |
-//! | [`DStreamRunner`] | `dstream` (Spark analog) | micro-batch partition | **no** | repartitions every batch to honour parallelism |
-//! | [`ApxRunner`] | `apx` (Apex analog) | **single element** | no | one container per stage, envelope serialization per hop |
+//! | Runner | Engine | Bundles | Notes |
+//! |---|---|---|---|
+//! | [`DirectRunner`] | none (in-memory) | whole input | reference semantics, any DAG shape |
+//! | [`RillRunner`] | `rill` (Flink analog) | whole stream | one engine operator per stage |
+//! | [`DStreamRunner`] | `dstream` (Spark analog) | micro-batch partition | repartitions every batch to honour parallelism |
+//! | [`ApxRunner`] | `apx` (Apex analog) | **single element** | one container per stage, envelope serialization per hop |
 
 mod apx_runner;
 mod direct;

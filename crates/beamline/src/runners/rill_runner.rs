@@ -10,14 +10,11 @@
 //! rill programs do not.
 
 use crate::coder::{Coder, WindowedValueCoder};
-use crate::element::WindowRef;
 use crate::error::{Error, Result};
 use crate::graph::{DoFnFactory, RawDoFn, RawElement, SourceFactory, StagePayload};
 use crate::pipeline::Pipeline;
 use crate::runners::{EngineReport, PipelineResult, PipelineRunner};
-use rill::{
-    ClusterSpec, Collector, DataStream, ParallelSource, SourceFunction, StreamExecutionEnvironment,
-};
+use rill::{ClusterSpec, Collector, ParallelSource, SourceFunction, StreamExecutionEnvironment};
 use std::collections::HashMap;
 
 /// Runs pipelines on a [`rill`] cluster.
@@ -66,16 +63,7 @@ impl RillRunner {
     }
 
     fn translate(&self, pipeline: &Pipeline) -> Result<StreamExecutionEnvironment> {
-        #[derive(Clone)]
-        enum Stage {
-            ParDo {
-                translated: String,
-                factory: DoFnFactory,
-                leaf: bool,
-            },
-            GroupByKey,
-        }
-        let (source, source_name, stages) = pipeline.with_graph(|graph| -> Result<_> {
+        let (source, source_name, mut stages) = pipeline.with_graph(|graph| -> Result<_> {
             let chain = graph
                 .linear_chain()
                 .ok_or_else(|| Error::UnsupportedShape {
@@ -91,18 +79,14 @@ impl RillRunner {
                 ));
             };
             let mut stages = Vec::new();
-            for (i, id) in chain.iter().enumerate().skip(1) {
+            for id in &chain[1..] {
                 let node = graph.node(*id).ok_or_else(|| {
                     Error::InvalidPipeline("dangling node id in linear chain".into())
                 })?;
-                let leaf = i == chain.len() - 1;
                 match &node.payload {
-                    StagePayload::ParDo(factory) => stages.push(Stage::ParDo {
-                        translated: node.translated_name.clone(),
-                        factory: factory.clone(),
-                        leaf,
-                    }),
-                    StagePayload::GroupByKey => stages.push(Stage::GroupByKey),
+                    StagePayload::ParDo(factory) => {
+                        stages.push((node.translated_name.clone(), factory.clone()));
+                    }
                     StagePayload::Read(_) => {
                         return Err(Error::InvalidPipeline("Read mid-pipeline".into()))
                     }
@@ -116,77 +100,42 @@ impl RillRunner {
             }
             Ok((source.clone(), first.translated_name.clone(), stages))
         })?;
+        // The leaf ParDo (typically the broker write) becomes the job's sink.
+        let Some((leaf_name, leaf)) = stages.pop() else {
+            return Err(Error::UnsupportedShape {
+                runner: "rill",
+                reason: "pipeline must end in a ParDo (e.g. a write)".into(),
+            });
+        };
 
         let env = StreamExecutionEnvironment::with_cluster(self.cluster);
         env.set_parallelism(self.parallelism);
-        let mut stream: Option<DataStream<RawElement>> = Some(env.add_source(RawSourceAdapter {
+        let mut stream = env.add_source(RawSourceAdapter {
             factory: source,
             name: source_name,
-        }));
-        for stage in stages {
-            let Some(current) = stream.take() else {
-                return Err(Error::InvalidPipeline(
-                    "stage after the terminal leaf".into(),
-                ));
-            };
-            match stage {
-                Stage::ParDo {
-                    translated,
-                    factory,
-                    leaf,
-                } if !leaf => {
-                    let metric_name = translated.clone();
-                    stream = Some(current.transform(&translated, move |col| {
-                        // The engine serializes elements between the
-                        // translated operators (Beam-on-Flink disables
-                        // object reuse, so every chained handoff passes
-                        // the type serializer): a full envelope round
-                        // trip per element per boundary.
-                        Box::new(RawDoFnCollector {
-                            dofn: Some(factory()),
-                            instruments: transform_instruments(&metric_name),
-                            scratch: Vec::new(),
-                            downstream: SerializedBoundary {
-                                downstream: col,
-                                scratch: Vec::new(),
-                            },
-                        })
-                    }));
-                }
-                Stage::ParDo {
-                    translated,
-                    factory,
-                    leaf: _,
-                } => {
-                    current.add_sink(RawDoFnSink {
-                        factory,
-                        name: translated,
-                    });
-                }
-                Stage::GroupByKey => {
-                    stream = Some(
-                        current
-                            .key_by(|e: &RawElement| {
-                                let key = crate::coder::split_encoded_kv(&e.value)
-                                    .map(|(k, _)| k)
-                                    .unwrap_or_default();
-                                (e.window, key)
-                            })
-                            .collect_groups()
-                            .rename("GroupByKey")
-                            .map(|(slot, group): ((WindowRef, Vec<u8>), Vec<RawElement>)| {
-                                assemble_group(slot, group)
-                            })
-                            .rename("GroupByKey.Assemble"),
-                    );
-                }
-            }
+        });
+        for (translated, factory) in stages {
+            let metric_name = translated.clone();
+            stream = stream.transform(&translated, move |col| {
+                // The engine serializes elements between the translated
+                // operators (Beam-on-Flink disables object reuse, so every
+                // chained handoff passes the type serializer): a full
+                // envelope round trip per element per boundary.
+                Box::new(RawDoFnCollector {
+                    dofn: Some(factory()),
+                    instruments: transform_instruments(&metric_name),
+                    scratch: Vec::new(),
+                    downstream: SerializedBoundary {
+                        downstream: col,
+                        scratch: Vec::new(),
+                    },
+                })
+            });
         }
-        if let Some(dangling) = stream {
-            // Pipelines whose last stage is not a ParDo (e.g. ending in a
-            // GroupByKey) still need a sink to be a valid engine job.
-            dangling.add_sink(DiscardSink);
-        }
+        stream.add_sink(RawDoFnSink {
+            factory: leaf,
+            name: leaf_name,
+        });
         Ok(env)
     }
 }
@@ -201,25 +150,6 @@ fn transform_instruments(translated: &str) -> Option<(obs::Counter, obs::Counter
         ))
     } else {
         None
-    }
-}
-
-fn assemble_group(slot: (WindowRef, Vec<u8>), group: Vec<RawElement>) -> RawElement {
-    let (window, key) = slot;
-    let mut iterable = Vec::new();
-    crate::coder::put_varint(group.len() as u64, &mut iterable);
-    for element in &group {
-        let value = crate::coder::split_encoded_kv(&element.value)
-            .map(|(_, v)| v)
-            .unwrap_or_default();
-        crate::coder::put_varint(value.len() as u64, &mut iterable);
-        iterable.extend_from_slice(&value);
-    }
-    RawElement {
-        value: crate::coder::join_encoded_kv(&key, &iterable).into(),
-        timestamp: window.max_timestamp(),
-        window,
-        pane: crate::element::PaneInfo::ON_TIME_AND_ONLY,
     }
 }
 
@@ -472,26 +402,5 @@ impl rill::SinkFunction<RawElement> for RawDoFnSinkInstance {
         if let Some(mut dofn) = self.dofn.take() {
             dofn.finish_bundle(&mut |_| {});
         }
-    }
-}
-
-/// Discards elements; used to terminate non-ParDo leaves.
-struct DiscardSink;
-
-impl rill::ParallelSink<RawElement> for DiscardSink {
-    fn create(
-        &self,
-        _subtask: usize,
-        _parallelism: usize,
-    ) -> Box<dyn rill::SinkFunction<RawElement>> {
-        struct Instance;
-        impl rill::SinkFunction<RawElement> for Instance {
-            fn invoke(&mut self, _item: RawElement) {}
-
-            fn invoke_batch(&mut self, items: &mut Vec<RawElement>) {
-                items.clear();
-            }
-        }
-        Box::new(Instance)
     }
 }

@@ -1,7 +1,7 @@
 //! Core transforms: `Create`, `MapElements`, `Filter`, `FlatMapElements`,
-//! key/value helpers, `Flatten`, and `GroupByKey`.
+//! `Values`, and `Flatten`.
 
-use crate::coder::{BytesCoder, Coder, IterableCoder, KvCoder, StrUtf8Coder, VarIntCoder};
+use crate::coder::{BytesCoder, Coder, StrUtf8Coder, VarIntCoder};
 use crate::element::{Kv, WindowedValue};
 use crate::graph::{RawEmit, RawSource, StagePayload};
 use crate::pardo::{DoFn, FnDoFn, ParDo, ProcessContext};
@@ -229,62 +229,6 @@ where
     }
 }
 
-/// Extracts the keys of a KV collection.
-pub struct Keys<K> {
-    key_coder: Arc<dyn Coder<K>>,
-}
-
-impl<K> Keys<K> {
-    /// Creates the transform with the key coder.
-    pub fn create(key_coder: Arc<dyn Coder<K>>) -> Self {
-        Keys { key_coder }
-    }
-}
-
-impl<K, V> PTransform<Kv<K, V>, K> for Keys<K>
-where
-    K: Send + 'static,
-    V: Send + 'static,
-{
-    fn expand(self, input: &PCollection<Kv<K, V>>) -> PCollection<K> {
-        MapElements::new("Keys", |kv: Kv<K, V>| kv.key, self.key_coder).expand(input)
-    }
-}
-
-/// Pairs every element with a computed key.
-pub struct WithKeys<F, K> {
-    key_fn: F,
-    key_coder: Arc<dyn Coder<K>>,
-}
-
-impl<F, K> WithKeys<F, K> {
-    /// Creates the transform from a key function and key coder.
-    pub fn of(key_fn: F, key_coder: Arc<dyn Coder<K>>) -> Self {
-        WithKeys { key_fn, key_coder }
-    }
-}
-
-impl<T, K, F> PTransform<T, Kv<K, T>> for WithKeys<F, K>
-where
-    T: Send + Sync + 'static,
-    K: Send + Sync + 'static,
-    F: Fn(&T) -> K + Send + Sync + Clone + 'static,
-{
-    fn expand(self, input: &PCollection<T>) -> PCollection<Kv<K, T>> {
-        let out_coder = Arc::new(KvCoder::new(self.key_coder, input.coder()));
-        let key_fn = self.key_fn;
-        MapElements::new(
-            "WithKeys",
-            move |t: T| {
-                let key = key_fn(&t);
-                Kv::new(key, t)
-            },
-            out_coder,
-        )
-        .expand(input)
-    }
-}
-
 /// Merges multiple collections of the same type into one.
 pub struct Flatten;
 
@@ -309,46 +253,6 @@ impl Flatten {
     }
 }
 
-/// Groups KV elements by key within each window (the `GroupByKey` core
-/// transform). For use on unbounded data a non-global windowing or
-/// trigger is required (paper §II-A); bounded pipelines group in the
-/// global window.
-pub struct GroupByKey<K, V> {
-    key_coder: Arc<dyn Coder<K>>,
-    value_coder: Arc<dyn Coder<V>>,
-}
-
-impl<K, V> GroupByKey<K, V> {
-    /// Creates the transform from the component coders of the input's
-    /// `KvCoder`.
-    pub fn create(key_coder: Arc<dyn Coder<K>>, value_coder: Arc<dyn Coder<V>>) -> Self {
-        GroupByKey {
-            key_coder,
-            value_coder,
-        }
-    }
-}
-
-impl<K, V> PTransform<Kv<K, V>, Kv<K, Vec<V>>> for GroupByKey<K, V>
-where
-    K: Send + Sync + 'static,
-    V: Send + Sync + 'static,
-{
-    fn expand(self, input: &PCollection<Kv<K, V>>) -> PCollection<Kv<K, Vec<V>>> {
-        let node = input.pipeline().add_stage(
-            "GroupByKey",
-            "GroupByKey",
-            StagePayload::GroupByKey,
-            Some(input.node()),
-        );
-        let out_coder = Arc::new(KvCoder::new(
-            self.key_coder,
-            Arc::new(IterableCoder::new(self.value_coder)) as Arc<dyn Coder<Vec<V>>>,
-        ));
-        PCollection::new(input.pipeline().clone(), node, out_coder)
-    }
-}
-
 /// A `DoFn`-level identity useful in tests and plan-shape fixtures.
 pub fn identity_dofn<T: Send + 'static>() -> impl DoFn<T, T> {
     FnDoFn::new(|element: T, ctx: &mut ProcessContext<'_, T>| ctx.output(element))
@@ -370,23 +274,6 @@ mod tests {
             assert_eq!(g.nodes()[1].name, "Len");
             assert!(g.linear_chain().is_some());
         });
-    }
-
-    #[test]
-    fn group_by_key_stage_and_coder() {
-        let p = Pipeline::new();
-        let kvs = p
-            .apply(Create::strings(vec!["a 1".into()]))
-            .apply(WithKeys::of(|s: &String| s.clone(), Arc::new(StrUtf8Coder)));
-        let grouped = kvs.apply(GroupByKey::create(
-            Arc::new(StrUtf8Coder),
-            Arc::new(StrUtf8Coder),
-        ));
-        assert_eq!(p.stage_count(), 3);
-        // The output coder round-trips grouped values.
-        let kv = Kv::new("k".to_string(), vec!["v1".to_string(), "v2".to_string()]);
-        let coder = grouped.coder();
-        assert_eq!(coder.decode_all(&coder.encode_to_vec(&kv)).unwrap(), kv);
     }
 
     #[test]

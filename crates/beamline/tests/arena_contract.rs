@@ -8,8 +8,8 @@
 //! owned decode produced.
 
 use beamline::{
-    BytesCoder, Coder, Instant, IterableCoder, KafkaRecord, KafkaRecordCoder, Kv, KvCoder,
-    StrUtf8Coder, WindowedValue, WindowedValueCoder,
+    BytesCoder, Coder, Instant, KafkaRecord, KafkaRecordCoder, Kv, KvCoder, StrUtf8Coder,
+    WindowedValue, WindowedValueCoder,
 };
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -63,7 +63,6 @@ proptest! {
     ) {
         let _alone = ONE_AT_A_TIME.lock();
         let kv_coder = KvCoder::new(bytes_coder(), bytes_coder());
-        let iterable_coder = IterableCoder::new(bytes_coder());
         let mut held = Vec::new();
         for (len, salt) in shapes {
             let value = payload(len, salt);
@@ -76,12 +75,6 @@ proptest! {
 
             let kv = Kv::new(key.clone(), value.clone());
             prop_assert_eq!(kv_coder.decode_all(&kv_coder.encode_to_vec(&kv)).unwrap(), kv);
-
-            let items = vec![key.clone(), value.clone(), Bytes::new()];
-            prop_assert_eq!(
-                iterable_coder.decode_all(&iterable_coder.encode_to_vec(&items)).unwrap(),
-                items
-            );
 
             let record = KafkaRecord {
                 topic: "in".into(),

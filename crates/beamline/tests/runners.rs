@@ -4,8 +4,8 @@
 
 use beamline::runners::{ApxRunner, DStreamRunner, DirectRunner, RillRunner};
 use beamline::{
-    BrokerIO, BytesCoder, Error, Filter, GroupByKey, MapElements, Pipeline, PipelineRunner,
-    StrUtf8Coder, Values, WithKeys, WithoutMetadata,
+    BrokerIO, BytesCoder, Create, Error, Filter, MapElements, Pipeline, PipelineRunner, Values,
+    WithoutMetadata,
 };
 use bytes::Bytes;
 use logbus::{Broker, Record, TopicConfig};
@@ -138,79 +138,6 @@ fn rill_plan_matches_figure_13() {
 }
 
 #[test]
-fn group_by_key_supported_matrix() {
-    // GroupByKey runs on the direct and rill runners but is rejected by
-    // the micro-batch and apx runners — the capability gap that made the
-    // paper exclude stateful queries.
-    let build = |broker: &Broker| {
-        let pipeline = Pipeline::new();
-        pipeline
-            .apply(BrokerIO::read(broker.clone(), "in"))
-            .apply(WithoutMetadata::new())
-            .apply(Values::create(Arc::new(BytesCoder)))
-            .apply(MapElements::into_string("ToString", |v: Bytes| {
-                String::from_utf8_lossy(&v).into_owned()
-            }))
-            .apply(WithKeys::of(
-                |s: &String| s.split('\t').next().unwrap_or("").to_string(),
-                Arc::new(StrUtf8Coder),
-            ))
-            .apply(GroupByKey::create(
-                Arc::new(StrUtf8Coder),
-                Arc::new(StrUtf8Coder),
-            ))
-            .apply(MapElements::into_string(
-                "CountValues",
-                |kv: beamline::Kv<String, Vec<String>>| format!("{}\t{}", kv.key, kv.value.len()),
-            ))
-            .apply(MapElements::into_bytes("Encode", |s: String| {
-                Bytes::from(s)
-            }))
-            .apply(BrokerIO::write(broker.clone(), "out"));
-        pipeline
-    };
-
-    let broker = broker_with_input(50);
-    // Direct runner.
-    reset_output(&broker);
-    DirectRunner::new().run(&build(&broker)).unwrap();
-    let direct_out = {
-        let mut v = output_values(&broker);
-        v.sort();
-        v
-    };
-    assert_eq!(direct_out.len(), 50, "every user key is unique");
-
-    // rill runner agrees.
-    reset_output(&broker);
-    RillRunner::new().run(&build(&broker)).unwrap();
-    let rill_out = {
-        let mut v = output_values(&broker);
-        v.sort();
-        v
-    };
-    assert_eq!(rill_out, direct_out);
-
-    // Micro-batch and apx runners reject it.
-    for (runner, name) in [
-        (
-            Box::new(DStreamRunner::new()) as Box<dyn PipelineRunner>,
-            "dstream",
-        ),
-        (Box::new(ApxRunner::new()) as Box<dyn PipelineRunner>, "apx"),
-    ] {
-        let err = runner.run(&build(&broker)).unwrap_err();
-        match err {
-            Error::UnsupportedTransform { runner, transform } => {
-                assert_eq!(runner, name);
-                assert!(transform.contains("GroupByKey"));
-            }
-            other => panic!("{name}: unexpected error {other:?}"),
-        }
-    }
-}
-
-#[test]
 fn non_linear_pipelines_rejected_by_engine_runners() {
     let broker = broker_with_input(5);
     let pipeline = Pipeline::new();
@@ -237,4 +164,22 @@ fn non_linear_pipelines_rejected_by_engine_runners() {
     // The direct runner handles it.
     DirectRunner::new().run(&pipeline).unwrap();
     assert_eq!(output_values(&broker).len(), 10);
+}
+
+#[test]
+fn pipelines_without_a_pardo_are_rejected_by_tuple_runners() {
+    // A tuple engine's job needs a sink, and only a ParDo (the write)
+    // becomes one.
+    let pipeline = Pipeline::new();
+    pipeline.apply(Create::i64s(vec![1, 2]));
+    for runner in [
+        Box::new(RillRunner::new()) as Box<dyn PipelineRunner>,
+        Box::new(ApxRunner::new()),
+    ] {
+        assert!(
+            matches!(runner.run(&pipeline), Err(Error::UnsupportedShape { .. })),
+            "runner {} should reject a read-only pipeline",
+            runner.name()
+        );
+    }
 }

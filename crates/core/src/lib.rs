@@ -45,7 +45,6 @@ pub mod report;
 pub mod runner;
 pub mod sender;
 pub mod setup;
-pub mod stateful;
 pub mod stats;
 pub mod systems;
 pub mod trial;

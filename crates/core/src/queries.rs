@@ -61,14 +61,6 @@ impl Query {
         }
     }
 
-    /// Whether the query needs state (none of these do; the stateful
-    /// StreamBench queries are excluded because the abstraction layer
-    /// does not support stateful processing on the micro-batch engine,
-    /// paper §III-B).
-    pub fn stateful(self) -> bool {
-        false
-    }
-
     /// Applies the query to one payload, returning the outputs (0 or 1
     /// records for these queries). The single source of truth every
     /// implementation delegates to.
@@ -466,7 +458,6 @@ mod tests {
     fn table_two_metadata() {
         for query in Query::ALL {
             assert!(!query.description().is_empty());
-            assert!(!query.stateful());
         }
         assert_eq!(Query::Identity.to_string(), "identity");
         assert_eq!(Query::ALL.len(), 4);

@@ -8,7 +8,7 @@
 use crate::latency::LatencyReport;
 use crate::queries::Query;
 use crate::runner::{Measurement, RunIncident};
-use crate::setup::{Api, Setup, System};
+use crate::setup::{Api, System};
 use crate::stats;
 use std::collections::BTreeMap;
 
@@ -17,8 +17,9 @@ use std::collections::BTreeMap;
 pub struct FigureRow {
     /// Y-axis label, e.g. `Apex Beam P1`.
     pub label: String,
-    /// The value (seconds, coefficient, or factor).
-    pub value: f64,
+    /// The value (seconds, coefficient, or factor), or why the campaign
+    /// leaves it undefined (rendered `n/a` with that reason).
+    pub value: Result<f64, String>,
 }
 
 /// Average execution time per setup for one query — the data of
@@ -35,7 +36,7 @@ pub fn average_times(measurements: &[Measurement], query: Query) -> Vec<FigureRo
         .into_iter()
         .map(|(label, times)| FigureRow {
             label,
-            value: stats::average_execution_time(&times),
+            value: Ok(stats::average_execution_time(&times)),
         })
         .collect()
 }
@@ -67,7 +68,7 @@ pub fn relative_std_devs(measurements: &[Measurement]) -> Vec<FigureRow> {
                 .collect();
             FigureRow {
                 label: format!("{sdk} {}", capitalize(&query.to_string())),
-                value: stats::mean(&deviations),
+                value: Ok(stats::mean(&deviations)),
             }
         })
         .collect()
@@ -82,47 +83,54 @@ fn capitalize(s: &str) -> String {
 }
 
 /// Slowdown factor per system for one query — the data of Fig. 11,
-/// computed with the paper's formula (§III-C3).
+/// computed with the paper's formula (§III-C3). Every system the
+/// campaign ran gets a row; when some parallelism has no Beam/native
+/// ratio (a 0 s span: every output record landed in one produce request)
+/// the factor is undefined and the row says why.
 pub fn slowdown_factors(measurements: &[Measurement], query: Query) -> Vec<FigureRow> {
     let mut rows = Vec::new();
     for system in System::ALL {
-        let mut parallelisms: Vec<usize> = measurements
+        let cells: Vec<&Measurement> = measurements
             .iter()
             .filter(|m| m.query == query && m.setup.system == system)
-            .map(|m| m.setup.parallelism)
             .collect();
+        let mut parallelisms: Vec<usize> = cells.iter().map(|m| m.setup.parallelism).collect();
         parallelisms.sort_unstable();
         parallelisms.dedup();
+        if parallelisms.is_empty() {
+            continue;
+        }
         let mut pairs = Vec::new();
+        let mut gaps = Vec::new();
         for p in parallelisms {
-            let avg = |api: Api| {
-                let times: Vec<f64> = measurements
+            let avg = |api: Api, name: &str| {
+                let times: Vec<f64> = cells
                     .iter()
-                    .filter(|m| {
-                        m.query == query
-                            && m.setup
-                                == Setup {
-                                    system,
-                                    api,
-                                    parallelism: p,
-                                }
-                    })
+                    .filter(|m| m.setup.api == api && m.setup.parallelism == p)
                     .map(|m| m.execution_seconds)
                     .collect();
-                stats::average_execution_time(&times)
+                let mean = stats::average_execution_time(&times);
+                if times.is_empty() {
+                    Err(format!("no {name} runs at P{p}"))
+                } else if mean > 0.0 {
+                    Ok(mean)
+                } else {
+                    Err(format!("{name} span 0 s at P{p}"))
+                }
             };
-            let beam = avg(Api::Beam);
-            let native = avg(Api::Native);
-            if native > 0.0 && beam > 0.0 {
-                pairs.push((beam, native));
+            match (avg(Api::Beam, "Beam"), avg(Api::Native, "native")) {
+                (Ok(beam), Ok(native)) => pairs.push((beam, native)),
+                (beam, native) => gaps.extend(beam.err().into_iter().chain(native.err())),
             }
         }
-        if !pairs.is_empty() {
-            rows.push(FigureRow {
-                label: format!("{} {}", system.label(), capitalize(&query.to_string())),
-                value: stats::slowdown_factor(&pairs),
-            });
-        }
+        rows.push(FigureRow {
+            label: format!("{} {}", system.label(), capitalize(&query.to_string())),
+            value: if gaps.is_empty() {
+                Ok(stats::slowdown_factor(&pairs))
+            } else {
+                Err(gaps.join(", "))
+            },
+        });
     }
     rows
 }
@@ -155,27 +163,36 @@ pub fn per_run_times(
 }
 
 /// Renders a horizontal ASCII bar chart in the style of the paper's
-/// figures.
+/// figures; an undefined value prints as `n/a` with its reason.
 pub fn render_bars(title: &str, rows: &[FigureRow], unit: &str) -> String {
     let mut out = String::new();
     out.push_str(title);
     out.push('\n');
     let max = rows
         .iter()
-        .map(|r| r.value)
-        .fold(0.0_f64, f64::max)
+        .filter_map(|r| r.value.as_ref().ok())
+        .fold(0.0_f64, |a, &b| a.max(b))
         .max(1e-12);
     let label_width = rows.iter().map(|r| r.label.len()).max().unwrap_or(0);
     for row in rows {
-        let bar_len = ((row.value / max) * 40.0).round() as usize;
-        out.push_str(&format!(
-            "  {:<width$}  {:>10.4} {:<4} |{}\n",
-            row.label,
-            row.value,
-            unit,
-            "#".repeat(bar_len.max(usize::from(row.value > 0.0))),
-            width = label_width
-        ));
+        match &row.value {
+            Ok(value) => {
+                let bar_len = ((value / max) * 40.0).round() as usize;
+                out.push_str(&format!(
+                    "  {:<width$}  {value:>10.4} {unit:<4} |{}\n",
+                    row.label,
+                    "#".repeat(bar_len.max(usize::from(*value > 0.0))),
+                    width = label_width
+                ));
+            }
+            Err(reason) => out.push_str(&format!(
+                "  {:<width$}  {:>10} {:<4}  ({reason})\n",
+                row.label,
+                "n/a",
+                "",
+                width = label_width
+            )),
+        }
     }
     out
 }
@@ -361,6 +378,7 @@ pub fn latency_table(report: &LatencyReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::setup::Setup;
 
     fn measurement(
         system: System,
@@ -434,7 +452,7 @@ mod tests {
         let rows = average_times(&sample_measurements(), Query::Grep);
         assert_eq!(rows.len(), 4);
         let beam_p1 = rows.iter().find(|r| r.label == "Flink Beam P1").unwrap();
-        assert!((beam_p1.value - 11.0).abs() < 1e-12);
+        assert!((beam_p1.value.as_ref().unwrap() - 11.0).abs() < 1e-12);
     }
 
     #[test]
@@ -442,8 +460,32 @@ mod tests {
         let rows = slowdown_factors(&sample_measurements(), Query::Grep);
         assert_eq!(rows.len(), 1);
         // (11/2 + 14/2) / 2 = 6.25
-        assert!((rows[0].value - 6.25).abs() < 1e-12);
+        assert!((rows[0].value.as_ref().unwrap() - 6.25).abs() < 1e-12);
         assert_eq!(rows[0].label, "Flink Grep");
+    }
+
+    #[test]
+    fn zero_span_cell_makes_its_slowdown_row_na() {
+        let mut campaign = sample_measurements();
+        let defined = slowdown_factors(&campaign, Query::Grep);
+        for (api, seconds) in [(Api::Beam, 0.0), (Api::Native, 0.5)] {
+            campaign.push(measurement(
+                System::DStream,
+                api,
+                1,
+                Query::Grep,
+                0,
+                seconds,
+            ));
+        }
+        let rows = slowdown_factors(&campaign, Query::Grep);
+        assert_eq!(rows.len(), 2, "one row per system, none dropped");
+        assert_eq!(rows[0], defined[0], "the other rows are unchanged");
+        assert_eq!(rows[1].label, "Spark Grep");
+        assert_eq!(rows[1].value, Err("Beam span 0 s at P1".to_string()));
+        let chart = render_bars("Fig. 11", &rows, "x");
+        assert!(chart.contains("n/a"), "{chart}");
+        assert!(chart.contains("(Beam span 0 s at P1)"), "{chart}");
     }
 
     #[test]
@@ -451,9 +493,9 @@ mod tests {
         let rows = relative_std_devs(&sample_measurements());
         let beam = rows.iter().find(|r| r.label == "Flink Beam Grep").unwrap();
         // P1 rsd = 1/11, P2 rsd = 0 -> average.
-        assert!((beam.value - (1.0 / 11.0) / 2.0).abs() < 1e-12);
+        assert!((beam.value.as_ref().unwrap() - (1.0 / 11.0) / 2.0).abs() < 1e-12);
         let native = rows.iter().find(|r| r.label == "Flink Grep").unwrap();
-        assert_eq!(native.value, 0.0);
+        assert_eq!(native.value, Ok(0.0));
     }
 
     #[test]
@@ -560,11 +602,11 @@ mod tests {
         let rows = vec![
             FigureRow {
                 label: "A".into(),
-                value: 2.0,
+                value: Ok(2.0),
             },
             FigureRow {
                 label: "BB".into(),
-                value: 1.0,
+                value: Ok(1.0),
             },
         ];
         let chart = render_bars("Fig X", &rows, "s");

@@ -16,9 +16,8 @@
 //!   owns a pool of long-lived executors; `spark.default.parallelism`
 //!   ([`ContextConfig::default_parallelism`]) is the knob the paper uses
 //!   to set parallelism (§III-A2).
-//! * **Shuffles** — `repartition`/`reduce_by_key`/`group_by_key`
-//!   materialize their parent once and redistribute, cutting lineage like
-//!   Spark's shuffle boundary.
+//! * **Shuffles** — `repartition` materializes its parent once and
+//!   redistributes it, cutting lineage like Spark's shuffle boundary.
 //!
 //! # Example
 //!
@@ -47,10 +46,8 @@ mod context;
 mod executor;
 mod rdd;
 mod source;
-mod state;
 mod stream;
 mod streaming;
-mod windowing;
 
 pub use context::{Context, ContextConfig};
 pub use executor::ExecutorPool;

@@ -8,9 +8,6 @@
 //! partition on the context's executor pool.
 
 use crate::context::Context;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// A fused per-partition pass: computes partition `i` of the lineage,
@@ -295,65 +292,6 @@ impl<T: Send + Sync + 'static> Rdd<T> {
     }
 }
 
-impl<K, V> Rdd<(K, V)>
-where
-    K: Eq + Hash + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-{
-    /// Hash-partitions by key and reduces values per key (a shuffle).
-    pub fn reduce_by_key<F>(self, partitions: usize, f: F) -> Rdd<(K, V)>
-    where
-        F: Fn(V, V) -> V + Send + Sync + 'static,
-    {
-        self.shuffle_by_key(partitions).map_partitions(move |part| {
-            let mut acc: HashMap<K, V> = HashMap::new();
-            let mut order: Vec<K> = Vec::new();
-            for (k, v) in part {
-                match acc.remove(&k) {
-                    Some(prev) => {
-                        acc.insert(k, f(prev, v));
-                    }
-                    None => {
-                        order.push(k.clone());
-                        acc.insert(k, v);
-                    }
-                }
-            }
-            order
-                .into_iter()
-                .filter_map(|k| acc.remove_entry(&k))
-                .collect()
-        })
-    }
-
-    /// Hash-partitions by key and groups values per key (a shuffle).
-    pub fn group_by_key(self, partitions: usize) -> Rdd<(K, Vec<V>)> {
-        self.shuffle_by_key(partitions).map_partitions(|part| {
-            let mut acc: HashMap<K, Vec<V>> = HashMap::new();
-            let mut order: Vec<K> = Vec::new();
-            for (k, v) in part {
-                let entry = acc.entry(k.clone()).or_default();
-                if entry.is_empty() {
-                    order.push(k);
-                }
-                entry.push(v);
-            }
-            order
-                .into_iter()
-                .filter_map(|k| acc.remove_entry(&k))
-                .collect()
-        })
-    }
-
-    fn shuffle_by_key(self, partitions: usize) -> Rdd<(K, V)> {
-        self.shuffle(partitions.max(1), |t: &(K, V)| {
-            let mut hasher = DefaultHasher::new();
-            t.0.hash(&mut hasher);
-            hasher.finish() as usize
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -436,42 +374,6 @@ mod tests {
         let rdd = ctx().parallelize((0..100i64).collect::<Vec<_>>(), 1);
         let wide = rdd.repartition(workers * 4);
         assert_eq!(wide.count(), 100);
-    }
-
-    #[test]
-    fn reduce_by_key_sums() {
-        let pairs = vec![("a", 1), ("b", 2), ("a", 3), ("c", 4), ("b", 5)];
-        let rdd = ctx().parallelize(pairs, 3).reduce_by_key(2, |a, b| a + b);
-        let mut out = rdd.collect();
-        out.sort();
-        assert_eq!(out, vec![("a", 4), ("b", 7), ("c", 4)]);
-    }
-
-    #[test]
-    fn group_by_key_collects() {
-        let pairs = vec![("a", 1), ("b", 2), ("a", 3)];
-        let rdd = ctx().parallelize(pairs, 2).group_by_key(2);
-        let mut out = rdd.collect();
-        out.sort();
-        assert_eq!(out, vec![("a", vec![1, 3]), ("b", vec![2])]);
-    }
-
-    #[test]
-    fn same_key_lands_in_same_partition() {
-        let pairs: Vec<(i32, i32)> = (0..100).map(|i| (i % 5, i)).collect();
-        let parts = ctx()
-            .parallelize(pairs, 4)
-            .shuffle_by_key(3)
-            .collect_partitions();
-        for key in 0..5 {
-            let holding: Vec<usize> = parts
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| p.iter().any(|(k, _)| *k == key))
-                .map(|(i, _)| i)
-                .collect();
-            assert_eq!(holding.len(), 1, "key {key} spread over {holding:?}");
-        }
     }
 
     #[test]

@@ -93,17 +93,6 @@ impl<T: Clone + Send + Sync + 'static> DStream<T> {
         DStream { ctx, pull }
     }
 
-    /// Creates a stream from an arbitrary batch-pulling closure.
-    pub(crate) fn from_pull(
-        ctx: Context,
-        pull: impl FnMut() -> Option<Rdd<T>> + Send + 'static,
-    ) -> Self {
-        DStream {
-            ctx,
-            pull: Arc::new(Mutex::new(Box::new(pull))),
-        }
-    }
-
     /// The driver context.
     pub fn context(&self) -> &Context {
         &self.ctx

@@ -70,26 +70,6 @@ proptest! {
         prop_assert_eq!(all, expected);
     }
 
-    /// reduce_by_key equals a sequential fold for any partitioning.
-    #[test]
-    fn reduce_by_key_matches_fold(
-        items in prop::collection::vec((0u8..6, -100i64..100), 0..300),
-        partitions in 1usize..4,
-        buckets in 1usize..4,
-    ) {
-        let mut got = Context::local()
-            .parallelize(items.clone(), partitions)
-            .reduce_by_key(buckets, |a, b| a + b)
-            .collect();
-        got.sort();
-        let mut expected_map = std::collections::BTreeMap::new();
-        for (k, v) in items {
-            *expected_map.entry(k).or_insert(0i64) += v;
-        }
-        let expected: Vec<(u8, i64)> = expected_map.into_iter().collect();
-        prop_assert_eq!(got, expected);
-    }
-
     /// Micro-batch processing sees every element exactly once, across any
     /// batching.
     #[test]

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 /// Shard count for the topic and group maps. Sixteen shards keep the
 /// name→shard spread wide enough that concurrent clients on distinct
-/// topics (the scale-out sweep runs one topic set per cell) effectively
+/// topics (a trial's input and output topics, consumer groups) effectively
 /// never contend on a map lock, while the per-broker footprint stays a
 /// few hundred bytes.
 pub(crate) const MAP_SHARDS: usize = 16;

@@ -170,10 +170,9 @@ impl From<Bytes> for Record {
 
 /// Routes a record key to a partition: the one key-hash placement rule.
 ///
-/// The benchmark's partitioned load generators and the scale-out
-/// placement checks all call this one function, so a key always lands on
-/// the same partition no matter which path produced it — the property
-/// keyed engine shuffles depend on.
+/// Every caller that loads a multi-partition topic (the engine
+/// equivalence suite does) routes through this one function, so a key
+/// always lands on the same partition no matter which path produced it.
 #[must_use]
 pub fn partition_for_key(key: &[u8], partition_count: u32) -> u32 {
     let mut hasher = DefaultHasher::new();

@@ -6,15 +6,14 @@
 //! by forward edges are **chained**: they compose into a single
 //! [`Collector`] stack running in one thread per subtask, with no
 //! serialization or boxing between them (paper §II-B describes the same
-//! optimization in Apache Flink). Exchanges ([`DataStream::rebalance`],
-//! [`DataStream::key_by`]) break chains and move elements across typed
-//! bounded channels.
+//! optimization in Apache Flink). An exchange ([`DataStream::rebalance`],
+//! or the forward exchange that disabled chaining inserts) breaks the
+//! chain and moves elements across typed bounded channels.
 
 use crate::error::{Error, Result};
 use crate::graph::{NodeId, NodeKind, Partitioning, StreamGraph};
 use crate::operator::{
-    Collector, CountingCollector, FilterCollector, FlatMapCollector, GroupCollector, MapCollector,
-    MeteredCollector, ReduceCollector,
+    Collector, CountingCollector, FilterCollector, FlatMapCollector, MapCollector, MeteredCollector,
 };
 use crate::plan::ExecutionPlan;
 use crate::runtime::{ClusterSpec, JobManager, JobResult, TaskSpec};
@@ -22,7 +21,6 @@ use crate::sink::{ParallelSink, SinkCollector};
 use crate::source::ParallelSource;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Capacity of inter-task exchange channels; provides backpressure like
@@ -328,28 +326,6 @@ impl<T: Send + 'static> DataStream<T> {
         self.exchange(Partitioning::Rebalance, offset_router)
     }
 
-    /// Partitions elements by key hash, breaking the chain. Subsequent
-    /// keyed operations see all elements of a key on the same subtask.
-    pub fn key_by<K, F>(self, key: F) -> KeyedStream<K, T>
-    where
-        K: Hash + Eq + Clone + Send + 'static,
-        F: Fn(&T) -> K + Clone + Send + Sync + 'static,
-    {
-        let key_for_route = key.clone();
-        let stream = self.exchange(Partitioning::Hash, move |_subtask, fan_out| {
-            let key = key_for_route.clone();
-            move |item: &T| {
-                let mut hasher = std::collections::hash_map::DefaultHasher::new();
-                key(item).hash(&mut hasher);
-                (hasher.finish() % fan_out as u64) as usize
-            }
-        });
-        KeyedStream {
-            stream,
-            key: Arc::new(key),
-        }
-    }
-
     /// Terminates the stream in a sink. Every pipeline branch must end in
     /// a sink before [`StreamExecutionEnvironment::execute`].
     pub fn add_sink<S>(self, sink: S)
@@ -487,52 +463,6 @@ where
     }
 }
 
-/// A stream partitioned by key, produced by [`DataStream::key_by`].
-pub struct KeyedStream<K, T> {
-    stream: DataStream<T>,
-    key: Arc<dyn Fn(&T) -> K + Send + Sync>,
-}
-
-impl<K, T> KeyedStream<K, T>
-where
-    K: Hash + Eq + Clone + Send + 'static,
-    T: Clone + Send + 'static,
-{
-    /// The key extractor this stream was partitioned by.
-    pub(crate) fn key_fn(&self) -> Arc<dyn Fn(&T) -> K + Send + Sync> {
-        self.key.clone()
-    }
-
-    /// Unwraps the underlying partitioned stream.
-    pub(crate) fn into_stream(self) -> DataStream<T> {
-        self.stream
-    }
-
-    /// Running reduction per key: each input emits the key's new
-    /// accumulated value (Flink `KeyedStream::reduce` semantics).
-    pub fn reduce<F>(self, f: F) -> DataStream<T>
-    where
-        F: Fn(T, T) -> T + Clone + Send + Sync + 'static,
-    {
-        let key = self.key.clone();
-        self.stream.transform("Reduce", move |col| {
-            let key = key.clone();
-            Box::new(ReduceCollector::new(move |t: &T| key(t), f.clone(), col))
-        })
-    }
-
-    /// Buffers all values per key and emits `(key, values)` when the
-    /// bounded input ends — a global-window group-by, the substrate for
-    /// the abstraction layer's `GroupByKey`.
-    pub fn collect_groups(self) -> DataStream<(K, Vec<T>)> {
-        let key = self.key.clone();
-        self.stream.transform("Group", move |col| {
-            let key = key.clone();
-            Box::new(GroupCollector::new(move |t: &T| key(t), col))
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -582,46 +512,6 @@ mod tests {
         got.sort_unstable();
         assert_eq!(got, (1..=1000).collect::<Vec<i64>>());
         assert_eq!(result.total_sink_records(), 1000);
-    }
-
-    #[test]
-    fn key_by_groups_on_one_subtask() {
-        let env = StreamExecutionEnvironment::local();
-        env.set_parallelism(2);
-        let sink = VecSink::new();
-        env.add_source(VecSource::new(vec![
-            ("a", 1i64),
-            ("b", 10),
-            ("a", 2),
-            ("b", 20),
-            ("a", 3),
-        ]))
-        .key_by(|t| t.0)
-        .reduce(|x, y| (x.0, x.1 + y.1))
-        .add_sink(sink.clone());
-        env.execute("job").unwrap();
-        let got = sink.snapshot();
-        // Running totals per key, order within key preserved.
-        let a: Vec<i64> = got.iter().filter(|t| t.0 == "a").map(|t| t.1).collect();
-        let b: Vec<i64> = got.iter().filter(|t| t.0 == "b").map(|t| t.1).collect();
-        assert_eq!(a, vec![1, 3, 6]);
-        assert_eq!(b, vec![10, 30]);
-    }
-
-    #[test]
-    fn collect_groups_emits_on_close() {
-        let env = StreamExecutionEnvironment::local();
-        let sink = VecSink::new();
-        env.add_source(VecSource::new(vec![("a", 1), ("b", 2), ("a", 3)]))
-            .key_by(|t: &(&str, i32)| t.0)
-            .collect_groups()
-            .add_sink(sink.clone());
-        env.execute("job").unwrap();
-        let mut got = sink.snapshot();
-        got.sort_by_key(|g| g.0);
-        assert_eq!(got.len(), 2);
-        assert_eq!(got[0].0, "a");
-        assert_eq!(got[0].1, vec![("a", 1), ("a", 3)]);
     }
 
     #[test]

@@ -45,8 +45,6 @@ pub enum Partitioning {
     Forward,
     /// Round-robin redistribution over downstream subtasks.
     Rebalance,
-    /// Key-hash redistribution over downstream subtasks.
-    Hash,
 }
 
 impl Partitioning {

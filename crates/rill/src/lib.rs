@@ -44,9 +44,8 @@ mod plan;
 mod runtime;
 mod sink;
 mod source;
-mod window;
 
-pub use datastream::{DataStream, KeyedStream, StreamExecutionEnvironment};
+pub use datastream::{DataStream, StreamExecutionEnvironment};
 pub use error::{Error, Result};
 pub use graph::{NodeId, NodeKind, Partitioning, StreamEdge, StreamGraph, StreamNode};
 pub use operator::Collector;

@@ -7,13 +7,12 @@
 //! from source to the next exchange or sink.
 //!
 //! Chains move data batch-at-a-time where they can: sources hand whole
-//! fetch batches to [`Collector::collect_batch`], and the stateless
-//! operators forward batches with one virtual call per *batch* instead of
-//! one per element. Stateful operators fall back to the per-element
-//! default, so correctness never depends on which path a chain takes.
+//! fetch batches to [`Collector::collect_batch`], and the operators
+//! forward batches with one virtual call per *batch* instead of one per
+//! element. A collector that does not override the batch path falls back
+//! to the per-element default, so correctness never depends on which path
+//! a chain takes.
 
-use std::collections::HashMap;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -175,101 +174,6 @@ where
     }
 
     fn close(&mut self) {
-        self.downstream.close();
-    }
-}
-
-/// Running keyed reduction: for each input, combines it with the key's
-/// accumulated value and emits the new accumulated value (Flink's
-/// `KeyedStream::reduce` semantics).
-pub struct ReduceCollector<K, T, FK, FR, C> {
-    key_fn: FK,
-    reduce_fn: FR,
-    state: HashMap<K, T>,
-    downstream: C,
-}
-
-impl<K, T, FK, FR, C> ReduceCollector<K, T, FK, FR, C> {
-    /// Creates a reducing collector.
-    pub fn new(key_fn: FK, reduce_fn: FR, downstream: C) -> Self {
-        ReduceCollector {
-            key_fn,
-            reduce_fn,
-            state: HashMap::new(),
-            downstream,
-        }
-    }
-}
-
-impl<K, T, FK, FR, C> Collector<T> for ReduceCollector<K, T, FK, FR, C>
-where
-    K: Eq + Hash + Send,
-    T: Clone + Send,
-    FK: FnMut(&T) -> K + Send,
-    FR: FnMut(T, T) -> T + Send,
-    C: Collector<T>,
-{
-    fn collect(&mut self, item: T) {
-        let key = (self.key_fn)(&item);
-        let merged = match self.state.remove(&key) {
-            Some(acc) => (self.reduce_fn)(acc, item),
-            None => item,
-        };
-        self.state.insert(key, merged.clone());
-        self.downstream.collect(merged);
-    }
-
-    fn close(&mut self) {
-        self.downstream.close();
-    }
-}
-
-/// Bounded-stream grouping: buffers all values per key and emits
-/// `(key, values)` pairs when the stream closes — a global-window
-/// group-by for bounded inputs, used by the abstraction layer's
-/// `GroupByKey` translation.
-pub struct GroupCollector<K, T, FK, C> {
-    key_fn: FK,
-    groups: HashMap<K, Vec<T>>,
-    /// Keys in first-seen order, for deterministic emission.
-    order: Vec<K>,
-    downstream: C,
-}
-
-impl<K, T, FK, C> GroupCollector<K, T, FK, C> {
-    /// Creates a grouping collector.
-    pub fn new(key_fn: FK, downstream: C) -> Self {
-        GroupCollector {
-            key_fn,
-            groups: HashMap::new(),
-            order: Vec::new(),
-            downstream,
-        }
-    }
-}
-
-impl<K, T, FK, C> Collector<T> for GroupCollector<K, T, FK, C>
-where
-    K: Eq + Hash + Clone + Send,
-    T: Send,
-    FK: FnMut(&T) -> K + Send,
-    C: Collector<(K, Vec<T>)>,
-{
-    fn collect(&mut self, item: T) {
-        let key = (self.key_fn)(&item);
-        let entry = self.groups.entry(key.clone()).or_default();
-        if entry.is_empty() {
-            self.order.push(key);
-        }
-        entry.push(item);
-    }
-
-    fn close(&mut self) {
-        for key in self.order.drain(..) {
-            if let Some(values) = self.groups.remove(&key) {
-                self.downstream.collect((key, values));
-            }
-        }
         self.downstream.close();
     }
 }
@@ -468,40 +372,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_emits_running_totals() {
-        let (items, _, sink) = harness::<(char, i64)>();
-        let mut chain = ReduceCollector::new(
-            |t: &(char, i64)| t.0,
-            |a: (char, i64), b: (char, i64)| (a.0, a.1 + b.1),
-            sink,
-        );
-        chain.collect(('a', 1));
-        chain.collect(('b', 10));
-        chain.collect(('a', 2));
-        chain.collect(('a', 3));
-        chain.close();
-        assert_eq!(*items.lock(), vec![('a', 1), ('b', 10), ('a', 3), ('a', 6)]);
-    }
-
-    #[test]
-    fn group_buffers_until_close() {
-        let (items, _, sink) = harness::<(char, Vec<i64>)>();
-        let mut chain = GroupCollector::new(
-            |t: &(char, i64)| t.0,
-            MapCollector::new(
-                |(k, vs): (char, Vec<(char, i64)>)| (k, vs.into_iter().map(|t| t.1).collect()),
-                sink,
-            ),
-        );
-        chain.collect(('b', 1));
-        chain.collect(('a', 2));
-        chain.collect(('b', 3));
-        assert!(items.lock().is_empty(), "groups must not emit before close");
-        chain.close();
-        assert_eq!(*items.lock(), vec![('b', vec![1, 3]), ('a', vec![2])]);
-    }
-
-    #[test]
     fn counting_collector_counts() {
         let (items, _, sink) = harness::<i64>();
         let counter = obs::Counter::new();
@@ -583,20 +453,6 @@ mod tests {
         chain.close();
         assert_eq!(counter.get(), 6);
         assert_eq!(items.lock().len(), 6);
-    }
-
-    #[test]
-    fn stateful_collectors_take_the_per_element_default() {
-        let (items, _, sink) = harness::<(char, i64)>();
-        let mut chain = ReduceCollector::new(
-            |t: &(char, i64)| t.0,
-            |a: (char, i64), b: (char, i64)| (a.0, a.1 + b.1),
-            sink,
-        );
-        let mut batch = vec![('a', 1), ('b', 10), ('a', 2)];
-        chain.collect_batch(&mut batch);
-        chain.close();
-        assert_eq!(*items.lock(), vec![('a', 1), ('b', 10), ('a', 3)]);
     }
 
     #[test]

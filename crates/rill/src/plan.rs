@@ -129,7 +129,6 @@ impl fmt::Display for ExecutionPlan {
                     match edge.partitioning {
                         Partitioning::Forward => "FORWARD",
                         Partitioning::Rebalance => "REBALANCE",
-                        Partitioning::Hash => "HASH",
                     },
                     target.kind,
                     target.name

@@ -67,58 +67,4 @@ proptest! {
         got.sort_unstable();
         prop_assert_eq!(got, expected);
     }
-
-    /// key_by + reduce computes per-key running aggregates whose final
-    /// values equal a sequential group-sum, for any parallelism.
-    #[test]
-    fn keyed_reduce_final_values(
-        items in prop::collection::vec((0u8..8, -1000i64..1000), 0..300),
-        parallelism in 1usize..4,
-    ) {
-        let env = StreamExecutionEnvironment::local();
-        env.set_parallelism(parallelism);
-        let sink = VecSink::new();
-        env.add_source(VecSource::new(items.clone()))
-            .key_by(|t: &(u8, i64)| t.0)
-            .reduce(|a, b| (a.0, a.1 + b.1))
-            .add_sink(sink.clone());
-        env.execute("prop").unwrap();
-
-        // Last emitted value per key is the key's total.
-        let mut finals = std::collections::HashMap::new();
-        for (k, v) in sink.snapshot() {
-            finals.insert(k, v);
-        }
-        let mut expected = std::collections::HashMap::new();
-        for (k, v) in &items {
-            *expected.entry(*k).or_insert(0i64) += v;
-        }
-        prop_assert_eq!(finals, expected);
-    }
-
-    /// collect_groups partitions the input exactly: every element appears
-    /// in precisely its key's group.
-    #[test]
-    fn collect_groups_partitions_input(
-        items in prop::collection::vec((0u8..6, any::<i64>()), 0..200),
-        parallelism in 1usize..3,
-    ) {
-        let env = StreamExecutionEnvironment::local();
-        env.set_parallelism(parallelism);
-        let sink = VecSink::new();
-        env.add_source(VecSource::new(items.clone()))
-            .key_by(|t: &(u8, i64)| t.0)
-            .collect_groups()
-            .add_sink(sink.clone());
-        env.execute("prop").unwrap();
-
-        let groups = sink.snapshot();
-        let total: usize = groups.iter().map(|(_, vs)| vs.len()).sum();
-        prop_assert_eq!(total, items.len());
-        for (key, values) in groups {
-            for value in values {
-                prop_assert_eq!(value.0, key, "element in wrong group");
-            }
-        }
-    }
 }
