@@ -421,7 +421,7 @@ fn engines_identity(c: &mut Criterion) {
 /// bundle writes). All pay one modeled round trip per record; what the
 /// second costs beyond the first is the wake-up of the parked sender
 /// thread, which the third does not pay — with the RTT at the ledger's
-/// 25 µs and at 0.
+/// 25 µs and at 0. A fourth case produces on a replicated cluster.
 fn producer_per_record(c: &mut Criterion) {
     const RECORDS: u64 = 2_000;
     let mut group = c.benchmark_group("producer_per_record");
@@ -467,6 +467,25 @@ fn producer_per_record(c: &mut Criterion) {
             });
         });
     }
+    // The same request on an RF-3 cluster under `Acks::All` (what
+    // `repl_identity` writes): the leader's round trip plus one
+    // replication round, whose followers fetch concurrently.
+    let cluster = logbus::Cluster::new(logbus::ClusterConfig { brokers: 3 });
+    let config = logbus::TopicConfig::default()
+        .replication_factor(3)
+        .retention_records(4_096);
+    cluster.create_topic("t", config).unwrap();
+    for broker in 0..3 {
+        cluster.broker(broker).set_request_latency_micros(25);
+    }
+    let writer = cluster.partition_writer("t", 0).unwrap();
+    group.bench_function("cluster_produce_sync1/rtt25", |b| {
+        b.iter(|| {
+            for _ in 0..RECORDS {
+                writer.produce(record.clone()).unwrap();
+            }
+        });
+    });
     group.finish();
 }
 

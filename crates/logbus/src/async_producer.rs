@@ -603,14 +603,15 @@ mod tests {
         const TOTAL: usize = 3 * QUEUE_CAPACITY;
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
-        // Slow requests: the pusher outruns the shipper by far.
-        broker.set_request_latency_micros(1_000);
         let producer = Arc::new(AsyncProducer::with_max_batch(
             broker.clone(),
             "t",
             0,
             MAX_BATCH,
         ));
+        // The test holds the shipper token, so nothing drains until it
+        // ships by hand: where the pusher parks is exact, not sampled.
+        let mut shipper = producer.shared.shipper.lock();
         let pusher = {
             let producer = producer.clone();
             std::thread::spawn(move || {
@@ -623,26 +624,39 @@ mod tests {
                 }
             })
         };
-        let (mut deepest, mut saw_blocked) = (0, false);
-        while !pusher.is_finished() {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
             let state = producer.shared.state.lock();
-            deepest = deepest.max(state.queued);
             if state.blocked {
-                saw_blocked = true;
-                assert!(
-                    state.queued > QUEUE_CAPACITY / 2,
-                    "a blocked sender is woken at the low-water mark"
-                );
+                assert_eq!(state.queued, QUEUE_CAPACITY, "the bound counts records");
+                break;
             }
             drop(state);
-            std::thread::sleep(std::time::Duration::from_micros(200));
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{TOTAL} records never filled the queue"
+            );
+            std::thread::sleep(std::time::Duration::from_millis(1));
         }
+        // Ship one chunk at a time: the parked pusher stays parked until
+        // the pop that reaches the low-water mark wakes it. Chunks are
+        // whole batches, so that pop leaves exactly half the capacity.
+        loop {
+            let mut state = producer.shared.state.lock();
+            assert!(state.blocked, "woken above the low-water mark");
+            let mut chunk = producer.shared.pop(&mut state).unwrap();
+            let (woken, queued) = (!state.blocked, state.queued);
+            drop(state);
+            let shipped = chunk.len() as u64;
+            assert!(shipper.produce(&mut chunk));
+            producer.shared.state.lock().appended += shipped;
+            if woken {
+                assert_eq!(queued, QUEUE_CAPACITY / 2, "woken at the low-water mark");
+                break;
+            }
+        }
+        drop(shipper);
         pusher.join().unwrap();
-        assert!(saw_blocked, "{TOTAL} records never filled the queue");
-        assert!(
-            (QUEUE_CAPACITY..QUEUE_CAPACITY + MAX_BATCH).contains(&deepest),
-            "the bound counts records: deepest queue {deepest}"
-        );
         producer.flush();
         assert_eq!(broker.latest_offset("t", 0).unwrap(), TOTAL as u64);
     }

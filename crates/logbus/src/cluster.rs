@@ -41,7 +41,7 @@ use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
@@ -457,10 +457,16 @@ impl Cluster {
 
     // ---- replicated produce --------------------------------------------
 
-    /// Brings every live follower up to `leader_end` through its fault
-    /// gate, maintaining the in-sync set: dead followers drop out,
+    /// Brings every live follower up to `leader_end` in one replication
+    /// round, maintaining the in-sync set: dead followers drop out,
     /// caught-up followers (re-)enter, faulted ones stay in but lag —
     /// holding the high-watermark back until they recover.
+    ///
+    /// Followers fetch concurrently, as Kafka's do, so the round costs
+    /// its longest leg — one follower's round trip plus any latency fault
+    /// drawn for it — and not the sum of the legs. Three passes: gate
+    /// each lagging follower (one fault draw each, in replica order),
+    /// charge the round once, copy.
     fn sync_followers(
         &self,
         route: &PartitionRoute,
@@ -469,6 +475,8 @@ impl Cluster {
         leader_end: u64,
     ) -> Result<()> {
         let partition = route.partition;
+        let mut round = Duration::ZERO;
+        st.legs.clear();
         for (pos, &replica) in route.replicas.iter().enumerate() {
             if pos == st.leader_pos {
                 continue;
@@ -488,18 +496,23 @@ impl Cluster {
             // (in sync, but holding the high-watermark back), a lost ack
             // applies the copy without confirming it — the next round
             // skips what the follower already holds.
+            let mut leg = follower.request_delay();
             let mut acked = true;
             match follower.fault_action(FaultOp::Produce, &route.topic, partition) {
                 None => {}
-                Some(FaultAction::Latency(extra)) => spin_delay(extra),
+                Some(FaultAction::Latency(extra)) => leg += extra,
                 Some(FaultAction::Error(_)) => continue,
                 Some(FaultAction::AckLost) => acked = false,
                 // Replica copies are keyed by offset, so a duplicate
                 // delivery is absorbed broker-side.
                 Some(FaultAction::Duplicate) => {}
             }
+            round = round.max(leg);
+            st.legs.push((pos, acked));
+        }
+        spin_delay(round);
+        for &(pos, acked) in &st.legs {
             let follower_topic = route.log(pos)?;
-            spin_delay(follower.request_delay());
             match follower_topic.append_range(partition, leader_topic, st.synced[pos], leader_end) {
                 Ok(_) => {}
                 // The follower's log and the range do not line up, or the

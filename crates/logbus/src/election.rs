@@ -48,6 +48,10 @@ pub(crate) struct PartitionState {
     /// end the epoch's leader held when it took over. A replica that was
     /// dead during an election consults this on rejoin (KIP-101).
     pub(crate) epoch_starts: Vec<(u64, u64)>,
+    /// Scratch for one replication round: `(position, acked)` of every
+    /// follower that fetches in it. Sized for the replica set up front,
+    /// so a round never allocates.
+    pub(crate) legs: Vec<(usize, bool)>,
 }
 
 impl PartitionState {
@@ -62,6 +66,7 @@ impl PartitionState {
             synced: vec![0; replicas],
             hw: 0,
             epoch_starts: Vec::new(),
+            legs: Vec::with_capacity(replicas),
         }
     }
 

@@ -1,7 +1,7 @@
 //! The lint catalog: each lint enforces one contract DESIGN.md states in
 //! prose (§7 hot-path discipline, §8 observability gating, §9 batching
-//! contract, §10 fault confinement, §7 the one produce path, §14 the one
-//! consume path, §11 this tool).
+//! contract, §10 fault confinement, §7 the one produce path and its
+//! round-trip charge sites, §14 the one consume path, §11 this tool).
 
 use crate::strip::Stripped;
 use crate::Violation;
@@ -97,6 +97,20 @@ const PRODUCE_GATE_HOME: &[&str] = &[
     "crates/logbus/src/cluster.rs",
 ];
 
+/// Files that may charge modeled network time with `spin_delay(`, and
+/// how many times each, outside test code: the definition and the
+/// produce round trip under the append lock (`topic.rs`), the fetch
+/// round trip and the fetch/metadata fault latency (`broker.rs`), the
+/// one replication round (`cluster.rs`), the produce fault latency
+/// (`handle.rs`), and retry backoff (`retry.rs`).
+const RTT_SITES: &[(&str, usize)] = &[
+    ("crates/logbus/src/topic.rs", 2),
+    ("crates/logbus/src/broker.rs", 2),
+    ("crates/logbus/src/cluster.rs", 1),
+    ("crates/logbus/src/handle.rs", 1),
+    ("crates/logbus/src/retry.rs", 1),
+];
+
 /// Files that may name the group protocol's client calls: the one
 /// client (`GroupMember` in `group.rs`) and the three files that define
 /// or forward them.
@@ -145,6 +159,7 @@ pub fn lint_file(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
     confine(&FAULT_CONFINEMENT, rel, src, out);
     confine(&DISPATCH_CONFINEMENT, rel, src, out);
     produce_path_confinement(rel, src, out);
+    rtt_sites(rel, src, out);
     confine(&CONSUME_PATH_CONFINEMENT, rel, src, out);
     zero_copy(rel, src, out);
 }
@@ -422,6 +437,33 @@ fn produce_path_confinement(rel: &str, src: &Stripped, out: &mut Vec<Violation>)
             &line.raw,
             "a second produce-side fault gate; every produce goes through the one in \
              `WriteTarget::append_batch`"
+                .to_string(),
+        ));
+    }
+}
+
+/// `rtt-sites`: every spin burns a core for modeled time (ROADMAP item
+/// 1), so the sites that charge it are counted per file — a second
+/// spin in `cluster.rs` is a per-follower round trip growing back, and
+/// any spin outside the [`RTT_SITES`] files is a new charge nobody
+/// accounted for.
+fn rtt_sites(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
+    let allowed = RTT_SITES
+        .iter()
+        .find(|(home, _)| rel.ends_with(home))
+        .map_or(0, |&(_, sites)| sites);
+    let spins = src
+        .lines
+        .iter()
+        .filter(|l| !l.in_test && l.code.contains("spin_delay("));
+    for line in spins.skip(allowed) {
+        out.push(Violation::new(
+            "rtt-sites",
+            rel,
+            line.number,
+            &line.raw,
+            "a modeled round trip beyond the file's count in `RTT_SITES`; charge network \
+             time at an existing site (one replication round, not one per follower)"
                 .to_string(),
         ));
     }

@@ -105,13 +105,30 @@ fn produce_path_confinement_fixture() {
     );
     // Outside the gate homes the first arm is already one too many.
     let src = fixture("produce_path_confinement.rs");
-    assert_eq!(lint_source("crates/logbus/src/producer.rs", &src).len(), 2);
+    let gates = lint_source("crates/logbus/src/producer.rs", &src)
+        .into_iter()
+        .filter(|v| v.lint == "produce-path-confinement")
+        .count();
+    assert_eq!(gates, 2);
     // The one append is `handle.rs`'s to call, test code included.
     let call = "fn f(t: &Topic) { t.append_request(0, &mut v, now, delay, None, None); }\n";
     assert!(lint_source("crates/logbus/src/handle.rs", call).is_empty());
     let found = lint_source("crates/logbus/src/consumer.rs", call);
     assert_eq!(found.len(), 1, "{found:?}");
     assert_eq!(found[0].lint, "produce-path-confinement");
+}
+
+#[test]
+fn rtt_sites_fixture() {
+    assert_trips_once("rtt_sites.rs", "crates/logbus/src/cluster.rs", "rtt-sites");
+    let src = fixture("rtt_sites.rs");
+    // Two sites fit `topic.rs` and `broker.rs`; a file that charges no
+    // round trip may not start.
+    assert!(lint_source("crates/logbus/src/broker.rs", &src).is_empty());
+    assert_eq!(lint_source("crates/logbus/src/group.rs", &src).len(), 2);
+    // Test code spins as it likes.
+    let test_spin = "#[cfg(test)]\nmod tests {\n    fn t(d: Duration) { spin_delay(d); }\n}\n";
+    assert!(lint_source("crates/logbus/src/group.rs", test_spin).is_empty());
 }
 
 #[test]
