@@ -3,7 +3,7 @@
 
 use crate::operator::{Emitter, InputOperator, Operator, OperatorContext};
 use bytes::Bytes;
-use logbus::{AssignmentStrategy, BusHandle, FollowTarget, GroupedReader, PartitionWriter, Record};
+use logbus::{BusHandle, FollowTarget, GroupedReader, PartitionWriter, Record};
 
 /// Input operator reading a `logbus` topic, one streaming window per
 /// [`GroupedReader::next_batch`] of up to `window_size` records (paper's
@@ -55,14 +55,11 @@ impl InputOperator<Bytes> for KafkaInput {
         self.window_size = ctx.window_size;
         let (bus, topic) = (self.bus.clone(), &self.topic);
         let group = GroupedReader::fresh_group("apx-src");
-        let strategy = AssignmentStrategy::Range;
         // A missing topic stays harmless: the operator just emits
         // nothing.
         self.reader = match self.follow_target {
-            Some(target) => {
-                GroupedReader::following(bus, topic, group, strategy, FollowTarget::new(target))
-            }
-            None => GroupedReader::bounded(bus, topic, group, strategy),
+            Some(target) => GroupedReader::following(bus, topic, group, FollowTarget::new(target)),
+            None => GroupedReader::bounded(bus, topic, group),
         }
         .ok();
     }

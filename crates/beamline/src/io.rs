@@ -8,7 +8,7 @@ use crate::pardo::{DoFn, ParDo, ProcessContext};
 use crate::pipeline::{PCollection, PTransform, Pipeline, RootTransform};
 use crate::transforms::MapElements;
 use bytes::Bytes;
-use logbus::{AssignmentStrategy, AsyncProducer, BusHandle, FollowTarget, GroupedReader, Record};
+use logbus::{AsyncProducer, BusHandle, FollowTarget, GroupedReader, Record};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -216,13 +216,12 @@ impl RawSource for BrokerRawSource {
     fn read(&mut self, mut emit: RawEmit<'_>) {
         let (bus, topic, group) = (self.bus.clone(), &self.topic, &self.group);
         let mut scratch = Vec::new();
-        let strategy = AssignmentStrategy::Range;
         let reader = match self.follow {
             // Each source instance counts towards the target alone.
             Some(target) => {
-                GroupedReader::following(bus, &**topic, group, strategy, FollowTarget::new(target))
+                GroupedReader::following(bus, &**topic, group, FollowTarget::new(target))
             }
-            None => GroupedReader::bounded(bus, &**topic, group, strategy),
+            None => GroupedReader::bounded(bus, &**topic, group),
         };
         let Ok(mut reader) = reader else {
             return;

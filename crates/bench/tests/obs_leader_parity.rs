@@ -11,7 +11,7 @@
 //! because the obs switch is process-global and libtest runs tests of
 //! one binary in shared-process threads.
 
-use logbus::{AssignmentStrategy, Broker, Bus, GroupMember, Record, TopicConfig};
+use logbus::{Broker, Bus, GroupMember, Record, TopicConfig};
 use std::sync::Arc;
 
 const PARTITIONS: u32 = 8;
@@ -29,16 +29,8 @@ fn drive_sharded_workload(broker: &Broker) {
         }
     }
     let bus: Arc<dyn Bus> = Arc::new(broker.clone());
-    let mut a = GroupMember::join(
-        bus.clone(),
-        "parity-group",
-        "a",
-        &["t"],
-        AssignmentStrategy::Range,
-    )
-    .unwrap();
-    let mut b =
-        GroupMember::join(bus, "parity-group", "b", &["t"], AssignmentStrategy::Range).unwrap();
+    let mut a = GroupMember::join(bus.clone(), "parity-group", "a", &["t"]).unwrap();
+    let mut b = GroupMember::join(bus, "parity-group", "b", &["t"]).unwrap();
     for _ in 0..8 {
         a.poll_rebalance(|_| Ok(()), |_| Ok(())).unwrap();
         b.poll_rebalance(|_| Ok(()), |_| Ok(())).unwrap();

@@ -7,8 +7,8 @@
 //! exact counter deltas hold only when nothing else records.
 
 use logbus::{
-    AssignmentStrategy, AsyncProducer, Broker, BusHandle, Cluster, ClusterConfig, FollowTarget,
-    GroupedReader, Record, TopicConfig,
+    AsyncProducer, Broker, BusHandle, Cluster, ClusterConfig, FollowTarget, GroupedReader, Record,
+    TopicConfig,
 };
 
 fn counter(name: &str) -> u64 {
@@ -94,16 +94,14 @@ fn each_door_counts_once(bus: &BusHandle, replication: u32) {
 /// it — here a follow read whose producer stopped a record early, which
 /// takes the drive's whole 10 s stall window — counts exactly once.
 fn stall_exit_counts_once(bus: &BusHandle) {
-    let strategy = AssignmentStrategy::Range;
     let before = counter("logbus.reader.stalled");
-    let mut clean = GroupedReader::bounded(bus.clone(), "t", "clean", strategy).unwrap();
+    let mut clean = GroupedReader::bounded(bus.clone(), "t", "clean").unwrap();
     while clean.next_batch(64, &mut |_, _| {}).is_some() {}
     assert_eq!(counter("logbus.reader.stalled"), before, "clean read");
 
     let short = bus.latest_offset("t", 0).unwrap() + 1;
     let target = FollowTarget::new(short);
-    let mut stalled =
-        GroupedReader::following(bus.clone(), "t", "short", strategy, target).unwrap();
+    let mut stalled = GroupedReader::following(bus.clone(), "t", "short", target).unwrap();
     let mut seen = 0;
     while stalled.next_batch(64, &mut |_, _| seen += 1).is_some() {}
     assert_eq!(seen + 1, short, "everything but the missing record");

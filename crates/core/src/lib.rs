@@ -38,7 +38,6 @@
 pub mod calculator;
 pub mod config;
 pub mod data;
-pub mod failover;
 pub mod latency;
 pub mod queries;
 pub mod report;
@@ -52,7 +51,6 @@ pub mod trial;
 pub use calculator::{measure, CalculatorError, QueryMeasurement};
 pub use config::BenchConfig;
 pub use data::{QueryLogGenerator, QueryLogRecord};
-pub use failover::{percentile_micros, run_failover, FailoverCell, FailoverConfig, FailoverReport};
 pub use latency::{run_latency, LatencyCell, LatencyConfig, LatencyReport, LatencyTrial};
 pub use queries::{beam_pipeline, native_apx, native_dstream, native_rill, Query};
 pub use runner::{

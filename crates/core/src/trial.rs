@@ -1,14 +1,13 @@
 //! One trial: the paper's three-phase process (Fig. 5) spelled once.
 //!
-//! Every campaign in this crate — the figure [runner](crate::runner),
-//! the [latency](crate::latency) sweep, the [failover](crate::failover)
-//! campaign — and the equivalence suites run a setup the same way:
-//! create the topics, load the input, [`execute`] the setup (with
-//! whatever the campaign wants to happen beside it), drain the output
-//! topic, and [`verify`] the drained bytes against [`Query::apply`].
-//! This module is the only place that knows how; the campaigns add
-//! policy on top (retry budgets, rate sweeps, kill schedules) and
-//! nothing underneath.
+//! Both campaigns in this crate — the figure [runner](crate::runner) and
+//! the [latency](crate::latency) sweep — and the equivalence suites run
+//! a setup the same way: create the topics, load the input, [`execute`]
+//! the setup (with whatever the caller wants to happen beside it — a
+//! fault plan, a thread killing leaders), drain the output topic, and
+//! [`verify`] the drained bytes against [`Query::apply`]. This module is
+//! the only place that knows how; the callers add policy on top (retry
+//! budgets, rate sweeps, kill schedules) and nothing underneath.
 
 use crate::config::BenchConfig;
 use crate::data::QueryLogGenerator;
@@ -45,7 +44,8 @@ pub struct Job<'a> {
     /// tails `input` until `n` records were consumed.
     pub follow: Option<u64>,
     /// Micro-batch size of the `dstream` engine (2 000 in the figure
-    /// campaign, 256 under failover so kills land between batches).
+    /// campaign; the equivalence suites use smaller batches so faults
+    /// and kills land between them).
     pub dstream_batch_records: usize,
 }
 

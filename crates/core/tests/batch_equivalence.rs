@@ -15,8 +15,10 @@
 //! split real partitions — again compared as multisets.
 
 use bytes::Bytes;
-use logbus::{partition_for_key, Acks, Broker, Record, TopicConfig};
+use logbus::{partition_for_key, Acks, Broker, Cluster, ClusterConfig, Record, TopicConfig};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 use streambench_core::trial::{self, Trial};
 use streambench_core::{all_setups, BenchError, Query, QueryLogGenerator, Setup, System};
 
@@ -203,9 +205,8 @@ proptest! {
 /// lost, nothing duplicated.
 #[test]
 fn group_rebalance_mid_run_is_exactly_once() {
-    use logbus::{AssignmentStrategy, Bus, GroupMember};
+    use logbus::{Bus, GroupMember};
     use std::sync::Arc;
-    use std::time::{Duration, Instant};
 
     const N: u64 = 2_000;
     const GROUP: &str = "chaos-rebalance";
@@ -238,13 +239,7 @@ fn group_rebalance_mid_run_is_exactly_once() {
             }
             // Joining under the fault plan: retry transient errors.
             let mut member = loop {
-                match GroupMember::join(
-                    bus.clone(),
-                    GROUP,
-                    "disturber",
-                    &["input"],
-                    AssignmentStrategy::Range,
-                ) {
+                match GroupMember::join(bus.clone(), GROUP, "disturber", &["input"]) {
                     Ok(member) => break member,
                     Err(_) => std::thread::yield_now(),
                 }
@@ -264,8 +259,7 @@ fn group_rebalance_mid_run_is_exactly_once() {
 
     let env = rill::StreamExecutionEnvironment::local();
     env.set_parallelism(2);
-    let source = rill::BrokerSource::new(broker.clone(), "input")
-        .consumer_group(GROUP, AssignmentStrategy::Range);
+    let source = rill::BrokerSource::new(broker.clone(), "input").consumer_group(GROUP);
     env.add_source(source)
         .map(|v: Bytes| v)
         .add_sink(rill::BrokerSink::new(broker.clone(), "rebalance-out"));
@@ -286,43 +280,74 @@ fn group_rebalance_mid_run_is_exactly_once() {
     );
 }
 
+/// The chaos thread of the leader-kill phase: `kills` times, it waits
+/// up to 200 ms for output progress (so the kill can land mid-run; only
+/// the first kill fires once the engine has finished), kills the current leader of
+/// the `input` partition — alternately the `output` one — waits until
+/// the partition serves again under its successor, holds the broker down
+/// for `hold`, and restarts it: it truncates its unacknowledged tail and
+/// catches back up into the in-sync set. Returns the kills that landed.
+fn kill_leaders(cluster: &Cluster, stop: &AtomicBool, kills: u32, hold: Duration) -> u32 {
+    let mut landed = 0;
+    for kill in 0..kills {
+        let topic = if kill % 2 == 0 { "input" } else { "output" };
+        let progress_deadline = Instant::now() + Duration::from_millis(200);
+        while Instant::now() < progress_deadline && !stop.load(Ordering::Acquire) {
+            if cluster.latest_offset("output", 0).is_ok_and(|o| o > 0) {
+                break;
+            }
+            std::thread::yield_now();
+        }
+        if stop.load(Ordering::Acquire) && kill > 0 {
+            break;
+        }
+        let Ok(leader) = cluster.leader_of(topic, 0) else {
+            continue;
+        };
+        cluster.kill_broker(leader);
+        // The lazy election runs inside the first committed request.
+        let serve_deadline = Instant::now() + Duration::from_secs(2);
+        while cluster.latest_offset(topic, 0).is_err() && Instant::now() < serve_deadline {
+            std::thread::yield_now();
+        }
+        landed += 1;
+        std::thread::sleep(hold);
+        cluster.restart_broker(leader);
+    }
+    landed
+}
+
 /// Kill-the-leader phase: every cell of the matrix — all six
-/// implementations, all four queries — must produce the byte-identical
-/// fault-free reference while a chaos thread repeatedly fails the
-/// machine hosting the current partition leader (YARN node failure +
-/// broker kill + delayed restart on the replacement host). Epoch-fenced
-/// elections, the committed-read high-watermark, and idempotent client
-/// retries have to make the crashes invisible in the results.
+/// implementations, all four queries — runs on a fresh 3-broker cluster
+/// and must produce the byte-identical fault-free reference while a
+/// chaos thread repeatedly kills the current partition leader and
+/// restarts it after a hold. Epoch-fenced elections, the committed-read
+/// high-watermark, and idempotent client retries have to make the
+/// crashes invisible in the results.
 #[test]
 fn all_impls_match_reference_across_leader_kills() {
-    use streambench_core::FailoverConfig;
+    const KILLS: u32 = 2;
+    const HOLD: Duration = Duration::from_millis(5);
 
     let mut elections = 0u64;
     for query in Query::ALL {
-        let config = FailoverConfig {
-            records: 800,
-            query,
-            kills_per_cell: 2,
-            hold_millis: 5,
-            seed: SEED,
-            ..FailoverConfig::default()
-        };
-        let report = streambench_core::run_failover(&config).unwrap();
-        assert_eq!(report.cells.len(), 6, "all six implementation variants");
-        for cell in &report.cells {
-            assert!(
-                cell.output_ok,
-                "{} must match the reference byte-for-byte across leader kills \
-                 ({query}; {} kills, epoch {})",
-                cell.setup, cell.kills, cell.input_epoch
-            );
-            assert!(cell.kills >= 1, "{}: no kill landed", cell.setup);
-            assert_eq!(
-                cell.unavailability_micros.len(),
-                cell.kills as usize,
-                "every kill measures one unavailability window"
-            );
-            elections += cell.input_epoch;
+        for setup in all_setups(&[1]) {
+            let cluster = Cluster::new(ClusterConfig { brokers: 3 });
+            let trial = Trial::on_cluster(&cluster, 800, SEED);
+            trial.preload(Acks::All).unwrap();
+            let mut kills = 0;
+            assert_matches_reference(&trial, setup, query, "output", |engine| {
+                let stop = AtomicBool::new(false);
+                std::thread::scope(|scope| {
+                    let chaos = scope.spawn(|| kill_leaders(&cluster, &stop, KILLS, HOLD));
+                    let result = engine();
+                    stop.store(true, Ordering::Release);
+                    kills = chaos.join().expect("the chaos thread panicked");
+                    result
+                })
+            });
+            assert!(kills >= 1, "{setup} ({query}): no kill landed");
+            elections += cluster.leader_epoch("input", 0).unwrap();
         }
     }
     assert!(

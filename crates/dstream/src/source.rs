@@ -1,7 +1,7 @@
 //! Micro-batch sources.
 
 use bytes::Bytes;
-use logbus::{AssignmentStrategy, BusHandle, FollowTarget, GroupedReader};
+use logbus::{BusHandle, FollowTarget, GroupedReader};
 
 /// A bounded supplier of micro-batches.
 ///
@@ -62,7 +62,7 @@ impl BrokerBatchSource {
         max_batch_records: usize,
     ) -> logbus::Result<Self> {
         let group = GroupedReader::fresh_group("dstream-src");
-        let reader = GroupedReader::bounded(bus, topic, group, AssignmentStrategy::Range)?;
+        let reader = GroupedReader::bounded(bus, topic, group)?;
         Ok(BrokerBatchSource {
             max_batch_records: max_batch_records.max(1),
             reader,
@@ -84,8 +84,7 @@ impl BrokerBatchSource {
     ) -> logbus::Result<Self> {
         let group = GroupedReader::fresh_group("dstream-src");
         let target = FollowTarget::new(target_records);
-        let reader =
-            GroupedReader::following(bus, topic, group, AssignmentStrategy::Range, target)?;
+        let reader = GroupedReader::following(bus, topic, group, target)?;
         Ok(BrokerBatchSource {
             max_batch_records: max_batch_records.max(1),
             reader,

@@ -4,36 +4,14 @@ use crate::bus::Bus;
 use crate::error::Result;
 use crate::record::Timestamp;
 
-/// Per-partition description.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PartitionInfo {
-    /// Partition index.
-    pub partition: u32,
-    /// Earliest retained offset.
-    pub earliest_offset: u64,
-    /// Next offset to be written.
-    pub latest_offset: u64,
-    /// Stored timestamp of the first retained record.
-    pub first_timestamp: Option<Timestamp>,
-    /// Stored timestamp of the last record.
-    pub last_timestamp: Option<Timestamp>,
-}
-
-impl PartitionInfo {
-    /// Number of retained records.
-    pub fn records(&self) -> u64 {
-        self.latest_offset - self.earliest_offset
-    }
-}
-
 /// A point-in-time description of a topic, as used by the benchmark's
-/// result calculator.
+/// result calculator: its retained records and the stored-timestamp
+/// extremes across all partitions.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopicDescription {
-    /// Topic name.
-    pub name: String,
-    /// One entry per partition.
-    pub partitions: Vec<PartitionInfo>,
+    records: u64,
+    first_timestamp: Option<Timestamp>,
+    last_timestamp: Option<Timestamp>,
 }
 
 impl TopicDescription {
@@ -43,49 +21,34 @@ impl TopicDescription {
     ///
     /// Fails for unknown topics.
     pub fn describe(bus: &dyn Bus, topic: &str) -> Result<Self> {
-        let count = bus.partition_count(topic)?;
-        let mut partitions = Vec::with_capacity(count as usize);
-        for p in 0..count {
-            partitions.push(PartitionInfo {
-                partition: p,
-                earliest_offset: bus.earliest_offset(topic, p)?,
-                latest_offset: bus.latest_offset(topic, p)?,
-                first_timestamp: bus.first_timestamp(topic, p)?,
-                last_timestamp: bus.last_timestamp(topic, p)?,
-            });
+        let mut records = 0;
+        let (mut first, mut last) = (None, None);
+        for p in 0..bus.partition_count(topic)? {
+            records += bus.latest_offset(topic, p)? - bus.earliest_offset(topic, p)?;
+            if let Some(t) = bus.first_timestamp(topic, p)? {
+                first = Some(first.map_or(t, |f: Timestamp| f.min(t)));
+            }
+            // `None` orders below every stamp, so `max` skips empty
+            // partitions.
+            last = last.max(bus.last_timestamp(topic, p)?);
         }
         Ok(TopicDescription {
-            name: topic.to_string(),
-            partitions,
+            records,
+            first_timestamp: first,
+            last_timestamp: last,
         })
     }
 
     /// Total retained records over all partitions.
     pub fn total_records(&self) -> u64 {
-        self.partitions.iter().map(PartitionInfo::records).sum()
-    }
-
-    /// Earliest stored timestamp across partitions.
-    pub fn first_timestamp(&self) -> Option<Timestamp> {
-        self.partitions
-            .iter()
-            .filter_map(|p| p.first_timestamp)
-            .min()
-    }
-
-    /// Latest stored timestamp across partitions.
-    pub fn last_timestamp(&self) -> Option<Timestamp> {
-        self.partitions
-            .iter()
-            .filter_map(|p| p.last_timestamp)
-            .max()
+        self.records
     }
 
     /// The `LogAppendTime` span between the first and last stored record,
     /// in seconds — the paper's execution-time measure when applied to a
     /// query's output topic (§III-A3).
     pub fn append_time_span_seconds(&self) -> Option<f64> {
-        match (self.first_timestamp(), self.last_timestamp()) {
+        match (self.first_timestamp, self.last_timestamp) {
             (Some(first), Some(last)) => Some(last.seconds_since(first)),
             _ => None,
         }
@@ -112,10 +75,7 @@ mod tests {
                 .unwrap();
         }
         let desc = TopicDescription::describe(&broker, "out").unwrap();
-        assert_eq!(desc.name, "out");
         assert_eq!(desc.total_records(), 4);
-        assert_eq!(desc.partitions.len(), 1);
-        assert_eq!(desc.partitions[0].records(), 4);
         // Appends at t=1.0s, 1.5s, 2.0s, 2.5s -> span 1.5s.
         let span = desc.append_time_span_seconds().unwrap();
         assert!((span - 1.5).abs() < 1e-9, "span was {span}");

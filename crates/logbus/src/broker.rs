@@ -5,7 +5,7 @@ use crate::clock::{Clock, SystemClock};
 use crate::config::TopicConfig;
 use crate::error::{Error, Result};
 use crate::fault::{FaultAction, FaultInjector, FaultOp, FaultPlan};
-use crate::group::{AssignmentStrategy, Coordinator, GroupView, TopicPartition};
+use crate::group::{Coordinator, GroupView, TopicPartition};
 use crate::handle::{Route, WriteTarget};
 use crate::record::{Record, StoredRecord, Timestamp};
 use crate::topic::{spin_delay, Topic};
@@ -492,20 +492,14 @@ impl Broker {
     ///
     /// Returns [`Error::UnknownTopic`] if any subscribed topic does not
     /// exist.
-    pub fn join_group(
-        &self,
-        group: &str,
-        member: &str,
-        topics: &[&str],
-        strategy: AssignmentStrategy,
-    ) -> Result<u64> {
+    pub fn join_group(&self, group: &str, member: &str, topics: &[&str]) -> Result<u64> {
         self.ensure_alive()?;
         let mut with_counts = Vec::with_capacity(topics.len());
         for name in topics {
             let t = self.topic(name)?;
             with_counts.push(((*name).to_string(), t.partition_count()));
         }
-        Ok(self.inner.groups.join(group, member, with_counts, strategy))
+        Ok(self.inner.groups.join(group, member, with_counts))
     }
 
     /// Leaves a consumer group, releasing every partition the member
@@ -757,7 +751,7 @@ mod tests {
 
     #[test]
     fn group_coordination_lifecycle() {
-        use crate::group::{AssignmentStrategy, TopicPartition};
+        use crate::group::TopicPartition;
 
         let broker = Broker::new();
         broker
@@ -766,9 +760,7 @@ mod tests {
         assert_eq!(broker.group_generation("g").unwrap(), 0);
         assert_eq!(broker.group_rebalances("g"), 0);
 
-        let g1 = broker
-            .join_group("g", "a", &["t"], AssignmentStrategy::Range)
-            .unwrap();
+        let g1 = broker.join_group("g", "a", &["t"]).unwrap();
         assert_eq!(g1, 1);
         let view = broker.sync_group("g", "a").unwrap();
         assert_eq!(view.target.len(), 4);
@@ -776,9 +768,7 @@ mod tests {
         assert_eq!(granted.len(), 4);
 
         // A second member splits the target; its claims wait for `a`.
-        broker
-            .join_group("g", "b", &["t"], AssignmentStrategy::Range)
-            .unwrap();
+        broker.join_group("g", "b", &["t"]).unwrap();
         let b_view = broker.sync_group("g", "b").unwrap();
         assert_eq!(b_view.target.len(), 2);
         assert!(broker
@@ -811,12 +801,7 @@ mod tests {
     fn join_group_rejects_unknown_topics() {
         let broker = Broker::new();
         assert_eq!(
-            broker.join_group(
-                "g",
-                "a",
-                &["missing"],
-                crate::group::AssignmentStrategy::Range
-            ),
+            broker.join_group("g", "a", &["missing"]),
             Err(Error::UnknownTopic("missing".to_string()))
         );
     }

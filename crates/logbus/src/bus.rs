@@ -10,7 +10,7 @@ use crate::broker::Broker;
 use crate::cluster::Cluster;
 use crate::config::TopicConfig;
 use crate::error::Result;
-use crate::group::{AssignmentStrategy, GroupView, TopicPartition};
+use crate::group::{GroupView, TopicPartition};
 use crate::handle::{PartitionReader, PartitionWriter};
 use crate::record::{Record, StoredRecord, Timestamp};
 use std::sync::Arc;
@@ -26,9 +26,6 @@ pub trait Bus: sealed::Sealed + Send + Sync + std::fmt::Debug {
     ///
     /// Fails when the topic exists or the configuration is invalid.
     fn create_topic(&self, name: &str, config: TopicConfig) -> Result<()>;
-
-    /// Whether a topic exists.
-    fn has_topic(&self, name: &str) -> bool;
 
     /// Appends a batch, returning the base offset.
     ///
@@ -131,13 +128,7 @@ pub trait Bus: sealed::Sealed + Send + Sync + std::fmt::Debug {
     /// # Errors
     ///
     /// Fails for unknown topics.
-    fn join_group(
-        &self,
-        group: &str,
-        member: &str,
-        topics: &[&str],
-        strategy: AssignmentStrategy,
-    ) -> Result<u64>;
+    fn join_group(&self, group: &str, member: &str, topics: &[&str]) -> Result<u64>;
 
     /// Leaves a consumer group; a no-op for non-members.
     ///
@@ -254,10 +245,6 @@ impl Bus for Broker {
         Broker::create_topic(self, name, config)
     }
 
-    fn has_topic(&self, name: &str) -> bool {
-        Broker::has_topic(self, name)
-    }
-
     fn produce_batch(&self, topic: &str, partition: u32, records: Vec<Record>) -> Result<u64> {
         Broker::produce_batch(self, topic, partition, records)
     }
@@ -319,14 +306,8 @@ impl Bus for Broker {
         Broker::committed_offset(self, group, topic, partition)
     }
 
-    fn join_group(
-        &self,
-        group: &str,
-        member: &str,
-        topics: &[&str],
-        strategy: AssignmentStrategy,
-    ) -> Result<u64> {
-        Broker::join_group(self, group, member, topics, strategy)
+    fn join_group(&self, group: &str, member: &str, topics: &[&str]) -> Result<u64> {
+        Broker::join_group(self, group, member, topics)
     }
 
     fn leave_group(&self, group: &str, member: &str) -> Result<()> {
@@ -367,10 +348,6 @@ impl Bus for Broker {
 impl Bus for Cluster {
     fn create_topic(&self, name: &str, config: TopicConfig) -> Result<()> {
         Cluster::create_topic(self, name, config)
-    }
-
-    fn has_topic(&self, name: &str) -> bool {
-        (0..self.broker_count() as usize).any(|b| self.broker(b).has_topic(name))
     }
 
     fn produce_batch(&self, topic: &str, partition: u32, records: Vec<Record>) -> Result<u64> {
@@ -446,18 +423,12 @@ impl Bus for Cluster {
     // against the leaders first, so the coordinator never needs topics
     // it does not host.
 
-    fn join_group(
-        &self,
-        group: &str,
-        member: &str,
-        topics: &[&str],
-        strategy: AssignmentStrategy,
-    ) -> Result<u64> {
+    fn join_group(&self, group: &str, member: &str, topics: &[&str]) -> Result<u64> {
         let mut with_counts = Vec::with_capacity(topics.len());
         for name in topics {
             with_counts.push(((*name).to_string(), Bus::partition_count(self, name)?));
         }
-        self.join_group_with(group, member, with_counts, strategy)
+        self.join_group_with(group, member, with_counts)
     }
 
     fn leave_group(&self, group: &str, member: &str) -> Result<()> {
@@ -503,8 +474,9 @@ mod tests {
 
     fn exercise(bus: Arc<dyn Bus>) {
         bus.create_topic("t", TopicConfig::default()).unwrap();
-        assert!(bus.has_topic("t"));
+        // A topic exists exactly when it has a partition count.
         assert_eq!(bus.partition_count("t").unwrap(), 1);
+        assert!(bus.partition_count("missing").is_err());
         bus.produce_batch(
             "t",
             0,
@@ -529,9 +501,7 @@ mod tests {
 
         // Group coordination surfaces through the same facade.
         assert_eq!(bus.group_generation("cg").unwrap(), 0);
-        let generation = bus
-            .join_group("cg", "m1", &["t"], AssignmentStrategy::Range)
-            .unwrap();
+        let generation = bus.join_group("cg", "m1", &["t"]).unwrap();
         assert_eq!(generation, 1);
         assert_eq!(bus.group_generation("cg").unwrap(), 1);
         let view = bus.sync_group("cg", "m1").unwrap();
@@ -541,9 +511,7 @@ mod tests {
         bus.release_partitions("cg", "m1", &granted).unwrap();
         bus.leave_group("cg", "m1").unwrap();
         assert!(bus.sync_group("cg", "m1").is_err());
-        assert!(bus
-            .join_group("cg", "m1", &["missing"], AssignmentStrategy::Range)
-            .is_err());
+        assert!(bus.join_group("cg", "m1", &["missing"]).is_err());
     }
 
     #[test]

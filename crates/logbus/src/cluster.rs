@@ -33,7 +33,7 @@ use crate::config::{Acks, TopicConfig};
 use crate::election::PartitionState;
 use crate::error::{Error, Result};
 use crate::fault::{FaultAction, FaultInjector, FaultOp, FaultPlan};
-use crate::group::{AssignmentStrategy, Coordinator, GroupView, TopicPartition};
+use crate::group::{Coordinator, GroupView, TopicPartition};
 use crate::handle::{Route, WriteTarget};
 use crate::record::{Record, StoredRecord};
 use crate::topic::{spin_delay, Topic};
@@ -875,13 +875,9 @@ impl Cluster {
         group: &str,
         member: &str,
         topics_with_counts: Vec<(String, u32)>,
-        strategy: AssignmentStrategy,
     ) -> Result<u64> {
         self.coordinator()?;
-        Ok(self
-            .inner
-            .groups
-            .join(group, member, topics_with_counts, strategy))
+        Ok(self.inner.groups.join(group, member, topics_with_counts))
     }
 
     /// Leaves a consumer group (see [`Broker::leave_group`]).
@@ -1218,12 +1214,7 @@ mod tests {
         let cluster = Cluster::new(ClusterConfig { brokers: 3 });
         cluster.create_topic("t", TopicConfig::default()).unwrap();
         cluster
-            .join_group_with(
-                "g",
-                "m1",
-                vec![("t".to_string(), 1)],
-                AssignmentStrategy::Range,
-            )
+            .join_group_with("g", "m1", vec![("t".to_string(), 1)])
             .unwrap();
         cluster.commit_offset("g", "t", 0, 7).unwrap();
         // Broker 0 — the acting coordinator — dies. The role fails over;

@@ -12,10 +12,8 @@
 //! * Assignment is **sticky**: on a rebalance each surviving member keeps
 //!   as many of its previously targeted partitions as its new quota
 //!   allows, so a member joining or leaving moves the minimum number of
-//!   partitions. Two placement strategies are offered — [`Range`]
-//!   (contiguous partition blocks per member) and [`RoundRobin`]
-//!   (partitions dealt one at a time) — matching the two classic Kafka
-//!   assignors.
+//!   partitions. What retention leaves over is placed as contiguous
+//!   blocks per member, like Kafka's range assignor.
 //! * Handover is **cooperative**: a rebalance only *retargets* partitions.
 //!   The previous owner keeps serving a partition until it observes the
 //!   new generation, commits its position, and releases; only then can the
@@ -31,9 +29,6 @@
 //! one client of the protocol — the join → poll → revoke/claim cycle
 //! with callbacks — and [`GroupedReader`] the one read drive on top of
 //! it, which every engine connector calls.
-//!
-//! [`Range`]: AssignmentStrategy::Range
-//! [`RoundRobin`]: AssignmentStrategy::RoundRobin
 
 use crate::broker::{shard_index, MAP_SHARDS};
 use crate::bus::BusHandle;
@@ -69,18 +64,6 @@ impl std::fmt::Display for TopicPartition {
     }
 }
 
-/// How a group's partitions are placed across members.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AssignmentStrategy {
-    /// Contiguous blocks of partitions per member (Kafka's range
-    /// assignor). Keeps key-adjacent partitions on one worker.
-    #[default]
-    Range,
-    /// Partitions dealt one at a time across members (Kafka's
-    /// round-robin assignor). Evens out skewed partition counts.
-    RoundRobin,
-}
-
 /// A member's view of the group after a sync: the current generation and
 /// the partitions targeted at this member.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -111,8 +94,6 @@ pub(crate) struct MemberState {
 pub(crate) struct GroupState {
     /// Bumped on every membership change.
     generation: u64,
-    /// Placement strategy; fixed by the first joiner of a generation era.
-    strategy: AssignmentStrategy,
     /// Live members, keyed by member id (sorted for deterministic
     /// assignment).
     members: BTreeMap<String, MemberState>,
@@ -129,13 +110,7 @@ impl GroupState {
     /// Returns the new generation. Re-joining with changed subscriptions
     /// still bumps the generation (subscription changes retarget
     /// partitions just like membership changes).
-    pub(crate) fn join(
-        &mut self,
-        member: &str,
-        topics: Vec<(String, u32)>,
-        strategy: AssignmentStrategy,
-    ) -> u64 {
-        self.strategy = strategy;
+    pub(crate) fn join(&mut self, member: &str, topics: Vec<(String, u32)>) -> u64 {
         self.members.insert(
             member.to_string(),
             MemberState {
@@ -241,7 +216,7 @@ impl GroupState {
     }
 
     /// Distributes one topic's partitions across its subscribers:
-    /// sticky retention up to quota, then strategy-ordered fill.
+    /// sticky retention up to quota, then a contiguous (range) fill.
     fn retarget_topic(
         &mut self,
         topic: &str,
@@ -281,32 +256,13 @@ impl GroupState {
             }
         }
 
-        // Pass 2 — fill members below quota with the leftovers.
-        match self.strategy {
-            AssignmentStrategy::Range => {
-                // Contiguous blocks: walk members in order, give each its
-                // remaining quota as one run of partitions.
-                let mut rest = unassigned.into_iter();
-                for (parts, quota) in assigned.iter_mut().zip(&quota) {
-                    let want = quota - parts.len();
-                    parts.extend(rest.by_ref().take(want));
-                }
-            }
-            AssignmentStrategy::RoundRobin => {
-                // Deal leftovers one at a time, skipping full members;
-                // quotas sum to the partition count, so one has room.
-                let mut cursor = 0usize;
-                for p in unassigned {
-                    for _ in 0..subscribers.len() {
-                        let i = cursor;
-                        cursor = (cursor + 1) % subscribers.len();
-                        if assigned[i].len() < quota[i] {
-                            assigned[i].push(p);
-                            break;
-                        }
-                    }
-                }
-            }
+        // Pass 2 — fill members below quota with the leftovers as
+        // contiguous blocks: walk members in order, give each its
+        // remaining quota as one run of partitions.
+        let mut rest = unassigned.into_iter();
+        for (parts, quota) in assigned.iter_mut().zip(&quota) {
+            let want = quota - parts.len();
+            parts.extend(rest.by_ref().take(want));
         }
         for (id, parts) in subscribers.iter().zip(assigned) {
             if let Some(member) = self.members.get_mut(id) {
@@ -398,7 +354,6 @@ impl Coordinator {
         group: &str,
         member: &str,
         topics_with_counts: Vec<(String, u32)>,
-        strategy: AssignmentStrategy,
     ) -> u64 {
         let generation = self
             .shard(group)
@@ -406,7 +361,7 @@ impl Coordinator {
             .entry(group.to_string())
             .or_default()
             .state
-            .join(member, topics_with_counts, strategy);
+            .join(member, topics_with_counts);
         Self::note_rebalance(generation);
         generation
     }
@@ -501,12 +456,11 @@ impl GroupMember {
         group: impl Into<String>,
         member: impl Into<String>,
         topics: &[&str],
-        strategy: AssignmentStrategy,
     ) -> Result<Self> {
         let bus = bus.into();
         let group = group.into();
         let member = member.into();
-        bus.join_group(&group, &member, topics, strategy)?;
+        bus.join_group(&group, &member, topics)?;
         Ok(GroupMember {
             bus,
             group,
@@ -747,7 +701,6 @@ impl GroupedReader {
         bus: impl Into<BusHandle>,
         topic: impl Into<String>,
         group: impl Into<String>,
-        strategy: AssignmentStrategy,
     ) -> Result<Self> {
         let (bus, topic) = (bus.into(), topic.into());
         let retry = crate::RetryPolicy::default();
@@ -755,7 +708,7 @@ impl GroupedReader {
         let ends = (0..count)
             .map(|p| crate::with_retry(&retry, || bus.latest_offset(&topic, p)))
             .collect::<Result<Vec<u64>>>()?;
-        Self::join(bus, topic, group.into(), strategy, Finish::Ends(ends))
+        Self::join(bus, topic, group.into(), Finish::Ends(ends))
     }
 
     /// Joins `group` for a tailing read: ends refresh on every pass, so
@@ -770,24 +723,17 @@ impl GroupedReader {
         bus: impl Into<BusHandle>,
         topic: impl Into<String>,
         group: impl Into<String>,
-        strategy: AssignmentStrategy,
         target: FollowTarget,
     ) -> Result<Self> {
         let finish = Finish::Follow(target);
-        Self::join(bus.into(), topic.into(), group.into(), strategy, finish)
+        Self::join(bus.into(), topic.into(), group.into(), finish)
     }
 
-    fn join(
-        bus: BusHandle,
-        topic: String,
-        group: String,
-        strategy: AssignmentStrategy,
-        finish: Finish,
-    ) -> Result<Self> {
+    fn join(bus: BusHandle, topic: String, group: String, finish: Finish) -> Result<Self> {
         let retry = crate::RetryPolicy::default();
         let member_id = Self::fresh_group(&format!("{group}-reader"));
         let member = crate::with_retry(&retry, || {
-            GroupMember::join(bus.clone(), &group, &member_id, &[&topic], strategy)
+            GroupMember::join(bus.clone(), &group, &member_id, &[&topic])
         })?;
         let mut reader = GroupedReader {
             bus,
@@ -1108,7 +1054,7 @@ mod tests {
     #[test]
     fn single_member_gets_everything() {
         let mut g = GroupState::default();
-        let gen = g.join("a", vec![("t".into(), 4)], AssignmentStrategy::Range);
+        let gen = g.join("a", vec![("t".into(), 4)]);
         assert_eq!(gen, 1);
         assert_eq!(targets(&g, "a"), vec![0, 1, 2, 3]);
     }
@@ -1116,9 +1062,9 @@ mod tests {
     #[test]
     fn range_assignment_is_contiguous_and_balanced() {
         let mut g = GroupState::default();
-        g.join("a", vec![("t".into(), 8)], AssignmentStrategy::Range);
-        g.join("b", vec![("t".into(), 8)], AssignmentStrategy::Range);
-        g.join("c", vec![("t".into(), 8)], AssignmentStrategy::Range);
+        g.join("a", vec![("t".into(), 8)]);
+        g.join("b", vec![("t".into(), 8)]);
+        g.join("c", vec![("t".into(), 8)]);
         let sizes: Vec<usize> = ["a", "b", "c"]
             .iter()
             .map(|m| targets(&g, m).len())
@@ -1138,10 +1084,10 @@ mod tests {
     #[test]
     fn sticky_retention_minimises_movement() {
         let mut g = GroupState::default();
-        g.join("a", vec![("t".into(), 8)], AssignmentStrategy::Range);
+        g.join("a", vec![("t".into(), 8)]);
         let before = targets(&g, "a");
         assert_eq!(before.len(), 8);
-        g.join("b", vec![("t".into(), 8)], AssignmentStrategy::Range);
+        g.join("b", vec![("t".into(), 8)]);
         let after_a = targets(&g, "a");
         // `a` keeps exactly its quota's worth of its old partitions.
         assert_eq!(after_a.len(), 4);
@@ -1152,8 +1098,8 @@ mod tests {
     #[test]
     fn leave_returns_partitions_to_survivors() {
         let mut g = GroupState::default();
-        g.join("a", vec![("t".into(), 6)], AssignmentStrategy::RoundRobin);
-        g.join("b", vec![("t".into(), 6)], AssignmentStrategy::RoundRobin);
+        g.join("a", vec![("t".into(), 6)]);
+        g.join("b", vec![("t".into(), 6)]);
         assert!(g.leave("b"));
         assert_eq!(targets(&g, "a"), vec![0, 1, 2, 3, 4, 5]);
         assert!(!g.leave("b"), "second leave is a no-op");
@@ -1162,11 +1108,11 @@ mod tests {
     #[test]
     fn claim_respects_cooperative_handover() {
         let mut g = GroupState::default();
-        g.join("a", vec![("t".into(), 2)], AssignmentStrategy::Range);
+        g.join("a", vec![("t".into(), 2)]);
         let all: Vec<TopicPartition> = (0..2).map(|p| TopicPartition::new("t", p)).collect();
         assert_eq!(g.claim("a", &all).len(), 2);
 
-        g.join("b", vec![("t".into(), 2)], AssignmentStrategy::Range);
+        g.join("b", vec![("t".into(), 2)]);
         let b_target = g.view("b").expect("b").target.clone();
         assert_eq!(b_target.len(), 1);
         // `a` still owns it: claim is denied until `a` releases.
@@ -1178,8 +1124,8 @@ mod tests {
     #[test]
     fn claim_ignores_untargeted_partitions() {
         let mut g = GroupState::default();
-        g.join("a", vec![("t".into(), 2)], AssignmentStrategy::Range);
-        g.join("b", vec![("t".into(), 2)], AssignmentStrategy::Range);
+        g.join("a", vec![("t".into(), 2)]);
+        g.join("b", vec![("t".into(), 2)]);
         let a_target = g.view("a").expect("a").target.clone();
         // `b` asking for `a`'s partition gets nothing.
         assert!(g.claim("b", &a_target).is_empty());
@@ -1189,28 +1135,13 @@ mod tests {
     fn generation_bumps_on_every_membership_change() {
         let mut g = GroupState::default();
         assert_eq!(g.generation(), 0);
-        g.join("a", vec![("t".into(), 1)], AssignmentStrategy::Range);
+        g.join("a", vec![("t".into(), 1)]);
         assert_eq!(g.generation(), 1);
-        g.join("b", vec![("t".into(), 1)], AssignmentStrategy::Range);
+        g.join("b", vec![("t".into(), 1)]);
         assert_eq!(g.generation(), 2);
         g.leave("a");
         assert_eq!(g.generation(), 3);
         assert_eq!(g.rebalances(), 3);
-    }
-
-    #[test]
-    fn round_robin_interleaves_fresh_assignment() {
-        let mut g = GroupState::default();
-        g.join("a", vec![("t".into(), 4)], AssignmentStrategy::RoundRobin);
-        g.leave("a");
-        g.join("x", vec![("t".into(), 4)], AssignmentStrategy::RoundRobin);
-        g.join("y", vec![("t".into(), 4)], AssignmentStrategy::RoundRobin);
-        // After x leaves-and-rejoins era, fresh deal interleaves: x gets
-        // a partition, then y, alternating.
-        let x = targets(&g, "x");
-        let y = targets(&g, "y");
-        assert_eq!(x.len() + y.len(), 4);
-        assert!((x.len() as i64 - y.len() as i64).abs() <= 1);
     }
 
     /// A topic of `partitions` x `per_partition` records.
@@ -1233,8 +1164,7 @@ mod tests {
     fn grouped_reader_drains_bounded_topic() {
         let broker = loaded(3, 7);
         // A record produced after the join is outside the finish line.
-        let mut reader =
-            GroupedReader::bounded(broker.clone(), "t", "g", AssignmentStrategy::Range).unwrap();
+        let mut reader = GroupedReader::bounded(broker.clone(), "t", "g").unwrap();
         broker
             .produce("t", 0, crate::Record::from_value("late"))
             .unwrap();
@@ -1254,13 +1184,7 @@ mod tests {
             .map(|_| {
                 let broker = broker.clone();
                 std::thread::spawn(move || {
-                    let mut reader = GroupedReader::bounded(
-                        broker,
-                        "t",
-                        "share",
-                        AssignmentStrategy::RoundRobin,
-                    )
-                    .unwrap();
+                    let mut reader = GroupedReader::bounded(broker, "t", "share").unwrap();
                     let mut seen = Vec::new();
                     while reader
                         .next_batch(8, &mut |p, stored| seen.push((p, stored.record.value)))
@@ -1282,7 +1206,7 @@ mod tests {
     #[test]
     fn rebalance_hands_over_position_exactly_once() {
         let broker = loaded(2, 10);
-        let join = || GroupedReader::bounded(broker.clone(), "t", "g", AssignmentStrategy::Range);
+        let join = || GroupedReader::bounded(broker.clone(), "t", "g");
         let mut seen = Vec::new();
         let mut sink = |p: u32, stored: crate::StoredRecord| seen.push((p, stored.offset));
         // `a` reads part of the input before `b` arrives.
@@ -1307,8 +1231,7 @@ mod tests {
     #[test]
     fn leave_group_rebalances_survivors() {
         let broker = loaded(2, 4);
-        let join =
-            || GroupedReader::bounded(broker.clone(), "t", "g", AssignmentStrategy::RoundRobin);
+        let join = || GroupedReader::bounded(broker.clone(), "t", "g");
         let (mut a, mut b) = (join().unwrap(), join().unwrap());
         // Settle the two-member assignment without reading anything.
         let mut sink = |_p: u32, _stored: crate::StoredRecord| {};
@@ -1326,12 +1249,10 @@ mod tests {
     #[test]
     fn bounded_reader_gives_up_on_a_peer_that_never_commits() {
         let broker = loaded(2, 4);
-        let mut reader =
-            GroupedReader::bounded(broker.clone(), "t", "g", AssignmentStrategy::Range).unwrap();
+        let mut reader = GroupedReader::bounded(broker.clone(), "t", "g").unwrap();
         // The peer takes one partition over and then neither reads nor
         // commits: the group can never reach the reader's finish line.
-        let mut peer =
-            GroupMember::join(broker, "g", "peer", &["t"], AssignmentStrategy::Range).unwrap();
+        let mut peer = GroupMember::join(broker, "g", "peer", &["t"]).unwrap();
         let mut seen = 0;
         let mut sink = |_p: u32, _stored: crate::StoredRecord| seen += 1;
         assert_eq!(reader.drive(8, SHORT_STALL, &mut sink), Some(4));
@@ -1348,14 +1269,8 @@ mod tests {
     fn follow_reader_gives_up_when_the_producer_stops_short() {
         let broker = loaded(1, 5);
         let group = GroupedReader::fresh_group("stall");
-        let mut reader = GroupedReader::following(
-            broker,
-            "t",
-            group,
-            AssignmentStrategy::Range,
-            FollowTarget::new(8),
-        )
-        .unwrap();
+        let mut reader =
+            GroupedReader::following(broker, "t", group, FollowTarget::new(8)).unwrap();
         let mut seen = 0;
         let mut sink = |_p: u32, _stored: crate::StoredRecord| seen += 1;
         assert_eq!(reader.drive(100, SHORT_STALL, &mut sink), Some(5));

@@ -90,7 +90,7 @@ mod segment;
 mod telemetry;
 mod topic;
 
-pub use admin::{PartitionInfo, TopicDescription};
+pub use admin::TopicDescription;
 pub use async_producer::AsyncProducer;
 pub use backoff::Backoff;
 pub use broker::Broker;
@@ -100,9 +100,7 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use config::{Acks, TimestampType, TopicConfig};
 pub use error::{Error, Result};
 pub use fault::{FaultOp, FaultPlan};
-pub use group::{
-    AssignmentStrategy, FollowTarget, GroupMember, GroupView, GroupedReader, TopicPartition,
-};
+pub use group::{FollowTarget, GroupMember, GroupView, GroupedReader, TopicPartition};
 pub use handle::{PartitionReader, PartitionWriter};
 pub use log::{LogStats, OffsetError, PartitionLog};
 pub use record::{partition_for_key, Header, Record, StoredRecord, Timestamp};

@@ -17,10 +17,7 @@
 //!    unreplicated tail is truncated, never served), and never run past
 //!    the high-watermark.
 
-use logbus::{
-    Acks, AssignmentStrategy, BusHandle, Cluster, ClusterConfig, Error, Record, RetryPolicy,
-    TopicConfig,
-};
+use logbus::{Acks, BusHandle, Cluster, ClusterConfig, Error, Record, RetryPolicy, TopicConfig};
 use std::time::{Duration, Instant};
 
 /// Deterministic schedule stream (Steele et al.'s SplitMix64).
@@ -270,8 +267,7 @@ fn group_handover_survives_coordinator_death() {
     let bus = BusHandle::from(&cluster);
 
     let mut seen: Vec<u64> = Vec::new();
-    let mut reader_a =
-        logbus::GroupedReader::bounded(bus.clone(), "t", "g", AssignmentStrategy::Range).unwrap();
+    let mut reader_a = logbus::GroupedReader::bounded(bus.clone(), "t", "g").unwrap();
     assert_eq!(reader_a.owned_partitions(), PARTITIONS as usize);
 
     // A consumes part of its assignment and commits — these positions
@@ -287,8 +283,7 @@ fn group_handover_survives_coordinator_death() {
     // commit-then-release both proceed under the successor coordinator.
     cluster.kill_broker(0);
 
-    let mut reader_b =
-        logbus::GroupedReader::bounded(bus, "t", "g", AssignmentStrategy::Range).unwrap();
+    let mut reader_b = logbus::GroupedReader::bounded(bus, "t", "g").unwrap();
     // A reconciles: commits and releases the partitions B now owns.
     reader_a.poll_rebalance().unwrap();
     let _ = reader_b.poll_rebalance().unwrap();

@@ -14,9 +14,7 @@
 //! `zzz_` gate additionally asserts the lock-order graph stayed acyclic;
 //! CI runs this file with `--test-threads=1` there.
 
-use logbus::{
-    AssignmentStrategy, Broker, FollowTarget, GroupedReader, ManualClock, Record, TopicConfig,
-};
+use logbus::{Broker, FollowTarget, GroupedReader, ManualClock, Record, TopicConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -66,7 +64,6 @@ struct Member {
 /// The broker under test next to the model of what it was given.
 struct History {
     broker: Broker,
-    strategy: AssignmentStrategy,
     /// `Some`: follow mode, every member sharing this finish line.
     target: Option<(u64, FollowTarget)>,
     /// Model: the values appended to each partition, in order.
@@ -76,18 +73,13 @@ struct History {
 }
 
 impl History {
-    fn new(partitions: u32, round_robin: bool, target: Option<u64>) -> Self {
+    fn new(partitions: u32, target: Option<u64>) -> Self {
         let broker = Broker::with_clock(Arc::new(ManualClock::new(0)));
         broker
             .create_topic("t", TopicConfig::default().partitions(partitions))
             .unwrap();
         History {
             broker,
-            strategy: if round_robin {
-                AssignmentStrategy::RoundRobin
-            } else {
-                AssignmentStrategy::Range
-            },
             target: target.map(|records| (records, FollowTarget::new(records))),
             log: vec![Vec::new(); partitions as usize],
             delivered: vec![0; partitions as usize],
@@ -114,15 +106,14 @@ impl History {
     }
 
     fn join(&self) -> Member {
-        let (bus, strategy) = (self.broker.clone(), self.strategy);
+        let bus = self.broker.clone();
         match &self.target {
             Some((_, target)) => Member {
-                reader: GroupedReader::following(bus, "t", GROUP, strategy, target.clone())
-                    .unwrap(),
+                reader: GroupedReader::following(bus, "t", GROUP, target.clone()).unwrap(),
                 line: vec![u64::MAX; self.log.len()],
             },
             None => Member {
-                reader: GroupedReader::bounded(bus, "t", GROUP, strategy).unwrap(),
+                reader: GroupedReader::bounded(bus, "t", GROUP).unwrap(),
                 line: self.log.iter().map(|p| p.len() as u64).collect(),
             },
         }
@@ -231,9 +222,8 @@ proptest! {
     fn bounded_group_delivers_exactly_once_up_to_the_captured_ends(
         preload in prop::collection::vec(0u64..20, 1..5),
         ops in arb_ops(),
-        round_robin in any::<bool>(),
     ) {
-        let mut history = History::new(preload.len() as u32, round_robin, None);
+        let mut history = History::new(preload.len() as u32, None);
         for (partition, count) in preload.iter().enumerate() {
             history.append(partition as u32, *count);
         }
@@ -246,9 +236,8 @@ proptest! {
         partitions in 1u32..5,
         target in 1u64..120,
         ops in arb_ops(),
-        round_robin in any::<bool>(),
     ) {
-        let mut history = History::new(partitions, round_robin, Some(target));
+        let mut history = History::new(partitions, Some(target));
         history.run(&ops)?;
         prop_assert_eq!(history.delivered.iter().sum::<u64>(), target);
     }

@@ -254,31 +254,18 @@ proptest! {
         partitions in 1u32..16,
         joiners in 2usize..6,
         leaver_mask in any::<u8>(),
-        round_robin in any::<bool>(),
     ) {
-        use logbus::{AssignmentStrategy, Bus, GroupMember};
+        use logbus::{Bus, GroupMember};
 
         let broker = Broker::new();
         broker
             .create_topic("t", TopicConfig::default().partitions(partitions))
             .unwrap();
         let bus: Arc<dyn Bus> = Arc::new(broker.clone());
-        let strategy = if round_robin {
-            AssignmentStrategy::RoundRobin
-        } else {
-            AssignmentStrategy::Range
-        };
 
         let mut members: Vec<GroupMember> = (0..joiners)
             .map(|i| {
-                GroupMember::join(
-                    bus.clone(),
-                    "g",
-                    format!("m{i}"),
-                    &["t"],
-                    strategy,
-                )
-                .unwrap()
+                GroupMember::join(bus.clone(), "g", format!("m{i}"), &["t"]).unwrap()
             })
             .collect();
         // Leave at least one member in the group.

@@ -2,7 +2,7 @@
 
 use crate::operator::Collector;
 use bytes::Bytes;
-use logbus::{AssignmentStrategy, BusHandle, FollowTarget, GroupedReader};
+use logbus::{BusHandle, FollowTarget, GroupedReader};
 use parking_lot::Mutex;
 use std::sync::Arc;
 
@@ -103,7 +103,6 @@ pub struct BrokerSource {
     /// Shared by every subtask, so they stop at the target together.
     follow: Option<FollowTarget>,
     group: String,
-    strategy: AssignmentStrategy,
 }
 
 impl BrokerSource {
@@ -119,7 +118,6 @@ impl BrokerSource {
             fetch_size: 2048,
             follow: None,
             group: GroupedReader::fresh_group("rill-src"),
-            strategy: AssignmentStrategy::Range,
         }
     }
 
@@ -130,10 +128,9 @@ impl BrokerSource {
     }
 
     /// Names the consumer group explicitly (e.g. to share committed
-    /// offsets across job restarts) and picks the assignment strategy.
-    pub fn consumer_group(mut self, name: impl Into<String>, strategy: AssignmentStrategy) -> Self {
+    /// offsets across job restarts).
+    pub fn consumer_group(mut self, name: impl Into<String>) -> Self {
         self.group = name.into();
-        self.strategy = strategy;
         self
     }
 
@@ -160,8 +157,8 @@ impl SourceFunction<Bytes> for BrokerSource {
     fn run(&mut self, out: &mut dyn Collector<Bytes>) {
         let (bus, topic, group) = (self.bus.clone(), &self.topic, &self.group);
         let reader = match self.follow.clone() {
-            Some(target) => GroupedReader::following(bus, topic, group, self.strategy, target),
-            None => GroupedReader::bounded(bus, topic, group, self.strategy),
+            Some(target) => GroupedReader::following(bus, topic, group, target),
+            None => GroupedReader::bounded(bus, topic, group),
         };
         let Ok(mut reader) = reader else {
             return;
