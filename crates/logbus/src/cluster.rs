@@ -12,13 +12,12 @@
 //! Each partition has a fixed replica set (leader first) and a
 //! [`PartitionState`] tracking the leader epoch, the in-sync set, and
 //! each replica's confirmed log end. A broker can be killed
-//! ([`Cluster::kill_broker`], or deterministically via a
-//! [`FaultPlan`]'s crash probability); its logs survive, only the
-//! process dies. The next request that needs the dead leader runs an
-//! election: the live in-sync replica with the most confirmed log is
-//! promoted, the epoch is bumped and fenced onto every live replica's
-//! log, and divergent tails past the new leader's end are truncated. A
-//! restarted broker rejoins as a follower — its log truncated back to
+//! ([`Cluster::kill_broker`]); its logs survive, only the process dies.
+//! The next request that needs the dead leader runs an election: the
+//! live in-sync replica with the most confirmed log is promoted, the
+//! epoch is bumped and fenced onto every live replica's log, and
+//! divergent tails past the new leader's end are truncated. A restarted
+//! broker rejoins as a follower — its log truncated back to
 //! its last confirmed offset — and re-enters the in-sync set once a
 //! produce or read repair catches it up.
 //!
@@ -32,16 +31,15 @@ use crate::clock::{Clock, SystemClock};
 use crate::config::{Acks, TopicConfig};
 use crate::election::PartitionState;
 use crate::error::{Error, Result};
-use crate::fault::{FaultAction, FaultInjector, FaultOp, FaultPlan};
+use crate::fault::{FaultAction, FaultOp};
 use crate::group::{Coordinator, GroupView, TopicPartition};
 use crate::handle::{Route, WriteTarget};
 use crate::record::{Record, StoredRecord};
 use crate::topic::{spin_delay, Topic};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Weak};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Cluster construction parameters.
 #[derive(Debug, Clone)]
@@ -118,12 +116,6 @@ struct ClusterInner {
     /// membership survive the death of whichever broker is currently
     /// acting as coordinator.
     groups: Coordinator,
-    /// Crash schedule, consulted per replicated produce; `crash_enabled`
-    /// mirrors its presence so the fault-free path pays one relaxed load.
-    crash_plan: RwLock<Option<Arc<FaultInjector>>>,
-    crash_enabled: AtomicBool,
-    /// Pending restarts of crashed brokers: `(broker index, due time)`.
-    restarts: Mutex<Vec<(usize, Instant)>>,
 }
 
 impl Cluster {
@@ -144,9 +136,6 @@ impl Cluster {
                 routes: RwLock::new(HashMap::new()),
                 next_leader: RwLock::new(0),
                 groups: Coordinator::default(),
-                crash_plan: RwLock::new(None),
-                crash_enabled: AtomicBool::new(false),
-                restarts: Mutex::new(Vec::new()),
             }),
         }
     }
@@ -265,33 +254,7 @@ impl Cluster {
         Ok(self.route(topic, partition)?.state.read().hw)
     }
 
-    // ---- crash failover ------------------------------------------------
-
-    /// Installs a deterministic crash schedule: each replicated produce
-    /// draws from `plan`'s crash stream and may kill the partition
-    /// leader's broker, which restarts `plan.crash_restart_micros` later
-    /// and rejoins as a follower. Request-level faults in the plan are
-    /// **not** installed by this call — use
-    /// [`Broker::install_fault_plan`] on individual brokers for those.
-    pub fn install_crash_plan(&self, plan: FaultPlan) {
-        let enabled = plan.crash > 0.0;
-        *self.inner.crash_plan.write() = Some(Arc::new(FaultInjector::new(plan)));
-        self.inner.crash_enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Removes the crash schedule and restarts any broker still down
-    /// from it, so the cluster converges back to full health.
-    pub fn clear_crash_plan(&self) {
-        *self.inner.crash_plan.write() = None;
-        self.inner.crash_enabled.store(false, Ordering::Relaxed);
-        let due: Vec<usize> = {
-            let mut restarts = self.inner.restarts.lock();
-            restarts.drain(..).map(|(b, _)| b).collect()
-        };
-        for broker in due {
-            self.restart_broker(broker);
-        }
-    }
+    // ---- failover ------------------------------------------------------
 
     /// Kills broker `index`: every request it hosts fails with
     /// [`Error::BrokerDown`] until [`Cluster::restart_broker`]. Elections
@@ -354,39 +317,6 @@ impl Cluster {
         }
     }
 
-    /// Restarts crash-plan brokers whose downtime has elapsed.
-    fn tick_restarts(&self) {
-        let now = Instant::now();
-        let due: Vec<usize> = {
-            let mut restarts = self.inner.restarts.lock();
-            let mut ready = Vec::new();
-            restarts.retain(|&(broker, deadline)| {
-                if deadline <= now {
-                    ready.push(broker);
-                    false
-                } else {
-                    true
-                }
-            });
-            ready
-        };
-        for broker in due {
-            self.restart_broker(broker);
-        }
-    }
-
-    /// Kills `broker` as part of the crash plan and schedules its
-    /// restart.
-    fn crash_broker(&self, broker: usize, restart_micros: u64) {
-        self.inner.brokers[broker].kill();
-        if restart_micros > 0 {
-            self.inner.restarts.lock().push((
-                broker,
-                Instant::now() + std::time::Duration::from_micros(restart_micros),
-            ));
-        }
-    }
-
     /// Runs an election for a partition whose leader is dead. Requires
     /// the route's produce lock and state write lock (passed as `st`).
     fn elect_locked(&self, route: &PartitionRoute, st: &mut PartitionState) -> Result<()> {
@@ -443,9 +373,6 @@ impl Cluster {
         };
         if !leader_dead {
             return Ok(());
-        }
-        if self.inner.crash_enabled.load(Ordering::Relaxed) {
-            self.tick_restarts();
         }
         let _produce = route.produce.lock();
         let mut st = route.state.write();
@@ -538,7 +465,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`Error::BrokerDown`] when the leader crashed mid-request,
+    /// [`Error::BrokerDown`] when the leader was killed mid-request,
     /// [`Error::PartitionOffline`] when no in-sync replica is alive,
     /// [`Error::RequestTimedOut`] when `acks` is [`Acks::All`] and the
     /// in-sync set has not fully confirmed the batch (the leader holds
@@ -552,29 +479,7 @@ impl Cluster {
         acks: Acks,
     ) -> Result<u64> {
         let partition = route.partition;
-        if self.inner.crash_enabled.load(Ordering::Relaxed) {
-            self.tick_restarts();
-        }
         let _produce = route.produce.lock();
-
-        // Deterministic crash injection: the leader's process dies before
-        // it ever sees this request.
-        if self.inner.crash_enabled.load(Ordering::Relaxed) {
-            let injector = self.inner.crash_plan.read().clone();
-            if let Some(injector) = injector {
-                if injector.decide_crash(&route.topic, partition) {
-                    let leader = {
-                        let st = route.state.read();
-                        route.replicas[st.leader_pos]
-                    };
-                    if self.inner.brokers[leader].is_alive() {
-                        self.crash_broker(leader, injector.plan().crash_restart_micros);
-                    }
-                    return Err(Error::BrokerDown);
-                }
-            }
-        }
-
         let mut st = route.state.write();
         if !self.inner.brokers[route.replicas[st.leader_pos]].is_alive() {
             self.elect_locked(route, &mut st)?;
@@ -955,6 +860,7 @@ impl Default for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultPlan;
 
     #[test]
     fn leaders_round_robin() {
@@ -1180,33 +1086,6 @@ mod tests {
         // ...until read repair replicates it on the next metadata poll.
         assert_eq!(cluster.latest_offset("t", 0).unwrap(), 2);
         assert_eq!(cluster.fetch("t", 0, 0, 10).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn crash_plan_kills_and_restarts_leaders_deterministically() {
-        let cluster = Cluster::new(ClusterConfig { brokers: 3 });
-        cluster
-            .create_topic("t", TopicConfig::default().replication_factor(3))
-            .unwrap();
-        cluster.install_crash_plan(FaultPlan::seeded(42).with_crashes(0.2, 500));
-        let writer = cluster.partition_writer("t", 0).unwrap().idempotent();
-        for i in 0..300 {
-            writer.produce(Record::from_value(format!("{i}"))).unwrap();
-        }
-        cluster.clear_crash_plan();
-        assert!(
-            cluster.leader_epoch("t", 0).unwrap() > 0,
-            "a 20% crash rate over 300 produces must force elections"
-        );
-        // Every broker is back up and every record survived, exactly once.
-        for b in 0..3 {
-            assert!(cluster.broker(b).is_alive());
-        }
-        let records = cluster.fetch("t", 0, 0, 1_000).unwrap();
-        assert_eq!(records.len(), 300, "exactly-once across crashes");
-        for (i, stored) in records.iter().enumerate() {
-            assert_eq!(&stored.record.value[..], format!("{i}").as_bytes());
-        }
     }
 
     #[test]

@@ -2,36 +2,10 @@
 
 use std::fmt;
 
-/// Which timestamp is stored with an appended record.
-///
-/// The StreamBench architecture configures its topics with
-/// [`TimestampType::LogAppendTime`] so that execution-time measurement is
-/// independent of the system under test (paper §III-A3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum TimestampType {
-    /// Store the producer-provided creation time (falling back to the
-    /// broker clock when the producer supplied none).
-    CreateTime,
-    /// Store the broker clock reading at the moment of append.
-    #[default]
-    LogAppendTime,
-}
-
-impl fmt::Display for TimestampType {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TimestampType::CreateTime => f.write_str("CreateTime"),
-            TimestampType::LogAppendTime => f.write_str("LogAppendTime"),
-        }
-    }
-}
-
 /// Acknowledgement level a producer waits for on each send
 /// (`acks` in Kafka terms).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Acks {
-    /// Fire-and-forget: the producer does not wait for the append at all.
-    None,
     /// Wait until the partition leader has appended the batch.
     #[default]
     Leader,
@@ -42,7 +16,6 @@ pub enum Acks {
 impl fmt::Display for Acks {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Acks::None => f.write_str("acks=0"),
             Acks::Leader => f.write_str("acks=1"),
             Acks::All => f.write_str("acks=all"),
         }
@@ -54,12 +27,9 @@ impl fmt::Display for Acks {
 /// Constructed with builder-style methods:
 ///
 /// ```
-/// use logbus::{TimestampType, TopicConfig};
+/// use logbus::TopicConfig;
 ///
-/// let config = TopicConfig::default()
-///     .partitions(1)
-///     .replication_factor(1)
-///     .timestamp_type(TimestampType::LogAppendTime);
+/// let config = TopicConfig::default().partitions(1).replication_factor(1);
 /// assert_eq!(config.partitions, 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,8 +39,6 @@ pub struct TopicConfig {
     pub partitions: u32,
     /// Number of replicas per partition (including the leader).
     pub replication_factor: u32,
-    /// Which timestamp is stored on append.
-    pub timestamp_type: TimestampType,
     /// Soft segment size; the active segment rolls once it grows past this.
     pub segment_bytes: usize,
     /// Maximum number of retained records per partition (`None` = retain
@@ -83,7 +51,6 @@ impl Default for TopicConfig {
         TopicConfig {
             partitions: 1,
             replication_factor: 1,
-            timestamp_type: TimestampType::LogAppendTime,
             segment_bytes: 1 << 20,
             retention_records: None,
         }
@@ -91,8 +58,7 @@ impl Default for TopicConfig {
 }
 
 impl TopicConfig {
-    /// Creates the default configuration (single partition,
-    /// `LogAppendTime`).
+    /// Creates the default configuration (one partition, one replica).
     pub fn new() -> Self {
         Self::default()
     }
@@ -113,12 +79,6 @@ impl TopicConfig {
     /// Sets the replication factor.
     pub fn replication_factor(mut self, rf: u32) -> Self {
         self.replication_factor = rf;
-        self
-    }
-
-    /// Sets the timestamp type stored on append.
-    pub fn timestamp_type(mut self, ts: TimestampType) -> Self {
-        self.timestamp_type = ts;
         self
     }
 
@@ -159,7 +119,6 @@ mod tests {
         let c = TopicConfig::default();
         assert_eq!(c.partitions, 1);
         assert_eq!(c.replication_factor, 1);
-        assert_eq!(c.timestamp_type, TimestampType::LogAppendTime);
         assert!(c.retention_records.is_none());
     }
 
@@ -168,12 +127,10 @@ mod tests {
         let c = TopicConfig::new()
             .partitions(4)
             .replication_factor(2)
-            .timestamp_type(TimestampType::CreateTime)
             .segment_bytes(512)
             .retention_records(10);
         assert_eq!(c.partitions, 4);
         assert_eq!(c.replication_factor, 2);
-        assert_eq!(c.timestamp_type, TimestampType::CreateTime);
         assert_eq!(c.segment_bytes, 512);
         assert_eq!(c.retention_records, Some(10));
     }
@@ -201,9 +158,7 @@ mod tests {
 
     #[test]
     fn display_impls() {
-        assert_eq!(Acks::None.to_string(), "acks=0");
         assert_eq!(Acks::Leader.to_string(), "acks=1");
         assert_eq!(Acks::All.to_string(), "acks=all");
-        assert_eq!(TimestampType::LogAppendTime.to_string(), "LogAppendTime");
     }
 }

@@ -25,6 +25,9 @@ use std::hash::{Hash, Hasher};
 use std::time::Duration;
 
 /// The class of broker operation a fault decision applies to.
+///
+/// Each variant's discriminant seeds its decision stream, so the order
+/// is part of every replayed schedule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultOp {
     /// Appends (single-record and batch).
@@ -33,9 +36,6 @@ pub enum FaultOp {
     Fetch,
     /// Handle resolution, offset lookups, group-offset commits.
     Metadata,
-    /// Broker process crashes (cluster-level; decided per partition
-    /// leader, never mixed into the per-request streams above).
-    Crash,
 }
 
 /// A seeded, per-topic/partition/operation schedule of transient faults.
@@ -70,17 +70,6 @@ pub struct FaultPlan {
     /// Cap on consecutive injected faults per key before a success is
     /// forced (keeps every fault transient).
     pub max_consecutive: u32,
-    /// Probability (per replicated produce) that the partition leader's
-    /// broker **crashes** — the process dies mid-run and an election
-    /// promotes an in-sync follower. Off by default; only
-    /// [`Cluster`](crate::Cluster)s with crash failover enabled consult
-    /// it.
-    pub crash: f64,
-    /// How long a crashed broker stays down before it restarts and
-    /// rejoins as a follower (0 = stays down for the plan's life).
-    pub crash_restart_micros: u64,
-    /// Restrict injection to these topics (`None` = all topics).
-    pub topics: Option<Vec<String>>,
 }
 
 impl FaultPlan {
@@ -99,32 +88,6 @@ impl FaultPlan {
             extra_latency: 0.05,
             extra_latency_micros: 50..500,
             max_consecutive: 3,
-            crash: 0.0,
-            crash_restart_micros: 2_000,
-            topics: None,
-        }
-    }
-
-    /// Enables broker crashes at probability `crash` per replicated
-    /// produce, with crashed brokers restarting after `restart_micros`.
-    #[must_use]
-    pub fn with_crashes(mut self, crash: f64, restart_micros: u64) -> Self {
-        self.crash = crash;
-        self.crash_restart_micros = restart_micros;
-        self
-    }
-
-    /// Restricts the plan to `topics`.
-    #[must_use]
-    pub fn for_topics(mut self, topics: Vec<String>) -> Self {
-        self.topics = Some(topics);
-        self
-    }
-
-    fn applies_to(&self, topic: &str) -> bool {
-        match &self.topics {
-            None => true,
-            Some(list) => list.iter().any(|t| t == topic),
         }
     }
 }
@@ -181,15 +144,8 @@ impl FaultInjector {
         }
     }
 
-    pub(crate) fn plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Draws the next decision for `(topic, partition, op)`.
     pub(crate) fn decide(&self, op: FaultOp, topic: &str, partition: u32) -> Option<FaultAction> {
-        if !self.plan.applies_to(topic) {
-            return None;
-        }
         let mut hasher = DefaultHasher::new();
         topic.hash(&mut hasher);
         let topic_hash = hasher.finish();
@@ -217,9 +173,6 @@ impl FaultInjector {
             FaultOp::Produce => self.plan.produce_error,
             FaultOp::Fetch => self.plan.fetch_error,
             FaultOp::Metadata => self.plan.metadata_error,
-            // Crashes have their own decision stream (`decide_crash`);
-            // they never ride the per-request fault path.
-            FaultOp::Crash => return None,
         };
         if ks.rng.gen_bool(error_prob) {
             ks.consecutive += 1;
@@ -256,36 +209,6 @@ impl FaultInjector {
         }
         ks.consecutive = 0;
         None
-    }
-
-    /// Draws the next crash decision for `(topic, partition)` — its own
-    /// deterministic stream, independent of the per-request fault
-    /// streams, so enabling crashes does not perturb replayed fault
-    /// schedules. Unbounded by `max_consecutive`: recovery comes from
-    /// the election and the scheduled restart, not a forced success.
-    pub(crate) fn decide_crash(&self, topic: &str, partition: u32) -> bool {
-        if self.plan.crash <= 0.0 || !self.plan.applies_to(topic) {
-            return false;
-        }
-        let mut hasher = DefaultHasher::new();
-        topic.hash(&mut hasher);
-        let topic_hash = hasher.finish();
-
-        let mut state = self.state.lock();
-        let key = (topic_hash, partition, FaultOp::Crash);
-        let ks = state.entry(key).or_insert_with(|| KeyState {
-            rng: StdRng::seed_from_u64(
-                self.plan
-                    .seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(topic_hash)
-                    .wrapping_add(u64::from(partition))
-                    .wrapping_add(FaultOp::Crash as u64),
-            ),
-            consecutive: 0,
-            duplicates: 0,
-        });
-        ks.rng.gen_bool(self.plan.crash)
     }
 }
 
@@ -377,43 +300,41 @@ mod tests {
         assert_eq!(dups, 4);
     }
 
-    #[test]
-    fn crash_stream_is_deterministic_and_independent() {
-        let plan = FaultPlan::seeded(7).with_crashes(0.3, 100);
-        let solo = FaultInjector::new(plan.clone());
-        let solo_crashes: Vec<bool> = (0..200).map(|_| solo.decide_crash("t", 0)).collect();
-        assert!(solo_crashes.iter().any(|&c| c));
-        assert!(solo_crashes.iter().any(|&c| !c));
-
-        // Interleaving per-request draws must not perturb the crash
-        // stream (and vice versa: same request decisions as crash-free).
-        let mixed = FaultInjector::new(plan);
-        let mixed_crashes: Vec<bool> = (0..200)
-            .map(|i| {
-                if i % 3 == 0 {
-                    mixed.decide(FaultOp::Produce, "t", 0);
-                }
-                mixed.decide_crash("t", 0)
+    /// One decision as a compact token: `.` none, `B`/`O`/`T` the three
+    /// transient errors, `A` a lost ack, `D` a duplicate, `L<micros>`
+    /// added latency.
+    fn schedule(op: FaultOp, draws: usize) -> String {
+        let injector = FaultInjector::new(FaultPlan::seeded(2019));
+        (0..draws)
+            .map(|_| match injector.decide(op, "input", 0) {
+                None => ".".to_string(),
+                Some(FaultAction::Error(Error::BrokerUnavailable)) => "B".to_string(),
+                Some(FaultAction::Error(Error::PartitionOffline { .. })) => "O".to_string(),
+                Some(FaultAction::Error(Error::RequestTimedOut)) => "T".to_string(),
+                Some(FaultAction::Error(other)) => panic!("unexpected {other:?}"),
+                Some(FaultAction::AckLost) => "A".to_string(),
+                Some(FaultAction::Duplicate) => "D".to_string(),
+                Some(FaultAction::Latency(d)) => format!("L{}", d.as_micros()),
             })
-            .collect();
-        assert_eq!(solo_crashes, mixed_crashes);
-
-        // Plans without crashes enabled never crash anything.
-        let off = FaultInjector::new(FaultPlan::seeded(7));
-        assert!((0..200).all(|_| !off.decide_crash("t", 0)));
-        // decide() never emits a fault for the crash op itself.
-        assert!(off.decide(FaultOp::Crash, "t", 0).is_none());
+            .collect()
     }
 
     #[test]
-    fn topic_filter_limits_blast_radius() {
-        let plan = FaultPlan {
-            produce_error: 1.0,
-            ..FaultPlan::seeded(1)
-        }
-        .for_topics(vec!["chaos".into()]);
-        let injector = FaultInjector::new(plan);
-        assert!(injector.decide(FaultOp::Produce, "calm", 0).is_none());
-        assert!(injector.decide(FaultOp::Produce, "chaos", 0).is_some());
+    fn seeded_schedules_replay_bit_identically() {
+        // `--fault-seed 2019` and the chaos suites replay these streams:
+        // each op's stream is seeded from its discriminant, so the enum
+        // order and the draw order are pinned here.
+        assert_eq!(
+            schedule(FaultOp::Produce, 64),
+            "....D....B..L243.B.B...L85.....L385.A...............L134.............A....."
+        );
+        assert_eq!(
+            schedule(FaultOp::Fetch, 64),
+            "O................B......T...L290..................T.............T.."
+        );
+        assert_eq!(
+            schedule(FaultOp::Metadata, 64),
+            "....L447...........................T.........L411.L369................O.."
+        );
     }
 }

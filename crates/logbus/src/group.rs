@@ -100,8 +100,6 @@ pub(crate) struct GroupState {
     /// Current owner of each partition; owners lag targets during a
     /// cooperative handover.
     owned: BTreeMap<TopicPartition, String>,
-    /// Total membership changes, exported as the rebalance counter.
-    rebalances: u64,
 }
 
 impl GroupState {
@@ -136,11 +134,6 @@ impl GroupState {
     /// Current generation (0 before the first join).
     pub(crate) fn generation(&self) -> u64 {
         self.generation
-    }
-
-    /// Total membership changes so far.
-    pub(crate) fn rebalances(&self) -> u64 {
-        self.rebalances
     }
 
     /// The member's target assignment at the current generation, or
@@ -189,7 +182,6 @@ impl GroupState {
     /// sticky balanced assignor.
     fn bump_and_retarget(&mut self) {
         self.generation += 1;
-        self.rebalances += 1;
 
         // Remember previous targets for stickiness, then clear.
         let previous: BTreeMap<TopicPartition, String> = self
@@ -384,14 +376,6 @@ impl Coordinator {
             .read()
             .get(group)
             .map_or(0, |entry| entry.state.generation())
-    }
-
-    /// Total membership changes the group has seen.
-    pub(crate) fn rebalances(&self, group: &str) -> u64 {
-        self.shard(group)
-            .read()
-            .get(group)
-            .map_or(0, |entry| entry.state.rebalances())
     }
 
     /// `member`'s target assignment at the current generation.
@@ -1141,7 +1125,6 @@ mod tests {
         assert_eq!(g.generation(), 2);
         g.leave("a");
         assert_eq!(g.generation(), 3);
-        assert_eq!(g.rebalances(), 3);
     }
 
     /// A topic of `partitions` x `per_partition` records.

@@ -216,8 +216,7 @@ impl PartitionWriter {
 
     /// Sets the acknowledgement level honored by cluster-routed
     /// produces: [`Acks::All`] waits for the full in-sync set,
-    /// [`Acks::Leader`] and [`Acks::None`] return once the leader has
-    /// the records. Single-broker writers have no followers to wait
+    /// [`Acks::Leader`] returns once the leader has the records. Single-broker writers have no followers to wait
     /// for, so the level is moot there.
     #[must_use]
     pub fn with_acks(mut self, acks: Acks) -> Self {

@@ -14,8 +14,9 @@
 //!   topics).
 //! * Each partition is a segmented, append-only log addressed by
 //!   monotonically increasing **offsets**.
-//! * Records are stamped either with the producer-provided `CreateTime` or
-//!   with the broker's `LogAppendTime`, selected per topic.
+//! * A record is a key and a value. Every record is stamped with the
+//!   broker's `LogAppendTime`: one stamp per produce request, never
+//!   decreasing along a partition.
 //! * **Writes** go through a [`PartitionWriter`] — one request per
 //!   batch, an acknowledgement level ([`Acks`]), optional idempotence —
 //!   or through the [`AsyncProducer`] that batches over one.
@@ -97,13 +98,24 @@ pub use broker::Broker;
 pub use bus::{Bus, BusHandle};
 pub use clock::{Clock, ManualClock, SystemClock};
 pub use cluster::{Cluster, ClusterConfig};
-pub use config::{Acks, TimestampType, TopicConfig};
+pub use config::{Acks, TopicConfig};
 pub use error::{Error, Result};
 pub use fault::{FaultOp, FaultPlan};
 pub use group::{FollowTarget, GroupMember, GroupView, GroupedReader, TopicPartition};
 pub use handle::{PartitionReader, PartitionWriter};
 pub use log::{LogStats, OffsetError, PartitionLog};
-pub use record::{partition_for_key, Header, Record, StoredRecord, Timestamp};
+pub use record::{partition_for_key, Record, StoredRecord, Timestamp};
 pub use retry::{with_retry, RetryPolicy};
 pub use segment::Segment;
 pub use topic::Topic;
+
+/// End-of-suite gate for the `check-sync` build: the unit tests above
+/// must leave the lock-order graph acyclic and every append witness
+/// untripped. Named `zzz_` so libtest's alphabetical order runs it last
+/// (CI passes `--test-threads=1`).
+#[cfg(all(test, feature = "check-sync"))]
+#[test]
+fn zzz_sync_checker_is_clean() {
+    parking_lot::sync_check::assert_clean("logbus unit tests");
+    println!("{}", parking_lot::sync_check::report());
+}

@@ -244,15 +244,15 @@ impl PartitionLog {
         self.len() == 0
     }
 
-    /// Appends one record, stamping it with `stamp` (the broker has already
-    /// resolved `CreateTime` vs `LogAppendTime`). Returns the record's
-    /// offset.
+    /// Appends one record, stamping it with `stamp` (the broker's
+    /// `LogAppendTime`, already clamped to never decrease). Returns the
+    /// record's offset.
     pub fn append(&mut self, record: Record, stamp: Timestamp) -> u64 {
         let offset = self.next_offset();
         // Lost-update witnesses: a torn or misordered append (e.g. two
         // writers racing past the broker's partition lock) shows up as a
-        // non-monotonic offset or, on `LogAppendTime` topics, a stamp
-        // that travels backwards. Compiled out without `check-sync`.
+        // non-monotonic offset or a stamp that travels backwards.
+        // Compiled out without `check-sync`.
         #[cfg(feature = "check-sync")]
         {
             parking_lot::sync_check::witness_monotonic(
@@ -261,14 +261,12 @@ impl PartitionLog {
                 offset,
                 true,
             );
-            if self.config.timestamp_type == crate::config::TimestampType::LogAppendTime {
-                parking_lot::sync_check::witness_monotonic(
-                    "logbus.append_time",
-                    self.witness_id,
-                    stamp.as_micros().max(0) as u64,
-                    false,
-                );
-            }
+            parking_lot::sync_check::witness_monotonic(
+                "logbus.append_time",
+                self.witness_id,
+                stamp.as_micros().max(0) as u64,
+                false,
+            );
         }
         if self.active_segment_full() {
             self.roll(offset);
@@ -382,23 +380,6 @@ impl PartitionLog {
             appended += got;
         }
         Ok(appended)
-    }
-
-    /// Offset of the first record whose stored timestamp is at or after
-    /// `ts` (Kafka's `offsetsForTimes`). `None` when every retained
-    /// record is older.
-    ///
-    /// Takes the first segment whose last stamp is at or after `ts` and
-    /// scans that segment's index entries in offset order; no record is
-    /// built. On `LogAppendTime` topics stamps never decrease, so this is
-    /// the first qualifying offset of the log. On `CreateTime` topics with
-    /// out-of-order producer stamps, a qualifying record in an earlier
-    /// segment that *ends* on an older stamp is passed over.
-    pub fn offset_for_timestamp(&self, ts: Timestamp) -> Option<u64> {
-        self.segments
-            .iter()
-            .find(|s| s.last_timestamp().is_some_and(|last| last >= ts))?
-            .first_at_or_after(ts)
     }
 
     /// Timestamp of the earliest retained record.
@@ -711,81 +692,5 @@ mod tests {
         assert_eq!(stats.records, 7);
         assert_eq!(stats.appended, 7);
         assert!(stats.bytes > 0);
-    }
-}
-
-#[cfg(test)]
-mod timestamp_lookup_tests {
-    use super::*;
-    use crate::config::TopicConfig;
-    use crate::record::{Record, Timestamp};
-
-    fn log_with_stamps(stamps: &[i64], segment_bytes: usize) -> PartitionLog {
-        let mut log = PartitionLog::new(TopicConfig::default().segment_bytes(segment_bytes));
-        for (i, &ts) in stamps.iter().enumerate() {
-            log.append(
-                Record::from_value(format!("r{i}")),
-                Timestamp::from_micros(ts),
-            );
-        }
-        log
-    }
-
-    #[test]
-    fn finds_first_offset_at_or_after() {
-        let log = log_with_stamps(&[10, 20, 20, 30, 40], 1 << 20);
-        assert_eq!(log.offset_for_timestamp(Timestamp(5)), Some(0));
-        assert_eq!(log.offset_for_timestamp(Timestamp(10)), Some(0));
-        assert_eq!(log.offset_for_timestamp(Timestamp(11)), Some(1));
-        assert_eq!(
-            log.offset_for_timestamp(Timestamp(20)),
-            Some(1),
-            "first of equal stamps"
-        );
-        assert_eq!(log.offset_for_timestamp(Timestamp(35)), Some(4));
-        assert_eq!(log.offset_for_timestamp(Timestamp(41)), None);
-    }
-
-    #[test]
-    fn works_across_segments() {
-        // Tiny segments force several rolls.
-        let stamps: Vec<i64> = (0..100).map(|i| i * 10).collect();
-        let log = log_with_stamps(&stamps, 64);
-        assert!(log.stats().segments > 1);
-        for probe in [0i64, 95, 500, 990] {
-            let expected = stamps.iter().position(|&s| s >= probe).map(|i| i as u64);
-            assert_eq!(
-                log.offset_for_timestamp(Timestamp(probe)),
-                expected,
-                "probe {probe}"
-            );
-        }
-    }
-
-    #[test]
-    fn out_of_order_create_time_stamps() {
-        // Within a segment the scan returns the first qualifying offset,
-        // whatever the order of the stamps around it.
-        let log = log_with_stamps(&[50, 10, 40, 20, 60], 1 << 20);
-        assert_eq!(log.offset_for_timestamp(Timestamp(45)), Some(0));
-        assert_eq!(log.offset_for_timestamp(Timestamp(55)), Some(4));
-        assert_eq!(log.offset_for_timestamp(Timestamp(61)), None);
-        let log = log_with_stamps(&[10, 40, 20, 30], 1 << 20);
-        assert_eq!(log.offset_for_timestamp(Timestamp(25)), Some(1));
-        // A segment that ends on an older stamp is passed over whole.
-        assert_eq!(log.offset_for_timestamp(Timestamp(35)), None);
-        // Across segments only a segment's last stamp admits it: one
-        // record per segment here, so the early 90 is found only by a
-        // probe that the segment's own (last) stamp satisfies.
-        let log = log_with_stamps(&[90, 10, 20, 95], 1);
-        assert_eq!(log.stats().segments, 4);
-        assert_eq!(log.offset_for_timestamp(Timestamp(15)), Some(0));
-        assert_eq!(log.offset_for_timestamp(Timestamp(92)), Some(3));
-    }
-
-    #[test]
-    fn empty_log_has_no_offset() {
-        let log = PartitionLog::new(TopicConfig::default());
-        assert_eq!(log.offset_for_timestamp(Timestamp(0)), None);
     }
 }

@@ -51,25 +51,6 @@ impl From<i64> for Timestamp {
     }
 }
 
-/// An application-defined key/value header attached to a record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Header {
-    /// Header key.
-    pub key: String,
-    /// Header value (opaque bytes).
-    pub value: Bytes,
-}
-
-impl Header {
-    /// Creates a header from a key and any byte-like value.
-    pub fn new(key: impl Into<String>, value: impl Into<Bytes>) -> Self {
-        Header {
-            key: key.into(),
-            value: value.into(),
-        }
-    }
-}
-
 /// A record as handed to a [`PartitionWriter`](crate::PartitionWriter).
 ///
 /// Records are cheap to clone: key and value are reference-counted
@@ -83,13 +64,12 @@ pub struct Record {
     pub key: Option<Bytes>,
     /// Record payload.
     pub value: Bytes,
-    /// Producer-assigned creation timestamp. Ignored (overwritten on
-    /// append) when the topic uses
-    /// [`TimestampType::LogAppendTime`](crate::TimestampType::LogAppendTime).
-    pub timestamp: Option<Timestamp>,
-    /// Optional headers.
-    pub headers: Vec<Header>,
 }
+
+const _: () = assert!(
+    std::mem::size_of::<Record>()
+        <= std::mem::size_of::<Option<Bytes>>() + std::mem::size_of::<Bytes>()
+);
 
 impl Record {
     /// Creates a record with a value and no key.
@@ -102,8 +82,6 @@ impl Record {
         Record {
             key: None,
             value: value.into(),
-            timestamp: None,
-            headers: Vec::new(),
         }
     }
 
@@ -112,21 +90,7 @@ impl Record {
         Record {
             key: Some(key.into()),
             value: value.into(),
-            timestamp: None,
-            headers: Vec::new(),
         }
-    }
-
-    /// Sets the producer-side creation timestamp.
-    pub fn with_timestamp(mut self, ts: Timestamp) -> Self {
-        self.timestamp = Some(ts);
-        self
-    }
-
-    /// Appends a header.
-    pub fn with_header(mut self, header: Header) -> Self {
-        self.headers.push(header);
-        self
     }
 
     /// Fixed part of [`Record::wire_size`]: offset + timestamp + lengths.
@@ -135,15 +99,7 @@ impl Record {
     /// Approximate wire size of the record in bytes, used for segment
     /// rolling and batch-size accounting.
     pub fn wire_size(&self) -> usize {
-        let headers: usize = self
-            .headers
-            .iter()
-            .map(|h| h.key.len() + h.value.len() + 8)
-            .sum();
-        Self::WIRE_OVERHEAD
-            + self.key.as_ref().map_or(0, bytes::Bytes::len)
-            + self.value.len()
-            + headers
+        Self::WIRE_OVERHEAD + self.key.as_ref().map_or(0, bytes::Bytes::len) + self.value.len()
     }
 }
 
@@ -185,9 +141,8 @@ pub fn partition_for_key(key: &[u8], partition_count: u32) -> u32 {
 pub struct StoredRecord {
     /// Position of the record within its partition.
     pub offset: u64,
-    /// The timestamp stored with the record. Depending on the topic's
-    /// [`TimestampType`](crate::TimestampType) this is either the producer's
-    /// `CreateTime` or the broker's `LogAppendTime`.
+    /// The broker's `LogAppendTime`: one stamp per produce request,
+    /// never decreasing along a partition.
     pub timestamp: Timestamp,
     /// The record content.
     pub record: Record,
@@ -233,12 +188,6 @@ mod tests {
 
         let r = Record::from_key_value("k", "v");
         assert_eq!(r.key.as_deref(), Some(&b"k"[..]));
-
-        let r = Record::from_value("v")
-            .with_timestamp(Timestamp(42))
-            .with_header(Header::new("h", "x"));
-        assert_eq!(r.timestamp, Some(Timestamp(42)));
-        assert_eq!(r.headers.len(), 1);
     }
 
     #[test]
@@ -249,11 +198,6 @@ mod tests {
 
         let with_key = Record::from_key_value("kk", "abcd").wire_size();
         assert_eq!(with_key, with_value + 2);
-
-        let with_header = Record::from_key_value("kk", "abcd")
-            .with_header(Header::new("h", "vv"))
-            .wire_size();
-        assert_eq!(with_header, with_key + 1 + 2 + 8);
     }
 
     #[test]

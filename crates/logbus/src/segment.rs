@@ -55,7 +55,7 @@ impl Entry {
     }
 
     /// [`Record::wire_size`] of an arena-packed record, from its index
-    /// entry alone (such a record carries no headers).
+    /// entry alone.
     fn wire_size(&self) -> usize {
         Record::WIRE_OVERHEAD + self.arena_len()
     }
@@ -227,21 +227,14 @@ impl Segment {
 
     /// Packs the record's value, then its key, back to back into the
     /// arena and returns the entry that finds them again; `None` for a
-    /// record that spills: one carrying what an [`Entry`] has no room for
-    /// (producer timestamp, headers), one too large for the arena, or one
-    /// whose payload is `&'static` (kept uncopied, as the producer sent
-    /// it).
+    /// record that spills: one too large for the arena, or one whose
+    /// payload is `&'static` (kept uncopied, as the producer sent it).
     fn pack(&mut self, record: &Record, stamp: Timestamp) -> Option<Entry> {
         let value = &record.value;
         let key = record.key.as_ref();
         let len = value.len() + key.map_or(0, Bytes::len);
         let uncopied = |b: &Bytes| b.is_static() && !b.is_empty();
-        if record.timestamp.is_some()
-            || !record.headers.is_empty()
-            || len > ARENA_SPILL
-            || uncopied(value)
-            || key.is_some_and(uncopied)
-        {
+        if len > ARENA_SPILL || uncopied(value) || key.is_some_and(uncopied) {
             return None;
         }
         let chunk = self.chunk_with_room(len)?;
@@ -269,8 +262,6 @@ impl Segment {
                 value: chunk.frozen(entry.start as usize..value_end),
                 key: (entry.key_len != NO_KEY)
                     .then(|| chunk.frozen(value_end..value_end + entry.key_len as usize)),
-                timestamp: None,
-                headers: Vec::new(),
             }
         };
         StoredRecord {
@@ -478,13 +469,6 @@ impl Segment {
         self.entries.last().map(|e| e.stamp)
     }
 
-    /// Offset of the first record stamped at or after `ts`, found by
-    /// scanning the index; no record is built.
-    pub fn first_at_or_after(&self, ts: Timestamp) -> Option<u64> {
-        let i = self.entries.iter().position(|e| e.stamp >= ts)?;
-        Some(self.base_offset + i as u64)
-    }
-
     /// Iterates over the stored records, building each as it goes.
     pub fn iter(&self) -> impl Iterator<Item = StoredRecord> + '_ {
         (self.base_offset..)
@@ -496,7 +480,6 @@ impl Segment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::Header;
     use proptest::prelude::*;
 
     fn stored(offset: u64, ts: i64, value: &str) -> StoredRecord {
@@ -565,8 +548,6 @@ mod tests {
             seg.bytes(),
             Record::from_value("aa").wire_size() + Record::from_value("bbb").wire_size()
         );
-        assert_eq!(seg.first_at_or_after(Timestamp(6)), Some(1));
-        assert_eq!(seg.first_at_or_after(Timestamp(10)), None);
     }
 
     #[test]
@@ -640,6 +621,43 @@ mod tests {
             record: Record::from_value(bytes::Bytes::from_static(b"static")),
         });
         assert!(seg.get(0).unwrap().value().is_static());
+    }
+
+    #[test]
+    fn only_jumbo_and_static_records_spill() {
+        let limit = super::ARENA_SPILL;
+        let mut seg = Segment::new(0);
+        let mut push = |record: Record| {
+            let offset = seg.next_offset();
+            seg.append(StoredRecord {
+                offset,
+                timestamp: Timestamp(1),
+                record,
+            });
+            seg.spilled.len()
+        };
+        // Owned records up to the limit, keyed or not, pack.
+        assert_eq!(push(Record::from_value(vec![1u8; limit])), 0);
+        assert_eq!(
+            push(Record::from_key_value(vec![1u8; 8], vec![2u8; limit - 8])),
+            0
+        );
+        assert_eq!(push(Record::from_key_value(Vec::new(), Vec::new())), 0);
+        // One byte over the limit, in the value or in the key, spills.
+        assert_eq!(push(Record::from_value(vec![1u8; limit + 1])), 1);
+        assert_eq!(
+            push(Record::from_key_value(vec![1u8; 9], vec![2u8; limit - 8])),
+            2
+        );
+        // A `&'static` value or key spills at any size.
+        assert_eq!(push(Record::from_value(Bytes::from_static(b"s"))), 3);
+        assert_eq!(
+            push(Record::from_key_value(
+                Bytes::from_static(b"k"),
+                b"v".to_vec()
+            )),
+            4
+        );
     }
 
     #[test]
@@ -845,10 +863,6 @@ mod tests {
                 // Value and key straddle the spill limit together.
                 Record::from_key_value(vec![1u8; 8], vec![2u8; n - 8])
             }),
-            arb_bytes(0..20)
-                .prop_map(|v| { Record::from_value(v.clone()).with_header(Header::new("h", v)) }),
-            (arb_bytes(0..20), any::<i64>())
-                .prop_map(|(v, ts)| Record::from_value(v).with_timestamp(Timestamp(ts))),
         ]
     }
 

@@ -1,6 +1,6 @@
 //! Topics: named collections of partition logs.
 
-use crate::config::{TimestampType, TopicConfig};
+use crate::config::TopicConfig;
 use crate::error::{Error, Result};
 use crate::log::{LogStats, PartitionLog};
 use crate::record::{Record, StoredRecord, Timestamp};
@@ -227,11 +227,7 @@ impl Topic {
         let append_stamp = log.last_timestamp().map_or(now, |last| now.max(last));
         let base = log.next_offset();
         for record in records.drain(..) {
-            let stamp = match self.config.timestamp_type {
-                TimestampType::LogAppendTime => append_stamp,
-                TimestampType::CreateTime => record.timestamp.unwrap_or(now),
-            };
-            log.append(record, stamp);
+            log.append(record, append_stamp);
         }
         if let Some((producer, first)) = seq {
             log.record_seq(producer, first, base);
@@ -240,9 +236,8 @@ impl Topic {
     }
 
     /// Appends `record` to `partition` — a batch of one, with no round
-    /// trip, sequence or fence — resolving the stored timestamp according
-    /// to the topic's [`TimestampType`]. `now` is the broker clock
-    /// reading. Returns the assigned offset.
+    /// trip, sequence or fence — stamped `LogAppendTime` from `now`, the
+    /// broker clock reading. Returns the assigned offset.
     ///
     /// # Errors
     ///
@@ -344,15 +339,6 @@ impl Topic {
         Ok(self.partition(partition)?.read().last_timestamp())
     }
 
-    /// Offset of the first record in `partition` stored at or after `ts`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownPartition`] for out-of-range partitions.
-    pub fn offset_for_timestamp(&self, partition: u32, ts: Timestamp) -> Result<Option<u64>> {
-        Ok(self.partition(partition)?.read().offset_for_timestamp(ts))
-    }
-
     /// Statistics for `partition`.
     ///
     /// # Errors
@@ -380,41 +366,11 @@ mod tests {
     }
 
     #[test]
-    fn append_respects_timestamp_type() {
-        let log_append = Topic::new(
-            "la",
-            TopicConfig::default().timestamp_type(TimestampType::LogAppendTime),
-        )
-        .unwrap();
-        let create = Topic::new(
-            "ct",
-            TopicConfig::default().timestamp_type(TimestampType::CreateTime),
-        )
-        .unwrap();
-        let record = Record::from_value("x").with_timestamp(Timestamp::from_micros(7));
+    fn append_stamps_log_append_time() {
+        let topic = Topic::new("la", TopicConfig::default()).unwrap();
         let now = Timestamp::from_micros(99);
-
-        log_append.append(0, record.clone(), now).unwrap();
-        create.append(0, record, now).unwrap();
-
-        assert_eq!(
-            log_append.read(0, 0, 1).unwrap()[0].timestamp.as_micros(),
-            99
-        );
-        assert_eq!(create.read(0, 0, 1).unwrap()[0].timestamp.as_micros(), 7);
-    }
-
-    #[test]
-    fn create_time_falls_back_to_clock() {
-        let topic = Topic::new(
-            "ct",
-            TopicConfig::default().timestamp_type(TimestampType::CreateTime),
-        )
-        .unwrap();
-        topic
-            .append(0, Record::from_value("x"), Timestamp::from_micros(5))
-            .unwrap();
-        assert_eq!(topic.read(0, 0, 1).unwrap()[0].timestamp.as_micros(), 5);
+        topic.append(0, Record::from_value("x"), now).unwrap();
+        assert_eq!(topic.read(0, 0, 1).unwrap()[0].timestamp.as_micros(), 99);
     }
 
     #[test]

@@ -28,8 +28,8 @@
 
 use bytes::Bytes;
 use logbus::{
-    Acks, Clock, Cluster, ClusterConfig, Error, FaultPlan, Header, ManualClock, Record,
-    StoredRecord, Timestamp, Topic, TopicConfig,
+    Acks, Clock, Cluster, ClusterConfig, Error, FaultPlan, ManualClock, Record, StoredRecord,
+    Topic, TopicConfig,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -67,10 +67,6 @@ fn arb_record() -> impl Strategy<Value = Record> {
         (12_000usize..16_000).prop_map(|n| Record::from_value(vec![n as u8; n])),
         Just(Record::from_value(Bytes::from_static(b"static payload"))),
         (16_380usize..16_400).prop_map(|n| Record::from_key_value(vec![1u8; 8], vec![2u8; n - 8])),
-        arb_bytes(0..20)
-            .prop_map(|v| Record::from_value(v.clone()).with_header(Header::new("h", v))),
-        (arb_bytes(0..20), any::<i64>())
-            .prop_map(|(v, ts)| Record::from_value(v).with_timestamp(Timestamp(ts))),
     ]
 }
 

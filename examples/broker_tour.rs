@@ -6,18 +6,13 @@
 //! cargo run --example broker_tour
 //! ```
 
-use logbus::{
-    Acks, Broker, Cluster, ClusterConfig, Record, TimestampType, TopicConfig, TopicDescription,
-};
+use logbus::{Acks, Broker, Cluster, ClusterConfig, Record, TopicConfig, TopicDescription};
 use std::error::Error;
 
 fn main() -> Result<(), Box<dyn Error>> {
     // --- Single broker: write in batches, read from any offset. ---
     let broker = Broker::new();
-    broker.create_topic(
-        "events",
-        TopicConfig::default().timestamp_type(TimestampType::LogAppendTime),
-    )?;
+    broker.create_topic("events", TopicConfig::default())?;
 
     let writer = broker
         .partition_writer("events", 0)?
