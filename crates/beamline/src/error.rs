@@ -8,22 +8,9 @@ pub type Result<T> = std::result::Result<T, Error>;
 /// Errors raised when validating or running a pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Error {
-    /// The chosen runner cannot translate a transform.
-    UnsupportedTransform {
-        /// The runner that rejected the pipeline.
-        runner: &'static str,
-        /// The offending transform.
-        transform: String,
-    },
-    /// The pipeline shape cannot run on this runner (e.g. engine runners
-    /// only translate linear pipelines).
-    UnsupportedShape {
-        /// The runner that rejected the pipeline.
-        runner: &'static str,
-        /// Why.
-        reason: String,
-    },
-    /// The pipeline is invalid regardless of runner.
+    /// The pipeline is not the one shape runners translate (a read, then
+    /// `ParDo`s, each reading the stage before it), or an engine runner
+    /// found no `ParDo` to end the job in.
     InvalidPipeline(String),
     /// The engine failed during execution.
     Engine(String),
@@ -37,18 +24,6 @@ pub enum Error {
 impl fmt::Display for Error {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Error::UnsupportedTransform { runner, transform } => {
-                write!(
-                    f,
-                    "runner `{runner}` does not support transform `{transform}`"
-                )
-            }
-            Error::UnsupportedShape { runner, reason } => {
-                write!(
-                    f,
-                    "runner `{runner}` cannot run this pipeline shape: {reason}"
-                )
-            }
             Error::InvalidPipeline(msg) => write!(f, "invalid pipeline: {msg}"),
             Error::Engine(msg) => write!(f, "engine execution failed: {msg}"),
             Error::NotMaterialized => f.write_str("collection was not materialized by this runner"),
@@ -72,14 +47,6 @@ mod tests {
     #[test]
     fn display() {
         let samples = vec![
-            Error::UnsupportedTransform {
-                runner: "dstream",
-                transform: "Flatten".into(),
-            },
-            Error::UnsupportedShape {
-                runner: "rill",
-                reason: "fan-out".into(),
-            },
             Error::InvalidPipeline("empty".into()),
             Error::Engine("boom".into()),
             Error::NotMaterialized,

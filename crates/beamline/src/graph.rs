@@ -8,8 +8,13 @@
 //! between them; every stage decodes its input and encodes its output
 //! through the `PCollection` coders. That uniform, coder-mediated data
 //! plane is the abstraction layer's structural overhead.
+//!
+//! A runner translates one shape, the one every query of the paper has
+//! (Table II, Fig. 13): a read, then `ParDo`s, each stage reading the one
+//! before it. [`PipelineGraph::chain`] is the one place that checks it.
 
 use crate::element::WindowedValue;
+use crate::error::{Error, Result};
 use bytes::Bytes;
 use std::sync::Arc;
 
@@ -60,8 +65,6 @@ pub enum StagePayload {
     Read(SourceFactory),
     /// A `ParDo` over raw elements.
     ParDo(DoFnFactory),
-    /// Merge this stage's primary input with the listed extra inputs.
-    Flatten(Vec<NodeId>),
 }
 
 impl std::fmt::Debug for StagePayload {
@@ -69,7 +72,6 @@ impl std::fmt::Debug for StagePayload {
         match self {
             StagePayload::Read(_) => f.write_str("Read"),
             StagePayload::ParDo(_) => f.write_str("ParDo"),
-            StagePayload::Flatten(extra) => write!(f, "Flatten(+{})", extra.len()),
         }
     }
 }
@@ -90,7 +92,7 @@ pub struct StageNode {
     pub input: Option<NodeId>,
 }
 
-/// The erased pipeline DAG.
+/// The erased pipeline: its stages in the order they were applied.
 #[derive(Debug, Default)]
 pub struct PipelineGraph {
     nodes: Vec<StageNode>,
@@ -148,53 +150,58 @@ impl PipelineGraph {
         self.nodes.is_empty()
     }
 
-    /// Stages consuming `id` as any input.
-    pub fn consumers(&self, id: NodeId) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| {
-                n.input == Some(id)
-                    || matches!(&n.payload, StagePayload::Flatten(extra) if extra.contains(&id))
-            })
-            .map(|n| n.id)
-            .collect()
-    }
-
-    /// Stages with no consumers (pipeline leaves).
-    pub fn leaves(&self) -> Vec<NodeId> {
-        self.nodes
-            .iter()
-            .filter(|n| self.consumers(n.id).is_empty())
-            .map(|n| n.id)
-            .collect()
-    }
-
-    /// If the graph is one linear chain (single read, every stage having
-    /// exactly one consumer except the leaf), returns the chain in order.
-    /// Engine runners only translate linear pipelines; the direct runner
-    /// handles general DAGs.
-    pub fn linear_chain(&self) -> Option<Vec<NodeId>> {
-        let roots: Vec<&StageNode> = self.nodes.iter().filter(|n| n.input.is_none()).collect();
-        if roots.len() != 1 {
-            return None;
-        }
-        if self
+    /// The pipeline as the one shape runners translate: the read, and
+    /// the `ParDo`s after it in order, each with its factory.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::InvalidPipeline`], naming the reason, when the pipeline
+    /// is empty, its first stage is not a read, it reads a second time,
+    /// or a stage does not read the stage before it (fan-out).
+    pub fn chain(&self) -> Result<Chain<'_>> {
+        let (read, rest) = self
             .nodes
-            .iter()
-            .any(|n| matches!(n.payload, StagePayload::Flatten(_)))
-        {
-            return None;
-        }
-        let mut chain = vec![roots[0].id];
-        loop {
-            let consumers = self.consumers(*chain.last().expect("non-empty"));
-            match consumers.len() {
-                0 => return Some(chain),
-                1 => chain.push(consumers[0]),
-                _ => return None,
+            .split_first()
+            .ok_or_else(|| Error::InvalidPipeline("the pipeline is empty".into()))?;
+        let StagePayload::Read(source) = &read.payload else {
+            return Err(Error::InvalidPipeline(format!(
+                "the first stage `{}` is not a Read",
+                read.name
+            )));
+        };
+        let mut pardos = Vec::with_capacity(rest.len());
+        for (before, node) in self.nodes.iter().zip(rest) {
+            let StagePayload::ParDo(dofn) = &node.payload else {
+                return Err(Error::InvalidPipeline(format!(
+                    "`{}` is a second Read",
+                    node.name
+                )));
+            };
+            if node.input != Some(before.id) {
+                return Err(Error::InvalidPipeline(format!(
+                    "`{}` does not read `{}`, the stage before it (fan-out)",
+                    node.name, before.name
+                )));
             }
+            pardos.push((node, dofn));
         }
+        Ok(Chain {
+            read,
+            source,
+            pardos,
+        })
     }
+}
+
+/// A pipeline in the one shape runners translate (see
+/// [`PipelineGraph::chain`]).
+pub struct Chain<'g> {
+    /// The read stage.
+    pub read: &'g StageNode,
+    /// The read's source.
+    pub source: &'g SourceFactory,
+    /// The `ParDo` stages after the read, in order, with their factories.
+    pub pardos: Vec<(&'g StageNode, &'g DoFnFactory)>,
 }
 
 #[cfg(test)]
@@ -229,37 +236,10 @@ mod tests {
         let r = g.add_stage("read", "Source", empty_read(), None);
         let a = g.add_stage("a", "ParDo", noop_pardo(), Some(r));
         let b = g.add_stage("b", "ParDo", noop_pardo(), Some(a));
-        assert_eq!(g.linear_chain(), Some(vec![r, a, b]));
-        assert_eq!(g.leaves(), vec![b]);
+        let chain = g.chain().unwrap();
+        assert_eq!(chain.read.id, r);
+        let ids: Vec<NodeId> = chain.pardos.iter().map(|(node, _)| node.id).collect();
+        assert_eq!(ids, vec![a, b]);
         assert_eq!(g.len(), 3);
-    }
-
-    #[test]
-    fn fan_out_is_not_linear() {
-        let mut g = PipelineGraph::new();
-        let r = g.add_stage("read", "Source", empty_read(), None);
-        let _a = g.add_stage("a", "ParDo", noop_pardo(), Some(r));
-        let _b = g.add_stage("b", "ParDo", noop_pardo(), Some(r));
-        assert!(g.linear_chain().is_none());
-        assert_eq!(g.leaves().len(), 2);
-    }
-
-    #[test]
-    fn two_reads_are_not_linear() {
-        let mut g = PipelineGraph::new();
-        let _r1 = g.add_stage("r1", "Source", empty_read(), None);
-        let _r2 = g.add_stage("r2", "Source", empty_read(), None);
-        assert!(g.linear_chain().is_none());
-    }
-
-    #[test]
-    fn flatten_consumers_counted() {
-        let mut g = PipelineGraph::new();
-        let r1 = g.add_stage("r1", "Source", empty_read(), None);
-        let r2 = g.add_stage("r2", "Source", empty_read(), None);
-        let f = g.add_stage("f", "Flatten", StagePayload::Flatten(vec![r2]), Some(r1));
-        assert_eq!(g.consumers(r2), vec![f]);
-        assert!(g.linear_chain().is_none());
-        assert_eq!(format!("{:?}", g.node(f).unwrap().payload), "Flatten(+1)");
     }
 }

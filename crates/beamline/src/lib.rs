@@ -61,4 +61,4 @@ pub use io::{
 pub use pardo::{DoFn, FnDoFn, ParDo, ProcessContext, RAW_PAR_DO};
 pub use pipeline::{PCollection, PTransform, Pipeline, RootTransform};
 pub use runners::{EngineReport, PipelineResult, PipelineRunner};
-pub use transforms::{Create, Filter, FlatMapElements, Flatten, MapElements, Values};
+pub use transforms::{Create, Filter, MapElements, Values};

@@ -45,15 +45,10 @@ impl<O: 'static> ProcessContext<'_, O> {
     /// copied once into the emitting thread's arena; the emitted payload
     /// is a view of that, so emission allocates nothing.
     pub fn output(&mut self, value: O) {
-        self.output_with_timestamp(value, self.timestamp);
-    }
-
-    /// Emits an output element with an explicit timestamp.
-    pub fn output_with_timestamp(&mut self, value: O, timestamp: Instant) {
         self.coder.encode_into(&value, self.scratch);
         (self.emit)(WindowedValue {
             value: arena::copy(self.scratch),
-            timestamp,
+            timestamp: self.timestamp,
             window: self.window,
             pane: self.pane,
         });
@@ -304,23 +299,5 @@ mod tests {
             StrUtf8Coder.decode_all(&out[0].value).unwrap(),
             "a-long-first-element".to_string()
         );
-    }
-
-    #[test]
-    fn output_with_timestamp() {
-        let dofn = FnDoFn::new(|s: String, ctx: &mut ProcessContext<'_, String>| {
-            ctx.output_with_timestamp(s, Instant(99));
-        });
-        let mut adapter = RawAdapter::new(
-            dofn,
-            Arc::new(StrUtf8Coder) as _,
-            Arc::new(StrUtf8Coder) as _,
-        );
-        let input = WindowedValue::timestamped(
-            StrUtf8Coder.encode_to_vec(&"x".to_string()).into(),
-            Instant(1),
-        );
-        let out = run_bundle(&mut adapter, vec![input]);
-        assert_eq!(out[0].timestamp, Instant(99));
     }
 }

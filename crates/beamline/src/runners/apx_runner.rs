@@ -24,10 +24,10 @@
 
 use crate::coder::{Coder, WindowedValueCoder};
 use crate::error::{Error, Result};
-use crate::graph::{DoFnFactory, RawDoFn, RawElement, SourceFactory, StagePayload};
+use crate::graph::{DoFnFactory, RawDoFn, RawElement};
 use crate::pipeline::Pipeline;
 use crate::runners::feed::SourceFeed;
-use crate::runners::{EngineReport, PipelineResult, PipelineRunner};
+use crate::runners::{EngineChain, EngineReport, PipelineResult, PipelineRunner};
 use apx::{Dag, Emitter, InputOperator, Link, Operator, OperatorContext, Stram, StramConfig};
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -83,89 +83,37 @@ impl PipelineRunner for ApxRunner {
         // translated operator names (`{translated}#i`) surface as
         // `apx.op.{name}.*` via the engine's `OperatorSink` instruments.
         let _run_span = obs::span("beam.apx.run");
-        enum Stage {
-            Middle(DoFnFactory, String),
-            Leaf(DoFnFactory, String),
-        }
-        let (source, stages) = pipeline.with_graph(|graph| -> Result<_> {
-            let chain = graph
-                .linear_chain()
-                .ok_or_else(|| Error::UnsupportedShape {
-                    runner: "apx",
-                    reason: "only linear single-source pipelines are translatable".into(),
-                })?;
-            let first = graph
-                .node(chain[0])
-                .ok_or_else(|| Error::InvalidPipeline("dangling node id in linear chain".into()))?;
-            let StagePayload::Read(source) = &first.payload else {
-                return Err(Error::InvalidPipeline(
-                    "pipeline must start with a Read".into(),
-                ));
-            };
-            let mut stages = Vec::new();
-            for (i, id) in chain.iter().enumerate().skip(1) {
-                let node = graph.node(*id).ok_or_else(|| {
-                    Error::InvalidPipeline("dangling node id in linear chain".into())
-                })?;
-                let leaf = i == chain.len() - 1;
-                // Operator names must be unique in an apx DAG.
-                let name = format!("{}#{i}", node.translated_name);
-                match &node.payload {
-                    StagePayload::ParDo(factory) if leaf => {
-                        stages.push(Stage::Leaf(factory.clone(), name));
-                    }
-                    StagePayload::ParDo(factory) => {
-                        stages.push(Stage::Middle(factory.clone(), name));
-                    }
-                    other => {
-                        return Err(Error::UnsupportedTransform {
-                            runner: "apx",
-                            transform: format!("{other:?}"),
-                        })
-                    }
-                }
-            }
-            Ok((source.clone(), stages))
-        })?;
-
+        let chain = EngineChain::of(pipeline)?;
+        let leaf_index = chain.middle.len() + 1;
         let dag = Dag::with_window_size("beamline", self.window_size);
         let mut handle = dag
             .add_input(
                 "PTransformTranslation.UnknownRawPTransform",
-                RawSourceInput::new(source),
+                RawSourceInput {
+                    feed: SourceFeed::new(chain.source),
+                    window_size: self.window_size,
+                },
             )
             .map_err(engine_err)?;
-        let mut terminated = false;
-        for stage in stages {
-            match stage {
-                Stage::Middle(factory, name) => {
-                    handle = handle
-                        .add_operator::<RawElement, _>(
-                            &name,
-                            PerElementBundleOperator::new(factory),
-                            Link::Thread,
-                        )
-                        .map_err(engine_err)?;
-                }
-                Stage::Leaf(factory, name) => {
-                    handle
-                        .add_output(
-                            &name,
-                            PerElementBundleOutput::new(factory),
-                            Link::Network(Arc::new(RawElementCodec)),
-                        )
-                        .map_err(engine_err)?;
-                    terminated = true;
-                    break;
-                }
-            }
+        // Operator names must be unique in an apx DAG: each carries its
+        // chain index (the read is 0).
+        for (i, (translated, factory)) in chain.middle.into_iter().enumerate() {
+            handle = handle
+                .add_operator::<RawElement, _>(
+                    &format!("{translated}#{}", i + 1),
+                    PerElementBundle::new(factory),
+                    Link::Thread,
+                )
+                .map_err(engine_err)?;
         }
-        if !terminated {
-            return Err(Error::UnsupportedShape {
-                runner: "apx",
-                reason: "pipeline must end in a ParDo (e.g. a write)".into(),
-            });
-        }
+        let (translated, factory) = chain.leaf;
+        handle
+            .add_output(
+                &format!("{translated}#{leaf_index}"),
+                PerElementBundle::new(factory),
+                Link::Network(Arc::new(RawElementCodec)),
+            )
+            .map_err(engine_err)?;
 
         let mut rm = self.rm.lock();
         let result = Stram::run(&dag, &mut rm, &StramConfig::default().vcores(self.vcores))
@@ -205,119 +153,69 @@ impl apx::Codec<RawElement> for RawElementCodec {
 }
 
 /// Input operator driving a pipeline source, one streaming window per
-/// `window_size` elements. The source streams through a bounded
-/// [`SourceFeed`] (started lazily on the first window), so a follow-mode
-/// source backpressures the window loop instead of being materialized
-/// whole.
+/// `window_size` elements cut from a bounded [`SourceFeed`], so a
+/// follow-mode source backpressures the window loop instead of being
+/// materialized whole.
 struct RawSourceInput {
-    factory: Option<SourceFactory>,
-    feed: Option<SourceFeed>,
-    buffered: std::collections::VecDeque<RawElement>,
+    feed: SourceFeed,
     window_size: usize,
-    exhausted: bool,
-}
-
-impl RawSourceInput {
-    fn new(factory: SourceFactory) -> Self {
-        RawSourceInput {
-            factory: Some(factory),
-            feed: None,
-            buffered: std::collections::VecDeque::new(),
-            window_size: 2048,
-            exhausted: false,
-        }
-    }
 }
 
 impl InputOperator<RawElement> for RawSourceInput {
-    fn setup(&mut self, ctx: &OperatorContext) {
-        self.window_size = ctx.window_size;
-    }
-
     fn emit_window(&mut self, _window_id: u64, out: &mut dyn Emitter<RawElement>) -> bool {
-        if let Some(factory) = self.factory.take() {
-            self.feed = Some(SourceFeed::spawn(factory));
-        }
-        // Block for the window's first chunk, then top up with whatever
-        // is already queued — slow producers yield small timely windows.
-        if self.buffered.is_empty() && !self.exhausted {
-            match self.feed.as_mut().and_then(SourceFeed::next_chunk) {
-                Some(chunk) => self.buffered.extend(chunk),
-                None => self.exhausted = true,
-            }
-        }
-        while self.buffered.len() < self.window_size && !self.exhausted {
-            match self.feed.as_mut().and_then(SourceFeed::try_next_chunk) {
-                Some(chunk) => self.buffered.extend(chunk),
-                None => break,
-            }
-        }
-        let take = self.window_size.min(self.buffered.len());
-        for element in self.buffered.drain(..take) {
+        // An exhausted source emits one last, empty window.
+        let Some(window) = self.feed.next_batch(self.window_size) else {
+            return false;
+        };
+        for element in window {
             out.emit(element);
         }
-        !self.buffered.is_empty() || !self.exhausted
+        true
     }
 }
 
-/// Transforming operator driving a raw `DoFn` with one bundle per
-/// element.
-struct PerElementBundleOperator {
+/// Operator driving a raw `DoFn` with one bundle per element: a
+/// transforming stage emits downstream, and the terminal stage's
+/// buffering write commits every record individually.
+struct PerElementBundle {
     factory: DoFnFactory,
     dofn: Option<Box<dyn RawDoFn>>,
 }
 
-impl PerElementBundleOperator {
+impl PerElementBundle {
     fn new(factory: DoFnFactory) -> Self {
-        PerElementBundleOperator {
+        PerElementBundle {
             factory,
             dofn: None,
         }
     }
+
+    fn bundle(&mut self, tuple: RawElement, emit: &mut dyn FnMut(RawElement)) {
+        // Normally built in `setup`; constructed lazily here so the data
+        // path never panics if the engine skips the lifecycle call.
+        let dofn = self.dofn.get_or_insert_with(|| (self.factory)());
+        dofn.start_bundle();
+        dofn.process(tuple, &mut *emit);
+        dofn.finish_bundle(emit);
+    }
 }
 
-impl Operator<RawElement, RawElement> for PerElementBundleOperator {
+impl Operator<RawElement, RawElement> for PerElementBundle {
     fn setup(&mut self, _ctx: &OperatorContext) {
         self.dofn = Some((self.factory)());
     }
 
     fn process(&mut self, tuple: RawElement, out: &mut dyn Emitter<RawElement>) {
-        // Normally built in `setup`; constructed lazily here so the data
-        // path never panics if the engine skips the lifecycle call.
-        let dofn = self.dofn.get_or_insert_with(|| (self.factory)());
-        dofn.start_bundle();
-        dofn.process(tuple, &mut |e| out.emit(e));
-        dofn.finish_bundle(&mut |e| out.emit(e));
+        self.bundle(tuple, &mut |e| out.emit(e));
     }
 }
 
-/// Terminal operator driving a leaf `DoFn` with one bundle per element —
-/// a buffering write commits every record individually.
-struct PerElementBundleOutput {
-    factory: DoFnFactory,
-    dofn: Option<Box<dyn RawDoFn>>,
-}
-
-impl PerElementBundleOutput {
-    fn new(factory: DoFnFactory) -> Self {
-        PerElementBundleOutput {
-            factory,
-            dofn: None,
-        }
-    }
-}
-
-impl Operator<RawElement, ()> for PerElementBundleOutput {
+impl Operator<RawElement, ()> for PerElementBundle {
     fn setup(&mut self, _ctx: &OperatorContext) {
         self.dofn = Some((self.factory)());
     }
 
     fn process(&mut self, tuple: RawElement, _out: &mut dyn Emitter<()>) {
-        // Normally built in `setup`; constructed lazily here so the data
-        // path never panics if the engine skips the lifecycle call.
-        let dofn = self.dofn.get_or_insert_with(|| (self.factory)());
-        dofn.start_bundle();
-        dofn.process(tuple, &mut |_| {});
-        dofn.finish_bundle(&mut |_| {});
+        self.bundle(tuple, &mut |_| {});
     }
 }

@@ -1,11 +1,10 @@
-//! The direct runner: reference in-memory execution of any pipeline
-//! shape.
+//! The direct runner: reference in-memory execution of the pipeline
+//! chain.
 
-use crate::error::{Error, Result};
-use crate::graph::{NodeId, RawElement, StagePayload};
+use crate::error::Result;
+use crate::graph::{RawElement, StageNode};
 use crate::pipeline::Pipeline;
 use crate::runners::{EngineReport, PipelineResult, PipelineRunner};
-use std::collections::HashMap;
 use std::time::Instant as WallInstant;
 
 /// Runs pipelines in-memory, stage by stage, materializing every
@@ -25,70 +24,28 @@ impl PipelineRunner for DirectRunner {
     fn run(&self, pipeline: &Pipeline) -> Result<PipelineResult> {
         let _run_span = obs::span("beam.direct.run");
         let started = WallInstant::now();
-        let mut materialized: HashMap<NodeId, Vec<RawElement>> = HashMap::new();
-        pipeline.with_graph(|graph| -> Result<()> {
-            if graph.is_empty() {
-                return Err(Error::InvalidPipeline("pipeline has no transforms".into()));
+        let materialized = pipeline.with_graph(|graph| -> Result<_> {
+            let chain = graph.chain()?;
+            let mut stages = vec![(
+                chain.read.id,
+                stage(chain.read, |out| {
+                    (chain.source)().read(&mut |e| out.push(e));
+                }),
+            )];
+            for (node, factory) in &chain.pardos {
+                let input = stages.last().map_or(&[][..], |(_, out)| out.as_slice());
+                let output = stage(node, |out| {
+                    // One bundle per stage over the whole bounded input.
+                    let mut dofn = factory();
+                    dofn.start_bundle();
+                    for element in input {
+                        dofn.process(element.clone(), &mut |e| out.push(e));
+                    }
+                    dofn.finish_bundle(&mut |e| out.push(e));
+                });
+                stages.push((node.id, output));
             }
-            for node in graph.nodes() {
-                let mut stage_span = obs::span("beam.direct.stage");
-                stage_span.field("stage", &node.name);
-                let stage_started = WallInstant::now();
-                let output = match &node.payload {
-                    StagePayload::Read(factory) => {
-                        let mut out = Vec::new();
-                        factory().read(&mut |e| out.push(e));
-                        out
-                    }
-                    StagePayload::ParDo(factory) => {
-                        let input =
-                            node.input
-                                .and_then(|id| materialized.get(&id))
-                                .ok_or_else(|| {
-                                    Error::InvalidPipeline(format!(
-                                        "stage `{}` has no input",
-                                        node.name
-                                    ))
-                                })?;
-                        let mut out = Vec::new();
-                        // One bundle per stage over the whole bounded
-                        // input.
-                        let mut dofn = factory();
-                        dofn.start_bundle();
-                        for element in input {
-                            dofn.process(element.clone(), &mut |e| out.push(e));
-                        }
-                        dofn.finish_bundle(&mut |e| out.push(e));
-                        out
-                    }
-                    StagePayload::Flatten(extra) => {
-                        let mut out = Vec::new();
-                        let mut inputs = Vec::new();
-                        if let Some(primary) = node.input {
-                            inputs.push(primary);
-                        }
-                        inputs.extend(extra.iter().copied());
-                        for id in inputs {
-                            let part = materialized.get(&id).ok_or_else(|| {
-                                Error::InvalidPipeline(format!(
-                                    "flatten `{}` references an unknown input",
-                                    node.name
-                                ))
-                            })?;
-                            out.extend(part.iter().cloned());
-                        }
-                        out
-                    }
-                };
-                if obs::enabled() {
-                    obs::counter(&format!("beam.direct.{}.records_out", node.name))
-                        .add(output.len() as u64);
-                    obs::counter(&format!("beam.direct.{}.busy_micros", node.name))
-                        .add(stage_started.elapsed().as_micros() as u64);
-                }
-                materialized.insert(node.id, output);
-            }
-            Ok(())
+            Ok(stages.into_iter().collect())
         })?;
         Ok(PipelineResult::new(
             started.elapsed(),
@@ -102,10 +59,26 @@ impl PipelineRunner for DirectRunner {
     }
 }
 
+/// Runs one stage into a fresh collection, metered per stage.
+fn stage(node: &StageNode, run: impl FnOnce(&mut Vec<RawElement>)) -> Vec<RawElement> {
+    let mut stage_span = obs::span("beam.direct.stage");
+    stage_span.field("stage", &node.name);
+    let stage_started = WallInstant::now();
+    let mut output = Vec::new();
+    run(&mut output);
+    if obs::enabled() {
+        obs::counter(&format!("beam.direct.{}.records_out", node.name)).add(output.len() as u64);
+        obs::counter(&format!("beam.direct.{}.busy_micros", node.name))
+            .add(stage_started.elapsed().as_micros() as u64);
+    }
+    output
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transforms::{Create, Filter, Flatten, MapElements};
+    use crate::error::Error;
+    use crate::transforms::{Create, Filter, MapElements};
 
     #[test]
     fn linear_pipeline() {
@@ -125,16 +98,6 @@ mod tests {
             DirectRunner::new().run(&p),
             Err(Error::InvalidPipeline(_))
         ));
-    }
-
-    #[test]
-    fn flatten_merges() {
-        let p = Pipeline::new();
-        let a = p.apply(Create::i64s(vec![1, 2]));
-        let b = p.apply(Create::i64s(vec![3]));
-        let merged = Flatten::collections(&[a, b]);
-        let result = DirectRunner::new().run(&p).unwrap();
-        assert_eq!(result.collect_of(&merged).unwrap(), vec![1, 2, 3]);
     }
 
     #[test]

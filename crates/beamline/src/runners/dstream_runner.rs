@@ -9,13 +9,12 @@
 //! partition with one bundle per partition.
 
 use crate::error::{Error, Result};
-use crate::graph::{DoFnFactory, RawElement, SourceFactory, StagePayload};
+use crate::graph::{DoFnFactory, RawElement};
 use crate::pipeline::Pipeline;
 use crate::runners::feed::SourceFeed;
-use crate::runners::{EngineReport, PipelineResult, PipelineRunner};
+use crate::runners::{EngineChain, EngineReport, PipelineResult, PipelineRunner};
 use dstream::{BatchSource, Context, ContextConfig, StreamingContext};
 use std::collections::HashMap;
-use std::collections::VecDeque;
 
 /// Runs pipelines on a [`dstream`] application.
 #[derive(Debug, Clone)]
@@ -55,88 +54,35 @@ impl DStreamRunner {
 impl PipelineRunner for DStreamRunner {
     fn run(&self, pipeline: &Pipeline) -> Result<PipelineResult> {
         let _run_span = obs::span("beam.dstream.run");
-        enum Stage {
-            Middle(String, DoFnFactory),
-            Leaf(String, DoFnFactory),
-        }
-        let (source, stages) = pipeline.with_graph(|graph| -> Result<_> {
-            let chain = graph
-                .linear_chain()
-                .ok_or_else(|| Error::UnsupportedShape {
-                    runner: "dstream",
-                    reason: "only linear single-source pipelines are translatable".into(),
-                })?;
-            let first = graph
-                .node(chain[0])
-                .ok_or_else(|| Error::InvalidPipeline("dangling node id in linear chain".into()))?;
-            let StagePayload::Read(source) = &first.payload else {
-                return Err(Error::InvalidPipeline(
-                    "pipeline must start with a Read".into(),
-                ));
-            };
-            let mut stages = Vec::new();
-            for (i, id) in chain.iter().enumerate().skip(1) {
-                let node = graph.node(*id).ok_or_else(|| {
-                    Error::InvalidPipeline("dangling node id in linear chain".into())
-                })?;
-                let leaf = i == chain.len() - 1;
-                match &node.payload {
-                    StagePayload::ParDo(factory) if leaf => {
-                        stages.push(Stage::Leaf(node.translated_name.clone(), factory.clone()));
-                    }
-                    StagePayload::ParDo(factory) => {
-                        stages.push(Stage::Middle(node.translated_name.clone(), factory.clone()));
-                    }
-                    other => {
-                        return Err(Error::UnsupportedTransform {
-                            runner: "dstream",
-                            transform: format!("{other:?}"),
-                        })
-                    }
-                }
-            }
-            Ok((source.clone(), stages))
-        })?;
-
+        let chain = EngineChain::of(pipeline)?;
         let ctx =
             Context::with_config(ContextConfig::default().default_parallelism(self.parallelism));
         let ssc = StreamingContext::new(ctx);
         let mut stream = ssc
-            .receiver_stream(SourceBatcher::new(source, self.max_batch_records))
+            .receiver_stream(SourceBatcher {
+                feed: SourceFeed::new(chain.source),
+                max_batch_records: self.max_batch_records,
+            })
             // The runner distributes each micro-batch over the configured
             // parallelism — a shuffle per batch.
             .repartition(self.parallelism);
-        let mut has_leaf = false;
-        for stage in stages {
-            match stage {
-                Stage::Middle(name, factory) => {
-                    stream = stream.map_partitions(move |part: Vec<RawElement>| {
-                        // The benchmarked stages emit at most one element
-                        // per input.
-                        let mut out = Vec::with_capacity(part.len());
-                        run_bundle(&name, &factory, part, &mut out);
-                        out
-                    });
-                }
-                Stage::Leaf(name, factory) => {
-                    has_leaf = true;
-                    stream.foreach_rdd(&ssc, move |rdd| {
-                        let name = name.clone();
-                        let factory = factory.clone();
-                        rdd.foreach_partition(move |_i, part| {
-                            run_bundle(&name, &factory, part, &mut Vec::new());
-                        });
-                    });
-                }
-            }
-        }
-        if !has_leaf {
-            // Pipelines without a terminal ParDo still need an output
-            // operation to drive the batches.
-            stream.foreach_rdd(&ssc, |rdd| {
-                let _ = rdd.count();
+        for (name, factory) in chain.middle {
+            stream = stream.map_partitions(move |part: Vec<RawElement>| {
+                // The benchmarked stages emit at most one element per
+                // input.
+                let mut out = Vec::with_capacity(part.len());
+                run_bundle(&name, &factory, part, &mut out);
+                out
             });
         }
+        let (name, factory) = chain.leaf;
+        stream.foreach_rdd(&ssc, move |rdd| {
+            let name = name.clone();
+            let factory = factory.clone();
+            rdd.foreach_partition(move |_i, part| {
+                run_bundle(&name, &factory, part, &mut Vec::new());
+            });
+        });
         let report = ssc
             .run_to_completion()
             .map_err(|e| Error::Engine(e.to_string()))?;
@@ -175,50 +121,16 @@ fn run_bundle(name: &str, factory: &DoFnFactory, part: Vec<RawElement>, out: &mu
     }
 }
 
-/// Discretizes a pipeline source: a bounded [`SourceFeed`] streams the
-/// input through a capacity-limited channel (started lazily on the first
-/// pull), and micro-batches are cut from its chunks — so a follow-mode
-/// source backpressures the micro-batch driver instead of being
-/// materialized whole.
+/// Discretizes a pipeline source into micro-batches cut from a bounded
+/// [`SourceFeed`], so a follow-mode source backpressures the micro-batch
+/// driver instead of being materialized whole.
 struct SourceBatcher {
-    factory: Option<SourceFactory>,
-    feed: Option<SourceFeed>,
-    buffered: VecDeque<RawElement>,
+    feed: SourceFeed,
     max_batch_records: usize,
-}
-
-impl SourceBatcher {
-    fn new(factory: SourceFactory, max_batch_records: usize) -> Self {
-        SourceBatcher {
-            factory: Some(factory),
-            feed: None,
-            buffered: VecDeque::new(),
-            max_batch_records,
-        }
-    }
 }
 
 impl BatchSource<RawElement> for SourceBatcher {
     fn next_batch(&mut self) -> Option<Vec<RawElement>> {
-        if let Some(factory) = self.factory.take() {
-            self.feed = Some(SourceFeed::spawn(factory));
-        }
-        // Block for the first chunk of the batch, then top up with
-        // whatever is already queued — a slow producer yields small
-        // timely batches instead of stalling until a full one exists.
-        if self.buffered.is_empty() {
-            match self.feed.as_mut().and_then(SourceFeed::next_chunk) {
-                Some(chunk) => self.buffered.extend(chunk),
-                None => return None,
-            }
-        }
-        while self.buffered.len() < self.max_batch_records {
-            match self.feed.as_mut().and_then(SourceFeed::try_next_chunk) {
-                Some(chunk) => self.buffered.extend(chunk),
-                None => break,
-            }
-        }
-        let take = self.max_batch_records.min(self.buffered.len());
-        Some(self.buffered.drain(..take).collect())
+        self.feed.next_batch(self.max_batch_records)
     }
 }

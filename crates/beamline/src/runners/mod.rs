@@ -8,12 +8,20 @@
 //! paper's central finding is that those differences make the layer's
 //! overhead engine-specific and unpredictable.
 //!
+//! Every runner translates the one shape [`PipelineGraph::chain`]
+//! checks: a read, then `ParDo`s. An engine runner's translation is its
+//! engine mapping plus its bundle policy; the leaf `ParDo` (the write)
+//! becomes the engine job's sink, so an engine runner rejects a pipeline
+//! without one.
+//!
 //! | Runner | Engine | Bundles | Notes |
 //! |---|---|---|---|
-//! | [`DirectRunner`] | none (in-memory) | whole input | reference semantics, any DAG shape |
+//! | [`DirectRunner`] | none (in-memory) | whole input | reference semantics, materializes every stage |
 //! | [`RillRunner`] | `rill` (Flink analog) | whole stream | one engine operator per stage |
 //! | [`DStreamRunner`] | `dstream` (Spark analog) | micro-batch partition | repartitions every batch to honour parallelism |
 //! | [`ApxRunner`] | `apx` (Apex analog) | **single element** | one container per stage, envelope serialization per hop |
+//!
+//! [`PipelineGraph::chain`]: crate::graph::PipelineGraph::chain
 
 mod apx_runner;
 mod direct;
@@ -28,7 +36,7 @@ pub use rill_runner::RillRunner;
 
 use crate::coder::Coder;
 use crate::error::{Error, Result};
-use crate::graph::{NodeId, RawElement};
+use crate::graph::{DoFnFactory, NodeId, RawElement, SourceFactory, StageNode};
 use crate::pipeline::{PCollection, Pipeline};
 use std::collections::HashMap;
 use std::time::Duration;
@@ -109,11 +117,47 @@ pub trait PipelineRunner {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::UnsupportedTransform`] / [`Error::UnsupportedShape`]
-    /// when the runner cannot translate the pipeline, and
-    /// [`Error::Engine`] for execution failures.
+    /// Returns [`Error::InvalidPipeline`] when the pipeline is not the one
+    /// shape runners translate (see [`PipelineGraph::chain`]) or, on an
+    /// engine runner, has no `ParDo`; and [`Error::Engine`] for execution
+    /// failures.
+    ///
+    /// [`PipelineGraph::chain`]: crate::graph::PipelineGraph::chain
     fn run(&self, pipeline: &Pipeline) -> Result<PipelineResult>;
 
     /// The runner's display name.
     fn name(&self) -> &'static str;
+}
+
+/// What an engine runner translates: the read, the `ParDo`s before the
+/// leaf, and the leaf `ParDo`, each `ParDo` under its translated name.
+struct EngineChain {
+    source_name: String,
+    source: SourceFactory,
+    middle: Vec<(String, DoFnFactory)>,
+    leaf: (String, DoFnFactory),
+}
+
+impl EngineChain {
+    /// Checks the chain and takes the leaf off it.
+    fn of(pipeline: &Pipeline) -> Result<Self> {
+        pipeline.with_graph(|graph| {
+            let chain = graph.chain()?;
+            let translated = |(node, dofn): &(&StageNode, &DoFnFactory)| {
+                (node.translated_name.clone(), (*dofn).clone())
+            };
+            let Some((leaf, middle)) = chain.pardos.split_last() else {
+                return Err(Error::InvalidPipeline(
+                    "an engine job ends in a ParDo (e.g. a write), and this pipeline has none"
+                        .into(),
+                ));
+            };
+            Ok(EngineChain {
+                source_name: chain.read.translated_name.clone(),
+                source: chain.source.clone(),
+                middle: middle.iter().map(translated).collect(),
+                leaf: translated(leaf),
+            })
+        })
+    }
 }

@@ -11,9 +11,9 @@
 
 use crate::coder::{Coder, WindowedValueCoder};
 use crate::error::{Error, Result};
-use crate::graph::{DoFnFactory, RawDoFn, RawElement, SourceFactory, StagePayload};
+use crate::graph::{DoFnFactory, RawDoFn, RawElement, SourceFactory};
 use crate::pipeline::Pipeline;
-use crate::runners::{EngineReport, PipelineResult, PipelineRunner};
+use crate::runners::{EngineChain, EngineReport, PipelineResult, PipelineRunner};
 use rill::{ClusterSpec, Collector, ParallelSource, SourceFunction, StreamExecutionEnvironment};
 use std::collections::HashMap;
 
@@ -21,7 +21,6 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct RillRunner {
     parallelism: usize,
-    cluster: ClusterSpec,
 }
 
 impl Default for RillRunner {
@@ -31,23 +30,16 @@ impl Default for RillRunner {
 }
 
 impl RillRunner {
-    /// Creates a runner with parallelism 1 on a local cluster.
+    /// Creates a runner with parallelism 1.
     pub fn new() -> Self {
-        RillRunner {
-            parallelism: 1,
-            cluster: ClusterSpec::local(),
-        }
+        RillRunner { parallelism: 1 }
     }
 
-    /// Sets the job parallelism (the `-p` flag of paper §III-A2).
+    /// Sets the job parallelism (the `-p` flag of paper §III-A2). The job
+    /// runs on a local cluster with a slot for every subtask
+    /// ([`ClusterSpec::local_for`]).
     pub fn with_parallelism(mut self, parallelism: usize) -> Self {
         self.parallelism = parallelism.max(1);
-        self
-    }
-
-    /// Sets the cluster shape.
-    pub fn with_cluster(mut self, cluster: ClusterSpec) -> Self {
-        self.cluster = cluster;
         self
     }
 
@@ -63,58 +55,15 @@ impl RillRunner {
     }
 
     fn translate(&self, pipeline: &Pipeline) -> Result<StreamExecutionEnvironment> {
-        let (source, source_name, mut stages) = pipeline.with_graph(|graph| -> Result<_> {
-            let chain = graph
-                .linear_chain()
-                .ok_or_else(|| Error::UnsupportedShape {
-                    runner: "rill",
-                    reason: "only linear single-source pipelines are translatable".into(),
-                })?;
-            let first = graph
-                .node(chain[0])
-                .ok_or_else(|| Error::InvalidPipeline("dangling node id in linear chain".into()))?;
-            let StagePayload::Read(source) = &first.payload else {
-                return Err(Error::InvalidPipeline(
-                    "pipeline must start with a Read".into(),
-                ));
-            };
-            let mut stages = Vec::new();
-            for id in &chain[1..] {
-                let node = graph.node(*id).ok_or_else(|| {
-                    Error::InvalidPipeline("dangling node id in linear chain".into())
-                })?;
-                match &node.payload {
-                    StagePayload::ParDo(factory) => {
-                        stages.push((node.translated_name.clone(), factory.clone()));
-                    }
-                    StagePayload::Read(_) => {
-                        return Err(Error::InvalidPipeline("Read mid-pipeline".into()))
-                    }
-                    StagePayload::Flatten(_) => {
-                        return Err(Error::UnsupportedShape {
-                            runner: "rill",
-                            reason: "Flatten is not translatable on a linear chain".into(),
-                        })
-                    }
-                }
-            }
-            Ok((source.clone(), first.translated_name.clone(), stages))
-        })?;
-        // The leaf ParDo (typically the broker write) becomes the job's sink.
-        let Some((leaf_name, leaf)) = stages.pop() else {
-            return Err(Error::UnsupportedShape {
-                runner: "rill",
-                reason: "pipeline must end in a ParDo (e.g. a write)".into(),
-            });
-        };
-
-        let env = StreamExecutionEnvironment::with_cluster(self.cluster);
+        let chain = EngineChain::of(pipeline)?;
+        let env =
+            StreamExecutionEnvironment::with_cluster(ClusterSpec::local_for(self.parallelism));
         env.set_parallelism(self.parallelism);
         let mut stream = env.add_source(RawSourceAdapter {
-            factory: source,
-            name: source_name,
+            factory: chain.source,
+            name: chain.source_name,
         });
-        for (translated, factory) in stages {
+        for (translated, factory) in chain.middle {
             let metric_name = translated.clone();
             stream = stream.transform(&translated, move |col| {
                 // The engine serializes elements between the translated
@@ -132,10 +81,10 @@ impl RillRunner {
                 })
             });
         }
-        stream.add_sink(RawDoFnSink {
-            factory: leaf,
-            name: leaf_name,
-        });
+        // The leaf ParDo (typically the broker write) becomes the job's
+        // sink.
+        let (name, factory) = chain.leaf;
+        stream.add_sink(RawDoFnSink { factory, name });
         Ok(env)
     }
 }

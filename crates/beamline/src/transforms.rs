@@ -1,10 +1,9 @@
-//! Core transforms: `Create`, `MapElements`, `Filter`, `FlatMapElements`,
-//! `Values`, and `Flatten`.
+//! Core transforms: `Create`, `MapElements`, `Filter` and `Values`.
 
 use crate::coder::{BytesCoder, Coder, StrUtf8Coder, VarIntCoder};
 use crate::element::{Kv, WindowedValue};
 use crate::graph::{RawEmit, RawSource, StagePayload};
-use crate::pardo::{DoFn, FnDoFn, ParDo, ProcessContext};
+use crate::pardo::{FnDoFn, ParDo, ProcessContext};
 use crate::pipeline::{PCollection, PTransform, Pipeline, RootTransform};
 use bytes::Bytes;
 use std::sync::Arc;
@@ -96,13 +95,6 @@ impl<F, O> MapElements<F, O> {
     }
 }
 
-impl<F> MapElements<F, String> {
-    /// Maps into strings.
-    pub fn into_string(name: impl Into<String>, f: F) -> Self {
-        MapElements::new(name, f, Arc::new(StrUtf8Coder))
-    }
-}
-
 impl<F> MapElements<F, i64> {
     /// Maps into integers.
     pub fn into_i64(name: impl Into<String>, f: F) -> Self {
@@ -164,49 +156,6 @@ where
     }
 }
 
-/// One-to-many mapping with an explicit output coder.
-pub struct FlatMapElements<F, O> {
-    name: String,
-    f: F,
-    out_coder: Arc<dyn Coder<O>>,
-}
-
-impl<F, O> FlatMapElements<F, O> {
-    /// Creates a flat-map transform.
-    pub fn new(name: impl Into<String>, f: F, out_coder: Arc<dyn Coder<O>>) -> Self {
-        FlatMapElements {
-            name: name.into(),
-            f,
-            out_coder,
-        }
-    }
-}
-
-impl<F> FlatMapElements<F, String> {
-    /// Flat-maps into strings.
-    pub fn into_strings(name: impl Into<String>, f: F) -> Self {
-        FlatMapElements::new(name, f, Arc::new(StrUtf8Coder))
-    }
-}
-
-impl<I, O, F, It> PTransform<I, O> for FlatMapElements<F, O>
-where
-    I: Send + 'static,
-    O: Send + 'static,
-    It: IntoIterator<Item = O>,
-    F: Fn(I) -> It + Send + Sync + Clone + 'static,
-{
-    fn expand(self, input: &PCollection<I>) -> PCollection<O> {
-        let f = self.f;
-        let dofn = FnDoFn::new(move |element: I, ctx: &mut ProcessContext<'_, O>| {
-            for out in f(element) {
-                ctx.output(out);
-            }
-        });
-        ParDo::of(self.name, dofn, self.out_coder).expand(input)
-    }
-}
-
 /// Extracts the values of a KV collection (Beam's `Values.create()`).
 pub struct Values<V> {
     value_coder: Arc<dyn Coder<V>>,
@@ -229,35 +178,6 @@ where
     }
 }
 
-/// Merges multiple collections of the same type into one.
-pub struct Flatten;
-
-impl Flatten {
-    /// Flattens `collections` into a single collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `collections` is empty.
-    pub fn collections<T: Send + 'static>(collections: &[PCollection<T>]) -> PCollection<T> {
-        let (first, rest) = collections
-            .split_first()
-            .expect("Flatten requires at least one collection");
-        let extra = rest.iter().map(PCollection::node).collect();
-        let node = first.pipeline().add_stage(
-            "Flatten",
-            "Flatten",
-            StagePayload::Flatten(extra),
-            Some(first.node()),
-        );
-        PCollection::new(first.pipeline().clone(), node, first.coder())
-    }
-}
-
-/// A `DoFn`-level identity useful in tests and plan-shape fixtures.
-pub fn identity_dofn<T: Send + 'static>() -> impl DoFn<T, T> {
-    FnDoFn::new(|element: T, ctx: &mut ProcessContext<'_, T>| ctx.output(element))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,20 +192,7 @@ mod tests {
         p.with_graph(|g| {
             assert_eq!(g.nodes()[1].translated_name, crate::pardo::RAW_PAR_DO);
             assert_eq!(g.nodes()[1].name, "Len");
-            assert!(g.linear_chain().is_some());
-        });
-    }
-
-    #[test]
-    fn flatten_merges_nodes() {
-        let p = Pipeline::new();
-        let a = p.apply(Create::i64s(vec![1]));
-        let b = p.apply(Create::i64s(vec![2]));
-        let merged = Flatten::collections(&[a, b]);
-        assert_eq!(p.stage_count(), 3);
-        p.with_graph(|g| {
-            assert_eq!(g.consumers(merged.node()).len(), 0);
-            assert!(g.linear_chain().is_none());
+            assert_eq!(g.chain().unwrap().pardos.len(), 2);
         });
     }
 }

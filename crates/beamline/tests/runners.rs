@@ -138,48 +138,86 @@ fn rill_plan_matches_figure_13() {
 }
 
 #[test]
+fn rill_runner_sizes_its_cluster_from_parallelism() {
+    // One subtask more than the default local cluster has slots.
+    let parallelism = rill::ClusterSpec::local().total_slots() + 1;
+    let broker = broker_with_input(150);
+    let mut want: Vec<Vec<u8>> = (0..150)
+        .filter(|i| i % 7 == 0)
+        .map(|i| format!("user{i}\ttest query {i}").into_bytes())
+        .collect();
+    RillRunner::new()
+        .with_parallelism(parallelism)
+        .run(&grep_pipeline(&broker))
+        .unwrap_or_else(|e| panic!("rill at parallelism {parallelism} failed: {e}"));
+    let mut got = output_values(&broker);
+    got.sort();
+    want.sort();
+    assert_eq!(got, want);
+}
+
+#[test]
 fn non_linear_pipelines_rejected_by_engine_runners() {
+    // Every runner, the direct one included, translates only the chain
+    // `Read -> ParDo...`.
     let broker = broker_with_input(5);
-    let pipeline = Pipeline::new();
-    let records = pipeline.apply(BrokerIO::read(broker.clone(), "in"));
-    let values = records
+    let fan_out = Pipeline::new();
+    let values = fan_out
+        .apply(BrokerIO::read(broker.clone(), "in"))
         .apply(WithoutMetadata::new())
         .apply(Values::create(Arc::new(BytesCoder)));
-    // Fan-out: two writes from one collection.
+    // Two writes from one collection.
     values.clone().apply(BrokerIO::write(broker.clone(), "out"));
     values
         .apply(MapElements::into_bytes("Copy", |v: Bytes| v))
         .apply(BrokerIO::write(broker.clone(), "out"));
+    let two_reads = Pipeline::new();
+    for _ in 0..2 {
+        two_reads
+            .apply(BrokerIO::read(broker.clone(), "in"))
+            .apply(WithoutMetadata::new())
+            .apply(Values::create(Arc::new(BytesCoder)))
+            .apply(BrokerIO::write(broker.clone(), "out"));
+    }
+    let runners: [Box<dyn PipelineRunner>; 4] = [
+        Box::new(DirectRunner::new()),
+        Box::new(RillRunner::new()),
+        Box::new(DStreamRunner::new()),
+        Box::new(ApxRunner::new()),
+    ];
+    for (shape, pipeline) in [("fan-out", &fan_out), ("two reads", &two_reads)] {
+        for runner in &runners {
+            assert!(
+                matches!(runner.run(pipeline), Err(Error::InvalidPipeline(_))),
+                "runner {} should reject {shape}",
+                runner.name()
+            );
+            assert!(
+                output_values(&broker).is_empty(),
+                "runner {} wrote before rejecting {shape}",
+                runner.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn pipelines_without_a_pardo_are_rejected_by_tuple_runners() {
+    // An engine job needs a sink, and only a ParDo (the write) becomes
+    // one; the direct runner materializes a read-only pipeline.
+    let pipeline = Pipeline::new();
+    let numbers = pipeline.apply(Create::i64s(vec![1, 2]));
     for runner in [
         Box::new(RillRunner::new()) as Box<dyn PipelineRunner>,
         Box::new(DStreamRunner::new()),
         Box::new(ApxRunner::new()),
     ] {
         assert!(
-            matches!(runner.run(&pipeline), Err(Error::UnsupportedShape { .. })),
-            "runner {} should reject fan-out",
-            runner.name()
-        );
-    }
-    // The direct runner handles it.
-    DirectRunner::new().run(&pipeline).unwrap();
-    assert_eq!(output_values(&broker).len(), 10);
-}
-
-#[test]
-fn pipelines_without_a_pardo_are_rejected_by_tuple_runners() {
-    // A tuple engine's job needs a sink, and only a ParDo (the write)
-    // becomes one.
-    let pipeline = Pipeline::new();
-    pipeline.apply(Create::i64s(vec![1, 2]));
-    for runner in [
-        Box::new(RillRunner::new()) as Box<dyn PipelineRunner>,
-        Box::new(ApxRunner::new()),
-    ] {
-        assert!(
-            matches!(runner.run(&pipeline), Err(Error::UnsupportedShape { .. })),
+            matches!(runner.run(&pipeline), Err(Error::InvalidPipeline(_))),
             "runner {} should reject a read-only pipeline",
             runner.name()
         );
     }
+    let result = DirectRunner::new().run(&pipeline).unwrap();
+    assert_eq!(result.collect_of(&numbers).unwrap(), vec![1, 2]);
 }

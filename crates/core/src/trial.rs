@@ -104,11 +104,7 @@ pub fn execute(bus: &BusHandle, setup: Setup, job: &Job<'_>) -> Result<(), Bench
                 Some(n) => queries::beam_pipeline_following(bus, query, input, output, n),
             };
             let runner: Box<dyn PipelineRunner> = match system {
-                System::Rill => Box::new(
-                    RillRunner::new()
-                        .with_parallelism(p)
-                        .with_cluster(rill::ClusterSpec::local_for(p)),
-                ),
+                System::Rill => Box::new(RillRunner::new().with_parallelism(p)),
                 System::DStream => Box::new(
                     DStreamRunner::new()
                         .with_parallelism(p)
