@@ -6,6 +6,16 @@
 //! allocator call, where an owned `Bytes` per value cost two allocations
 //! and two frees, usually freed on another thread.
 //!
+//! Nor does a view pay an atomic: `BytesMut::pack_view` takes its
+//! reference out of a block the chunk's writer prepays, 256 at a time,
+//! and a drop parks it in the dropping thread's table, where the next
+//! clone finds it. A chunk's references are held by its live views, the
+//! writer's prepaid block and those parked entries, and the chunk goes
+//! back to the pool when a sole holder drops (a view whose thread holds
+//! every other reference, or the writer rolling past a chunk whose views
+//! all died on its thread), when its entry is evicted, or when a thread
+//! holding parked references exits. `unsafe` stays in `shims/bytes`.
+//!
 //! The arena is thread-local because `Coder::decode` has nowhere to carry
 //! one: the benchmark (`ledger/`) calls the trait with its signatures as
 //! they are.
@@ -44,8 +54,7 @@ pub(crate) fn copy(data: &[u8]) -> Bytes {
         if arena.capacity() < data.len() {
             *arena = BytesMut::with_capacity(CHUNK);
         }
-        let start = arena.pack_frozen(data);
-        arena.frozen(start..start + data.len())
+        arena.pack_view(data)
     })
 }
 

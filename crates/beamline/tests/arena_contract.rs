@@ -228,3 +228,28 @@ fn two_threads_never_share_a_chunk() {
         "two threads' values lie within one chunk of each other"
     );
 }
+
+#[test]
+fn a_chunk_whose_views_die_on_their_thread_returns_while_it_lives() {
+    let _alone = ONE_AT_A_TIME.lock();
+    // What the rill and dstream Beam stages do: decode, use, drop, all
+    // on one long-lived thread. Ten chunks' worth of 100-byte values
+    // and one more roll the thread's arena through eleven chunks.
+    const VALUES: usize = CHUNK / 100 * 10 + 1;
+    std::thread::spawn(|| {
+        let value = payload(100, 7);
+        let (_, reclaimed_before) = bytes::pool_stats();
+        for _ in 0..VALUES {
+            assert_eq!(decode(&value), value);
+        }
+        let (_, reclaimed) = bytes::pool_stats();
+        assert_eq!(
+            reclaimed - reclaimed_before,
+            10,
+            "every chunk the arena rolled past must be back in the pool \
+             before the decoding thread exits"
+        );
+    })
+    .join()
+    .expect("decoding thread");
+}

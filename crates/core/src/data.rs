@@ -302,8 +302,7 @@ impl QueryLogGenerator {
         if self.arena.capacity() < self.line.len() {
             self.arena = BytesMut::with_capacity(ARENA_CHUNK);
         }
-        let start = self.arena.pack_frozen(&self.line);
-        self.arena.frozen(start..start + self.line.len())
+        self.arena.pack_view(&self.line)
     }
 
     /// Generates `n` payloads.

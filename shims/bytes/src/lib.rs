@@ -10,6 +10,37 @@
 //! directly from a `Vec<u8>` without copying ([`Bytes::from`] /
 //! [`BytesMut`]); clones and slices share storage and never copy.
 //!
+//! # Who holds a buffer's references
+//!
+//! A shared buffer counts its references in one atomic, but a view
+//! does not touch it on the way in or out in steady state. The count
+//! is the sum of three kinds of holder:
+//!
+//! * **live views** — every `Bytes` of the buffer holds exactly one;
+//! * **the writer** — the `BytesMut` that owns the buffer holds one of
+//!   its own plus what is left of its *prepaid block*:
+//!   [`BytesMut::pack_view`] hands each view one reference out of a
+//!   block of `PREPAY` (256) that the writer buys with a single
+//!   `fetch_add`, and the writer hands the unspent rest back when it
+//!   rolls to a new chunk or drops;
+//! * **parked entries** — dropping a view parks its reference in a
+//!   per-thread table of `WAYS` (4) entries keyed by buffer, and cloning
+//!   a view or calling [`BytesMut::frozen`] takes a parked reference
+//!   back before it buys a new one.
+//!
+//! A buffer returns to the chunk pool when the count reaches zero,
+//! which happens at one of three moments:
+//!
+//! * **a sole holder's drop** — a drop (or a writer's hand-back) that
+//!   finds every reference left parked on its own thread (a relaxed
+//!   load of the count equals the parked count) releases them all at
+//!   once, so the last view of a chunk still reclaims it at once;
+//! * **eviction** — an entry pushed out of a full table by another
+//!   buffer's drop releases its references;
+//! * **thread exit** — the table is a `const` thread-local whose
+//!   destructor releases every entry; a drop made after that destructor
+//!   has run releases its reference directly.
+//!
 //! # Safety invariant
 //!
 //! All `unsafe` in the workspace's byte path is confined to this shim.
@@ -25,18 +56,22 @@
 //!   frozen view.
 //!
 //! Reads and writes therefore never overlap, so no `&`/`&mut` aliasing
-//! or data race can occur even when views live on other threads.
+//! or data race can occur even when views live on other threads. The
+//! buffer itself stays allocated while its count is above zero: every
+//! holder above is counted in it, a reference only moves between a
+//! view, a prepaid block and a parked entry on one thread, and whoever
+//! takes the count to zero frees the buffer.
 //!
 //! # Chunk pool
 //!
-//! Dropping the last reference to a shared buffer returns its
-//! allocation to a free-list instead of the global allocator;
-//! [`BytesMut::with_capacity`] takes from the same list. The list is
-//! one LIFO stack per power-of-two size class, so taking and returning
-//! a buffer are a pop and a push whatever else sits idle, and a reused
-//! buffer is the one retired last — memory that has been touched
-//! before. Each class is bounded in bytes, not slots: the class of the
-//! 64 KiB arena chunks (segment storage, the Beam arena, the data
+//! When a shared buffer's count reaches zero (see the three moments
+//! above), its allocation goes to a free-list instead of the global
+//! allocator; [`BytesMut::with_capacity`] takes from the same list. The
+//! list is one LIFO stack per power-of-two size class, so taking and
+//! returning a buffer are a pop and a push whatever else sits idle, and
+//! a reused buffer is the one retired last — memory that has been
+//! touched before. Each class is bounded in bytes, not slots: the class
+//! of the 64 KiB arena chunks (segment storage, the Beam arena, the data
 //! sender's lines) keeps up to [`POOL_ARENA_BUDGET`], enough for a
 //! whole benchmark topic to retire and come back without a page fault;
 //! every other class keeps 4 MiB. Beyond its budget a class hands
@@ -44,10 +79,12 @@
 //! mark only up to the budget. See [`pool_stats`] and
 //! [`pool_fresh_chunks`].
 
+use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::ptr::NonNull;
+use std::sync::atomic::{fence, AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Smallest buffer capacity worth keeping in the recycle pool.
 const POOL_MIN_CAP: usize = 1024;
@@ -176,59 +213,283 @@ fn pool_reclaim(v: Vec<u8>) {
     }
 }
 
-/// A refcounted heap buffer: the raw parts of a `Vec<u8>` whose
-/// allocation is returned to the chunk pool when the last reference
-/// (every `Bytes` view and `BytesMut` writer) drops.
+/// References a writer buys at once for the views [`BytesMut::pack_view`]
+/// hands out: one `fetch_add` per this many views.
+const PREPAY: usize = 256;
+
+/// Entries in a thread's table of parked references: enough for the
+/// chunks one stage reads from and writes into at the same time.
+const WAYS: usize = 4;
+
+/// A heap buffer with its reference count: the raw parts of a `Vec<u8>`
+/// whose allocation is returned to the chunk pool when `refs` reaches
+/// zero. Lives in a `Box` that the holder taking `refs` to zero frees.
 struct Shared {
+    /// Live views + the writer's own reference and unspent prepaid
+    /// block + references parked in thread tables.
+    refs: AtomicUsize,
     ptr: *mut u8,
     cap: usize,
 }
 
-// SAFETY: `Shared` is an owning handle to a heap allocation; access
-// discipline (disjoint read/write regions) is enforced by the
-// `Bytes`/`BytesMut` API per the module-level invariant.
+// SAFETY: `ptr` is an owning pointer to a heap allocation, freed only by
+// whoever takes `refs` to zero, and the access discipline on its bytes
+// (disjoint read/write regions) is enforced by the `Bytes`/`BytesMut`
+// API per the module-level invariant; `refs` and `cap` are an atomic and
+// an immutable integer.
 unsafe impl Send for Shared {}
+// SAFETY: as for `Send`: shared access reads `cap`, reads frozen bytes
+// and updates `refs` atomically.
 unsafe impl Sync for Shared {}
 
-impl Shared {
-    fn from_vec(mut v: Vec<u8>) -> Arc<Shared> {
+/// The canonical zero-capacity buffer, so `BytesMut::new()` never
+/// allocates. Its count starts so high that no sequence of writers can
+/// take it to zero, so it is never freed; no view of it exists (an
+/// empty range is `Bytes::new()`).
+static EMPTY: Shared = Shared {
+    refs: AtomicUsize::new(usize::MAX / 2),
+    ptr: NonNull::dangling().as_ptr(),
+    cap: 0,
+};
+
+/// A pointer to a [`Shared`]. Copying one copies no reference: the code
+/// that holds a handle is the code responsible for the references it
+/// counts (one per `Bytes`, the writer's own plus its prepaid block, a
+/// parked entry's tally), and it may dereference the handle only while
+/// it holds at least one of them.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Handle(NonNull<Shared>);
+
+impl Handle {
+    /// A new buffer owning `v`'s allocation, holding one reference.
+    fn alloc(mut v: Vec<u8>) -> Handle {
         let ptr = v.as_mut_ptr();
         let cap = v.capacity();
         std::mem::forget(v);
-        Arc::new(Shared { ptr, cap })
+        let shared = Box::new(Shared {
+            refs: AtomicUsize::new(1),
+            ptr,
+            cap,
+        });
+        Handle(NonNull::from(Box::leak(shared)))
     }
 
-    /// The canonical zero-capacity buffer, shared so `BytesMut::new()`
-    /// never allocates.
-    fn empty() -> Arc<Shared> {
-        static EMPTY: OnceLock<Arc<Shared>> = OnceLock::new();
-        EMPTY.get_or_init(|| Shared::from_vec(Vec::new())).clone()
+    fn empty() -> Handle {
+        EMPTY.refs.fetch_add(1, Ordering::Relaxed);
+        Handle(NonNull::from(&EMPTY))
+    }
+
+    fn get(&self) -> &Shared {
+        // SAFETY: the caller holds a counted reference (see `Handle`), so
+        // `refs` is above zero and nobody has freed the `Box`.
+        unsafe { self.0.as_ref() }
+    }
+
+    /// Hands back `n` references; whoever takes the count to zero puts
+    /// the allocation in the chunk pool.
+    fn release(self, n: usize) {
+        // `Release` orders this holder's reads of the buffer before the
+        // decrement; the `Acquire` fence of the holder that reaches zero
+        // pairs with every such decrement, so the buffer is reused only
+        // after all of them (the pairing `Arc` uses).
+        if self.get().refs.fetch_sub(n, Ordering::Release) != n {
+            return;
+        }
+        fence(Ordering::Acquire);
+        // SAFETY: the count reached zero, so no view, writer or parked
+        // entry is left to reach the buffer; the `Box` came from
+        // `Handle::alloc` (`EMPTY`'s count never reaches zero), and
+        // `ptr`/`cap` from a forgotten `Vec<u8>`, for which length 0 is
+        // always valid.
+        let v = unsafe {
+            let shared = Box::from_raw(self.0.as_ptr());
+            Vec::from_raw_parts(shared.ptr, 0, shared.cap)
+        };
+        pool_reclaim(v);
+    }
+
+    /// One more reference, for a new view: a parked one if the calling
+    /// thread has any, otherwise a fresh count.
+    fn acquire(self) {
+        let unparked = PARKED
+            .try_with(|table| table.borrow_mut().unpark(self))
+            .unwrap_or(false);
+        if !unparked {
+            // Relaxed, as in `Arc::clone`: the caller already holds a
+            // reference, so the buffer cannot be freed meanwhile.
+            self.get().refs.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Drops a view's reference: parks it in the calling thread's
+    /// table, or releases it when the thread's table is gone.
+    fn park(self) {
+        if PARKED
+            .try_with(|table| table.borrow_mut().park(self))
+            .is_err()
+        {
+            self.release(1);
+        }
+    }
+
+    /// Hands back a writer's `n` references, with every reference the
+    /// calling thread has parked when nothing else is outstanding.
+    fn hand_back(self, n: usize) {
+        let settled = PARKED
+            .try_with(|table| table.borrow_mut().settle(self, n))
+            .unwrap_or(false);
+        if !settled {
+            self.release(n);
+        }
     }
 }
 
-impl Drop for Shared {
+/// A thread's references to one buffer, held for the next view of it
+/// this thread makes. `refs == 0` marks a free entry, whose `handle` may
+/// name a buffer that is gone: only a tally above zero keeps one alive.
+#[derive(Clone, Copy)]
+struct Entry {
+    handle: Option<Handle>,
+    refs: usize,
+}
+
+/// A thread's table of parked references, `WAYS` entries keyed by
+/// buffer, evicted round-robin.
+struct Parked {
+    ways: [Entry; WAYS],
+    victim: usize,
+}
+
+thread_local! {
+    /// `const` so an access costs no lazy-init check beyond the
+    /// destructor's registration; the destructor flushes every entry.
+    static PARKED: RefCell<Parked> = const { RefCell::new(Parked::new()) };
+}
+
+impl Parked {
+    const fn new() -> Self {
+        Parked {
+            ways: [Entry {
+                handle: None,
+                refs: 0,
+            }; WAYS],
+            victim: 0,
+        }
+    }
+
+    fn find(&self, h: Handle) -> Option<usize> {
+        self.ways.iter().position(|e| e.handle == Some(h))
+    }
+
+    /// Takes one parked reference to `h`, if this thread holds any.
+    fn unpark(&mut self, h: Handle) -> bool {
+        match self.find(h) {
+            Some(i) if self.ways[i].refs > 0 => {
+                self.ways[i].refs -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Parks one reference to `h`. A reference that is the buffer's
+    /// last is released at once and takes no entry.
+    fn park(&mut self, h: Handle) {
+        let i = match self.find(h) {
+            Some(i) => i,
+            None if h.get().refs.load(Ordering::Relaxed) == 1 => {
+                h.release(1);
+                return;
+            }
+            None => self.evict(h),
+        };
+        self.ways[i].refs += 1;
+        self.settle_at(i, 0);
+    }
+
+    /// Releases a writer's `own` references to `h` together with every
+    /// one parked here, when the two are all that is left; says whether
+    /// it did.
+    fn settle(&mut self, h: Handle, own: usize) -> bool {
+        self.find(h).is_some_and(|i| self.settle_at(i, own))
+    }
+
+    /// [`Parked::settle`] for entry `i`. The load may be stale: handing
+    /// references back is correct whatever it reads, it just frees the
+    /// buffer only when the count really was `parked + own`.
+    fn settle_at(&mut self, i: usize, own: usize) -> bool {
+        let Entry {
+            handle: Some(h),
+            refs: parked @ 1..,
+        } = self.ways[i]
+        else {
+            // A tally of zero holds nothing, so its buffer may be gone.
+            return false;
+        };
+        if h.get().refs.load(Ordering::Relaxed) != parked + own {
+            return false;
+        }
+        self.ways[i].refs = 0;
+        h.release(parked + own);
+        true
+    }
+
+    /// Frees an entry for `h` — a free one, or the next victim, whose
+    /// references are released — and returns its index.
+    fn evict(&mut self, h: Handle) -> usize {
+        let i = self
+            .ways
+            .iter()
+            .position(|e| e.refs == 0)
+            .unwrap_or_else(|| {
+                let i = self.victim;
+                self.victim = (i + 1) % WAYS;
+                i
+            });
+        self.flush(i);
+        self.ways[i].handle = Some(h);
+        i
+    }
+
+    fn flush(&mut self, i: usize) {
+        let entry = &mut self.ways[i];
+        if let (Some(h), refs @ 1..) = (entry.handle, entry.refs) {
+            entry.refs = 0;
+            h.release(refs);
+        }
+    }
+}
+
+impl Drop for Parked {
     fn drop(&mut self) {
-        // SAFETY: `ptr`/`cap` came from a forgotten `Vec<u8>`; length 0
-        // is always valid and sidesteps any question of which bytes are
-        // initialized. Reconstructing hands the allocation back.
-        let v = unsafe { Vec::from_raw_parts(self.ptr, 0, self.cap) };
-        pool_reclaim(v);
+        for i in 0..WAYS {
+            self.flush(i);
+        }
     }
 }
 
 /// A cheaply-cloneable immutable byte buffer.
-#[derive(Clone)]
 pub struct Bytes {
     data: Storage,
     start: usize,
     end: usize,
 }
 
-#[derive(Clone)]
+#[derive(Clone, Copy)]
 enum Storage {
     Static(&'static [u8]),
-    Shared(Arc<Shared>),
+    /// One counted reference, owned by this view.
+    Shared(Handle),
 }
+
+// SAFETY: a view's bytes are immutable (module invariant) and its one
+// reference is counted in `Shared::refs`, an atomic; moving a view moves
+// that reference, and dropping it on any thread parks it in that
+// thread's table or releases it through the atomic.
+unsafe impl Send for Bytes {}
+// SAFETY: `&Bytes` only reads immutable bytes, and `clone` takes its new
+// reference from the calling thread's table or the atomic count.
+unsafe impl Sync for Bytes {}
 
 impl Bytes {
     /// Creates an empty buffer.
@@ -292,11 +553,10 @@ impl Bytes {
             "slice end {end} out of bounds (len {})",
             self.len()
         );
-        Bytes {
-            data: self.data.clone(),
-            start: self.start + start,
-            end: self.start + end,
-        }
+        let mut view = self.clone();
+        view.start = self.start + start;
+        view.end = self.start + end;
+        view
     }
 
     /// Returns a view of `subset` sharing this buffer's storage, where
@@ -332,11 +592,33 @@ impl Bytes {
             Storage::Static(s) => &s[self.start..self.end],
             // SAFETY: per the module invariant, `[start, end)` was fully
             // initialized before this view existed and is never written
-            // while any view of it is alive; the `Arc` keeps the
-            // allocation alive for `&self`'s lifetime.
-            Storage::Shared(a) => unsafe {
-                std::slice::from_raw_parts(a.ptr.add(self.start), self.end - self.start)
+            // while any view of it is alive; the view's counted
+            // reference keeps the allocation alive for `&self`'s
+            // lifetime.
+            Storage::Shared(h) => unsafe {
+                std::slice::from_raw_parts(h.get().ptr.add(self.start), self.end - self.start)
             },
+        }
+    }
+}
+
+impl Clone for Bytes {
+    fn clone(&self) -> Self {
+        if let Storage::Shared(h) = self.data {
+            h.acquire();
+        }
+        Bytes {
+            data: self.data,
+            start: self.start,
+            end: self.end,
+        }
+    }
+}
+
+impl Drop for Bytes {
+    fn drop(&mut self) {
+        if let Storage::Shared(h) = self.data {
+            h.park();
         }
     }
 }
@@ -372,7 +654,7 @@ impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Self {
         let end = v.len();
         Bytes {
-            data: Storage::Shared(Shared::from_vec(v)),
+            data: Storage::Shared(Handle::alloc(v)),
             start: 0,
             end,
         }
@@ -491,28 +773,42 @@ impl<'a> IntoIterator for &'a Bytes {
 }
 
 /// An append-only byte builder over a pooled shared buffer.
-/// [`BytesMut::pack_frozen`] appends bytes and freezes them in place,
-/// handing back only their start offset; [`BytesMut::frozen`] later
-/// serves any frozen range as a zero-copy [`Bytes`] view, so the owner
-/// can index its chunk with plain integers and pay the refcount bump
-/// only when a reader asks. When capacity runs out the builder rolls to
-/// a fresh pooled chunk while earlier views keep the old one alive.
+/// [`BytesMut::pack_view`] appends bytes, freezes them in place and
+/// returns their view, paid for out of the writer's prepaid block.
+/// [`BytesMut::pack_frozen`] freezes without a view, handing back only
+/// the start offset; [`BytesMut::frozen`] later serves any frozen range
+/// as a zero-copy [`Bytes`] view, so an owner that indexes its chunk
+/// with plain integers takes a reference only when a reader asks. When
+/// capacity runs out the builder rolls to a fresh pooled chunk while
+/// earlier views keep the old one alive.
 pub struct BytesMut {
-    shared: Arc<Shared>,
+    /// The writer's own reference plus `prepaid` more.
+    shared: Handle,
     /// Write base and frozen mark: every byte below `off` is frozen
     /// (visible to `Bytes` views); this builder never writes below it.
     off: usize,
     /// Initialized-but-unfrozen bytes at `off..off + len`.
     len: usize,
+    /// References bought for views `pack_view` has yet to hand out.
+    prepaid: usize,
 }
+
+// SAFETY: the writer's references are counted in `Shared::refs` and
+// move with it; it is the buffer's only writer wherever it lives.
+unsafe impl Send for BytesMut {}
+// SAFETY: `&BytesMut` reads pending bytes only this writer (through
+// `&mut`) writes, and `frozen` takes references from the calling
+// thread's table or the atomic count.
+unsafe impl Sync for BytesMut {}
 
 impl BytesMut {
     /// Creates an empty builder without allocating.
     pub fn new() -> Self {
         BytesMut {
-            shared: Shared::empty(),
+            shared: Handle::empty(),
             off: 0,
             len: 0,
+            prepaid: 0,
         }
     }
 
@@ -520,9 +816,10 @@ impl BytesMut {
     /// a pooled chunk when one is available.
     pub fn with_capacity(cap: usize) -> Self {
         BytesMut {
-            shared: Shared::from_vec(pool_acquire(cap)),
+            shared: Handle::alloc(pool_acquire(cap)),
             off: 0,
             len: 0,
+            prepaid: 0,
         }
     }
 
@@ -538,29 +835,35 @@ impl BytesMut {
 
     /// Writable capacity remaining (including pending bytes).
     pub fn capacity(&self) -> usize {
-        self.shared.cap - self.off
+        self.shared.get().cap - self.off
     }
 
     /// Ensures room for `additional` more bytes, rolling to a fresh
     /// pooled chunk (and carrying pending bytes over) when the current
-    /// window is exhausted. Frozen views keep the old chunk alive; once
-    /// they drop it returns to the pool.
+    /// window is exhausted. The writer hands back its references to the
+    /// old chunk; frozen views keep it alive, and once they drop it
+    /// returns to the pool.
     pub fn reserve(&mut self, additional: usize) {
         if self.capacity() - self.len >= additional {
             return;
         }
         let need = self.len + additional;
         let new_cap = need.next_power_of_two().max(POOL_MIN_CAP);
-        let fresh = Shared::from_vec(pool_acquire(new_cap));
+        let fresh = Handle::alloc(pool_acquire(new_cap));
         if self.len > 0 {
             // SAFETY: source region `[off, off+len)` of the old buffer is
             // initialized and owned by this builder; the fresh buffer has
             // `new_cap >= len` capacity and no other referent. The two
             // allocations are distinct, so the ranges cannot overlap.
             unsafe {
-                std::ptr::copy_nonoverlapping(self.shared.ptr.add(self.off), fresh.ptr, self.len);
+                std::ptr::copy_nonoverlapping(
+                    self.shared.get().ptr.add(self.off),
+                    fresh.get().ptr,
+                    self.len,
+                );
             }
         }
+        self.shared.hand_back(1 + std::mem::take(&mut self.prepaid));
         self.shared = fresh;
         self.off = 0;
     }
@@ -575,7 +878,7 @@ impl BytesMut {
         unsafe {
             std::ptr::copy_nonoverlapping(
                 src.as_ptr(),
-                self.shared.ptr.add(self.off + self.len),
+                self.shared.get().ptr.add(self.off + self.len),
                 src.len(),
             );
         }
@@ -601,8 +904,34 @@ impl BytesMut {
         self.off - data.len()
     }
 
+    /// Copies `data` in behind any pending bytes, freezes the lot in
+    /// place and returns the view of `data`: [`BytesMut::pack_frozen`]
+    /// and [`BytesMut::frozen`] in one call, whose reference comes out of
+    /// the writer's prepaid block — one `fetch_add` per 256 views,
+    /// the unspent rest handed back when the writer rolls or drops. When
+    /// `data` does not fit, the writer rolls first (see
+    /// [`BytesMut::reserve`]). Empty `data` is `Bytes::new()`.
+    pub fn pack_view(&mut self, data: &[u8]) -> Bytes {
+        let start = self.pack_frozen(data);
+        if data.is_empty() {
+            return Bytes::new();
+        }
+        if self.prepaid == 0 {
+            // Relaxed: the writer holds its own reference meanwhile.
+            self.shared.get().refs.fetch_add(PREPAY, Ordering::Relaxed);
+            self.prepaid = PREPAY;
+        }
+        self.prepaid -= 1;
+        Bytes {
+            data: Storage::Shared(self.shared),
+            start,
+            end: start + data.len(),
+        }
+    }
+
     /// Zero-copy view of `range`, given in chunk offsets as returned by
-    /// [`BytesMut::pack_frozen`]. An empty range costs no refcount.
+    /// [`BytesMut::pack_frozen`]. An empty range costs no reference; any
+    /// other takes one parked on the calling thread, or a fresh one.
     ///
     /// # Panics
     ///
@@ -617,8 +946,9 @@ impl BytesMut {
         if range.is_empty() {
             return Bytes::new();
         }
+        self.shared.acquire();
         Bytes {
-            data: Storage::Shared(self.shared.clone()),
+            data: Storage::Shared(self.shared),
             start: range.start,
             end: range.end,
         }
@@ -627,6 +957,12 @@ impl BytesMut {
     /// Discards pending bytes (frozen views are unaffected).
     pub fn clear(&mut self) {
         self.len = 0;
+    }
+}
+
+impl Drop for BytesMut {
+    fn drop(&mut self) {
+        self.shared.hand_back(1 + self.prepaid);
     }
 }
 
@@ -643,7 +979,7 @@ impl Deref for BytesMut {
         // SAFETY: `[off, off+len)` is initialized and this builder, its
         // only writer, writes at `off + len..`, so a shared borrow is
         // sound.
-        unsafe { std::slice::from_raw_parts(self.shared.ptr.add(self.off), self.len) }
+        unsafe { std::slice::from_raw_parts(self.shared.get().ptr.add(self.off), self.len) }
     }
 }
 
@@ -656,6 +992,7 @@ impl std::fmt::Debug for BytesMut {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc;
 
     #[test]
     fn construction_and_equality() {
@@ -903,6 +1240,100 @@ mod tests {
         set.insert(Bytes::from_static(b"k"));
         assert!(set.contains(&Bytes::from(b"k".to_vec())));
         assert_eq!(Bytes::from_static(b"abc").iter().count(), 3);
+    }
+
+    /// Idle buffers in `cap`'s class of the process-wide pool. Each
+    /// release-point test below owns a class no other test touches, so
+    /// the count moves only when that test's chunk is reclaimed.
+    fn pooled(cap: usize) -> usize {
+        let class = ChunkPool::class_of(cap).expect("a pooled size");
+        CHUNK_POOL.classes[class].lock().unwrap().len()
+    }
+
+    #[test]
+    fn a_sole_holders_drop_reclaims_at_once() {
+        const CAP: usize = 2 << 10;
+        let mut buf = BytesMut::with_capacity(CAP);
+        let idle = pooled(CAP);
+        let view = buf.pack_view(b"sole");
+        let copy = view.clone();
+        drop(buf); // hands back its own reference and its unspent block
+        drop(view); // parked: the clone is still out
+        assert_eq!(pooled(CAP), idle);
+        drop(copy); // every reference left is parked on this thread
+        assert_eq!(pooled(CAP), idle + 1, "the last view's drop reclaims");
+
+        // Views that go first leave the writer's hand-back to reclaim.
+        let mut buf = BytesMut::with_capacity(CAP);
+        drop(buf.pack_view(b"first"));
+        assert_eq!(pooled(CAP), idle);
+        drop(buf);
+        assert_eq!(pooled(CAP), idle + 1, "the writer's hand-back reclaims");
+    }
+
+    #[test]
+    fn an_evicted_entry_flushes() {
+        const CAP: usize = 4 << 10;
+        let mut buf = BytesMut::with_capacity(CAP);
+        let idle = pooled(CAP);
+        let view = buf.pack_view(b"parked on another thread");
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (evict_tx, evict_rx) = mpsc::channel();
+        let thread = std::thread::spawn(move || {
+            drop(view); // the writer still holds the chunk: parked
+            parked_tx.send(()).unwrap();
+            evict_rx.recv().unwrap();
+            // Views of WAYS buffers whose writers live take every
+            // entry; the last of them evicts the chunk's.
+            let mut writers: Vec<_> = (0..WAYS).map(|_| BytesMut::with_capacity(64)).collect();
+            for (i, writer) in writers.iter_mut().enumerate() {
+                assert_eq!(pooled(CAP), idle, "evicted early, at view {i}");
+                drop(writer.pack_view(b"x"));
+            }
+            assert_eq!(pooled(CAP), idle + 1, "the evicted entry reclaims");
+        });
+        parked_rx.recv().unwrap();
+        drop(buf);
+        assert_eq!(pooled(CAP), idle, "the parked reference holds the chunk");
+        evict_tx.send(()).unwrap();
+        thread.join().expect("evicting thread");
+    }
+
+    #[test]
+    fn thread_exit_flushes() {
+        const CAP: usize = 8 << 10;
+        let mut buf = BytesMut::with_capacity(CAP);
+        let idle = pooled(CAP);
+        let view = buf.pack_view(b"parked until the thread exits");
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (exit_tx, exit_rx) = mpsc::channel::<()>();
+        let thread = std::thread::spawn(move || {
+            drop(view);
+            parked_tx.send(()).unwrap();
+            let _ = exit_rx.recv();
+        });
+        parked_rx.recv().unwrap();
+        drop(buf);
+        assert_eq!(pooled(CAP), idle, "the parked reference holds the chunk");
+        drop(exit_tx);
+        thread.join().expect("exiting thread");
+        assert_eq!(pooled(CAP), idle + 1, "thread exit reclaims");
+
+        // A view dropped while its thread tears down its thread-locals,
+        // before or after the table's own destructor, reclaims too.
+        thread_local! {
+            static HELD: RefCell<Option<Bytes>> = const { RefCell::new(None) };
+        }
+        let mut buf = BytesMut::with_capacity(CAP);
+        let view = buf.pack_view(b"dropped during teardown");
+        drop(buf);
+        std::thread::spawn(move || {
+            HELD.with(|held| *held.borrow_mut() = Some(view));
+            drop(Bytes::from(vec![0u8; 8]).clone()); // touches the table
+        })
+        .join()
+        .expect("exiting thread");
+        assert_eq!(pooled(CAP), idle + 1, "a teardown drop reclaims");
     }
 
     #[test]
