@@ -1,7 +1,7 @@
 //! Substrate microbenchmarks: raw throughput of the broker and the three
 //! engines, independent of the benchmark queries.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -540,7 +540,51 @@ fn data_sender(c: &mut Criterion) {
     group.finish();
 }
 
+/// One arena view against the `memcpy` it models (DESIGN.md §12): a
+/// 150-byte value packed into a view of a 64 KiB chunk the way
+/// `beamline`'s arena packs each decoded value — 1 024 views to a batch,
+/// then the batch cleared, so every view is made and dropped — against
+/// the same bytes appended to a reused `Vec`. The ratio of the two is
+/// the cost of a view over its copy.
+fn byte_view(c: &mut Criterion) {
+    const BATCH: usize = 1024;
+    const CHUNK: usize = 64 << 10;
+    let value: Vec<u8> = (0..150u8).collect();
+    let mut group = c.benchmark_group("byte_view");
+    group.throughput(Throughput::Elements(BATCH as u64));
+    group
+        .sample_size(10)
+        .warm_up_time(std::time::Duration::from_secs(1))
+        .measurement_time(std::time::Duration::from_secs(2));
+    group.bench_function("pack_view_drop_150b", |b| {
+        let mut arena = BytesMut::with_capacity(CHUNK);
+        let mut batch: Vec<Bytes> = Vec::with_capacity(BATCH);
+        b.iter(|| {
+            for _ in 0..BATCH {
+                let value = black_box(&value[..]);
+                if arena.capacity() < value.len() {
+                    arena = BytesMut::with_capacity(CHUNK);
+                }
+                batch.push(arena.pack_view(value));
+            }
+            batch.clear();
+        });
+    });
+    group.bench_function("memcpy_150b", |b| {
+        let mut out: Vec<u8> = Vec::with_capacity(BATCH * value.len());
+        b.iter(|| {
+            for _ in 0..BATCH {
+                out.extend_from_slice(black_box(&value[..]));
+            }
+            black_box(&out);
+            out.clear();
+        });
+    });
+    group.finish();
+}
+
 fn bench(c: &mut Criterion) {
+    byte_view(c);
     data_sender(c);
     broker_produce_fetch(c);
     broker_hot_path(c);

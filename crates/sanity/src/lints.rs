@@ -1,7 +1,8 @@
 //! The lint catalog: each lint enforces one contract DESIGN.md states in
 //! prose (§7 hot-path discipline, §8 observability gating, §9 batching
 //! contract, §10 fault confinement, §7 the one produce path and its
-//! round-trip charge sites, §14 the one consume path, §11 this tool).
+//! round-trip charge sites, §14 the one consume path, §12 the byte
+//! substrate's inlined per-value path, §11 this tool).
 
 use crate::strip::Stripped;
 use crate::Violation;
@@ -162,6 +163,7 @@ pub fn lint_file(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
     rtt_sites(rel, src, out);
     confine(&CONSUME_PATH_CONFINEMENT, rel, src, out);
     zero_copy(rel, src, out);
+    inline_substrate(rel, src, out);
 }
 
 /// `hot-path-panic`: no `unwrap()`/`expect()`/`panic!` family on hot
@@ -508,6 +510,150 @@ fn zero_copy(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
             }
         }
     }
+}
+
+/// The byte substrate: every `Bytes` read, clone and drop in the
+/// workspace runs its code.
+const SUBSTRATE: &str = "shims/bytes/src/lib.rs";
+
+/// `(impl type, fn, attribute)`: the per-value path of [`SUBSTRATE`],
+/// which must inline into callers in other crates (the workspace builds
+/// without LTO), and the one slow path kept out of line.
+const SUBSTRATE_ATTRS: &[(&str, &str, &str)] = &[
+    ("Bytes", "deref", "#[inline]"),
+    ("Bytes", "as_ref", "#[inline]"),
+    ("Bytes", "len", "#[inline]"),
+    ("Bytes", "is_empty", "#[inline]"),
+    ("Bytes", "is_static", "#[inline]"),
+    ("Bytes", "clone", "#[inline]"),
+    ("Bytes", "drop", "#[inline]"),
+    ("Bytes", "slice", "#[inline]"),
+    ("Bytes", "eq", "#[inline]"),
+    ("BytesMut", "capacity", "#[inline]"),
+    ("BytesMut", "extend_from_slice", "#[inline]"),
+    ("BytesMut", "pack_frozen", "#[inline]"),
+    ("BytesMut", "pack_view", "#[inline]"),
+    ("BytesMut", "frozen", "#[inline]"),
+    ("BytesMut", "reserve", "#[inline]"),
+    ("BytesMut", "roll", "#[cold]"),
+    ("Handle", "get", "#[inline]"),
+    ("Handle", "acquire", "#[inline]"),
+    ("Handle", "park", "#[inline]"),
+    ("Parked", "find", "#[inline]"),
+    ("Parked", "unpark", "#[inline]"),
+    ("Parked", "settle_at", "#[inline]"),
+];
+
+/// `inline-substrate`: in [`SUBSTRATE`], every method [`SUBSTRATE_ATTRS`]
+/// names exists and each of its definitions (`eq` has several) carries
+/// the attribute. Without `#[inline]` a view's deref, clone or drop is a
+/// cross-crate call per value, a cost of the harness that the Beam cells
+/// pay 18 times per record (DESIGN.md §12).
+fn inline_substrate(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
+    if !rel.ends_with(SUBSTRATE) {
+        return;
+    }
+    let mut seen = [false; SUBSTRATE_ATTRS.len()];
+    let mut depth = 0usize;
+    let mut impl_type: Option<&str> = None;
+    for (idx, line) in src.lines.iter().enumerate() {
+        if line.in_test {
+            continue;
+        }
+        let code = line.code.trim();
+        if depth == 0 && (code.starts_with("impl") || code.starts_with("unsafe impl")) {
+            impl_type = Some(impl_self_type(code));
+        }
+        if let (1, Some(ty), Some(name)) = (depth, impl_type, fn_name(code)) {
+            for (i, &(t, f, attr)) in SUBSTRATE_ATTRS.iter().enumerate() {
+                if (t, f) != (ty, name) {
+                    continue;
+                }
+                seen[i] = true;
+                if !attributes_of(src, idx).contains(attr) {
+                    out.push(Violation::new(
+                        "inline-substrate",
+                        rel,
+                        line.number,
+                        &line.raw,
+                        format!(
+                            "`{t}::{f}` lost `{attr}`; the per-value path must inline \
+                             across crates, its slow path stay out of line"
+                        ),
+                    ));
+                }
+            }
+        }
+        for c in line.code.chars() {
+            match c {
+                '{' => depth += 1,
+                '}' => depth = depth.saturating_sub(1),
+                _ => {}
+            }
+        }
+        if depth == 0 {
+            impl_type = None;
+        }
+    }
+    for (&(t, f, attr), _) in SUBSTRATE_ATTRS.iter().zip(seen).filter(|(_, s)| !s) {
+        out.push(Violation::new(
+            "inline-substrate",
+            rel,
+            0,
+            "",
+            format!("`{t}::{f}` (which must carry `{attr}`) is gone; update `SUBSTRATE_ATTRS`"),
+        ));
+    }
+}
+
+/// The type an `impl` header implements for: `impl Deref for Bytes {`,
+/// `impl<'a> IntoIterator for &'a Bytes {` and `impl Bytes {` give
+/// `Bytes`. (The shim's inherent impls take no generics.)
+fn impl_self_type(header: &str) -> &str {
+    let head = header.split('{').next().unwrap_or(header);
+    let ty = match head.rfind(" for ") {
+        Some(at) => &head[at + 5..],
+        None => head
+            .trim_start_matches("unsafe ")
+            .trim_start_matches("impl"),
+    };
+    ty.trim_start()
+        .trim_start_matches('&')
+        .split_whitespace()
+        .find(|t| !t.starts_with('\''))
+        .unwrap_or("")
+        .split('<')
+        .next()
+        .unwrap_or("")
+}
+
+/// The name a line defines with `fn`, if it does.
+fn fn_name(code: &str) -> Option<&str> {
+    let at = code
+        .match_indices("fn ")
+        .map(|(i, _)| i)
+        .find(|&i| i == 0 || code[..i].ends_with(' '))?;
+    let rest = &code[at + 3..];
+    let end = rest
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(rest.len());
+    (end > 0).then(|| &rest[..end])
+}
+
+/// The attributes on the item that starts at line `idx`: the lines
+/// above it that are attributes or blank (doc comments are blanked),
+/// and anything before `fn` on the line itself.
+fn attributes_of(src: &Stripped, idx: usize) -> String {
+    let mut attrs = src.lines[..idx]
+        .iter()
+        .rev()
+        .map(|l| l.code.trim())
+        .take_while(|c| c.is_empty() || c.starts_with("#["))
+        .collect::<Vec<_>>()
+        .join(" ");
+    let own = &src.lines[idx].code;
+    attrs.push_str(own.split("fn ").next().unwrap_or(""));
+    attrs
 }
 
 #[cfg(test)]

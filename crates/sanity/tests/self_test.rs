@@ -155,6 +155,29 @@ fn zero_copy_fixture() {
     assert!(lint_source("crates/core/src/report.rs", &src).is_empty());
 }
 
+#[test]
+fn inline_substrate_fixture() {
+    const SHIM: &str = "shims/bytes/src/lib.rs";
+    assert_trips_once("inline_substrate.rs", SHIM, "inline-substrate");
+    let src = fixture("inline_substrate.rs");
+    let found = lint_source(SHIM, &src);
+    assert!(found[0].excerpt.contains("fn acquire"), "{found:?}");
+    // With the attribute back the substrate is clean; any other file
+    // may inline as it likes.
+    let fixed = src.replace("    fn acquire", "    #[inline]\n    fn acquire");
+    assert!(lint_source(SHIM, &fixed).is_empty());
+    assert!(lint_source("shims/rand/src/lib.rs", &src).is_empty());
+    // A method that leaves the substrate, or is renamed, leaves the
+    // list stale: that is a finding too.
+    let gone = fixed.replace("fn roll(", "fn grow(");
+    let found = lint_source(SHIM, &gone);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].message.contains("BytesMut::roll"), "{found:?}");
+    // `#[cold]` is what `roll` must carry; `#[inline(never)]` alone fails.
+    let warm = fixed.replace("    #[cold]\n", "");
+    assert_eq!(lint_source(SHIM, &warm).len(), 1);
+}
+
 /// The fixtures are bad only *because of where they claim to live*: the
 /// same panic fixture on a cold-path module is clean, and the ungated
 /// observe is fine off the hot path. Guards against the lints becoming

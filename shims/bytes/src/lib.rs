@@ -5,10 +5,17 @@
 //!
 //! # Storage model
 //!
-//! Backing storage is either a `&'static [u8]` (zero-cost
-//! [`Bytes::from_static`]) or a reference-counted raw buffer taken
-//! directly from a `Vec<u8>` without copying ([`Bytes::from`] /
-//! [`BytesMut`]); clones and slices share storage and never copy.
+//! A [`Bytes`] is a `(ptr, len, owner)` triple, three words: `len` bytes
+//! at `ptr`, and the counted reference that keeps them alive. With no
+//! owner the bytes are a `&'static [u8]` (zero-cost
+//! [`Bytes::from_static`], and the empty view); with one they lie in a
+//! reference-counted raw buffer taken directly from a `Vec<u8>` without
+//! copying ([`Bytes::from`] / [`BytesMut`]). Reading a view is one
+//! `slice::from_raw_parts(ptr, len)` that never looks at its owner;
+//! clones and slices share storage, never copy, and move only `ptr` and
+//! `len`. The per-value path (deref, clone, drop, `pack_view` and the
+//! capacity check before it) is `#[inline]`, so a caller in another
+//! crate pays no call for it; rolling to a fresh chunk stays out of line.
 //!
 //! # Who holds a buffer's references
 //!
@@ -48,10 +55,13 @@
 //! `Bytes` views plus at most one writer, the `BytesMut` that owns its
 //! `[off, cap)` window:
 //!
-//! * a `Bytes` view covers only bytes that were fully initialized
-//!   *before* the view was created, and those bytes are never written
-//!   again (freezing advances the writer's base past them, and
-//!   [`BytesMut::frozen`] refuses ranges beyond that base);
+//! * a view's `[ptr, ptr + len)` lies inside its owner's buffer (or its
+//!   `&'static` slice), set once from the buffer's base plus an offset
+//!   when the view is made and only narrowed by `slice`/`slice_ref`;
+//! * those bytes were fully initialized *before* the view was created,
+//!   and they are never written again (freezing advances the writer's
+//!   base past them, and [`BytesMut::frozen`] refuses ranges beyond that
+//!   base);
 //! * a `BytesMut` writes only at `off + len ..`, strictly beyond every
 //!   frozen view.
 //!
@@ -60,7 +70,8 @@
 //! buffer itself stays allocated while its count is above zero: every
 //! holder above is counted in it, a reference only moves between a
 //! view, a prepaid block and a parked entry on one thread, and whoever
-//! takes the count to zero frees the buffer.
+//! takes the count to zero frees the buffer. A view's `ptr` is thus
+//! valid for as long as the view holds its owner's reference.
 //!
 //! # Chunk pool
 //!
@@ -228,7 +239,7 @@ struct Shared {
     /// Live views + the writer's own reference and unspent prepaid
     /// block + references parked in thread tables.
     refs: AtomicUsize,
-    ptr: *mut u8,
+    ptr: NonNull<u8>,
     cap: usize,
 }
 
@@ -248,7 +259,7 @@ unsafe impl Sync for Shared {}
 /// empty range is `Bytes::new()`).
 static EMPTY: Shared = Shared {
     refs: AtomicUsize::new(usize::MAX / 2),
-    ptr: NonNull::dangling().as_ptr(),
+    ptr: NonNull::dangling(),
     cap: 0,
 };
 
@@ -263,7 +274,7 @@ struct Handle(NonNull<Shared>);
 impl Handle {
     /// A new buffer owning `v`'s allocation, holding one reference.
     fn alloc(mut v: Vec<u8>) -> Handle {
-        let ptr = v.as_mut_ptr();
+        let ptr = NonNull::from(v.as_mut_slice()).cast();
         let cap = v.capacity();
         std::mem::forget(v);
         let shared = Box::new(Shared {
@@ -279,6 +290,7 @@ impl Handle {
         Handle(NonNull::from(&EMPTY))
     }
 
+    #[inline]
     fn get(&self) -> &Shared {
         // SAFETY: the caller holds a counted reference (see `Handle`), so
         // `refs` is above zero and nobody has freed the `Box`.
@@ -303,13 +315,14 @@ impl Handle {
         // always valid.
         let v = unsafe {
             let shared = Box::from_raw(self.0.as_ptr());
-            Vec::from_raw_parts(shared.ptr, 0, shared.cap)
+            Vec::from_raw_parts(shared.ptr.as_ptr(), 0, shared.cap)
         };
         pool_reclaim(v);
     }
 
     /// One more reference, for a new view: a parked one if the calling
     /// thread has any, otherwise a fresh count.
+    #[inline]
     fn acquire(self) {
         let unparked = PARKED
             .try_with(|table| table.borrow_mut().unpark(self))
@@ -323,6 +336,7 @@ impl Handle {
 
     /// Drops a view's reference: parks it in the calling thread's
     /// table, or releases it when the thread's table is gone.
+    #[inline]
     fn park(self) {
         if PARKED
             .try_with(|table| table.borrow_mut().park(self))
@@ -377,11 +391,13 @@ impl Parked {
         }
     }
 
+    #[inline]
     fn find(&self, h: Handle) -> Option<usize> {
         self.ways.iter().position(|e| e.handle == Some(h))
     }
 
     /// Takes one parked reference to `h`, if this thread holds any.
+    #[inline]
     fn unpark(&mut self, h: Handle) -> bool {
         match self.find(h) {
             Some(i) if self.ways[i].refs > 0 => {
@@ -417,6 +433,7 @@ impl Parked {
     /// [`Parked::settle`] for entry `i`. The load may be stale: handing
     /// references back is correct whatever it reads, it just frees the
     /// buffer only when the count really was `parked + own`.
+    #[inline]
     fn settle_at(&mut self, i: usize, own: usize) -> bool {
         let Entry {
             handle: Some(h),
@@ -468,19 +485,19 @@ impl Drop for Parked {
     }
 }
 
-/// A cheaply-cloneable immutable byte buffer.
+/// A cheaply-cloneable immutable byte buffer: `len` bytes at `ptr`,
+/// kept alive by `owner`'s counted reference, or `&'static` when there
+/// is no owner.
 pub struct Bytes {
-    data: Storage,
-    start: usize,
-    end: usize,
+    ptr: NonNull<u8>,
+    len: usize,
+    /// One counted reference, owned by this view; `None` for static
+    /// bytes (and the empty view).
+    owner: Option<Handle>,
 }
 
-#[derive(Clone, Copy)]
-enum Storage {
-    Static(&'static [u8]),
-    /// One counted reference, owned by this view.
-    Shared(Handle),
-}
+const _: () = assert!(std::mem::size_of::<Bytes>() == 3 * std::mem::size_of::<usize>());
+const _: () = assert!(std::mem::size_of::<Option<Bytes>>() == std::mem::size_of::<Bytes>());
 
 // SAFETY: a view's bytes are immutable (module invariant) and its one
 // reference is counted in `Shared::refs`, an atomic; moving a view moves
@@ -494,19 +511,33 @@ unsafe impl Sync for Bytes {}
 impl Bytes {
     /// Creates an empty buffer.
     pub const fn new() -> Self {
-        Bytes {
-            data: Storage::Static(&[]),
-            start: 0,
-            end: 0,
-        }
+        Bytes::from_static(&[])
     }
 
     /// Wraps a static slice without copying.
     pub const fn from_static(bytes: &'static [u8]) -> Self {
         Bytes {
-            data: Storage::Static(bytes),
-            start: 0,
-            end: bytes.len(),
+            ptr: NonNull::from_ref(bytes).cast(),
+            len: bytes.len(),
+            owner: None,
+        }
+    }
+
+    /// A view of `len` bytes at `off` in `h`'s buffer.
+    ///
+    /// # Safety
+    ///
+    /// The caller has counted one reference to `h` for the view to own,
+    /// `off + len` lies within the buffer's capacity, and those bytes are
+    /// initialized and frozen (never written again).
+    #[inline]
+    unsafe fn owned(h: Handle, off: usize, len: usize) -> Self {
+        Bytes {
+            // SAFETY: the caller vouches `off <= cap`, so the pointer
+            // stays inside (or one past) the buffer's allocation.
+            ptr: unsafe { h.get().ptr.add(off) },
+            len,
+            owner: Some(h),
         }
     }
 
@@ -517,18 +548,21 @@ impl Bytes {
     }
 
     /// Number of bytes in the buffer.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.len
     }
 
     /// Whether the buffer is empty.
+    #[inline]
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len == 0
     }
 
     /// Whether this view is backed by `&'static` storage (no refcount).
+    #[inline]
     pub fn is_static(&self) -> bool {
-        matches!(self.data, Storage::Static(_))
+        self.owner.is_none()
     }
 
     /// Returns a sub-buffer sharing this buffer's storage.
@@ -536,6 +570,7 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics when the range is out of bounds or inverted.
+    #[inline]
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Self {
         let start = match range.start_bound() {
             Bound::Included(&n) => n,
@@ -545,17 +580,19 @@ impl Bytes {
         let end = match range.end_bound() {
             Bound::Included(&n) => n + 1,
             Bound::Excluded(&n) => n,
-            Bound::Unbounded => self.len(),
+            Bound::Unbounded => self.len,
         };
         assert!(start <= end, "slice range inverted: {start} > {end}");
         assert!(
-            end <= self.len(),
+            end <= self.len,
             "slice end {end} out of bounds (len {})",
-            self.len()
+            self.len
         );
         let mut view = self.clone();
-        view.start = self.start + start;
-        view.end = self.start + end;
+        // SAFETY: `start <= end <= len`, so the new pointer stays inside
+        // (or one past) this view's bytes.
+        view.ptr = unsafe { self.ptr.add(start) };
+        view.len = end - start;
         view
     }
 
@@ -567,15 +604,15 @@ impl Bytes {
     /// # Panics
     ///
     /// Panics when `subset` does not lie inside `self`'s bounds.
+    #[inline]
     pub fn slice_ref(&self, subset: &[u8]) -> Self {
         if subset.is_empty() {
             return Bytes::new();
         }
-        let full = self.as_slice();
-        let full_start = full.as_ptr() as usize;
+        let full_start = self.ptr.as_ptr() as usize;
         let sub_start = subset.as_ptr() as usize;
         assert!(
-            sub_start >= full_start && sub_start + subset.len() <= full_start + full.len(),
+            sub_start >= full_start && sub_start + subset.len() <= full_start + self.len,
             "slice_ref: subset is not contained in this Bytes"
         );
         let off = sub_start - full_start;
@@ -587,37 +624,35 @@ impl Bytes {
         self.as_slice().to_vec()
     }
 
+    #[inline]
     fn as_slice(&self) -> &[u8] {
-        match &self.data {
-            Storage::Static(s) => &s[self.start..self.end],
-            // SAFETY: per the module invariant, `[start, end)` was fully
-            // initialized before this view existed and is never written
-            // while any view of it is alive; the view's counted
-            // reference keeps the allocation alive for `&self`'s
-            // lifetime.
-            Storage::Shared(h) => unsafe {
-                std::slice::from_raw_parts(h.get().ptr.add(self.start), self.end - self.start)
-            },
-        }
+        // SAFETY: per the module invariant, `len` bytes at `ptr` lie in a
+        // `&'static` slice or in `owner`'s buffer, were fully initialized
+        // before this view existed and are never written while it lives;
+        // the view's counted reference keeps the buffer allocated for
+        // `&self`'s lifetime. An empty view's pointer is non-null.
+        unsafe { std::slice::from_raw_parts(self.ptr.as_ptr(), self.len) }
     }
 }
 
 impl Clone for Bytes {
+    #[inline]
     fn clone(&self) -> Self {
-        if let Storage::Shared(h) = self.data {
+        if let Some(h) = self.owner {
             h.acquire();
         }
         Bytes {
-            data: self.data,
-            start: self.start,
-            end: self.end,
+            ptr: self.ptr,
+            len: self.len,
+            owner: self.owner,
         }
     }
 }
 
 impl Drop for Bytes {
+    #[inline]
     fn drop(&mut self) {
-        if let Storage::Shared(h) = self.data {
+        if let Some(h) = self.owner {
             h.park();
         }
     }
@@ -632,12 +667,14 @@ impl Default for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
 
+    #[inline]
     fn deref(&self) -> &[u8] {
         self.as_slice()
     }
 }
 
 impl AsRef<[u8]> for Bytes {
+    #[inline]
     fn as_ref(&self) -> &[u8] {
         self.as_slice()
     }
@@ -652,12 +689,10 @@ impl std::borrow::Borrow<[u8]> for Bytes {
 impl From<Vec<u8>> for Bytes {
     /// Takes ownership of the `Vec`'s allocation without copying.
     fn from(v: Vec<u8>) -> Self {
-        let end = v.len();
-        Bytes {
-            data: Storage::Shared(Handle::alloc(v)),
-            start: 0,
-            end,
-        }
+        let len = v.len();
+        // SAFETY: the new buffer's first `len` bytes are `v`'s, and no
+        // writer is left to touch them.
+        unsafe { Bytes::owned(Handle::alloc(v), 0, len) }
     }
 }
 
@@ -693,6 +728,7 @@ impl FromIterator<u8> for Bytes {
 }
 
 impl PartialEq for Bytes {
+    #[inline]
     fn eq(&self, other: &Self) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -701,24 +737,28 @@ impl PartialEq for Bytes {
 impl Eq for Bytes {}
 
 impl PartialEq<[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &[u8]) -> bool {
         self.as_slice() == other
     }
 }
 
 impl PartialEq<&[u8]> for Bytes {
+    #[inline]
     fn eq(&self, other: &&[u8]) -> bool {
         self.as_slice() == *other
     }
 }
 
 impl PartialEq<Vec<u8>> for Bytes {
+    #[inline]
     fn eq(&self, other: &Vec<u8>) -> bool {
         self.as_slice() == other.as_slice()
     }
 }
 
 impl PartialEq<Bytes> for Vec<u8> {
+    #[inline]
     fn eq(&self, other: &Bytes) -> bool {
         self.as_slice() == other.as_slice()
     }
@@ -834,6 +874,7 @@ impl BytesMut {
     }
 
     /// Writable capacity remaining (including pending bytes).
+    #[inline]
     pub fn capacity(&self) -> usize {
         self.shared.get().cap - self.off
     }
@@ -843,10 +884,19 @@ impl BytesMut {
     /// window is exhausted. The writer hands back its references to the
     /// old chunk; frozen views keep it alive, and once they drop it
     /// returns to the pool.
+    #[inline]
     pub fn reserve(&mut self, additional: usize) {
-        if self.capacity() - self.len >= additional {
-            return;
+        if self.capacity() - self.len < additional {
+            self.roll(additional);
         }
+    }
+
+    /// [`BytesMut::reserve`]'s slow half: moves the pending bytes to a
+    /// fresh chunk with room for `additional` more. Out of line, so the
+    /// capacity check is all that inlines into a caller.
+    #[cold]
+    #[inline(never)]
+    fn roll(&mut self, additional: usize) {
         let need = self.len + additional;
         let new_cap = need.next_power_of_two().max(POOL_MIN_CAP);
         let fresh = Handle::alloc(pool_acquire(new_cap));
@@ -857,8 +907,8 @@ impl BytesMut {
             // allocations are distinct, so the ranges cannot overlap.
             unsafe {
                 std::ptr::copy_nonoverlapping(
-                    self.shared.get().ptr.add(self.off),
-                    fresh.get().ptr,
+                    self.shared.get().ptr.as_ptr().add(self.off),
+                    fresh.get().ptr.as_ptr(),
                     self.len,
                 );
             }
@@ -869,6 +919,7 @@ impl BytesMut {
     }
 
     /// Appends `src` to the pending region.
+    #[inline]
     pub fn extend_from_slice(&mut self, src: &[u8]) {
         self.reserve(src.len());
         // SAFETY: `reserve` guaranteed `off + len + src.len() <= cap`;
@@ -878,7 +929,7 @@ impl BytesMut {
         unsafe {
             std::ptr::copy_nonoverlapping(
                 src.as_ptr(),
-                self.shared.get().ptr.add(self.off + self.len),
+                self.shared.get().ptr.as_ptr().add(self.off + self.len),
                 src.len(),
             );
         }
@@ -897,6 +948,7 @@ impl BytesMut {
     /// current *after* the call — when `data` did not fit, that is a
     /// fresh one (see [`BytesMut::reserve`]) — so an owner that keeps
     /// offsets checks [`BytesMut::capacity`] first.
+    #[inline]
     pub fn pack_frozen(&mut self, data: &[u8]) -> usize {
         self.extend_from_slice(data);
         self.off += self.len;
@@ -911,6 +963,7 @@ impl BytesMut {
     /// the unspent rest handed back when the writer rolls or drops. When
     /// `data` does not fit, the writer rolls first (see
     /// [`BytesMut::reserve`]). Empty `data` is `Bytes::new()`.
+    #[inline]
     pub fn pack_view(&mut self, data: &[u8]) -> Bytes {
         let start = self.pack_frozen(data);
         if data.is_empty() {
@@ -922,11 +975,8 @@ impl BytesMut {
             self.prepaid = PREPAY;
         }
         self.prepaid -= 1;
-        Bytes {
-            data: Storage::Shared(self.shared),
-            start,
-            end: start + data.len(),
-        }
+        // SAFETY: `pack_frozen` just wrote and froze `data` at `start`.
+        unsafe { Bytes::owned(self.shared, start, data.len()) }
     }
 
     /// Zero-copy view of `range`, given in chunk offsets as returned by
@@ -937,6 +987,7 @@ impl BytesMut {
     ///
     /// Panics when the range is inverted or reaches past the frozen
     /// mark: bytes beyond it may still be written.
+    #[inline]
     pub fn frozen(&self, range: std::ops::Range<usize>) -> Bytes {
         assert!(
             range.start <= range.end && range.end <= self.off,
@@ -947,11 +998,9 @@ impl BytesMut {
             return Bytes::new();
         }
         self.shared.acquire();
-        Bytes {
-            data: Storage::Shared(self.shared),
-            start: range.start,
-            end: range.end,
-        }
+        // SAFETY: the assert keeps `range` below the frozen mark `off`,
+        // whose bytes are initialized and never written again.
+        unsafe { Bytes::owned(self.shared, range.start, range.len()) }
     }
 
     /// Discards pending bytes (frozen views are unaffected).
@@ -979,7 +1028,9 @@ impl Deref for BytesMut {
         // SAFETY: `[off, off+len)` is initialized and this builder, its
         // only writer, writes at `off + len..`, so a shared borrow is
         // sound.
-        unsafe { std::slice::from_raw_parts(self.shared.get().ptr.add(self.off), self.len) }
+        unsafe {
+            std::slice::from_raw_parts(self.shared.get().ptr.as_ptr().add(self.off), self.len)
+        }
     }
 }
 
