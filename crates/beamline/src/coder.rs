@@ -5,9 +5,8 @@
 //! costs an encode and a decode — structural overhead that native engine
 //! programs (whose operators pass typed values directly) never pay.
 
-use crate::arena;
 use crate::element::{Instant, Kv, PaneInfo, PaneTiming, WindowRef, WindowedValue};
-use bytes::Bytes;
+use bytes::{arena, Bytes};
 use std::fmt;
 use std::sync::Arc;
 
@@ -146,7 +145,7 @@ pub(crate) fn take_array<const N: usize>(input: &mut &[u8]) -> Result<[u8; N], C
 }
 
 /// Length-prefixed raw bytes. A decoded value is a view of the decoding
-/// thread's arena (see [`crate::arena`]): one copy, no allocation.
+/// thread's arena (see [`bytes::arena`]): one copy, no allocation.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct BytesCoder;
 

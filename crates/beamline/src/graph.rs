@@ -3,7 +3,7 @@
 //! The typed `PCollection` API erases each applied transform into a
 //! [`StageNode`] whose payload operates on **raw elements** —
 //! [`WindowedValue`]`<Bytes>`, i.e. coded payloads with windowing
-//! metadata, each payload a view of its writer's arena (`crate::arena`).
+//! metadata, each payload a view of its writer's arena (`bytes::arena`).
 //! Runners translate stages onto their engine and move raw elements
 //! between them; every stage decodes its input and encodes its output
 //! through the `PCollection` coders. That uniform, coder-mediated data

@@ -1,13 +1,12 @@
 //! `BrokerIO` — the KafkaIO analog: reading and writing `logbus` topics.
 
-use crate::arena;
 use crate::coder::{take_array, Coder, CoderError};
 use crate::element::{Instant, Kv, WindowedValue};
 use crate::graph::{RawEmit, RawSource, StagePayload};
 use crate::pardo::{DoFn, ParDo, ProcessContext};
 use crate::pipeline::{PCollection, PTransform, Pipeline, RootTransform};
 use crate::transforms::MapElements;
-use bytes::Bytes;
+use bytes::{arena, Bytes};
 use logbus::{AsyncProducer, BusHandle, FollowTarget, GroupedReader, Record};
 use std::cell::RefCell;
 use std::sync::Arc;

@@ -39,7 +39,6 @@
 //! # }
 //! ```
 
-mod arena;
 pub mod coder;
 mod element;
 mod error;

@@ -1,10 +1,10 @@
 //! `ParDo`: element-by-element processing with `DoFn`s.
 
-use crate::arena;
 use crate::coder::Coder;
 use crate::element::{Instant, PaneInfo, WindowRef, WindowedValue};
 use crate::graph::{RawDoFn, RawElement, RawEmit, StagePayload};
 use crate::pipeline::{PCollection, PTransform};
+use bytes::arena;
 use std::sync::Arc;
 
 /// The display name engine plans show for translated `ParDo` stages,

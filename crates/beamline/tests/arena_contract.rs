@@ -11,12 +11,10 @@ use beamline::{
     BytesCoder, Coder, Instant, KafkaRecord, KafkaRecordCoder, Kv, KvCoder, StrUtf8Coder,
     WindowedValue, WindowedValueCoder,
 };
+use bytes::arena::CHUNK;
 use bytes::Bytes;
 use proptest::prelude::*;
 use std::sync::{mpsc, Arc};
-
-/// One arena chunk, as `beamline::arena` sizes it.
-const CHUNK: usize = 64 << 10;
 
 /// `bytes::pool_stats` counts for the whole process: tests that read it
 /// or turn chunks over run one at a time.

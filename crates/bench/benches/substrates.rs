@@ -542,10 +542,13 @@ fn data_sender(c: &mut Criterion) {
 
 /// One arena view against the `memcpy` it models (DESIGN.md §12): a
 /// 150-byte value packed into a view of a 64 KiB chunk the way
-/// `beamline`'s arena packs each decoded value — 1 024 views to a batch,
-/// then the batch cleared, so every view is made and dropped — against
-/// the same bytes appended to a reused `Vec`. The ratio of the two is
-/// the cost of a view over its copy.
+/// `bytes::arena::copy` packs each decoded value — 1 024 views to a
+/// batch, then the batch cleared, so every view is made and dropped —
+/// against the same bytes appended to a reused `Vec`. The ratio of the
+/// two is the cost of a view over its copy. The third case is the owned
+/// copy per value that native `apx`'s decode made before it used the
+/// arena: a `malloc` for the payload and one for its shared header, and
+/// their two frees.
 fn byte_view(c: &mut Criterion) {
     const BATCH: usize = 1024;
     const CHUNK: usize = 64 << 10;
@@ -566,6 +569,15 @@ fn byte_view(c: &mut Criterion) {
                     arena = BytesMut::with_capacity(CHUNK);
                 }
                 batch.push(arena.pack_view(value));
+            }
+            batch.clear();
+        });
+    });
+    group.bench_function("copy_from_slice_drop_150b", |b| {
+        let mut batch: Vec<Bytes> = Vec::with_capacity(BATCH);
+        b.iter(|| {
+            for _ in 0..BATCH {
+                batch.push(Bytes::copy_from_slice(black_box(&value[..])));
             }
             batch.clear();
         });

@@ -8,9 +8,9 @@ use crate::strip::Stripped;
 use crate::Violation;
 
 /// Hot-path modules: broker/log/handle tiers, every engine
-/// operator/collector/connector path, and the data sender with its
-/// generator. A panic here can poison a measurement run, so failures
-/// must surface as typed errors.
+/// operator/collector/connector/codec path, the decode arena, and the
+/// data sender with its generator. A panic here can poison a
+/// measurement run, so failures must surface as typed errors.
 const HOT_PATH: &[&str] = &[
     "crates/logbus/src/handle.rs",
     "crates/logbus/src/async_producer.rs",
@@ -31,7 +31,8 @@ const HOT_PATH: &[&str] = &[
     "crates/apx/src/operator.rs",
     "crates/apx/src/stream.rs",
     "crates/apx/src/malhar.rs",
-    "crates/beamline/src/arena.rs",
+    "crates/apx/src/codec.rs",
+    "shims/bytes/src/arena.rs",
     "crates/beamline/src/pardo.rs",
     "crates/beamline/src/io.rs",
     "crates/beamline/src/coder.rs",

@@ -1,28 +1,26 @@
-//! The coded data plane's bump arena.
+//! The coded data planes' bump arena: one per thread, whichever engine
+//! decodes on it.
 //!
-//! Every value a coder decodes and every payload a stage emits is a
-//! refcounted view of a 64 KiB chunk owned by the thread that wrote it:
-//! one `memcpy` per value (the modeled copy of a coder round trip) and no
-//! allocator call, where an owned `Bytes` per value cost two allocations
-//! and two frees, usually freed on another thread. A view is a
-//! `(ptr, len, owner)` triple of three words: reading it never touches
-//! the chunk's header, and making, reading and dropping one inline into
-//! this crate (`shims/bytes` marks that path `#[inline]`): a view made
+//! Every value a decoder copies out of a borrowed frame — a Beam coder's
+//! decoded bytes, a stage's emitted payload, an `apx` tuple that crossed
+//! the buffer server — is a view of a 64 KiB chunk owned by the thread
+//! that wrote it: one `memcpy` per value (the modeled copy of a
+//! serialization round trip) and no allocator call, where an owned
+//! `Bytes` per value cost two allocations and two frees, usually freed
+//! on another thread. [`copy`] is `#[inline]` like the rest of the
+//! per-value path ([`BytesMut::pack_view`], the view's deref, clone and
+//! drop), so a decoder in another crate pays no call for it: a view made
 //! and dropped costs about twice its `memcpy` (`substrates -- byte_view`).
 //!
-//! Nor does a view pay an atomic: `BytesMut::pack_view` takes its
-//! reference out of a block the chunk's writer prepays, 256 at a time,
-//! and a drop parks it in the dropping thread's table, where the next
-//! clone finds it. A chunk's references are held by its live views, the
-//! writer's prepaid block and those parked entries, and the chunk goes
-//! back to the pool when a sole holder drops (a view whose thread holds
-//! every other reference, or the writer rolling past a chunk whose views
-//! all died on its thread), when its entry is evicted, or when a thread
-//! holding parked references exits. `unsafe` stays in `shims/bytes`.
+//! Nor does a view pay an atomic: `pack_view` takes its reference out of
+//! a block the chunk's writer prepays, and a drop parks it in the
+//! dropping thread's table (see the crate docs for who holds a buffer's
+//! references and when a chunk goes back to the pool).
 //!
-//! The arena is thread-local because `Coder::decode` has nowhere to carry
-//! one: the benchmark (`ledger/`) calls the trait with its signatures as
-//! they are.
+//! The arena is thread-local because neither decode signature has
+//! anywhere to carry one: `beamline::Coder::decode` and
+//! `apx::Codec::decode` take the bytes and return the value, and the
+//! benchmark (`ledger/`) calls both with their signatures as they are.
 //!
 //! **Contract** (DESIGN.md §12): a view pins its whole chunk until it is
 //! dropped, so anything that keeps decoded bytes sparsely across bundles
@@ -30,23 +28,24 @@
 //! copies on append, so topics pin nothing; values over 16 KiB are owned
 //! copies; an empty value is `Bytes::new()` and holds no refcount.
 
-use bytes::{Bytes, BytesMut};
+use crate::{Bytes, BytesMut};
 use std::cell::RefCell;
 
 /// Size of one arena chunk: about 600 coded benchmark records.
-const CHUNK: usize = 64 << 10;
+pub const CHUNK: usize = 64 << 10;
 
 /// Values larger than this are copied into storage of their own, so one
 /// long-lived large value cannot pin a chunk's worth of neighbours and a
 /// chunk always fits at least four values.
-const MAX_VALUE: usize = 16 << 10;
+pub const MAX_VALUE: usize = 16 << 10;
 
 thread_local! {
     static ARENA: RefCell<BytesMut> = RefCell::new(BytesMut::new());
 }
 
 /// Copies `data` into the calling thread's arena and returns the view.
-pub(crate) fn copy(data: &[u8]) -> Bytes {
+#[inline]
+pub fn copy(data: &[u8]) -> Bytes {
     if data.is_empty() {
         return Bytes::new();
     }
@@ -68,7 +67,9 @@ mod tests {
 
     // The rest of the contract — views that outlive chunk and thread,
     // chunks freed from other threads, no sharing between threads — is
-    // pinned through the coders in `tests/arena_contract.rs`.
+    // pinned through the decoders that call `copy`: beamline's coders in
+    // `crates/beamline/tests/arena_contract.rs`, apx's `BytesCodec` in
+    // `crates/apx/tests/arena_contract.rs`.
     #[test]
     fn empty_and_oversize_values_stay_out_of_the_arena() {
         assert!(copy(b"").is_static());

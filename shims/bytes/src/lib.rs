@@ -82,13 +82,15 @@
 //! returning a buffer are a pop and a push whatever else sits idle, and
 //! a reused buffer is the one retired last — memory that has been
 //! touched before. Each class is bounded in bytes, not slots: the class
-//! of the 64 KiB arena chunks (segment storage, the Beam arena, the data
-//! sender's lines) keeps up to [`POOL_ARENA_BUDGET`], enough for a
+//! of the 64 KiB arena chunks (segment storage, the decode [`arena`],
+//! the data sender's lines) keeps up to [`POOL_ARENA_BUDGET`], enough for a
 //! whole benchmark topic to retire and come back without a page fault;
 //! every other class keeps 4 MiB. Beyond its budget a class hands
 //! buffers back to the allocator, so resident memory is the high-water
 //! mark only up to the budget. See [`pool_stats`] and
 //! [`pool_fresh_chunks`].
+
+pub mod arena;
 
 use std::cell::RefCell;
 use std::hash::{Hash, Hasher};
