@@ -1,11 +1,11 @@
-//! The broker: topic management, produce/fetch, group offsets, and the
-//! consumer-group coordinator.
+//! The broker: topic management, produce/fetch, and the liveness and
+//! fault gates in front of its consumer-group coordinator.
 
 use crate::clock::{Clock, SystemClock};
 use crate::config::TopicConfig;
 use crate::error::{Error, Result};
 use crate::fault::{FaultAction, FaultInjector, FaultOp, FaultPlan};
-use crate::group::{Coordinator, GroupView, TopicPartition};
+use crate::group::Coordinator;
 use crate::handle::{Route, WriteTarget};
 use crate::record::{Record, StoredRecord, Timestamp};
 use crate::topic::{spin_delay, Topic};
@@ -430,114 +430,18 @@ impl Broker {
         self.fault_gate(FaultOp::Metadata, topic, partition)?;
         t.latest_offset(partition)
     }
+}
 
-    /// Commits `offset` for a consumer group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownTopic`] if the topic does not exist.
-    pub fn commit_offset(
-        &self,
-        group: &str,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-    ) -> Result<()> {
+impl crate::bus::sealed::Sealed for Broker {
+    fn coordinator(&self, commit: Option<(&str, u32)>) -> Result<&Coordinator> {
         self.ensure_alive()?;
-        if !self.has_topic(topic) {
-            return Err(Error::UnknownTopic(topic.to_string()));
+        if let Some((topic, partition)) = commit {
+            if !self.has_topic(topic) {
+                return Err(Error::UnknownTopic(topic.to_string()));
+            }
+            self.fault_gate(FaultOp::Metadata, topic, partition)?;
         }
-        self.fault_gate(FaultOp::Metadata, topic, partition)?;
-        self.inner
-            .groups
-            .commit_offset(group, topic, partition, offset);
-        Ok(())
-    }
-
-    /// Fetches the committed offset for a consumer group, if any.
-    /// Allocation-free: the lookup borrows `group` and `topic` directly.
-    pub fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
-        self.inner.groups.committed_offset(group, topic, partition)
-    }
-
-    // ---- consumer-group coordination -----------------------------------
-    //
-    // The state and its operations live in [`Coordinator`]; the broker
-    // adds its liveness gate.
-
-    /// Joins (or re-registers in) a consumer group, subscribing to
-    /// `topics`. Bumps the group generation and recomputes the sticky
-    /// target assignment. Returns the new generation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownTopic`] if any subscribed topic does not
-    /// exist.
-    pub fn join_group(&self, group: &str, member: &str, topics: &[&str]) -> Result<u64> {
-        self.ensure_alive()?;
-        let mut with_counts = Vec::with_capacity(topics.len());
-        for name in topics {
-            let t = self.topic(name)?;
-            with_counts.push(((*name).to_string(), t.partition_count()));
-        }
-        Ok(self.inner.groups.join(group, member, with_counts))
-    }
-
-    /// Leaves a consumer group, releasing every partition the member
-    /// owned and rebalancing the remainder. A no-op for unknown groups
-    /// or non-members (leaving twice must be safe).
-    pub fn leave_group(&self, group: &str, member: &str) -> Result<()> {
-        self.ensure_alive()?;
-        self.inner.groups.leave(group, member);
-        Ok(())
-    }
-
-    /// The group's current generation (0 before the first join — clients
-    /// poll this cheaply to detect rebalances).
-    pub fn group_generation(&self, group: &str) -> Result<u64> {
-        self.ensure_alive()?;
-        Ok(self.inner.groups.generation(group))
-    }
-
-    /// Fetches a member's target assignment at the current generation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownGroup`] if the group does not exist or the
-    /// member is not registered in it.
-    pub fn sync_group(&self, group: &str, member: &str) -> Result<GroupView> {
-        self.ensure_alive()?;
-        self.inner.groups.sync(group, member)
-    }
-
-    /// Claims ownership of targeted partitions; returns the granted
-    /// subset (partitions still held by their previous owner are skipped
-    /// — retry after they release).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownGroup`] if the group does not exist.
-    pub fn claim_partitions(
-        &self,
-        group: &str,
-        member: &str,
-        parts: &[TopicPartition],
-    ) -> Result<Vec<TopicPartition>> {
-        self.ensure_alive()?;
-        self.inner.groups.claim(group, member, parts)
-    }
-
-    /// Releases ownership of partitions held by `member`. A no-op for
-    /// partitions the member does not own.
-    pub fn release_partitions(
-        &self,
-        group: &str,
-        member: &str,
-        parts: &[TopicPartition],
-    ) -> Result<()> {
-        self.ensure_alive()?;
-        self.inner.groups.release(group, member, parts);
-        Ok(())
+        Ok(&self.inner.groups)
     }
 }
 
@@ -624,12 +528,24 @@ mod tests {
 
     #[test]
     fn group_offsets() {
+        use crate::bus::sealed::Sealed;
+        use crate::{Bus, GroupedReader};
+
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
+        for _ in 0..42 {
+            broker.produce("t", 0, Record::from_value("x")).unwrap();
+        }
+        let mut reader = GroupedReader::bounded(broker.clone(), "t", "g").unwrap();
         assert_eq!(broker.committed_offset("g", "t", 0), None);
-        broker.commit_offset("g", "t", 0, 42).unwrap();
+        assert_eq!(reader.fetch_pass(usize::MAX, &mut |_, _| {}), 42);
+        reader.commit().unwrap();
         assert_eq!(broker.committed_offset("g", "t", 0), Some(42));
-        assert!(broker.commit_offset("g", "missing", 0, 1).is_err());
+        // The commit gate refuses a topic the broker does not hold.
+        broker.delete_topic("t").unwrap();
+        let missing = Error::UnknownTopic("t".to_string());
+        assert_eq!(reader.commit(), Err(missing.clone()));
+        assert_eq!(broker.coordinator(Some(("t", 0))).unwrap_err(), missing);
     }
 
     #[test]
@@ -722,57 +638,50 @@ mod tests {
 
     #[test]
     fn group_coordination_lifecycle() {
-        use crate::group::TopicPartition;
+        use crate::GroupMember;
 
         let broker = Broker::new();
         broker
             .create_topic("t", TopicConfig::default().partitions(4))
             .unwrap();
-        assert_eq!(broker.group_generation("g").unwrap(), 0);
+        let join = |member: &str| GroupMember::join(broker.clone(), "g", member, &["t"]);
+        let poll = |m: &mut GroupMember| m.poll_rebalance(|_| Ok(()), |_| Ok(()));
 
-        let g1 = broker.join_group("g", "a", &["t"]).unwrap();
-        assert_eq!(g1, 1);
-        let view = broker.sync_group("g", "a").unwrap();
-        assert_eq!(view.target.len(), 4);
-        let granted = broker.claim_partitions("g", "a", &view.target).unwrap();
-        assert_eq!(granted.len(), 4);
+        let mut a = join("a").unwrap();
+        assert!(poll(&mut a).unwrap());
+        assert_eq!((a.generation(), a.owned().len()), (1, 4));
 
         // A second member splits the target; its claims wait for `a`.
-        broker.join_group("g", "b", &["t"]).unwrap();
-        let b_view = broker.sync_group("g", "b").unwrap();
-        assert_eq!(b_view.target.len(), 2);
-        assert!(broker
-            .claim_partitions("g", "b", &b_view.target)
-            .unwrap()
-            .is_empty());
-        broker.release_partitions("g", "a", &b_view.target).unwrap();
-        assert_eq!(
-            broker.claim_partitions("g", "b", &b_view.target).unwrap(),
-            b_view.target
-        );
+        let mut b = join("b").unwrap();
+        assert!(!poll(&mut b).unwrap());
+        assert_eq!((b.generation(), b.owned().len()), (2, 0));
+        let mut revoked = Vec::new();
+        let on_revoke = |lost: &[crate::TopicPartition]| {
+            revoked.extend_from_slice(lost);
+            Ok(())
+        };
+        assert!(a.poll_rebalance(on_revoke, |_| Ok(())).unwrap());
+        assert_eq!((a.owned().len(), revoked.len()), (2, 2));
+        assert!(poll(&mut b).unwrap());
+        assert_eq!(b.owned(), &revoked[..]);
 
-        broker.leave_group("g", "a").unwrap();
-        assert_eq!(broker.sync_group("g", "b").unwrap().target.len(), 4);
-        assert_eq!(broker.group_generation("g").unwrap(), 3);
-        assert!(broker.sync_group("g", "a").is_err());
+        // A leave hands the whole topic to the survivor.
+        a.leave().unwrap();
+        assert!(poll(&mut b).unwrap());
+        assert_eq!((b.generation(), b.owned().len()), (3, 4));
 
-        // Unknown-group behaviour: sync/claim fail, leave/release do not.
-        assert!(broker.sync_group("nope", "x").is_err());
-        assert!(broker
-            .claim_partitions("nope", "x", &[TopicPartition::new("t", 0)])
-            .is_err());
-        broker.leave_group("nope", "x").unwrap();
-        broker
-            .release_partitions("nope", "x", &[TopicPartition::new("t", 0)])
-            .unwrap();
+        // On a dead broker the group calls fail.
+        broker.kill();
+        assert_eq!(join("c").unwrap_err(), Error::BrokerDown);
+        assert_eq!(poll(&mut b), Err(Error::BrokerDown));
     }
 
     #[test]
     fn join_group_rejects_unknown_topics() {
         let broker = Broker::new();
         assert_eq!(
-            broker.join_group("g", "a", &["missing"]),
-            Err(Error::UnknownTopic("missing".to_string()))
+            crate::GroupMember::join(broker, "g", "a", &["missing"]).unwrap_err(),
+            Error::UnknownTopic("missing".to_string())
         );
     }
 }

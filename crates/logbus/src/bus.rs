@@ -5,12 +5,18 @@
 //! [`Cluster`](crate::Cluster) implement [`Bus`], so the data sender and the
 //! stream-processing engines' connectors work against either
 //! topology unchanged.
+//!
+//! Group coordination is not a bus verb. The sealed supertrait's one
+//! accessor hands the bus's group coordinator to `group.rs`, behind the
+//! bus's liveness rule, and [`GroupMember`](crate::GroupMember) and
+//! [`GroupedReader`](crate::GroupedReader) call it directly.
+//! [`Bus::committed_offset`] is the one public read of a group's
+//! position.
 
 use crate::broker::Broker;
 use crate::cluster::Cluster;
 use crate::config::TopicConfig;
 use crate::error::Result;
-use crate::group::{GroupView, TopicPartition};
 use crate::handle::{PartitionReader, PartitionWriter};
 use crate::record::{Record, StoredRecord, Timestamp};
 use std::sync::Arc;
@@ -112,74 +118,39 @@ pub trait Bus: sealed::Sealed + Send + Sync + std::fmt::Debug {
     /// Fails for unknown topics/partitions.
     fn last_timestamp(&self, topic: &str, partition: u32) -> Result<Option<Timestamp>>;
 
-    /// Commits a consumer-group offset.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown topics.
-    fn commit_offset(&self, group: &str, topic: &str, partition: u32, offset: u64) -> Result<()>;
-
-    /// Reads a committed consumer-group offset.
-    fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64>;
-
-    /// Joins (or re-registers in) a consumer group; returns the new
-    /// generation. See [`Broker::join_group`].
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown topics.
-    fn join_group(&self, group: &str, member: &str, topics: &[&str]) -> Result<u64>;
-
-    /// Leaves a consumer group; a no-op for non-members.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; `Result` keeps room for coordinator faults.
-    fn leave_group(&self, group: &str, member: &str) -> Result<()>;
-
-    /// The group's current generation (0 before the first join).
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; `Result` keeps room for coordinator faults.
-    fn group_generation(&self, group: &str) -> Result<u64>;
-
-    /// A member's target assignment at the current generation.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown groups or non-members.
-    fn sync_group(&self, group: &str, member: &str) -> Result<GroupView>;
-
-    /// Claims ownership of targeted partitions; returns the granted
-    /// subset (cooperative handover — previous owners release first).
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown groups.
-    fn claim_partitions(
-        &self,
-        group: &str,
-        member: &str,
-        parts: &[TopicPartition],
-    ) -> Result<Vec<TopicPartition>>;
-
-    /// Releases partition ownership held by `member`.
-    ///
-    /// # Errors
-    ///
-    /// Infallible today; `Result` keeps room for coordinator faults.
-    fn release_partitions(&self, group: &str, member: &str, parts: &[TopicPartition])
-        -> Result<()>;
+    /// Reads a committed consumer-group offset — the one public read of a
+    /// group's position. `None` before the first commit, and on a bus
+    /// whose liveness rule admits no coordinator.
+    fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
+        let coordinator = self.coordinator(None).ok()?;
+        coordinator.committed(group, topic, partition)
+    }
 
     /// Reads the bus clock.
     fn now(&self) -> Timestamp;
 }
 
-mod sealed {
-    pub trait Sealed {}
-    impl Sealed for super::Broker {}
-    impl Sealed for super::Cluster {}
+pub(crate) mod sealed {
+    use crate::error::Result;
+    use crate::group::Coordinator;
+
+    /// Seals [`Bus`](super::Bus) and carries its one crate-internal verb.
+    /// `broker.rs` and `cluster.rs` implement it, where the liveness and
+    /// fault gates live.
+    pub trait Sealed {
+        /// The bus's group coordinator, behind its liveness rule: a
+        /// broker must be up; a cluster needs one live broker to act as
+        /// coordinator. `commit` names the partition of an offset commit,
+        /// which then also passes the topic check and the coordinating
+        /// broker's metadata fault gate, in that order.
+        ///
+        /// # Errors
+        ///
+        /// [`Error::BrokerDown`](crate::Error::BrokerDown) when the rule
+        /// admits no coordinator; for a commit, `UnknownTopic` or the
+        /// injected fault.
+        fn coordinator(&self, commit: Option<(&str, u32)>) -> Result<&Coordinator>;
+    }
 }
 
 /// A cheaply cloneable, type-erased handle to any [`Bus`] — the one way
@@ -298,48 +269,6 @@ impl Bus for Broker {
         self.topic(topic)?.last_timestamp(partition)
     }
 
-    fn commit_offset(&self, group: &str, topic: &str, partition: u32, offset: u64) -> Result<()> {
-        Broker::commit_offset(self, group, topic, partition, offset)
-    }
-
-    fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
-        Broker::committed_offset(self, group, topic, partition)
-    }
-
-    fn join_group(&self, group: &str, member: &str, topics: &[&str]) -> Result<u64> {
-        Broker::join_group(self, group, member, topics)
-    }
-
-    fn leave_group(&self, group: &str, member: &str) -> Result<()> {
-        Broker::leave_group(self, group, member)
-    }
-
-    fn group_generation(&self, group: &str) -> Result<u64> {
-        Broker::group_generation(self, group)
-    }
-
-    fn sync_group(&self, group: &str, member: &str) -> Result<GroupView> {
-        Broker::sync_group(self, group, member)
-    }
-
-    fn claim_partitions(
-        &self,
-        group: &str,
-        member: &str,
-        parts: &[TopicPartition],
-    ) -> Result<Vec<TopicPartition>> {
-        Broker::claim_partitions(self, group, member, parts)
-    }
-
-    fn release_partitions(
-        &self,
-        group: &str,
-        member: &str,
-        parts: &[TopicPartition],
-    ) -> Result<()> {
-        Broker::release_partitions(self, group, member, parts)
-    }
-
     fn now(&self) -> Timestamp {
         Broker::now(self)
     }
@@ -408,59 +337,6 @@ impl Bus for Cluster {
         self.broker(leader).topic(topic)?.last_timestamp(partition)
     }
 
-    fn commit_offset(&self, group: &str, topic: &str, partition: u32, offset: u64) -> Result<()> {
-        Cluster::commit_offset(self, group, topic, partition, offset)
-    }
-
-    fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
-        Cluster::committed_offset(self, group, topic, partition)
-    }
-
-    // Group coordination and offset commits live cluster-side (the
-    // replicated `__consumer_offsets` model): the coordinator *role*
-    // belongs to the first live broker and fails over with the state
-    // intact when that broker dies. Partition counts are resolved
-    // against the leaders first, so the coordinator never needs topics
-    // it does not host.
-
-    fn join_group(&self, group: &str, member: &str, topics: &[&str]) -> Result<u64> {
-        let mut with_counts = Vec::with_capacity(topics.len());
-        for name in topics {
-            with_counts.push(((*name).to_string(), Bus::partition_count(self, name)?));
-        }
-        self.join_group_with(group, member, with_counts)
-    }
-
-    fn leave_group(&self, group: &str, member: &str) -> Result<()> {
-        Cluster::leave_group(self, group, member)
-    }
-
-    fn group_generation(&self, group: &str) -> Result<u64> {
-        Cluster::group_generation(self, group)
-    }
-
-    fn sync_group(&self, group: &str, member: &str) -> Result<GroupView> {
-        Cluster::sync_group(self, group, member)
-    }
-
-    fn claim_partitions(
-        &self,
-        group: &str,
-        member: &str,
-        parts: &[TopicPartition],
-    ) -> Result<Vec<TopicPartition>> {
-        Cluster::claim_partitions(self, group, member, parts)
-    }
-
-    fn release_partitions(
-        &self,
-        group: &str,
-        member: &str,
-        parts: &[TopicPartition],
-    ) -> Result<()> {
-        Cluster::release_partitions(self, group, member, parts)
-    }
-
     fn now(&self) -> Timestamp {
         self.broker(0).now()
     }
@@ -495,23 +371,8 @@ mod tests {
         assert_eq!(reader.fetch(0, 10).unwrap().len(), 3);
         assert!(bus.first_timestamp("t", 0).unwrap().is_some());
         assert!(bus.last_timestamp("t", 0).unwrap() >= bus.first_timestamp("t", 0).unwrap());
-        bus.commit_offset("g", "t", 0, 1).unwrap();
-        assert_eq!(bus.committed_offset("g", "t", 0), Some(1));
+        assert_eq!(bus.committed_offset("g", "t", 0), None);
         assert!(bus.now().as_micros() > 0);
-
-        // Group coordination surfaces through the same facade.
-        assert_eq!(bus.group_generation("cg").unwrap(), 0);
-        let generation = bus.join_group("cg", "m1", &["t"]).unwrap();
-        assert_eq!(generation, 1);
-        assert_eq!(bus.group_generation("cg").unwrap(), 1);
-        let view = bus.sync_group("cg", "m1").unwrap();
-        assert_eq!(view.target, vec![TopicPartition::new("t", 0)]);
-        let granted = bus.claim_partitions("cg", "m1", &view.target).unwrap();
-        assert_eq!(granted, view.target);
-        bus.release_partitions("cg", "m1", &granted).unwrap();
-        bus.leave_group("cg", "m1").unwrap();
-        assert!(bus.sync_group("cg", "m1").is_err());
-        assert!(bus.join_group("cg", "m1", &["missing"]).is_err());
     }
 
     #[test]

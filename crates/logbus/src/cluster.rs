@@ -32,7 +32,7 @@ use crate::config::{Acks, TopicConfig};
 use crate::election::PartitionState;
 use crate::error::{Error, Result};
 use crate::fault::{FaultAction, FaultOp};
-use crate::group::{Coordinator, GroupView, TopicPartition};
+use crate::group::Coordinator;
 use crate::handle::{Route, WriteTarget};
 use crate::record::{Record, StoredRecord};
 use crate::topic::{spin_delay, Topic};
@@ -726,128 +726,26 @@ impl Cluster {
             partition,
         ))
     }
+}
 
-    // ---- consumer-group coordination -----------------------------------
-    //
-    // Group state lives cluster-side — the replicated `__consumer_offsets`
-    // model — so commits and membership survive the death of the broker
-    // acting as coordinator. Requests are gated on *some* broker being
-    // alive (the coordinator role fails over with the state intact).
-
-    /// The broker currently acting as group coordinator: the first live
-    /// one.
-    fn coordinator(&self) -> Result<&Broker> {
-        self.inner
-            .brokers
+// Group state lives cluster-side — the replicated `__consumer_offsets`
+// model — so commits and membership survive the death of the broker
+// acting as coordinator: the role belongs to the first live broker and
+// fails over with the state intact.
+impl crate::bus::sealed::Sealed for Cluster {
+    fn coordinator(&self, commit: Option<(&str, u32)>) -> Result<&Coordinator> {
+        let brokers = &self.inner.brokers;
+        let acting = brokers
             .iter()
             .find(|b| b.is_alive())
-            .ok_or(Error::BrokerDown)
-    }
-
-    /// Commits `offset` for a consumer group.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownTopic`] if no broker hosts the topic, or
-    /// [`Error::BrokerDown`] when the whole cluster is down.
-    pub fn commit_offset(
-        &self,
-        group: &str,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-    ) -> Result<()> {
-        let coordinator = self.coordinator()?;
-        if !self.inner.brokers.iter().any(|b| b.has_topic(topic)) {
-            return Err(Error::UnknownTopic(topic.to_string()));
+            .ok_or(Error::BrokerDown)?;
+        if let Some((topic, partition)) = commit {
+            if !brokers.iter().any(|b| b.has_topic(topic)) {
+                return Err(Error::UnknownTopic(topic.to_string()));
+            }
+            acting.fault_gate(FaultOp::Metadata, topic, partition)?;
         }
-        coordinator.fault_gate(FaultOp::Metadata, topic, partition)?;
-        self.inner
-            .groups
-            .commit_offset(group, topic, partition, offset);
-        Ok(())
-    }
-
-    /// Fetches the committed offset for a consumer group, if any.
-    pub fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
-        self.inner.groups.committed_offset(group, topic, partition)
-    }
-
-    /// Join with pre-resolved partition counts (see
-    /// [`Broker::join_group`] for the semantics).
-    pub(crate) fn join_group_with(
-        &self,
-        group: &str,
-        member: &str,
-        topics_with_counts: Vec<(String, u32)>,
-    ) -> Result<u64> {
-        self.coordinator()?;
-        Ok(self.inner.groups.join(group, member, topics_with_counts))
-    }
-
-    /// Leaves a consumer group (see [`Broker::leave_group`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BrokerDown`] when the whole cluster is down.
-    pub fn leave_group(&self, group: &str, member: &str) -> Result<()> {
-        self.coordinator()?;
-        self.inner.groups.leave(group, member);
-        Ok(())
-    }
-
-    /// The group's current generation (0 before the first join).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BrokerDown`] when the whole cluster is down.
-    pub fn group_generation(&self, group: &str) -> Result<u64> {
-        self.coordinator()?;
-        Ok(self.inner.groups.generation(group))
-    }
-
-    /// A member's target assignment at the current generation.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownGroup`] for unknown groups/members, or
-    /// [`Error::BrokerDown`] when the whole cluster is down.
-    pub fn sync_group(&self, group: &str, member: &str) -> Result<GroupView> {
-        self.coordinator()?;
-        self.inner.groups.sync(group, member)
-    }
-
-    /// Claims ownership of targeted partitions; returns the granted
-    /// subset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownGroup`] for unknown groups, or
-    /// [`Error::BrokerDown`] when the whole cluster is down.
-    pub fn claim_partitions(
-        &self,
-        group: &str,
-        member: &str,
-        parts: &[TopicPartition],
-    ) -> Result<Vec<TopicPartition>> {
-        self.coordinator()?;
-        self.inner.groups.claim(group, member, parts)
-    }
-
-    /// Releases ownership of partitions held by `member`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::BrokerDown`] when the whole cluster is down.
-    pub fn release_partitions(
-        &self,
-        group: &str,
-        member: &str,
-        parts: &[TopicPartition],
-    ) -> Result<()> {
-        self.coordinator()?;
-        self.inner.groups.release(group, member, parts);
-        Ok(())
+        Ok(&self.inner.groups)
     }
 }
 
@@ -1086,35 +984,5 @@ mod tests {
         // ...until read repair replicates it on the next metadata poll.
         assert_eq!(cluster.latest_offset("t", 0).unwrap(), 2);
         assert_eq!(cluster.fetch("t", 0, 0, 10).unwrap().len(), 2);
-    }
-
-    #[test]
-    fn group_state_survives_coordinator_death() {
-        let cluster = Cluster::new(ClusterConfig { brokers: 3 });
-        cluster.create_topic("t", TopicConfig::default()).unwrap();
-        cluster
-            .join_group_with("g", "m1", vec![("t".to_string(), 1)])
-            .unwrap();
-        cluster.commit_offset("g", "t", 0, 7).unwrap();
-        // Broker 0 — the acting coordinator — dies. The role fails over;
-        // the replicated group state is intact.
-        cluster.kill_broker(0);
-        assert_eq!(cluster.committed_offset("g", "t", 0), Some(7));
-        assert_eq!(cluster.group_generation("g").unwrap(), 1);
-        let view = cluster.sync_group("g", "m1").unwrap();
-        assert_eq!(view.target, vec![TopicPartition::new("t", 0)]);
-        cluster.commit_offset("g", "t", 0, 9).unwrap();
-        assert_eq!(cluster.committed_offset("g", "t", 0), Some(9));
-        // With every broker down there is no coordinator at all.
-        cluster.kill_broker(1);
-        cluster.kill_broker(2);
-        assert!(matches!(
-            cluster.commit_offset("g", "t", 0, 10),
-            Err(Error::BrokerDown)
-        ));
-        assert!(matches!(
-            cluster.group_generation("g"),
-            Err(Error::BrokerDown)
-        ));
     }
 }

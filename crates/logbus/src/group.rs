@@ -21,14 +21,18 @@
 //!   with two concurrent owners, and committed offsets hand position over
 //!   exactly once.
 //!
-//! The split of responsibilities mirrors the real system: [`GroupState`]
-//! is one group's coordinator bookkeeping, [`Coordinator`] the sharded
-//! map of groups (state plus committed offsets) that a
-//! [`Broker`](crate::Broker) and a [`Cluster`](crate::Cluster) each own
-//! one of and gate with their own liveness rule, [`GroupMember`] is the
+//! The protocol is written once, here. [`GroupState`] is one group's
+//! coordinator bookkeeping, [`Coordinator`] the sharded map of groups
+//! (state plus committed offsets) that a [`Broker`](crate::Broker) and a
+//! [`Cluster`](crate::Cluster) each own one of, [`GroupMember`] is the
 //! one client of the protocol — the join → poll → revoke/claim cycle
 //! with callbacks — and [`GroupedReader`] the one read drive on top of
-//! it, which every engine connector calls.
+//! it, which every engine connector calls. The bus is not a second
+//! copy: it only hands its coordinator out, behind its own liveness
+//! rule (and, for a commit, its topic check and metadata fault gate),
+//! and the client calls the coordinator directly. The coordinator's
+//! rebalance calls are private to this module, so the compiler keeps
+//! [`GroupMember`] the only client.
 
 use crate::broker::{shard_index, MAP_SHARDS};
 use crate::bus::BusHandle;
@@ -67,16 +71,16 @@ impl std::fmt::Display for TopicPartition {
 /// A member's view of the group after a sync: the current generation and
 /// the partitions targeted at this member.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupView {
+struct GroupView {
     /// Generation the target assignment belongs to.
-    pub generation: u64,
+    generation: u64,
     /// Partitions this member should own once previous owners release.
-    pub target: Vec<TopicPartition>,
+    target: Vec<TopicPartition>,
 }
 
 /// Broker-side per-member bookkeeping.
 #[derive(Debug, Clone)]
-pub(crate) struct MemberState {
+struct MemberState {
     /// Subscribed topics with their partition counts, resolved at join
     /// time so assignment never needs the topic shard locks.
     topics: Vec<(String, u32)>,
@@ -91,7 +95,7 @@ pub(crate) struct MemberState {
 /// so no method here takes any other lock (the PR 5 lock-order graph
 /// stays a forest).
 #[derive(Debug, Default)]
-pub(crate) struct GroupState {
+struct GroupState {
     /// Bumped on every membership change.
     generation: u64,
     /// Live members, keyed by member id (sorted for deterministic
@@ -108,7 +112,7 @@ impl GroupState {
     /// Returns the new generation. Re-joining with changed subscriptions
     /// still bumps the generation (subscription changes retarget
     /// partitions just like membership changes).
-    pub(crate) fn join(&mut self, member: &str, topics: Vec<(String, u32)>) -> u64 {
+    fn join(&mut self, member: &str, topics: Vec<(String, u32)>) -> u64 {
         self.members.insert(
             member.to_string(),
             MemberState {
@@ -122,7 +126,7 @@ impl GroupState {
 
     /// Removes a member, releasing everything it owned, and recomputes
     /// targets. Returns `false` if the member was not in the group.
-    pub(crate) fn leave(&mut self, member: &str) -> bool {
+    fn leave(&mut self, member: &str) -> bool {
         if self.members.remove(member).is_none() {
             return false;
         }
@@ -132,13 +136,13 @@ impl GroupState {
     }
 
     /// Current generation (0 before the first join).
-    pub(crate) fn generation(&self) -> u64 {
+    fn generation(&self) -> u64 {
         self.generation
     }
 
     /// The member's target assignment at the current generation, or
     /// `None` for a non-member.
-    pub(crate) fn view(&self, member: &str) -> Option<GroupView> {
+    fn view(&self, member: &str) -> Option<GroupView> {
         self.members.get(member).map(|m| GroupView {
             generation: self.generation,
             target: m.target.clone(),
@@ -149,7 +153,7 @@ impl GroupState {
     /// `member` and not currently owned by someone else. Returns the
     /// granted subset; the caller retries for the remainder once previous
     /// owners release.
-    pub(crate) fn claim(&mut self, member: &str, parts: &[TopicPartition]) -> Vec<TopicPartition> {
+    fn claim(&mut self, member: &str, parts: &[TopicPartition]) -> Vec<TopicPartition> {
         let Some(state) = self.members.get(member) else {
             return Vec::new();
         };
@@ -170,7 +174,7 @@ impl GroupState {
     }
 
     /// Releases ownership of the given partitions if held by `member`.
-    pub(crate) fn release(&mut self, member: &str, parts: &[TopicPartition]) {
+    fn release(&mut self, member: &str, parts: &[TopicPartition]) {
         for tp in parts {
             if self.owned.get(tp).is_some_and(|owner| owner == member) {
                 self.owned.remove(tp);
@@ -280,12 +284,19 @@ struct GroupEntry {
 
 /// The group coordinator: every group's entry, sharded by group name so
 /// concurrent groups never contend on a map lock. Each operation takes
-/// exactly one shard lock and no other lock. The owner decides who may
-/// call: a [`Broker`](crate::Broker) gates on its own liveness, a
-/// [`Cluster`](crate::Cluster) — where this is the replicated
-/// `__consumer_offsets` state — on any broker being alive.
+/// exactly one shard lock and no other lock.
+///
+/// A [`Broker`](crate::Broker) and a [`Cluster`](crate::Cluster) — where
+/// this is the replicated `__consumer_offsets` state — each own one and
+/// hand it out through the bus's one coordinator accessor, behind their
+/// own liveness rule. Only [`Bus::committed_offset`] reads it outside
+/// this module; every other operation is private to it, so
+/// [`GroupMember`] is the only client of the rebalance protocol the
+/// compiler admits.
+///
+/// `pub` only so the sealed accessor can name it; the module is private.
 #[derive(Debug)]
-pub(crate) struct Coordinator {
+pub struct Coordinator {
     shards: [RwLock<HashMap<String, GroupEntry>>; MAP_SHARDS],
 }
 
@@ -314,7 +325,7 @@ impl Coordinator {
     /// Commits `offset` for `group`. The steady-state commit borrows the
     /// caller's `&str`s; the group and topic key strings are allocated
     /// only on their first commit.
-    pub(crate) fn commit_offset(&self, group: &str, topic: &str, partition: u32, offset: u64) {
+    fn commit(&self, group: &str, topic: &str, partition: u32, offset: u64) {
         let mut shard = self.shard(group).write();
         let known = shard
             .get_mut(group)
@@ -329,7 +340,7 @@ impl Coordinator {
     }
 
     /// The committed offset, if any. Allocation-free.
-    pub(crate) fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
+    pub(crate) fn committed(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
         self.shard(group)
             .read()
             .get(group)?
@@ -341,12 +352,7 @@ impl Coordinator {
 
     /// Joins `member` with pre-resolved partition counts; returns the new
     /// generation.
-    pub(crate) fn join(
-        &self,
-        group: &str,
-        member: &str,
-        topics_with_counts: Vec<(String, u32)>,
-    ) -> u64 {
+    fn join(&self, group: &str, member: &str, topics_with_counts: Vec<(String, u32)>) -> u64 {
         let generation = self
             .shard(group)
             .write()
@@ -359,7 +365,7 @@ impl Coordinator {
     }
 
     /// Removes `member`; a no-op for unknown groups or non-members.
-    pub(crate) fn leave(&self, group: &str, member: &str) {
+    fn leave(&self, group: &str, member: &str) {
         let left = self
             .shard(group)
             .write()
@@ -371,7 +377,7 @@ impl Coordinator {
     }
 
     /// The group's current generation (0 before the first join).
-    pub(crate) fn generation(&self, group: &str) -> u64 {
+    fn generation(&self, group: &str) -> u64 {
         self.shard(group)
             .read()
             .get(group)
@@ -379,7 +385,7 @@ impl Coordinator {
     }
 
     /// `member`'s target assignment at the current generation.
-    pub(crate) fn sync(&self, group: &str, member: &str) -> Result<GroupView> {
+    fn sync(&self, group: &str, member: &str) -> Result<GroupView> {
         self.shard(group)
             .read()
             .get(group)
@@ -388,7 +394,7 @@ impl Coordinator {
     }
 
     /// Claims targeted partitions; returns the granted subset.
-    pub(crate) fn claim(
+    fn claim(
         &self,
         group: &str,
         member: &str,
@@ -402,7 +408,7 @@ impl Coordinator {
     }
 
     /// Releases partitions held by `member`; a no-op for unknown groups.
-    pub(crate) fn release(&self, group: &str, member: &str, parts: &[TopicPartition]) {
+    fn release(&self, group: &str, member: &str, parts: &[TopicPartition]) {
         if let Some(entry) = self.shard(group).write().get_mut(group) {
             entry.state.release(member, parts);
         }
@@ -444,7 +450,14 @@ impl GroupMember {
         let bus = bus.into();
         let group = group.into();
         let member = member.into();
-        bus.join_group(&group, &member, topics)?;
+        // Partition counts are resolved before the join, so the
+        // coordinator never takes a topic lock.
+        let coordinator = bus.coordinator(None)?;
+        let mut with_counts = Vec::with_capacity(topics.len());
+        for name in topics {
+            with_counts.push(((*name).to_string(), bus.partition_count(name)?));
+        }
+        coordinator.join(&group, &member, with_counts);
         Ok(GroupMember {
             bus,
             group,
@@ -454,11 +467,6 @@ impl GroupMember {
             pending: true,
             left: false,
         })
-    }
-
-    /// Group name.
-    pub fn group(&self) -> &str {
-        &self.group
     }
 
     /// Member id.
@@ -493,11 +501,12 @@ impl GroupMember {
         if self.left {
             return Ok(false);
         }
-        let current = self.bus.group_generation(&self.group)?;
+        let (bus, group, member) = (&self.bus, self.group.as_str(), self.member.as_str());
+        let current = bus.coordinator(None)?.generation(group);
         if current == self.generation && !self.pending {
             return Ok(false);
         }
-        let view = self.bus.sync_group(&self.group, &self.member)?;
+        let view = bus.coordinator(None)?.sync(group, member)?;
 
         // Revoke: everything owned but no longer targeted. Commit (via
         // the callback) before releasing so the next owner resumes from
@@ -510,8 +519,7 @@ impl GroupMember {
             .collect();
         if !revoked.is_empty() {
             on_revoke(&revoked)?;
-            self.bus
-                .release_partitions(&self.group, &self.member, &revoked)?;
+            bus.coordinator(None)?.release(group, member, &revoked);
             self.owned.retain(|tp| view.target.contains(tp));
         }
 
@@ -527,8 +535,7 @@ impl GroupMember {
         let granted = if wanted.is_empty() {
             Vec::new()
         } else {
-            self.bus
-                .claim_partitions(&self.group, &self.member, &wanted)?
+            bus.coordinator(None)?.claim(group, member, &wanted)?
         };
         if !granted.is_empty() {
             on_assign(&granted)?;
@@ -546,15 +553,33 @@ impl GroupMember {
         if self.left {
             return Ok(());
         }
+        let (bus, group, member) = (&self.bus, self.group.as_str(), self.member.as_str());
         if !self.owned.is_empty() {
             let owned = std::mem::take(&mut self.owned);
-            self.bus
-                .release_partitions(&self.group, &self.member, &owned)?;
+            bus.coordinator(None)?.release(group, member, &owned);
         }
-        self.bus.leave_group(&self.group, &self.member)?;
+        bus.coordinator(None)?.leave(group, member);
         self.left = true;
         Ok(())
     }
+}
+
+/// Commits `offset` for `group` under `retry`: each attempt passes the
+/// bus's commit gate (liveness, topic check, metadata fault gate) before
+/// the coordinator records it.
+fn commit(
+    bus: &BusHandle,
+    retry: &crate::RetryPolicy,
+    group: &str,
+    topic: &str,
+    partition: u32,
+    offset: u64,
+) -> Result<()> {
+    crate::with_retry(retry, || {
+        let coordinator = bus.coordinator(Some((topic, partition)))?;
+        coordinator.commit(group, topic, partition, offset);
+        Ok(())
+    })
 }
 
 /// Monotonic suffix for auto-generated group names and member ids.
@@ -735,16 +760,6 @@ impl GroupedReader {
         Ok(reader)
     }
 
-    /// Member id under which this reader joined.
-    pub fn member_id(&self) -> &str {
-        self.member.member_id()
-    }
-
-    /// Generation of the last synced assignment.
-    pub fn generation(&self) -> u64 {
-        self.member.generation()
-    }
-
     /// Number of partitions currently owned.
     pub fn owned_partitions(&self) -> usize {
         self.cursors.len()
@@ -787,9 +802,7 @@ impl GroupedReader {
                     // in: a failed one fails the revoke with the position
                     // still here for the retry.
                     let (partition, position) = (cursors[i].partition, cursors[i].position);
-                    crate::with_retry(retry, || {
-                        bus.commit_offset(group, topic, partition, position)
-                    })?;
+                    commit(bus, retry, group, topic, partition, position)?;
                     cursors.remove(i);
                 }
                 Ok(())
@@ -895,11 +908,15 @@ impl GroupedReader {
     /// Propagates commit faults that outlast the retries; positions stay
     /// local and the commit can be repeated.
     pub fn commit(&self) -> Result<()> {
+        let GroupedReader {
+            bus,
+            topic,
+            group,
+            retry,
+            ..
+        } = self;
         for cursor in &self.cursors {
-            crate::with_retry(&self.retry, || {
-                self.bus
-                    .commit_offset(&self.group, &self.topic, cursor.partition, cursor.position)
-            })?;
+            commit(bus, retry, group, topic, cursor.partition, cursor.position)?;
         }
         Ok(())
     }
@@ -1125,6 +1142,104 @@ mod tests {
         assert_eq!(g.generation(), 2);
         g.leave("a");
         assert_eq!(g.generation(), 3);
+    }
+
+    /// The group protocol through [`GroupMember`] on any bus: joins,
+    /// cooperative handover, commits, a dead bus, the acting
+    /// coordinator's death and a leave. `brokers` is the bus's broker
+    /// count; `kill` and `restart` take broker `i` down and up (broker 0
+    /// is the acting coordinator).
+    fn group_protocol(
+        bus: BusHandle,
+        brokers: usize,
+        kill: &dyn Fn(usize),
+        restart: &dyn Fn(usize),
+    ) {
+        let topics = crate::TopicConfig::default().partitions(4);
+        bus.create_topic("t", topics).unwrap();
+        let join =
+            |member: &str, topic: &str| GroupMember::join(bus.clone(), "g", member, &[topic]);
+        let poll = |m: &mut GroupMember| m.poll_rebalance(|_| Ok(()), |_| Ok(()));
+        let retry = crate::RetryPolicy::none();
+        let commit_t = |partition, offset| commit(&bus, &retry, "g", "t", partition, offset);
+        let generation = || bus.coordinator(None).unwrap().generation("g");
+
+        // An unknown topic can be neither joined nor committed to.
+        let missing = Error::UnknownTopic("missing".to_string());
+        assert_eq!(join("x", "missing").unwrap_err(), missing);
+        assert_eq!(commit(&bus, &retry, "g", "missing", 0, 1), Err(missing));
+        assert_eq!(generation(), 0);
+
+        let mut a = join("a", "t").unwrap();
+        assert!(poll(&mut a).unwrap());
+        assert_eq!((generation(), a.generation(), a.owned().len()), (1, 1, 4));
+
+        // A second member splits the target; its claim waits for `a`.
+        let mut b = join("b", "t").unwrap();
+        assert!(!poll(&mut b).unwrap(), "the claim waits for the release");
+        assert_eq!((generation(), b.owned().len()), (2, 0));
+        let mut revoked = Vec::new();
+        let on_revoke = |lost: &[TopicPartition]| {
+            revoked.extend_from_slice(lost);
+            Ok(())
+        };
+        assert!(a.poll_rebalance(on_revoke, |_| Ok(())).unwrap());
+        assert_eq!((a.owned().len(), revoked.len()), (2, 2));
+        assert!(poll(&mut b).unwrap());
+        assert_eq!(b.owned(), &revoked[..], "released, then claimed");
+
+        commit_t(0, 7).unwrap();
+        assert_eq!(bus.committed_offset("g", "t", 0), Some(7));
+
+        // With every broker down there is no coordinator to ask.
+        (0..brokers).for_each(kill);
+        assert_eq!(join("c", "t").unwrap_err(), Error::BrokerDown);
+        assert_eq!(poll(&mut b), Err(Error::BrokerDown));
+        let last = Box::new(Error::BrokerDown);
+        let exhausted = Error::RetriesExhausted { attempts: 1, last };
+        assert_eq!(commit_t(0, 8), Err(exhausted));
+        assert_eq!(bus.committed_offset("g", "t", 0), None);
+        (0..brokers).for_each(restart);
+
+        // The acting coordinator dies: a cluster hands the role to the
+        // next live broker with membership and commits intact.
+        if brokers > 1 {
+            kill(0);
+        }
+        assert_eq!(bus.committed_offset("g", "t", 0), Some(7));
+        commit_t(0, 9).unwrap();
+        assert_eq!(bus.committed_offset("g", "t", 0), Some(9));
+
+        // A leave rebalances the survivor onto the whole topic.
+        a.leave().unwrap();
+        a.leave().unwrap();
+        assert!(poll(&mut b).unwrap());
+        assert_eq!((generation(), b.generation(), b.owned().len()), (3, 3, 4));
+
+        // A member that left syncs nothing; an unknown group syncs and
+        // claims nothing, and leaving or releasing it is a no-op.
+        let coordinator = bus.coordinator(None).unwrap();
+        let t0 = [TopicPartition::new("t", 0)];
+        assert!(coordinator.sync("g", "a").is_err());
+        assert!(coordinator.sync("nope", "x").is_err());
+        assert!(coordinator.claim("nope", "x", &t0).is_err());
+        coordinator.leave("nope", "x");
+        coordinator.release("nope", "x", &t0);
+    }
+
+    #[test]
+    fn group_protocol_on_a_broker() {
+        let broker = crate::Broker::new();
+        let (down, up) = (broker.clone(), broker.clone());
+        group_protocol(broker.into(), 1, &|_| down.kill(), &|_| up.restart());
+    }
+
+    #[test]
+    fn group_protocol_on_a_cluster() {
+        let cluster = crate::Cluster::new(crate::ClusterConfig { brokers: 3 });
+        let (down, up) = (cluster.clone(), cluster.clone());
+        let (kill, restart) = (move |i| down.kill_broker(i), move |i| up.restart_broker(i));
+        group_protocol(cluster.into(), 3, &kill, &restart);
     }
 
     /// A topic of `partitions` x `per_partition` records.

@@ -20,13 +20,17 @@
 //! * **Writes** go through a [`PartitionWriter`] — one request per
 //!   batch, an acknowledgement level ([`Acks`]), optional idempotence —
 //!   or through the [`AsyncProducer`] that batches over one.
-//! * **Reads** go through a [`PartitionReader`] from explicit offsets;
-//!   offsets are committed under a group id. Group *membership* has one
-//!   client, [`GroupMember`], and one read drive on top of it,
+//! * **Reads** go through a [`PartitionReader`] from explicit offsets.
+//!   The consumer-group protocol is written once: group *membership* has
+//!   one client, [`GroupMember`], and one read drive on top of it,
 //!   [`GroupedReader::next_batch`]: rebalance, end refresh, capping to
 //!   the finish line (bounded: ends at join; follow: a [`FollowTarget`]),
 //!   fetch, commit, the stall exit and [`Backoff`] in one loop that all
-//!   four engine connectors call.
+//!   four engine connectors call. Both call the bus's group coordinator
+//!   directly; a [`Broker`] or [`Cluster`] only gates it (liveness, and
+//!   for a commit the topic check and fault gate) and has no group verbs
+//!   of its own. [`Bus::committed_offset`] is the one public read of a
+//!   committed position.
 //! * A [`Cluster`] of brokers assigns partition leaders and maintains
 //!   follower replicas according to the topic's replication factor.
 //! * The data plane is **one path**: every produce — a named
@@ -101,7 +105,7 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use config::{Acks, TopicConfig};
 pub use error::{Error, Result};
 pub use fault::{FaultOp, FaultPlan};
-pub use group::{FollowTarget, GroupMember, GroupView, GroupedReader, TopicPartition};
+pub use group::{FollowTarget, GroupMember, GroupedReader, TopicPartition};
 pub use handle::{PartitionReader, PartitionWriter};
 pub use log::{LogStats, OffsetError, PartitionLog};
 pub use record::{partition_for_key, Record, StoredRecord, Timestamp};

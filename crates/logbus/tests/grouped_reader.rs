@@ -10,11 +10,16 @@
 //!
 //! Schedules run on one thread, so they step the drive with
 //! `try_next_batch` — `next_batch` is that pass plus the wait — against a
-//! `Vec` model of what was appended. Under `--features check-sync` the
+//! `Vec` model of what was appended. The bus is one more generated input:
+//! a `Broker` or a 3-broker `Cluster`, both on a `ManualClock`, so the
+//! cluster's coordinator gate and committed reads run the same histories. Under `--features check-sync` the
 //! `zzz_` gate additionally asserts the lock-order graph stayed acyclic;
 //! CI runs this file with `--test-threads=1` there.
 
-use logbus::{Broker, FollowTarget, GroupedReader, ManualClock, Record, TopicConfig};
+use logbus::{
+    Broker, BusHandle, Cluster, ClusterConfig, FollowTarget, GroupedReader, ManualClock, Record,
+    TopicConfig,
+};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -61,9 +66,9 @@ struct Member {
     line: Vec<u64>,
 }
 
-/// The broker under test next to the model of what it was given.
+/// The bus under test next to the model of what it was given.
 struct History {
-    broker: Broker,
+    bus: BusHandle,
     /// `Some`: follow mode, every member sharing this finish line.
     target: Option<(u64, FollowTarget)>,
     /// Model: the values appended to each partition, in order.
@@ -73,13 +78,17 @@ struct History {
 }
 
 impl History {
-    fn new(partitions: u32, target: Option<u64>) -> Self {
-        let broker = Broker::with_clock(Arc::new(ManualClock::new(0)));
-        broker
-            .create_topic("t", TopicConfig::default().partitions(partitions))
+    fn new(cluster: bool, partitions: u32, target: Option<u64>) -> Self {
+        let clock = Arc::new(ManualClock::new(0));
+        let bus: BusHandle = if cluster {
+            Cluster::with_clock(ClusterConfig { brokers: 3 }, clock).into()
+        } else {
+            Broker::with_clock(clock).into()
+        };
+        bus.create_topic("t", TopicConfig::default().partitions(partitions))
             .unwrap();
         History {
-            broker,
+            bus,
             target: target.map(|records| (records, FollowTarget::new(records))),
             log: vec![Vec::new(); partitions as usize],
             delivered: vec![0; partitions as usize],
@@ -94,19 +103,16 @@ impl History {
         let partition = partition % self.log.len() as u32;
         for _ in 0..count {
             let value = self.appended();
-            self.broker
-                .produce(
-                    "t",
-                    partition,
-                    Record::from_value(value.to_le_bytes().to_vec()),
-                )
+            let record = Record::from_value(value.to_le_bytes().to_vec());
+            self.bus
+                .produce_batch("t", partition, vec![record])
                 .unwrap();
             self.log[partition as usize].push(value);
         }
     }
 
     fn join(&self) -> Member {
-        let bus = self.broker.clone();
+        let bus = self.bus.clone();
         match &self.target {
             Some((_, target)) => Member {
                 reader: GroupedReader::following(bus, "t", GROUP, target.clone()).unwrap(),
@@ -222,8 +228,9 @@ proptest! {
     fn bounded_group_delivers_exactly_once_up_to_the_captured_ends(
         preload in prop::collection::vec(0u64..20, 1..5),
         ops in arb_ops(),
+        cluster in any::<bool>(),
     ) {
-        let mut history = History::new(preload.len() as u32, None);
+        let mut history = History::new(cluster, preload.len() as u32, None);
         for (partition, count) in preload.iter().enumerate() {
             history.append(partition as u32, *count);
         }
@@ -236,8 +243,9 @@ proptest! {
         partitions in 1u32..5,
         target in 1u64..120,
         ops in arb_ops(),
+        cluster in any::<bool>(),
     ) {
-        let mut history = History::new(partitions, Some(target));
+        let mut history = History::new(cluster, partitions, Some(target));
         history.run(&ops)?;
         prop_assert_eq!(history.delivered.iter().sum::<u64>(), target);
     }

@@ -1,8 +1,8 @@
 //! The lint catalog: each lint enforces one contract DESIGN.md states in
 //! prose (§7 hot-path discipline, §8 observability gating, §9 batching
 //! contract, §10 fault confinement, §7 the one produce path and its
-//! round-trip charge sites, §14 the one consume path, §12 the byte
-//! substrate's inlined per-value path, §11 this tool).
+//! round-trip charge sites, §12 the byte substrate's inlined per-value
+//! path, §11 this tool).
 
 use crate::strip::Stripped;
 use crate::Violation;
@@ -113,20 +113,6 @@ const RTT_SITES: &[(&str, usize)] = &[
     ("crates/logbus/src/retry.rs", 1),
 ];
 
-/// Files that may name the group protocol's client calls: the one
-/// client (`GroupMember` in `group.rs`) and the three files that define
-/// or forward them.
-const GROUP_PROTOCOL_HOME: &[&str] = &[
-    "crates/logbus/src/group.rs",
-    "crates/logbus/src/bus.rs",
-    "crates/logbus/src/broker.rs",
-    "crates/logbus/src/cluster.rs",
-];
-
-/// The sync → release → claim calls of a rebalance.
-const GROUP_PROTOCOL_PATTERNS: &[&str] =
-    &[".sync_group(", ".claim_partitions(", ".release_partitions("];
-
 /// How many preceding lines an `obs::enabled()` gate may sit above a
 /// telemetry recording site and still count as guarding it.
 const GATE_WINDOW: usize = 15;
@@ -162,7 +148,6 @@ pub fn lint_file(rel: &str, src: &Stripped, out: &mut Vec<Violation>) {
     confine(&DISPATCH_CONFINEMENT, rel, src, out);
     produce_path_confinement(rel, src, out);
     rtt_sites(rel, src, out);
-    confine(&CONSUME_PATH_CONFINEMENT, rel, src, out);
     zero_copy(rel, src, out);
     inline_substrate(rel, src, out);
 }
@@ -385,20 +370,6 @@ const DISPATCH_CONFINEMENT: Confinement = Confinement {
     patterns: DISPATCH_PATTERNS,
     tests_too: true,
     advice: "`core::trial`; run the setup through `trial::execute`",
-};
-
-/// `consume-path-confinement`: one rebalance client (DESIGN.md §14).
-/// The revoke → commit → release → claim protocol is
-/// `GroupMember::poll_rebalance`; a `sync_group` / `claim_partitions` /
-/// `release_partitions` call anywhere else — tests included — is a
-/// second client in the making, with its own idea of when a position is
-/// committed.
-const CONSUME_PATH_CONFINEMENT: Confinement = Confinement {
-    lint: "consume-path-confinement",
-    home: GROUP_PROTOCOL_HOME,
-    patterns: GROUP_PROTOCOL_PATTERNS,
-    tests_too: true,
-    advice: "`group.rs`; rebalance through `GroupMember::poll_rebalance`",
 };
 
 /// `produce-path-confinement`: one append, one produce fault gate

@@ -132,22 +132,6 @@ fn rtt_sites_fixture() {
 }
 
 #[test]
-fn consume_path_confinement_fixture() {
-    assert_trips_once(
-        "consume_path_confinement.rs",
-        "crates/rill/src/source.rs",
-        "consume-path-confinement",
-    );
-    let src = fixture("consume_path_confinement.rs");
-    // A test file gets no exemption.
-    assert_eq!(lint_source("crates/logbus/tests/chaos.rs", &src).len(), 1);
-    // The one client, and the files that define or forward the call.
-    for home in ["group.rs", "bus.rs", "broker.rs", "cluster.rs"] {
-        assert!(lint_source(&format!("crates/logbus/src/{home}"), &src).is_empty());
-    }
-}
-
-#[test]
 fn zero_copy_fixture() {
     assert_trips_once("zero_copy.rs", "crates/core/src/data.rs", "zero-copy");
     // Off the hot path a copy is nobody's business.
