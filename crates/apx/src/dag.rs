@@ -134,11 +134,6 @@ impl Dag {
         self.core.lock().ops.len()
     }
 
-    /// Number of container groups the application will occupy.
-    pub fn container_count(&self) -> usize {
-        self.core.lock().containers
-    }
-
     /// Snapshot of operator metadata.
     pub fn operators(&self) -> Vec<OpMeta> {
         self.core.lock().ops.clone()
@@ -416,12 +411,9 @@ mod tests {
             .add_output("out", out.clone(), Link::Thread)
             .unwrap();
         assert_eq!(dag.operator_count(), 5);
-        assert_eq!(
-            dag.container_count(),
-            2,
-            "input group + one network boundary"
-        );
         let ops = dag.operators();
+        let groups = ops.iter().map(|o| o.container).max().map_or(0, |c| c + 1);
+        assert_eq!(groups, 2, "input group + one network boundary");
         assert_eq!(ops[0].kind, OpKind::Input);
         assert_eq!(ops[4].kind, OpKind::Output);
         assert_eq!(ops[1].container, ops[0].container);

@@ -57,7 +57,9 @@ mod tests {
     #[test]
     fn display_and_source() {
         use std::error::Error as _;
-        let e = Error::Resource(yarnsim::Error::UnknownNode(yarnsim::NodeId(1)));
+        let e = Error::Resource(yarnsim::Error::UnknownApplication(yarnsim::ApplicationId(
+            1,
+        )));
         assert!(e.to_string().contains("resource allocation failed"));
         assert!(e.source().is_some());
         assert!(Error::EmptyDag.source().is_none());

@@ -60,7 +60,7 @@ pub use malhar::{KafkaInput, KafkaOutput};
 pub use operator::{
     Emitter, FnOperator, InputOperator, Operator, OperatorContext, PassThrough, WindowCounter,
 };
-pub use stram::{AppResult, RunningApp, Stram};
+pub use stram::{AppResult, Stram};
 pub use stram_config::StramConfig;
 pub use stream::{
     BufferServer, CollectingSink, EncodingPublisher, Frame, FrameSink, OperatorSink, Publisher,

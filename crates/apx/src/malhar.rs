@@ -80,16 +80,11 @@ impl InputOperator<Bytes> for KafkaInput {
 ///
 /// Appends are buffered per streaming window and flushed as one broker
 /// request at window end (Apex's Kafka output operator batches
-/// asynchronously); [`KafkaOutput::per_tuple`] disables buffering so every
-/// tuple becomes an individual, synchronously acknowledged produce request
-/// — the behaviour the abstraction layer's runner exhibits, and the
-/// mechanical source of its output-volume-dependent slowdown.
+/// asynchronously).
 #[derive(Debug)]
 pub struct KafkaOutput {
     bus: BusHandle,
     topic: String,
-    partition: u32,
-    per_tuple: bool,
     buffer: Vec<Record>,
     /// Cached produce handle, resolved on the first append and re-tried
     /// while the topic is missing (appends to unknown topics stay silent
@@ -105,17 +100,9 @@ impl KafkaOutput {
         KafkaOutput {
             bus: bus.into(),
             topic: topic.into(),
-            partition: 0,
-            per_tuple: false,
             buffer: Vec::new(),
             writer: None,
         }
-    }
-
-    /// Switches to one synchronous produce request per tuple.
-    pub fn per_tuple(mut self) -> Self {
-        self.per_tuple = true;
-        self
     }
 
     fn writer(&mut self) -> Option<&PartitionWriter> {
@@ -124,11 +111,9 @@ impl KafkaOutput {
             // faults are ridden out and a lost-ack resend never
             // duplicates query output.
             let retry = logbus::RetryPolicy::default();
-            self.writer = logbus::with_retry(&retry, || {
-                self.bus.partition_writer(&self.topic, self.partition)
-            })
-            .ok()
-            .map(logbus::PartitionWriter::idempotent);
+            self.writer = logbus::with_retry(&retry, || self.bus.partition_writer(&self.topic, 0))
+                .ok()
+                .map(logbus::PartitionWriter::idempotent);
         }
         self.writer.as_ref()
     }
@@ -153,14 +138,7 @@ impl KafkaOutput {
 
 impl Operator<Bytes, ()> for KafkaOutput {
     fn process(&mut self, tuple: Bytes, _out: &mut dyn Emitter<()>) {
-        if self.per_tuple {
-            let record = Record::from_value(tuple);
-            if let Some(writer) = self.writer() {
-                let _ = writer.produce(record);
-            }
-        } else {
-            self.buffer.push(Record::from_value(tuple));
-        }
+        self.buffer.push(Record::from_value(tuple));
     }
 
     fn end_window(&mut self, _window_id: u64, _out: &mut dyn Emitter<()>) {
@@ -249,15 +227,6 @@ mod tests {
         // Identical append stamp: one broker request.
         let records = broker.fetch("out", 0, 0, 10).unwrap();
         assert_eq!(records[0].timestamp, records[1].timestamp);
-    }
-
-    #[test]
-    fn kafka_output_per_tuple_appends_immediately() {
-        let broker = broker_with_records(0);
-        let mut out = KafkaOutput::new(broker.clone(), "out").per_tuple();
-        let mut null = |_: ()| {};
-        out.process(Bytes::from_static(b"a"), &mut null);
-        assert_eq!(broker.latest_offset("out", 0).unwrap(), 1);
     }
 
     #[test]

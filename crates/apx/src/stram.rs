@@ -12,69 +12,6 @@ use crate::stram_config::StramConfig;
 use std::time::{Duration, Instant};
 use yarnsim::{ApplicationId, ApplicationState, ContainerId, ResourceManager, ResourceRequest};
 
-/// A launched, running application.
-#[derive(Debug)]
-pub struct RunningApp {
-    app_id: ApplicationId,
-    name: String,
-    started: Instant,
-    threads: Vec<(String, std::thread::JoinHandle<()>)>,
-    containers: Vec<ContainerId>,
-    operators: Vec<crate::dag::OpMeta>,
-}
-
-impl RunningApp {
-    /// The YARN application id.
-    pub fn app_id(&self) -> ApplicationId {
-        self.app_id
-    }
-
-    /// Waits for every container thread to finish, releases the
-    /// containers, and marks the application finished.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::TaskPanicked`] if any container thread panicked
-    /// (the application is then marked failed).
-    pub fn await_completion(self, rm: &mut ResourceManager) -> Result<AppResult> {
-        let mut panicked: Option<String> = None;
-        for (name, handle) in self.threads {
-            if handle.join().is_err() {
-                panicked.get_or_insert(name);
-            }
-        }
-        let duration = self.started.elapsed();
-        for container in &self.containers {
-            let _ = rm.complete_container(*container);
-        }
-        let state = if panicked.is_some() {
-            ApplicationState::Failed
-        } else {
-            ApplicationState::Finished
-        };
-        rm.finish_application(self.app_id, state)?;
-        if let Some(task) = panicked {
-            return Err(Error::TaskPanicked(task));
-        }
-        Ok(AppResult {
-            name: self.name,
-            app_id: self.app_id,
-            duration,
-            operators: self
-                .operators
-                .iter()
-                .map(|o| {
-                    (
-                        o.name.clone(),
-                        o.emitted.load(std::sync::atomic::Ordering::Relaxed),
-                    )
-                })
-                .collect(),
-            containers_used: self.containers.len() + 1, // + application master
-        })
-    }
-}
-
 /// Outcome of a completed application.
 #[derive(Debug, Clone)]
 pub struct AppResult {
@@ -105,13 +42,18 @@ impl AppResult {
 pub struct Stram;
 
 impl Stram {
-    /// Launches `dag` on the cluster managed by `rm`.
+    /// Launches `dag` on the cluster managed by `rm`, waits for every
+    /// container thread to finish, releases the containers, and marks the
+    /// application finished (or failed).
     ///
     /// # Errors
     ///
     /// [`Error::EmptyDag`] or [`Error::DanglingStream`] for invalid DAGs;
-    /// [`Error::Resource`] when the cluster cannot host the application.
-    pub fn launch(dag: &Dag, rm: &mut ResourceManager, config: &StramConfig) -> Result<RunningApp> {
+    /// [`Error::Resource`] when the cluster cannot host the application;
+    /// [`Error::TaskPanicked`] if any container thread panicked (the
+    /// application is then marked failed).
+    pub fn run(dag: &Dag, rm: &mut ResourceManager, config: &StramConfig) -> Result<AppResult> {
+        let mut app_span = obs::span("apx.run");
         let (name, tasks, containers, operators) = {
             let mut core = dag.core.lock();
             if core.ops.is_empty() {
@@ -145,9 +87,10 @@ impl Stram {
             rm.launch_container(*id)?;
         }
         rm.application_running(app_id)?;
+        app_span.field("app", &name);
 
         let started = Instant::now();
-        let threads = tasks
+        let threads: Vec<_> = tasks
             .into_iter()
             .map(|task| {
                 let label = format!("{name}/container-{:02}/{}", task.container, task.name);
@@ -158,26 +101,41 @@ impl Stram {
                 (label, handle)
             })
             .collect();
-        Ok(RunningApp {
-            app_id,
-            name,
-            started,
-            threads,
-            containers: container_ids,
-            operators,
-        })
-    }
 
-    /// Convenience: launch and immediately wait for completion.
-    ///
-    /// # Errors
-    ///
-    /// See [`Stram::launch`] and [`RunningApp::await_completion`].
-    pub fn run(dag: &Dag, rm: &mut ResourceManager, config: &StramConfig) -> Result<AppResult> {
-        let mut app_span = obs::span("apx.run");
-        let app = Self::launch(dag, rm, config)?;
-        app_span.field("app", &app.name);
-        app.await_completion(rm)
+        let mut panicked: Option<String> = None;
+        for (label, handle) in threads {
+            if handle.join().is_err() {
+                panicked.get_or_insert(label);
+            }
+        }
+        let duration = started.elapsed();
+        for container in &container_ids {
+            let _ = rm.complete_container(*container);
+        }
+        let state = if panicked.is_some() {
+            ApplicationState::Failed
+        } else {
+            ApplicationState::Finished
+        };
+        rm.finish_application(app_id, state)?;
+        if let Some(task) = panicked {
+            return Err(Error::TaskPanicked(task));
+        }
+        Ok(AppResult {
+            name,
+            app_id,
+            duration,
+            operators: operators
+                .iter()
+                .map(|o| {
+                    (
+                        o.name.clone(),
+                        o.emitted.load(std::sync::atomic::Ordering::Relaxed),
+                    )
+                })
+                .collect(),
+            containers_used: container_ids.len() + 1, // + application master
+        })
     }
 }
 
@@ -285,14 +243,20 @@ mod tests {
 
     #[test]
     fn vcores_knob_accounts_in_yarn() {
-        let mut rm = rm_with_capacity();
+        // AM (1 vcore) + 3 containers × 2 vcores = 7: fits a 7-vcore
+        // node exactly, and 3 vcores per container no longer do.
+        let seven_vcores = || {
+            let mut rm = ResourceManager::new();
+            rm.register_node(Resource::new(64 * 1024, 7));
+            rm
+        };
+        let mut rm = seven_vcores();
         let (dag, _out) = linear_dag(Link::Network(Arc::new(StringCodec)));
-        let config = StramConfig::default().vcores(2);
-        let running = Stram::launch(&dag, &mut rm, &config).unwrap();
-        let used = rm.metrics().used;
-        // AM (1 vcore) + 3 containers × 2 vcores.
-        assert_eq!(used.vcores, 7);
-        running.await_completion(&mut rm).unwrap();
+        Stram::run(&dag, &mut rm, &StramConfig::default().vcores(2)).unwrap();
+        let mut rm = seven_vcores();
+        let (dag, _out) = linear_dag(Link::Network(Arc::new(StringCodec)));
+        let err = Stram::run(&dag, &mut rm, &StramConfig::default().vcores(3)).unwrap_err();
+        assert!(matches!(err, Error::Resource(_)));
     }
 
     #[test]

@@ -39,12 +39,6 @@ impl StramConfig {
         self.container_resource.vcores = vcores;
         self
     }
-
-    /// Sets the memory per operator container.
-    pub fn container_memory_mb(mut self, mb: u64) -> Self {
-        self.container_resource.memory_mb = mb;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -53,8 +47,8 @@ mod tests {
 
     #[test]
     fn builder() {
-        let c = StramConfig::default().vcores(2).container_memory_mb(2048);
-        assert_eq!(c.container_resource, Resource::new(2048, 2));
+        let c = StramConfig::default().vcores(2);
+        assert_eq!(c.container_resource, Resource::new(1024, 2));
         assert_eq!(c.master_resource.vcores, 1);
     }
 

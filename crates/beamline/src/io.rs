@@ -111,6 +111,9 @@ impl Coder<KafkaRecord> for KafkaRecordCoder {
     }
 }
 
+/// Records per fetch request of a read's source.
+const FETCH_SIZE: usize = 2048;
+
 /// Entry points for broker IO.
 #[derive(Debug)]
 pub struct BrokerIO;
@@ -123,7 +126,6 @@ impl BrokerIO {
         BrokerRead {
             bus: bus.into(),
             topic: topic.into(),
-            fetch_size: 2048,
             follow: None,
         }
     }
@@ -152,17 +154,10 @@ impl BrokerIO {
 pub struct BrokerRead {
     bus: BusHandle,
     topic: String,
-    fetch_size: usize,
     follow: Option<u64>,
 }
 
 impl BrokerRead {
-    /// Overrides the per-request fetch size.
-    pub fn fetch_size(mut self, records: usize) -> Self {
-        self.fetch_size = records.max(1);
-        self
-    }
-
     /// Switches to follow mode: instead of stopping at the offsets
     /// current at read time, the source tails the topic until `records`
     /// records have been emitted. The source thread blocks on producer
@@ -177,7 +172,6 @@ impl BrokerRead {
 struct BrokerRawSource {
     bus: BusHandle,
     topic: Arc<str>,
-    fetch_size: usize,
     follow: Option<u64>,
     group: String,
 }
@@ -226,7 +220,7 @@ impl RawSource for BrokerRawSource {
             return;
         };
         while reader
-            .next_batch(self.fetch_size, &mut |partition, stored| {
+            .next_batch(FETCH_SIZE, &mut |partition, stored| {
                 Self::emit_record(topic, &mut scratch, &mut emit, partition, stored);
             })
             .is_some()
@@ -238,7 +232,6 @@ impl RootTransform<KafkaRecord> for BrokerRead {
     fn expand(self, pipeline: &Pipeline) -> PCollection<KafkaRecord> {
         let bus = self.bus.clone();
         let topic: Arc<str> = self.topic.as_str().into();
-        let fetch_size = self.fetch_size;
         let follow = self.follow;
         // One group per expanded read: every parallel source instance the
         // runner creates from this factory joins it as a member.
@@ -247,7 +240,6 @@ impl RootTransform<KafkaRecord> for BrokerRead {
             Box::new(BrokerRawSource {
                 bus: bus.clone(),
                 topic: topic.clone(),
-                fetch_size,
                 follow,
                 group: group.clone(),
             }) as Box<dyn RawSource>

@@ -4,13 +4,12 @@ use crate::executor::{ExecutorPool, SharedPool};
 use crate::rdd::Rdd;
 use std::sync::Arc;
 
+/// Task threads of the executor pool: two executors of two cores each.
+const EXECUTOR_THREADS: usize = 2 * 2;
+
 /// Application-level configuration, the analog of a `SparkConf`.
 #[derive(Debug, Clone)]
 pub struct ContextConfig {
-    /// Number of executor processes acquired on worker nodes.
-    pub executors: usize,
-    /// Task threads per executor.
-    pub cores_per_executor: usize,
     /// Default number of partitions for shuffles and repartitioning —
     /// `spark.default.parallelism`, the knob the paper uses to set
     /// parallelism on Apache Spark (§III-A2).
@@ -20,8 +19,6 @@ pub struct ContextConfig {
 impl Default for ContextConfig {
     fn default() -> Self {
         ContextConfig {
-            executors: 2,
-            cores_per_executor: 2,
             default_parallelism: 1,
         }
     }
@@ -32,13 +29,6 @@ impl ContextConfig {
     pub fn default_parallelism(mut self, parallelism: usize) -> Self {
         assert!(parallelism > 0, "parallelism must be at least 1");
         self.default_parallelism = parallelism;
-        self
-    }
-
-    /// Sets the executor topology.
-    pub fn executors(mut self, executors: usize, cores_per_executor: usize) -> Self {
-        self.executors = executors.max(1);
-        self.cores_per_executor = cores_per_executor.max(1);
         self
     }
 }
@@ -64,16 +54,14 @@ pub struct Context {
 }
 
 impl Context {
-    /// Creates a context with the default two-executor configuration.
+    /// Creates a context with the default configuration.
     pub fn local() -> Self {
         Self::with_config(ContextConfig::default())
     }
 
     /// Creates a context from an explicit configuration.
     pub fn with_config(config: ContextConfig) -> Self {
-        let pool = Arc::new(ExecutorPool::new(
-            config.executors * config.cores_per_executor,
-        ));
+        let pool = Arc::new(ExecutorPool::new(EXECUTOR_THREADS));
         Context { pool, config }
     }
 
@@ -129,14 +117,11 @@ mod tests {
 
     #[test]
     fn config_builders() {
-        let config = ContextConfig::default()
-            .default_parallelism(3)
-            .executors(4, 2);
+        let config = ContextConfig::default().default_parallelism(3);
         assert_eq!(config.default_parallelism, 3);
-        assert_eq!(config.executors, 4);
         let ctx = Context::with_config(config);
         assert_eq!(ctx.default_parallelism(), 3);
-        assert_eq!(ctx.pool().worker_count(), 8);
+        assert_eq!(ctx.pool().worker_count(), EXECUTOR_THREADS);
     }
 
     #[test]

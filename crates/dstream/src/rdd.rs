@@ -13,7 +13,7 @@ use std::sync::Arc;
 /// A fused per-partition pass: computes partition `i` of the lineage,
 /// pushing each element into `sink` as it is produced. Stateless
 /// transformations wrap the parent's pass, so a chain of
-/// `map`/`filter`/`flat_map` runs as **one** traversal per partition —
+/// `map`/`filter` runs as **one** traversal per partition —
 /// no intermediate `Vec` is materialized between transformations.
 type Pass<T> = Arc<dyn Fn(usize, &mut dyn FnMut(T)) + Send + Sync>;
 
@@ -127,27 +127,6 @@ impl<T: Send + Sync + 'static> Rdd<T> {
                 pass(i, &mut |item| {
                     if f(&item) {
                         sink(item);
-                    }
-                });
-            }),
-        }
-    }
-
-    /// One-to-many transformation (lazy, fused).
-    pub fn flat_map<U, I, F>(self, f: F) -> Rdd<U>
-    where
-        U: Send + Sync + 'static,
-        I: IntoIterator<Item = U>,
-        F: Fn(T) -> I + Send + Sync + 'static,
-    {
-        let pass = self.pass;
-        Rdd {
-            ctx: self.ctx,
-            partitions: self.partitions,
-            pass: Arc::new(move |i, sink: &mut dyn FnMut(U)| {
-                pass(i, &mut |item| {
-                    for out in f(item) {
-                        sink(out);
                     }
                 });
             }),
@@ -302,14 +281,10 @@ mod tests {
     }
 
     #[test]
-    fn map_filter_flat_map() {
+    fn map_then_filter() {
         let rdd = ctx().parallelize((0..20).collect::<Vec<i64>>(), 3);
-        let out = rdd
-            .map(|x| x + 1)
-            .filter(|x| x % 2 == 0)
-            .flat_map(|x| vec![x, x])
-            .collect();
-        assert_eq!(out.len(), 20);
+        let out = rdd.map(|x| x + 1).filter(|x| x % 2 == 0).collect();
+        assert_eq!(out.len(), 10);
         assert!(out.iter().all(|x| x % 2 == 0));
     }
 

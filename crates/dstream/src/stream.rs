@@ -153,25 +153,6 @@ impl<T: Clone + Send + Sync + 'static> DStream<T> {
         })
     }
 
-    /// Per-batch one-to-many transformation.
-    pub fn flat_map<U, I, F>(&self, f: F) -> DStream<U>
-    where
-        U: Clone + Send + Sync + 'static,
-        I: IntoIterator<Item = U>,
-        F: Fn(T) -> I + Clone + Send + Sync + 'static,
-    {
-        let meter = OpMeter::new("FlatMap");
-        self.transform(move |rdd| {
-            let rdd = if obs::enabled() {
-                let (records, busy) = meter.resolve();
-                rdd.metered(records, busy)
-            } else {
-                rdd
-            };
-            rdd.flat_map(f.clone())
-        })
-    }
-
     /// Whole-partition transformation of every batch.
     pub fn map_partitions<U, F>(&self, f: F) -> DStream<U>
     where
@@ -232,12 +213,13 @@ mod tests {
     }
 
     #[test]
-    fn flat_map_and_map_partitions() {
-        let s = stream_of(vec![vec![2, 3]]);
+    fn map_partitions_sees_the_whole_batch() {
+        let s = stream_of(vec![vec![2, 3], vec![4]]);
         let out = s
-            .flat_map(|x| vec![x; x as usize])
-            .map_partitions(|p| vec![p.len() as i64]);
-        assert_eq!(out.next_batch().unwrap().collect(), vec![5]);
+            .map(|x| x * 2)
+            .map_partitions(|p| vec![p.iter().sum::<i64>()]);
+        assert_eq!(out.next_batch().unwrap().collect(), vec![10]);
+        assert_eq!(out.next_batch().unwrap().collect(), vec![8]);
     }
 
     #[test]

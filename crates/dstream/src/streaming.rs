@@ -48,10 +48,9 @@ type OutputOp = Box<dyn FnMut() -> bool + Send>;
 /// Drives one streaming application: registered output operations are
 /// invoked once per batch tick until every stream is drained.
 ///
-/// When a `batch_interval` is configured, a tick that finishes early waits
-/// for the remainder of the interval (a keeping-up stream); without one,
-/// ticks run back-to-back (a backlogged stream, the benchmark situation —
-/// the input topic is fully loaded before the job starts).
+/// Ticks run back-to-back, with no batch interval between them: the
+/// benchmark's input topic is fully loaded before the job starts, so the
+/// stream is always backlogged.
 ///
 /// # Example
 ///
@@ -76,12 +75,7 @@ type OutputOp = Box<dyn FnMut() -> bool + Send>;
 #[derive(Clone)]
 pub struct StreamingContext {
     ctx: Context,
-    inner: Arc<Mutex<StreamingInner>>,
-}
-
-struct StreamingInner {
-    output_ops: Vec<OutputOp>,
-    batch_interval: Option<Duration>,
+    output_ops: Arc<Mutex<Vec<OutputOp>>>,
 }
 
 impl std::fmt::Debug for StreamingContext {
@@ -93,21 +87,12 @@ impl std::fmt::Debug for StreamingContext {
 }
 
 impl StreamingContext {
-    /// Creates a streaming context over a driver context, with no minimum
-    /// batch interval.
+    /// Creates a streaming context over a driver context.
     pub fn new(ctx: Context) -> Self {
         StreamingContext {
             ctx,
-            inner: Arc::new(Mutex::new(StreamingInner {
-                output_ops: Vec::new(),
-                batch_interval: None,
-            })),
+            output_ops: Arc::new(Mutex::new(Vec::new())),
         }
-    }
-
-    /// Sets a minimum batch interval.
-    pub fn set_batch_interval(&self, interval: Duration) {
-        self.inner.lock().batch_interval = Some(interval);
     }
 
     /// The driver context.
@@ -173,9 +158,8 @@ impl StreamingContext {
         F: FnMut(Rdd<T>) + Send + 'static,
     {
         let stream = stream.clone();
-        self.inner
+        self.output_ops
             .lock()
-            .output_ops
             .push(Box::new(move || match stream.next_batch() {
                 Some(rdd) => {
                     f(rdd);
@@ -191,11 +175,10 @@ impl StreamingContext {
     ///
     /// Returns [`Error::NoOutputOperations`] when nothing was registered.
     pub fn run_to_completion(&self) -> Result<StreamingReport> {
-        let mut ops = std::mem::take(&mut self.inner.lock().output_ops);
+        let mut ops = std::mem::take(&mut *self.output_ops.lock());
         if ops.is_empty() {
             return Err(Error::NoOutputOperations);
         }
-        let interval = self.inner.lock().batch_interval;
         let mut run_span = obs::span("dstream.run");
         run_span.field("output_ops", ops.len().to_string());
         // Resolved once before the loop so per-tick recording is lock-free.
@@ -224,12 +207,6 @@ impl StreamingContext {
             if let Some((batch_micros, batch_count)) = &instruments {
                 batch_micros.record(tick_started.elapsed().as_micros() as u64);
                 batch_count.inc();
-            }
-            if let Some(interval) = interval {
-                let spent = tick_started.elapsed();
-                if spent < interval {
-                    std::thread::sleep(interval - spent);
-                }
             }
         }
         Ok(StreamingReport {
@@ -378,18 +355,6 @@ mod tests {
             ssc.broker_stream(Broker::new(), "missing", 1),
             Err(Error::Source(_))
         ));
-    }
-
-    #[test]
-    fn batch_interval_paces_ticks() {
-        let ssc = StreamingContext::new(Context::local());
-        ssc.set_batch_interval(Duration::from_millis(20));
-        ssc.receiver_stream(VecBatchSource::new(vec![vec![1], vec![2], vec![3]]))
-            .foreach_rdd(&ssc, |_rdd| {});
-        let started = Instant::now();
-        let report = ssc.run_to_completion().unwrap();
-        assert_eq!(report.batches, 3);
-        assert!(started.elapsed() >= Duration::from_millis(50));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 proptest! {
-    /// map/filter/flat_map over any partitioning equals the sequential
+    /// map/filter over any partitioning equals the sequential
     /// reference.
     #[test]
     fn rdd_transformations_match_reference(
@@ -19,7 +19,7 @@ proptest! {
             .parallelize(items.clone(), partitions)
             .map(|x| x.wrapping_add(1))
             .filter(|x| x % 3 != 0)
-            .flat_map(|x| [x, x.wrapping_neg()])
+            .map(i64::wrapping_neg)
             .collect();
         let mut expected: Vec<i64> = Vec::new();
         for p in 0..partitions {
@@ -31,7 +31,7 @@ proptest! {
                     .step_by(partitions)
                     .map(|x| x.wrapping_add(1))
                     .filter(|x| x % 3 != 0)
-                    .flat_map(|x| [x, x.wrapping_neg()]),
+                    .map(i64::wrapping_neg),
             );
         }
         prop_assert_eq!(got, expected);

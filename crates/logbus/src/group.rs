@@ -538,7 +538,13 @@ impl GroupMember {
             bus.coordinator(None)?.claim(group, member, &wanted)?
         };
         if !granted.is_empty() {
-            on_assign(&granted)?;
+            if let Err(err) = on_assign(&granted) {
+                // Hand back what the callback could not take up: the
+                // grant is not in `owned`, so no later revoke would
+                // release it and the next owner would wait forever.
+                bus.coordinator(None)?.release(group, member, &granted);
+                return Err(err);
+            }
             self.owned.extend(granted.iter().cloned());
             self.owned.sort();
         }
@@ -809,6 +815,9 @@ impl GroupedReader {
             },
             |assigned| {
                 let mut cursors = cursors.borrow_mut();
+                // All or nothing: on an error the member releases every
+                // granted partition, so none of them may keep a cursor.
+                let mut fresh = Vec::with_capacity(assigned.len());
                 for tp in assigned {
                     if cursors.iter().any(|c| c.partition == tp.partition) {
                         continue;
@@ -825,13 +834,14 @@ impl GroupedReader {
                         }
                         Finish::Follow(_) => reader.latest_offset().unwrap_or(position),
                     };
-                    cursors.push(GroupCursor {
+                    fresh.push(GroupCursor {
                         partition: tp.partition,
                         reader,
                         position,
                         end,
                     });
                 }
+                cursors.extend(fresh);
                 cursors.sort_by_key(|c| c.partition);
                 Ok(())
             },

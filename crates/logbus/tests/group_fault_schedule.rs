@@ -22,9 +22,12 @@ use logbus::{
 const GROUP: &str = "pinned";
 const LOAD: [u64; 3] = [40, 25, 33];
 
-fn plan() -> FaultPlan {
+/// The pinned schedule's metadata error rate.
+const METADATA_ERROR: f64 = 0.3;
+
+fn plan(metadata_error: f64) -> FaultPlan {
     let mut plan = FaultPlan::seeded(2019);
-    plan.metadata_error = 0.3;
+    plan.metadata_error = metadata_error;
     plan
 }
 
@@ -44,9 +47,10 @@ fn step(name: char, reader: &mut GroupedReader) -> Pass {
     (name, step.map(|_| counts))
 }
 
-/// Loads the topic fault-free, installs the plan on `brokers` (the bus's
-/// brokers), steps the two readers to the finish line, then probes.
-fn drive(bus: BusHandle, brokers: &[&Broker]) -> Observed {
+/// Loads the topic fault-free, installs the plan with `metadata_error` on
+/// `brokers` (the bus's brokers), steps the two readers to the finish
+/// line, then probes.
+fn drive(bus: BusHandle, brokers: &[&Broker], metadata_error: f64) -> Observed {
     bus.create_topic("t", TopicConfig::default().partitions(3))
         .unwrap();
     for (partition, count) in LOAD.iter().enumerate() {
@@ -57,7 +61,7 @@ fn drive(bus: BusHandle, brokers: &[&Broker]) -> Observed {
         }
     }
     for broker in brokers {
-        broker.install_fault_plan(plan());
+        broker.install_fault_plan(plan(metadata_error));
     }
     let mut passes = Vec::new();
     let mut a = GroupedReader::bounded(bus.clone(), "t", GROUP).unwrap();
@@ -99,8 +103,8 @@ fn drive(bus: BusHandle, brokers: &[&Broker]) -> Observed {
     (passes, committed, probes)
 }
 
-/// The delivery schedule both topologies replay: A alone, then B takes
-/// partition 2 over while A finishes 0 and 1.
+/// The cluster's delivery schedule: A alone, then B takes partition 2
+/// over while A finishes 0 and 1.
 fn pinned_passes() -> Vec<Pass> {
     vec![
         ('a', Some([9, 0, 0])),
@@ -122,15 +126,42 @@ fn pinned_passes() -> Vec<Pass> {
 
 const PINNED_COMMITS: [Option<u64>; 3] = [Some(40), Some(25), Some(33)];
 
+/// The single broker's delivery schedule. A's first two passes resolve
+/// no reader: each fails inside `on_assign`, hands its claim back and
+/// delivers nothing. Then the cluster's shape follows, with B's takeover
+/// of partition 2 two passes later.
+fn pinned_broker_passes() -> Vec<Pass> {
+    vec![
+        ('a', Some([0, 0, 0])),
+        ('a', Some([0, 0, 0])),
+        ('a', Some([9, 0, 0])),
+        ('a', Some([9, 0, 0])),
+        ('b', Some([0, 0, 9])),
+        ('a', Some([9, 0, 0])),
+        ('b', Some([0, 0, 9])),
+        ('a', Some([9, 0, 0])),
+        ('b', Some([0, 0, 9])),
+        ('a', Some([4, 5, 0])),
+        ('b', Some([0, 0, 6])),
+        ('a', Some([0, 9, 0])),
+        ('b', Some([0, 0, 0])),
+        ('a', Some([0, 9, 0])),
+        ('b', Some([0, 0, 0])),
+        ('a', Some([0, 2, 0])),
+        ('b', None),
+        ('a', None),
+    ]
+}
+
 #[test]
 fn broker_group_path_replays_its_fault_schedule() {
     let broker = Broker::new();
-    let (passes, committed, probes) = drive((&broker).into(), &[&broker]);
-    assert_eq!(passes, pinned_passes());
+    let (passes, committed, probes) = drive((&broker).into(), &[&broker], METADATA_ERROR);
+    assert_eq!(passes, pinned_broker_passes());
     assert_eq!(committed, PINNED_COMMITS);
     assert_eq!(
         probes,
-        [".xx..x.......x.x", "......x....x..x.", ".......xxx..x..."]
+        [".x.......x.x....", "....x....x..x...", "x........xxx..x."]
     );
 }
 
@@ -140,7 +171,7 @@ fn cluster_group_path_replays_its_fault_schedule() {
     // each partition's lookups and fetches on its leader.
     let cluster = Cluster::new(ClusterConfig { brokers: 3 });
     let brokers = [cluster.broker(0), cluster.broker(1), cluster.broker(2)];
-    let (passes, committed, probes) = drive((&cluster).into(), &brokers);
+    let (passes, committed, probes) = drive((&cluster).into(), &brokers, METADATA_ERROR);
     assert_eq!(passes, pinned_passes());
     assert_eq!(committed, PINNED_COMMITS);
     let pinned = [
@@ -155,4 +186,31 @@ fn cluster_group_path_replays_its_fault_schedule() {
         "...x.......xx...",
     ];
     assert_eq!(probes, pinned);
+}
+
+#[test]
+fn failed_assignment_releases_its_claim() {
+    // At this rate a pass's `on_assign` fails after the coordinator
+    // granted the claim. The member must hand that claim back, or a later
+    // retarget never releases the partition and both readers stall.
+    let broker = Broker::new();
+    let (passes, committed, _) = drive((&broker).into(), &[&broker], 0.5);
+    let finished: Vec<char> = passes
+        .iter()
+        .filter(|(_, counts)| counts.is_none())
+        .map(|(name, _)| *name)
+        .collect();
+    assert_eq!(finished.len(), 2, "each reader finishes once: {passes:?}");
+    let delivered =
+        passes
+            .iter()
+            .filter_map(|(_, counts)| *counts)
+            .fold([0usize; 3], |mut sum, counts| {
+                for (s, c) in sum.iter_mut().zip(counts) {
+                    *s += c;
+                }
+                sum
+            });
+    assert_eq!(delivered, LOAD.map(|n| n as usize));
+    assert_eq!(committed, PINNED_COMMITS);
 }

@@ -6,14 +6,16 @@
 //! by forward edges are **chained**: they compose into a single
 //! [`Collector`] stack running in one thread per subtask, with no
 //! serialization or boxing between them (paper §II-B describes the same
-//! optimization in Apache Flink). An exchange ([`DataStream::rebalance`],
-//! or the forward exchange that disabled chaining inserts) breaks the
-//! chain and moves elements across typed bounded channels.
+//! optimization in Apache Flink). With chaining disabled
+//! ([`StreamExecutionEnvironment::disable_operator_chaining`]) every
+//! operator boundary becomes a forward exchange instead: subtask `i` hands
+//! its elements to subtask `i` of the next task over a typed bounded
+//! channel.
 
 use crate::error::{Error, Result};
-use crate::graph::{NodeId, NodeKind, Partitioning, StreamGraph};
+use crate::graph::{NodeId, NodeKind, StreamGraph};
 use crate::operator::{
-    Collector, CountingCollector, FilterCollector, FlatMapCollector, MapCollector, MeteredCollector,
+    Collector, CountingCollector, FilterCollector, MapCollector, MeteredCollector,
 };
 use crate::plan::ExecutionPlan;
 use crate::runtime::{ClusterSpec, JobManager, JobResult, TaskSpec};
@@ -38,7 +40,6 @@ struct EnvCore {
     cluster: ClusterSpec,
     tasks: Vec<TaskSpec>,
     sink_counters: Vec<(String, obs::Counter)>,
-    watchdog: Option<std::time::Duration>,
 }
 
 /// Entry point for building and executing jobs — rill's counterpart of
@@ -83,16 +84,8 @@ impl StreamExecutionEnvironment {
                 cluster,
                 tasks: Vec::new(),
                 sink_counters: Vec::new(),
-                watchdog: None,
             })),
         }
-    }
-
-    /// Arms a watchdog for subsequent [`execute`](Self::execute) calls:
-    /// a job still running after `timeout` fails with
-    /// [`Error::WatchdogExpired`] instead of hanging the caller.
-    pub fn set_watchdog(&self, timeout: std::time::Duration) {
-        self.core.lock().watchdog = Some(timeout);
     }
 
     /// Sets the default parallelism applied to subsequently created
@@ -104,11 +97,6 @@ impl StreamExecutionEnvironment {
     pub fn set_parallelism(&self, parallelism: usize) {
         assert!(parallelism > 0, "parallelism must be at least 1");
         self.core.lock().parallelism = parallelism;
-    }
-
-    /// The current default parallelism.
-    pub fn parallelism(&self) -> usize {
-        self.core.lock().parallelism
     }
 
     /// Disables operator chaining: every operator boundary becomes a
@@ -148,7 +136,6 @@ impl StreamExecutionEnvironment {
             env: self.clone(),
             node,
             parallelism,
-            pending: Partitioning::Forward,
             chain: vec![name],
             build,
         }
@@ -168,7 +155,7 @@ impl StreamExecutionEnvironment {
     /// the cluster's slots; [`Error::TaskPanicked`] if a subtask panics;
     /// [`Error::InvalidTopology`] when there is nothing to run.
     pub fn execute(&self, name: &str) -> Result<JobResult> {
-        let (cluster, tasks, counters, watchdog) = {
+        let (cluster, tasks, counters) = {
             let mut core = self.core.lock();
             if let Some(node) = core.graph.dangling().into_iter().next() {
                 let node_name = core
@@ -181,10 +168,9 @@ impl StreamExecutionEnvironment {
                 core.cluster,
                 std::mem::take(&mut core.tasks),
                 std::mem::take(&mut core.sink_counters),
-                core.watchdog,
             )
         };
-        JobManager::execute_with_watchdog(name, cluster, tasks, counters, watchdog)
+        JobManager::execute(name, cluster, tasks, counters)
     }
 
     fn with_core<R>(&self, f: impl FnOnce(&mut EnvCore) -> R) -> R {
@@ -201,8 +187,6 @@ pub struct DataStream<T> {
     env: StreamExecutionEnvironment,
     node: NodeId,
     parallelism: usize,
-    /// Partitioning of the edge that will connect `node` to the next node.
-    pending: Partitioning,
     /// Names of the operators accumulated in the current (unfinalized)
     /// chain, for task naming.
     chain: Vec<String>,
@@ -213,25 +197,6 @@ impl<T: Send + 'static> DataStream<T> {
     /// The graph node this stream currently ends at.
     pub fn node(&self) -> NodeId {
         self.node
-    }
-
-    /// The stream's current parallelism.
-    pub fn stream_parallelism(&self) -> usize {
-        self.parallelism
-    }
-
-    /// Renames the operator (or source) this stream currently ends at, as
-    /// shown in execution plans.
-    pub fn rename(self, name: impl Into<String>) -> Self {
-        let name = name.into();
-        let mut stream = self;
-        stream
-            .env
-            .with_core(|core| core.graph.set_name(stream.node, name.clone()));
-        if let Some(last) = stream.chain.last_mut() {
-            *last = name;
-        }
-        stream
     }
 
     /// Applies a custom operator: `make` receives the downstream collector
@@ -248,7 +213,7 @@ impl<T: Send + 'static> DataStream<T> {
             let node = core
                 .graph
                 .add_node(NodeKind::Operator, name, stream.parallelism);
-            core.graph.add_edge(stream.node, node, stream.pending);
+            core.graph.add_edge(stream.node, node);
             node
         });
         let parent = stream.build;
@@ -274,7 +239,6 @@ impl<T: Send + 'static> DataStream<T> {
             env: stream.env,
             node,
             parallelism: stream.parallelism,
-            pending: Partitioning::Forward,
             chain,
             build,
         }
@@ -301,31 +265,6 @@ impl<T: Send + 'static> DataStream<T> {
         })
     }
 
-    /// One-to-many transformation; `f` pushes outputs through the emitter.
-    pub fn flat_map<U, F>(self, f: F) -> DataStream<U>
-    where
-        U: Send + 'static,
-        F: Fn(T, &mut dyn FnMut(U)) + Clone + Send + Sync + 'static,
-    {
-        self.transform("Flat Map", move |col| {
-            Box::new(FlatMapCollector::new(f.clone(), col))
-        })
-    }
-
-    /// Redistributes elements round-robin over subtasks at the
-    /// environment's current parallelism, breaking the chain.
-    pub fn rebalance(self) -> DataStream<T> {
-        let offset_router = |subtask: usize, fan_out: usize| {
-            let mut next = subtask;
-            move |_item: &T| {
-                let target = next % fan_out;
-                next = next.wrapping_add(1);
-                target
-            }
-        };
-        self.exchange(Partitioning::Rebalance, offset_router)
-    }
-
     /// Terminates the stream in a sink. Every pipeline branch must end in
     /// a sink before [`StreamExecutionEnvironment::execute`].
     pub fn add_sink<S>(self, sink: S)
@@ -338,7 +277,7 @@ impl<T: Send + 'static> DataStream<T> {
             let node = core
                 .graph
                 .add_node(NodeKind::Sink, name.clone(), stream.parallelism);
-            core.graph.add_edge(stream.node, node, stream.pending);
+            core.graph.add_edge(stream.node, node);
             let counter = obs::Counter::new();
             let key = if core.sink_counters.iter().any(|(n, _)| *n == name) {
                 format!("{name} ({node})")
@@ -370,47 +309,27 @@ impl<T: Send + 'static> DataStream<T> {
         });
     }
 
-    /// Inserts a forward (subtask-preserving) exchange when chaining is
-    /// disabled, so each operator runs as its own task.
+    /// Inserts a forward exchange when chaining is disabled, so each
+    /// operator runs as its own task.
     fn maybe_unchain(self) -> DataStream<T> {
         if self.env.chaining_enabled() || self.chain.is_empty() {
             return self;
         }
         // A fresh exchange already starts an unchained task; only break
         // when the current chain has an operator pending.
-        self.exchange(Partitioning::Forward, |subtask, _fan_out| {
-            move |_item: &T| subtask
-        })
+        self.forward_exchange()
     }
 
-    /// Finalizes the current chain into a task whose output crosses typed
-    /// channels to `fan_out` downstream subtasks, routed per element by the
-    /// router built from `(upstream subtask, fan_out)`.
-    fn exchange<R, F>(self, partitioning: Partitioning, make_router: F) -> DataStream<T>
-    where
-        R: FnMut(&T) -> usize + Send + 'static,
-        F: Fn(usize, usize) -> R,
-    {
-        let fan_out = match partitioning {
-            Partitioning::Forward => self.parallelism,
-            _ => self.env.parallelism(),
-        };
-        let mut senders = Vec::with_capacity(fan_out);
-        let mut receivers = Vec::with_capacity(fan_out);
-        for _ in 0..fan_out {
+    /// Finalizes the current chain into a task whose subtask `i` hands
+    /// its output to subtask `i` of the next task over a bounded channel.
+    fn forward_exchange(self) -> DataStream<T> {
+        let mut runnables = Vec::with_capacity(self.parallelism);
+        let mut receivers = Vec::with_capacity(self.parallelism);
+        for subtask in 0..self.parallelism {
             let (tx, rx) = bounded::<T>(EXCHANGE_CAPACITY);
-            senders.push(tx);
+            runnables.push((self.build)(subtask, Box::new(ExchangeCollector(Some(tx)))));
             receivers.push(rx);
         }
-        let mut runnables = Vec::with_capacity(self.parallelism);
-        for subtask in 0..self.parallelism {
-            let collector = Box::new(ExchangeCollector {
-                senders: senders.clone(),
-                router: make_router(subtask, fan_out),
-            });
-            runnables.push((self.build)(subtask, collector));
-        }
-        drop(senders);
         self.env.with_core(|core| {
             core.tasks.push(TaskSpec {
                 name: self.chain.join(" -> "),
@@ -430,36 +349,30 @@ impl<T: Send + 'static> DataStream<T> {
         DataStream {
             env: self.env,
             node: self.node,
-            parallelism: fan_out,
-            pending: partitioning,
+            parallelism: self.parallelism,
             chain: Vec::new(),
             build,
         }
     }
 }
 
-/// Collector terminating a chain at an exchange: routes each element to a
-/// downstream subtask's channel.
-struct ExchangeCollector<T, R> {
-    senders: Vec<Sender<T>>,
-    router: R,
-}
+/// Collector terminating a chain at a forward exchange: sends each
+/// element to the channel of the same-index downstream subtask.
+struct ExchangeCollector<T>(Option<Sender<T>>);
 
-impl<T, R> Collector<T> for ExchangeCollector<T, R>
-where
-    T: Send,
-    R: FnMut(&T) -> usize + Send,
-{
+impl<T: Send> Collector<T> for ExchangeCollector<T> {
     fn collect(&mut self, item: T) {
-        let target = (self.router)(&item) % self.senders.len();
-        // A closed receiver means the downstream task is gone (e.g. it
-        // panicked); dropping the element keeps the job from deadlocking
-        // and the failure surfaces through the downstream task's join.
-        let _ = self.senders[target].send(item);
+        if let Some(tx) = &self.0 {
+            // A closed receiver means the downstream task is gone (e.g.
+            // it panicked); dropping the element keeps the job from
+            // deadlocking and the failure surfaces through the
+            // downstream task's join.
+            let _ = tx.send(item);
+        }
     }
 
     fn close(&mut self) {
-        self.senders.clear();
+        self.0 = None;
     }
 }
 
@@ -481,37 +394,6 @@ mod tests {
         let expected: Vec<i64> = (0..100).map(|x| x * 2).filter(|x| x % 4 == 0).collect();
         assert_eq!(sink.snapshot(), expected);
         assert_eq!(result.total_sink_records(), expected.len() as u64);
-    }
-
-    #[test]
-    fn flat_map_expands() {
-        let env = StreamExecutionEnvironment::local();
-        let sink = VecSink::new();
-        env.add_source(VecSource::new(vec!["a b", "c d e"]))
-            .flat_map(|line: &str, out| {
-                for word in line.split(' ') {
-                    out(word.to_string());
-                }
-            })
-            .add_sink(sink.clone());
-        env.execute("words").unwrap();
-        assert_eq!(sink.snapshot(), vec!["a", "b", "c", "d", "e"]);
-    }
-
-    #[test]
-    fn rebalance_spreads_work() {
-        let env = StreamExecutionEnvironment::local();
-        env.set_parallelism(2);
-        let sink = VecSink::new();
-        env.add_source(VecSource::new((0..1000).collect::<Vec<i64>>()))
-            .rebalance()
-            .map(|x| x + 1)
-            .add_sink(sink.clone());
-        let result = env.execute("job").unwrap();
-        let mut got = sink.snapshot();
-        got.sort_unstable();
-        assert_eq!(got, (1..=1000).collect::<Vec<i64>>());
-        assert_eq!(result.total_sink_records(), 1000);
     }
 
     #[test]
@@ -582,10 +464,13 @@ mod tests {
 
     #[test]
     fn panic_downstream_of_exchange_does_not_deadlock() {
+        // The source fills the exchange channel far past its capacity
+        // after the downstream task died; the exchange must drop
+        // elements instead of blocking forever on the dead receiver.
         let env = StreamExecutionEnvironment::local();
-        env.set_parallelism(1);
+        env.disable_operator_chaining();
         env.add_source(VecSource::new((0..100_000).collect::<Vec<i64>>()))
-            .rebalance()
+            .map(|x: i64| x)
             .map(|x: i64| {
                 if x == 10 {
                     panic!("downstream failure")
@@ -596,22 +481,6 @@ mod tests {
             .add_sink(VecSink::new());
         let err = env.execute("job").unwrap_err();
         assert!(matches!(err, Error::TaskPanicked { .. }));
-    }
-
-    #[test]
-    fn rename_changes_plan_name() {
-        let env = StreamExecutionEnvironment::local();
-        let sink = VecSink::new();
-        env.add_source(VecSource::new(vec![1]))
-            .map(|x: i64| x)
-            .rename("ParDoTranslation.RawParDo")
-            .add_sink(sink);
-        let plan = env.execution_plan();
-        assert!(plan
-            .nodes()
-            .iter()
-            .any(|n| n.name == "ParDoTranslation.RawParDo"));
-        env.execute("job").unwrap();
     }
 
     #[test]

@@ -30,15 +30,6 @@ pub enum Error {
     },
     /// The topology is invalid for the requested execution.
     InvalidTopology(String),
-    /// The job's watchdog deadline passed with subtasks still running.
-    WatchdogExpired {
-        /// Job name.
-        job: String,
-        /// Configured watchdog timeout in milliseconds.
-        timeout_millis: u64,
-        /// Subtask threads that had not finished at the deadline.
-        unfinished: usize,
-    },
 }
 
 impl fmt::Display for Error {
@@ -60,14 +51,6 @@ impl fmt::Display for Error {
                 write!(f, "task `{task}` panicked: {message}")
             }
             Error::InvalidTopology(msg) => write!(f, "invalid topology: {msg}"),
-            Error::WatchdogExpired {
-                job,
-                timeout_millis,
-                unfinished,
-            } => write!(
-                f,
-                "job `{job}` exceeded its {timeout_millis}ms watchdog with {unfinished} subtasks still running"
-            ),
         }
     }
 }
@@ -100,12 +83,5 @@ mod tests {
         assert!(Error::InvalidTopology("empty".into())
             .to_string()
             .contains("empty"));
-        assert!(Error::WatchdogExpired {
-            job: "q1".into(),
-            timeout_millis: 500,
-            unfinished: 2
-        }
-        .to_string()
-        .contains("watchdog"));
     }
 }

@@ -38,22 +38,6 @@ impl fmt::Display for NodeKind {
     }
 }
 
-/// How elements travel along an edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Partitioning {
-    /// Same-subtask handoff; eligible for chaining.
-    Forward,
-    /// Round-robin redistribution over downstream subtasks.
-    Rebalance,
-}
-
-impl Partitioning {
-    /// Whether an edge with this partitioning can be chained.
-    pub fn chainable(self) -> bool {
-        matches!(self, Partitioning::Forward)
-    }
-}
-
 /// A node of the stream graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StreamNode {
@@ -67,15 +51,14 @@ pub struct StreamNode {
     pub parallelism: usize,
 }
 
-/// A directed edge of the stream graph.
+/// A directed edge of the stream graph: a forward (subtask-preserving)
+/// connection, the only one rill builds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamEdge {
     /// Upstream node.
     pub from: NodeId,
     /// Downstream node.
     pub to: NodeId,
-    /// Exchange strategy.
-    pub partitioning: Partitioning,
 }
 
 /// The logical dataflow DAG.
@@ -115,24 +98,13 @@ impl StreamGraph {
     /// Panics if either endpoint does not exist or the edge goes backwards
     /// (the builder API only creates forward edges, so a violation is a
     /// bug).
-    pub fn add_edge(&mut self, from: NodeId, to: NodeId, partitioning: Partitioning) {
+    pub fn add_edge(&mut self, from: NodeId, to: NodeId) {
         assert!(
             from.0 < self.nodes.len() && to.0 < self.nodes.len(),
             "unknown node"
         );
         assert!(from.0 < to.0, "stream graph edges must go forward");
-        self.edges.push(StreamEdge {
-            from,
-            to,
-            partitioning,
-        });
-    }
-
-    /// Renames a node.
-    pub fn set_name(&mut self, id: NodeId, name: impl Into<String>) {
-        if let Some(node) = self.nodes.get_mut(id.0) {
-            node.name = name.into();
-        }
+        self.edges.push(StreamEdge { from, to });
     }
 
     /// All nodes in insertion (topological) order.
@@ -175,9 +147,9 @@ impl StreamGraph {
             .collect()
     }
 
-    /// Groups nodes into chains: maximal runs connected by chainable
-    /// (forward) edges between nodes of equal parallelism. This mirrors
-    /// what the runtime actually fuses into single tasks.
+    /// Groups nodes into chains: maximal runs connected by edges between
+    /// nodes of equal parallelism. This mirrors what the runtime fuses
+    /// into single tasks while chaining is enabled.
     pub fn chains(&self) -> Vec<Vec<NodeId>> {
         let mut chains: Vec<Vec<NodeId>> = Vec::new();
         let mut chain_of: Vec<Option<usize>> = vec![None; self.nodes.len()];
@@ -188,10 +160,7 @@ impl StreamGraph {
                 let parent = &self.nodes[e.from.0];
                 // A parent with multiple consumers cannot chain.
                 let parent_fan_out = self.outputs(parent.id).len();
-                (e.partitioning.chainable()
-                    && parent.parallelism == node.parallelism
-                    && parent_fan_out == 1)
-                    .then_some(e.from)
+                (parent.parallelism == node.parallelism && parent_fan_out == 1).then_some(e.from)
             } else {
                 None
             };
@@ -219,8 +188,8 @@ mod tests {
         let s = g.add_node(NodeKind::Source, "Source: Custom Source", 1);
         let f = g.add_node(NodeKind::Operator, "Filter", 1);
         let k = g.add_node(NodeKind::Sink, "Sink: Unnamed", 1);
-        g.add_edge(s, f, Partitioning::Forward);
-        g.add_edge(f, k, Partitioning::Forward);
+        g.add_edge(s, f);
+        g.add_edge(f, k);
         (g, s, f, k)
     }
 
@@ -232,22 +201,11 @@ mod tests {
     }
 
     #[test]
-    fn exchange_breaks_chain() {
-        let mut g = StreamGraph::new();
-        let s = g.add_node(NodeKind::Source, "src", 1);
-        let m = g.add_node(NodeKind::Operator, "Map", 2);
-        let k = g.add_node(NodeKind::Sink, "sink", 2);
-        g.add_edge(s, m, Partitioning::Rebalance);
-        g.add_edge(m, k, Partitioning::Forward);
-        assert_eq!(g.chains(), vec![vec![s], vec![m, k]]);
-    }
-
-    #[test]
     fn parallelism_mismatch_breaks_chain() {
         let mut g = StreamGraph::new();
         let s = g.add_node(NodeKind::Source, "src", 1);
         let m = g.add_node(NodeKind::Operator, "Map", 2);
-        g.add_edge(s, m, Partitioning::Forward);
+        g.add_edge(s, m);
         assert_eq!(g.chains().len(), 2);
     }
 
@@ -257,8 +215,8 @@ mod tests {
         let s = g.add_node(NodeKind::Source, "src", 1);
         let a = g.add_node(NodeKind::Sink, "a", 1);
         let b = g.add_node(NodeKind::Sink, "b", 1);
-        g.add_edge(s, a, Partitioning::Forward);
-        g.add_edge(s, b, Partitioning::Forward);
+        g.add_edge(s, a);
+        g.add_edge(s, b);
         let chains = g.chains();
         assert_eq!(chains.len(), 3, "fan-out children start their own chains");
     }
@@ -268,7 +226,7 @@ mod tests {
         let mut g = StreamGraph::new();
         let s = g.add_node(NodeKind::Source, "src", 1);
         let m = g.add_node(NodeKind::Operator, "Map", 1);
-        g.add_edge(s, m, Partitioning::Forward);
+        g.add_edge(s, m);
         assert_eq!(g.dangling(), vec![m]);
     }
 
@@ -289,13 +247,6 @@ mod tests {
         let mut g = StreamGraph::new();
         let s = g.add_node(NodeKind::Source, "src", 1);
         let m = g.add_node(NodeKind::Operator, "Map", 1);
-        g.add_edge(m, s, Partitioning::Forward);
-    }
-
-    #[test]
-    fn rename() {
-        let (mut g, s, _, _) = linear_graph();
-        g.set_name(s, "Source: Broker");
-        assert_eq!(g.node(s).unwrap().name, "Source: Broker");
+        g.add_edge(m, s);
     }
 }

@@ -9,7 +9,10 @@
 //!   individually, not in micro-batches.
 //! * **Operator chaining** — consecutive forward-connected operators of
 //!   equal parallelism fuse into a single task: one thread, one inlined
-//!   collector stack, no serialization between operators.
+//!   collector stack, no serialization between operators. With chaining
+//!   disabled (the chaining ablation), every operator boundary becomes a
+//!   forward exchange: subtask `i` hands its elements to subtask `i` of
+//!   the next task over a bounded channel.
 //! * **JobManager / TaskManager runtime** — jobs are scheduled into task
 //!   slots; subtasks of one job share slots, so a job needs as many slots
 //!   as its maximum operator parallelism (Fig. 1 of the paper).
@@ -47,9 +50,9 @@ mod source;
 
 pub use datastream::{DataStream, StreamExecutionEnvironment};
 pub use error::{Error, Result};
-pub use graph::{NodeId, NodeKind, Partitioning, StreamEdge, StreamGraph, StreamNode};
+pub use graph::{NodeId, NodeKind, StreamEdge, StreamGraph, StreamNode};
 pub use operator::Collector;
 pub use plan::{ExecutionPlan, PlanEdge, PlanNode};
 pub use runtime::{ClusterSpec, JobManager, JobResult, SlotAssignment, TaskSpec};
 pub use sink::{BrokerSink, ParallelSink, SinkCollector, SinkFunction, VecSink};
-pub use source::{BrokerSource, ParallelSource, QueueSource, SourceFunction, VecSource};
+pub use source::{BrokerSource, ParallelSource, SourceFunction, VecSource};

@@ -134,50 +134,6 @@ where
     }
 }
 
-/// One-to-many transformation: the function pushes any number of outputs
-/// through the provided emit callback.
-pub struct FlatMapCollector<F, C, U> {
-    f: F,
-    downstream: C,
-    /// Reused output buffer for the batch path.
-    scratch: Vec<U>,
-}
-
-impl<F, C, U> FlatMapCollector<F, C, U> {
-    /// Wraps `downstream` with the flat-map function `f`.
-    pub fn new(f: F, downstream: C) -> Self {
-        FlatMapCollector {
-            f,
-            downstream,
-            scratch: Vec::new(),
-        }
-    }
-}
-
-impl<T, U, F, C> Collector<T> for FlatMapCollector<F, C, U>
-where
-    F: FnMut(T, &mut dyn FnMut(U)) + Send,
-    C: Collector<U>,
-    U: Send,
-{
-    fn collect(&mut self, item: T) {
-        let downstream = &mut self.downstream;
-        (self.f)(item, &mut |out| downstream.collect(out));
-    }
-
-    fn collect_batch(&mut self, items: &mut Vec<T>) {
-        let scratch = &mut self.scratch;
-        for item in items.drain(..) {
-            (self.f)(item, &mut |out| scratch.push(out));
-        }
-        self.downstream.collect_batch(&mut self.scratch);
-    }
-
-    fn close(&mut self) {
-        self.downstream.close();
-    }
-}
-
 /// Pass-through collector that counts elements; used for task metrics.
 pub struct CountingCollector<C> {
     counter: obs::Counter,
@@ -332,24 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn flat_map_expands_and_contracts() {
-        let (items, _, sink) = harness::<i64>();
-        let mut chain = FlatMapCollector::new(
-            |x: i64, out: &mut dyn FnMut(i64)| {
-                for _ in 0..x {
-                    out(x);
-                }
-            },
-            sink,
-        );
-        for i in 0..4 {
-            chain.collect(i);
-        }
-        chain.close();
-        assert_eq!(*items.lock(), vec![1, 2, 2, 3, 3, 3]);
-    }
-
-    #[test]
     fn chained_operators_compose() {
         let (items, closed, sink) = harness::<String>();
         // Outermost collector runs first: +1, then filter, then format.
@@ -393,13 +331,7 @@ mod tests {
                 |x: i64| x + 1,
                 FilterCollector::new(
                     |x: &i64| *x % 2 == 1,
-                    FlatMapCollector::new(
-                        |x: i64, out: &mut dyn FnMut(String)| {
-                            out(format!("a{x}"));
-                            out(format!("b{x}"));
-                        },
-                        sink,
-                    ),
+                    MapCollector::new(|x: i64| format!("n{x}"), sink),
                 ),
             )
         };

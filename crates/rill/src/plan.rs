@@ -5,7 +5,7 @@
 //! (Fig. 12) while the Beam-built plan has seven (Fig. 13). This module
 //! provides the same view for rill jobs.
 
-use crate::graph::{NodeId, NodeKind, Partitioning, StreamGraph};
+use crate::graph::{NodeId, NodeKind, StreamGraph};
 use std::fmt;
 
 /// A node of the rendered plan.
@@ -21,15 +21,13 @@ pub struct PlanNode {
     pub parallelism: usize,
 }
 
-/// A connection between plan nodes.
+/// A forward connection between plan nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanEdge {
     /// Upstream node.
     pub from: NodeId,
     /// Downstream node.
     pub to: NodeId,
-    /// Exchange strategy.
-    pub partitioning: Partitioning,
 }
 
 /// A point-in-time execution plan for a job graph.
@@ -59,7 +57,6 @@ impl ExecutionPlan {
             .map(|e| PlanEdge {
                 from: e.from,
                 to: e.to,
-                partitioning: e.partitioning,
             })
             .collect();
         ExecutionPlan {
@@ -123,16 +120,7 @@ impl fmt::Display for ExecutionPlan {
             )?;
             for edge in self.edges.iter().filter(|e| e.from == node.id) {
                 let target = &self.nodes[edge.to.0];
-                writeln!(
-                    f,
-                    "  --{}--> [{}] {}",
-                    match edge.partitioning {
-                        Partitioning::Forward => "FORWARD",
-                        Partitioning::Rebalance => "REBALANCE",
-                    },
-                    target.kind,
-                    target.name
-                )?;
+                writeln!(f, "  --FORWARD--> [{}] {}", target.kind, target.name)?;
             }
         }
         writeln!(f, "chains: {:?}", self.chains)
@@ -148,8 +136,8 @@ mod tests {
         let s = g.add_node(NodeKind::Source, "Source: Custom Source", 1);
         let f = g.add_node(NodeKind::Operator, "Filter", 1);
         let k = g.add_node(NodeKind::Sink, "Sink: Unnamed", 1);
-        g.add_edge(s, f, Partitioning::Forward);
-        g.add_edge(f, k, Partitioning::Forward);
+        g.add_edge(s, f);
+        g.add_edge(f, k);
         g
     }
 
@@ -183,6 +171,6 @@ mod tests {
         let plan = ExecutionPlan::from_graph(&grep_like_graph());
         assert_eq!(plan.nodes().len(), 3);
         assert_eq!(plan.edges().len(), 2);
-        assert_eq!(plan.edges()[0].partitioning, Partitioning::Forward);
+        assert_eq!(plan.edges()[0].to, plan.nodes()[1].id);
     }
 }

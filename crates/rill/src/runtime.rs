@@ -9,9 +9,7 @@
 //! a job needs as many slots as its maximum operator parallelism.
 
 use crate::error::{Error, Result};
-use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Cluster shape: how many task managers, and how many slots each offers.
@@ -48,14 +46,6 @@ impl ClusterSpec {
             slots_per_manager: base
                 .slots_per_manager
                 .max(parallelism.div_ceil(base.task_managers)),
-        }
-    }
-
-    /// The paper's two-worker deployment.
-    pub fn two_workers(slots_per_manager: usize) -> Self {
-        ClusterSpec {
-            task_managers: 2,
-            slots_per_manager,
         }
     }
 
@@ -123,59 +113,6 @@ impl JobResult {
     }
 }
 
-/// Completion latch for the watchdog: counts running subtasks and wakes
-/// the waiter when the count reaches zero.
-#[derive(Debug)]
-struct Latch {
-    remaining: Mutex<usize>,
-    done: Condvar,
-}
-
-impl Latch {
-    fn new() -> Self {
-        Latch {
-            remaining: Mutex::new(0),
-            done: Condvar::new(),
-        }
-    }
-
-    fn add_one(&self) {
-        *self.remaining.lock() += 1;
-    }
-
-    /// Blocks until every registered subtask finished or `deadline`
-    /// passes; returns how many were still running.
-    fn wait_until(&self, deadline: Instant) -> usize {
-        let mut remaining = self.remaining.lock();
-        while *remaining > 0 {
-            let now = Instant::now();
-            let Some(budget) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return *remaining;
-            };
-            let (guard, _) = self.done.wait_timeout(remaining, budget);
-            remaining = guard;
-        }
-        0
-    }
-}
-
-/// Decrements its latch on drop — also on unwind, so panicking subtasks
-/// still count as finished.
-struct LatchGuard(Arc<Latch>);
-
-impl Drop for LatchGuard {
-    fn drop(&mut self) {
-        let mut remaining = self.0.remaining.lock();
-        *remaining = remaining.saturating_sub(1);
-        if *remaining == 0 {
-            self.0.done.notify_all();
-        }
-    }
-}
-
 /// Schedules tasks into slots and runs them to completion.
 #[derive(Debug, Default)]
 pub struct JobManager;
@@ -197,26 +134,6 @@ impl JobManager {
         cluster: ClusterSpec,
         tasks: Vec<TaskSpec>,
         sink_counters: Vec<(String, obs::Counter)>,
-    ) -> Result<JobResult> {
-        Self::execute_with_watchdog(name, cluster, tasks, sink_counters, None)
-    }
-
-    /// [`JobManager::execute`] with an optional watchdog: if the deadline
-    /// passes with subtasks still running, the call returns
-    /// [`Error::WatchdogExpired`] instead of blocking forever on a hung
-    /// job (e.g. a tailing source whose producer died). The stuck
-    /// subtask threads are detached, not killed — the caller owns the
-    /// decision to abandon or retry the run.
-    ///
-    /// # Errors
-    ///
-    /// As [`JobManager::execute`], plus [`Error::WatchdogExpired`].
-    pub fn execute_with_watchdog(
-        name: &str,
-        cluster: ClusterSpec,
-        tasks: Vec<TaskSpec>,
-        sink_counters: Vec<(String, obs::Counter)>,
-        watchdog: Option<Duration>,
     ) -> Result<JobResult> {
         let mut job_span = obs::span("rill.execute");
         job_span.field("job", name);
@@ -245,38 +162,16 @@ impl JobManager {
         }
 
         let started = Instant::now();
-        let latch = Arc::new(Latch::new());
         let mut handles = Vec::new();
         for task in tasks {
             let task_name = task.name;
             for (i, runnable) in task.runnables.into_iter().enumerate() {
                 let label = format!("{task_name}#{i}");
-                latch.add_one();
-                let guard_latch = latch.clone();
                 let handle = std::thread::Builder::new()
                     .name(label.clone())
-                    .spawn(move || {
-                        // Signals completion even when the runnable
-                        // panics, so the watchdog never counts a crashed
-                        // subtask as hung.
-                        let _done = LatchGuard(guard_latch);
-                        runnable();
-                    })
+                    .spawn(runnable)
                     .expect("spawn task thread");
                 handles.push((label, handle));
-            }
-        }
-
-        if let Some(timeout) = watchdog {
-            let unfinished = latch.wait_until(started + timeout);
-            if unfinished > 0 {
-                // Leave the stuck threads detached; joining would block
-                // exactly the way the watchdog exists to prevent.
-                return Err(Error::WatchdogExpired {
-                    job: name.to_string(),
-                    timeout_millis: timeout.as_millis() as u64,
-                    unfinished,
-                });
             }
         }
 
@@ -334,7 +229,6 @@ mod tests {
         };
         assert_eq!(c.total_slots(), 6);
         assert!(ClusterSpec::local().total_slots() >= 1);
-        assert_eq!(ClusterSpec::two_workers(4).total_slots(), 8);
     }
 
     #[test]
@@ -405,69 +299,6 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn watchdog_expires_on_hung_task() {
-        let task = TaskSpec {
-            name: "stuck".to_string(),
-            parallelism: 1,
-            runnables: vec![Box::new(|| {
-                std::thread::sleep(Duration::from_millis(1_500));
-            })],
-        };
-        let started = Instant::now();
-        let err = JobManager::execute_with_watchdog(
-            "j",
-            ClusterSpec::local(),
-            vec![task],
-            vec![],
-            Some(Duration::from_millis(50)),
-        )
-        .unwrap_err();
-        assert!(started.elapsed() < Duration::from_millis(1_000));
-        match err {
-            Error::WatchdogExpired {
-                job, unfinished, ..
-            } => {
-                assert_eq!(job, "j");
-                assert_eq!(unfinished, 1);
-            }
-            other => panic!("unexpected error {other:?}"),
-        }
-    }
-
-    #[test]
-    fn watchdog_lets_finished_jobs_pass() {
-        let result = JobManager::execute_with_watchdog(
-            "j",
-            ClusterSpec::local(),
-            vec![noop_task("a", 2)],
-            vec![],
-            Some(Duration::from_secs(30)),
-        );
-        assert!(result.is_ok());
-    }
-
-    #[test]
-    fn watchdog_sees_panicked_tasks_as_finished() {
-        let task = TaskSpec {
-            name: "boom".to_string(),
-            parallelism: 1,
-            runnables: vec![Box::new(|| panic!("exploded"))],
-        };
-        let err = JobManager::execute_with_watchdog(
-            "j",
-            ClusterSpec::local(),
-            vec![task],
-            vec![],
-            Some(Duration::from_secs(30)),
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, Error::TaskPanicked { .. }),
-            "a crash is a panic, not a hang: {err:?}"
-        );
     }
 
     #[test]

@@ -123,7 +123,6 @@ impl<T: Send> SinkFunction<T> for VecSinkInstance<T> {
 pub struct BrokerSink {
     bus: BusHandle,
     topic: String,
-    partition: u32,
     batch_records: usize,
 }
 
@@ -136,15 +135,8 @@ impl BrokerSink {
         BrokerSink {
             bus: bus.into(),
             topic: topic.into(),
-            partition: 0,
             batch_records: 500,
         }
-    }
-
-    /// Selects the target partition.
-    pub fn partition(mut self, partition: u32) -> Self {
-        self.partition = partition;
-        self
     }
 
     /// Sets the maximum adaptive batch size; `1` forces an individual
@@ -167,7 +159,7 @@ impl ParallelSink<Bytes> for BrokerSink {
             producer: logbus::AsyncProducer::with_max_batch(
                 self.bus.clone(),
                 self.topic.clone(),
-                self.partition,
+                0,
                 self.batch_records,
             ),
             scratch: Vec::new(),

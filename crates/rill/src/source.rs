@@ -3,7 +3,6 @@
 use crate::operator::Collector;
 use bytes::Bytes;
 use logbus::{BusHandle, FollowTarget, GroupedReader};
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 /// One parallel instance of a source, driving elements into the head of an
@@ -176,48 +175,12 @@ impl SourceFunction<Bytes> for BrokerSource {
     }
 }
 
-/// A source that drains a shared queue; lets tests feed a running job.
-#[derive(Debug, Clone)]
-pub struct QueueSource<T> {
-    queue: Arc<Mutex<Vec<T>>>,
-}
-
-impl<T> QueueSource<T> {
-    /// Creates a source over a shared queue. Only subtask 0 drains it.
-    pub fn new(queue: Arc<Mutex<Vec<T>>>) -> Self {
-        QueueSource { queue }
-    }
-}
-
-struct QueueSourceInstance<T> {
-    queue: Arc<Mutex<Vec<T>>>,
-    active: bool,
-}
-
-impl<T: Send + Sync + 'static> ParallelSource<T> for QueueSource<T> {
-    fn create(&self, subtask: usize, _parallelism: usize) -> Box<dyn SourceFunction<T>> {
-        Box::new(QueueSourceInstance {
-            queue: self.queue.clone(),
-            active: subtask == 0,
-        })
-    }
-}
-
-impl<T: Send + Sync> SourceFunction<T> for QueueSourceInstance<T> {
-    fn run(&mut self, out: &mut dyn Collector<T>) {
-        if !self.active {
-            return;
-        }
-        let mut drained: Vec<T> = std::mem::take(&mut *self.queue.lock());
-        out.collect_batch(&mut drained);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::operator::VecCollector;
     use logbus::{Broker, Record, TopicConfig};
+    use parking_lot::Mutex;
     use std::sync::atomic::AtomicU64;
 
     fn collect_all<T, S: ParallelSource<T>>(source: &S, parallelism: usize) -> Vec<Vec<T>>
@@ -376,15 +339,6 @@ mod tests {
         let collected = items.lock();
         assert_eq!(collected.len(), 40, "a slow producer loses no records");
         assert_eq!(&collected[39][..], b"r39", "order preserved");
-    }
-
-    #[test]
-    fn queue_source_only_subtask_zero() {
-        let queue = Arc::new(Mutex::new(vec![1, 2, 3]));
-        let source = QueueSource::new(queue);
-        let parts = collect_all(&source, 2);
-        assert_eq!(parts[0].len() + parts[1].len(), 3);
-        assert!(parts[1].is_empty());
     }
 
     #[test]

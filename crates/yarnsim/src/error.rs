@@ -2,7 +2,6 @@
 
 use crate::app::ApplicationId;
 use crate::container::ContainerId;
-use crate::node::NodeId;
 use crate::resource::Resource;
 use std::fmt;
 
@@ -22,8 +21,6 @@ pub enum Error {
     UnknownApplication(ApplicationId),
     /// The referenced container is unknown.
     UnknownContainer(ContainerId),
-    /// The referenced node is unknown.
-    UnknownNode(NodeId),
     /// The application is no longer active.
     ApplicationNotActive(ApplicationId),
     /// A container operation was invalid in its current state.
@@ -33,8 +30,6 @@ pub enum Error {
         /// What the caller attempted.
         operation: &'static str,
     },
-    /// The pinned node of a request is unhealthy or lacks capacity.
-    NodeUnavailable(NodeId),
 }
 
 impl fmt::Display for Error {
@@ -45,7 +40,6 @@ impl fmt::Display for Error {
             }
             Error::UnknownApplication(id) => write!(f, "unknown application {id}"),
             Error::UnknownContainer(id) => write!(f, "unknown container {id}"),
-            Error::UnknownNode(id) => write!(f, "unknown node {id}"),
             Error::ApplicationNotActive(id) => write!(f, "application {id} is not active"),
             Error::InvalidContainerState {
                 container,
@@ -56,7 +50,6 @@ impl fmt::Display for Error {
                     "cannot {operation} container {container} in its current state"
                 )
             }
-            Error::NodeUnavailable(id) => write!(f, "node {id} is unavailable"),
         }
     }
 }
@@ -75,13 +68,11 @@ mod tests {
             },
             Error::UnknownApplication(ApplicationId(1)),
             Error::UnknownContainer(ContainerId(1)),
-            Error::UnknownNode(NodeId(1)),
             Error::ApplicationNotActive(ApplicationId(1)),
             Error::InvalidContainerState {
                 container: ContainerId(1),
                 operation: "launch",
             },
-            Error::NodeUnavailable(NodeId(1)),
         ];
         for e in samples {
             assert!(!e.to_string().is_empty());

@@ -9,10 +9,11 @@
 //! parts: the `apx` engine crate deploys its operators into `yarnsim`
 //! containers.
 //!
-//! The simulation is synchronous and single-process: time advances via
-//! [`ResourceManager::tick`] and liveness is tracked through explicit
-//! [`ResourceManager::heartbeat`] calls, mirroring YARN's heartbeat
-//! protocol without real timers.
+//! The simulation is synchronous and single-process, and models what the
+//! benchmark runs: nodes, applications, and least-loaded container
+//! placement. Nodes never fail, so there are no heartbeats, no timers and
+//! no container recovery (the paper leaves fault tolerance to future
+//! work, §V).
 //!
 //! # Example
 //!

@@ -1,4 +1,4 @@
-//! Node managers: per-node capacity and liveness bookkeeping.
+//! Node managers: per-node capacity bookkeeping.
 
 use crate::resource::Resource;
 use std::fmt;
@@ -23,54 +23,21 @@ pub struct NodeInfo {
     pub capacity: Resource,
     /// Resources currently allocated to containers.
     pub used: Resource,
-    /// Tick of the last received heartbeat.
-    pub last_heartbeat: u64,
-    /// Whether the node is considered live.
-    pub healthy: bool,
 }
 
 impl NodeInfo {
-    /// Resources still available for allocation.
-    pub fn available(&self) -> Resource {
-        self.capacity.saturating_sub(self.used)
-    }
-}
-
-/// Internal node state owned by the resource manager.
-#[derive(Debug, Clone)]
-pub(crate) struct NodeState {
-    pub(crate) id: NodeId,
-    pub(crate) capacity: Resource,
-    pub(crate) used: Resource,
-    pub(crate) last_heartbeat: u64,
-    pub(crate) healthy: bool,
-    pub(crate) containers: Vec<crate::container::ContainerId>,
-}
-
-impl NodeState {
-    pub(crate) fn new(id: NodeId, capacity: Resource, now: u64) -> Self {
-        NodeState {
+    /// A node with nothing allocated yet.
+    pub(crate) fn new(id: NodeId, capacity: Resource) -> Self {
+        NodeInfo {
             id,
             capacity,
             used: Resource::zero(),
-            last_heartbeat: now,
-            healthy: true,
-            containers: Vec::new(),
         }
     }
 
-    pub(crate) fn available(&self) -> Resource {
+    /// Resources still available for allocation.
+    pub fn available(&self) -> Resource {
         self.capacity.saturating_sub(self.used)
-    }
-
-    pub(crate) fn info(&self) -> NodeInfo {
-        NodeInfo {
-            id: self.id,
-            capacity: self.capacity,
-            used: self.used,
-            last_heartbeat: self.last_heartbeat,
-            healthy: self.healthy,
-        }
     }
 }
 
@@ -80,13 +47,10 @@ mod tests {
 
     #[test]
     fn node_state_tracks_usage() {
-        let mut n = NodeState::new(NodeId(1), Resource::new(1000, 4), 0);
+        let mut n = NodeInfo::new(NodeId(1), Resource::new(1000, 4));
         assert_eq!(n.available(), Resource::new(1000, 4));
         n.used += Resource::new(600, 3);
         assert_eq!(n.available(), Resource::new(400, 1));
-        let info = n.info();
-        assert_eq!(info.available(), Resource::new(400, 1));
-        assert!(info.healthy);
     }
 
     #[test]

@@ -99,29 +99,18 @@ impl fmt::Display for Resource {
     }
 }
 
-/// A request for one container of a given size, optionally pinned to a
-/// node (YARN's locality constraint, relaxed to "hard" here).
+/// A request for one container of a given size, placed on whichever node
+/// the scheduler picks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceRequest {
     /// Requested container size.
     pub resource: Resource,
-    /// Hard node constraint, if any.
-    pub node: Option<crate::node::NodeId>,
 }
 
 impl ResourceRequest {
-    /// Requests a container of `resource` on any node.
+    /// Requests a container of `resource`.
     pub fn new(resource: Resource) -> Self {
-        ResourceRequest {
-            resource,
-            node: None,
-        }
-    }
-
-    /// Pins the request to a node.
-    pub fn on_node(mut self, node: crate::node::NodeId) -> Self {
-        self.node = Some(node);
-        self
+        ResourceRequest { resource }
     }
 }
 

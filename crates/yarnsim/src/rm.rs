@@ -4,7 +4,7 @@
 use crate::app::{Application, ApplicationId, ApplicationState};
 use crate::container::{Container, ContainerId, ContainerState};
 use crate::error::{Error, Result};
-use crate::node::{NodeId, NodeInfo, NodeState};
+use crate::node::{NodeId, NodeInfo};
 use crate::resource::{Resource, ResourceRequest};
 use crate::scheduler::place_least_loaded;
 use std::collections::HashMap;
@@ -12,11 +12,11 @@ use std::collections::HashMap;
 /// Cluster-wide aggregate numbers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ClusterMetrics {
-    /// Registered, healthy nodes.
-    pub healthy_nodes: usize,
-    /// Total capacity over healthy nodes.
+    /// Registered nodes.
+    pub nodes: usize,
+    /// Total capacity over all nodes.
     pub total: Resource,
-    /// Allocated resources over healthy nodes.
+    /// Allocated resources over all nodes.
     pub used: Resource,
     /// Containers currently holding resources.
     pub live_containers: usize,
@@ -30,16 +30,12 @@ pub struct ClusterMetrics {
 /// concurrency, and the `apx` engine drives it from its launcher thread.
 #[derive(Debug)]
 pub struct ResourceManager {
-    nodes: Vec<NodeState>,
+    nodes: Vec<NodeInfo>,
     apps: HashMap<ApplicationId, Application>,
     containers: HashMap<ContainerId, Container>,
     next_node: u32,
     next_app: u32,
     next_container: u64,
-    /// Logical time, advanced by [`ResourceManager::tick`].
-    now: u64,
-    /// Heartbeats older than this many ticks mark a node unhealthy.
-    liveness_window: u64,
 }
 
 impl Default for ResourceManager {
@@ -49,8 +45,7 @@ impl Default for ResourceManager {
 }
 
 impl ResourceManager {
-    /// Creates a resource manager with least-loaded placement and a
-    /// liveness window of 10 ticks.
+    /// Creates a resource manager with least-loaded placement.
     pub fn new() -> Self {
         ResourceManager {
             nodes: Vec::new(),
@@ -59,138 +54,32 @@ impl ResourceManager {
             next_node: 0,
             next_app: 0,
             next_container: 0,
-            now: 0,
-            liveness_window: 10,
         }
-    }
-
-    /// Sets the heartbeat liveness window in ticks.
-    pub fn set_liveness_window(&mut self, ticks: u64) {
-        self.liveness_window = ticks;
     }
 
     /// Registers a node with the given capacity, returning its id.
     pub fn register_node(&mut self, capacity: Resource) -> NodeId {
         let id = NodeId(self.next_node);
         self.next_node += 1;
-        self.nodes.push(NodeState::new(id, capacity, self.now));
+        self.nodes.push(NodeInfo::new(id, capacity));
         id
     }
 
-    /// Records a heartbeat from `node`, restoring health if it had been
-    /// marked unhealthy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownNode`] for unregistered nodes.
-    pub fn heartbeat(&mut self, node: NodeId) -> Result<()> {
-        let now = self.now;
-        let state = self.node_mut(node)?;
-        state.last_heartbeat = now;
-        state.healthy = true;
-        Ok(())
-    }
-
-    /// Advances logical time by one tick and expires nodes whose last
-    /// heartbeat is outside the liveness window. Containers on expired
-    /// nodes are killed. Returns the ids of newly expired nodes.
-    pub fn tick(&mut self) -> Vec<NodeId> {
-        self.now += 1;
-        let window = self.liveness_window;
-        let now = self.now;
-        let mut expired = Vec::new();
-        for node in &mut self.nodes {
-            if node.healthy && now.saturating_sub(node.last_heartbeat) > window {
-                node.healthy = false;
-                expired.push(node.id);
-            }
-        }
-        for node in &expired {
-            let doomed = self.containers_on(*node);
-            for c in &doomed {
-                // Unhealthy nodes keep no resources; release unconditionally.
-                let _ = self.kill_container(c.id);
-            }
-            // Heartbeat expiry is a failure like any other: bring the lost
-            // work back up on whatever healthy capacity remains.
-            self.reallocate(&doomed);
-        }
-        expired
-    }
-
-    /// Simulates a machine failure: marks `node` unhealthy immediately,
-    /// kills every container it hosted, and reallocates each one for its
-    /// still-active application onto the remaining healthy nodes — the
-    /// RM-side half of YARN's container recovery. Returns the replacement
-    /// containers; work no healthy node can host is dropped, exactly as a
-    /// capacity-starved real cluster would drop it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownNode`] for unregistered nodes.
-    pub fn fail_node(&mut self, node: NodeId) -> Result<Vec<Container>> {
-        let state = self.node_mut(node)?;
-        state.healthy = false;
-        let doomed = self.containers_on(node);
-        for c in &doomed {
-            let _ = self.kill_container(c.id);
-        }
-        Ok(self.reallocate(&doomed))
-    }
-
-    fn containers_on(&self, node: NodeId) -> Vec<Container> {
-        self.containers
-            .values()
-            .filter(|c| c.node == node && c.state.holds_resources())
-            .copied()
-            .collect()
-    }
-
-    /// Places a replacement for each lost container, preserving size and
-    /// master-ness. Applications that already finished stay down.
-    fn reallocate(&mut self, lost: &[Container]) -> Vec<Container> {
-        let mut replacements = Vec::new();
-        for old in lost {
-            let active = self.apps.get(&old.app).is_some_and(|a| a.state.is_active());
-            if !active {
-                continue;
-            }
-            let Ok(id) =
-                self.place_container(old.app, ResourceRequest::new(old.resource), old.is_master)
-            else {
-                continue;
-            };
-            if let Some(app) = self.apps.get_mut(&old.app) {
-                app.containers.push(id);
-                if old.is_master {
-                    app.master = id;
-                }
-            }
-            replacements.push(self.containers[&id]);
-        }
-        replacements
-    }
-
-    /// Current logical time.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    fn node_mut(&mut self, id: NodeId) -> Result<&mut NodeState> {
+    fn node_mut(&mut self, id: NodeId) -> &mut NodeInfo {
         self.nodes
             .iter_mut()
             .find(|n| n.id == id)
-            .ok_or(Error::UnknownNode(id))
+            .expect("containers live on registered nodes")
     }
 
     /// Point-in-time view of a node.
     pub fn node_info(&self, id: NodeId) -> Option<NodeInfo> {
-        self.nodes.iter().find(|n| n.id == id).map(NodeState::info)
+        self.nodes.iter().find(|n| n.id == id).copied()
     }
 
     /// Views of all registered nodes.
     pub fn nodes(&self) -> Vec<NodeInfo> {
-        self.nodes.iter().map(NodeState::info).collect()
+        self.nodes.clone()
     }
 
     /// Submits an application, synchronously allocating its master
@@ -251,8 +140,8 @@ impl ResourceManager {
     /// # Errors
     ///
     /// Returns [`Error::UnknownApplication`],
-    /// [`Error::ApplicationNotActive`], [`Error::NodeUnavailable`] for
-    /// unsatisfiable pinned requests, or [`Error::InsufficientResources`].
+    /// [`Error::ApplicationNotActive`], or
+    /// [`Error::InsufficientResources`].
     pub fn allocate(
         &mut self,
         app: ApplicationId,
@@ -290,38 +179,16 @@ impl ResourceManager {
         request: ResourceRequest,
         is_master: bool,
     ) -> Result<ContainerId> {
-        let node_id = match request.node {
-            Some(pinned) => {
-                let node = self
-                    .nodes
-                    .iter()
-                    .find(|n| n.id == pinned)
-                    .ok_or(Error::UnknownNode(pinned))?;
-                if !node.healthy || !node.available().fits(&request.resource) {
-                    return Err(Error::NodeUnavailable(pinned));
-                }
-                pinned
-            }
-            None => {
-                let healthy: Vec<NodeInfo> = self
-                    .nodes
-                    .iter()
-                    .filter(|n| n.healthy)
-                    .map(NodeState::info)
-                    .collect();
-                let idx = place_least_loaded(&healthy, request.resource).ok_or(
-                    Error::InsufficientResources {
-                        requested: request.resource,
-                    },
-                )?;
-                healthy[idx].id
-            }
-        };
+        let idx = place_least_loaded(&self.nodes, request.resource).ok_or(
+            Error::InsufficientResources {
+                requested: request.resource,
+            },
+        )?;
+        let node = &mut self.nodes[idx];
+        node.used += request.resource;
+        let node_id = node.id;
         let id = ContainerId(self.next_container);
         self.next_container += 1;
-        let node = self.node_mut(node_id).expect("node exists");
-        node.used += request.resource;
-        node.containers.push(id);
         self.containers.insert(
             id,
             Container {
@@ -382,14 +249,9 @@ impl ResourceManager {
     }
 
     /// Kills a container in any resource-holding state, releasing its
-    /// resources.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownContainer`] or
-    /// [`Error::InvalidContainerState`] when the container is already
-    /// finished.
-    pub fn kill_container(&mut self, id: ContainerId) -> Result<()> {
+    /// resources: the allocation rollback and
+    /// [`finish_application`](Self::finish_application) use it.
+    fn kill_container(&mut self, id: ContainerId) -> Result<()> {
         self.finish_container(id, ContainerState::Killed, "kill")
     }
 
@@ -417,9 +279,8 @@ impl ResourceManager {
         }
         c.state = target;
         let (node, resource) = (c.node, c.resource);
-        let node = self.node_mut(node).expect("node exists");
+        let node = self.node_mut(node);
         node.used = node.used.saturating_sub(resource);
-        node.containers.retain(|&c| c != id);
         Ok(())
     }
 
@@ -456,8 +317,8 @@ impl ResourceManager {
     /// Cluster-wide aggregate numbers.
     pub fn metrics(&self) -> ClusterMetrics {
         let mut m = ClusterMetrics::default();
-        for n in self.nodes.iter().filter(|n| n.healthy) {
-            m.healthy_nodes += 1;
+        for n in &self.nodes {
+            m.nodes += 1;
             m.total += n.capacity;
             m.used += n.used;
         }
@@ -514,27 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn pinned_requests() {
-        let (mut rm, a, b) = two_node_rm();
-        let app = rm
-            .submit_application("bench", Resource::new(512, 1))
-            .unwrap();
-        let granted = rm
-            .allocate(
-                app,
-                &[ResourceRequest::new(Resource::new(1024, 1)).on_node(b)],
-            )
-            .unwrap();
-        assert_eq!(granted[0].node, b);
-        // Pinning to a full node fails.
-        let too_big = ResourceRequest::new(Resource::new(8192, 1)).on_node(a);
-        assert!(matches!(
-            rm.allocate(app, &[too_big]),
-            Err(Error::NodeUnavailable(n)) if n == a
-        ));
-    }
-
-    #[test]
     fn container_lifecycle() {
         let (mut rm, _, _) = two_node_rm();
         let app = rm
@@ -582,128 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn heartbeat_expiry_kills_containers() {
-        let (mut rm, a, b) = two_node_rm();
-        rm.set_liveness_window(2);
-        let app = rm
-            .submit_application("bench", Resource::new(512, 1))
-            .unwrap();
-        rm.allocate(
-            app,
-            &[
-                ResourceRequest::new(Resource::new(256, 1)).on_node(a),
-                ResourceRequest::new(Resource::new(256, 1)).on_node(b),
-            ],
-        )
-        .unwrap();
-        // Keep b alive, let a expire.
-        for _ in 0..4 {
-            rm.heartbeat(b).unwrap();
-            let expired = rm.tick();
-            for n in &expired {
-                assert_eq!(*n, a);
-            }
-        }
-        let info_a = rm.node_info(a).unwrap();
-        let info_b = rm.node_info(b).unwrap();
-        assert!(!info_a.healthy);
-        assert!(info_b.healthy);
-        assert_eq!(
-            info_a.used,
-            Resource::zero(),
-            "expired node released containers"
-        );
-        assert!(info_b.used.vcores >= 1);
-        // A heartbeat revives the node.
-        rm.heartbeat(a).unwrap();
-        assert!(rm.node_info(a).unwrap().healthy);
-    }
-
-    #[test]
-    fn fail_node_reallocates_onto_healthy_nodes() {
-        let (mut rm, a, b) = two_node_rm();
-        let app = rm
-            .submit_application("bench", Resource::new(512, 1))
-            .unwrap();
-        rm.allocate(
-            app,
-            &[
-                ResourceRequest::new(Resource::new(256, 1)).on_node(a),
-                ResourceRequest::new(Resource::new(256, 1)).on_node(a),
-            ],
-        )
-        .unwrap();
-        let live_before = rm.metrics().live_containers;
-        let moved = rm.fail_node(a).unwrap();
-        let info_a = rm.node_info(a).unwrap();
-        assert!(!info_a.healthy);
-        assert_eq!(info_a.used, Resource::zero());
-        assert!(moved.iter().all(|c| c.node == b));
-        assert_eq!(
-            rm.metrics().live_containers,
-            live_before,
-            "every lost container came back on the healthy node"
-        );
-        let tracked = &rm.application(app).unwrap().containers;
-        assert!(moved.iter().all(|c| tracked.contains(&c.id)));
-    }
-
-    #[test]
-    fn fail_node_moves_the_application_master() {
-        let (mut rm, _, _) = two_node_rm();
-        let app = rm
-            .submit_application("bench", Resource::new(512, 1))
-            .unwrap();
-        let master = rm.application(app).unwrap().master;
-        let home = rm.container(master).unwrap().node;
-        let moved = rm.fail_node(home).unwrap();
-        let new_master = rm.application(app).unwrap().master;
-        assert_ne!(new_master, master);
-        assert_eq!(moved[0].id, new_master);
-        assert!(rm.container(new_master).unwrap().is_master);
-        assert_ne!(rm.container(new_master).unwrap().node, home);
-    }
-
-    #[test]
-    fn fail_node_without_capacity_drops_work() {
-        let mut rm = ResourceManager::new();
-        let only = rm.register_node(Resource::new(1024, 4));
-        rm.submit_application("bench", Resource::new(512, 1))
-            .unwrap();
-        let moved = rm.fail_node(only).unwrap();
-        assert!(moved.is_empty(), "no healthy node can host the master");
-        assert_eq!(rm.metrics().live_containers, 0);
-        assert_eq!(rm.metrics().healthy_nodes, 0);
-        assert!(rm.fail_node(NodeId(9)).is_err());
-    }
-
-    #[test]
-    fn heartbeat_expiry_reallocates_containers() {
-        let (mut rm, a, b) = two_node_rm();
-        rm.set_liveness_window(2);
-        let app = rm
-            .submit_application("bench", Resource::new(512, 1))
-            .unwrap();
-        rm.allocate(
-            app,
-            &[ResourceRequest::new(Resource::new(256, 1)).on_node(a)],
-        )
-        .unwrap();
-        let live_before = rm.metrics().live_containers;
-        for _ in 0..4 {
-            rm.heartbeat(b).unwrap();
-            rm.tick();
-        }
-        assert!(!rm.node_info(a).unwrap().healthy);
-        assert_eq!(
-            rm.metrics().live_containers,
-            live_before,
-            "the expired node's work moved over"
-        );
-        assert!(rm.live_containers(app).iter().all(|c| c.node == b));
-    }
-
-    #[test]
     fn capacity_scheduler_balances() {
         let (mut rm, a, b) = two_node_rm();
         let app = rm
@@ -719,7 +437,6 @@ mod tests {
     #[test]
     fn unknown_ids_error() {
         let mut rm = ResourceManager::new();
-        assert!(rm.heartbeat(NodeId(9)).is_err());
         assert!(rm.launch_container(ContainerId(9)).is_err());
         assert!(rm.allocate(ApplicationId(9), &[]).is_err());
         assert!(rm.application_running(ApplicationId(9)).is_err());
@@ -747,7 +464,7 @@ mod tests {
             .unwrap();
         rm.application_running(app).unwrap();
         let m = rm.metrics();
-        assert_eq!(m.healthy_nodes, 2);
+        assert_eq!(m.nodes, 2);
         assert_eq!(m.total, Resource::new(8192, 8));
         assert_eq!(m.used, Resource::new(512, 2));
         assert_eq!(m.active_applications, 1);

@@ -4,7 +4,7 @@ use crate::node::NodeInfo;
 use crate::resource::Resource;
 
 /// Picks a node for one container request: the index into `nodes` (the
-/// healthy nodes with their current usage) of the fitting node with the
+/// cluster's nodes with their current usage) of the fitting node with the
 /// smallest dominant share of used resources, or `None` when nothing
 /// fits — the balancing effect of YARN's capacity scheduler on a single
 /// queue.
@@ -31,8 +31,6 @@ mod tests {
             id: NodeId(id),
             capacity: cap,
             used,
-            last_heartbeat: 0,
-            healthy: true,
         }
     }
 

@@ -40,8 +40,10 @@ fn rill_panic_downstream_of_exchange_terminates() {
     let broker = broker_with_records(5_000);
     let env = rill::StreamExecutionEnvironment::local();
     env.set_parallelism(2);
+    // Every operator boundary becomes a forward exchange: the map runs
+    // as its own task behind a bounded channel from the source.
+    env.disable_operator_chaining();
     env.add_source(rill::BrokerSource::new(broker.clone(), "in"))
-        .rebalance()
         .map(|v: Bytes| {
             if v.ends_with(b"999") {
                 panic!("downstream failure");
@@ -81,43 +83,6 @@ fn apx_operator_panic_fails_application_and_releases_containers() {
     let err = apx::Stram::run(&dag, &mut rm, &apx::StramConfig::default()).unwrap_err();
     assert!(matches!(err, apx::Error::TaskPanicked(_)));
     // The failed application released everything.
-    let metrics = rm.metrics();
-    assert_eq!(metrics.live_containers, 0);
-    assert_eq!(metrics.active_applications, 0);
-}
-
-#[test]
-fn apx_survives_node_failure_with_container_reallocation() {
-    let broker = broker_with_records(100);
-    let mut rm = fresh_yarn_cluster();
-    let dag = apx::Dag::new("resilient");
-    dag.add_input("in", apx::KafkaInput::new(broker.clone(), "in"))
-        .unwrap()
-        .add_output(
-            "out",
-            apx::KafkaOutput::new(broker.clone(), "out"),
-            apx::Link::Network(std::sync::Arc::new(apx::BytesCodec)),
-        )
-        .unwrap();
-    let app = apx::Stram::launch(&dag, &mut rm, &apx::StramConfig::default()).unwrap();
-
-    // Fail the machine hosting the application master mid-flight: the RM
-    // must reallocate its containers onto the surviving node.
-    let master = rm.application(app.app_id()).unwrap().master;
-    let failed = rm.container(master).unwrap().node;
-    let live_before = rm.metrics().live_containers;
-    let moved = rm.fail_node(failed).unwrap();
-    assert!(!moved.is_empty(), "the failed node hosted work to move");
-    assert!(moved.iter().all(|c| c.node != failed));
-    assert_eq!(
-        rm.metrics().live_containers,
-        live_before,
-        "every container came back on the healthy node"
-    );
-
-    app.await_completion(&mut rm).unwrap();
-    let records = broker.fetch("out", 0, 0, 1_000).unwrap();
-    assert_eq!(records.len(), 100, "query output survives the node failure");
     let metrics = rm.metrics();
     assert_eq!(metrics.live_containers, 0);
     assert_eq!(metrics.active_applications, 0);

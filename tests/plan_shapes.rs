@@ -1,6 +1,7 @@
 //! Execution-plan shape: the paper's Fig. 12 (native grep: three plan
 //! elements) versus Fig. 13 (abstraction-layer grep: seven plan
-//! elements), extracted from the rill engine.
+//! elements), extracted from the rill engine. The rendered text of both
+//! plans is pinned by `tests/golden/plans.txt`.
 
 use beamline::runners::RillRunner;
 use logbus::{Broker, TopicConfig};
@@ -84,4 +85,24 @@ fn beam_plan_is_larger_by_factor_the_paper_reports() {
         .plan(&beam_pipeline(&broker, Query::Grep, "input", "output"))
         .unwrap();
     assert!(beam.element_count() > 2 * native.element_count());
+}
+
+/// Renders both plans exactly as the `plans` binary prints them.
+fn render_plans() -> String {
+    let broker = broker();
+    let native = queries::native_rill_plan(&broker, Query::Grep);
+    let pipeline = beam_pipeline(&broker, Query::Grep, "input", "output");
+    let beam = RillRunner::new().plan(&pipeline).unwrap();
+    format!(
+        "=== Fig. 12: native grep execution plan ===\n{native}elements: {}\n\n\
+         === Fig. 13: abstraction-layer grep execution plan ===\n{beam}elements: {}\n",
+        native.element_count(),
+        beam.element_count(),
+    )
+}
+
+#[test]
+fn plans_render_as_the_golden_file() {
+    let golden = include_str!("golden/plans.txt");
+    assert_eq!(render_plans(), golden);
 }
