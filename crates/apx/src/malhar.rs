@@ -3,10 +3,10 @@
 
 use crate::operator::{Emitter, InputOperator, Operator, OperatorContext};
 use bytes::Bytes;
-use logbus::{BusHandle, FollowTarget, GroupedReader, PartitionWriter, Record};
+use logbus::{BusHandle, FollowTarget, PartitionWriter, Record, TopicReader};
 
 /// Input operator reading a `logbus` topic, one streaming window per
-/// [`GroupedReader::next_batch`] of up to `window_size` records (paper's
+/// [`TopicReader::next_batch`] of up to `window_size` records (paper's
 /// Kafka input operator): bounded at the offsets current at setup, or in
 /// follow mode ([`KafkaInput::follow_until`]) tailing the topic until a
 /// target record count has been emitted. `emit_window` blocks while the
@@ -14,15 +14,15 @@ use logbus::{BusHandle, FollowTarget, GroupedReader, PartitionWriter, Record};
 /// instead of spinning through empty windows; the stream ends with the
 /// one empty window in which the reader reports its finish line.
 ///
-/// The operator is the one member of a fresh consumer group; ownership
-/// and position handover are the reader's.
+/// The operator is the only reader of its input, so it reads every
+/// partition: its share is subtask 0 of 1.
 #[derive(Debug)]
 pub struct KafkaInput {
     bus: BusHandle,
     topic: String,
     window_size: usize,
-    /// Joined at setup.
-    reader: Option<GroupedReader>,
+    /// Opened at setup.
+    reader: Option<TopicReader>,
     /// `Some(target)` puts the operator in follow mode.
     follow_target: Option<u64>,
 }
@@ -54,12 +54,11 @@ impl InputOperator<Bytes> for KafkaInput {
     fn setup(&mut self, ctx: &OperatorContext) {
         self.window_size = ctx.window_size;
         let (bus, topic) = (self.bus.clone(), &self.topic);
-        let group = GroupedReader::fresh_group("apx-src");
         // A missing topic stays harmless: the operator just emits
         // nothing.
         self.reader = match self.follow_target {
-            Some(target) => GroupedReader::following(bus, topic, group, FollowTarget::new(target)),
-            None => GroupedReader::bounded(bus, topic, group),
+            Some(target) => TopicReader::following(bus, topic, 0, 1, FollowTarget::new(target)),
+            None => TopicReader::bounded(bus, topic, 0, 1),
         }
         .ok();
     }

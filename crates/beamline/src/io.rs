@@ -7,7 +7,7 @@ use crate::pardo::{DoFn, ParDo, ProcessContext};
 use crate::pipeline::{PCollection, PTransform, Pipeline, RootTransform};
 use crate::transforms::MapElements;
 use bytes::{arena, Bytes};
-use logbus::{AsyncProducer, BusHandle, FollowTarget, GroupedReader, Record};
+use logbus::{AsyncProducer, BusHandle, FollowTarget, Record, TopicReader};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -146,10 +146,10 @@ impl BrokerIO {
 /// the record-assembly flat map — exactly the `Source` + `Flat Map` head
 /// of the paper's Fig. 13 plan.
 ///
-/// Every expanded read is backed by one auto-named consumer group: each
-/// parallel source instance joins as a member and the coordinator's
-/// rebalance protocol splits the topic's partitions among them, with
-/// position handover on ownership changes.
+/// Every source instance a runner creates from an expanded read is the
+/// only reader of the topic (the rill runner runs it on subtask 0 only),
+/// so it reads every partition: its share is subtask 0 of 1, as a
+/// KafkaIO read with a single source split.
 #[derive(Debug, Clone)]
 pub struct BrokerRead {
     bus: BusHandle,
@@ -173,7 +173,6 @@ struct BrokerRawSource {
     bus: BusHandle,
     topic: Arc<str>,
     follow: Option<u64>,
-    group: String,
 }
 
 impl BrokerRawSource {
@@ -207,14 +206,12 @@ impl BrokerRawSource {
 
 impl RawSource for BrokerRawSource {
     fn read(&mut self, mut emit: RawEmit<'_>) {
-        let (bus, topic, group) = (self.bus.clone(), &self.topic, &self.group);
+        let (bus, topic) = (self.bus.clone(), &self.topic);
         let mut scratch = Vec::new();
         let reader = match self.follow {
             // Each source instance counts towards the target alone.
-            Some(target) => {
-                GroupedReader::following(bus, &**topic, group, FollowTarget::new(target))
-            }
-            None => GroupedReader::bounded(bus, &**topic, group),
+            Some(target) => TopicReader::following(bus, topic, 0, 1, FollowTarget::new(target)),
+            None => TopicReader::bounded(bus, topic, 0, 1),
         };
         let Ok(mut reader) = reader else {
             return;
@@ -233,15 +230,11 @@ impl RootTransform<KafkaRecord> for BrokerRead {
         let bus = self.bus.clone();
         let topic: Arc<str> = self.topic.as_str().into();
         let follow = self.follow;
-        // One group per expanded read: every parallel source instance the
-        // runner creates from this factory joins it as a member.
-        let group = GroupedReader::fresh_group("beamline-src");
         let factory: Arc<dyn Fn() -> Box<dyn RawSource> + Send + Sync> = Arc::new(move || {
             Box::new(BrokerRawSource {
                 bus: bus.clone(),
                 topic: topic.clone(),
                 follow,
-                group: group.clone(),
             }) as Box<dyn RawSource>
         });
         let read_node = pipeline.add_stage(

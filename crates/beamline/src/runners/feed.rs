@@ -11,10 +11,17 @@
 //! the reader thread blocks inside `send`, and (for follow-mode broker
 //! sources) the fetch loop stops advancing its cursors. Overload degrades
 //! into backpressure on the source instead of an OOM.
+//!
+//! A chunk the reader is still filling is shared with the consumer, so a
+//! source that pauses mid-chunk cannot hold elements back: the reader
+//! flushes a partial chunk only when it emits, and a paused source does
+//! not, so the pull takes the partial chunk itself.
 
 use crate::graph::{RawElement, SourceFactory};
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use parking_lot::Mutex;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Elements per channel message. Chunking amortizes the channel's lock
 /// per element while keeping the in-flight window small.
@@ -26,16 +33,23 @@ const CAPACITY: usize = 8;
 
 /// A partial chunk is flushed once it is this old, so a slow (e.g.
 /// follow-mode) source adds at most ~1 ms of feed-side batching delay to
-/// end-to-end latency instead of holding records until the read ends.
+/// end-to-end latency. A pull that waits looks at the partial chunk
+/// after each such interval: one that did not grow over a whole interval
+/// belongs to a paused source, which flushes nothing, and is taken.
 const FLUSH_INTERVAL: std::time::Duration = std::time::Duration::from_millis(1);
 
+/// The chunk the reader thread is filling.
+type Partial = Arc<Mutex<Vec<RawElement>>>;
+
 /// A source feed: the reader thread drives `RawSource::read`, the runner
-/// pulls batches cut from the chunks on the bounded channel.
+/// pulls batches cut from the chunks on the bounded channel and from the
+/// reader's partial chunk.
 pub struct SourceFeed {
     /// The source and the channel's sending half, until the first pull
     /// starts the reader thread.
     unstarted: Option<(SourceFactory, Sender<Vec<RawElement>>)>,
     receiver: Receiver<Vec<RawElement>>,
+    partial: Partial,
     reader: Option<std::thread::JoinHandle<()>>,
     /// Pulled off the channel but not yet handed out.
     buffered: VecDeque<RawElement>,
@@ -49,6 +63,7 @@ impl SourceFeed {
         SourceFeed {
             unstarted: Some((factory, sender)),
             receiver,
+            partial: Arc::default(),
             reader: None,
             buffered: VecDeque::new(),
         }
@@ -57,28 +72,57 @@ impl SourceFeed {
     /// The next batch of at most `max` elements; `None` once the source
     /// is exhausted.
     ///
-    /// Blocks for the batch's first chunk, then tops up with chunks that
-    /// are already queued without blocking: a slow producer yields small
-    /// timely batches instead of stalling until a full one exists.
+    /// Waits for the batch's first chunk — or takes the reader's partial
+    /// chunk once it stops growing, as a paused source's does — then
+    /// tops up with what is already there without waiting: queued
+    /// chunks, then the partial chunk. A slow or paused source yields
+    /// small timely batches instead of stalling until a full one exists.
     pub fn next_batch(&mut self, max: usize) -> Option<Vec<RawElement>> {
         if let Some((factory, sender)) = self.unstarted.take() {
-            self.reader = spawn_reader(factory, sender);
+            self.reader = spawn_reader(factory, sender, self.partial.clone());
         }
-        if self.buffered.is_empty() {
-            let Ok(chunk) = self.receiver.recv() else {
-                self.join();
-                return None;
-            };
-            self.buffered.extend(chunk);
+        let mut seen = None;
+        while self.buffered.is_empty() {
+            match self.receiver.recv_timeout(FLUSH_INTERVAL) {
+                Ok(chunk) => self.buffered.extend(chunk),
+                Err(RecvTimeoutError::Timeout) => {
+                    seen = Some(self.take_partial(|len| seen == Some(len)));
+                }
+                Err(RecvTimeoutError::Disconnected) => {
+                    // The reader sends its last partial chunk before it
+                    // hangs up, so nothing is left behind.
+                    self.join();
+                    return None;
+                }
+            }
         }
         while self.buffered.len() < max {
             match self.receiver.try_recv() {
                 Ok(chunk) => self.buffered.extend(chunk),
-                Err(_) => break,
+                Err(_) => {
+                    self.take_partial(|_| true);
+                    break;
+                }
             }
         }
         let take = max.min(self.buffered.len());
         Some(self.buffered.drain(..take).collect())
+    }
+
+    /// Buffers every queued chunk, then the reader's partial chunk if
+    /// `take` accepts its length, and returns that length. The channel is
+    /// drained under the partial's lock, and the reader sends a chunk
+    /// before it pushes into the next one, so the elements stay in order.
+    fn take_partial(&mut self, take: impl Fn(usize) -> bool) -> usize {
+        let mut partial = self.partial.lock();
+        while let Ok(chunk) = self.receiver.try_recv() {
+            self.buffered.extend(chunk);
+        }
+        let len = partial.len();
+        if take(len) {
+            self.buffered.extend(partial.drain(..));
+        }
+        len
     }
 
     fn join(&mut self) {
@@ -95,11 +139,11 @@ impl SourceFeed {
 fn spawn_reader(
     factory: SourceFactory,
     sender: Sender<Vec<RawElement>>,
+    partial: Partial,
 ) -> Option<std::thread::JoinHandle<()>> {
     std::thread::Builder::new()
         .name("beamline-source-feed".into())
         .spawn(move || {
-            let mut chunk: Vec<RawElement> = Vec::with_capacity(CHUNK);
             let mut open = true;
             let mut last_flush = std::time::Instant::now();
             factory().read(&mut |element| {
@@ -108,17 +152,23 @@ fn spawn_reader(
                     // of the source without buffering it.
                     return;
                 }
-                chunk.push(element);
-                if chunk.len() >= CHUNK || last_flush.elapsed() >= FLUSH_INTERVAL {
-                    let full = std::mem::replace(&mut chunk, Vec::with_capacity(CHUNK));
-                    // Blocks while the channel is full: this is the
-                    // backpressure edge.
-                    open = sender.send(full).is_ok();
+                let full = {
+                    let mut partial = partial.lock();
+                    partial.push(element);
+                    (partial.len() >= CHUNK || last_flush.elapsed() >= FLUSH_INTERVAL)
+                        .then(|| std::mem::replace(&mut *partial, Vec::with_capacity(CHUNK)))
+                };
+                if let Some(full) = full {
                     last_flush = std::time::Instant::now();
+                    // Blocks while the channel is full: this is the
+                    // backpressure edge. Sent outside the lock, so a
+                    // pull draining the channel never waits on it.
+                    open = sender.send(full).is_ok();
                 }
             });
-            if open && !chunk.is_empty() {
-                let _ = sender.send(chunk);
+            let rest = std::mem::take(&mut *partial.lock());
+            if open && !rest.is_empty() {
+                let _ = sender.send(rest);
             }
         })
         .ok()
@@ -288,5 +338,57 @@ mod tests {
         for (i, element) in all.iter().enumerate() {
             assert_eq!(element.value, (i as u16).to_be_bytes()[..]);
         }
+    }
+
+    /// Trickles a short burst — a short sleep before each element — says
+    /// so, and pauses until released (or five seconds pass).
+    struct TricklingSource {
+        paused: Sender<()>,
+        released: Arc<AtomicBool>,
+    }
+
+    const BURST: usize = 5;
+
+    impl RawSource for TricklingSource {
+        fn read(&mut self, emit: RawEmit<'_>) {
+            for i in 0..BURST {
+                std::thread::sleep(std::time::Duration::from_micros(50));
+                emit(WindowedValue::in_global_window(vec![i as u8].into()));
+            }
+            let _ = self.paused.send(());
+            let pause = std::time::Instant::now();
+            while !self.released.load(Ordering::SeqCst) && pause.elapsed().as_secs() < 5 {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+    }
+
+    #[test]
+    fn a_paused_source_cannot_hold_back_its_burst() {
+        let (paused, source_paused) = bounded::<()>(1);
+        let released = Arc::new(AtomicBool::new(false));
+        let released2 = released.clone();
+        let factory: SourceFactory = Arc::new(move || {
+            Box::new(TricklingSource {
+                paused: paused.clone(),
+                released: released2.clone(),
+            })
+        });
+        let mut feed = SourceFeed::new(factory);
+        let started = std::time::Instant::now();
+        let mut all = Vec::new();
+        while all.len() < BURST {
+            all.extend(feed.next_batch(CHUNK).expect("the burst"));
+        }
+        assert!(
+            started.elapsed().as_secs() < 2,
+            "the burst waited for the paused source"
+        );
+        source_paused.recv().expect("the source pauses");
+        for (i, element) in all.iter().enumerate() {
+            assert_eq!(element.value, [i as u8][..]);
+        }
+        released.store(true, Ordering::SeqCst);
+        assert!(feed.next_batch(CHUNK).is_none(), "the source ends");
     }
 }

@@ -180,76 +180,6 @@ fn broker_hot_path(c: &mut Criterion) {
     group.finish();
 }
 
-/// Sharded scale-out: the drained-batch produce loop on one partition
-/// vs the same total record count spread across 8 threads on 8 distinct
-/// partitions of one topic. Each partition leader holds its own append
-/// lock and arena, so the concurrent variant should scale near-linearly
-/// on an 8-core host (the ISSUE 8 acceptance bar is ≥ 4×);
-/// `EXPERIMENTS.md` records the measured ratio.
-fn broker_scaleout(c: &mut Criterion) {
-    const WRITERS: u64 = 8;
-    let mut group = c.benchmark_group("broker_scaleout");
-    group.throughput(Throughput::Elements(N));
-    group
-        .sample_size(10)
-        .warm_up_time(std::time::Duration::from_secs(1))
-        .measurement_time(std::time::Duration::from_secs(2));
-    let record = logbus::Record::from_value("payload-0123456789abcdef");
-    group.bench_function("produce_1_partition", |b| {
-        b.iter(|| {
-            let broker = logbus::Broker::new();
-            broker
-                .create_topic("t", logbus::TopicConfig::default())
-                .unwrap();
-            let writer = broker.partition_writer("t", 0).unwrap();
-            let mut batch = logbus::pool::record_vec();
-            let mut sent = 0u64;
-            while sent < N {
-                let take = 512.min(N - sent);
-                for _ in 0..take {
-                    batch.push(record.clone());
-                }
-                writer.produce_batch_drain(&mut batch).unwrap();
-                sent += take;
-            }
-            logbus::pool::recycle_record_vec(batch);
-        });
-    });
-    group.bench_function("produce_8_partitions_concurrent", |b| {
-        b.iter(|| {
-            let broker = logbus::Broker::new();
-            broker
-                .create_topic(
-                    "t",
-                    logbus::TopicConfig::default().partitions(WRITERS as u32),
-                )
-                .unwrap();
-            std::thread::scope(|scope| {
-                for p in 0..WRITERS {
-                    let broker = broker.clone();
-                    let record = record.clone();
-                    scope.spawn(move || {
-                        let writer = broker.partition_writer("t", p as u32).unwrap();
-                        let mut batch = logbus::pool::record_vec();
-                        let per_writer = N / WRITERS;
-                        let mut sent = 0u64;
-                        while sent < per_writer {
-                            let take = 512.min(per_writer - sent);
-                            for _ in 0..take {
-                                batch.push(record.clone());
-                            }
-                            writer.produce_batch_drain(&mut batch).unwrap();
-                            sent += take;
-                        }
-                        logbus::pool::recycle_record_vec(batch);
-                    });
-                }
-            });
-        });
-    });
-    group.finish();
-}
-
 /// Appends into a topic that did not exist a moment ago, as every
 /// benchmark cell's output topic is: 1 M records through the
 /// drained-batch contract, topic created and dropped per iteration, so
@@ -601,7 +531,6 @@ fn bench(c: &mut Criterion) {
     broker_produce_fetch(c);
     broker_hot_path(c);
     producer_per_record(c);
-    broker_scaleout(c);
     broker_fresh_topic_append(c);
     topic_churn(c);
     engines_identity(c);

@@ -11,16 +11,15 @@
 //! subtasks) may legally interleave outputs, but must neither drop,
 //! duplicate, nor alter a single byte. Parallelism 4 runs against a
 //! **multi-partition** input topic (records key-hash routed with
-//! `logbus::partition_for_key`) so the engines' consumer groups have to
-//! split real partitions — again compared as multisets.
+//! `logbus::partition_for_key`) so rill's subtasks split real partitions
+//! by index — again compared as multisets.
 
-use bytes::Bytes;
 use logbus::{partition_for_key, Acks, Broker, Cluster, ClusterConfig, Record, TopicConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use streambench_core::trial::{self, Trial};
-use streambench_core::{all_setups, BenchError, Query, QueryLogGenerator, Setup, System};
+use streambench_core::{all_setups, Api, BenchError, Query, QueryLogGenerator, Setup, System};
 
 /// Partition count of the multi-partition equivalence phase.
 const INPUT_PARTITIONS: u32 = 4;
@@ -95,9 +94,9 @@ fn assert_query_equivalence(query: Query) {
         assert_matches_reference(&trial, setup, query, &format!("out-{setup}"), quiet);
     }
 
-    // Parallelism 4 over a genuinely partitioned input: the consumer
-    // group splits 4 partitions across the parallel sources, and the
-    // union of their outputs must still be the reference multiset.
+    // Parallelism 4 over a genuinely partitioned input: rill's subtasks
+    // read one partition each, and the union of every engine's outputs
+    // must still be the reference multiset.
     let partitioned = load_input_partitioned(RECORDS, SEED, INPUT_PARTITIONS);
     let trial = Trial::on_broker(&partitioned, RECORDS, SEED);
     for setup in all_setups(&[4]) {
@@ -194,90 +193,31 @@ proptest! {
     }
 }
 
-/// Chaos variant with a **rebalance mid-run**: a native rill job at
-/// parallelism 2 drains a 4-partition input in a named consumer group
-/// while (a) a seeded fault plan injects transient broker faults and
-/// (b) a disturber member joins the same group mid-run — forcing the
-/// engine subtasks to commit and hand partitions over — holds its
-/// assignment briefly, then leaves, handing the partitions back. The
-/// commit-then-release handover must make the whole dance invisible:
-/// the output is exactly the fault-free reference multiset, nothing
-/// lost, nothing duplicated.
+/// The static split under faults: native rill at parallelism 2 and 3
+/// drains a 4-partition input — subtask `i` of `p` reads the partitions
+/// `{j : j mod p = i}`, so the shares are {0, 2} / {1, 3} and then
+/// {0, 3} / {1} / {2} — while a seeded fault plan injects transient
+/// broker faults. The output must be exactly the reference multiset:
+/// no partition read twice, none skipped.
 #[test]
-fn group_rebalance_mid_run_is_exactly_once() {
-    use logbus::{Bus, GroupMember};
-    use std::sync::Arc;
-
+fn static_split_under_faults_is_exactly_once() {
     const N: u64 = 2_000;
-    const GROUP: &str = "chaos-rebalance";
     let broker = load_input_partitioned(N, SEED, INPUT_PARTITIONS);
-    // Identity: the reference output is the input.
-    let mut expected_sorted = QueryLogGenerator::new(SEED).payloads(N);
-    expected_sorted.sort();
-    broker
-        .create_topic("rebalance-out", TopicConfig::default())
-        .unwrap();
-    broker.install_fault_plan(logbus::FaultPlan::seeded(SEED ^ 0x0BA1_A4CE));
-
-    let disturber = std::thread::spawn({
-        let broker = broker.clone();
-        move || {
-            let bus: Arc<dyn Bus> = Arc::new(broker);
-            // Wait for the engine's group to show committed progress so
-            // the join really lands mid-run (bounded: the job may drain
-            // everything before we get in — then the join/leave churn
-            // still exercises the coordinator, just without a revoke).
-            let deadline = Instant::now() + Duration::from_secs(5);
-            while Instant::now() < deadline {
-                let committed: u64 = (0..INPUT_PARTITIONS)
-                    .filter_map(|p| bus.committed_offset(GROUP, "input", p))
-                    .sum();
-                if committed > 0 {
-                    break;
-                }
-                std::thread::yield_now();
-            }
-            // Joining under the fault plan: retry transient errors.
-            let mut member = loop {
-                match GroupMember::join(bus.clone(), GROUP, "disturber", &["input"]) {
-                    Ok(member) => break member,
-                    Err(_) => std::thread::yield_now(),
-                }
-            };
-            let hold = Instant::now() + Duration::from_millis(30);
-            while Instant::now() < hold {
-                // Claim whatever the revoking subtasks release; errors
-                // under the fault plan just retry next poll.
-                let _ = member.poll_rebalance(|_| Ok(()), |_| Ok(()));
-                std::thread::yield_now();
-            }
-            while member.leave().is_err() {
-                std::thread::yield_now();
-            }
-        }
-    });
-
-    let env = rill::StreamExecutionEnvironment::local();
-    env.set_parallelism(2);
-    let source = rill::BrokerSource::new(broker.clone(), "input").consumer_group(GROUP);
-    env.add_source(source)
-        .map(|v: Bytes| v)
-        .add_sink(rill::BrokerSink::new(broker.clone(), "rebalance-out"));
-    env.execute("chaos-rebalance").unwrap();
-    disturber.join().unwrap();
-    broker.clear_fault_plan();
-
-    let mut got_sorted: Vec<Bytes> = broker
-        .fetch("rebalance-out", 0, 0, 100_000)
-        .unwrap()
-        .into_iter()
-        .map(|stored| stored.record.value)
-        .collect();
-    got_sorted.sort();
-    assert_eq!(
-        got_sorted, expected_sorted,
-        "a mid-run rebalance under faults must not lose or duplicate records"
-    );
+    let trial = Trial::on_broker(&broker, N, SEED);
+    for parallelism in [2, 3] {
+        let setup = Setup {
+            system: System::Rill,
+            api: Api::Native,
+            parallelism,
+        };
+        let output = format!("static-split-{setup}");
+        assert_matches_reference(&trial, setup, Query::Identity, &output, |engine| {
+            broker.install_fault_plan(logbus::FaultPlan::seeded(SEED ^ 0x0BA1_A4CE));
+            let result = engine();
+            broker.clear_fault_plan();
+            result
+        });
+    }
 }
 
 /// The chaos thread of the leader-kill phase: `kills` times, it waits

@@ -1,7 +1,7 @@
 //! Micro-batch sources.
 
 use bytes::Bytes;
-use logbus::{BusHandle, FollowTarget, GroupedReader};
+use logbus::{BusHandle, FollowTarget, TopicReader};
 
 /// A bounded supplier of micro-batches.
 ///
@@ -34,7 +34,7 @@ impl<T: Send> BatchSource<T> for VecBatchSource<T> {
 }
 
 /// Reads a `logbus` topic in micro-batches (Spark's Kafka direct stream):
-/// each call is one [`GroupedReader::next_batch`] of up to
+/// each call is one [`TopicReader::next_batch`] of up to
 /// `max_batch_records`, ending at the offsets current when the source was
 /// created — or, in follow mode ([`BrokerBatchSource::following`]),
 /// tailing the topic until a target record count has been emitted.
@@ -42,12 +42,13 @@ impl<T: Send> BatchSource<T> for VecBatchSource<T> {
 /// driver is throttled to the producer's rate instead of spinning on
 /// empty batches or buffering without bound.
 ///
-/// Every source is the one member of a fresh consumer group; ownership
-/// and position handover are the reader's.
+/// The source is the only reader of its input, so it reads every
+/// partition — one RDD partition's worth per Kafka partition, merged into
+/// the micro-batch: its share is subtask 0 of 1.
 #[derive(Debug)]
 pub struct BrokerBatchSource {
     max_batch_records: usize,
-    reader: GroupedReader,
+    reader: TopicReader,
 }
 
 impl BrokerBatchSource {
@@ -58,11 +59,10 @@ impl BrokerBatchSource {
     /// Fails when the topic does not exist.
     pub fn new(
         bus: impl Into<BusHandle>,
-        topic: impl Into<String>,
+        topic: &str,
         max_batch_records: usize,
     ) -> logbus::Result<Self> {
-        let group = GroupedReader::fresh_group("dstream-src");
-        let reader = GroupedReader::bounded(bus, topic, group)?;
+        let reader = TopicReader::bounded(bus, topic, 0, 1)?;
         Ok(BrokerBatchSource {
             max_batch_records: max_batch_records.max(1),
             reader,
@@ -78,13 +78,12 @@ impl BrokerBatchSource {
     /// Fails when the topic does not exist.
     pub fn following(
         bus: impl Into<BusHandle>,
-        topic: impl Into<String>,
+        topic: &str,
         max_batch_records: usize,
         target_records: u64,
     ) -> logbus::Result<Self> {
-        let group = GroupedReader::fresh_group("dstream-src");
         let target = FollowTarget::new(target_records);
-        let reader = GroupedReader::following(bus, topic, group, target)?;
+        let reader = TopicReader::following(bus, topic, 0, 1, target)?;
         Ok(BrokerBatchSource {
             max_batch_records: max_batch_records.max(1),
             reader,

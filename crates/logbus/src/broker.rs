@@ -1,34 +1,17 @@
 //! The broker: topic management, produce/fetch, and the liveness and
-//! fault gates in front of its consumer-group coordinator.
+//! fault gates in front of them.
 
 use crate::clock::{Clock, SystemClock};
 use crate::config::TopicConfig;
 use crate::error::{Error, Result};
 use crate::fault::{FaultAction, FaultInjector, FaultOp, FaultPlan};
-use crate::group::Coordinator;
 use crate::handle::{Route, WriteTarget};
 use crate::record::{Record, StoredRecord, Timestamp};
 use crate::topic::{spin_delay, Topic};
 use parking_lot::RwLock;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-
-/// Shard count for the topic and group maps. Sixteen shards keep the
-/// name→shard spread wide enough that concurrent clients on distinct
-/// topics (a trial's input and output topics, consumer groups) effectively
-/// never contend on a map lock, while the per-broker footprint stays a
-/// few hundred bytes.
-pub(crate) const MAP_SHARDS: usize = 16;
-
-/// Picks the shard for a name. `DefaultHasher` is SipHash-backed, so
-/// adversarial or sequential names still spread evenly.
-pub(crate) fn shard_index(name: &str) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    name.hash(&mut hasher);
-    (hasher.finish() as usize) % MAP_SHARDS
-}
 
 /// A single in-process broker.
 ///
@@ -43,15 +26,10 @@ pub struct Broker {
 
 #[derive(Debug)]
 struct BrokerInner {
-    /// The topic map, sharded by name hash so topic resolution from
-    /// concurrent clients on distinct topics never serialises. Each
-    /// partition's append lock lives inside its [`Topic`]; the shards
-    /// only guard the name→topic mapping.
-    topic_shards: [RwLock<HashMap<String, Arc<Topic>>>; MAP_SHARDS],
-    /// Consumer-group offsets and coordinator state. Group operations
-    /// never hold a topic-shard lock — partition counts are resolved
-    /// *before* joining — so the lock-order graph stays acyclic.
-    groups: Coordinator,
+    /// The topic map. It guards only the name→topic mapping: each
+    /// partition's append lock lives inside its [`Topic`], and hot loops
+    /// hold partition handles that skip the map.
+    topics: RwLock<HashMap<String, Arc<Topic>>>,
     clock: Arc<dyn Clock>,
     /// Simulated network round-trip per client request, in microseconds.
     request_latency_micros: std::sync::atomic::AtomicU64,
@@ -83,8 +61,7 @@ impl Broker {
     pub fn with_clock(clock: Arc<dyn Clock>) -> Self {
         Broker {
             inner: Arc::new(BrokerInner {
-                topic_shards: std::array::from_fn(|_| RwLock::new(HashMap::new())),
-                groups: Coordinator::default(),
+                topics: RwLock::new(HashMap::new()),
                 clock,
                 request_latency_micros: std::sync::atomic::AtomicU64::new(0),
                 faults: RwLock::new(None),
@@ -101,9 +78,9 @@ impl Broker {
     }
 
     /// Simulates a broker crash: from now on every request fails with
-    /// [`Error::BrokerDown`]. Logs and group state stay in place (the
-    /// crash loses the process, not the disk); [`Broker::restart`] brings
-    /// the broker back. Idempotent.
+    /// [`Error::BrokerDown`]. Logs stay in place (the crash loses the
+    /// process, not the disk); [`Broker::restart`] brings the broker
+    /// back. Idempotent.
     pub fn kill(&self) {
         self.inner.alive.store(false, Ordering::Relaxed);
     }
@@ -230,11 +207,11 @@ impl Broker {
     pub fn create_topic(&self, name: impl Into<String>, config: TopicConfig) -> Result<()> {
         let name = name.into();
         let topic = Arc::new(Topic::new(name.clone(), config)?);
-        let mut shard = self.inner.topic_shards[shard_index(&name)].write();
-        if shard.contains_key(&name) {
+        let mut topics = self.inner.topics.write();
+        if topics.contains_key(&name) {
             return Err(Error::TopicExists(name));
         }
-        shard.insert(name, topic);
+        topics.insert(name, topic);
         Ok(())
     }
 
@@ -244,7 +221,8 @@ impl Broker {
     ///
     /// Returns [`Error::UnknownTopic`] if the topic does not exist.
     pub fn delete_topic(&self, name: &str) -> Result<()> {
-        self.inner.topic_shards[shard_index(name)]
+        self.inner
+            .topics
             .write()
             .remove(name)
             .map(drop)
@@ -253,9 +231,7 @@ impl Broker {
 
     /// Whether a topic exists.
     pub fn has_topic(&self, name: &str) -> bool {
-        self.inner.topic_shards[shard_index(name)]
-            .read()
-            .contains_key(name)
+        self.inner.topics.read().contains_key(name)
     }
 
     /// Looks up a topic handle.
@@ -264,7 +240,8 @@ impl Broker {
     ///
     /// Returns [`Error::UnknownTopic`] if the topic does not exist.
     pub fn topic(&self, name: &str) -> Result<Arc<Topic>> {
-        self.inner.topic_shards[shard_index(name)]
+        self.inner
+            .topics
             .read()
             .get(name)
             .cloned()
@@ -432,19 +409,6 @@ impl Broker {
     }
 }
 
-impl crate::bus::sealed::Sealed for Broker {
-    fn coordinator(&self, commit: Option<(&str, u32)>) -> Result<&Coordinator> {
-        self.ensure_alive()?;
-        if let Some((topic, partition)) = commit {
-            if !self.has_topic(topic) {
-                return Err(Error::UnknownTopic(topic.to_string()));
-            }
-            self.fault_gate(FaultOp::Metadata, topic, partition)?;
-        }
-        Ok(&self.inner.groups)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,28 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn group_offsets() {
-        use crate::bus::sealed::Sealed;
-        use crate::{Bus, GroupedReader};
-
-        let broker = Broker::new();
-        broker.create_topic("t", TopicConfig::default()).unwrap();
-        for _ in 0..42 {
-            broker.produce("t", 0, Record::from_value("x")).unwrap();
-        }
-        let mut reader = GroupedReader::bounded(broker.clone(), "t", "g").unwrap();
-        assert_eq!(broker.committed_offset("g", "t", 0), None);
-        assert_eq!(reader.fetch_pass(usize::MAX, &mut |_, _| {}), 42);
-        reader.commit().unwrap();
-        assert_eq!(broker.committed_offset("g", "t", 0), Some(42));
-        // The commit gate refuses a topic the broker does not hold.
-        broker.delete_topic("t").unwrap();
-        let missing = Error::UnknownTopic("t".to_string());
-        assert_eq!(reader.commit(), Err(missing.clone()));
-        assert_eq!(broker.coordinator(Some(("t", 0))).unwrap_err(), missing);
-    }
-
-    #[test]
     fn request_latency_slows_requests() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
@@ -615,8 +557,7 @@ mod tests {
     }
 
     #[test]
-    fn sharded_topic_map_resolves_many_topics() {
-        // More topics than shards, so every shard holds several entries.
+    fn topic_map_resolves_many_topics() {
         let broker = Broker::new();
         for i in 0..64 {
             broker
@@ -634,54 +575,5 @@ mod tests {
         for i in 0..64 {
             assert_eq!(broker.has_topic(&format!("topic-{i}")), i != 7);
         }
-    }
-
-    #[test]
-    fn group_coordination_lifecycle() {
-        use crate::GroupMember;
-
-        let broker = Broker::new();
-        broker
-            .create_topic("t", TopicConfig::default().partitions(4))
-            .unwrap();
-        let join = |member: &str| GroupMember::join(broker.clone(), "g", member, &["t"]);
-        let poll = |m: &mut GroupMember| m.poll_rebalance(|_| Ok(()), |_| Ok(()));
-
-        let mut a = join("a").unwrap();
-        assert!(poll(&mut a).unwrap());
-        assert_eq!((a.generation(), a.owned().len()), (1, 4));
-
-        // A second member splits the target; its claims wait for `a`.
-        let mut b = join("b").unwrap();
-        assert!(!poll(&mut b).unwrap());
-        assert_eq!((b.generation(), b.owned().len()), (2, 0));
-        let mut revoked = Vec::new();
-        let on_revoke = |lost: &[crate::TopicPartition]| {
-            revoked.extend_from_slice(lost);
-            Ok(())
-        };
-        assert!(a.poll_rebalance(on_revoke, |_| Ok(())).unwrap());
-        assert_eq!((a.owned().len(), revoked.len()), (2, 2));
-        assert!(poll(&mut b).unwrap());
-        assert_eq!(b.owned(), &revoked[..]);
-
-        // A leave hands the whole topic to the survivor.
-        a.leave().unwrap();
-        assert!(poll(&mut b).unwrap());
-        assert_eq!((b.generation(), b.owned().len()), (3, 4));
-
-        // On a dead broker the group calls fail.
-        broker.kill();
-        assert_eq!(join("c").unwrap_err(), Error::BrokerDown);
-        assert_eq!(poll(&mut b), Err(Error::BrokerDown));
-    }
-
-    #[test]
-    fn join_group_rejects_unknown_topics() {
-        let broker = Broker::new();
-        assert_eq!(
-            crate::GroupMember::join(broker, "g", "a", &["missing"]).unwrap_err(),
-            Error::UnknownTopic("missing".to_string())
-        );
     }
 }

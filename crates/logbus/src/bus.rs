@@ -5,13 +5,6 @@
 //! [`Cluster`](crate::Cluster) implement [`Bus`], so the data sender and the
 //! stream-processing engines' connectors work against either
 //! topology unchanged.
-//!
-//! Group coordination is not a bus verb. The sealed supertrait's one
-//! accessor hands the bus's group coordinator to `group.rs`, behind the
-//! bus's liveness rule, and [`GroupMember`](crate::GroupMember) and
-//! [`GroupedReader`](crate::GroupedReader) call it directly.
-//! [`Bus::committed_offset`] is the one public read of a group's
-//! position.
 
 use crate::broker::Broker;
 use crate::cluster::Cluster;
@@ -118,45 +111,24 @@ pub trait Bus: sealed::Sealed + Send + Sync + std::fmt::Debug {
     /// Fails for unknown topics/partitions.
     fn last_timestamp(&self, topic: &str, partition: u32) -> Result<Option<Timestamp>>;
 
-    /// Reads a committed consumer-group offset — the one public read of a
-    /// group's position. `None` before the first commit, and on a bus
-    /// whose liveness rule admits no coordinator.
-    fn committed_offset(&self, group: &str, topic: &str, partition: u32) -> Option<u64> {
-        let coordinator = self.coordinator(None).ok()?;
-        coordinator.committed(group, topic, partition)
-    }
-
     /// Reads the bus clock.
     fn now(&self) -> Timestamp;
 }
 
 pub(crate) mod sealed {
-    use crate::error::Result;
-    use crate::group::Coordinator;
+    /// Seals [`Bus`](super::Bus): only [`Broker`](crate::Broker) and
+    /// [`Cluster`](crate::Cluster) implement it.
+    pub trait Sealed {}
 
-    /// Seals [`Bus`](super::Bus) and carries its one crate-internal verb.
-    /// `broker.rs` and `cluster.rs` implement it, where the liveness and
-    /// fault gates live.
-    pub trait Sealed {
-        /// The bus's group coordinator, behind its liveness rule: a
-        /// broker must be up; a cluster needs one live broker to act as
-        /// coordinator. `commit` names the partition of an offset commit,
-        /// which then also passes the topic check and the coordinating
-        /// broker's metadata fault gate, in that order.
-        ///
-        /// # Errors
-        ///
-        /// [`Error::BrokerDown`](crate::Error::BrokerDown) when the rule
-        /// admits no coordinator; for a commit, `UnknownTopic` or the
-        /// injected fault.
-        fn coordinator(&self, commit: Option<(&str, u32)>) -> Result<&Coordinator>;
-    }
+    impl Sealed for crate::Broker {}
+
+    impl Sealed for crate::Cluster {}
 }
 
 /// A cheaply cloneable, type-erased handle to any [`Bus`] — the one way
 /// clients and connectors hold a bus.
 ///
-/// [`AsyncProducer`](crate::AsyncProducer), the group readers and every
+/// [`AsyncProducer`](crate::AsyncProducer), the topic reader and every
 /// engine connector take `impl Into<BusHandle>`, so call sites pass a
 /// [`Broker`], a [`Cluster`], a reference to either, an `Arc<dyn Bus>`
 /// or an existing handle without ceremony — and a topology chosen at
@@ -371,7 +343,6 @@ mod tests {
         assert_eq!(reader.fetch(0, 10).unwrap().len(), 3);
         assert!(bus.first_timestamp("t", 0).unwrap().is_some());
         assert!(bus.last_timestamp("t", 0).unwrap() >= bus.first_timestamp("t", 0).unwrap());
-        assert_eq!(bus.committed_offset("g", "t", 0), None);
         assert!(bus.now().as_micros() > 0);
     }
 

@@ -32,7 +32,6 @@ use crate::config::{Acks, TopicConfig};
 use crate::election::PartitionState;
 use crate::error::{Error, Result};
 use crate::fault::{FaultAction, FaultOp};
-use crate::group::Coordinator;
 use crate::handle::{Route, WriteTarget};
 use crate::record::{Record, StoredRecord};
 use crate::topic::{spin_delay, Topic};
@@ -111,11 +110,6 @@ struct ClusterInner {
     /// `&str`.
     routes: RwLock<HashMap<String, Vec<Arc<PartitionRoute>>>>,
     next_leader: RwLock<usize>,
-    /// Consumer-group coordination state. Conceptually the replicated
-    /// `__consumer_offsets` topic: it lives cluster-side, so commits and
-    /// membership survive the death of whichever broker is currently
-    /// acting as coordinator.
-    groups: Coordinator,
 }
 
 impl Cluster {
@@ -135,7 +129,6 @@ impl Cluster {
                 brokers,
                 routes: RwLock::new(HashMap::new()),
                 next_leader: RwLock::new(0),
-                groups: Coordinator::default(),
             }),
         }
     }
@@ -725,27 +718,6 @@ impl Cluster {
             Route::Routed { cluster, route },
             partition,
         ))
-    }
-}
-
-// Group state lives cluster-side — the replicated `__consumer_offsets`
-// model — so commits and membership survive the death of the broker
-// acting as coordinator: the role belongs to the first live broker and
-// fails over with the state intact.
-impl crate::bus::sealed::Sealed for Cluster {
-    fn coordinator(&self, commit: Option<(&str, u32)>) -> Result<&Coordinator> {
-        let brokers = &self.inner.brokers;
-        let acting = brokers
-            .iter()
-            .find(|b| b.is_alive())
-            .ok_or(Error::BrokerDown)?;
-        if let Some((topic, partition)) = commit {
-            if !brokers.iter().any(|b| b.has_topic(topic)) {
-                return Err(Error::UnknownTopic(topic.to_string()));
-            }
-            acting.fault_gate(FaultOp::Metadata, topic, partition)?;
-        }
-        Ok(&self.inner.groups)
     }
 }
 

@@ -38,8 +38,6 @@ pub enum Error {
         /// Brokers available.
         available: u32,
     },
-    /// A consumer-group operation referenced an unknown group.
-    UnknownGroup(String),
     /// The broker is temporarily unreachable (transient; retryable).
     BrokerUnavailable,
     /// The partition leader is temporarily offline (transient; retryable).
@@ -134,7 +132,6 @@ impl fmt::Display for Error {
                 f,
                 "replication factor {requested} exceeds available brokers ({available})"
             ),
-            Error::UnknownGroup(g) => write!(f, "unknown consumer group `{g}`"),
             Error::BrokerUnavailable => f.write_str("broker temporarily unavailable"),
             Error::PartitionOffline { topic, partition } => {
                 write!(f, "partition {partition} of topic `{topic}` is offline")
@@ -209,7 +206,6 @@ mod tests {
                 requested: 3,
                 available: 1,
             },
-            Error::UnknownGroup("g".into()),
             Error::BrokerUnavailable,
             Error::PartitionOffline {
                 topic: "t".into(),

@@ -20,17 +20,14 @@
 //! * **Writes** go through a [`PartitionWriter`] — one request per
 //!   batch, an acknowledgement level ([`Acks`]), optional idempotence —
 //!   or through the [`AsyncProducer`] that batches over one.
-//! * **Reads** go through a [`PartitionReader`] from explicit offsets.
-//!   The consumer-group protocol is written once: group *membership* has
-//!   one client, [`GroupMember`], and one read drive on top of it,
-//!   [`GroupedReader::next_batch`]: rebalance, end refresh, capping to
-//!   the finish line (bounded: ends at join; follow: a [`FollowTarget`]),
-//!   fetch, commit, the stall exit and [`Backoff`] in one loop that all
-//!   four engine connectors call. Both call the bus's group coordinator
-//!   directly; a [`Broker`] or [`Cluster`] only gates it (liveness, and
-//!   for a commit the topic check and fault gate) and has no group verbs
-//!   of its own. [`Bus::committed_offset`] is the one public read of a
-//!   committed position.
+//! * **Reads** go through a [`PartitionReader`] from explicit offsets,
+//!   and a topic is read through the one read drive on top of it,
+//!   [`TopicReader::next_batch`]: end refresh, capping to the finish line
+//!   (bounded: ends at start; follow: a [`FollowTarget`]), fetch, the
+//!   stall exit and [`Backoff`] in one loop that all four engine
+//!   connectors call. Subtask `i` of `p` reads the partitions
+//!   `{j : j mod p = i}`, as the engines' stock Kafka connectors split a
+//!   topic, and nothing coordinates between readers.
 //! * A [`Cluster`] of brokers assigns partition leaders and maintains
 //!   follower replicas according to the topic's replication factor.
 //! * The data plane is **one path**: every produce — a named
@@ -85,10 +82,10 @@ mod config;
 mod election;
 mod error;
 mod fault;
-mod group;
 mod handle;
 mod log;
 pub mod pool;
+mod reader;
 mod record;
 mod retry;
 mod segment;
@@ -105,9 +102,9 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use config::{Acks, TopicConfig};
 pub use error::{Error, Result};
 pub use fault::{FaultOp, FaultPlan};
-pub use group::{FollowTarget, GroupMember, GroupedReader, TopicPartition};
 pub use handle::{PartitionReader, PartitionWriter};
 pub use log::{LogStats, OffsetError, PartitionLog};
+pub use reader::{FollowTarget, TopicReader};
 pub use record::{partition_for_key, Record, StoredRecord, Timestamp};
 pub use retry::{with_retry, RetryPolicy};
 pub use segment::Segment;

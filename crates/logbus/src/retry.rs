@@ -3,7 +3,7 @@
 //! Every client — the [`PartitionWriter`](crate::PartitionWriter) /
 //! [`PartitionReader`](crate::PartitionReader) handles, the
 //! [`AsyncProducer`](crate::AsyncProducer) over a writer and the
-//! [`GroupedReader`](crate::GroupedReader) over readers — retries
+//! [`TopicReader`](crate::TopicReader) over readers — retries
 //! *transient* errors (see [`Error::is_transient`]) under a
 //! [`RetryPolicy`]: capped attempt count, capped wall-clock budget,
 //! exponential backoff with jitter drawn from the seeded RNG shim so a

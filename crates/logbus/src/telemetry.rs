@@ -221,25 +221,9 @@ impl FailoverPath {
     }
 }
 
-/// Consumer-group coordinator activity.
-pub(crate) struct GroupPath {
-    /// Membership changes across all groups (each bumps a generation).
-    pub(crate) rebalances: obs::Counter,
-    /// Generation of the most recently rebalanced group.
-    pub(crate) generation: obs::Gauge,
-}
-
-pub(crate) fn group_path() -> &'static GroupPath {
-    static PATH: OnceLock<GroupPath> = OnceLock::new();
-    PATH.get_or_init(|| GroupPath {
-        rebalances: obs::counter("logbus.group.rebalances"),
-        generation: obs::gauge("logbus.group.generation"),
-    })
-}
-
 /// Reads that gave up at the stall limit: nothing arrived for the whole
 /// window with the finish line not reached (see
-/// [`crate::GroupedReader::next_batch`]).
+/// [`crate::TopicReader::next_batch`]).
 pub(crate) fn reader_stalled() -> &'static obs::Counter {
     static STALLED: OnceLock<obs::Counter> = OnceLock::new();
     STALLED.get_or_init(|| obs::counter("logbus.reader.stalled"))

@@ -17,7 +17,7 @@
 //!    unreplicated tail is truncated, never served), and never run past
 //!    the high-watermark.
 
-use logbus::{Acks, BusHandle, Cluster, ClusterConfig, Error, Record, RetryPolicy, TopicConfig};
+use logbus::{Acks, Cluster, ClusterConfig, Error, Record, RetryPolicy, TopicConfig};
 use std::time::{Duration, Instant};
 
 /// Deterministic schedule stream (Steele et al.'s SplitMix64).
@@ -234,90 +234,6 @@ fn retry_wall_budget_exhausts_while_the_whole_cluster_is_down() {
     cluster.restart_broker(1);
     writer.produce(Record::from_value("back")).unwrap();
     assert_eq!(cluster.latest_offset("t", 0).unwrap(), 2);
-}
-
-/// Satellite: the group commit-then-release handover survives the death
-/// of the coordinator's broker mid-handover. Reader A consumes part of a
-/// partitioned topic and commits; the coordinator broker is killed;
-/// reader B joins through the surviving brokers (forcing A to commit and
-/// release under the new coordinator); both drain. Nothing may be
-/// consumed twice and no commit may be lost.
-#[test]
-fn group_handover_survives_coordinator_death() {
-    const PARTITIONS: u32 = 4;
-    const RECORDS: u64 = 200;
-    let cluster = Cluster::new(ClusterConfig { brokers: 3 });
-    cluster
-        .create_topic(
-            "t",
-            TopicConfig::default()
-                .partitions(PARTITIONS)
-                .replication_factor(3),
-        )
-        .unwrap();
-    for value in 0..RECORDS {
-        cluster
-            .produce(
-                "t",
-                (value % u64::from(PARTITIONS)) as u32,
-                Record::from_value(value.to_le_bytes().to_vec()),
-            )
-            .unwrap();
-    }
-    let bus = BusHandle::from(&cluster);
-
-    let mut seen: Vec<u64> = Vec::new();
-    let mut reader_a = logbus::GroupedReader::bounded(bus.clone(), "t", "g").unwrap();
-    assert_eq!(reader_a.owned_partitions(), PARTITIONS as usize);
-
-    // A consumes part of its assignment and commits — these positions
-    // must survive the coordinator's death.
-    let consumed_before = reader_a.fetch_pass(40, &mut |_, stored| {
-        seen.push(decode(&stored.record.value));
-    });
-    assert!(consumed_before > 0);
-    reader_a.commit().unwrap();
-
-    // The coordinator (first alive broker) dies mid-handover: group
-    // state lives cluster-side, so the join below and A's
-    // commit-then-release both proceed under the successor coordinator.
-    cluster.kill_broker(0);
-
-    let mut reader_b = logbus::GroupedReader::bounded(bus, "t", "g").unwrap();
-    // A reconciles: commits and releases the partitions B now owns.
-    reader_a.poll_rebalance().unwrap();
-    let _ = reader_b.poll_rebalance().unwrap();
-    assert_eq!(
-        reader_a.owned_partitions() + reader_b.owned_partitions(),
-        PARTITIONS as usize,
-        "the group must split the topic, not overlap"
-    );
-    assert!(reader_b.owned_partitions() > 0, "B claimed nothing");
-
-    // Both members drain to the bounded finish line.
-    let deadline = Instant::now() + Duration::from_secs(5);
-    while !(reader_a.drained() && reader_b.drained()) {
-        assert!(Instant::now() < deadline, "group never drained");
-        let _ = reader_a.poll_rebalance();
-        let _ = reader_b.poll_rebalance();
-        reader_a.fetch_pass(64, &mut |_, stored| {
-            seen.push(decode(&stored.record.value));
-        });
-        reader_b.fetch_pass(64, &mut |_, stored| {
-            seen.push(decode(&stored.record.value));
-        });
-        // `drained` judges peers by their committed offsets, so both
-        // members publish their progress each pass.
-        let _ = reader_a.commit();
-        let _ = reader_b.commit();
-    }
-
-    seen.sort_unstable();
-    let expected: Vec<u64> = (0..RECORDS).collect();
-    assert_eq!(
-        seen, expected,
-        "handover across coordinator death must be exactly-once"
-    );
 }
 
 /// Kill-the-leader chaos phase: an idempotent producer and a committed

@@ -244,72 +244,4 @@ proptest! {
             prop_assert_eq!(logbus::partition_for_key(key, 0), 0, "a zero count clamps to one");
         }
     }
-
-    /// Any join/leave churn converges to a disjoint cover: after the
-    /// survivors quiesce, every partition is owned by exactly one
-    /// member, assignments are balanced to within one partition, and
-    /// all members agree on the generation.
-    #[test]
-    fn rebalance_converges_to_disjoint_cover(
-        partitions in 1u32..16,
-        joiners in 2usize..6,
-        leaver_mask in any::<u8>(),
-    ) {
-        use logbus::{Bus, GroupMember};
-
-        let broker = Broker::new();
-        broker
-            .create_topic("t", TopicConfig::default().partitions(partitions))
-            .unwrap();
-        let bus: Arc<dyn Bus> = Arc::new(broker.clone());
-
-        let mut members: Vec<GroupMember> = (0..joiners)
-            .map(|i| {
-                GroupMember::join(bus.clone(), "g", format!("m{i}"), &["t"]).unwrap()
-            })
-            .collect();
-        // Leave at least one member in the group.
-        let mut keep: Vec<bool> = (0..joiners)
-            .map(|i| leaver_mask & (1 << i) != 0)
-            .collect();
-        if keep.iter().all(|k| !k) {
-            keep[0] = true;
-        }
-        for (member, keep) in members.iter_mut().zip(&keep) {
-            if !keep {
-                member.leave().unwrap();
-            }
-        }
-        let mut survivors: Vec<GroupMember> = members
-            .into_iter()
-            .zip(keep)
-            .filter_map(|(m, keep)| keep.then_some(m))
-            .collect();
-
-        // Quiesce: claims release asymmetrically, so poll everyone
-        // until a full round changes nothing.
-        for _ in 0..32 {
-            let mut changed = false;
-            for member in &mut survivors {
-                changed |= member
-                    .poll_rebalance(|_| Ok(()), |_| Ok(()))
-                    .unwrap();
-            }
-            if !changed {
-                break;
-            }
-        }
-
-        let mut owned: Vec<u32> = survivors
-            .iter()
-            .flat_map(|m| m.owned().iter().map(|tp| tp.partition))
-            .collect();
-        owned.sort_unstable();
-        prop_assert_eq!(owned, (0..partitions).collect::<Vec<_>>());
-        let sizes: Vec<usize> = survivors.iter().map(|m| m.owned().len()).collect();
-        let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-        prop_assert!(max - min <= 1, "unbalanced assignment: {:?}", sizes);
-        let generation = survivors[0].generation();
-        prop_assert!(survivors.iter().all(|m| m.generation() == generation));
-    }
 }

@@ -2,7 +2,7 @@
 
 use crate::operator::Collector;
 use bytes::Bytes;
-use logbus::{BusHandle, FollowTarget, GroupedReader};
+use logbus::{BusHandle, FollowTarget, TopicReader};
 use std::sync::Arc;
 
 /// One parallel instance of a source, driving elements into the head of an
@@ -16,11 +16,11 @@ pub trait SourceFunction<T>: Send {
 
 /// A factory creating one [`SourceFunction`] per parallel subtask.
 ///
-/// Instances must divide the input among themselves — by
-/// `(subtask, parallelism)`, or as [`BrokerSource`] does through a
-/// consumer group: with more subtasks than partitions the extra subtasks
-/// emit nothing (exactly Flink's Kafka source behaviour, and the reason
-/// the paper sees little benefit from parallelism 2 on a
+/// Instances must divide the input among themselves by
+/// `(subtask, parallelism)`. [`BrokerSource`] gives subtask `i` the
+/// partitions `{j : j mod p = i}`: with more subtasks than partitions the
+/// extra subtasks emit nothing (exactly Flink's Kafka source behaviour,
+/// and the reason the paper sees little benefit from parallelism 2 on a
 /// single-partition topic).
 pub trait ParallelSource<T>: Send + Sync + 'static {
     /// Creates the instance for `subtask` of `parallelism`.
@@ -84,15 +84,13 @@ impl<T: Clone + Send + Sync> SourceFunction<T> for VecSourceInstance<T> {
 }
 
 /// Source reading a `logbus` topic through the workspace's one read
-/// drive, [`GroupedReader::next_batch`].
+/// drive, [`TopicReader::next_batch`].
 ///
-/// The subtasks form a **consumer group**: each instance joins the
-/// broker's group coordinator under a source-wide group name, and the
-/// sticky rebalance protocol decides which partitions each subtask owns —
-/// members joining or leaving mid-run hand partitions over with their
-/// committed positions, so no record is lost or read twice. Reads stop at
-/// the offsets that were current when the job started, or, after
-/// [`BrokerSource::follow_until`], once the subtasks together have
+/// Partitions are assigned statically by subtask index, as Flink's Kafka
+/// source assigns them: subtask `i` of `p` reads the partitions
+/// `{j : j mod p = i}`, and nothing coordinates between subtasks. Reads
+/// stop at the offsets that were current when the subtask started, or,
+/// after [`BrokerSource::follow_until`], once the subtasks together have
 /// emitted the target.
 #[derive(Debug, Clone)]
 pub struct BrokerSource {
@@ -101,13 +99,11 @@ pub struct BrokerSource {
     fetch_size: usize,
     /// Shared by every subtask, so they stop at the target together.
     follow: Option<FollowTarget>,
-    group: String,
 }
 
 impl BrokerSource {
-    /// Creates a source reading all partitions of `topic`, with the
-    /// subtasks coordinating through an auto-named consumer group.
-    /// Accepts a [`Broker`](logbus::Broker), a
+    /// Creates a source reading all partitions of `topic`, split across
+    /// the subtasks. Accepts a [`Broker`](logbus::Broker), a
     /// [`Cluster`](logbus::Cluster), or an existing [`BusHandle`]; on a
     /// cluster the reads ride through broker failover.
     pub fn new(bus: impl Into<BusHandle>, topic: impl Into<String>) -> Self {
@@ -116,20 +112,12 @@ impl BrokerSource {
             topic: topic.into(),
             fetch_size: 2048,
             follow: None,
-            group: GroupedReader::fresh_group("rill-src"),
         }
     }
 
     /// Sets the per-fetch batch size.
     pub fn fetch_size(mut self, records: usize) -> Self {
         self.fetch_size = records.max(1);
-        self
-    }
-
-    /// Names the consumer group explicitly (e.g. to share committed
-    /// offsets across job restarts).
-    pub fn consumer_group(mut self, name: impl Into<String>) -> Self {
-        self.group = name.into();
         self
     }
 
@@ -143,8 +131,12 @@ impl BrokerSource {
 }
 
 impl ParallelSource<Bytes> for BrokerSource {
-    fn create(&self, _subtask: usize, _parallelism: usize) -> Box<dyn SourceFunction<Bytes>> {
-        Box::new(self.clone())
+    fn create(&self, subtask: usize, parallelism: usize) -> Box<dyn SourceFunction<Bytes>> {
+        Box::new(BrokerSubtask {
+            source: self.clone(),
+            subtask,
+            parallelism,
+        })
     }
 
     fn name(&self) -> String {
@@ -152,20 +144,33 @@ impl ParallelSource<Bytes> for BrokerSource {
     }
 }
 
-impl SourceFunction<Bytes> for BrokerSource {
+/// One subtask of a [`BrokerSource`]: its share of the partitions.
+struct BrokerSubtask {
+    source: BrokerSource,
+    subtask: usize,
+    parallelism: usize,
+}
+
+impl SourceFunction<Bytes> for BrokerSubtask {
     fn run(&mut self, out: &mut dyn Collector<Bytes>) {
-        let (bus, topic, group) = (self.bus.clone(), &self.topic, &self.group);
-        let reader = match self.follow.clone() {
-            Some(target) => GroupedReader::following(bus, topic, group, target),
-            None => GroupedReader::bounded(bus, topic, group),
+        let BrokerSource {
+            bus,
+            topic,
+            fetch_size,
+            follow,
+        } = &self.source;
+        let (bus, subtask, parallelism) = (bus.clone(), self.subtask, self.parallelism);
+        let reader = match follow.clone() {
+            Some(target) => TopicReader::following(bus, topic, subtask, parallelism, target),
+            None => TopicReader::bounded(bus, topic, subtask, parallelism),
         };
         let Ok(mut reader) = reader else {
             return;
         };
         // The fetched batch goes downstream whole, in a reused buffer.
-        let mut payloads: Vec<Bytes> = Vec::with_capacity(self.fetch_size);
+        let mut payloads: Vec<Bytes> = Vec::with_capacity(*fetch_size);
         while reader
-            .next_batch(self.fetch_size, &mut |_partition, stored| {
+            .next_batch(*fetch_size, &mut |_partition, stored| {
                 payloads.push(stored.record.value);
             })
             .is_some()
@@ -273,11 +278,16 @@ mod tests {
 
     #[test]
     fn broker_source_multi_partition_split() {
-        // The sequential harness makes no per-subtask ownership promise
-        // (the first member may drain everything before the second
-        // joins), but the group as a whole reads each record exactly once.
+        // Subtask `i` of 2 reads the partitions `{j : j mod 2 = i}`.
         let source = BrokerSource::new(partitioned_input(3, 10), "in");
         let parts = collect_all(&source, 2);
+        let partitions_of = |part: &Vec<Bytes>| {
+            let mut seen: Vec<u8> = part.iter().map(|v| v[1]).collect();
+            seen.dedup();
+            seen
+        };
+        assert_eq!(partitions_of(&parts[0]), b"02", "partitions 0 and 2");
+        assert_eq!(partitions_of(&parts[1]), b"1", "partition 1");
         let mut seen: Vec<Vec<u8>> = parts
             .iter()
             .flat_map(|p| p.iter().map(bytes::Bytes::to_vec))
@@ -285,16 +295,20 @@ mod tests {
         assert_eq!(seen.len(), 30);
         seen.sort();
         seen.dedup();
-        assert_eq!(seen.len(), 30, "group reads every record exactly once");
+        assert_eq!(
+            seen.len(),
+            30,
+            "the subtasks read every record exactly once"
+        );
     }
 
     #[test]
-    fn concurrent_group_members_share_the_topic_exactly_once() {
+    fn concurrent_subtasks_share_the_topic_exactly_once() {
         let source = BrokerSource::new(partitioned_input(4, 25), "in").fetch_size(7);
         assert_eq!(
             run_concurrently(&source, 2),
             (100, 100),
-            "two live members drain 100 unique records"
+            "two subtasks drain 100 unique records"
         );
     }
 

@@ -250,14 +250,17 @@ fn repo_hygiene(root: &Path, out: &mut Vec<Violation>) {
 
     match fs::read_to_string(root.join("CHANGES.md")) {
         Ok(changes) => {
+            // A change line, or a fault seen and not (or since) mended.
+            let kinds = ["PR ", "FOUND:", "MENDED:"];
             for (idx, line) in changes.lines().enumerate() {
-                if !line.trim().is_empty() && !line.starts_with("PR ") {
+                if !line.trim().is_empty() && !kinds.iter().any(|k| line.starts_with(k)) {
                     out.push(Violation::new(
                         "doc-hygiene",
                         "CHANGES.md",
                         idx + 1,
                         line,
-                        "every CHANGES.md line must start with `PR <n> (<archetype>):`".to_string(),
+                        "every CHANGES.md line must start with `PR <n> (<archetype>):`, `FOUND:` or `MENDED:`"
+                            .to_string(),
                     ));
                 }
             }

@@ -21,7 +21,7 @@ const HOT_PATH: &[&str] = &[
     "crates/logbus/src/topic.rs",
     "crates/logbus/src/segment.rs",
     "crates/logbus/src/telemetry.rs",
-    "crates/logbus/src/group.rs",
+    "crates/logbus/src/reader.rs",
     "crates/rill/src/operator.rs",
     "crates/rill/src/sink.rs",
     "crates/rill/src/source.rs",
@@ -644,7 +644,7 @@ mod tests {
         assert!(is_hot_path("crates/logbus/src/broker.rs"));
         assert!(is_hot_path("crates/logbus/src/cluster.rs"));
         assert!(is_hot_path("crates/logbus/src/election.rs"));
-        assert!(is_hot_path("crates/logbus/src/group.rs"));
+        assert!(is_hot_path("crates/logbus/src/reader.rs"));
         assert!(is_hot_path("crates/core/src/sender.rs"));
         assert!(is_hot_path("crates/beamline/src/runners/direct.rs"));
         assert!(is_hot_path("crates/core/src/data.rs"));

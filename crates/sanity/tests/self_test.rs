@@ -125,10 +125,10 @@ fn rtt_sites_fixture() {
     // Two sites fit `topic.rs` and `broker.rs`; a file that charges no
     // round trip may not start.
     assert!(lint_source("crates/logbus/src/broker.rs", &src).is_empty());
-    assert_eq!(lint_source("crates/logbus/src/group.rs", &src).len(), 2);
+    assert_eq!(lint_source("crates/logbus/src/reader.rs", &src).len(), 2);
     // Test code spins as it likes.
     let test_spin = "#[cfg(test)]\nmod tests {\n    fn t(d: Duration) { spin_delay(d); }\n}\n";
-    assert!(lint_source("crates/logbus/src/group.rs", test_spin).is_empty());
+    assert!(lint_source("crates/logbus/src/reader.rs", test_spin).is_empty());
 }
 
 #[test]

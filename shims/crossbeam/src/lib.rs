@@ -5,6 +5,7 @@
 pub mod channel {
     use std::collections::VecDeque;
     use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+    use std::time::{Duration, Instant};
 
     /// Error returned by [`Sender::send`] when all receivers are gone.
     #[derive(Clone, Copy, PartialEq, Eq)]
@@ -26,6 +27,15 @@ pub mod channel {
     pub enum TryRecvError {
         /// The channel is currently empty.
         Empty,
+        /// The channel is empty and all senders have disconnected.
+        Disconnected,
+    }
+
+    /// Error returned by [`Receiver::recv_timeout`].
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum RecvTimeoutError {
+        /// No message arrived before the timeout.
+        Timeout,
         /// The channel is empty and all senders have disconnected.
         Disconnected,
     }
@@ -156,6 +166,28 @@ pub mod channel {
             }
         }
 
+        /// Receives the next message, blocking for at most `timeout`.
+        pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
+            let deadline = Instant::now() + timeout;
+            let mut state = self.chan.state.lock().expect("channel lock");
+            loop {
+                if let Some(value) = state.queue.pop_front() {
+                    return Ok(self.chan.popped(state, value));
+                }
+                if state.senders == 0 {
+                    return Err(RecvTimeoutError::Disconnected);
+                }
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(RecvTimeoutError::Timeout);
+                }
+                state.parked_receivers += 1;
+                let waited = self.chan.not_empty.wait_timeout(state, left);
+                state = waited.expect("channel lock").0;
+                state.parked_receivers -= 1;
+            }
+        }
+
         /// Receives the next message if one is immediately available.
         pub fn try_recv(&self) -> Result<T, TryRecvError> {
             let mut state = self.chan.state.lock().expect("channel lock");
@@ -223,7 +255,8 @@ pub mod channel {
 
 #[cfg(test)]
 mod tests {
-    use super::channel::{bounded, unbounded, RecvError, TryRecvError};
+    use super::channel::{bounded, unbounded, RecvError, RecvTimeoutError, TryRecvError};
+    use std::time::Duration;
 
     #[test]
     fn roundtrip_in_order() {
@@ -346,5 +379,21 @@ mod tests {
             .expect("channel hung: a parked thread was never woken");
         let expected: Vec<u64> = (0..PRODUCERS * PER_PRODUCER).collect();
         assert_eq!(all, expected, "every message delivered exactly once");
+    }
+
+    #[test]
+    fn recv_timeout_waits_then_reports_state() {
+        let (tx, rx) = unbounded::<i32>();
+        let wait = Duration::from_millis(5);
+        let started = std::time::Instant::now();
+        assert_eq!(rx.recv_timeout(wait), Err(RecvTimeoutError::Timeout));
+        assert!(started.elapsed() >= wait);
+        let handle = std::thread::spawn(move || {
+            tx.send(7).unwrap();
+            tx
+        });
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)), Ok(7));
+        drop(handle.join().unwrap());
+        assert_eq!(rx.recv_timeout(wait), Err(RecvTimeoutError::Disconnected));
     }
 }
