@@ -481,20 +481,16 @@ impl Cluster {
         let leader_topic = route.log(leader_pos)?;
 
         // The leader append is the same produce request a single broker
-        // runs, fenced at the epoch this request resolved. The leader
-        // consumes a pooled copy so the caller's buffer survives an
-        // `acks=all` shortfall for resend (record clones are refcount
-        // bumps).
+        // runs, fenced at the epoch this request resolved. It reads the
+        // caller's records in place; they are cleared below only once
+        // `acks` is met, so an `acks=all` shortfall leaves them for the
+        // resend.
         let target = WriteTarget {
             broker: &self.inner.brokers[route.replicas[leader_pos]],
             topic: &leader_topic,
             fence: Some(st.epoch),
         };
-        let mut copy = crate::pool::record_vec();
-        copy.extend(records.iter().cloned());
-        let appended = target.append_batch(partition, &mut copy, seq);
-        crate::pool::recycle_record_vec(copy);
-        let base = appended?;
+        let base = target.request(partition, records, seq)?;
         let leader_end = leader_topic.latest_offset(partition)?;
         st.synced[leader_pos] = leader_end;
 

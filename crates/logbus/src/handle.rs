@@ -13,7 +13,7 @@
 //! resolved to — the `Arc<Topic>` on a broker, the partition's route
 //! (replica set, election state, each replica's log) on a cluster.
 //! Behind the name there is one path: a named call and a handle run the
-//! same [`WriteTarget::append_batch`] and the same broker read request,
+//! same [`WriteTarget::request`] and the same broker read request,
 //! *including* the simulated network round trip
 //! ([`Broker::set_request_latency_micros`]), which models the paper's
 //! remote Kafka cluster. A handle adds the client-side retry loop; a
@@ -82,19 +82,20 @@ pub(crate) struct WriteTarget<'a> {
 
 impl WriteTarget<'_> {
     /// The one produce request: liveness → the produce fault gate → the
-    /// one [`Topic`] append (lock → round trip → fence → dedup → stamp).
-    /// Drains `records` on success and leaves them intact on failure —
-    /// the caller's buffer *is* the resend queue, so the fault-free path
-    /// never clones.
-    pub(crate) fn append_batch(
+    /// one [`Topic`] append (lock → round trip → fence → dedup → stamp →
+    /// batch append). Reads `records` by reference, on the faulted arms
+    /// as on the clean one, so no path clones a record; clearing the
+    /// caller's buffer is [`WriteTarget::append_batch`]'s, or the
+    /// cluster's once the followers have judged the request.
+    pub(crate) fn request(
         &self,
         partition: u32,
-        records: &mut Vec<Record>,
+        records: &[Record],
         seq: Option<(u64, u64)>,
     ) -> Result<u64> {
         let broker = self.broker;
         broker.ensure_alive()?;
-        let append = |records: &mut Vec<Record>| {
+        let append = || {
             self.topic.append_request(
                 partition,
                 records,
@@ -104,15 +105,6 @@ impl WriteTarget<'_> {
                 self.fence,
             )
         };
-        // The faulted arms append a pooled copy (record clones are
-        // refcount bumps; this is the fault path).
-        let append_copy = || {
-            let mut copy = crate::pool::record_vec();
-            copy.extend(records.iter().cloned());
-            let result = append(&mut copy);
-            crate::pool::recycle_record_vec(copy);
-            result
-        };
         match broker.fault_action(FaultOp::Produce, self.topic.name(), partition) {
             None => {}
             Some(FaultAction::Latency(extra)) => spin_delay(extra),
@@ -121,18 +113,34 @@ impl WriteTarget<'_> {
                 // The append reaches the log but the ack is lost; the
                 // caller's records stay put for the resend, which
                 // duplicates them unless the writer is sequenced.
-                let _ = append_copy();
+                let _ = append();
                 return Err(Error::RequestTimedOut);
             }
             Some(FaultAction::Duplicate) => {
-                let offset = append_copy()?;
+                let offset = append()?;
                 // Sequenced writers dedup this broker-side; plain ones
                 // genuinely get the batch twice.
-                let _ = append(records);
+                let _ = append();
                 return Ok(offset);
             }
         }
-        append(records)
+        append()
+    }
+
+    /// [`WriteTarget::request`], then the drained-Vec contract: on
+    /// success, a deduplicated retry included, `records` comes back
+    /// empty with its capacity intact, so steady-state producers flush
+    /// the same buffer forever; on failure the records are left in place
+    /// — the caller's buffer *is* the resend queue.
+    pub(crate) fn append_batch(
+        &self,
+        partition: u32,
+        records: &mut Vec<Record>,
+        seq: Option<(u64, u64)>,
+    ) -> Result<u64> {
+        let base = self.request(partition, records, seq)?;
+        records.clear();
+        Ok(base)
     }
 }
 
@@ -683,6 +691,54 @@ mod tests {
             records.len() > 100,
             "a 40% ack-loss plan should have produced at least one duplicate"
         );
+    }
+
+    #[test]
+    fn writer_drains_only_a_request_that_succeeded() {
+        let broker = Broker::new();
+        broker.create_topic("t", TopicConfig::default()).unwrap();
+        let batch_of_two = || vec![Record::from_value("a"), Record::from_value("b")];
+        // Every ack is lost, then a success is forced: the retry of the
+        // same sequence number deduplicates, and the buffer drains with
+        // its capacity intact.
+        let mut plan = produce_only_plan(13, 1.0, 0.0);
+        plan.max_consecutive = 1;
+        broker.install_fault_plan(plan);
+        let writer = broker.partition_writer("t", 0).unwrap().idempotent();
+        let mut batch = batch_of_two();
+        let capacity = batch.capacity();
+        assert_eq!(writer.produce_batch_drain(&mut batch), Ok(0));
+        assert!(batch.is_empty(), "a deduplicated retry drains");
+        assert_eq!(batch.capacity(), capacity, "capacity survives the drain");
+        assert_eq!(broker.latest_offset("t", 0).unwrap(), 2, "applied once");
+        // Without retries the lost ack is the caller's error: the append
+        // landed, and the batch stays whole for the resend.
+        let mut plan = produce_only_plan(14, 1.0, 0.0);
+        plan.max_consecutive = u32::MAX;
+        broker.install_fault_plan(plan);
+        let once = RetryPolicy {
+            max_retries: 0,
+            ..RetryPolicy::default()
+        };
+        let writer = broker.partition_writer("t", 0).unwrap().with_retry(once);
+        batch.extend(batch_of_two());
+        assert!(matches!(
+            writer.produce_batch_drain(&mut batch),
+            Err(Error::RetriesExhausted { attempts: 1, last }) if *last == Error::RequestTimedOut
+        ));
+        assert_eq!(batch.len(), 2, "a failed request leaves the batch");
+        assert_eq!(broker.latest_offset("t", 0).unwrap(), 4);
+        // A duplicated append lands the borrowed batch twice and drains.
+        let mut plan = produce_only_plan(15, 0.0, 0.0);
+        plan.duplicate = 1.0;
+        plan.max_duplicates = 1;
+        broker.install_fault_plan(plan);
+        assert_eq!(writer.produce_batch_drain(&mut batch), Ok(4));
+        assert!(batch.is_empty());
+        broker.clear_fault_plan();
+        let log = broker.fetch("t", 0, 0, 10).unwrap();
+        let values: Vec<&[u8]> = log.iter().map(|r| &r.record.value[..]).collect();
+        assert_eq!(values, [b"a" as &[u8], b"b"].repeat(4));
     }
 
     #[test]

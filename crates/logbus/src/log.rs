@@ -244,23 +244,33 @@ impl PartitionLog {
         self.len() == 0
     }
 
-    /// Appends one record, stamping it with `stamp` (the broker's
-    /// `LogAppendTime`, already clamped to never decrease). Returns the
-    /// record's offset.
-    pub fn append(&mut self, record: Record, stamp: Timestamp) -> u64 {
-        let offset = self.next_offset();
+    /// Appends `records`, all stamped `stamp` (the broker's
+    /// `LogAppendTime`, already clamped to never decrease), reading them
+    /// by reference. Returns the offset of the first; the batch is
+    /// contiguous. Per record the active segment is checked for room
+    /// (rolling when full, exactly where appending one record at a time
+    /// would) and the record packed into the arena with one index entry;
+    /// `appended` and retention are settled once per batch.
+    pub fn append_batch(&mut self, records: &[Record], stamp: Timestamp) -> u64 {
+        let base = self.next_offset();
+        if records.is_empty() {
+            return base;
+        }
         // Lost-update witnesses: a torn or misordered append (e.g. two
         // writers racing past the broker's partition lock) shows up as a
         // non-monotonic offset or a stamp that travels backwards.
         // Compiled out without `check-sync`.
         #[cfg(feature = "check-sync")]
         {
-            parking_lot::sync_check::witness_monotonic(
-                "logbus.offset",
-                self.witness_id,
-                offset,
-                true,
-            );
+            let last = base + records.len() as u64 - 1;
+            for (offset, strict) in [(base, true), (last, false)] {
+                parking_lot::sync_check::witness_monotonic(
+                    "logbus.offset",
+                    self.witness_id,
+                    offset,
+                    strict,
+                );
+            }
             parking_lot::sync_check::witness_monotonic(
                 "logbus.append_time",
                 self.witness_id,
@@ -268,23 +278,30 @@ impl PartitionLog {
                 false,
             );
         }
-        if self.active_segment_full() {
-            self.roll(offset);
+        let mut rest = records;
+        while !rest.is_empty() {
+            if self.active_segment_full() {
+                self.roll(self.next_offset());
+            }
+            // `active_segment_full` treats an empty log as full, so the
+            // roll above guarantees a tail segment; the guard (rather
+            // than a panicking unwrap) upholds the hot-path no-panic
+            // contract.
+            let Some(segment) = self.segments.last_mut() else {
+                break;
+            };
+            let taken = segment.append_batch(rest, stamp, self.config.segment_bytes);
+            rest = &rest[taken..];
         }
-        let stored = StoredRecord {
-            offset,
-            timestamp: stamp,
-            record,
-        };
-        // `active_segment_full` treats an empty log as full, so the roll
-        // above guarantees a tail segment; the guard (rather than a
-        // panicking unwrap) upholds the hot-path no-panic contract.
-        if let Some(segment) = self.segments.last_mut() {
-            segment.append(stored);
-        }
-        self.appended += 1;
+        self.appended += (records.len() - rest.len()) as u64;
         self.apply_retention();
-        offset
+        base
+    }
+
+    /// Appends one record: [`PartitionLog::append_batch`] with a batch of
+    /// one. Returns the record's offset.
+    pub fn append(&mut self, record: Record, stamp: Timestamp) -> u64 {
+        self.append_batch(std::slice::from_ref(&record), stamp)
     }
 
     fn active_segment_full(&self) -> bool {

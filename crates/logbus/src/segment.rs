@@ -108,7 +108,9 @@ impl Index {
         self.tail.last().or_else(|| self.full.last()?.last())
     }
 
-    fn push(&mut self, entry: Entry) {
+    /// Room left in the tail block, taking a fresh block from the pool
+    /// first when the tail is full (or not there yet).
+    fn room(&mut self) -> usize {
         if self.tail.len() == self.tail.capacity() {
             let fresh = INDEX_POOL.lock().pop();
             let fresh = fresh.unwrap_or_else(|| Vec::with_capacity(INDEX_BLOCK));
@@ -117,7 +119,22 @@ impl Index {
                 self.full.push(filled);
             }
         }
+        self.tail.capacity() - self.tail.len()
+    }
+
+    fn push(&mut self, entry: Entry) {
+        self.room();
         self.tail.push(entry);
+    }
+
+    /// Appends `f` of each of `entries`: one `extend` per index block
+    /// they land in.
+    fn extend_mapped(&mut self, mut entries: &[Entry], f: impl Fn(&Entry) -> Entry) {
+        while !entries.is_empty() {
+            let (now, rest) = entries.split_at(self.room().min(entries.len()));
+            self.tail.extend(now.iter().map(&f));
+            entries = rest;
+        }
     }
 
     /// The entries at positions `from..to`, block by block.
@@ -296,9 +313,45 @@ impl Segment {
         self.bytes
     }
 
-    /// Appends a record: its payload is copied into the arena, so the
-    /// producer's buffer can be recycled immediately while fetches serve
-    /// refcounted views of contiguous segment storage.
+    /// Appends `records` in order, all stamped `stamp`, and returns how
+    /// many it took: the first always, then each while [`bytes`] stays
+    /// below `segment_bytes` — the check the partition log makes before
+    /// every record, so it rolls exactly where it would one record at a
+    /// time. Payloads are copied into the arena (the producer's buffers
+    /// are only read, and can be recycled at once) while fetches serve
+    /// refcounted views of contiguous segment storage; a record that
+    /// spills is kept as a refcounted clone.
+    ///
+    /// [`bytes`]: Segment::bytes
+    pub(crate) fn append_batch(
+        &mut self,
+        records: &[Record],
+        stamp: Timestamp,
+        segment_bytes: usize,
+    ) -> usize {
+        let mut taken = 0;
+        for record in records {
+            if taken > 0 && self.bytes >= segment_bytes {
+                break;
+            }
+            self.bytes += record.wire_size();
+            let entry = self.pack(record, stamp).unwrap_or_else(|| {
+                self.spilled.push(record.clone());
+                Entry {
+                    stamp,
+                    chunk: SPILLED,
+                    start: (self.spilled.len() - 1) as u32,
+                    value_len: 0,
+                    key_len: NO_KEY,
+                }
+            });
+            self.entries.push(entry);
+            taken += 1;
+        }
+        taken
+    }
+
+    /// Appends one record: the log's batch append with a batch of one.
     ///
     /// # Panics
     ///
@@ -312,23 +365,7 @@ impl Segment {
             self.next_offset(),
             "segment append must be contiguous"
         );
-        let StoredRecord {
-            timestamp: stamp,
-            record,
-            ..
-        } = stored;
-        self.bytes += record.wire_size();
-        let entry = self.pack(&record, stamp).unwrap_or_else(|| {
-            self.spilled.push(record);
-            Entry {
-                stamp,
-                chunk: SPILLED,
-                start: (self.spilled.len() - 1) as u32,
-                value_len: 0,
-                key_len: NO_KEY,
-            }
-        });
-        self.entries.push(entry);
+        self.append_batch(std::slice::from_ref(&stored.record), stored.timestamp, 0);
     }
 
     /// Appends a block of `src`'s records, starting with the one at
@@ -336,14 +373,15 @@ impl Segment {
     /// `src`) and ending before `end`, and returns how many: the longest
     /// run whose payloads sit back to back in one of `src`'s arena chunks
     /// — moved with a single `memcpy`, their entries rebased onto this
-    /// segment's arena — or one spilled record, cloned as [`append`]
-    /// would store it. A run also ends where `src`'s index block does,
-    /// where this segment's chunk is full, and with the record that takes
-    /// [`bytes`] to `segment_bytes`, so the caller rolls exactly where
-    /// appending record by record would have.
+    /// segment's arena and added to its index a block at a time — or one
+    /// spilled record, cloned as [`append_batch`] would store it. A run
+    /// also ends where `src`'s index block does, where this segment's
+    /// chunk is full, and with the record that takes [`bytes`] to
+    /// `segment_bytes`, so the caller rolls exactly where appending
+    /// record by record would have.
     ///
     /// [`next_offset`]: Segment::next_offset
-    /// [`append`]: Segment::append
+    /// [`append_batch`]: Segment::append_batch
     /// [`bytes`]: Segment::bytes
     pub(crate) fn append_block(
         &mut self,
@@ -360,8 +398,8 @@ impl Segment {
             return 0;
         };
         if first.chunk == SPILLED {
-            self.append(src.materialise(offset, first));
-            return 1;
+            let record = std::slice::from_ref(&src.spilled[first.start as usize]);
+            return self.append_batch(record, first.stamp, 0);
         }
         // The chunk the first record goes to, by `pack`'s rule, bounds
         // the run: the next record that does not fit starts a new block.
@@ -389,13 +427,11 @@ impl Segment {
         };
         let rebased = chunk.pack_frozen(&payload) as u32;
         let chunk = (self.chunks.len() - 1) as u32;
-        for entry in &run[..count] {
-            self.entries.push(Entry {
-                chunk,
-                start: entry.start - first.start + rebased,
-                ..*entry
-            });
-        }
+        self.entries.extend_mapped(&run[..count], |entry| Entry {
+            chunk,
+            start: entry.start - first.start + rebased,
+            ..*entry
+        });
         self.bytes += wire;
         count
     }

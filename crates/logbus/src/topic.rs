@@ -192,13 +192,15 @@ impl Topic {
     /// leader's late write can never land after an election; skip a
     /// batch whose `seq` (`(producer_id, first_seq)` of an idempotent
     /// writer) the log already applied — a retry after a lost ack —
-    /// returning the offset it got then; stamp once per batch; append.
+    /// returning the offset it got then; stamp once per batch; append
+    /// the batch in one [`PartitionLog::append_batch`].
     ///
-    /// Drains `records` (the drained-Vec contract): on success, a
-    /// deduplicated retry included, the batch comes back empty with its
-    /// capacity intact, so steady-state producers flush the same buffer
-    /// forever; on failure the records are left in place for the resend.
-    /// Returns the offset of the first record; the batch is contiguous.
+    /// Reads `records` by reference and leaves them to the caller, who
+    /// clears its buffer once the whole request has succeeded (the
+    /// drained-Vec contract of [`PartitionWriter`](crate::PartitionWriter))
+    /// and resends it as it stands after a failure: no record is cloned
+    /// or moved on the way into the log. Returns the offset of the first
+    /// record; the batch is contiguous.
     ///
     /// # Errors
     ///
@@ -206,7 +208,7 @@ impl Topic {
     pub(crate) fn append_request(
         &self,
         partition: u32,
-        records: &mut Vec<Record>,
+        records: &[Record],
         now: Timestamp,
         delay: std::time::Duration,
         seq: Option<(u64, u64)>,
@@ -217,7 +219,6 @@ impl Topic {
         spin_delay(delay);
         Self::check_fence(&log, fence)?;
         if let Some(base) = seq.and_then(|(producer, first)| log.duplicate_of(producer, first)) {
-            records.clear();
             return Ok(base);
         }
         // One shared `LogAppendTime` stamp for the whole batch, clamped
@@ -225,10 +226,7 @@ impl Topic {
         // clock out of order, but the stamp is assigned by the
         // (serialized) append, so it never decreases along a partition.
         let append_stamp = log.last_timestamp().map_or(now, |last| now.max(last));
-        let base = log.next_offset();
-        for record in records.drain(..) {
-            log.append(record, append_stamp);
-        }
+        let base = log.append_batch(records, append_stamp);
         if let Some((producer, first)) = seq {
             log.record_seq(producer, first, base);
         }
@@ -257,12 +255,12 @@ impl Topic {
     pub fn append_batch(
         &self,
         partition: u32,
-        mut records: Vec<Record>,
+        records: Vec<Record>,
         now: Timestamp,
     ) -> Result<u64> {
         let result = self.append_request(
             partition,
-            &mut records,
+            &records,
             now,
             std::time::Duration::ZERO,
             None,
@@ -404,7 +402,7 @@ mod tests {
     /// One zero-delay request against `topic`'s partition 0.
     fn request(
         topic: &Topic,
-        batch: &mut Vec<Record>,
+        batch: &[Record],
         now: i64,
         seq: Option<(u64, u64)>,
         fence: Option<u64>,
@@ -424,22 +422,8 @@ mod tests {
         let topic = Topic::new("t", TopicConfig::default()).unwrap();
         topic.set_leader_epoch(0, 2).unwrap();
         // Current or newer epochs pass; older ones are rejected.
-        request(
-            &topic,
-            &mut vec![Record::from_value("ok")],
-            1,
-            None,
-            Some(2),
-        )
-        .unwrap();
-        let err = request(
-            &topic,
-            &mut vec![Record::from_value("stale")],
-            2,
-            None,
-            Some(1),
-        )
-        .unwrap_err();
+        request(&topic, &[Record::from_value("ok")], 1, None, Some(2)).unwrap();
+        let err = request(&topic, &[Record::from_value("stale")], 2, None, Some(1)).unwrap_err();
         assert!(matches!(
             err,
             Error::FencedEpoch {
@@ -458,16 +442,15 @@ mod tests {
     fn fenced_batch_leaves_records_for_resend() {
         let topic = Topic::new("t", TopicConfig::default()).unwrap();
         topic.set_leader_epoch(0, 5).unwrap();
-        let mut batch = vec![Record::from_value("a"), Record::from_value("b")];
-        let err = request(&topic, &mut batch, 1, None, Some(4)).unwrap_err();
+        let batch = [Record::from_value("a"), Record::from_value("b")];
+        let err = request(&topic, &batch, 1, None, Some(4)).unwrap_err();
         assert!(matches!(err, Error::FencedEpoch { .. }));
-        assert_eq!(batch.len(), 2, "failed batch stays intact for resend");
+        assert_eq!(topic.latest_offset(0).unwrap(), 0, "nothing landed");
         // A fenced sequenced request must not be remembered either: the
         // resend at the right epoch is a first delivery, not a duplicate.
-        let err = request(&topic, &mut batch, 1, Some((7, 0)), Some(4)).unwrap_err();
+        let err = request(&topic, &batch, 1, Some((7, 0)), Some(4)).unwrap_err();
         assert!(matches!(err, Error::FencedEpoch { .. }));
-        assert_eq!(request(&topic, &mut batch, 2, Some((7, 0)), Some(5)), Ok(0));
-        assert!(batch.is_empty(), "accepted batch drains");
+        assert_eq!(request(&topic, &batch, 2, Some((7, 0)), Some(5)), Ok(0));
         assert_eq!(topic.latest_offset(0).unwrap(), 2);
     }
 
@@ -477,20 +460,14 @@ mod tests {
         topic
             .append(0, Record::from_value("before"), Timestamp(1))
             .unwrap();
-        let record = Record::from_value("once");
-        let mut batch = vec![record.clone()];
-        assert_eq!(request(&topic, &mut batch, 2, Some((9, 0)), None), Ok(1));
-        assert!(batch.is_empty());
+        let batch = [Record::from_value("once")];
+        assert_eq!(request(&topic, &batch, 2, Some((9, 0)), None), Ok(1));
         // The ack was lost; the client resends the same sequence number.
-        batch.push(record);
-        let capacity = batch.capacity();
-        assert_eq!(request(&topic, &mut batch, 3, Some((9, 0)), None), Ok(1));
-        assert!(batch.is_empty(), "a deduplicated retry still drains");
-        assert_eq!(batch.capacity(), capacity, "capacity survives the drain");
+        assert_eq!(request(&topic, &batch, 3, Some((9, 0)), None), Ok(1));
         assert_eq!(topic.latest_offset(0).unwrap(), 2, "applied exactly once");
         // The next sequence number is a new batch.
-        batch.push(Record::from_value("next"));
-        assert_eq!(request(&topic, &mut batch, 4, Some((9, 1)), None), Ok(2));
+        let next = [Record::from_value("next")];
+        assert_eq!(request(&topic, &next, 4, Some((9, 1)), None), Ok(2));
     }
 
     #[test]

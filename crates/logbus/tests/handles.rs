@@ -1,5 +1,11 @@
 //! Integration tests for the cached partition handles: equivalence with
 //! the named lookup path, and correctness under concurrent use.
+//!
+//! The produce doors run under generated fault plans (ack loss and
+//! duplicates included), and four writers share one partition lock, so
+//! under `--features check-sync` the `zzz_` gate additionally asserts
+//! the lock-order graph stayed acyclic and no offset or append-time
+//! witness tripped; CI runs this file with `--test-threads=1` there.
 
 use logbus::{with_retry, Broker, FaultPlan, Record, RetryPolicy, TopicConfig};
 use proptest::prelude::*;
@@ -279,4 +285,16 @@ fn mixed_named_and_handle_producers() {
         assert_eq!(stored.offset, i as u64);
     }
     assert!(all.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
+}
+
+/// End-of-suite gate for the `check-sync` build: every test above wrote
+/// through the named and handle doors — faulted arms, concurrent writers
+/// and a reader included. The lock-order graph must be acyclic and no
+/// witness may have tripped. Named `zzz_` so libtest's alphabetical
+/// order runs it last (CI passes `--test-threads=1`).
+#[cfg(feature = "check-sync")]
+#[test]
+fn zzz_sync_checker_is_clean_after_handles() {
+    parking_lot::sync_check::assert_clean("logbus handle suite");
+    println!("{}", parking_lot::sync_check::report());
 }
