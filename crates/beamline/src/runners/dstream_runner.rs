@@ -101,6 +101,12 @@ impl PipelineRunner for DStreamRunner {
 /// Runs one bundle of a raw `DoFn` over a batch partition into `out`,
 /// recording per-transform volume and busy time when instrumentation is
 /// enabled (instrument resolution is per bundle, not per element).
+///
+/// The `DoFn` is built here, once per batch partition: Beam's Spark
+/// runner runs `@Setup`/`@Teardown` per partition, and KafkaIO's writer
+/// opens its producer in `@Setup`. So the write stage starts one
+/// `AsyncProducer`, with its sender thread, per non-empty partition
+/// (`BrokerIO`'s write opens it on its first record).
 fn run_bundle(name: &str, factory: &DoFnFactory, part: Vec<RawElement>, out: &mut Vec<RawElement>) {
     // The clock is read only for an instrumented run.
     let busy_since = obs::enabled().then(|| {

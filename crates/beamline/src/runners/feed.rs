@@ -27,8 +27,10 @@ use std::sync::Arc;
 /// per element while keeping the in-flight window small.
 const CHUNK: usize = 1024;
 
-/// Channel capacity in chunks: at most `CHUNK * CAPACITY` elements are
-/// buffered between the reader thread and the runner.
+/// Channel capacity in chunks. At most `CHUNK * (CAPACITY + 2)` elements
+/// are read from the source and not yet handed out: `CAPACITY` chunks on
+/// the channel, one chunk the reader is filling (or blocked sending), and
+/// under one chunk the feed holds from a chunk a pull cut short.
 const CAPACITY: usize = 8;
 
 /// A partial chunk is flushed once it is this old, so a slow (e.g.
@@ -86,7 +88,7 @@ impl SourceFeed {
             match self.receiver.recv_timeout(FLUSH_INTERVAL) {
                 Ok(chunk) => self.buffered.extend(chunk),
                 Err(RecvTimeoutError::Timeout) => {
-                    seen = Some(self.take_partial(|len| seen == Some(len)));
+                    seen = self.next_chunk(|len| seen == Some(len));
                 }
                 Err(RecvTimeoutError::Disconnected) => {
                     // The reader sends its last partial chunk before it
@@ -96,33 +98,29 @@ impl SourceFeed {
                 }
             }
         }
-        while self.buffered.len() < max {
-            match self.receiver.try_recv() {
-                Ok(chunk) => self.buffered.extend(chunk),
-                Err(_) => {
-                    self.take_partial(|_| true);
-                    break;
-                }
-            }
-        }
+        while self.buffered.len() < max && self.next_chunk(|_| true).is_none() {}
         let take = max.min(self.buffered.len());
         Some(self.buffered.drain(..take).collect())
     }
 
-    /// Buffers every queued chunk, then the reader's partial chunk if
-    /// `take` accepts its length, and returns that length. The channel is
-    /// drained under the partial's lock, and the reader sends a chunk
-    /// before it pushes into the next one, so the elements stay in order.
-    fn take_partial(&mut self, take: impl Fn(usize) -> bool) -> usize {
+    /// Buffers the next queued chunk and returns `None`; or, when the
+    /// channel is empty, buffers the reader's partial chunk if `take`
+    /// accepts its length, and returns that length. Both are looked at
+    /// under the partial's lock, and the reader sends a chunk before it
+    /// pushes into the next one, so the elements stay in order. One chunk
+    /// at most is buffered per call, so a pull stops within a chunk of
+    /// `max`.
+    fn next_chunk(&mut self, take: impl Fn(usize) -> bool) -> Option<usize> {
         let mut partial = self.partial.lock();
-        while let Ok(chunk) = self.receiver.try_recv() {
+        if let Ok(chunk) = self.receiver.try_recv() {
             self.buffered.extend(chunk);
+            return None;
         }
         let len = partial.len();
         if take(len) {
             self.buffered.extend(partial.drain(..));
         }
-        len
+        Some(len)
     }
 
     fn join(&mut self) {
@@ -250,10 +248,10 @@ mod tests {
         // Give the reader time to run ahead as far as it can.
         std::thread::sleep(std::time::Duration::from_millis(30));
         let ahead = emitted.load(Ordering::SeqCst);
-        // At most: consumed chunk + channel capacity + one in-progress
-        // chunk held by the reader.
+        // At most the chunk taken plus the in-flight bound of
+        // `CAPACITY`'s doc.
         assert!(
-            ahead <= CHUNK * (CAPACITY + 2),
+            ahead <= CHUNK + CHUNK * (CAPACITY + 2),
             "reader ran {ahead} elements ahead of a stalled consumer"
         );
         drop(feed);

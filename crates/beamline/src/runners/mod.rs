@@ -18,7 +18,7 @@
 //! |---|---|---|---|
 //! | [`DirectRunner`] | none (in-memory) | whole input | reference semantics, materializes every stage |
 //! | [`RillRunner`] | `rill` (Flink analog) | whole stream | one engine operator per stage |
-//! | [`DStreamRunner`] | `dstream` (Spark analog) | micro-batch partition | repartitions every batch to honour parallelism |
+//! | [`DStreamRunner`] | `dstream` (Spark analog) | micro-batch partition | repartitions every batch to honour parallelism; builds each stage's `DoFn` per batch partition, as Beam's Spark runner runs `@Setup`/`@Teardown` per partition — so the write opens one producer per non-empty partition, as KafkaIO's writer does |
 //! | [`ApxRunner`] | `apx` (Apex analog) | **single element** | one container per stage, envelope serialization per hop |
 //!
 //! [`PipelineGraph::chain`]: crate::graph::PipelineGraph::chain

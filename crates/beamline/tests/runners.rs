@@ -4,11 +4,12 @@
 
 use beamline::runners::{ApxRunner, DStreamRunner, DirectRunner, RillRunner};
 use beamline::{
-    BrokerIO, BytesCoder, Create, Error, Filter, MapElements, Pipeline, PipelineRunner, Values,
-    WithoutMetadata,
+    BrokerIO, BytesCoder, Create, DoFn, Error, Filter, MapElements, ParDo, Pipeline,
+    PipelineRunner, ProcessContext, UnitCoder, Values, WithoutMetadata,
 };
 use bytes::Bytes;
 use logbus::{Broker, Record, TopicConfig};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn broker_with_input(records: usize) -> Broker {
@@ -220,4 +221,75 @@ fn pipelines_without_a_pardo_are_rejected_by_tuple_runners() {
     }
     let result = DirectRunner::new().run(&pipeline).unwrap();
     assert_eq!(result.collect_of(&numbers).unwrap(), vec![1, 2]);
+}
+
+/// A write-shaped leaf `DoFn`: the runner builds one instance per
+/// bundle through the stage's factory, which clones this prototype.
+/// Counts the instances built and those whose bundle held an element —
+/// the ones `BrokerIO`'s write opens a producer in.
+struct CountingWrite {
+    built: Arc<AtomicUsize>,
+    wrote: Arc<AtomicUsize>,
+    elements: usize,
+}
+
+impl Clone for CountingWrite {
+    fn clone(&self) -> Self {
+        self.built.fetch_add(1, Ordering::SeqCst);
+        CountingWrite {
+            built: self.built.clone(),
+            wrote: self.wrote.clone(),
+            elements: 0,
+        }
+    }
+}
+
+impl DoFn<Bytes, ()> for CountingWrite {
+    fn process(&mut self, _element: Bytes, _ctx: &mut ProcessContext<'_, ()>) {
+        self.elements += 1;
+    }
+
+    fn finish_bundle(&mut self, _ctx: &mut ProcessContext<'_, ()>) {
+        if self.elements > 0 {
+            self.wrote.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// Beam's Spark runner runs a `DoFn`'s `@Setup` per partition of each
+/// micro-batch, and KafkaIO's writer opens its producer there; the
+/// dstream runner does the same. 100 elements in batches of 10 at
+/// parallelism 2 are 10 micro-batches of 2 partitions: the leaf factory
+/// runs once per partition, and an instance sees elements in exactly the
+/// non-empty partitions — after a filter keeping 30, those of the first
+/// three batches.
+#[test]
+fn dstream_runner_builds_the_write_dofn_per_batch_partition() {
+    for (kept, non_empty) in [(100u8, 20), (30, 6)] {
+        let built = Arc::new(AtomicUsize::new(0));
+        let wrote = Arc::new(AtomicUsize::new(0));
+        let pipeline = Pipeline::new();
+        pipeline
+            .apply(Create::bytes(
+                (0..100u8).map(|i| Bytes::from(vec![i])).collect(),
+            ))
+            .apply(Filter::new("Keep", move |value: &Bytes| value[0] < kept))
+            .apply(ParDo::of(
+                "CountingWrite",
+                CountingWrite {
+                    built: built.clone(),
+                    wrote: wrote.clone(),
+                    elements: 0,
+                },
+                Arc::new(UnitCoder) as Arc<dyn beamline::Coder<()>>,
+            ));
+        let prototypes = built.load(Ordering::SeqCst);
+        DStreamRunner::new()
+            .with_batch_records(10)
+            .with_parallelism(2)
+            .run(&pipeline)
+            .unwrap();
+        assert_eq!(built.load(Ordering::SeqCst) - prototypes, 20, "kept {kept}");
+        assert_eq!(wrote.load(Ordering::SeqCst), non_empty, "kept {kept}");
+    }
 }

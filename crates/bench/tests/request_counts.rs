@@ -1,4 +1,4 @@
-//! Produce request counts per P1 cell are invariants of each cell's
+//! Produce and fetch request counts per P1 cell are invariants of each cell's
 //! write mechanism, not measurements: they hold on any host, so a
 //! changed mechanism shows here without a timer.
 //!
@@ -13,6 +13,14 @@
 //!   lower bound holds. A request takes the oldest queued chunk (at most
 //!   500 records) and then whole chunks while it is below 500 records,
 //!   so it carries at most 999.
+//!
+//! Fetch request counts are structural in every P1 cell: each reads the
+//! preloaded one-partition input through one bounded `TopicReader`, whose
+//! every fetch but the last is full, so a cell makes
+//! ⌈input / fetch size⌉ fetches — `dstream.native` exactly one per
+//! micro-batch (batch 250), every other cell one per 2 048 records (rill's
+//! and Beam's fetch size, apx's window) — plus the trial's drain of the
+//! output topic, one fetch per 4 096 output records.
 //!
 //! One test, alone in its binary: the obs registry is process-wide, so
 //! exact request deltas hold only when nothing else records.
@@ -34,12 +42,23 @@ const APX_WINDOW: usize = 2_048;
 /// Records per write hand-off of `rill.beam` and per `AsyncProducer`
 /// chunk.
 const HAND_OFF: u64 = 500;
+/// Records per fetch of rill's `BrokerSource` and Beam's `BrokerIO`
+/// read; also `apx`'s window.
+const FETCH_SIZE: u64 = 2_048;
+/// Records per fetch of the trial's drain of the output topic.
+const DRAIN_CHUNK: u64 = 4_096;
+
+fn requests(histogram: &str) -> u64 {
+    let snap = obs::global().registry().snapshot();
+    snap.histograms.get(histogram).map_or(0, |h| h.count)
+}
 
 fn produce_requests() -> u64 {
-    let snap = obs::global().registry().snapshot();
-    snap.histograms
-        .get("logbus.produce.micros")
-        .map_or(0, |h| h.count)
+    requests("logbus.produce.micros")
+}
+
+fn fetch_requests() -> u64 {
+    requests("logbus.fetch.micros")
 }
 
 #[test]
@@ -65,6 +84,7 @@ fn produce_requests_follow_each_cells_write_mechanism() {
                     parallelism: 1,
                 };
                 let before = produce_requests();
+                let fetches_before = fetch_requests();
                 let outcome = trial
                     .run(
                         setup,
@@ -77,7 +97,17 @@ fn produce_requests_follow_each_cells_write_mechanism() {
                 outcome.engine.unwrap();
                 assert_eq!(outcome.outputs.len() as u64, out, "{query:?} {setup}");
                 let requests = produce_requests() - before;
+                let fetches = fetch_requests() - fetches_before;
                 let cell = format!("{query:?} {setup}: {requests} requests for {out} records");
+                let fetch_size = match (system, api) {
+                    (System::DStream, Api::Native) => DSTREAM_BATCH as u64,
+                    _ => FETCH_SIZE,
+                };
+                assert_eq!(
+                    fetches,
+                    RECORDS.div_ceil(fetch_size) + out.div_ceil(DRAIN_CHUNK),
+                    "{query:?} {setup}: fetches"
+                );
                 match (system, api) {
                     (System::Apx, Api::Beam) => assert_eq!(requests, out, "{cell}"),
                     (System::DStream, Api::Native) => {

@@ -5,8 +5,14 @@
 //! Fig. 2). `ExecutorPool` models those executors as persistent worker
 //! threads owned by one application; the driver submits one task per RDD
 //! partition and blocks for the stage result.
+//!
+//! Placement is per partition: task `i` of every stage runs on worker
+//! `i mod n`, as Spark's `PreferConsistent` keeps a Kafka partition's
+//! cached consumer on one executor. A micro-batch's records are then
+//! fetched, transformed, written and dropped on one thread, batch after
+//! batch, and that thread's caches stay warm.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
@@ -16,17 +22,17 @@ type Job = Box<dyn FnOnce() + Send>;
 #[derive(Debug)]
 pub struct ExecutorPool {
     workers: Vec<JoinHandle<()>>,
-    submit: Option<Sender<Job>>,
+    /// One job queue per worker; task `i` goes to `submit[i % n]`.
+    submit: Vec<Sender<Job>>,
 }
 
 impl ExecutorPool {
     /// Spawns a pool with `workers` threads (at least one).
     pub fn new(workers: usize) -> Self {
-        let (submit, jobs): (Sender<Job>, Receiver<Job>) = unbounded();
-        let workers = (0..workers.max(1))
+        let (submit, workers) = (0..workers.max(1))
             .map(|i| {
-                let jobs = jobs.clone();
-                std::thread::Builder::new()
+                let (submit, jobs) = unbounded::<Job>();
+                let worker = std::thread::Builder::new()
                     .name(format!("executor-{i}"))
                     .spawn(move || {
                         while let Ok(job) = jobs.recv() {
@@ -36,13 +42,11 @@ impl ExecutorPool {
                             let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
                         }
                     })
-                    .expect("spawn executor thread")
+                    .expect("spawn executor thread");
+                (submit, worker)
             })
-            .collect();
-        ExecutorPool {
-            workers,
-            submit: Some(submit),
-        }
+            .unzip();
+        ExecutorPool { workers, submit }
     }
 
     /// Number of worker threads.
@@ -50,9 +54,9 @@ impl ExecutorPool {
         self.workers.len()
     }
 
-    /// Runs one stage: a set of independent tasks, one per partition.
-    /// Blocks until all tasks finish and returns their results in task
-    /// order.
+    /// Runs one stage: a set of independent tasks, one per partition,
+    /// task `i` on worker `i mod n`. Blocks until all tasks finish and
+    /// returns their results in task order.
     ///
     /// # Panics
     ///
@@ -65,10 +69,9 @@ impl ExecutorPool {
     {
         let n = tasks.len();
         let (tx, rx) = unbounded::<(usize, R)>();
-        let submit = self.submit.as_ref().expect("pool is running");
         for (i, task) in tasks.into_iter().enumerate() {
             let tx = tx.clone();
-            submit
+            self.submit[i % self.submit.len()]
                 .send(Box::new(move || {
                     let result = task();
                     let _ = tx.send((i, result));
@@ -92,8 +95,8 @@ impl ExecutorPool {
 
 impl Drop for ExecutorPool {
     fn drop(&mut self) {
-        // Close the job channel and let workers drain.
-        self.submit.take();
+        // Close the job queues and let workers drain.
+        self.submit.clear();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
@@ -137,6 +140,23 @@ mod tests {
                 vec![Box::new(move || stage), Box::new(move || stage + 1)];
             let results = pool.run_stage(tasks);
             assert_eq!(results, vec![stage, stage + 1]);
+        }
+    }
+
+    #[test]
+    fn task_i_runs_on_worker_i_mod_n() {
+        let pool = ExecutorPool::new(3);
+        for _stage in 0..20 {
+            let tasks: Vec<_> = (0..7)
+                .map(|_| || std::thread::current().name().map(str::to_owned))
+                .collect();
+            let names = pool.run_stage(tasks);
+            for (i, name) in names.into_iter().enumerate() {
+                assert_eq!(
+                    name.as_deref(),
+                    Some(format!("executor-{}", i % 3).as_str())
+                );
+            }
         }
     }
 

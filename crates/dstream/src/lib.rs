@@ -15,7 +15,14 @@
 //! * **Driver / executor architecture** — a [`Context`] (SparkContext)
 //!   owns a pool of long-lived executors; `spark.default.parallelism`
 //!   ([`ContextConfig::default_parallelism`]) is the knob the paper uses
-//!   to set parallelism (§III-A2).
+//!   to set parallelism (§III-A2). Task `i` of every stage runs on
+//!   executor `i mod n`, as Spark's `PreferConsistent` placement keeps a
+//!   Kafka partition on one executor.
+//! * **Direct Kafka stream** — the driver only plans a broker
+//!   micro-batch; the executor task that computes it fetches the records,
+//!   runs the fused `map`/`filter` pass and, under
+//!   [`DStream::save_to_broker`], appends the result (`KafkaRDD.compute`
+//!   plus `foreachPartition`).
 //! * **Shuffles** — `repartition` materializes its parent once and
 //!   redistributes it, cutting lineage like Spark's shuffle boundary.
 //!
@@ -52,6 +59,6 @@ mod streaming;
 pub use context::{Context, ContextConfig};
 pub use executor::ExecutorPool;
 pub use rdd::Rdd;
-pub use source::{BatchSource, BrokerBatchSource, VecBatchSource};
+pub use source::{BatchSource, VecBatchSource};
 pub use stream::DStream;
 pub use streaming::{Error, Result, StreamingContext, StreamingReport};

@@ -17,6 +17,10 @@ use std::sync::Arc;
 /// no intermediate `Vec` is materialized between transformations.
 type Pass<T> = Arc<dyn Fn(usize, &mut dyn FnMut(T)) + Send + Sync>;
 
+/// What an action's task gets for its partition: calling it with a sink
+/// runs the partition's fused pass into that sink.
+pub(crate) type RunPartition<'a, T> = &'a mut dyn FnMut(&mut dyn FnMut(T));
+
 /// Runs one partition of a pass to completion, materializing the result.
 fn materialize<T>(pass: &Pass<T>, partition: usize) -> Vec<T> {
     let mut out = Vec::new();
@@ -70,21 +74,31 @@ impl<T: Send + Sync + 'static> Rdd<T> {
         }
     }
 
+    /// Creates an RDD from a fused pass: `pass(i, sink)` pushes partition
+    /// `i`'s elements into `sink` as it computes them.
+    pub(crate) fn from_pass(
+        ctx: Context,
+        partitions: usize,
+        pass: impl Fn(usize, &mut dyn FnMut(T)) + Send + Sync + 'static,
+    ) -> Self {
+        Rdd {
+            ctx,
+            partitions: partitions.max(1),
+            pass: Arc::new(pass),
+        }
+    }
+
     /// Creates an RDD from an explicit compute function.
     pub fn from_compute(
         ctx: Context,
         partitions: usize,
         compute: impl Fn(usize) -> Vec<T> + Send + Sync + 'static,
     ) -> Self {
-        Rdd {
-            ctx,
-            partitions: partitions.max(1),
-            pass: Arc::new(move |i, sink: &mut dyn FnMut(T)| {
-                for item in compute(i) {
-                    sink(item);
-                }
-            }),
-        }
+        Self::from_pass(ctx, partitions, move |i, sink: &mut dyn FnMut(T)| {
+            for item in compute(i) {
+                sink(item);
+            }
+        })
     }
 
     /// Number of partitions.
@@ -156,7 +170,10 @@ impl<T: Send + Sync + 'static> Rdd<T> {
     /// records-count update and one timing pair **per partition**, not per
     /// element. Because passes are fused, the busy time is inclusive — it
     /// covers the upstream pass and the downstream consumption of each
-    /// element, not just one operator's closure.
+    /// element, not just one operator's closure. It runs from the first
+    /// element on: what a source does before it emits (a broker batch's
+    /// fetch) is the fetch's time, which `logbus` meters, not the
+    /// operator's.
     pub(crate) fn metered(self, records: obs::Counter, busy: obs::Counter) -> Rdd<T> {
         let pass = self.pass;
         Rdd {
@@ -164,12 +181,15 @@ impl<T: Send + Sync + 'static> Rdd<T> {
             partitions: self.partitions,
             pass: Arc::new(move |i, sink: &mut dyn FnMut(T)| {
                 let mut count = 0u64;
-                let started = std::time::Instant::now();
+                let mut started = None;
                 pass(i, &mut |item| {
+                    started.get_or_insert_with(std::time::Instant::now);
                     count += 1;
                     sink(item);
                 });
-                busy.add(started.elapsed().as_micros() as u64);
+                if let Some(started) = started {
+                    busy.add(started.elapsed().as_micros() as u64);
+                }
                 records.add(count);
             }),
         }
@@ -219,16 +239,32 @@ impl<T: Send + Sync + 'static> Rdd<T> {
         Rdd::from_partitions(ctx, out)
     }
 
-    /// Runs the lineage and returns all partitions (in partition order).
-    pub fn collect_partitions(&self) -> Vec<Vec<T>> {
-        let pool = self.ctx.pool();
+    /// Runs one task per partition on the executors, task `i` on worker
+    /// `i mod n`: `task(i, run)` calls `run` with a sink to drive
+    /// partition `i`'s fused pass into it. Every action is one of these.
+    pub(crate) fn run_partitions<R, F>(&self, task: F) -> Vec<R>
+    where
+        R: Send + 'static,
+        F: Fn(usize, RunPartition<'_, T>) -> R + Send + Sync + 'static,
+    {
+        let task = Arc::new(task);
         let tasks: Vec<_> = (0..self.partitions)
             .map(|i| {
                 let pass = self.pass.clone();
-                move || materialize(&pass, i)
+                let task = task.clone();
+                move || task(i, &mut |sink| pass(i, sink))
             })
             .collect();
-        pool.run_stage(tasks)
+        self.ctx.pool().run_stage(tasks)
+    }
+
+    /// Runs the lineage and returns all partitions (in partition order).
+    pub fn collect_partitions(&self) -> Vec<Vec<T>> {
+        self.run_partitions(|_i, run| {
+            let mut out = Vec::new();
+            run(&mut |item| out.push(item));
+            out
+        })
     }
 
     /// Runs the lineage and returns all elements, partition by partition.
@@ -239,18 +275,13 @@ impl<T: Send + Sync + 'static> Rdd<T> {
     /// Counts elements (runs the lineage). The fused pass lets counting
     /// drop elements as they are produced — nothing is materialized.
     pub fn count(&self) -> usize {
-        let pool = self.ctx.pool();
-        let tasks: Vec<_> = (0..self.partitions)
-            .map(|i| {
-                let pass = self.pass.clone();
-                move || {
-                    let mut n = 0usize;
-                    pass(i, &mut |_item| n += 1);
-                    n
-                }
-            })
-            .collect();
-        pool.run_stage(tasks).into_iter().sum()
+        self.run_partitions(|_i, run| {
+            let mut n = 0usize;
+            run(&mut |_item| n += 1);
+            n
+        })
+        .into_iter()
+        .sum()
     }
 
     /// Applies `f` to each partition on the executors (an action).
@@ -258,16 +289,11 @@ impl<T: Send + Sync + 'static> Rdd<T> {
     where
         F: Fn(usize, Vec<T>) + Send + Sync + 'static,
     {
-        let pool = self.ctx.pool();
-        let f = Arc::new(f);
-        let tasks: Vec<_> = (0..self.partitions)
-            .map(|i| {
-                let pass = self.pass.clone();
-                let f = f.clone();
-                move || f(i, materialize(&pass, i))
-            })
-            .collect();
-        let _: Vec<()> = pool.run_stage(tasks);
+        let _: Vec<()> = self.run_partitions(move |i, run| {
+            let mut part = Vec::new();
+            run(&mut |item| part.push(item));
+            f(i, part);
+        });
     }
 }
 

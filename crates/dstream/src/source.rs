@@ -1,7 +1,11 @@
 //! Micro-batch sources.
 
+use crate::context::Context;
+use crate::rdd::Rdd;
 use bytes::Bytes;
 use logbus::{BusHandle, FollowTarget, TopicReader};
+use parking_lot::Mutex;
+use std::sync::Arc;
 
 /// A bounded supplier of micro-batches.
 ///
@@ -33,22 +37,30 @@ impl<T: Send> BatchSource<T> for VecBatchSource<T> {
     }
 }
 
-/// Reads a `logbus` topic in micro-batches (Spark's Kafka direct stream):
-/// each call is one [`TopicReader::next_batch`] of up to
+/// Reads a `logbus` topic in micro-batches (Spark's Kafka direct stream),
+/// the source of [`StreamingContext::broker_stream`](crate::StreamingContext::broker_stream):
+/// each batch is one [`TopicReader::next_batch`] of up to
 /// `max_batch_records`, ending at the offsets current when the source was
 /// created — or, in follow mode ([`BrokerBatchSource::following`]),
 /// tailing the topic until a target record count has been emitted.
-/// Blocking inside `next_batch` is the backpressure: the micro-batch
-/// driver is throttled to the producer's rate instead of spinning on
-/// empty batches or buffering without bound.
+/// Blocking inside the read is the backpressure: the micro-batch job is
+/// throttled to the producer's rate instead of spinning on empty batches
+/// or buffering without bound.
 ///
 /// The source is the only reader of its input, so it reads every
 /// partition — one RDD partition's worth per Kafka partition, merged into
 /// the micro-batch: its share is subtask 0 of 1.
+///
+/// It is read where Spark reads: inside the executor task that computes
+/// the batch ([`BrokerBatchSource::into_batches`]).
 #[derive(Debug)]
-pub struct BrokerBatchSource {
+pub(crate) struct BrokerBatchSource {
     max_batch_records: usize,
     reader: TopicReader,
+    /// A batch is planned and not yet read.
+    unread: bool,
+    /// A read found the source drained (or stalled): the stream is over.
+    ended: bool,
 }
 
 impl BrokerBatchSource {
@@ -57,26 +69,23 @@ impl BrokerBatchSource {
     /// # Errors
     ///
     /// Fails when the topic does not exist.
-    pub fn new(
+    pub(crate) fn new(
         bus: impl Into<BusHandle>,
         topic: &str,
         max_batch_records: usize,
     ) -> logbus::Result<Self> {
         let reader = TopicReader::bounded(bus, topic, 0, 1)?;
-        Ok(BrokerBatchSource {
-            max_batch_records: max_batch_records.max(1),
-            reader,
-        })
+        Ok(Self::over(reader, max_batch_records))
     }
 
     /// Creates a tailing micro-batch reader: instead of stopping at the
-    /// offsets current at creation, `next_batch` keeps reading until
+    /// offsets current at creation, it keeps reading until
     /// `target_records` records have been emitted.
     ///
     /// # Errors
     ///
     /// Fails when the topic does not exist.
-    pub fn following(
+    pub(crate) fn following(
         bus: impl Into<BusHandle>,
         topic: &str,
         max_batch_records: usize,
@@ -84,21 +93,70 @@ impl BrokerBatchSource {
     ) -> logbus::Result<Self> {
         let target = FollowTarget::new(target_records);
         let reader = TopicReader::following(bus, topic, 0, 1, target)?;
-        Ok(BrokerBatchSource {
+        Ok(Self::over(reader, max_batch_records))
+    }
+
+    fn over(reader: TopicReader, max_batch_records: usize) -> Self {
+        BrokerBatchSource {
             max_batch_records: max_batch_records.max(1),
             reader,
-        })
+            unread: false,
+            ended: false,
+        }
     }
-}
 
-impl BatchSource<Bytes> for BrokerBatchSource {
-    fn next_batch(&mut self) -> Option<Vec<Bytes>> {
-        let mut batch = Vec::with_capacity(self.max_batch_records.min(1024));
-        self.reader
+    /// The stream's batches, Spark's direct Kafka stream: a batch planner
+    /// the driver calls once per tick. It fetches nothing; it decides
+    /// that batch *k* exists — the read is not at its finish line — and
+    /// returns it as a one-partition RDD covering the reader's next
+    /// `max_batch_records` records. Computing that RDD (in the executor
+    /// task, `KafkaRDD.compute`) reads them, so they are fetched,
+    /// transformed and dropped on one thread. A batch is read once: its
+    /// first computation consumes it, and a batch no job computed is read
+    /// and dropped before the next is planned, as Spark passes over an
+    /// offset range no job computes.
+    pub(crate) fn into_batches(
+        self,
+        ctx: Context,
+    ) -> impl FnMut() -> Option<Rdd<Bytes>> + Send + 'static {
+        let source = Arc::new(Mutex::new(self));
+        move || {
+            if !source.lock().plan() {
+                return None;
+            }
+            let source = source.clone();
+            Some(Rdd::from_pass(ctx.clone(), 1, move |_i, sink| {
+                source.lock().read(sink);
+            }))
+        }
+    }
+
+    /// Plans the next batch; `false` when the stream is over. Whether the
+    /// read is at its finish line is a drive pass capped at zero records:
+    /// it fetches nothing, only refreshes a follower's ends.
+    fn plan(&mut self) -> bool {
+        if self.unread {
+            self.read(&mut drop);
+        }
+        self.unread = !self.ended
+            && self
+                .reader
+                .try_next_batch(0, &mut |_p, _stored| {})
+                .is_some();
+        self.unread
+    }
+
+    /// Reads the planned batch into `sink`; nothing once it was read.
+    fn read(&mut self, sink: &mut dyn FnMut(Bytes)) {
+        if !std::mem::take(&mut self.unread) {
+            return;
+        }
+        let read = self
+            .reader
             .next_batch(self.max_batch_records, &mut |_p, stored| {
-                batch.push(stored.record.value);
-            })
-            .map(|_delivered| batch)
+                sink(stored.record.value);
+            });
+        self.ended = read.is_none();
     }
 }
 
@@ -106,6 +164,19 @@ impl BatchSource<Bytes> for BrokerBatchSource {
 mod tests {
     use super::*;
     use logbus::{Broker, Record, TopicConfig};
+
+    impl BrokerBatchSource {
+        /// Plans the next batch and reads it on this thread, as the
+        /// executor task computing it does; `None` once the stream is over.
+        fn next_batch(&mut self) -> Option<Vec<Bytes>> {
+            let mut batch = Vec::new();
+            if !self.plan() {
+                return None;
+            }
+            self.read(&mut |value| batch.push(value));
+            (!self.ended).then_some(batch)
+        }
+    }
 
     #[test]
     fn vec_source_drains() {

@@ -79,18 +79,29 @@ impl<T> std::fmt::Debug for DStream<T> {
 }
 
 impl<T: Clone + Send + Sync + 'static> DStream<T> {
-    /// Creates a stream that pulls micro-batches from `source`, producing
-    /// single-partition RDDs (one Kafka partition → one RDD partition, as
-    /// in Spark's direct stream).
+    /// Creates a stream that pulls micro-batches from `source` on the
+    /// driver, producing single-partition RDDs (one Kafka partition → one
+    /// RDD partition, as in Spark's direct stream).
     pub fn from_source(ctx: Context, source: impl BatchSource<T> + 'static) -> Self {
         let ctx_for_pull = ctx.clone();
         let mut source = source;
-        let pull: BatchPull<T> = Arc::new(Mutex::new(Box::new(move || {
+        Self::from_batches(ctx, move || {
             source
                 .next_batch()
                 .map(|batch| Rdd::from_partitions(ctx_for_pull.clone(), vec![batch]))
-        })));
-        DStream { ctx, pull }
+        })
+    }
+
+    /// Creates a stream whose batch *k* is the `k`-th RDD `next` returns
+    /// (the driver calls it once per tick); `None` ends the stream.
+    pub(crate) fn from_batches(
+        ctx: Context,
+        next: impl FnMut() -> Option<Rdd<T>> + Send + 'static,
+    ) -> Self {
+        DStream {
+            ctx,
+            pull: Arc::new(Mutex::new(Box::new(next))),
+        }
     }
 
     /// The driver context.

@@ -1,8 +1,8 @@
 //! The streaming context: micro-batch scheduling of output operations.
 
 use crate::context::Context;
-use crate::rdd::Rdd;
-use crate::source::BatchSource;
+use crate::rdd::{Rdd, RunPartition};
+use crate::source::{BatchSource, BrokerBatchSource};
 use crate::stream::DStream;
 use bytes::Bytes;
 use logbus::{BusHandle, Record};
@@ -109,7 +109,8 @@ impl StreamingContext {
     }
 
     /// Creates a bounded stream over a `logbus` topic (Kafka direct
-    /// stream).
+    /// stream). The driver only plans the batches: each is read inside
+    /// the executor task that computes it.
     ///
     /// # Errors
     ///
@@ -120,15 +121,15 @@ impl StreamingContext {
         topic: &str,
         max_batch_records: usize,
     ) -> Result<DStream<Bytes>> {
-        let source = crate::source::BrokerBatchSource::new(bus, topic, max_batch_records)
+        let source = BrokerBatchSource::new(bus, topic, max_batch_records)
             .map_err(|e| Error::Source(e.to_string()))?;
-        Ok(self.receiver_stream(source))
+        Ok(self.executor_read(source))
     }
 
     /// Creates a tailing stream over a `logbus` topic that keeps polling
     /// (with backoff while caught up) until `target_records` records have
     /// been read — the follow-mode analog of [`Self::broker_stream`] used
-    /// by the latency harness. Batch ticks block on producer progress, so
+    /// by the latency harness. Batch jobs block on producer progress, so
     /// the micro-batch driver is backpressured to the offered rate.
     ///
     /// # Errors
@@ -141,14 +142,13 @@ impl StreamingContext {
         max_batch_records: usize,
         target_records: u64,
     ) -> Result<DStream<Bytes>> {
-        let source = crate::source::BrokerBatchSource::following(
-            bus,
-            topic,
-            max_batch_records,
-            target_records,
-        )
-        .map_err(|e| Error::Source(e.to_string()))?;
-        Ok(self.receiver_stream(source))
+        let source = BrokerBatchSource::following(bus, topic, max_batch_records, target_records)
+            .map_err(|e| Error::Source(e.to_string()))?;
+        Ok(self.executor_read(source))
+    }
+
+    fn executor_read(&self, source: BrokerBatchSource) -> DStream<Bytes> {
+        DStream::from_batches(self.ctx.clone(), source.into_batches(self.ctx.clone()))
     }
 
     /// Registers an output operation applied to every batch of `stream`.
@@ -228,43 +228,62 @@ impl<T: Clone + Send + Sync + 'static> DStream<T> {
 
 impl DStream<Bytes> {
     /// Registers an output operation writing every batch to a `logbus`
-    /// topic as one broker append per partition.
+    /// topic as one broker append per partition, from the executors as
+    /// Spark's `foreachPartition` writes: partition `i`'s task runs the
+    /// batch's fused lineage — for a broker stream, the fetch and the
+    /// `map`/`filter` pass — straight into the append. No record returns
+    /// to the driver.
     pub fn save_to_broker(&self, ssc: &StreamingContext, bus: impl Into<BusHandle>, topic: &str) {
-        let bus = bus.into();
-        let topic = topic.to_string();
-        // Cached produce handle, resolved on the first non-empty batch and
-        // re-tried while the topic is missing — so per-batch appends skip
-        // the topic-name lookup without changing late-creation semantics.
-        // Resolution rides through transient broker faults, and the
-        // idempotent handle keeps lost-ack resends and injected duplicates
-        // out of the query output.
-        let mut writer: Option<logbus::PartitionWriter> = None;
-        self.foreach_rdd(ssc, move |rdd| {
-            for part in rdd.collect_partitions() {
-                if part.is_empty() {
-                    continue;
-                }
-                // The batch Vec comes from (and returns to) the logbus
-                // pool tier; `Record::from_value` on `Bytes` is zero-copy.
-                let mut records = logbus::pool::record_vec();
-                records.extend(part.into_iter().map(Record::from_value));
-                if obs::enabled() {
-                    obs::counter("dstream.sink.records").add(records.len() as u64);
-                }
-                if writer.is_none() {
-                    let retry = logbus::RetryPolicy::default();
-                    writer = logbus::with_retry(&retry, || bus.partition_writer(&topic, 0))
-                        .ok()
-                        .map(|w| w.idempotent().with_retry(retry.clone()));
-                }
-                if let Some(w) = &writer {
-                    if w.produce_batch_drain(&mut records).is_err() {
-                        records.clear();
-                    }
-                }
-                logbus::pool::recycle_record_vec(records);
-            }
+        let sink = Arc::new(BrokerSink {
+            bus: bus.into(),
+            topic: topic.to_string(),
+            writer: Mutex::new(None),
         });
+        self.foreach_rdd(ssc, move |rdd| {
+            let sink = sink.clone();
+            let _: Vec<()> = rdd.run_partitions(move |_i, run| sink.write(run));
+        });
+    }
+}
+
+/// The executor side of [`DStream::save_to_broker`].
+struct BrokerSink {
+    bus: BusHandle,
+    topic: String,
+    /// Cached produce handle, resolved on the first non-empty partition
+    /// and re-tried while the topic is missing — so per-batch appends skip
+    /// the topic-name lookup without changing late-creation semantics.
+    /// Resolution rides through transient broker faults, and the
+    /// idempotent handle keeps lost-ack resends and injected duplicates
+    /// out of the query output.
+    writer: Mutex<Option<logbus::PartitionWriter>>,
+}
+
+impl BrokerSink {
+    /// Runs one partition's pass into a record batch and appends it.
+    fn write(&self, run: RunPartition<'_, Bytes>) {
+        // The batch Vec comes from (and returns to) the logbus pool tier;
+        // `Record::from_value` on `Bytes` is zero-copy.
+        let mut records = logbus::pool::record_vec();
+        run(&mut |value| records.push(Record::from_value(value)));
+        if !records.is_empty() {
+            if obs::enabled() {
+                obs::counter("dstream.sink.records").add(records.len() as u64);
+            }
+            let mut writer = self.writer.lock();
+            if writer.is_none() {
+                let retry = logbus::RetryPolicy::default();
+                *writer = logbus::with_retry(&retry, || self.bus.partition_writer(&self.topic, 0))
+                    .ok()
+                    .map(|w| w.idempotent().with_retry(retry.clone()));
+            }
+            if let Some(w) = &*writer {
+                if w.produce_batch_drain(&mut records).is_err() {
+                    records.clear();
+                }
+            }
+        }
+        logbus::pool::recycle_record_vec(records);
     }
 }
 
@@ -346,6 +365,78 @@ mod tests {
         for (i, stored) in records.iter().enumerate() {
             assert_eq!(&stored.record.value[..], format!("{i}").as_bytes());
         }
+    }
+
+    fn counted_input(records: usize) -> Broker {
+        let broker = Broker::new();
+        broker.create_topic("in", TopicConfig::default()).unwrap();
+        broker.create_topic("out", TopicConfig::default()).unwrap();
+        for i in 0..records {
+            broker
+                .produce("in", 0, Record::from_value(format!("{i}")))
+                .unwrap();
+        }
+        broker
+    }
+
+    #[test]
+    fn broker_batches_are_fetched_transformed_and_written_on_one_executor() {
+        let broker = counted_input(100);
+        let threads = Arc::new(Mutex::new(std::collections::BTreeSet::new()));
+        let seen = threads.clone();
+        let ssc = StreamingContext::new(Context::local());
+        ssc.broker_stream(broker.clone(), "in", 30)
+            .unwrap()
+            .map(move |value: Bytes| {
+                seen.lock()
+                    .insert(std::thread::current().name().map(str::to_owned));
+                value
+            })
+            .save_to_broker(&ssc, broker.clone(), "out");
+        let report = ssc.run_to_completion().unwrap();
+        assert_eq!(report.batches, 4);
+        assert_eq!(
+            *threads.lock(),
+            [Some("executor-0".to_string())].into(),
+            "every batch ran on worker 0 of the pool"
+        );
+        assert_eq!(broker.latest_offset("out", 0).unwrap(), 100);
+    }
+
+    #[test]
+    fn a_broker_batch_is_read_once() {
+        let broker = counted_input(100);
+        let counts = Arc::new(Mutex::new(Vec::new()));
+        let sink = counts.clone();
+        let ssc = StreamingContext::new(Context::local());
+        ssc.broker_stream(broker, "in", 30)
+            .unwrap()
+            .foreach_rdd(&ssc, move |rdd| {
+                sink.lock().push((rdd.count(), rdd.count()));
+            });
+        assert_eq!(ssc.run_to_completion().unwrap().batches, 4);
+        assert_eq!(*counts.lock(), vec![(30, 0), (30, 0), (30, 0), (10, 0)]);
+    }
+
+    #[test]
+    fn a_broker_batch_no_job_computes_is_passed_over() {
+        let broker = counted_input(100);
+        let counts = Arc::new(Mutex::new(Vec::new()));
+        let sink = counts.clone();
+        let mut tick = 0;
+        let ssc = StreamingContext::new(Context::local());
+        ssc.broker_stream(broker, "in", 30)
+            .unwrap()
+            .foreach_rdd(&ssc, move |rdd| {
+                tick += 1;
+                if tick % 2 == 0 {
+                    sink.lock().push(rdd.collect());
+                }
+            });
+        assert_eq!(ssc.run_to_completion().unwrap().batches, 4);
+        let second: Vec<Bytes> = (30..60).map(|i| Bytes::from(format!("{i}"))).collect();
+        let fourth: Vec<Bytes> = (90..100).map(|i| Bytes::from(format!("{i}"))).collect();
+        assert_eq!(*counts.lock(), vec![second, fourth]);
     }
 
     #[test]
