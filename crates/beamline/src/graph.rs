@@ -45,10 +45,15 @@ pub trait RawDoFn: Send {
 /// Creates fresh [`RawDoFn`] bundles.
 pub type DoFnFactory = Arc<dyn Fn() -> Box<dyn RawDoFn> + Send + Sync>;
 
-/// Type-erased bounded source.
+/// Type-erased bounded source, pulled as Beam's `Source.Reader` is:
+/// the runner asks for the next batch where its engine reads, on the
+/// engine's own thread, and nothing reads ahead of it.
 pub trait RawSource: Send {
-    /// Reads the entire bounded input, pushing raw elements.
-    fn read(&mut self, emit: RawEmit<'_>);
+    /// The next batch of at most `max` elements, in source order; `None`
+    /// once the source is exhausted. Waits only for the batch's first
+    /// element: what else is ready tops the batch up, and a source that
+    /// has nothing more yet returns a short batch rather than wait.
+    fn next_batch(&mut self, max: usize) -> Option<Vec<RawElement>>;
 }
 
 /// Creates fresh [`RawSource`] instances.
@@ -224,7 +229,9 @@ mod tests {
         StagePayload::Read(Arc::new(|| {
             struct Empty;
             impl RawSource for Empty {
-                fn read(&mut self, _emit: RawEmit<'_>) {}
+                fn next_batch(&mut self, _max: usize) -> Option<Vec<RawElement>> {
+                    None
+                }
             }
             Box::new(Empty)
         }))

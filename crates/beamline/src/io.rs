@@ -2,13 +2,14 @@
 
 use crate::coder::{take_array, Coder, CoderError};
 use crate::element::{Instant, Kv, WindowedValue};
-use crate::graph::{RawEmit, RawSource, StagePayload};
+use crate::graph::{RawElement, RawSource, StagePayload};
 use crate::pardo::{DoFn, ParDo, ProcessContext};
 use crate::pipeline::{PCollection, PTransform, Pipeline, RootTransform};
 use crate::transforms::MapElements;
 use bytes::{arena, Bytes};
 use logbus::{AsyncProducer, BusHandle, FollowTarget, Record, TopicReader};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A consumed broker record with its metadata, the analog of Beam's
@@ -160,33 +161,58 @@ pub struct BrokerRead {
 impl BrokerRead {
     /// Switches to follow mode: instead of stopping at the offsets
     /// current at read time, the source tails the topic until `records`
-    /// records have been emitted. The source thread blocks on producer
-    /// progress, so downstream bundles are backpressured to the offered
-    /// rate.
+    /// records have been emitted. A pull that holds nothing waits on
+    /// producer progress, on the thread the runner pulls from, so the
+    /// engine reads at the offered rate: nothing reads ahead of it but
+    /// the rest of one fetch (and, on `dstream`, the receiver's queue).
     pub fn follow_until(mut self, records: u64) -> Self {
         self.follow = Some(records);
         self
     }
 }
 
+/// A pulled read of one topic. The first pull opens the [`TopicReader`];
+/// a pull waits in one fetch only while it holds nothing, and tops up
+/// with fetches that do not wait. Every fetch asks for `FETCH_SIZE`
+/// records, and what a pull does not hand out waits for the next pull,
+/// so at most `FETCH_SIZE - 1` records are read and not handed out.
 struct BrokerRawSource {
-    bus: BusHandle,
+    /// What opens the reader, until the first pull does.
+    unopened: Option<(BusHandle, Option<u64>)>,
     topic: Arc<str>,
-    follow: Option<u64>,
+    /// `None` before the first pull, if the topic could not be opened,
+    /// and once the read is over.
+    reader: Option<TopicReader>,
+    /// Fetched, encoded and not yet handed out, in order.
+    fetched: VecDeque<RawElement>,
+    /// The encode buffer.
+    scratch: Vec<u8>,
 }
 
 impl BrokerRawSource {
-    /// Encodes one fetched record and hands it to `emit`.
-    fn emit_record(
+    fn open(&mut self) {
+        let Some((bus, follow)) = self.unopened.take() else {
+            return;
+        };
+        let topic = &*self.topic;
+        let reader = match follow {
+            // Each source instance counts towards the target alone.
+            Some(target) => TopicReader::following(bus, topic, 0, 1, FollowTarget::new(target)),
+            None => TopicReader::bounded(bus, topic, 0, 1),
+        };
+        self.reader = reader.ok();
+    }
+
+    /// Encodes one fetched record as a raw element.
+    fn encode(
         topic: &Arc<str>,
         scratch: &mut Vec<u8>,
-        emit: &mut RawEmit<'_>,
         partition: u32,
         stored: logbus::StoredRecord,
-    ) {
+    ) -> RawElement {
         // Key/value move out of the fetched record — refcounted views of
         // segment storage, never payload copies. The encoding goes
-        // through the source's scratch buffer into the reading thread's
+        // through the source's scratch buffer into the pulling thread's
         // arena.
         let record = KafkaRecord {
             topic: topic.clone(),
@@ -197,31 +223,39 @@ impl BrokerRawSource {
             value: stored.record.value,
         };
         KafkaRecordCoder.encode_into(&record, scratch);
-        emit(WindowedValue::timestamped(
-            arena::copy(scratch),
-            Instant(record.timestamp_micros),
-        ));
+        WindowedValue::timestamped(arena::copy(scratch), Instant(record.timestamp_micros))
     }
 }
 
 impl RawSource for BrokerRawSource {
-    fn read(&mut self, mut emit: RawEmit<'_>) {
-        let (bus, topic) = (self.bus.clone(), &self.topic);
-        let mut scratch = Vec::new();
-        let reader = match self.follow {
-            // Each source instance counts towards the target alone.
-            Some(target) => TopicReader::following(bus, topic, 0, 1, FollowTarget::new(target)),
-            None => TopicReader::bounded(bus, topic, 0, 1),
+    fn next_batch(&mut self, max: usize) -> Option<Vec<RawElement>> {
+        self.open();
+        let (topic, scratch, fetched) = (&self.topic, &mut self.scratch, &mut self.fetched);
+        let mut held = fetched.len();
+        let mut sink = |partition, stored| {
+            fetched.push_back(Self::encode(topic, scratch, partition, stored));
         };
-        let Ok(mut reader) = reader else {
-            return;
-        };
-        while reader
-            .next_batch(FETCH_SIZE, &mut |partition, stored| {
-                Self::emit_record(topic, &mut scratch, &mut emit, partition, stored);
-            })
-            .is_some()
-        {}
+        let mut over = false;
+        if let Some(reader) = &mut self.reader {
+            if held == 0 {
+                match reader.next_batch(FETCH_SIZE, &mut sink) {
+                    Some(delivered) => held = delivered,
+                    None => over = true,
+                }
+            }
+            while !over && held < max {
+                match reader.try_next_batch(FETCH_SIZE, &mut sink) {
+                    Some(0) => break,
+                    Some(delivered) => held += delivered,
+                    None => over = true,
+                }
+            }
+        }
+        if over {
+            self.reader = None;
+        }
+        let take = max.max(1).min(self.fetched.len());
+        (take > 0).then(|| self.fetched.drain(..take).collect())
     }
 }
 
@@ -232,9 +266,11 @@ impl RootTransform<KafkaRecord> for BrokerRead {
         let follow = self.follow;
         let factory: Arc<dyn Fn() -> Box<dyn RawSource> + Send + Sync> = Arc::new(move || {
             Box::new(BrokerRawSource {
-                bus: bus.clone(),
+                unopened: Some((bus.clone(), follow)),
                 topic: topic.clone(),
-                follow,
+                reader: None,
+                fetched: VecDeque::new(),
+                scratch: Vec::new(),
             }) as Box<dyn RawSource>
         });
         let read_node = pipeline.add_stage(
@@ -404,7 +440,7 @@ impl PTransform<Bytes, ()> for BrokerWrite {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logbus::{Broker, TopicConfig};
+    use logbus::{Broker, Record, TopicConfig};
 
     #[test]
     fn kafka_record_coder_roundtrip() {
@@ -447,6 +483,85 @@ mod tests {
             assert_eq!(g.nodes()[1].translated_name, "Flat Map");
         });
         let _ = records;
+    }
+
+    /// `count` records `r{from}`, `r{from + 1}`, … appended to `t`.
+    fn produce(broker: &Broker, from: usize, count: usize) {
+        let records = (from..from + count)
+            .map(|i| Record::from_value(format!("r{i}")))
+            .collect();
+        broker.produce_batch("t", 0, records).unwrap();
+    }
+
+    /// A source over `t`, as a runner creates it.
+    fn source(broker: &Broker, follow: Option<u64>) -> BrokerRawSource {
+        BrokerRawSource {
+            unopened: Some((broker.clone().into(), follow)),
+            topic: "t".into(),
+            reader: None,
+            fetched: VecDeque::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The offsets of a batch's records, checked against their values.
+    fn offsets(batch: &[RawElement]) -> Vec<u64> {
+        batch
+            .iter()
+            .map(|element| {
+                let record = KafkaRecordCoder.decode_all(&element.value).unwrap();
+                assert_eq!(record.value, format!("r{}", record.offset).as_bytes());
+                record.offset
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_pull_hands_out_what_is_there_without_waiting_for_the_rest() {
+        let broker = Broker::new();
+        broker.create_topic("t", TopicConfig::default()).unwrap();
+        produce(&broker, 0, 1_500);
+        let mut source = source(&broker, Some(3_000));
+        let first = source.next_batch(1_000).expect("a first part");
+        assert_eq!(offsets(&first), (0..1_000).collect::<Vec<_>>());
+        let rest = source
+            .next_batch(4_096)
+            .expect("the rest of the first half");
+        assert_eq!(offsets(&rest), (1_000..1_500).collect::<Vec<_>>());
+        produce(&broker, 1_500, 1_500);
+        let second = source.next_batch(4_096).expect("the second half");
+        assert_eq!(offsets(&second), (1_500..3_000).collect::<Vec<_>>());
+        assert!(source.next_batch(4_096).is_none(), "the target is read");
+    }
+
+    #[test]
+    fn a_pull_fetches_once_and_holds_less_than_a_fetch() {
+        const RECORDS: usize = 10_000;
+        let broker = Broker::new();
+        broker.create_topic("t", TopicConfig::default()).unwrap();
+        produce(&broker, 0, RECORDS);
+        let mut source = source(&broker, None);
+        let first = source.next_batch(1).expect("a record");
+        assert_eq!(offsets(&first), [0]);
+        assert_eq!(
+            source.fetched.len(),
+            FETCH_SIZE - 1,
+            "one fetch of FETCH_SIZE records, the rest held"
+        );
+        let mut all = first;
+        for max in [1, 7, FETCH_SIZE, 3_000, 5_000].into_iter().cycle() {
+            let Some(batch) = source.next_batch(max) else {
+                break;
+            };
+            assert!(
+                !batch.is_empty() && batch.len() <= max,
+                "{} of {max}",
+                batch.len()
+            );
+            assert!(source.fetched.len() < FETCH_SIZE, "read ahead of the pulls");
+            all.extend(batch);
+        }
+        assert_eq!(offsets(&all), (0..RECORDS as u64).collect::<Vec<_>>());
     }
 
     #[test]

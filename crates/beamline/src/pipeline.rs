@@ -148,11 +148,13 @@ pub trait PTransform<I, O> {
 mod tests {
     use super::*;
     use crate::coder::StrUtf8Coder;
-    use crate::graph::{RawEmit, RawSource, StagePayload};
+    use crate::graph::{RawElement, RawSource, StagePayload};
 
     struct EmptySource;
     impl RawSource for EmptySource {
-        fn read(&mut self, _emit: RawEmit<'_>) {}
+        fn next_batch(&mut self, _max: usize) -> Option<Vec<RawElement>> {
+            None
+        }
     }
 
     #[test]

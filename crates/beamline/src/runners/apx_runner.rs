@@ -24,9 +24,8 @@
 
 use crate::coder::{Coder, WindowedValueCoder};
 use crate::error::{Error, Result};
-use crate::graph::{DoFnFactory, RawDoFn, RawElement};
+use crate::graph::{DoFnFactory, RawDoFn, RawElement, RawSource};
 use crate::pipeline::Pipeline;
-use crate::runners::feed::SourceFeed;
 use crate::runners::{EngineChain, EngineReport, PipelineResult, PipelineRunner};
 use apx::{Dag, Emitter, InputOperator, Link, Operator, OperatorContext, Stram, StramConfig};
 use parking_lot::Mutex;
@@ -90,7 +89,7 @@ impl PipelineRunner for ApxRunner {
             .add_input(
                 "PTransformTranslation.UnknownRawPTransform",
                 RawSourceInput {
-                    feed: SourceFeed::new(chain.source),
+                    source: (chain.source)(),
                     window_size: self.window_size,
                 },
             )
@@ -152,19 +151,19 @@ impl apx::Codec<RawElement> for RawElementCodec {
     }
 }
 
-/// Input operator driving a pipeline source, one streaming window per
-/// `window_size` elements cut from a bounded [`SourceFeed`], so a
-/// follow-mode source backpressures the window loop instead of being
-/// materialized whole.
+/// Input operator driving a pipeline source: each `emit_window` pulls
+/// one window of at most `window_size` elements on the operator's own
+/// container thread, as Apex's `emitTuples` reads, so a follow-mode
+/// source paces the window loop and nothing reads ahead of it.
 struct RawSourceInput {
-    feed: SourceFeed,
+    source: Box<dyn RawSource>,
     window_size: usize,
 }
 
 impl InputOperator<RawElement> for RawSourceInput {
     fn emit_window(&mut self, _window_id: u64, out: &mut dyn Emitter<RawElement>) -> bool {
         // An exhausted source emits one last, empty window.
-        let Some(window) = self.feed.next_batch(self.window_size) else {
+        let Some(window) = self.source.next_batch(self.window_size) else {
             return false;
         };
         for element in window {

@@ -29,7 +29,10 @@ impl PipelineRunner for DirectRunner {
             let mut stages = vec![(
                 chain.read.id,
                 stage(chain.read, |out| {
-                    (chain.source)().read(&mut |e| out.push(e));
+                    let mut source = (chain.source)();
+                    while let Some(batch) = source.next_batch(usize::MAX) {
+                        out.extend(batch);
+                    }
                 }),
             )];
             for (node, factory) in &chain.pardos {

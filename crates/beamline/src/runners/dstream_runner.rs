@@ -1,7 +1,10 @@
 //! The `dstream` (Spark-Streaming-analog) runner.
 //!
 //! Translates the pipeline onto micro-batches: the bounded source is
-//! discretized into batches, **every batch is repartitioned to
+//! discretized into batches by the stream's receiver (a
+//! `dstream-receiver` thread that pulls the source at most 4
+//! micro-batches ahead of the driver, as Spark's receiver-based input
+//! does), **every batch is repartitioned to
 //! `spark.default.parallelism`** (the runner honours the engine's
 //! parallelism setting with a per-batch shuffle — the mechanical cause of
 //! the paper's observation that Beam-on-Spark gets *slower* with
@@ -9,14 +12,17 @@
 //! partition with one bundle per partition.
 
 use crate::error::{Error, Result};
-use crate::graph::{DoFnFactory, RawElement};
+use crate::graph::{DoFnFactory, RawElement, RawSource};
 use crate::pipeline::Pipeline;
-use crate::runners::feed::SourceFeed;
 use crate::runners::{EngineChain, EngineReport, PipelineResult, PipelineRunner};
 use dstream::{BatchSource, Context, ContextConfig, StreamingContext};
 use std::collections::HashMap;
 
-/// Runs pipelines on a [`dstream`] application.
+/// Runs pipelines on a [`dstream`] application. The read is a
+/// [`StreamingContext::receiver_stream`]: one `dstream-receiver` thread
+/// pulls the pipeline's source a micro-batch at a time, at most 4
+/// batches ahead of the driver, so reading and encoding the next batch
+/// overlap the current batch's job; each hand-off is one queue send.
 #[derive(Debug, Clone)]
 pub struct DStreamRunner {
     parallelism: usize,
@@ -60,7 +66,7 @@ impl PipelineRunner for DStreamRunner {
         let ssc = StreamingContext::new(ctx);
         let mut stream = ssc
             .receiver_stream(SourceBatcher {
-                feed: SourceFeed::new(chain.source),
+                source: (chain.source)(),
                 max_batch_records: self.max_batch_records,
             })
             // The runner distributes each micro-batch over the configured
@@ -127,16 +133,18 @@ fn run_bundle(name: &str, factory: &DoFnFactory, part: Vec<RawElement>, out: &mu
     }
 }
 
-/// Discretizes a pipeline source into micro-batches cut from a bounded
-/// [`SourceFeed`], so a follow-mode source backpressures the micro-batch
-/// driver instead of being materialized whole.
+/// Discretizes a pipeline source into micro-batches of at most
+/// `max_batch_records`, one pull each. The stream's receiver thread
+/// pulls them, so reading overlaps the driver's batch jobs, and its
+/// bounded queue backpressures a follow-mode source instead of
+/// materializing it whole.
 struct SourceBatcher {
-    feed: SourceFeed,
+    source: Box<dyn RawSource>,
     max_batch_records: usize,
 }
 
 impl BatchSource<RawElement> for SourceBatcher {
     fn next_batch(&mut self) -> Option<Vec<RawElement>> {
-        self.feed.next_batch(self.max_batch_records)
+        self.source.next_batch(self.max_batch_records)
     }
 }

@@ -9,24 +9,26 @@
 //! overhead engine-specific and unpredictable.
 //!
 //! Every runner translates the one shape [`PipelineGraph::chain`]
-//! checks: a read, then `ParDo`s. An engine runner's translation is its
-//! engine mapping plus its bundle policy; the leaf `ParDo` (the write)
-//! becomes the engine job's sink, so an engine runner rejects a pipeline
-//! without one.
+//! checks: a read, then `ParDo`s. The read is pulled
+//! ([`RawSource::next_batch`]) where the engine's own connectors read,
+//! on the engine's thread; no runner starts a thread of its own for it.
+//! An engine runner's translation is its engine mapping plus its bundle
+//! policy; the leaf `ParDo` (the write) becomes the engine job's sink,
+//! so an engine runner rejects a pipeline without one.
 //!
-//! | Runner | Engine | Bundles | Notes |
-//! |---|---|---|---|
-//! | [`DirectRunner`] | none (in-memory) | whole input | reference semantics, materializes every stage |
-//! | [`RillRunner`] | `rill` (Flink analog) | whole stream | one engine operator per stage |
-//! | [`DStreamRunner`] | `dstream` (Spark analog) | micro-batch partition | repartitions every batch to honour parallelism; builds each stage's `DoFn` per batch partition, as Beam's Spark runner runs `@Setup`/`@Teardown` per partition — so the write opens one producer per non-empty partition, as KafkaIO's writer does |
-//! | [`ApxRunner`] | `apx` (Apex analog) | **single element** | one container per stage, envelope serialization per hop |
+//! | Runner | Engine | Source read | Bundles | Notes |
+//! |---|---|---|---|---|
+//! | [`DirectRunner`] | none (in-memory) | until exhausted | whole input | reference semantics, materializes every stage |
+//! | [`RillRunner`] | `rill` (Flink analog) | the source subtask, 1 024 elements a pull | whole stream | one engine operator per stage |
+//! | [`DStreamRunner`] | `dstream` (Spark analog) | the receiver, ≤ 4 micro-batches ahead | micro-batch partition | repartitions every batch to honour parallelism; builds each stage's `DoFn` per batch partition, as Beam's Spark runner runs `@Setup`/`@Teardown` per partition — so the write opens one producer per non-empty partition, as KafkaIO's writer does |
+//! | [`ApxRunner`] | `apx` (Apex analog) | the input operator, one window per pull | **single element** | one container per stage, envelope serialization per hop |
 //!
 //! [`PipelineGraph::chain`]: crate::graph::PipelineGraph::chain
+//! [`RawSource::next_batch`]: crate::graph::RawSource::next_batch
 
 mod apx_runner;
 mod direct;
 mod dstream_runner;
-mod feed;
 mod rill_runner;
 
 pub use apx_runner::ApxRunner;

@@ -156,21 +156,18 @@ struct RawSourceInstance {
 impl SourceFunction<RawElement> for RawSourceInstance {
     fn run(&mut self, out: &mut dyn Collector<RawElement>) {
         if let Some(factory) = &self.factory {
-            // Chunk the read into batches so the whole translated chain is
-            // traversed per batch, not per element.
-            let mut batch: Vec<RawElement> = Vec::with_capacity(SOURCE_BATCH);
-            factory().read(&mut |e| {
-                batch.push(e);
-                if batch.len() >= SOURCE_BATCH {
-                    out.collect_batch(&mut batch);
-                }
-            });
-            out.collect_batch(&mut batch);
+            // The source subtask pulls batches, as Flink's source task
+            // does, so the whole translated chain is traversed per batch,
+            // not per element.
+            let mut source = factory();
+            while let Some(mut batch) = source.next_batch(SOURCE_BATCH) {
+                out.collect_batch(&mut batch);
+            }
         }
     }
 }
 
-/// Elements handed downstream per source batch.
+/// Elements pulled and handed downstream per source batch.
 const SOURCE_BATCH: usize = 1024;
 
 /// Serializes every element through the windowed-value envelope coder and

@@ -2,7 +2,7 @@
 
 use crate::coder::{BytesCoder, Coder, StrUtf8Coder, VarIntCoder};
 use crate::element::{Kv, WindowedValue};
-use crate::graph::{RawEmit, RawSource, StagePayload};
+use crate::graph::{RawElement, RawSource, StagePayload};
 use crate::pardo::{FnDoFn, ParDo, ProcessContext};
 use crate::pipeline::{PCollection, PTransform, Pipeline, RootTransform};
 use bytes::Bytes;
@@ -42,15 +42,26 @@ impl Create<Bytes> {
     }
 }
 
+/// Hands out the encoded items in slices, from `next` on.
 struct CreateSource {
     encoded: Arc<Vec<Bytes>>,
+    next: usize,
 }
 
 impl RawSource for CreateSource {
-    fn read(&mut self, emit: RawEmit<'_>) {
-        for item in self.encoded.iter() {
-            emit(WindowedValue::in_global_window(item.clone()));
+    fn next_batch(&mut self, max: usize) -> Option<Vec<RawElement>> {
+        let rest = &self.encoded[self.next..];
+        if rest.is_empty() {
+            return None;
         }
+        let slice = &rest[..max.clamp(1, rest.len())];
+        self.next += slice.len();
+        Some(
+            slice
+                .iter()
+                .map(|item| WindowedValue::in_global_window(item.clone()))
+                .collect(),
+        )
     }
 }
 
@@ -65,6 +76,7 @@ impl<T: Send + Sync + 'static> RootTransform<T> for Create<T> {
         let factory: Arc<dyn Fn() -> Box<dyn RawSource> + Send + Sync> = Arc::new(move || {
             Box::new(CreateSource {
                 encoded: encoded.clone(),
+                next: 0,
             }) as Box<dyn RawSource>
         });
         let node = pipeline.add_stage(

@@ -160,14 +160,26 @@ fn bundle_of_one_is_one_request_and_no_wakeup(bus: &BusHandle) {
             "{name}: one request per bundle of one"
         );
     }
-    // The meter does move: a `send` that finds the sender parked wakes it.
+    // The meter does move: a `send` that finds the sender parked wakes it,
+    // at most once per park. The sender thread parks only once it has
+    // run; until then every `flush` ships on this thread and wakes
+    // nobody, so send and flush until the meter moves (or 10 s pass).
     let wakeups = counter("logbus.async_producer.sender_wakeups");
-    for _ in 0..BUNDLES {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut iterations = 0;
+    while counter("logbus.async_producer.sender_wakeups") == wakeups
+        && std::time::Instant::now() < deadline
+    {
         producer.send(Record::from_value("a"));
         producer.flush();
+        iterations += 1;
+        std::thread::yield_now();
     }
     let woken = counter("logbus.async_producer.sender_wakeups") - wakeups;
-    assert!((1..=BUNDLES).contains(&woken), "{woken} wake-ups");
+    assert!(
+        (1..=iterations).contains(&woken),
+        "{woken} wake-ups in {iterations} sends"
+    );
 }
 
 fn gauge(name: &str) -> i64 {

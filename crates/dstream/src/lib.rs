@@ -23,6 +23,11 @@
 //!   runs the fused `map`/`filter` pass and, under
 //!   [`DStream::save_to_broker`], appends the result (`KafkaRDD.compute`
 //!   plus `foreachPartition`).
+//! * **Receivers** — [`StreamingContext::receiver_stream`] reads any
+//!   [`BatchSource`] as Spark's receiver-based input does: one
+//!   `dstream-receiver` thread pulls it into a queue of at most 4
+//!   micro-batches, and the driver takes one per tick, so reading
+//!   overlaps the batch jobs and a lagging driver blocks the read.
 //! * **Shuffles** — `repartition` materializes its parent once and
 //!   redistributes it, cutting lineage like Spark's shuffle boundary.
 //!

@@ -3,6 +3,7 @@
 use crate::context::Context;
 use crate::rdd::Rdd;
 use bytes::Bytes;
+use crossbeam::channel;
 use logbus::{BusHandle, FollowTarget, TopicReader};
 use parking_lot::Mutex;
 use std::sync::Arc;
@@ -14,6 +15,73 @@ use std::sync::Arc;
 pub trait BatchSource<T>: Send {
     /// Produces the next micro-batch, or `None` when drained.
     fn next_batch(&mut self) -> Option<Vec<T>>;
+}
+
+/// Micro-batches a [`Receiver`] holds ahead of the driver.
+pub(crate) const RECEIVER_QUEUE: usize = 4;
+
+/// Spark's receiver-based input: one `dstream-receiver` thread pulls a
+/// [`BatchSource`] into a queue of at most [`RECEIVER_QUEUE`]
+/// micro-batches, and the driver takes one per tick — one queue hand-off
+/// per batch. Reading the next batches overlaps the driver's batch
+/// jobs; a full queue blocks the thread, so the source is pulled at most
+/// `RECEIVER_QUEUE + 1` batches ahead of the driver, the one the thread
+/// holds included.
+///
+/// Dropping the receiver hangs up the queue, which ends a hand-off the
+/// thread is blocked in, and joins the thread. A thread that cannot be
+/// spawned (resource exhaustion) drops the source: the stream is empty,
+/// rather than a panic in the data plane.
+pub(crate) struct Receiver<T> {
+    batches: channel::Receiver<Vec<T>>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl<T: Send + 'static> Receiver<T> {
+    /// Starts the receiver thread on `source`.
+    pub(crate) fn start(mut source: impl BatchSource<T> + 'static) -> Self {
+        let (sender, batches) = channel::bounded(RECEIVER_QUEUE);
+        let thread = std::thread::Builder::new()
+            .name("dstream-receiver".into())
+            .spawn(move || {
+                while let Some(batch) = source.next_batch() {
+                    if sender.send(batch).is_err() {
+                        // The stream is gone: stop reading.
+                        return;
+                    }
+                }
+            })
+            .ok();
+        Receiver { batches, thread }
+    }
+}
+
+impl<T: Send> BatchSource<T> for Receiver<T> {
+    /// Waits for the next received batch; `None` once the source is
+    /// drained and every batch has been taken. A source that panicked
+    /// on the receiver thread panics here, on the driver, rather than
+    /// end the stream short.
+    fn next_batch(&mut self) -> Option<Vec<T>> {
+        if let Ok(batch) = self.batches.recv() {
+            return Some(batch);
+        }
+        if let Some(Err(panic)) = self.thread.take().map(std::thread::JoinHandle::join) {
+            std::panic::resume_unwind(panic);
+        }
+        None
+    }
+}
+
+impl<T> Drop for Receiver<T> {
+    fn drop(&mut self) {
+        // Hang up first, so a `send` blocked on the full queue fails,
+        // then reap the thread.
+        let (_, hung_up) = channel::bounded(1);
+        drop(std::mem::replace(&mut self.batches, hung_up));
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
+        }
+    }
 }
 
 /// In-memory batches, for tests and examples.

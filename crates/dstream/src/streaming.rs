@@ -2,7 +2,7 @@
 
 use crate::context::Context;
 use crate::rdd::{Rdd, RunPartition};
-use crate::source::{BatchSource, BrokerBatchSource};
+use crate::source::{BatchSource, BrokerBatchSource, Receiver};
 use crate::stream::DStream;
 use bytes::Bytes;
 use logbus::{BusHandle, Record};
@@ -100,12 +100,19 @@ impl StreamingContext {
         &self.ctx
     }
 
-    /// Creates a stream from any [`BatchSource`].
+    /// Creates a stream from any [`BatchSource`], read by a receiver as
+    /// Spark's receiver-based input is: one `dstream-receiver` thread,
+    /// started here, pulls `source` into a queue of at most 4
+    /// micro-batches, and the driver takes one batch per tick. Reading
+    /// overlaps the batch jobs; a driver that falls behind blocks the
+    /// thread, so the source is pulled at most 5 batches ahead (the one
+    /// the thread holds included). Dropping the last handle to the
+    /// stream stops and joins the thread.
     pub fn receiver_stream<T: Clone + Send + Sync + 'static>(
         &self,
         source: impl BatchSource<T> + 'static,
     ) -> DStream<T> {
-        DStream::from_source(self.ctx.clone(), source)
+        DStream::from_source(self.ctx.clone(), Receiver::start(source))
     }
 
     /// Creates a bounded stream over a `logbus` topic (Kafka direct
@@ -292,6 +299,7 @@ mod tests {
     use super::*;
     use crate::source::VecBatchSource;
     use logbus::{Broker, TopicConfig};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn run_to_completion_counts_batches() {
@@ -446,6 +454,97 @@ mod tests {
             ssc.broker_stream(Broker::new(), "missing", 1),
             Err(Error::Source(_))
         ));
+    }
+
+    /// Never drains: counts its pulls and names the threads they ran on.
+    struct Endless {
+        pulled: Arc<AtomicUsize>,
+        threads: Arc<Mutex<std::collections::BTreeSet<Option<String>>>>,
+    }
+
+    impl BatchSource<usize> for Endless {
+        fn next_batch(&mut self) -> Option<Vec<usize>> {
+            let pull = self.pulled.fetch_add(1, Ordering::SeqCst);
+            self.threads
+                .lock()
+                .insert(std::thread::current().name().map(str::to_owned));
+            Some(vec![pull])
+        }
+    }
+
+    fn endless() -> (Endless, Arc<AtomicUsize>) {
+        let pulled = Arc::new(AtomicUsize::new(0));
+        let source = Endless {
+            pulled: pulled.clone(),
+            threads: Arc::default(),
+        };
+        (source, pulled)
+    }
+
+    /// Waits until the receiver has pulled `count` batches: progress, not
+    /// time, ends the wait (the deadline only turns a hang into a failure).
+    fn pulls_reach(pulled: &AtomicUsize, count: usize) -> usize {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let seen = pulled.load(Ordering::SeqCst);
+            if seen >= count {
+                return seen;
+            }
+            assert!(Instant::now() < deadline, "the receiver stopped at {seen}");
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn a_receiver_reads_at_most_its_queue_and_one_batch_ahead_of_a_stalled_driver() {
+        use crate::source::RECEIVER_QUEUE;
+        let (source, pulled) = endless();
+        let threads = source.threads.clone();
+        let ssc = StreamingContext::new(Context::local());
+        let stream = ssc.receiver_stream(source);
+        // The driver takes nothing: the queue fills and the thread blocks
+        // holding one more batch.
+        let seen = pulls_reach(&pulled, RECEIVER_QUEUE + 1);
+        assert!(seen <= RECEIVER_QUEUE + 1, "{seen} batches pulled");
+        // Each batch the driver takes frees one slot, and batches arrive
+        // in order.
+        for taken in 0..3 {
+            assert_eq!(stream.next_batch().unwrap().collect(), vec![taken]);
+            let seen = pulls_reach(&pulled, RECEIVER_QUEUE + 2 + taken);
+            assert!(seen <= RECEIVER_QUEUE + 2 + taken, "{seen} batches pulled");
+        }
+        assert_eq!(
+            *threads.lock(),
+            [Some("dstream-receiver".to_string())].into(),
+            "the source is pulled on the receiver thread only"
+        );
+    }
+
+    #[test]
+    fn dropping_a_stream_stops_its_blocked_receiver() {
+        let (source, pulled) = endless();
+        let ssc = StreamingContext::new(Context::local());
+        let stream = ssc.receiver_stream(source);
+        pulls_reach(&pulled, crate::source::RECEIVER_QUEUE + 1);
+        drop(stream);
+        assert_eq!(
+            Arc::strong_count(&pulled),
+            1,
+            "the drop joined the receiver thread, which dropped the source"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "the source broke")]
+    fn a_source_panic_on_the_receiver_surfaces_on_the_driver() {
+        struct Broken;
+        impl BatchSource<u8> for Broken {
+            fn next_batch(&mut self) -> Option<Vec<u8>> {
+                panic!("the source broke");
+            }
+        }
+        let ssc = StreamingContext::new(Context::local());
+        let _ = ssc.receiver_stream(Broken).next_batch();
     }
 
     #[test]
