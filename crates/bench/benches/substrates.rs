@@ -363,23 +363,32 @@ fn producer_per_record(c: &mut Criterion) {
     let record = logbus::Record::from_value("payload-0123456789abcdef");
     for rtt_micros in [25, 0] {
         let broker = logbus::Broker::new();
-        broker
-            .create_topic("t", logbus::TopicConfig::default().retention_records(4_096))
-            .unwrap();
+        let config = logbus::TopicConfig::default();
+        broker.create_topic("t", config.clone()).unwrap();
         broker.set_request_latency_micros(rtt_micros);
-        let writer = broker.partition_writer("t", 0).unwrap();
+        let renew = || {
+            broker.delete_topic("t").unwrap();
+            broker.create_topic("t", config.clone()).unwrap();
+        };
+        let mut writer = broker.partition_writer("t", 0).unwrap();
         group.bench_function(format!("produce_sync1/rtt{rtt_micros}"), |b| {
             b.iter(|| {
+                if renew_when_full(&broker, &renew) {
+                    writer = broker.partition_writer("t", 0).unwrap();
+                }
                 for _ in 0..RECORDS {
                     writer.produce(record.clone()).unwrap();
                 }
             });
         });
-        let producer = logbus::AsyncProducer::new(broker.clone(), "t", 0);
+        let mut producer = logbus::AsyncProducer::new(broker.clone(), "t", 0);
         group.bench_function(
             format!("async_send_flush_per_record/rtt{rtt_micros}"),
             |b| {
                 b.iter(|| {
+                    if renew_when_full(&broker, &renew) {
+                        producer = logbus::AsyncProducer::new(broker.clone(), "t", 0);
+                    }
                     for _ in 0..RECORDS {
                         producer.send(record.clone());
                         producer.flush();
@@ -390,6 +399,9 @@ fn producer_per_record(c: &mut Criterion) {
         let mut bundle = Vec::new();
         group.bench_function(format!("commit_per_record/rtt{rtt_micros}"), |b| {
             b.iter(|| {
+                if renew_when_full(&broker, &renew) {
+                    producer = logbus::AsyncProducer::new(broker.clone(), "t", 0);
+                }
                 for _ in 0..RECORDS {
                     bundle.push(record.clone());
                     producer.commit(&mut bundle);
@@ -401,22 +413,41 @@ fn producer_per_record(c: &mut Criterion) {
     // `repl_identity` writes): the leader's round trip plus one
     // replication round, whose followers fetch concurrently.
     let cluster = logbus::Cluster::new(logbus::ClusterConfig { brokers: 3 });
-    let config = logbus::TopicConfig::default()
-        .replication_factor(3)
-        .retention_records(4_096);
-    cluster.create_topic("t", config).unwrap();
+    let config = logbus::TopicConfig::default().replication_factor(3);
+    cluster.create_topic("t", config.clone()).unwrap();
     for broker in 0..3 {
         cluster.broker(broker).set_request_latency_micros(25);
     }
-    let writer = cluster.partition_writer("t", 0).unwrap();
+    let renew = || {
+        for broker in 0..3 {
+            cluster.broker(broker).delete_topic("t").unwrap();
+        }
+        cluster.create_topic("t", config.clone()).unwrap();
+    };
+    let mut writer = cluster.partition_writer("t", 0).unwrap();
     group.bench_function("cluster_produce_sync1/rtt25", |b| {
         b.iter(|| {
+            if renew_when_full(&cluster, &renew) {
+                writer = cluster.partition_writer("t", 0).unwrap();
+            }
             for _ in 0..RECORDS {
                 writer.produce(record.clone()).unwrap();
             }
         });
     });
     group.finish();
+}
+
+/// Runs `renew` — delete topic `t` and create it anew — once `t` holds
+/// 1 M records, and says whether it did, so the caller resolves its
+/// handles again. A log keeps every record: this is what bounds the
+/// memory of a long per-record measurement.
+fn renew_when_full(bus: &dyn logbus::Bus, renew: &dyn Fn()) -> bool {
+    let full = bus.latest_offset("t", 0).unwrap() >= 1_000_000;
+    if full {
+        renew();
+    }
+    full
 }
 
 /// The driver's own cost, which every trial pays before it measures

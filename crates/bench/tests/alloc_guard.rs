@@ -8,9 +8,9 @@
 //! ```
 //!
 //! The guard drives the batched produce→fetch hot path with everything
-//! warm — pooled batch vectors, recycled segment arenas, retention
-//! turning segments over — and asserts the measured phase performs
-//! near-zero heap allocations per record. This is the enforcement half
+//! warm — pooled batch vectors, and the arena chunks and index blocks a
+//! deleted topic of the measured size left behind — and asserts the
+//! measured phase performs near-zero heap allocations per record. This is the enforcement half
 //! of the zero-copy record path: `Bytes` clones are refcount bumps,
 //! segment arenas draw recycled chunks from the `bytes` shim free-list,
 //! and batch vectors cycle through the `logbus` pool tier.
@@ -117,7 +117,6 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 const BATCH: usize = 64;
-const WARMUP_ROUNDS: usize = 512;
 const MEASURED_ROUNDS: usize = 512;
 
 /// One round of the steady-state loop: refill the pooled batch with
@@ -147,28 +146,28 @@ fn round(
 fn steady_state_record_path_is_allocation_free() {
     let _alone = ONE_AT_A_TIME.lock();
     let broker = logbus::Broker::new();
-    // Small segments plus record-count retention keep segments turning
-    // over — each roll reuses the index of the segment retention dropped
-    // last — which is exactly the steady state being guarded.
-    broker
-        .create_topic(
-            "t",
-            logbus::TopicConfig::new()
-                .segment_bytes(16 << 10)
-                .retention_records(4_096),
-        )
-        .expect("create topic");
-    let writer = broker.partition_writer("t", 0).expect("writer");
-    let reader = broker.partition_reader("t", 0).expect("reader");
     let record = logbus::Record::from_value("payload-0123456789abcdef");
     let mut batch = logbus::pool::record_vec();
     let mut fetched: Vec<logbus::StoredRecord> = Vec::with_capacity(BATCH);
+    let handles = |topic: &str| {
+        broker
+            .create_topic(topic, logbus::TopicConfig::new())
+            .expect("create topic");
+        let writer = broker.partition_writer(topic, 0).expect("writer");
+        let reader = broker.partition_reader(topic, 0).expect("reader");
+        (writer, reader)
+    };
 
-    // Warm-up: grow pool capacities, roll enough segments for retention
-    // to start recycling, populate the chunk free-list.
-    for _ in 0..WARMUP_ROUNDS {
+    // Warm-up: a topic of the measured size, filled and deleted, grows
+    // the pools' capacities and leaves its arena chunks and index
+    // blocks for the measured topic to draw.
+    let (writer, reader) = handles("warm");
+    for _ in 0..MEASURED_ROUNDS {
         round(&writer, &reader, &record, &mut batch, &mut fetched);
     }
+    drop((writer, reader));
+    broker.delete_topic("warm").expect("delete");
+    let (writer, reader) = handles("t");
 
     let before = alloc_events();
     // Self-check: the counter must have seen the warm-up's allocations,
@@ -181,9 +180,9 @@ fn steady_state_record_path_is_allocation_free() {
 
     let records = (MEASURED_ROUNDS * BATCH) as f64;
     let per_record = events as f64 / records;
-    // Near-zero: whole-run slack for pool-cap spill and segment-index
-    // growth, but orders of magnitude below one allocation per record
-    // (the pre-zero-copy path paid several per record).
+    // Near-zero: whole-run slack for pool-cap spill, but orders of
+    // magnitude below one allocation per record (the pre-zero-copy path
+    // paid several per record).
     assert!(
         per_record < 0.01,
         "steady state should be allocation-free: {events} allocation \
@@ -200,36 +199,39 @@ const ROUTED_ROUNDS: usize = 8_192;
 fn routed_handle_requests_are_allocation_free() {
     let _alone = ONE_AT_A_TIME.lock();
     let cluster = logbus::Cluster::new(logbus::ClusterConfig { brokers: 3 });
-    cluster
-        .create_topic(
-            "t",
-            logbus::TopicConfig::new()
-                .replication_factor(3)
-                .segment_bytes(16 << 10)
-                .retention_records(4_096),
-        )
-        .expect("create topic");
-    let writer = cluster.partition_writer("t", 0).expect("writer");
-    let reader = cluster.partition_reader("t", 0).expect("reader");
     let record = logbus::Record::from_value("payload-0123456789abcdef");
     let mut fetched: Vec<logbus::StoredRecord> = Vec::with_capacity(1);
-    let mut request = || {
-        let offset = writer.produce(record.clone()).expect("fault-free append");
-        fetched.clear();
-        let appended = reader
-            .fetch_into(offset, 1, &mut fetched)
-            .expect("fetch the just-committed record");
-        assert_eq!(appended, 1);
+    let handles = |topic: &str| {
+        cluster
+            .create_topic(topic, logbus::TopicConfig::new().replication_factor(3))
+            .expect("create topic");
+        let writer = cluster.partition_writer(topic, 0).expect("writer");
+        let reader = cluster.partition_reader(topic, 0).expect("reader");
+        (writer, reader)
+    };
+    let mut requests = |writer: &logbus::PartitionWriter, reader: &logbus::PartitionReader| {
+        for _ in 0..ROUTED_ROUNDS {
+            let offset = writer.produce(record.clone()).expect("fault-free append");
+            fetched.clear();
+            let appended = reader
+                .fetch_into(offset, 1, &mut fetched)
+                .expect("fetch the just-committed record");
+            assert_eq!(appended, 1);
+        }
     };
 
-    for _ in 0..ROUTED_ROUNDS {
-        request();
+    // Warm-up: a topic of the measured size on every replica, filled and
+    // deleted broker by broker.
+    let (writer, reader) = handles("warm");
+    requests(&writer, &reader);
+    drop((writer, reader));
+    for b in 0..3 {
+        cluster.broker(b).delete_topic("warm").expect("delete");
     }
+    let (writer, reader) = handles("t");
     let before = alloc_events();
     assert!(before > 0, "counting allocator is not wired in");
-    for _ in 0..ROUTED_ROUNDS {
-        request();
-    }
+    requests(&writer, &reader);
     let events = alloc_events() - before;
 
     // Held to the single-broker bound. A handle that re-resolves its
@@ -379,23 +381,29 @@ fn async_send_round(producer: &logbus::AsyncProducer, record: &logbus::Record) {
     producer.flush();
 }
 
+/// Warms the pools for an asynchronous producer's guard: a producer on
+/// topic `warm` runs `round` — the measured size — and the topic is
+/// deleted, leaving its arena chunks and index blocks behind.
+fn warm_with_deleted_topic(broker: &logbus::Broker, round: impl FnOnce(&logbus::AsyncProducer)) {
+    broker
+        .create_topic("warm", logbus::TopicConfig::new())
+        .expect("create topic");
+    round(&logbus::AsyncProducer::new(broker.clone(), "warm", 0));
+    broker.delete_topic("warm").expect("delete");
+    broker
+        .create_topic("t", logbus::TopicConfig::new())
+        .expect("create topic");
+}
+
 #[test]
 fn async_producer_per_record_send_is_allocation_free() {
     let _alone = ONE_AT_A_TIME.lock();
     let broker = logbus::Broker::new();
-    broker
-        .create_topic(
-            "t",
-            logbus::TopicConfig::new()
-                .segment_bytes(16 << 10)
-                .retention_records(4_096),
-        )
-        .expect("create topic");
-    let producer = logbus::AsyncProducer::new(broker.clone(), "t", 0);
     let record = logbus::Record::from_value("payload-0123456789abcdef");
     // Warm-up: the accumulator's chunks reach `max_batch` capacity and
-    // settle into the pool on both the calling and the sender thread.
-    async_send_round(&producer, &record);
+    // settle into the pool, and a deleted topic's storage waits for `t`.
+    warm_with_deleted_topic(&broker, |producer| async_send_round(producer, &record));
+    let producer = logbus::AsyncProducer::new(broker.clone(), "t", 0);
 
     // Either thread may ship a chunk and recycle it, so count them all.
     let before = ALL_THREADS_EVENTS.load(Ordering::Relaxed);
@@ -404,7 +412,7 @@ fn async_producer_per_record_send_is_allocation_free() {
 
     assert_eq!(
         broker.latest_offset("t", 0).expect("topic"),
-        2 * ASYNC_RECORDS as u64
+        ASYNC_RECORDS as u64
     );
     let per_record = events as f64 / ASYNC_RECORDS as f64;
     assert!(
@@ -418,35 +426,34 @@ fn async_producer_per_record_send_is_allocation_free() {
 fn bundle_commit_per_record_is_allocation_free() {
     let _alone = ONE_AT_A_TIME.lock();
     let broker = logbus::Broker::new();
-    broker
-        .create_topic(
-            "t",
-            logbus::TopicConfig::new()
-                .segment_bytes(16 << 10)
-                .retention_records(4_096),
-        )
-        .expect("create topic");
-    let producer = logbus::AsyncProducer::new(broker.clone(), "t", 0);
     let record = logbus::Record::from_value("payload-0123456789abcdef");
     // A bundle of one, as the `apx` runner drives the Beam write: push
     // into the reused bundle buffer, `commit`.
     let mut bundle = Vec::new();
-    let mut round = || {
-        for _ in 0..ASYNC_RECORDS {
+    let mut commit = |producer: &logbus::AsyncProducer, records: usize| {
+        for _ in 0..records {
             bundle.push(record.clone());
             producer.commit(&mut bundle);
         }
     };
-    // Warm-up: the one chunk a commit needs settles into the pool.
-    round();
+    // Warm-up: a deleted topic of the size `t` will reach leaves its
+    // storage behind, and the producer on `t` primes itself: it resolves
+    // its writer, and the one chunk a commit needs settles into the pool
+    // tiers of both its threads.
+    const PRIMING: usize = 4_096;
+    warm_with_deleted_topic(&broker, |producer| {
+        commit(producer, PRIMING + ASYNC_RECORDS)
+    });
+    let producer = logbus::AsyncProducer::new(broker.clone(), "t", 0);
+    commit(&producer, PRIMING);
 
     let before = ALL_THREADS_EVENTS.load(Ordering::Relaxed);
-    round();
+    commit(&producer, ASYNC_RECORDS);
     let events = ALL_THREADS_EVENTS.load(Ordering::Relaxed) - before;
 
     assert_eq!(
         broker.latest_offset("t", 0).expect("topic"),
-        2 * ASYNC_RECORDS as u64
+        (PRIMING + ASYNC_RECORDS) as u64
     );
     assert_eq!(events, 0, "warmed per-record commit allocates");
 }

@@ -86,7 +86,7 @@ impl Broker {
     }
 
     /// Brings a killed broker back up. Idempotent; the restarted broker
-    /// serves its retained logs as they were at the crash. A rejoining
+    /// serves its logs as they were at the crash. A rejoining
     /// cluster replica is additionally truncated to its leader's log by
     /// [`Cluster::restart_broker`](crate::Cluster::restart_broker).
     pub fn restart(&self) {

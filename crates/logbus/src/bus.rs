@@ -83,13 +83,6 @@ pub trait Bus: sealed::Sealed + Send + Sync + std::fmt::Debug {
     /// Fails for unknown topics/partitions.
     fn latest_offset(&self, topic: &str, partition: u32) -> Result<u64>;
 
-    /// Earliest retained offset.
-    ///
-    /// # Errors
-    ///
-    /// Fails for unknown topics/partitions.
-    fn earliest_offset(&self, topic: &str, partition: u32) -> Result<u64>;
-
     /// Number of partitions of a topic.
     ///
     /// # Errors
@@ -97,7 +90,7 @@ pub trait Bus: sealed::Sealed + Send + Sync + std::fmt::Debug {
     /// Fails for unknown topics.
     fn partition_count(&self, topic: &str) -> Result<u32>;
 
-    /// Stored timestamp of the first retained record.
+    /// Stored timestamp of the first record.
     ///
     /// # Errors
     ///
@@ -225,10 +218,6 @@ impl Bus for Broker {
         Broker::latest_offset(self, topic, partition)
     }
 
-    fn earliest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        self.topic(topic)?.earliest_offset(partition)
-    }
-
     fn partition_count(&self, topic: &str) -> Result<u32> {
         Ok(self.topic(topic)?.partition_count())
     }
@@ -290,10 +279,6 @@ impl Bus for Cluster {
         Cluster::latest_offset(self, topic, partition)
     }
 
-    fn earliest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        Cluster::earliest_offset(self, topic, partition)
-    }
-
     fn partition_count(&self, topic: &str) -> Result<u32> {
         let leader = self.leader_of(topic, 0)?;
         Ok(self.broker(leader).topic(topic)?.partition_count())
@@ -332,7 +317,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(bus.latest_offset("t", 0).unwrap(), 2);
-        assert_eq!(bus.earliest_offset("t", 0).unwrap(), 0);
         assert_eq!(bus.fetch("t", 0, 0, 10).unwrap().len(), 2);
         let mut buffer = Vec::new();
         assert_eq!(bus.fetch_into("t", 0, 0, 10, &mut buffer).unwrap(), 2);

@@ -435,11 +435,10 @@ impl Cluster {
             let follower_topic = route.log(pos)?;
             match follower_topic.append_range(partition, leader_topic, st.synced[pos], leader_end) {
                 Ok(_) => {}
-                // The follower's log and the range do not line up, or the
-                // leader retired the range: a replica fault like the ones
-                // above — the follower lags and holds the high-watermark
-                // back; nothing was appended.
-                Err(Error::ReplicaMisaligned { .. } | Error::OffsetOutOfRange { .. }) => continue,
+                // The follower's log and the range do not line up: a
+                // replica fault like the ones above — the follower lags
+                // and holds the high-watermark back; nothing was appended.
+                Err(Error::ReplicaMisaligned { .. }) => continue,
                 Err(other) => return Err(other),
             }
             if acked {
@@ -581,15 +580,6 @@ impl Cluster {
         Ok(hw)
     }
 
-    /// Earliest retained offset on the partition leader.
-    pub(crate) fn committed_earliest_offset(&self, route: &PartitionRoute) -> Result<u64> {
-        self.ensure_leader(route)?;
-        let (pos, broker) = self.leader(route);
-        broker.ensure_alive()?;
-        broker.fault_gate(FaultOp::Metadata, &route.topic, route.partition)?;
-        route.log(pos)?.earliest_offset(route.partition)
-    }
-
     // ---- named paths ---------------------------------------------------
     //
     // Each resolves the route by name, then runs what a routed handle
@@ -636,15 +626,6 @@ impl Cluster {
     /// Propagates topic/partition lookup failures.
     pub fn latest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
         self.committed_latest_offset(&*self.route(topic, partition)?)
-    }
-
-    /// Earliest retained offset on the partition leader.
-    ///
-    /// # Errors
-    ///
-    /// Propagates topic/partition lookup failures.
-    pub(crate) fn earliest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        self.committed_earliest_offset(&*self.route(topic, partition)?)
     }
 
     /// Fetches committed records from the partition leader.

@@ -39,11 +39,6 @@ pub struct TopicConfig {
     pub partitions: u32,
     /// Number of replicas per partition (including the leader).
     pub replication_factor: u32,
-    /// Soft segment size; the active segment rolls once it grows past this.
-    pub segment_bytes: usize,
-    /// Maximum number of retained records per partition (`None` = retain
-    /// everything, which is what benchmark runs use).
-    pub retention_records: Option<u64>,
 }
 
 impl Default for TopicConfig {
@@ -51,8 +46,6 @@ impl Default for TopicConfig {
         TopicConfig {
             partitions: 1,
             replication_factor: 1,
-            segment_bytes: 1 << 20,
-            retention_records: None,
         }
     }
 }
@@ -82,18 +75,6 @@ impl TopicConfig {
         self
     }
 
-    /// Sets the soft segment size in bytes.
-    pub fn segment_bytes(mut self, bytes: usize) -> Self {
-        self.segment_bytes = bytes;
-        self
-    }
-
-    /// Limits each partition to the newest `records` records.
-    pub fn retention_records(mut self, records: u64) -> Self {
-        self.retention_records = Some(records);
-        self
-    }
-
     /// Validates the configuration, as done by the broker on topic
     /// creation.
     pub fn validate(&self) -> Result<(), String> {
@@ -102,9 +83,6 @@ impl TopicConfig {
         }
         if self.replication_factor == 0 {
             return Err("replication factor must be > 0".to_string());
-        }
-        if self.segment_bytes == 0 {
-            return Err("segment size must be > 0".to_string());
         }
         Ok(())
     }
@@ -119,20 +97,13 @@ mod tests {
         let c = TopicConfig::default();
         assert_eq!(c.partitions, 1);
         assert_eq!(c.replication_factor, 1);
-        assert!(c.retention_records.is_none());
     }
 
     #[test]
     fn builder_chains() {
-        let c = TopicConfig::new()
-            .partitions(4)
-            .replication_factor(2)
-            .segment_bytes(512)
-            .retention_records(10);
+        let c = TopicConfig::new().partitions(4).replication_factor(2);
         assert_eq!(c.partitions, 4);
         assert_eq!(c.replication_factor, 2);
-        assert_eq!(c.segment_bytes, 512);
-        assert_eq!(c.retention_records, Some(10));
     }
 
     #[test]
@@ -149,7 +120,7 @@ mod tests {
         };
         assert!(c.validate().is_err());
         let c = TopicConfig {
-            segment_bytes: 0,
+            partitions: 0,
             ..TopicConfig::default()
         };
         assert!(c.validate().is_err());

@@ -22,12 +22,10 @@ pub enum Error {
     TopicExists(String),
     /// A topic or sender configuration failed validation.
     InvalidConfig(String),
-    /// A read was attempted at an offset outside the retained range.
+    /// A read or replica copy asked for an offset past the log's end.
     OffsetOutOfRange {
         /// Offset the caller asked for.
         requested: u64,
-        /// Earliest retained offset.
-        earliest: u64,
         /// Next offset to be written.
         latest: u64,
     },
@@ -117,14 +115,9 @@ impl fmt::Display for Error {
             }
             Error::TopicExists(t) => write!(f, "topic `{t}` already exists"),
             Error::InvalidConfig(msg) => write!(f, "invalid config: {msg}"),
-            Error::OffsetOutOfRange {
-                requested,
-                earliest,
-                latest,
-            } => write!(
-                f,
-                "offset {requested} out of range (earliest {earliest}, latest {latest})"
-            ),
+            Error::OffsetOutOfRange { requested, latest } => {
+                write!(f, "offset {requested} out of range (latest {latest})")
+            }
             Error::NotEnoughBrokers {
                 requested,
                 available,
@@ -170,15 +163,9 @@ impl std::error::Error for Error {}
 impl From<OffsetError> for Error {
     fn from(err: OffsetError) -> Self {
         match err {
-            OffsetError::OffsetOutOfRange {
-                requested,
-                earliest,
-                latest,
-            } => Error::OffsetOutOfRange {
-                requested,
-                earliest,
-                latest,
-            },
+            OffsetError::OffsetOutOfRange { requested, latest } => {
+                Error::OffsetOutOfRange { requested, latest }
+            }
         }
     }
 }
@@ -199,7 +186,6 @@ mod tests {
             Error::InvalidConfig("bad".into()),
             Error::OffsetOutOfRange {
                 requested: 9,
-                earliest: 0,
                 latest: 5,
             },
             Error::NotEnoughBrokers {
@@ -242,16 +228,14 @@ mod tests {
     #[test]
     fn offset_error_converts() {
         let e: Error = OffsetError::OffsetOutOfRange {
-            requested: 1,
-            earliest: 2,
+            requested: 4,
             latest: 3,
         }
         .into();
         assert_eq!(
             e,
             Error::OffsetOutOfRange {
-                requested: 1,
-                earliest: 2,
+                requested: 4,
                 latest: 3
             }
         );

@@ -375,7 +375,7 @@ impl PartitionReader {
     /// # Errors
     ///
     /// Returns [`Error::OffsetOutOfRange`](crate::Error::OffsetOutOfRange)
-    /// outside the retained range.
+    /// past the log's end.
     pub fn fetch(&self, offset: u64, max: usize) -> Result<Vec<StoredRecord>> {
         let mut out = Vec::new();
         self.fetch_into(offset, max, &mut out)?;
@@ -430,21 +430,6 @@ impl PartitionReader {
             Route::Routed { cluster, route } => cluster.committed_latest_offset(route),
         })
     }
-
-    /// Earliest retained offset in the partition.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PartitionReader::latest_offset`].
-    pub fn earliest_offset(&self) -> Result<u64> {
-        with_retry(&self.retry, || match &self.route {
-            Route::Direct { broker, topic } => {
-                self.metadata_request(broker, topic)?;
-                topic.earliest_offset(self.partition)
-            }
-            Route::Routed { cluster, route } => cluster.committed_earliest_offset(route),
-        })
-    }
 }
 
 #[cfg(test)]
@@ -485,7 +470,6 @@ mod tests {
             broker.fetch("t", 0, 3, 4).unwrap()
         );
         assert_eq!(reader.latest_offset().unwrap(), 10);
-        assert_eq!(reader.earliest_offset().unwrap(), 0);
     }
 
     #[test]

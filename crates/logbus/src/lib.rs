@@ -12,8 +12,9 @@
 //! * **Topics** are split into **partitions**; ordering is guaranteed only
 //!   *within* a partition (the benchmark therefore uses single-partition
 //!   topics).
-//! * Each partition is a segmented, append-only log addressed by
-//!   monotonically increasing **offsets**.
+//! * Each partition is an append-only log addressed by monotonically
+//!   increasing **offsets** from 0; it keeps every record until it is
+//!   truncated or its topic deleted.
 //! * A record is a key and a value. Every record is stamped with the
 //!   broker's `LogAppendTime`: one stamp per produce request, never
 //!   decreasing along a partition.

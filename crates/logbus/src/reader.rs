@@ -162,12 +162,12 @@ impl TopicReader {
         let mut cursors = Vec::new();
         for partition in (0..count).filter(|&p| p as usize % parallelism.max(1) == subtask) {
             let reader = with_retry(&retry, || bus.partition_reader(topic, partition))?;
-            let position = reader.earliest_offset()?;
+            // Every log starts at offset 0: nothing is dropped from its front.
             let end = reader.latest_offset()?;
             cursors.push(Cursor {
                 partition,
                 reader,
-                position,
+                position: 0,
                 end,
             });
         }

@@ -1,4 +1,5 @@
-//! Log segments: contiguous runs of records within a partition log.
+//! The segment: a partition log's records, packed into arena chunks and
+//! found again through a block index.
 
 use crate::record::{Record, StoredRecord, Timestamp};
 use bytes::{Bytes, BytesMut};
@@ -22,7 +23,7 @@ const SPILLED: u32 = u32::MAX;
 const NO_KEY: u32 = u32::MAX;
 
 /// What a segment keeps per record: where its bytes sit in the arena.
-/// The offset is implicit (`base_offset` + position) and the
+/// The offset is implicit (the record's position) and the
 /// [`StoredRecord`] a reader sees is built from this on fetch, so an
 /// append touches 24 bytes of index beside the payload it copies. The
 /// `u32` fields cannot overflow: chunk offsets are bounded by
@@ -71,8 +72,7 @@ const INDEX_POOL_BLOCKS: usize = (32 << 20) / (INDEX_BLOCK * std::mem::size_of::
 
 /// Retired index blocks, most recently retired on top. Every block has
 /// capacity [`INDEX_BLOCK`], so any of them serves any segment: a
-/// dropped topic's index is the next topic's, and a log under retention
-/// rolls into the blocks it just let go.
+/// dropped topic's index is the next topic's.
 static INDEX_POOL: Mutex<Vec<Vec<Entry>>> = Mutex::new(Vec::new());
 
 /// A segment's index: one [`Entry`] per record in fixed-size blocks that
@@ -187,20 +187,28 @@ impl Drop for Index {
     }
 }
 
-/// A contiguous, append-only run of records starting at `base_offset`.
+/// Emptied segments of dropped logs. A segment's chunk, spill and
+/// index-block tables grow with its log — past a kilobyte each for a
+/// 100 k-record topic — and a shell keeps what they grew to, so the next
+/// log (a topic created after one was deleted) fills them without
+/// meeting the allocator.
+static SHELLS: Mutex<Vec<Segment>> = Mutex::new(Vec::new());
+
+/// Shells the pool keeps: one per partition replica of the topics
+/// deleted last.
+const SHELLS_MAX: usize = 64;
+
+/// A partition log's records, in offset order from offset 0: the log is
+/// one segment that keeps every record, so the record at offset `o` is
+/// index entry `o` — found by block arithmetic, `o / INDEX_BLOCK`.
 ///
-/// Partition logs are divided into segments (as in Kafka) so that retention
-/// can drop whole segments cheaply and so that offset lookups stay fast on
-/// long logs.
-///
-/// Each segment owns an arena of refcounted byte chunks and an index of
+/// The segment owns an arena of refcounted byte chunks and an index of
 /// one [`Entry`] per record: appended keys and values are packed into the
 /// arena, and reads build [`StoredRecord`]s whose key and value are
 /// zero-copy [`Bytes`] views of it, so fetches hand out slices of segment
 /// storage without copying — the zero-copy fetch contract (DESIGN.md §12).
 #[derive(Debug, Default)]
 pub struct Segment {
-    base_offset: u64,
     entries: Index,
     /// Arena chunks; appends pack into the last one.
     chunks: Vec<BytesMut>,
@@ -210,26 +218,30 @@ pub struct Segment {
 }
 
 impl Segment {
-    /// Creates an empty segment whose first record will get `base_offset`.
-    /// Nothing is allocated until the first append.
-    pub fn new(base_offset: u64) -> Self {
-        Segment {
-            base_offset,
-            ..Segment::default()
-        }
+    /// Creates an empty segment. Nothing is allocated until the first
+    /// append.
+    pub fn new() -> Self {
+        Segment::default()
     }
 
-    /// Empties the segment and moves it to `base_offset`, keeping the
-    /// capacity of its chunk and spill tables: a log under retention
-    /// rolls into the segment it last dropped. Index blocks return to the
-    /// pool and arena chunks are let go at once; each chunk recycles when
-    /// its last fetched view drops.
-    pub fn reset(&mut self, base_offset: u64) {
-        self.base_offset = base_offset;
+    /// An empty segment for a new log: a retired segment's shell when the
+    /// pool has one.
+    pub(crate) fn take() -> Self {
+        SHELLS.lock().pop().unwrap_or_default()
+    }
+
+    /// Empties the segment into the shell pool [`Segment::take`] draws
+    /// from. Index blocks return to their pool at once and arena chunks
+    /// are let go; each chunk recycles when its last fetched view drops.
+    pub(crate) fn retire(mut self) {
         self.entries.truncate(0);
         self.chunks.clear();
         self.spilled.clear();
         self.bytes = 0;
+        let mut shells = SHELLS.lock();
+        if shells.len() < SHELLS_MAX {
+            shells.push(self);
+        }
     }
 
     /// The arena chunk with room for `len` more bytes: the last one, or
@@ -288,14 +300,9 @@ impl Segment {
         }
     }
 
-    /// Offset of the first record (present or future) in this segment.
-    pub fn base_offset(&self) -> u64 {
-        self.base_offset
-    }
-
     /// Offset one past the last stored record.
     pub fn next_offset(&self) -> u64 {
-        self.base_offset + self.entries.len() as u64
+        self.entries.len() as u64
     }
 
     /// Number of stored records.
@@ -313,27 +320,13 @@ impl Segment {
         self.bytes
     }
 
-    /// Appends `records` in order, all stamped `stamp`, and returns how
-    /// many it took: the first always, then each while [`bytes`] stays
-    /// below `segment_bytes` — the check the partition log makes before
-    /// every record, so it rolls exactly where it would one record at a
-    /// time. Payloads are copied into the arena (the producer's buffers
-    /// are only read, and can be recycled at once) while fetches serve
-    /// refcounted views of contiguous segment storage; a record that
-    /// spills is kept as a refcounted clone.
-    ///
-    /// [`bytes`]: Segment::bytes
-    pub(crate) fn append_batch(
-        &mut self,
-        records: &[Record],
-        stamp: Timestamp,
-        segment_bytes: usize,
-    ) -> usize {
-        let mut taken = 0;
+    /// Appends `records` in order, all stamped `stamp`. Payloads are
+    /// copied into the arena (the producer's buffers are only read, and
+    /// can be recycled at once) while fetches serve refcounted views of
+    /// contiguous segment storage; a record that spills is kept as a
+    /// refcounted clone.
+    pub(crate) fn append_batch(&mut self, records: &[Record], stamp: Timestamp) {
         for record in records {
-            if taken > 0 && self.bytes >= segment_bytes {
-                break;
-            }
             self.bytes += record.wire_size();
             let entry = self.pack(record, stamp).unwrap_or_else(|| {
                 self.spilled.push(record.clone());
@@ -346,9 +339,7 @@ impl Segment {
                 }
             });
             self.entries.push(entry);
-            taken += 1;
         }
-        taken
     }
 
     /// Appends one record: the log's batch append with a batch of one.
@@ -365,7 +356,7 @@ impl Segment {
             self.next_offset(),
             "segment append must be contiguous"
         );
-        self.append_batch(std::slice::from_ref(&stored.record), stored.timestamp, 0);
+        self.append_batch(std::slice::from_ref(&stored.record), stored.timestamp);
     }
 
     /// Appends a block of `src`'s records, starting with the one at
@@ -375,31 +366,26 @@ impl Segment {
     /// — moved with a single `memcpy`, their entries rebased onto this
     /// segment's arena and added to its index a block at a time — or one
     /// spilled record, cloned as [`append_batch`] would store it. A run
-    /// also ends where `src`'s index block does, where this segment's
-    /// chunk is full, and with the record that takes [`bytes`] to
-    /// `segment_bytes`, so the caller rolls exactly where appending
-    /// record by record would have.
+    /// also ends where `src`'s index block does and where this segment's
+    /// chunk is full.
     ///
     /// [`next_offset`]: Segment::next_offset
     /// [`append_batch`]: Segment::append_batch
-    /// [`bytes`]: Segment::bytes
-    pub(crate) fn append_block(
-        &mut self,
-        src: &Segment,
-        offset: u64,
-        end: u64,
-        segment_bytes: usize,
-    ) -> usize {
+    pub(crate) fn append_block(&mut self, src: &Segment, offset: u64, end: u64) -> usize {
         debug_assert!(offset == self.next_offset() && src.contains(offset));
-        let from = (offset - src.base_offset) as usize;
-        let to = (end.min(src.next_offset()) - src.base_offset) as usize;
-        let run = src.entries.slices(from, to).next().unwrap_or_default();
+        let to = end.min(src.next_offset()) as usize;
+        let run = src
+            .entries
+            .slices(offset as usize, to)
+            .next()
+            .unwrap_or_default();
         let Some(&first) = run.first() else {
             return 0;
         };
         if first.chunk == SPILLED {
             let record = std::slice::from_ref(&src.spilled[first.start as usize]);
-            return self.append_batch(record, first.stamp, 0);
+            self.append_batch(record, first.stamp);
+            return 1;
         }
         // The chunk the first record goes to, by `pack`'s rule, bounds
         // the run: the next record that does not fit starts a new block.
@@ -412,8 +398,7 @@ impl Segment {
         for entry in run {
             let adjacent =
                 entry.chunk == first.chunk && entry.start as usize == first.start as usize + len;
-            let full = count > 0 && self.bytes + wire >= segment_bytes;
-            if !adjacent || full || len + entry.arena_len() > room {
+            if !adjacent || len + entry.arena_len() > room {
                 break;
             }
             len += entry.arena_len();
@@ -438,15 +423,13 @@ impl Segment {
 
     /// Returns the record at `offset`, if it lies within this segment.
     pub fn get(&self, offset: u64) -> Option<StoredRecord> {
-        self.contains(offset).then(|| {
-            let entry = self.entries.get((offset - self.base_offset) as usize);
-            self.materialise(offset, entry)
-        })
+        self.contains(offset)
+            .then(|| self.materialise(offset, self.entries.get(offset as usize)))
     }
 
     /// Whether `offset` falls inside this segment's stored range.
     pub fn contains(&self, offset: u64) -> bool {
-        offset >= self.base_offset && offset < self.next_offset()
+        offset < self.next_offset()
     }
 
     /// Appends up to `max` records starting at `offset` to `out` and
@@ -455,7 +438,7 @@ impl Segment {
         if !self.contains(offset) {
             return 0;
         }
-        let start = (offset - self.base_offset) as usize;
+        let start = offset as usize;
         let end = start.saturating_add(max).min(self.entries.len());
         let mut at = offset;
         for block in self.entries.slices(start, end) {
@@ -475,7 +458,7 @@ impl Segment {
         if offset >= self.next_offset() {
             return;
         }
-        let keep = offset.saturating_sub(self.base_offset) as usize;
+        let keep = offset as usize;
         // Spilled records sit in append order, so the first dropped entry
         // that spilled marks where its side table ends too.
         let mut spilled_from = None;
@@ -507,7 +490,7 @@ impl Segment {
 
     /// Iterates over the stored records, building each as it goes.
     pub fn iter(&self) -> impl Iterator<Item = StoredRecord> + '_ {
-        (self.base_offset..)
+        (0..)
             .zip(self.entries.iter())
             .map(|(offset, entry)| self.materialise(offset, *entry))
     }
@@ -534,24 +517,22 @@ mod tests {
 
     #[test]
     fn append_and_read() {
-        let mut seg = Segment::new(10);
+        let mut seg = Segment::new();
         assert!(seg.is_empty());
-        seg.append(stored(10, 1, "a"));
-        seg.append(stored(11, 2, "b"));
-        seg.append(stored(12, 3, "c"));
+        seg.append(stored(0, 1, "a"));
+        seg.append(stored(1, 2, "b"));
+        seg.append(stored(2, 3, "c"));
         assert_eq!(seg.len(), 3);
-        assert_eq!(seg.base_offset(), 10);
-        assert_eq!(seg.next_offset(), 13);
-        assert!(seg.contains(11));
-        assert!(!seg.contains(13));
-        assert_eq!(seg.get(11).unwrap(), stored(11, 2, "b"));
-        assert!(seg.get(9).is_none());
-        assert!(seg.get(13).is_none());
+        assert_eq!(seg.next_offset(), 3);
+        assert!(seg.contains(1));
+        assert!(!seg.contains(3));
+        assert_eq!(seg.get(1).unwrap(), stored(1, 2, "b"));
+        assert!(seg.get(3).is_none());
     }
 
     #[test]
     fn read_into_appends_ranges() {
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         for i in 0..5 {
             seg.append(stored(i, i as i64, "x"));
         }
@@ -568,13 +549,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "contiguous")]
     fn non_contiguous_append_panics() {
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         seg.append(stored(1, 1, "a"));
     }
 
     #[test]
     fn timestamps_and_bytes() {
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         assert!(seg.first_timestamp().is_none());
         seg.append(stored(0, 5, "aa"));
         seg.append(stored(1, 9, "bbb"));
@@ -588,7 +569,7 @@ mod tests {
 
     #[test]
     fn arena_packs_values_contiguously() {
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         seg.append(stored(0, 1, "alpha"));
         seg.append(stored(1, 2, "beta"));
         let a = seg.get(0).unwrap().record.value;
@@ -603,7 +584,7 @@ mod tests {
 
     #[test]
     fn arena_packs_keys_too() {
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         seg.append(StoredRecord {
             offset: 0,
             timestamp: Timestamp::from_micros(1),
@@ -621,7 +602,7 @@ mod tests {
 
     #[test]
     fn empty_key_is_not_no_key() {
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         let keyed = Record::from_key_value(Vec::new(), b"v".to_vec());
         seg.append(StoredRecord {
             offset: 0,
@@ -639,7 +620,7 @@ mod tests {
         let big = vec![7u8; super::ARENA_SPILL + 1];
         let bytes = bytes::Bytes::from(big);
         let ptr = bytes.as_ptr();
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         seg.append(StoredRecord {
             offset: 0,
             timestamp: Timestamp::from_micros(1),
@@ -650,7 +631,7 @@ mod tests {
 
     #[test]
     fn static_payloads_pass_through() {
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         seg.append(StoredRecord {
             offset: 0,
             timestamp: Timestamp::from_micros(1),
@@ -662,7 +643,7 @@ mod tests {
     #[test]
     fn only_jumbo_and_static_records_spill() {
         let limit = super::ARENA_SPILL;
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         let mut push = |record: Record| {
             let offset = seg.next_offset();
             seg.append(StoredRecord {
@@ -698,24 +679,11 @@ mod tests {
 
     #[test]
     fn fetched_views_survive_the_segments_drop() {
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         seg.append(stored(0, 1, "survivor"));
         let view = seg.get(0).unwrap().record.value;
         drop(seg);
         assert_eq!(&view[..], b"survivor");
-    }
-
-    #[test]
-    fn reset_empties_and_rebases() {
-        let mut seg = Segment::new(0);
-        seg.append(stored(0, 1, "old"));
-        let view = seg.get(0).unwrap().record.value;
-        seg.reset(40);
-        assert!(seg.is_empty());
-        assert_eq!((seg.base_offset(), seg.bytes()), (40, 0));
-        seg.append(stored(40, 2, "new"));
-        assert_eq!(seg.get(40).unwrap(), stored(40, 2, "new"));
-        assert_eq!(&view[..], b"old", "views outlive the reset");
     }
 
     /// `src`'s records from `offset` on, block by block, as the partition
@@ -723,7 +691,7 @@ mod tests {
     fn copy_blocks(dst: &mut Segment, src: &Segment, mut offset: u64) -> Vec<usize> {
         let mut blocks = Vec::new();
         while offset < src.next_offset() {
-            let copied = dst.append_block(src, offset, src.next_offset(), usize::MAX);
+            let copied = dst.append_block(src, offset, src.next_offset());
             assert!(copied > 0, "a block holds at least one record");
             blocks.push(copied);
             offset += copied as u64;
@@ -733,7 +701,7 @@ mod tests {
 
     #[test]
     fn block_copy_moves_a_contiguous_run_at_once() {
-        let mut src = Segment::new(5);
+        let mut src = Segment::new();
         for i in 0..100u64 {
             let record = if i % 3 == 0 {
                 Record::from_key_value(format!("k{i}").into_bytes(), format!("v{i}").into_bytes())
@@ -741,26 +709,26 @@ mod tests {
                 Record::from_value(format!("value-{i}").into_bytes())
             };
             src.append(StoredRecord {
-                offset: 5 + i,
+                offset: i,
                 timestamp: Timestamp(i as i64),
                 record,
             });
         }
-        let mut dst = Segment::new(5);
-        assert_eq!(copy_blocks(&mut dst, &src, 5), [100], "one chunk, one run");
+        let mut dst = Segment::new();
+        assert_eq!(copy_blocks(&mut dst, &src, 0), [100], "one chunk, one run");
         assert!(dst.iter().eq(src.iter()));
         assert_eq!(dst.bytes(), src.bytes());
         // The copy owns its bytes: same layout, another chunk.
-        let (a, b) = (src.get(7).unwrap(), dst.get(7).unwrap());
+        let (a, b) = (src.get(2).unwrap(), dst.get(2).unwrap());
         assert_ne!(a.value().as_ptr(), b.value().as_ptr());
         drop(src);
-        assert_eq!(&dst.get(7).unwrap().value()[..], b"value-2");
+        assert_eq!(&dst.get(2).unwrap().value()[..], b"value-2");
     }
 
     #[test]
-    fn block_copy_splits_at_spills_chunks_gaps_and_the_size_limit() {
+    fn block_copy_splits_at_spills_chunks_gaps_and_the_end() {
         let value = |n: usize, fill: u8| Record::from_value(vec![fill; n]);
-        let mut src = Segment::new(0);
+        let mut src = Segment::new();
         let push = |src: &mut Segment, record: Record| {
             let offset = src.next_offset();
             src.append(StoredRecord {
@@ -782,7 +750,7 @@ mod tests {
         push(&mut src, value(100, 8));
         src.truncate_to(8);
         push(&mut src, value(100, 9));
-        let mut dst = Segment::new(0);
+        let mut dst = Segment::new();
         assert_eq!(copy_blocks(&mut dst, &src, 0), [5, 1, 1, 1, 1]);
         assert!(dst.iter().eq(src.iter()));
         assert_eq!(dst.bytes(), src.bytes());
@@ -791,7 +759,7 @@ mod tests {
         // A destination chunk with less room than the run ends it early;
         // the rest goes to a fresh chunk. 40 KiB are taken here (record 0
         // and a rewound 28 KiB), so two of the four 12 KiB records fit.
-        let mut dst = Segment::new(0);
+        let mut dst = Segment::new();
         push(&mut dst, value(12 << 10, 0));
         push(&mut dst, value(14 << 10, 0));
         push(&mut dst, value(14 << 10, 0));
@@ -801,16 +769,15 @@ mod tests {
         assert!(dst.iter().eq(src.iter()));
         assert_eq!(dst.bytes(), src.bytes());
 
-        // The record that takes `bytes` to the limit ends the block, as
-        // it would make the log roll before the next append.
-        let mut dst = Segment::new(0);
-        assert_eq!(dst.append_block(&src, 0, 10, 30 << 10), 3);
-        assert_eq!(dst.append_block(&src, 3, 4, usize::MAX), 1, "`end` caps it");
+        // `end` caps a run that would go on.
+        let mut dst = Segment::new();
+        assert_eq!(dst.append_block(&src, 0, 3), 3);
+        assert_eq!(dst.append_block(&src, 3, 4), 1);
     }
 
     #[test]
     fn index_blocks_recycle_through_the_pool() {
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         for i in 0..(INDEX_BLOCK as u64 + 10) {
             seg.append(stored(i, i as i64, "x"));
         }
@@ -845,28 +812,28 @@ mod tests {
 
     #[test]
     fn truncate_drops_tail_and_bytes() {
-        let mut seg = Segment::new(10);
-        seg.append(stored(10, 1, "a"));
-        seg.append(stored(11, 2, "bb"));
-        seg.append(stored(12, 3, "ccc"));
+        let mut seg = Segment::new();
+        seg.append(stored(0, 1, "a"));
+        seg.append(stored(1, 2, "bb"));
+        seg.append(stored(2, 3, "ccc"));
         let full = seg.bytes();
-        seg.truncate_to(11);
+        seg.truncate_to(1);
         assert_eq!(seg.len(), 1);
-        assert_eq!(seg.next_offset(), 11);
+        assert_eq!(seg.next_offset(), 1);
         assert!(seg.bytes() < full);
         assert_eq!(seg.bytes(), Record::from_value("a").wire_size());
-        // Truncating past the end is a no-op; truncating to the base
-        // empties the segment.
+        // Truncating past the end is a no-op; truncating to 0 empties
+        // the segment.
         seg.truncate_to(100);
         assert_eq!(seg.len(), 1);
-        seg.truncate_to(10);
+        seg.truncate_to(0);
         assert!(seg.is_empty());
         assert_eq!(seg.bytes(), 0);
     }
 
     #[test]
     fn iteration() {
-        let mut seg = Segment::new(0);
+        let mut seg = Segment::new();
         seg.append(stored(0, 1, "a"));
         seg.append(stored(1, 2, "b"));
         let offsets: Vec<_> = seg.iter().map(|r| r.offset).collect();
@@ -963,20 +930,17 @@ mod tests {
         /// same records at the same offsets, same byte accounting, under
         /// any interleaving of appends, truncations and reads.
         #[test]
-        fn segment_matches_vec_model(
-            base in 0u64..1_000,
-            ops in prop::collection::vec(arb_op(), 1..120),
-        ) {
-            let mut seg = Segment::new(base);
+        fn segment_matches_vec_model(ops in prop::collection::vec(arb_op(), 1..120)) {
+            let mut seg = Segment::new();
             let mut model: Vec<StoredRecord> = Vec::new();
             let at = |model: &Vec<StoredRecord>, frac: u8| {
-                base + (model.len() as u64 + 1) * u64::from(frac) / 256
+                (model.len() as u64 + 1) * u64::from(frac) / 256
             };
             for (step, op) in ops.into_iter().enumerate() {
                 match op {
                     Op::Append(record) => {
                         let stored = StoredRecord {
-                            offset: base + model.len() as u64,
+                            offset: model.len() as u64,
                             timestamp: Timestamp(step as i64),
                             record,
                         };
@@ -986,11 +950,11 @@ mod tests {
                     Op::Truncate(frac) => {
                         let offset = at(&model, frac);
                         seg.truncate_to(offset);
-                        model.truncate((offset - base) as usize);
+                        model.truncate(offset as usize);
                     }
                     Op::Read(frac, max) => {
                         let offset = at(&model, frac);
-                        let from = ((offset - base) as usize).min(model.len());
+                        let from = (offset as usize).min(model.len());
                         let to = (from + max).min(model.len());
                         let mut out = Vec::new();
                         prop_assert_eq!(seg.read_into(offset, max, &mut out), to - from);
@@ -999,7 +963,7 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(seg.len(), model.len());
-                prop_assert_eq!(seg.next_offset(), base + model.len() as u64);
+                prop_assert_eq!(seg.next_offset(), model.len() as u64);
                 prop_assert_eq!(
                     seg.bytes(),
                     model.iter().map(|r| r.record.wire_size()).sum::<usize>()

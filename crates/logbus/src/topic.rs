@@ -156,7 +156,7 @@ impl Topic {
     ///
     /// Returns [`Error::UnknownPartition`] for out-of-range partitions,
     /// or [`Error::ReplicaMisaligned`] / [`Error::OffsetOutOfRange`] when
-    /// the range does not continue this log or is not in the leader's.
+    /// the range does not continue this log or runs past the leader's.
     pub fn append_range(&self, partition: u32, leader: &Topic, from: u64, to: u64) -> Result<u64> {
         let target = self.partition(partition)?;
         let source = leader.partition(partition)?;
@@ -310,16 +310,7 @@ impl Topic {
         Ok(self.partition(partition)?.read().next_offset())
     }
 
-    /// Earliest retained offset in `partition`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownPartition`] for out-of-range partitions.
-    pub fn earliest_offset(&self, partition: u32) -> Result<u64> {
-        Ok(self.partition(partition)?.read().earliest_offset())
-    }
-
-    /// Timestamp of the first retained record in `partition`.
+    /// Timestamp of the first record in `partition`.
     ///
     /// # Errors
     ///
@@ -501,54 +492,41 @@ mod tests {
 
     #[test]
     fn replica_ranges_that_do_not_line_up_are_typed_errors() {
-        let config = || {
-            TopicConfig::default()
-                .segment_bytes(64)
-                .retention_records(4)
+        let filled = || {
+            let topic = Topic::new("t", TopicConfig::default()).unwrap();
+            for i in 0..20 {
+                topic
+                    .append(0, Record::from_value(format!("r{i}")), Timestamp(i))
+                    .unwrap();
+            }
+            topic
         };
-        let leader = Topic::new("t", config()).unwrap();
-        for i in 0..20 {
-            leader
-                .append(0, Record::from_value(format!("r{i}")), Timestamp(i))
-                .unwrap();
-        }
-        let earliest = leader.earliest_offset(0).unwrap();
-        assert!(earliest > 0, "retention dropped the head");
+        let leader = filled();
         let follower = Topic::new("t", TopicConfig::default()).unwrap();
         // The follower ends before the range starts: a gap.
         assert_eq!(
-            follower.append_range(0, &leader, earliest, 20),
+            follower.append_range(0, &leader, 5, 20),
             Err(Error::ReplicaMisaligned {
                 replica_end: 0,
-                from: earliest,
+                from: 5,
                 to: 20
             })
         );
-        // What it still needs is no longer on the leader, or not yet.
+        // What it still needs is not on the leader yet.
+        let caught_up = filled();
         assert_eq!(
-            follower.append_range(0, &leader, 0, 20),
+            caught_up.append_range(0, &leader, 20, 21),
             Err(Error::OffsetOutOfRange {
-                requested: 0,
-                earliest,
+                requested: 21,
                 latest: 20
             })
         );
-        let caught_up = Topic::new("t", TopicConfig::default()).unwrap();
-        for i in 0..20 {
-            caught_up
-                .append(0, Record::from_value(format!("r{i}")), Timestamp(i))
-                .unwrap();
-        }
-        assert!(matches!(
-            caught_up.append_range(0, &leader, 20, 21),
-            Err(Error::OffsetOutOfRange { requested: 21, .. })
-        ));
         // The follower holds more than the range vouches for.
         assert_eq!(
-            caught_up.append_range(0, &leader, earliest, 19),
+            caught_up.append_range(0, &leader, 5, 19),
             Err(Error::ReplicaMisaligned {
                 replica_end: 20,
-                from: earliest,
+                from: 5,
                 to: 19
             })
         );

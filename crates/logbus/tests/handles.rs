@@ -134,12 +134,9 @@ proptest! {
         payloads in arb_payloads(),
         read_offset in 0u64..250,
         max in 1usize..300,
-        segment_bytes in 32usize..512,
     ) {
         let broker = Broker::new();
-        broker
-            .create_topic("t", TopicConfig::default().segment_bytes(segment_bytes))
-            .unwrap();
+        broker.create_topic("t", TopicConfig::default()).unwrap();
         for p in &payloads {
             broker.produce("t", 0, Record::from_value(p.clone())).unwrap();
         }

@@ -10,15 +10,11 @@
 //! under the spill limit so arena chunks fill within a few records),
 //! follower copies (lagging by many appends, the same range twice, a
 //! range reaching back over what the follower holds), divergence
-//! truncations and leader changes, under segment sizes that roll every
-//! few records and under retention, a replica fed by block copies is
+//! truncations and leader changes, a replica fed by block copies is
 //! indistinguishable from one fed record by record: same records at the
-//! same offsets with the same stamps, same `stats()`, same earliest
-//! offset, the same records back to back in memory (so the same arena
-//! chunk boundaries), and it rolls at the same record afterwards. The
-//! two replicas of a history have configurations of their own: a
-//! follower configured like its leader rolls where the leader's segments
-//! end anyway, and would never need to end a block itself.
+//! same offsets with the same stamps, same `stats()`, the same records
+//! back to back in memory (so the same arena chunk boundaries), and it
+//! packs the records appended afterwards alike.
 //!
 //! Schedules run on one thread over a `ManualClock`. A copy holds two
 //! partition locks, and which replica leads changes during a history, so
@@ -84,20 +80,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
     ]
 }
 
-/// Segment sizes from "rolls every record or two" to "never rolls", and
-/// retention from a few segments' worth to none.
-fn arb_config() -> impl Strategy<Value = TopicConfig> {
-    let segment_bytes = prop_oneof![64usize..400, 2_000usize..40_000, Just(1usize << 20)];
-    let retention = prop_oneof![Just(None), Just(None), (5u64..400).prop_map(Some)];
-    (segment_bytes, retention).prop_map(|(bytes, retention)| {
-        let config = TopicConfig::default().segment_bytes(bytes);
-        match retention {
-            Some(records) => config.retention_records(records),
-            None => config,
-        }
-    })
-}
-
 /// A replica's log beside its reference: a second log that is only ever
 /// appended to record by record.
 struct Replica {
@@ -106,10 +88,10 @@ struct Replica {
 }
 
 impl Replica {
-    fn new(config: TopicConfig) -> Self {
+    fn new() -> Self {
         Replica {
-            log: Topic::new("t", config.clone()).unwrap(),
-            reference: Topic::new("t", config).unwrap(),
+            log: Topic::new("t", TopicConfig::default()).unwrap(),
+            reference: Topic::new("t", TopicConfig::default()).unwrap(),
         }
     }
 
@@ -118,8 +100,7 @@ impl Replica {
     }
 
     fn records(topic: &Topic) -> Vec<StoredRecord> {
-        let earliest = topic.earliest_offset(0).unwrap();
-        topic.read(0, earliest, usize::MAX).unwrap()
+        topic.read(0, 0, usize::MAX).unwrap()
     }
 
     /// The log and its reference cannot be told apart from outside.
@@ -128,12 +109,6 @@ impl Replica {
             self.log.stats(0),
             self.reference.stats(0),
             "stats after step {}",
-            step
-        );
-        prop_assert_eq!(
-            self.log.earliest_offset(0),
-            self.reference.earliest_offset(0),
-            "earliest offset after step {}",
             step
         );
         let (log, reference) = (Self::records(&self.log), Self::records(&self.reference));
@@ -180,27 +155,18 @@ fn replay_record_by_record(replica: &Topic, records: &[StoredRecord]) {
 proptest! {
     #[test]
     fn block_copies_match_record_by_record_replay(
-        configs in (arb_config(), arb_config()),
         ops in prop::collection::vec(arb_op(), 1..40),
     ) {
         let clock = ManualClock::new(1);
-        let mut leader = Replica::new(configs.0);
-        let mut follower = Replica::new(configs.1);
+        let mut leader = Replica::new();
+        let mut follower = Replica::new();
         // What the leader was given, by offset: the model of the log.
         let mut model: Vec<StoredRecord> = Vec::new();
         let copy = |leader: &Replica, follower: &Replica, from: u64| -> Result<(), TestCaseError> {
             let (held, to) = (follower.end(), leader.end());
-            let earliest = leader.log.earliest_offset(0).unwrap();
             let copied = follower.log.append_range(0, &leader.log, from, to);
             if from >= to {
                 prop_assert_eq!(copied, Ok(0), "an empty range copies nothing");
-            } else if held < to && held < earliest {
-                // The leader's retention passed the follower by.
-                prop_assert_eq!(
-                    copied,
-                    Err(Error::OffsetOutOfRange { requested: held, earliest, latest: to })
-                );
-                prop_assert_eq!(follower.end(), held, "a refused copy appends nothing");
             } else {
                 prop_assert_eq!(copied, Ok(to - held));
                 let range = leader.log.read(0, held, (to - held) as usize).unwrap();
@@ -234,13 +200,7 @@ proptest! {
                     );
                 }
                 Op::Truncate(frac) => {
-                    // No lower than every replica can go: truncation clamps
-                    // to the earliest retained offset, and a follower left
-                    // ahead of its leader is `topic.rs`'s test, not this one.
-                    let to = [&leader, &follower]
-                        .iter()
-                        .map(|replica| replica.log.earliest_offset(0).unwrap())
-                        .fold(leader.end() * u64::from(frac) / 255, u64::max);
+                    let to = leader.end() * u64::from(frac) / 255;
                     for replica in [&leader, &follower] {
                         replica.log.truncate_to(0, to).unwrap();
                         replica.reference.truncate_to(0, to).unwrap();
@@ -252,11 +212,7 @@ proptest! {
                     leader.log.truncate_to(0, to).unwrap();
                     leader.reference.truncate_to(0, to).unwrap();
                     model.truncate(leader.end() as usize);
-                    // A clamped truncation leaves the old leader ahead: it
-                    // could not follow, so the election does not happen.
-                    if leader.end() == to {
-                        std::mem::swap(&mut leader, &mut follower);
-                    }
+                    std::mem::swap(&mut leader, &mut follower);
                 }
             }
             leader.check(step)?;
@@ -266,9 +222,8 @@ proptest! {
             // ...and both hold what the model says, offset for offset.
             for replica in [&leader, &follower] {
                 let held = Replica::records(&replica.log);
-                let first = held.first().map_or(0, |r| r.offset as usize);
                 prop_assert!(
-                    held[..] == model[first..first + held.len()],
+                    held[..] == model[..held.len()],
                     "records differ from the model after step {step}"
                 );
             }
@@ -277,11 +232,10 @@ proptest! {
         // copied from: a block copy shares no storage with its source.
         copy(&leader, &follower, follower.end())?;
         let fetched = Replica::records(&follower.log);
-        let first = fetched.first().map_or(0, |r| r.offset as usize);
         drop(leader);
-        prop_assert!(fetched[..] == model[first..first + fetched.len()]);
-        // The active segment is as full as the reference's: both roll at
-        // the same record from here on.
+        prop_assert!(fetched[..] == model[..fetched.len()]);
+        // The last arena chunk is as full as the reference's: both pack
+        // the records appended from here on alike.
         for i in 0..40 {
             let record = Record::from_value(vec![7u8; 30]);
             let now = clock.now();
@@ -292,13 +246,10 @@ proptest! {
     }
 }
 
-/// A three-broker cluster, topic `t` replicated on all of them with
-/// segments of a few hundred records.
+/// A three-broker cluster, topic `t` replicated on all of them.
 fn cluster() -> Cluster {
     let cluster = Cluster::with_clock(ClusterConfig { brokers: 3 }, Arc::new(ManualClock::new(1)));
-    let config = TopicConfig::default()
-        .replication_factor(3)
-        .segment_bytes(8 << 10);
+    let config = TopicConfig::default().replication_factor(3);
     cluster.create_topic("t", config).unwrap();
     cluster
 }
@@ -345,20 +296,10 @@ fn a_killed_follower_catches_up_in_one_range() {
         "a dead follower copies nothing"
     );
     cluster.restart_broker(follower);
-    // One produce later it holds the twenty rounds it missed — several
-    // segments' worth — and the new one.
+    // One produce later it holds the twenty rounds it missed and the new
+    // one.
     cluster.produce_batch("t", 0, batch(21, 100)).unwrap();
     assert_replicas_agree(&cluster, 2_200);
-    assert!(
-        cluster
-            .broker(follower)
-            .topic("t")
-            .unwrap()
-            .stats(0)
-            .unwrap()
-            .segments
-            > 5
-    );
 }
 
 #[test]

@@ -77,12 +77,18 @@ impl Sub for Resource {
     ///
     /// # Panics
     ///
-    /// Panics on underflow; use [`Resource::saturating_sub`] when the
-    /// operands are unordered.
+    /// Panics on underflow, in release builds too; use
+    /// [`Resource::saturating_sub`] when the operands are unordered.
     fn sub(self, rhs: Resource) -> Resource {
         Resource {
-            memory_mb: self.memory_mb - rhs.memory_mb,
-            vcores: self.vcores - rhs.vcores,
+            memory_mb: self
+                .memory_mb
+                .checked_sub(rhs.memory_mb)
+                .expect("memory underflow"),
+            vcores: self
+                .vcores
+                .checked_sub(rhs.vcores)
+                .expect("vcore underflow"),
         }
     }
 }
