@@ -382,32 +382,23 @@ mod tests {
         assert!(log.read(4, 10).is_err());
     }
 
-    #[test]
-    fn reads_at_every_index_block_and_chunk_edge() {
+    /// A log of `3 × INDEX_BLOCK + 5` padded records.
+    fn padded_log() -> (PartitionLog, u64) {
         let mut log = log();
         let end = 3 * INDEX_BLOCK + 5;
         for o in 0..end {
             log.append(Record::from_value(padded(o)), Timestamp(o as i64));
         }
+        (log, end)
+    }
+
+    /// Reads on, just before and just after each edge: within one block or
+    /// chunk, across one edge, and to the end of the log.
+    fn assert_reads_around(log: &PartitionLog, end: u64, edges: impl Iterator<Item = u64>) {
         let expect = |from: u64, max: u64| -> Vec<String> {
             (from..end.min(from + max)).map(padded).collect()
         };
-        // A chunk edge is where a record does not start where the one
-        // before it ends in memory.
-        let all = log.read(0, usize::MAX).unwrap();
-        let chunk_edges: Vec<u64> = all
-            .windows(2)
-            .filter(|pair| {
-                let before = pair[0].value();
-                before.as_ptr() as usize + before.len() != pair[1].value().as_ptr() as usize
-            })
-            .map(|pair| pair[1].offset)
-            .collect();
-        assert!(chunk_edges.len() >= 10, "need many chunk edges");
-        let block_edges = (1..=3).map(|b| b * INDEX_BLOCK);
-        for edge in block_edges.chain(chunk_edges) {
-            // On, just before and just after each edge; within one block
-            // or chunk, across one edge, and to the end of the log.
+        for edge in edges {
             for from in [edge - 1, edge, edge + 1] {
                 for max in [0, 1, 2, 7, 1000] {
                     let got = log.read(from, max as usize).unwrap();
@@ -423,6 +414,12 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn reads_at_every_index_block_edge() {
+        let (log, end) = padded_log();
+        assert_reads_around(&log, end, (1..=3).map(|b| b * INDEX_BLOCK));
         assert!(log.read(end, 10).unwrap().is_empty());
         assert!(log.read(end + 1, 10).is_err());
         // `read_into` appends behind whatever the buffer already holds.
@@ -430,6 +427,24 @@ mod tests {
         assert_eq!(log.read_into(INDEX_BLOCK, 3, &mut out).unwrap(), 3);
         assert_eq!(out.len(), 4);
         assert_eq!(out[1].offset, INDEX_BLOCK);
+    }
+
+    #[test]
+    fn reads_at_every_chunk_edge() {
+        let (log, end) = padded_log();
+        // A chunk edge is where a record does not start where the one
+        // before it ends in memory.
+        let all = log.read(0, usize::MAX).unwrap();
+        let chunk_edges: Vec<u64> = all
+            .windows(2)
+            .filter(|pair| {
+                let before = pair[0].value();
+                before.as_ptr() as usize + before.len() != pair[1].value().as_ptr() as usize
+            })
+            .map(|pair| pair[1].offset)
+            .collect();
+        assert!(chunk_edges.len() >= 10, "need many chunk edges");
+        assert_reads_around(&log, end, chunk_edges.into_iter());
     }
 
     #[test]
