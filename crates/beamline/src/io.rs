@@ -490,7 +490,8 @@ mod tests {
         let records = (from..from + count)
             .map(|i| Record::from_value(format!("r{i}")))
             .collect();
-        broker.produce_batch("t", 0, records).unwrap();
+        let writer = broker.partition_writer("t", 0).unwrap();
+        writer.produce_batch(records).unwrap();
     }
 
     /// A source over `t`, as a runner creates it.
@@ -598,6 +599,7 @@ mod tests {
         let broker = Broker::with_clock(Arc::new(logbus::ManualClock::new(0)));
         broker.create_topic("out", TopicConfig::default()).unwrap();
         let mut dofn = write_dofn(&broker, max_batch);
+        let reader = broker.partition_reader("out", 0).unwrap();
         let mut written = 0..;
         for bundle in bundles {
             dofn.start_bundle();
@@ -607,10 +609,10 @@ mod tests {
                 dofn.process(WindowedValue::in_global_window(coded), &mut |_| {});
             }
             dofn.finish_bundle(&mut |_| {});
-            let durable = broker.latest_offset("out", 0).unwrap();
+            let durable = reader.latest_offset().unwrap();
             assert_eq!(durable, written.start, "a finished bundle is appended");
         }
-        let log = broker.fetch("out", 0, 0, usize::MAX).unwrap();
+        let log = reader.fetch(0, usize::MAX).unwrap();
         let mut appends: Vec<usize> = Vec::new();
         for (i, stored) in log.iter().enumerate() {
             assert_eq!(&stored.record.value[..], format!("r{i}").as_bytes());

@@ -20,7 +20,8 @@ fn broker_with_input(records: usize) -> Broker {
         let marker = if i % 7 == 0 { "test" } else { "data" };
         Record::from_value(format!("user{i}\t{marker} query {i}"))
     });
-    broker.produce_batch("in", 0, input.collect()).unwrap();
+    let writer = broker.partition_writer("in", 0).unwrap();
+    writer.produce_batch(input.collect()).unwrap();
     broker
 }
 
@@ -41,9 +42,10 @@ fn grep_pipeline(broker: &Broker) -> Pipeline {
 }
 
 fn output_values(broker: &Broker) -> Vec<Vec<u8>> {
-    let n = broker.latest_offset("out", 0).unwrap();
-    broker
-        .fetch("out", 0, 0, n as usize)
+    let reader = broker.partition_reader("out", 0).unwrap();
+    let n = reader.latest_offset().unwrap();
+    reader
+        .fetch(0, n as usize)
         .unwrap()
         .into_iter()
         .map(|r| r.record.value.to_vec())

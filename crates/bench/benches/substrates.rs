@@ -37,20 +37,13 @@ fn broker_produce_fetch(c: &mut Criterion) {
         });
     });
     group.bench_function("fetch_2048", |b| {
-        let broker = logbus::Broker::new();
-        broker
-            .create_topic("t", logbus::TopicConfig::default())
-            .unwrap();
-        for i in 0..N {
-            broker
-                .produce("t", 0, logbus::Record::from_value(format!("record-{i}")))
-                .unwrap();
-        }
+        let broker = preloaded("t");
+        let reader = broker.partition_reader("t", 0).unwrap();
         b.iter(|| {
             let mut offset = 0;
             let mut total = 0usize;
             loop {
-                let batch = broker.fetch("t", 0, offset, 2048).unwrap();
+                let batch = reader.fetch(offset, 2048).unwrap();
                 if batch.is_empty() {
                     break;
                 }
@@ -63,9 +56,24 @@ fn broker_produce_fetch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Named-lookup path vs cached partition handles, with the simulated
-/// request latency off: the steady-state hot path this PR optimizes.
-/// `EXPERIMENTS.md` records the measured ratios.
+/// A broker whose topic `topic` holds `N` records, one request each.
+fn preloaded(topic: &str) -> logbus::Broker {
+    let broker = logbus::Broker::new();
+    broker
+        .create_topic(topic, logbus::TopicConfig::default())
+        .unwrap();
+    let writer = broker.partition_writer(topic, 0).unwrap();
+    for i in 0..N {
+        writer
+            .produce(logbus::Record::from_value(format!("record-{i}")))
+            .unwrap();
+    }
+    broker
+}
+
+/// The steady-state hot path through cached partition handles, with
+/// the simulated request latency off. `EXPERIMENTS.md` records the
+/// measured ratios.
 fn broker_hot_path(c: &mut Criterion) {
     let mut group = c.benchmark_group("broker_hot_path");
     group.throughput(Throughput::Elements(N));
@@ -74,17 +82,6 @@ fn broker_hot_path(c: &mut Criterion) {
         .warm_up_time(std::time::Duration::from_secs(1))
         .measurement_time(std::time::Duration::from_secs(2));
     let record = logbus::Record::from_value("payload-0123456789abcdef");
-    group.bench_function("produce_named", |b| {
-        b.iter(|| {
-            let broker = logbus::Broker::new();
-            broker
-                .create_topic("t", logbus::TopicConfig::default())
-                .unwrap();
-            for _ in 0..N {
-                broker.produce("t", 0, record.clone()).unwrap();
-            }
-        });
-    });
     group.bench_function("produce_handle", |b| {
         b.iter(|| {
             let broker = logbus::Broker::new();
@@ -135,30 +132,7 @@ fn broker_hot_path(c: &mut Criterion) {
             logbus::pool::recycle_record_vec(batch);
         });
     });
-    let broker = logbus::Broker::new();
-    broker
-        .create_topic("f", logbus::TopicConfig::default())
-        .unwrap();
-    for i in 0..N {
-        broker
-            .produce("f", 0, logbus::Record::from_value(format!("record-{i}")))
-            .unwrap();
-    }
-    group.bench_function("fetch_named_256", |b| {
-        b.iter(|| {
-            let mut offset = 0;
-            let mut total = 0usize;
-            loop {
-                let batch = broker.fetch("f", 0, offset, 256).unwrap();
-                if batch.is_empty() {
-                    break;
-                }
-                offset = batch.last().unwrap().offset + 1;
-                total += batch.len();
-            }
-            total
-        });
-    });
+    let broker = preloaded("f");
     group.bench_function("fetch_handle_256", |b| {
         let reader = broker.partition_reader("f", 0).unwrap();
         let mut buffer = Vec::with_capacity(256);
@@ -283,7 +257,8 @@ fn engines_identity(c: &mut Criterion) {
         .unwrap();
     let input = streambench_core::QueryLogGenerator::new(1).payloads(N);
     let input = input.into_iter().map(logbus::Record::from_value);
-    broker.produce_batch("input", 0, input.collect()).unwrap();
+    let writer = broker.partition_writer("input", 0).unwrap();
+    writer.produce_batch(input.collect()).unwrap();
 
     let fresh = |prefix: &str| {
         let topic = format!("{prefix}-{}", TAG.fetch_add(1, Ordering::Relaxed));
@@ -443,7 +418,8 @@ fn producer_per_record(c: &mut Criterion) {
 /// handles again. A log keeps every record: this is what bounds the
 /// memory of a long per-record measurement.
 fn renew_when_full(bus: &dyn logbus::Bus, renew: &dyn Fn()) -> bool {
-    let full = bus.latest_offset("t", 0).unwrap() >= 1_000_000;
+    let reader = bus.partition_reader("t", 0).unwrap();
+    let full = reader.latest_offset().unwrap() >= 1_000_000;
     if full {
         renew();
     }

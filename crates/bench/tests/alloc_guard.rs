@@ -287,7 +287,10 @@ fn identity_run(
     };
     streambench_core::trial::execute(&broker.into(), setup, &job).expect("fault-free run");
     assert_eq!(
-        broker.latest_offset(output, 0).expect("output topic"),
+        broker
+            .partition_reader(output, 0)
+            .and_then(|r| r.latest_offset())
+            .expect("output topic"),
         records,
         "identity writes every record back"
     );
@@ -337,7 +340,10 @@ fn beam_cells_allocate_per_chunk_not_per_record() {
             .run(&pipeline)
             .expect("fault-free direct run");
         assert_eq!(
-            broker.latest_offset(output, 0).expect("output topic"),
+            broker
+                .partition_reader(output, 0)
+                .and_then(|r| r.latest_offset())
+                .expect("output topic"),
             BEAM_RECORDS
         );
     };
@@ -411,7 +417,10 @@ fn async_producer_per_record_send_is_allocation_free() {
     let events = ALL_THREADS_EVENTS.load(Ordering::Relaxed) - before;
 
     assert_eq!(
-        broker.latest_offset("t", 0).expect("topic"),
+        broker
+            .partition_reader("t", 0)
+            .and_then(|r| r.latest_offset())
+            .expect("topic"),
         ASYNC_RECORDS as u64
     );
     let per_record = events as f64 / ASYNC_RECORDS as f64;
@@ -452,7 +461,10 @@ fn bundle_commit_per_record_is_allocation_free() {
     let events = ALL_THREADS_EVENTS.load(Ordering::Relaxed) - before;
 
     assert_eq!(
-        broker.latest_offset("t", 0).expect("topic"),
+        broker
+            .partition_reader("t", 0)
+            .and_then(|r| r.latest_offset())
+            .expect("topic"),
         (PRIMING + ASYNC_RECORDS) as u64
     );
     assert_eq!(events, 0, "warmed per-record commit allocates");

@@ -46,10 +46,9 @@ impl std::error::Error for CalculatorError {}
 /// Computes the execution time of a finished query run from its output
 /// topic.
 ///
-/// This is a cold path — one description per finished run — so it reads
-/// through the named [`TopicDescription::describe`] lookups rather than
-/// cached partition handles; only per-record loops warrant the handle
-/// fast path.
+/// This is a cold path — one description per finished run — read
+/// through [`TopicDescription::describe`], which resolves one reader per
+/// partition.
 ///
 /// # Errors
 ///
@@ -87,10 +86,9 @@ mod tests {
         let clock = Arc::new(ManualClock::with_auto_tick(0, 1_000_000));
         let broker = Broker::with_clock(clock);
         broker.create_topic("out", TopicConfig::default()).unwrap();
+        let writer = broker.partition_writer("out", 0).unwrap();
         for i in 0..4 {
-            broker
-                .produce("out", 0, Record::from_value(format!("{i}")))
-                .unwrap();
+            writer.produce(Record::from_value(format!("{i}"))).unwrap();
         }
         let m = measure(&broker, "out").unwrap();
         assert_eq!(m.output_records, 4);
@@ -103,16 +101,11 @@ mod tests {
         let broker = Broker::with_clock(clock);
         broker.create_topic("out", TopicConfig::default()).unwrap();
         // Two batches: one stamp each -> span is one tick.
-        broker
-            .produce_batch(
-                "out",
-                0,
-                vec![Record::from_value("a"), Record::from_value("b")],
-            )
+        let writer = broker.partition_writer("out", 0).unwrap();
+        writer
+            .produce_batch(vec![Record::from_value("a"), Record::from_value("b")])
             .unwrap();
-        broker
-            .produce_batch("out", 0, vec![Record::from_value("c")])
-            .unwrap();
+        writer.produce_batch(vec![Record::from_value("c")]).unwrap();
         let m = measure(&broker, "out").unwrap();
         assert_eq!(m.output_records, 3);
         assert!((m.execution_seconds - 0.5).abs() < 1e-9);
@@ -138,9 +131,8 @@ mod tests {
     fn single_append_has_zero_span() {
         let broker = Broker::new();
         broker.create_topic("out", TopicConfig::default()).unwrap();
-        broker
-            .produce("out", 0, Record::from_value("only"))
-            .unwrap();
+        let writer = broker.partition_writer("out", 0).unwrap();
+        writer.produce(Record::from_value("only")).unwrap();
         let m = measure(&broker, "out").unwrap();
         assert_eq!(m.execution_seconds, 0.0);
     }

@@ -362,7 +362,8 @@ mod tests {
         let mut tamper = |attempt: u32, output: &str, engine: Engine<'_>| match attempt {
             1 => {
                 engine()?;
-                broker.produce(output, 0, Record::from_value("extra"))?;
+                let writer = broker.partition_writer(output, 0)?;
+                writer.produce(Record::from_value("extra"))?;
                 Ok(())
             }
             2 => {
@@ -373,7 +374,7 @@ mod tests {
                     .map(Record::from_value)
                     .collect();
                 outputs[5] = Record::from_value("altered");
-                broker.produce_batch(output, 0, outputs)?;
+                broker.partition_writer(output, 0)?.produce_batch(outputs)?;
                 Ok(())
             }
             _ => engine(),

@@ -210,9 +210,9 @@ pub fn send_open_loop(
     let mut generator = QueryLogGenerator::new(seed);
     let mut next = 0u64;
     let mut max_lag = 0i64;
-    // A burst is one shot, as a named produce is: a fault surfaces as its
-    // raw error. The writer drains the batch, which keeps its capacity
-    // from burst to burst.
+    // A burst is one shot: a failed request ends the send, unretried.
+    // The writer drains the batch, which keeps its capacity from burst
+    // to burst.
     let writer = broker
         .partition_writer(topic, 0)?
         .with_retry(RetryPolicy::none());
@@ -254,7 +254,13 @@ pub fn parse_event_time_micros(payload: &[u8]) -> Option<i64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use logbus::{Cluster, ClusterConfig, FaultPlan, TopicConfig};
+    use logbus::{Bus, Cluster, ClusterConfig, FaultPlan, StoredRecord, TopicConfig};
+
+    /// Everything in partition 0 of `in`.
+    fn input(bus: &dyn Bus) -> Vec<StoredRecord> {
+        let reader = bus.partition_reader("in", 0).unwrap();
+        reader.fetch(0, usize::MAX).unwrap()
+    }
 
     #[test]
     fn sends_exact_count_in_order() {
@@ -266,11 +272,11 @@ mod tests {
         };
         let report = send_workload(&broker, "in", &config).unwrap();
         assert_eq!(report.sent, 500);
-        assert_eq!(broker.latest_offset("in", 0).unwrap(), 500);
+        let records = input(&broker);
+        assert_eq!(records.len(), 500);
 
         // Content equals the generator stream: order preserved.
         let mut generator = QueryLogGenerator::new(config.seed);
-        let records = broker.fetch("in", 0, 0, 500).unwrap();
         for stored in records {
             assert_eq!(stored.record.value, generator.next_payload());
         }
@@ -315,7 +321,7 @@ mod tests {
                 matches!(result, Err(logbus::Error::InvalidConfig(_))),
                 "rate {rate}: {result:?}"
             );
-            assert_eq!(broker.latest_offset("in", 0).unwrap(), 0, "rate {rate}");
+            assert_eq!(input(&broker).len(), 0, "rate {rate}");
         }
     }
 
@@ -365,7 +371,7 @@ mod tests {
         let report = send_workload(&broker, "in", &FAULTED_PRELOAD).unwrap();
         broker.clear_fault_plan();
         assert_eq!(report.sent, FAULTED_PRELOAD.records);
-        assert_generator_stream_exactly_once(&broker.fetch("in", 0, 0, 10_000).unwrap());
+        assert_generator_stream_exactly_once(&input(&broker));
     }
 
     #[test]
@@ -380,11 +386,10 @@ mod tests {
         for b in 0..3 {
             cluster.broker(b).clear_fault_plan();
         }
-        assert_generator_stream_exactly_once(&cluster.fetch("in", 0, 0, 10_000).unwrap());
+        assert_generator_stream_exactly_once(&input(&cluster));
         // Acks::All: every acknowledged chunk is on every replica.
         for b in 0..3 {
-            let replica = cluster.broker(b).fetch("in", 0, 0, 10_000).unwrap();
-            assert_generator_stream_exactly_once(&replica);
+            assert_generator_stream_exactly_once(&input(cluster.broker(b)));
         }
     }
 
@@ -445,7 +450,7 @@ mod tests {
         let report = send_open_loop(&broker, "in", &schedule, 200, 7).unwrap();
         assert_eq!(report.sent, 200);
         assert!(report.max_send_lag_micros >= 0);
-        let stored = broker.fetch("in", 0, 0, 200).unwrap();
+        let stored = input(&broker);
         assert_eq!(stored.len(), 200);
         let mut generator = QueryLogGenerator::new(7);
         for (i, record) in stored.iter().enumerate() {

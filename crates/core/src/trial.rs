@@ -288,19 +288,16 @@ impl Trial {
     }
 
     /// Reads `topic`'s single partition from the start to its current
-    /// end.
+    /// end, through one reader.
     fn drain(&self, topic: &str) -> Result<Vec<StoredRecord>, BenchError> {
         let mut span = obs::span("drain");
         span.field("topic", topic);
-        let end = self.bus.latest_offset(topic, 0)?;
+        let reader = self.bus.partition_reader(topic, 0)?;
+        let end = reader.latest_offset()?;
         let mut outputs = Vec::with_capacity(end as usize);
         while (outputs.len() as u64) < end {
             let from = outputs.len() as u64;
-            if self
-                .bus
-                .fetch_into(topic, 0, from, DRAIN_CHUNK, &mut outputs)?
-                == 0
-            {
+            if reader.fetch_into(from, DRAIN_CHUNK, &mut outputs)? == 0 {
                 break;
             }
         }

@@ -14,7 +14,9 @@
 //! `logbus::partition_for_key`) so rill's subtasks split real partitions
 //! by index — again compared as multisets.
 
-use logbus::{partition_for_key, Acks, Broker, Cluster, ClusterConfig, Record, TopicConfig};
+use logbus::{
+    partition_for_key, Acks, Broker, Cluster, ClusterConfig, Record, RetryPolicy, TopicConfig,
+};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
@@ -55,7 +57,8 @@ fn load_input_partitioned(records: u64, seed: u64, partitions: u32) -> Broker {
         batches[partition as usize].push(Record::from_key_value(key, payload));
     }
     for (partition, batch) in (0..partitions).zip(batches) {
-        broker.produce_batch("input", partition, batch).unwrap();
+        let writer = broker.partition_writer("input", partition).unwrap();
+        writer.produce_batch(batch).unwrap();
     }
     broker
 }
@@ -228,12 +231,17 @@ fn static_split_under_faults_is_exactly_once() {
 /// for `hold`, and restarts it: it truncates its unacknowledged tail and
 /// catches back up into the in-sync set. Returns the kills that landed.
 fn kill_leaders(cluster: &Cluster, stop: &AtomicBool, kills: u32, hold: Duration) -> u32 {
+    // One committed metadata request, without retries: a probe.
+    let latest_offset = |topic: &str| {
+        let reader = cluster.partition_reader(topic, 0)?;
+        reader.with_retry(RetryPolicy::none()).latest_offset()
+    };
     let mut landed = 0;
     for kill in 0..kills {
         let topic = if kill % 2 == 0 { "input" } else { "output" };
         let progress_deadline = Instant::now() + Duration::from_millis(200);
         while Instant::now() < progress_deadline && !stop.load(Ordering::Acquire) {
-            if cluster.latest_offset("output", 0).is_ok_and(|o| o > 0) {
+            if latest_offset("output").is_ok_and(|o| o > 0) {
                 break;
             }
             std::thread::yield_now();
@@ -247,7 +255,7 @@ fn kill_leaders(cluster: &Cluster, stop: &AtomicBool, kills: u32, hold: Duration
         cluster.kill_broker(leader);
         // The lazy election runs inside the first committed request.
         let serve_deadline = Instant::now() + Duration::from_secs(2);
-        while cluster.latest_offset(topic, 0).is_err() && Instant::now() < serve_deadline {
+        while latest_offset(topic).is_err() && Instant::now() < serve_deadline {
             std::thread::yield_now();
         }
         landed += 1;

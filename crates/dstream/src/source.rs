@@ -254,19 +254,26 @@ mod tests {
         assert_eq!(s.next_batch(), None);
     }
 
-    #[test]
-    fn broker_source_batches_until_bound() {
+    /// A broker whose topic `t` holds `"0"`, `"1"`, … — `n` records,
+    /// one request each.
+    fn broker_with(n: usize) -> Broker {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
-        for i in 0..25 {
-            broker
-                .produce("t", 0, Record::from_value(format!("{i}")))
-                .unwrap();
+        let writer = broker.partition_writer("t", 0).unwrap();
+        for i in 0..n {
+            writer.produce(Record::from_value(format!("{i}"))).unwrap();
         }
+        broker
+    }
+
+    #[test]
+    fn broker_source_batches_until_bound() {
+        let broker = broker_with(25);
         let mut source = BrokerBatchSource::new(broker.clone(), "t", 10).unwrap();
         assert_eq!(source.next_batch().unwrap().len(), 10);
         // Records arriving after creation are not part of this bounded run.
-        broker.produce("t", 0, Record::from_value("late")).unwrap();
+        let writer = broker.partition_writer("t", 0).unwrap();
+        writer.produce(Record::from_value("late")).unwrap();
         assert_eq!(source.next_batch().unwrap().len(), 10);
         assert_eq!(source.next_batch().unwrap().len(), 5);
         assert!(source.next_batch().is_none());
@@ -279,9 +286,10 @@ mod tests {
             .create_topic("t", TopicConfig::default().partitions(2))
             .unwrap();
         for p in 0..2 {
+            let writer = broker.partition_writer("t", p).unwrap();
             for i in 0..5 {
-                broker
-                    .produce("t", p, Record::from_value(format!("p{p}-{i}")))
+                writer
+                    .produce(Record::from_value(format!("p{p}-{i}")))
                     .unwrap();
             }
         }
@@ -292,13 +300,7 @@ mod tests {
 
     #[test]
     fn faulted_broker_loses_no_batches() {
-        let broker = Broker::new();
-        broker.create_topic("t", TopicConfig::default()).unwrap();
-        for i in 0..60 {
-            broker
-                .produce("t", 0, Record::from_value(format!("{i}")))
-                .unwrap();
-        }
+        let broker = broker_with(60);
         let mut plan = logbus::FaultPlan::seeded(13);
         plan.fetch_error = 0.4;
         plan.metadata_error = 0.4;
@@ -327,14 +329,11 @@ mod tests {
 
     #[test]
     fn following_source_tails_slow_producer() {
-        let broker = Broker::new();
-        broker.create_topic("t", TopicConfig::default()).unwrap();
-        let producer_broker = broker.clone();
+        let broker = broker_with(0);
+        let writer = broker.partition_writer("t", 0).unwrap();
         let producer = std::thread::spawn(move || {
             for i in 0..30 {
-                producer_broker
-                    .produce("t", 0, Record::from_value(format!("{i}")))
-                    .unwrap();
+                writer.produce(Record::from_value(format!("{i}"))).unwrap();
                 if i % 6 == 0 {
                     // Leave the source caught up so it has to back off.
                     std::thread::sleep(std::time::Duration::from_millis(2));
@@ -356,13 +355,7 @@ mod tests {
 
     #[test]
     fn following_source_stops_at_target_with_extra_records() {
-        let broker = Broker::new();
-        broker.create_topic("t", TopicConfig::default()).unwrap();
-        for i in 0..20 {
-            broker
-                .produce("t", 0, Record::from_value(format!("{i}")))
-                .unwrap();
-        }
+        let broker = broker_with(20);
         let mut source = BrokerBatchSource::following(broker, "t", 100, 12).unwrap();
         assert_eq!(source.next_batch().unwrap().len(), 12);
         assert!(source.next_batch().is_none(), "target reached ends stream");

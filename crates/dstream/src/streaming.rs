@@ -321,14 +321,7 @@ mod tests {
 
     #[test]
     fn broker_roundtrip() {
-        let broker = Broker::new();
-        broker.create_topic("in", TopicConfig::default()).unwrap();
-        broker.create_topic("out", TopicConfig::default()).unwrap();
-        for i in 0..100 {
-            broker
-                .produce("in", 0, Record::from_value(format!("{i}")))
-                .unwrap();
-        }
+        let broker = counted_input(100);
         let ssc = StreamingContext::new(Context::local());
         let stream = ssc.broker_stream(broker.clone(), "in", 30).unwrap();
         stream
@@ -336,23 +329,12 @@ mod tests {
             .save_to_broker(&ssc, broker.clone(), "out");
         let report = ssc.run_to_completion().unwrap();
         assert_eq!(report.batches, 4, "100 records in batches of 30");
-        assert_eq!(
-            broker.latest_offset("out", 0).unwrap(),
-            90,
-            "two-digit records"
-        );
+        assert_eq!(output(&broker).len(), 90, "two-digit records");
     }
 
     #[test]
     fn faulted_roundtrip_is_exactly_once() {
-        let broker = Broker::new();
-        broker.create_topic("in", TopicConfig::default()).unwrap();
-        broker.create_topic("out", TopicConfig::default()).unwrap();
-        for i in 0..100 {
-            broker
-                .produce("in", 0, Record::from_value(format!("{i}")))
-                .unwrap();
-        }
+        let broker = counted_input(100);
         // A duplicate-heavy plan: the idempotent sink must keep injected
         // duplicates and lost-ack resends out of the output.
         let mut plan = logbus::FaultPlan::seeded(29);
@@ -368,7 +350,7 @@ mod tests {
         stream.save_to_broker(&ssc, broker.clone(), "out");
         ssc.run_to_completion().unwrap();
         broker.clear_fault_plan();
-        let records = broker.fetch("out", 0, 0, 1_000).unwrap();
+        let records = output(&broker);
         assert_eq!(records.len(), 100, "no loss, no duplicates through faults");
         for (i, stored) in records.iter().enumerate() {
             assert_eq!(&stored.record.value[..], format!("{i}").as_bytes());
@@ -379,12 +361,17 @@ mod tests {
         let broker = Broker::new();
         broker.create_topic("in", TopicConfig::default()).unwrap();
         broker.create_topic("out", TopicConfig::default()).unwrap();
+        let writer = broker.partition_writer("in", 0).unwrap();
         for i in 0..records {
-            broker
-                .produce("in", 0, Record::from_value(format!("{i}")))
-                .unwrap();
+            writer.produce(Record::from_value(format!("{i}"))).unwrap();
         }
         broker
+    }
+
+    /// Everything appended to `out`.
+    fn output(broker: &Broker) -> Vec<logbus::StoredRecord> {
+        let reader = broker.partition_reader("out", 0).unwrap();
+        reader.fetch(0, usize::MAX).unwrap()
     }
 
     #[test]
@@ -408,7 +395,7 @@ mod tests {
             [Some("executor-0".to_string())].into(),
             "every batch ran on worker 0 of the pool"
         );
-        assert_eq!(broker.latest_offset("out", 0).unwrap(), 100);
+        assert_eq!(output(&broker).len(), 100);
     }
 
     #[test]

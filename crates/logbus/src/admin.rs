@@ -25,7 +25,7 @@ impl TopicDescription {
         let (mut first, mut last) = (None, None);
         for p in 0..bus.partition_count(topic)? {
             // Every log starts at offset 0, so its end is its length.
-            records += bus.latest_offset(topic, p)?;
+            records += bus.partition_reader(topic, p)?.latest_offset()?;
             if let Some(t) = bus.first_timestamp(topic, p)? {
                 first = Some(first.map_or(t, |f: Timestamp| f.min(t)));
             }
@@ -70,10 +70,9 @@ mod tests {
         let clock = Arc::new(ManualClock::with_auto_tick(1_000_000, 500_000));
         let broker = Broker::with_clock(clock);
         broker.create_topic("out", TopicConfig::default()).unwrap();
+        let writer = broker.partition_writer("out", 0).unwrap();
         for i in 0..4 {
-            broker
-                .produce("out", 0, Record::from_value(format!("{i}")))
-                .unwrap();
+            writer.produce(Record::from_value(format!("{i}"))).unwrap();
         }
         let desc = TopicDescription::describe(&broker, "out").unwrap();
         assert_eq!(desc.total_records(), 4);
@@ -100,9 +99,10 @@ mod tests {
         broker
             .create_topic("t", TopicConfig::default().partitions(2))
             .unwrap();
-        broker.produce("t", 0, Record::from_value("a")).unwrap(); // t=0
-        broker.produce("t", 1, Record::from_value("b")).unwrap(); // t=1
-        broker.produce("t", 0, Record::from_value("c")).unwrap(); // t=2
+        let writers = [0, 1].map(|p| broker.partition_writer("t", p).unwrap());
+        writers[0].produce(Record::from_value("a")).unwrap(); // t=0
+        writers[1].produce(Record::from_value("b")).unwrap(); // t=1
+        writers[0].produce(Record::from_value("c")).unwrap(); // t=2
         let desc = TopicDescription::describe(&broker, "t").unwrap();
         assert!((desc.append_time_span_seconds().unwrap() - 2.0).abs() < 1e-9);
     }

@@ -413,7 +413,15 @@ impl Drop for AsyncProducer {
 mod tests {
     use super::*;
     use crate::broker::Broker;
+    use crate::bus::Bus;
     use crate::config::TopicConfig;
+    use crate::record::StoredRecord;
+
+    /// Everything appended to `t`.
+    fn log(bus: &dyn Bus) -> Vec<StoredRecord> {
+        let reader = bus.partition_reader("t", 0).unwrap();
+        reader.fetch(0, usize::MAX).unwrap()
+    }
 
     #[test]
     fn rides_through_leader_failover_on_a_cluster() {
@@ -432,7 +440,7 @@ mod tests {
         }
         producer.close();
         assert!(cluster.leader_epoch("t", 0).unwrap() >= 1);
-        let records = cluster.fetch("t", 0, 0, 1_000).unwrap();
+        let records = log(&cluster);
         assert_eq!(records.len(), 200, "exactly-once across the leader kill");
         for (i, stored) in records.iter().enumerate() {
             assert_eq!(&stored.record.value[..], format!("r{i}").as_bytes());
@@ -448,7 +456,7 @@ mod tests {
             producer.send(Record::from_value(format!("r{i}")));
         }
         producer.close();
-        let records = broker.fetch("t", 0, 0, 1_000).unwrap();
+        let records = log(&broker);
         assert_eq!(records.len(), 1_000);
         for (i, stored) in records.iter().enumerate() {
             let expected = format!("r{i}");
@@ -476,7 +484,7 @@ mod tests {
         // more records per request, not fewer. It passed 20 of 20 runs
         // beside two busy loops on two cores.
         assert!(start.elapsed() < std::time::Duration::from_millis(500));
-        let records = broker.fetch("t", 0, 0, 2_000).unwrap();
+        let records = log(&broker);
         let stamps: std::collections::BTreeSet<i64> =
             records.iter().map(|r| r.timestamp.as_micros()).collect();
         assert!(
@@ -501,7 +509,7 @@ mod tests {
         // 50 × 200µs of serialized round trips.
         assert!(start.elapsed() >= std::time::Duration::from_millis(10));
         producer.close();
-        let records = broker.fetch("t", 0, 0, 50).unwrap();
+        let records = log(&broker);
         let stamps: std::collections::BTreeSet<i64> =
             records.iter().map(|r| r.timestamp.as_micros()).collect();
         assert_eq!(
@@ -525,7 +533,7 @@ mod tests {
             assert!(buffer.is_empty(), "the batch must be drained");
         }
         producer.close();
-        let records = broker.fetch("t", 0, 0, 1_000).unwrap();
+        let records = log(&broker);
         assert_eq!(records.len(), 1_000);
         for (i, stored) in records.iter().enumerate() {
             assert_eq!(&stored.record.value[..], format!("r{i}").as_bytes());
@@ -542,7 +550,7 @@ mod tests {
             .collect();
         producer.send_batch(&mut buffer);
         producer.close();
-        let records = broker.fetch("t", 0, 0, 35).unwrap();
+        let records = log(&broker);
         assert_eq!(records.len(), 35);
         let stamps: std::collections::BTreeSet<i64> =
             records.iter().map(|r| r.timestamp.as_micros()).collect();
@@ -567,7 +575,7 @@ mod tests {
         }
         producer.close();
         broker.clear_fault_plan();
-        let records = broker.fetch("t", 0, 0, 1_000).unwrap();
+        let records = log(&broker);
         assert_eq!(records.len(), 400, "exactly-once despite lost acks");
         for (i, stored) in records.iter().enumerate() {
             assert_eq!(&stored.record.value[..], format!("r{i}").as_bytes());
@@ -593,7 +601,7 @@ mod tests {
         for sent in 1..=2 {
             producer.send(Record::from_value("x"));
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while broker.latest_offset("t", 0).unwrap() < sent {
+            while log(&broker).len() < sent {
                 assert!(
                     std::time::Instant::now() < deadline,
                     "the sender thread never shipped send {sent}"
@@ -664,7 +672,7 @@ mod tests {
         drop(shipper);
         pusher.join().unwrap();
         producer.flush();
-        assert_eq!(broker.latest_offset("t", 0).unwrap(), TOTAL as u64);
+        assert_eq!(log(&broker).len(), TOTAL);
     }
 
     #[test]
@@ -692,7 +700,7 @@ mod tests {
             0,
             "commit ships the send before it too"
         );
-        let records = broker.fetch("t", 0, 0, 100).unwrap();
+        let records = log(&broker);
         assert_eq!(records.len(), 53);
         for (i, stored) in records.iter().enumerate() {
             assert_eq!(&stored.record.value[..], i.to_string().as_bytes());
@@ -707,6 +715,6 @@ mod tests {
             let producer = AsyncProducer::new(broker.clone(), "t", 0);
             producer.send(Record::from_value("x"));
         }
-        assert_eq!(broker.latest_offset("t", 0).unwrap(), 1);
+        assert_eq!(log(&broker).len(), 1);
     }
 }

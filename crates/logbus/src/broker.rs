@@ -1,12 +1,12 @@
-//! The broker: topic management, produce/fetch, and the liveness and
-//! fault gates in front of them.
+//! The broker: topic management, handle resolution, and the liveness
+//! and fault gates in front of every request.
 
 use crate::clock::{Clock, SystemClock};
 use crate::config::TopicConfig;
 use crate::error::{Error, Result};
 use crate::fault::{FaultAction, FaultInjector, FaultOp, FaultPlan};
-use crate::handle::{Route, WriteTarget};
-use crate::record::{Record, StoredRecord, Timestamp};
+use crate::handle::Route;
+use crate::record::{StoredRecord, Timestamp};
 use crate::topic::{spin_delay, Topic};
 use parking_lot::RwLock;
 use std::collections::HashMap;
@@ -248,59 +248,13 @@ impl Broker {
             .ok_or_else(|| Error::UnknownTopic(name.to_string()))
     }
 
-    /// Appends one record — a batch of one — stamping it with the broker
-    /// clock as needed. Returns the assigned offset.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownTopic`] or [`Error::UnknownPartition`].
-    pub fn produce(&self, topic: &str, partition: u32, record: Record) -> Result<u64> {
-        let mut batch = crate::pool::record_vec();
-        batch.push(record);
-        self.produce_batch(topic, partition, batch)
-    }
-
-    /// Appends a batch of records; all records in the batch receive the
-    /// same `LogAppendTime` stamp (one broker-side append), mirroring
-    /// Kafka's per-batch stamping. Returns the base offset.
-    ///
-    /// One shot: the request runs the same liveness → fault gate →
-    /// append a [`PartitionWriter`](crate::PartitionWriter) runs, without
-    /// the writer's retry loop, so an injected fault surfaces as its raw
-    /// error (wrap the call in [`with_retry`](crate::with_retry) to ride
-    /// it out).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownTopic`] or [`Error::UnknownPartition`].
-    pub fn produce_batch(
-        &self,
-        topic: &str,
-        partition: u32,
-        mut records: Vec<Record>,
-    ) -> Result<u64> {
-        self.ensure_alive()?;
-        let t = self.topic(topic)?;
-        let target = WriteTarget {
-            broker: self,
-            topic: &t,
-            fence: None,
-        };
-        let result = crate::telemetry::observed_produce(&mut records, |records| {
-            target.append_batch(partition, records, None)
-        });
-        crate::pool::recycle_record_vec(records);
-        result
-    }
-
-    /// The one fetch request, shared by the named calls, the cached
-    /// readers and the cluster's committed reads: liveness → the fetch
-    /// fault gate → the simulated round trip → the read. The delay is
-    /// paid *outside* any partition lock — concurrent fetches overlap,
-    /// whereas produces spin **while holding** the partition append lock
-    /// (one partition has one leader, so same-partition produce requests
-    /// serialize). **Appends** into `out`, returning the number of
-    /// records appended.
+    /// The one fetch request, shared by the cached readers and the
+    /// cluster's committed reads: liveness → the fetch fault gate → the
+    /// simulated round trip → the read. The delay is paid *outside* any
+    /// partition lock — concurrent fetches overlap, whereas produces spin
+    /// **while holding** the partition append lock (one partition has one
+    /// leader, so same-partition produce requests serialize). **Appends**
+    /// into `out`, returning the number of records appended.
     pub(crate) fn read_request(
         &self,
         topic: &Topic,
@@ -313,47 +267,6 @@ impl Broker {
         self.fault_gate(FaultOp::Fetch, topic.name(), partition)?;
         spin_delay(self.request_delay());
         topic.read_into(partition, offset, max, out)
-    }
-
-    /// Fetches up to `max` records from `offset`.
-    ///
-    /// The topic is validated **before** the simulated round trip is paid:
-    /// a request for an unknown topic fails fast, like a metadata error on
-    /// a real client.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownTopic`], [`Error::UnknownPartition`], or
-    /// [`Error::OffsetOutOfRange`].
-    pub fn fetch(
-        &self,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-        max: usize,
-    ) -> Result<Vec<StoredRecord>> {
-        let mut out = Vec::new();
-        self.fetch_into(topic, partition, offset, max, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`Broker::fetch`], but **appends** into `out` (never clearing
-    /// it), returning the number of records appended.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Broker::fetch`].
-    pub fn fetch_into(
-        &self,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-        max: usize,
-        out: &mut Vec<StoredRecord>,
-    ) -> Result<usize> {
-        self.ensure_alive()?;
-        let t = self.topic(topic)?;
-        crate::telemetry::observed_fetch(|| self.read_request(&t, partition, offset, max, out))
     }
 
     /// Resolves `(topic, partition)` for a cached handle: one metadata
@@ -395,24 +308,31 @@ impl Broker {
         let route = self.resolve(topic, partition)?;
         Ok(crate::PartitionReader::new(route, partition))
     }
-
-    /// Next offset to be written in the partition (the "latest" offset).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownTopic`] or [`Error::UnknownPartition`].
-    pub fn latest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        self.ensure_alive()?;
-        let t = self.topic(topic)?;
-        self.fault_gate(FaultOp::Metadata, topic, partition)?;
-        t.latest_offset(partition)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::clock::ManualClock;
+    use crate::handle::{PartitionReader, PartitionWriter};
+    use crate::record::Record;
+    use crate::retry::RetryPolicy;
+
+    fn writer(broker: &Broker, topic: &str) -> PartitionWriter {
+        broker.partition_writer(topic, 0).unwrap()
+    }
+
+    fn reader(broker: &Broker, topic: &str) -> PartitionReader {
+        broker.partition_reader(topic, 0).unwrap()
+    }
+
+    /// The error of a request made once under [`RetryPolicy::none()`].
+    fn only_attempt(error: Error) -> Error {
+        match error {
+            Error::RetriesExhausted { attempts: 1, last } => *last,
+            other => panic!("expected one attempt, got {other:?}"),
+        }
+    }
 
     #[test]
     fn topic_lifecycle() {
@@ -433,16 +353,16 @@ mod tests {
     fn produce_and_fetch_roundtrip() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
+        let writer = writer(&broker, "t");
         for i in 0..10 {
-            let off = broker
-                .produce("t", 0, Record::from_value(format!("{i}")))
-                .unwrap();
+            let off = writer.produce(Record::from_value(format!("{i}"))).unwrap();
             assert_eq!(off, i);
         }
-        let records = broker.fetch("t", 0, 3, 4).unwrap();
+        let reader = reader(&broker, "t");
+        let records = reader.fetch(3, 4).unwrap();
         assert_eq!(records.len(), 4);
         assert_eq!(&records[0].record.value[..], b"3");
-        assert_eq!(broker.latest_offset("t", 0).unwrap(), 10);
+        assert_eq!(reader.latest_offset().unwrap(), 10);
     }
 
     #[test]
@@ -451,8 +371,8 @@ mod tests {
         let broker = Broker::with_clock(clock);
         broker.create_topic("t", TopicConfig::default()).unwrap();
         let batch: Vec<Record> = (0..5).map(|i| Record::from_value(format!("{i}"))).collect();
-        broker.produce_batch("t", 0, batch).unwrap();
-        let records = broker.fetch("t", 0, 0, 10).unwrap();
+        writer(&broker, "t").produce_batch(batch).unwrap();
+        let records = reader(&broker, "t").fetch(0, 10).unwrap();
         let stamps: Vec<i64> = records.iter().map(|r| r.timestamp.as_micros()).collect();
         assert!(
             stamps.windows(2).all(|w| w[0] == w[1]),
@@ -464,12 +384,11 @@ mod tests {
     fn log_append_time_is_monotone() {
         let broker = Broker::with_clock(Arc::new(ManualClock::new(0)));
         broker.create_topic("t", TopicConfig::default()).unwrap();
+        let writer = writer(&broker, "t");
         for i in 0..100 {
-            broker
-                .produce("t", 0, Record::from_value(format!("{i}")))
-                .unwrap();
+            writer.produce(Record::from_value(format!("{i}"))).unwrap();
         }
-        let records = broker.fetch("t", 0, 0, 1000).unwrap();
+        let records = reader(&broker, "t").fetch(0, 1000).unwrap();
         assert!(records.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
     }
 
@@ -480,9 +399,10 @@ mod tests {
         // collapse them.
         let broker = Broker::with_clock(Arc::new(ManualClock::new(1_000_000)));
         broker.create_topic("t", TopicConfig::default()).unwrap();
-        broker.produce("t", 0, Record::from_value("a")).unwrap();
-        broker.produce("t", 0, Record::from_value("b")).unwrap();
-        let records = broker.fetch("t", 0, 0, 10).unwrap();
+        let writer = writer(&broker, "t");
+        writer.produce(Record::from_value("a")).unwrap();
+        writer.produce(Record::from_value("b")).unwrap();
+        let records = reader(&broker, "t").fetch(0, 10).unwrap();
         assert_eq!(
             records[1].timestamp.as_micros() - records[0].timestamp.as_micros(),
             1
@@ -496,9 +416,10 @@ mod tests {
         broker.create_topic("t", TopicConfig::default()).unwrap();
         assert_eq!(broker.request_latency_micros(), 0);
         broker.set_request_latency_micros(2_000);
+        let writer = writer(&broker, "t");
         let start = std::time::Instant::now();
         for _ in 0..5 {
-            broker.produce("t", 0, Record::from_value("x")).unwrap();
+            writer.produce(Record::from_value("x")).unwrap();
         }
         assert!(start.elapsed() >= std::time::Duration::from_millis(10));
     }
@@ -507,17 +428,18 @@ mod tests {
     fn fault_plan_injects_and_clears() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
+        let writer = writer(&broker, "t").with_retry(RetryPolicy::none());
         let mut plan = FaultPlan::seeded(1);
         plan.produce_error = 1.0;
         plan.max_consecutive = 1;
         broker.install_fault_plan(plan);
-        let err = broker.produce("t", 0, Record::from_value("x")).unwrap_err();
+        let err = only_attempt(writer.produce(Record::from_value("x")).unwrap_err());
         assert!(err.is_transient(), "{err:?}");
         // The consecutive-fault bound forces the next request through.
-        broker.produce("t", 0, Record::from_value("y")).unwrap();
+        writer.produce(Record::from_value("y")).unwrap();
         broker.clear_fault_plan();
         for _ in 0..50 {
-            broker.produce("t", 0, Record::from_value("z")).unwrap();
+            writer.produce(Record::from_value("z")).unwrap();
         }
     }
 
@@ -534,25 +456,26 @@ mod tests {
         plan.extra_latency = 0.0;
         plan.max_consecutive = 1;
         broker.install_fault_plan(plan);
-        let err = broker.produce("t", 0, Record::from_value("x")).unwrap_err();
+        let writer = writer(&broker, "t").with_retry(RetryPolicy::none());
+        let reader = reader(&broker, "t");
+        let err = only_attempt(writer.produce(Record::from_value("x")).unwrap_err());
         assert_eq!(err, Error::RequestTimedOut);
         // The record landed even though the ack was lost.
-        assert_eq!(broker.latest_offset("t", 0).unwrap(), 1);
+        assert_eq!(reader.latest_offset().unwrap(), 1);
         // `max_consecutive` lets the next request through; the one after
         // loses its ack again — a batch lands whole, exactly once.
-        broker.produce("t", 0, Record::from_value("y")).unwrap();
+        writer.produce(Record::from_value("y")).unwrap();
         let batch = vec![Record::from_value("a"), Record::from_value("b")];
-        let err = broker.produce_batch("t", 0, batch).unwrap_err();
+        let err = only_attempt(writer.produce_batch(batch).unwrap_err());
         assert_eq!(err, Error::RequestTimedOut);
-        assert_eq!(broker.latest_offset("t", 0).unwrap(), 4);
+        assert_eq!(reader.latest_offset().unwrap(), 4);
     }
 
     #[test]
     fn unknown_topic_errors() {
         let broker = Broker::new();
-        assert!(broker.produce("nope", 0, Record::from_value("x")).is_err());
-        assert!(broker.fetch("nope", 0, 0, 1).is_err());
-        assert!(broker.latest_offset("nope", 0).is_err());
+        assert!(broker.partition_writer("nope", 0).is_err());
+        assert!(broker.partition_reader("nope", 0).is_err());
         assert!(broker.topic("nope").is_err());
     }
 
@@ -568,8 +491,10 @@ mod tests {
             let name = format!("topic-{i}");
             assert!(broker.has_topic(&name));
             assert_eq!(broker.topic(&name).unwrap().name(), name);
-            broker.produce(&name, 0, Record::from_value("x")).unwrap();
-            assert_eq!(broker.latest_offset(&name, 0).unwrap(), 1);
+            writer(&broker, &name)
+                .produce(Record::from_value("x"))
+                .unwrap();
+            assert_eq!(reader(&broker, &name).latest_offset().unwrap(), 1);
         }
         broker.delete_topic("topic-7").unwrap();
         for i in 0..64 {

@@ -55,8 +55,8 @@ impl Default for ClusterConfig {
 }
 
 /// Routing and replication state for one partition — what a
-/// `(topic, partition)` name resolves to on a cluster. Named calls look
-/// it up per call; routed handles hold it.
+/// `(topic, partition)` name resolves to on a cluster, once, for the
+/// routed handles that hold it.
 #[derive(Debug)]
 pub(crate) struct PartitionRoute {
     topic: String,
@@ -201,8 +201,7 @@ impl Cluster {
         Ok(())
     }
 
-    /// Resolves a partition name to its route — the per-call cost of a
-    /// named cluster operation, paid once by a handle.
+    /// Resolves a partition name to its route — paid once per handle.
     fn route(&self, topic: &str, partition: u32) -> Result<Arc<PartitionRoute>> {
         let routes = self.inner.routes.read();
         let Some(partitions) = routes.get(topic) else {
@@ -580,89 +579,6 @@ impl Cluster {
         Ok(hw)
     }
 
-    // ---- named paths ---------------------------------------------------
-    //
-    // Each resolves the route by name, then runs what a routed handle
-    // runs — one shot, without the handle's retry loop.
-
-    /// Appends a batch through the replicated produce path with
-    /// [`Acks::All`] (one shot — no client retry; use a
-    /// [`PartitionWriter`](crate::PartitionWriter) for failover-riding
-    /// produces). Returns the leader's base offset.
-    ///
-    /// # Errors
-    ///
-    /// Same as the replicated produce path.
-    pub fn produce_batch(
-        &self,
-        topic: &str,
-        partition: u32,
-        mut records: Vec<Record>,
-    ) -> Result<u64> {
-        let route = self.route(topic, partition)?;
-        let result = crate::telemetry::observed_produce(&mut records, |records| {
-            self.replicated_append(&route, records, None, Acks::All)
-        });
-        crate::pool::recycle_record_vec(records);
-        result
-    }
-
-    /// Appends one record — a batch of one — through the replicated
-    /// produce path. Returns the assigned offset.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Cluster::produce_batch`].
-    pub fn produce(&self, topic: &str, partition: u32, record: Record) -> Result<u64> {
-        let mut batch = crate::pool::record_vec();
-        batch.push(record);
-        self.produce_batch(topic, partition, batch)
-    }
-
-    /// Next committed offset (the high-watermark).
-    ///
-    /// # Errors
-    ///
-    /// Propagates topic/partition lookup failures.
-    pub fn latest_offset(&self, topic: &str, partition: u32) -> Result<u64> {
-        self.committed_latest_offset(&*self.route(topic, partition)?)
-    }
-
-    /// Fetches committed records from the partition leader.
-    ///
-    /// # Errors
-    ///
-    /// Propagates topic/partition/offset failures.
-    pub fn fetch(
-        &self,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-        max: usize,
-    ) -> Result<Vec<StoredRecord>> {
-        let mut out = Vec::new();
-        self.fetch_into(topic, partition, offset, max, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`Cluster::fetch`], but **appends** into `out`, returning the
-    /// number of records appended.
-    ///
-    /// # Errors
-    ///
-    /// Propagates topic/partition/offset failures.
-    pub fn fetch_into(
-        &self,
-        topic: &str,
-        partition: u32,
-        offset: u64,
-        max: usize,
-        out: &mut Vec<StoredRecord>,
-    ) -> Result<usize> {
-        let route = self.route(topic, partition)?;
-        crate::telemetry::observed_fetch(|| self.committed_read_into(&route, offset, max, out))
-    }
-
     /// Resolves a cached produce handle routed through the cluster: it
     /// holds the partition's route, every attempt re-picks the leader
     /// from it, so the handle rides through leader changes, and it
@@ -708,6 +624,29 @@ impl Default for Cluster {
 mod tests {
     use super::*;
     use crate::fault::FaultPlan;
+    use crate::handle::{PartitionReader, PartitionWriter};
+    use crate::retry::RetryPolicy;
+
+    fn writer(cluster: &Cluster, topic: &str) -> PartitionWriter {
+        cluster.partition_writer(topic, 0).unwrap()
+    }
+
+    fn reader(cluster: &Cluster, topic: &str) -> PartitionReader {
+        cluster.partition_reader(topic, 0).unwrap()
+    }
+
+    /// What broker `index` holds of `topic`, committed or not.
+    fn replica_log(cluster: &Cluster, index: usize, topic: &str) -> Vec<StoredRecord> {
+        let reader = cluster.broker(index).partition_reader(topic, 0).unwrap();
+        reader.fetch(0, 10).unwrap()
+    }
+
+    /// Appends behind the cluster's back: straight to broker `index`'s
+    /// log, bypassing replication (as a dying leader would).
+    fn produce_on_broker(cluster: &Cluster, index: usize, topic: &str, value: &'static str) {
+        let writer = cluster.broker(index).partition_writer(topic, 0).unwrap();
+        writer.produce(Record::from_value(value)).unwrap();
+    }
 
     #[test]
     fn leaders_round_robin() {
@@ -740,9 +679,11 @@ mod tests {
         cluster
             .create_topic("r", TopicConfig::default().replication_factor(3))
             .unwrap();
-        cluster.produce("r", 0, Record::from_value("x")).unwrap();
+        writer(&cluster, "r")
+            .produce(Record::from_value("x"))
+            .unwrap();
         for b in 0..3 {
-            let records = cluster.broker(b).fetch("r", 0, 0, 10).unwrap();
+            let records = replica_log(&cluster, b, "r");
             assert_eq!(records.len(), 1, "broker {b} missing replica");
         }
     }
@@ -753,7 +694,9 @@ mod tests {
         cluster
             .create_topic("solo", TopicConfig::default())
             .unwrap();
-        cluster.produce("solo", 0, Record::from_value("x")).unwrap();
+        writer(&cluster, "solo")
+            .produce(Record::from_value("x"))
+            .unwrap();
         let leader = cluster.leader_of("solo", 0).unwrap();
         let mut hosted = 0;
         for b in 0..3 {
@@ -779,16 +722,12 @@ mod tests {
     fn fetch_reads_leader() {
         let cluster = Cluster::default();
         cluster.create_topic("t", TopicConfig::default()).unwrap();
-        cluster
-            .produce_batch(
-                "t",
-                0,
-                vec![Record::from_value("a"), Record::from_value("b")],
-            )
+        writer(&cluster, "t")
+            .produce_batch(vec![Record::from_value("a"), Record::from_value("b")])
             .unwrap();
-        let records = cluster.fetch("t", 0, 0, 10).unwrap();
+        let records = reader(&cluster, "t").fetch(0, 10).unwrap();
         assert_eq!(records.len(), 2);
-        assert!(cluster.fetch("missing", 0, 0, 1).is_err());
+        assert!(cluster.partition_reader("missing", 0).is_err());
     }
 
     #[test]
@@ -797,24 +736,21 @@ mod tests {
         cluster
             .create_topic("t", TopicConfig::default().replication_factor(3))
             .unwrap();
+        let writer = writer(&cluster, "t");
         for i in 0..5 {
-            cluster
-                .produce("t", 0, Record::from_value(format!("{i}")))
-                .unwrap();
+            writer.produce(Record::from_value(format!("{i}"))).unwrap();
         }
         let old_leader = cluster.leader_of("t", 0).unwrap();
         assert_eq!(cluster.leader_epoch("t", 0).unwrap(), 0);
         cluster.kill_broker(old_leader);
         // The next produce elects a follower and lands on it.
-        let offset = cluster
-            .produce("t", 0, Record::from_value("after"))
-            .unwrap();
+        let offset = writer.produce(Record::from_value("after")).unwrap();
         assert_eq!(offset, 5);
         let new_leader = cluster.leader_of("t", 0).unwrap();
         assert_ne!(new_leader, old_leader);
         assert_eq!(cluster.leader_epoch("t", 0).unwrap(), 1);
         // Committed reads see everything: nothing readable was lost.
-        let records = cluster.fetch("t", 0, 0, 10).unwrap();
+        let records = reader(&cluster, "t").fetch(0, 10).unwrap();
         assert_eq!(records.len(), 6);
         assert_eq!(&records[5].record.value[..], b"after");
     }
@@ -825,16 +761,18 @@ mod tests {
         cluster
             .create_topic("solo", TopicConfig::default())
             .unwrap();
-        cluster.produce("solo", 0, Record::from_value("x")).unwrap();
+        let writer = writer(&cluster, "solo").with_retry(RetryPolicy::none());
+        writer.produce(Record::from_value("x")).unwrap();
         let leader = cluster.leader_of("solo", 0).unwrap();
         cluster.kill_broker(leader);
         assert!(matches!(
-            cluster.produce("solo", 0, Record::from_value("y")),
-            Err(Error::PartitionOffline { .. })
+            writer.produce(Record::from_value("y")),
+            Err(Error::RetriesExhausted { attempts: 1, last })
+                if matches!(*last, Error::PartitionOffline { .. })
         ));
         cluster.restart_broker(leader);
-        cluster.produce("solo", 0, Record::from_value("y")).unwrap();
-        assert_eq!(cluster.fetch("solo", 0, 0, 10).unwrap().len(), 2);
+        writer.produce(Record::from_value("y")).unwrap();
+        assert_eq!(reader(&cluster, "solo").fetch(0, 10).unwrap().len(), 2);
     }
 
     #[test]
@@ -843,29 +781,26 @@ mod tests {
         cluster
             .create_topic("t", TopicConfig::default().replication_factor(3))
             .unwrap();
-        cluster.produce("t", 0, Record::from_value("a")).unwrap();
+        let writer = writer(&cluster, "t");
+        writer.produce(Record::from_value("a")).unwrap();
         let old_leader = cluster.leader_of("t", 0).unwrap();
-        // Fake a divergent unacked tail on the leader: write directly to
-        // its log, bypassing replication (as a dying leader would).
-        cluster
-            .broker(old_leader)
-            .produce("t", 0, Record::from_value("zombie"))
-            .unwrap();
+        // Fake a divergent unacked tail on the leader.
+        produce_on_broker(&cluster, old_leader, "t", "zombie");
         cluster.kill_broker(old_leader);
         // Election promotes a follower that never saw "zombie"; a fresh
         // produce takes its offset.
-        cluster.produce("t", 0, Record::from_value("b")).unwrap();
+        writer.produce(Record::from_value("b")).unwrap();
         cluster.restart_broker(old_leader);
         // The rejoined replica dropped the zombie record...
-        let log = cluster.broker(old_leader).fetch("t", 0, 0, 10).unwrap();
+        let log = replica_log(&cluster, old_leader, "t");
         assert_eq!(log.len(), 1, "unacked tail must be truncated on rejoin");
         // ...and catches back up on the next produce, converging with the
         // new leader's log.
-        cluster.produce("t", 0, Record::from_value("c")).unwrap();
-        let log = cluster.broker(old_leader).fetch("t", 0, 0, 10).unwrap();
+        writer.produce(Record::from_value("c")).unwrap();
+        let log = replica_log(&cluster, old_leader, "t");
         let values: Vec<&[u8]> = log.iter().map(|r| &r.record.value[..]).collect();
         assert_eq!(values, vec![b"a" as &[u8], b"b", b"c"]);
-        assert_eq!(cluster.fetch("t", 0, 0, 10).unwrap().len(), 3);
+        assert_eq!(reader(&cluster, "t").fetch(0, 10).unwrap().len(), 3);
     }
 
     #[test]
@@ -906,13 +841,14 @@ mod tests {
             .unwrap();
         assert!(batch.is_empty(), "acked batch drains");
         assert_eq!(cluster.high_watermark_of("t", 0).unwrap(), 0);
-        assert_eq!(cluster.fetch("t", 0, 0, 10).unwrap().len(), 0);
+        let reader = reader(&cluster, "t");
+        assert_eq!(reader.fetch(0, 10).unwrap().len(), 0);
 
         // Once the follower heals, read repair catches it up and the
         // watermark advances over everything the leader holds.
         cluster.broker(follower).clear_fault_plan();
-        assert_eq!(cluster.latest_offset("t", 0).unwrap(), 2);
-        assert_eq!(cluster.fetch("t", 0, 0, 10).unwrap().len(), 2);
+        assert_eq!(reader.latest_offset().unwrap(), 2);
+        assert_eq!(reader.fetch(0, 10).unwrap().len(), 2);
     }
 
     #[test]
@@ -921,17 +857,17 @@ mod tests {
         cluster
             .create_topic("t", TopicConfig::default().replication_factor(3))
             .unwrap();
-        cluster.produce("t", 0, Record::from_value("seen")).unwrap();
+        writer(&cluster, "t")
+            .produce(Record::from_value("seen"))
+            .unwrap();
         let leader = cluster.leader_of("t", 0).unwrap();
         // A record only the leader holds (written behind the cluster's
         // back) sits above the high-watermark...
-        cluster
-            .broker(leader)
-            .produce("t", 0, Record::from_value("unacked"))
-            .unwrap();
+        produce_on_broker(&cluster, leader, "t", "unacked");
         assert_eq!(cluster.high_watermark_of("t", 0).unwrap(), 1);
         // ...until read repair replicates it on the next metadata poll.
-        assert_eq!(cluster.latest_offset("t", 0).unwrap(), 2);
-        assert_eq!(cluster.fetch("t", 0, 0, 10).unwrap().len(), 2);
+        let reader = reader(&cluster, "t");
+        assert_eq!(reader.latest_offset().unwrap(), 2);
+        assert_eq!(reader.fetch(0, 10).unwrap().len(), 2);
     }
 }

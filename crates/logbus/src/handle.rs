@@ -1,29 +1,24 @@
-//! Cached partition handles, and the one produce request they share
-//! with the named calls.
+//! Cached partition handles — the one client API for produce and
+//! fetch — and the one produce request they run.
 //!
-//! Every named operation (`Broker::produce_batch`, `Cluster::fetch`, …)
-//! names its partition by `(topic, partition)` and pays for that on each
-//! call: hash the topic name, take a map read lock, clone an `Arc`. None
-//! of that work changes between calls in a steady-state pipeline, which
-//! produces to and fetches from the same partition millions of times.
-//!
-//! [`PartitionWriter`] and [`PartitionReader`] hoist that resolution out
-//! of the loop: they are obtained once (from a [`Broker`], a
-//! [`Cluster`], or any [`Bus`](crate::Bus)) and hold what the name
-//! resolved to — the `Arc<Topic>` on a broker, the partition's route
-//! (replica set, election state, each replica's log) on a cluster.
-//! Behind the name there is one path: a named call and a handle run the
-//! same [`WriteTarget::request`] and the same broker read request,
-//! *including* the simulated network round trip
-//! ([`Broker::set_request_latency_micros`]), which models the paper's
-//! remote Kafka cluster. A handle adds the client-side retry loop; a
-//! named call is one shot.
+//! A steady-state pipeline produces to and fetches from the same
+//! partition millions of times, so a handle names its partition once.
+//! [`PartitionWriter`] and [`PartitionReader`] are obtained from a
+//! [`Broker`], a [`Cluster`], or any [`Bus`](crate::Bus), and hold what
+//! `(topic, partition)` resolved to — the `Arc<Topic>` on a broker, the
+//! partition's route (replica set, election state, each replica's log)
+//! on a cluster — so no request hashes the topic name, takes the map
+//! lock or clones an `Arc`. Every produce runs [`WriteTarget::request`]
+//! and every fetch the broker read request, *including* the simulated
+//! network round trip ([`Broker::set_request_latency_micros`]) that
+//! models the paper's remote Kafka cluster, inside the handle's
+//! client-side retry loop.
 //!
 //! Handles pin their topic: like a Kafka client with cached metadata,
 //! a broker handle keeps appending to (or reading from) the log it
 //! resolved, even if the topic is deleted from the broker's name map
-//! afterwards. The named-lookup methods on [`Broker`] remain the source
-//! of truth for topic existence.
+//! afterwards. [`Broker::has_topic`] remains the source of truth for
+//! topic existence.
 
 use crate::broker::Broker;
 use crate::cluster::{Cluster, PartitionRoute};
@@ -175,9 +170,8 @@ impl Route {
 /// Obtained via [`Broker::partition_writer`] or
 /// [`Bus::partition_writer`](crate::Bus::partition_writer). Appends skip
 /// the topic-name lookup entirely; on a [`Cluster`] each produce goes
-/// through the same replicated append the named path uses — leader first,
-/// then every live follower, each broker paying its own simulated round
-/// trip.
+/// through the replicated append — leader first, then every live
+/// follower, each broker paying its own simulated round trip.
 ///
 /// # Example
 ///
@@ -192,7 +186,7 @@ impl Route {
 /// for i in 0..100 {
 ///     writer.produce(Record::from_value(format!("{i}")))?;
 /// }
-/// assert_eq!(broker.latest_offset("t", 0)?, 100);
+/// assert_eq!(broker.partition_reader("t", 0)?.latest_offset()?, 100);
 /// # Ok(())
 /// # }
 /// ```
@@ -331,10 +325,10 @@ impl PartitionWriter {
 ///
 /// Obtained via [`Broker::partition_reader`] or
 /// [`Bus::partition_reader`](crate::Bus::partition_reader); on a
-/// [`Cluster`] it reads from the partition leader, like the named fetch
-/// path. Reads pay the leader broker's simulated round trip *without*
-/// holding any partition lock (fetches from different consumers overlap,
-/// unlike same-partition produces — see [`Broker::fetch`]).
+/// [`Cluster`] it reads from the partition leader, clamped to the
+/// high-watermark. Reads pay the leader broker's simulated round trip
+/// *without* holding any partition lock: fetches from different
+/// consumers overlap, unlike same-partition produces.
 #[derive(Debug, Clone)]
 pub struct PartitionReader {
     route: Route,
@@ -439,36 +433,41 @@ mod tests {
     use crate::config::TopicConfig;
     use crate::error::Error;
 
+    /// Appends `n` records `"0"`, `"1"`, … to partition 0 of `topic`.
+    fn fill(broker: &Broker, topic: &str, n: usize) {
+        let writer = broker.partition_writer(topic, 0).unwrap();
+        for i in 0..n {
+            writer.produce(Record::from_value(format!("{i}"))).unwrap();
+        }
+    }
+
     #[test]
-    fn writer_and_named_path_interleave() {
+    fn writers_on_one_partition_interleave() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
         let writer = broker.partition_writer("t", 0).unwrap();
+        let other = broker.partition_writer("t", 0).unwrap();
         assert_eq!(writer.topic(), "t");
         assert_eq!(writer.partition(), 0);
         assert_eq!(writer.produce(Record::from_value("a")).unwrap(), 0);
-        assert_eq!(broker.produce("t", 0, Record::from_value("b")).unwrap(), 1);
+        assert_eq!(other.produce(Record::from_value("b")).unwrap(), 1);
         assert_eq!(
             writer.produce_batch(vec![Record::from_value("c")]).unwrap(),
             2
         );
-        assert_eq!(broker.latest_offset("t", 0).unwrap(), 3);
+        let reader = broker.partition_reader("t", 0).unwrap();
+        assert_eq!(reader.latest_offset().unwrap(), 3);
     }
 
     #[test]
-    fn reader_matches_named_fetch() {
+    fn reader_matches_the_log() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
-        for i in 0..10 {
-            broker
-                .produce("t", 0, Record::from_value(format!("{i}")))
-                .unwrap();
-        }
+        fill(&broker, "t", 10);
         let reader = broker.partition_reader("t", 0).unwrap();
-        assert_eq!(
-            reader.fetch(3, 4).unwrap(),
-            broker.fetch("t", 0, 3, 4).unwrap()
-        );
+        let (topic, mut log) = (broker.topic("t").unwrap(), Vec::new());
+        topic.read_into(0, 3, 4, &mut log).unwrap();
+        assert_eq!(reader.fetch(3, 4).unwrap(), log);
         assert_eq!(reader.latest_offset().unwrap(), 10);
     }
 
@@ -476,11 +475,7 @@ mod tests {
     fn fetch_into_appends_and_reuses() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
-        for i in 0..6 {
-            broker
-                .produce("t", 0, Record::from_value(format!("{i}")))
-                .unwrap();
-        }
+        fill(&broker, "t", 6);
         let reader = broker.partition_reader("t", 0).unwrap();
         let mut buffer = Vec::new();
         assert_eq!(reader.fetch_into(0, 4, &mut buffer).unwrap(), 4);
@@ -525,7 +520,8 @@ mod tests {
             .produce_batch(vec![Record::from_value("y"), Record::from_value("z")])
             .unwrap();
         for b in 0..3 {
-            let records = cluster.broker(b).fetch("r", 0, 0, 10).unwrap();
+            let replica = cluster.broker(b).partition_reader("r", 0).unwrap();
+            let records = replica.fetch(0, 10).unwrap();
             assert_eq!(records.len(), 3, "broker {b} missing replicas");
         }
     }
@@ -534,7 +530,8 @@ mod tests {
     fn cluster_reader_reads_leader() {
         let cluster = Cluster::new(ClusterConfig { brokers: 3 });
         cluster.create_topic("t", TopicConfig::default()).unwrap();
-        cluster.produce("t", 0, Record::from_value("a")).unwrap();
+        let writer = cluster.partition_writer("t", 0).unwrap();
+        writer.produce(Record::from_value("a")).unwrap();
         let reader = cluster.partition_reader("t", 0).unwrap();
         assert_eq!(reader.fetch(0, 10).unwrap().len(), 1);
     }
@@ -581,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn cluster_named_paths_reach_registry() {
+    fn cluster_handles_reach_registry() {
         let _turn = OBS_GATE.lock();
         let cluster = Cluster::new(ClusterConfig { brokers: 3 });
         cluster
@@ -591,19 +588,17 @@ mod tests {
             let snap = obs::global().registry().snapshot();
             snap.counters.get(name).copied().unwrap_or(0)
         };
+        let writer = cluster.partition_writer("tel", 0).unwrap();
+        let reader = cluster.partition_reader("tel", 0).unwrap();
         obs::set_enabled(true);
         let (produced, fetched) = (
             count("logbus.produce.records"),
             count("logbus.fetch.records"),
         );
-        cluster
-            .produce_batch(
-                "tel",
-                0,
-                vec![Record::from_value("a"), Record::from_value("b")],
-            )
+        writer
+            .produce_batch(vec![Record::from_value("a"), Record::from_value("b")])
             .unwrap();
-        assert_eq!(cluster.fetch("tel", 0, 0, 10).unwrap().len(), 2);
+        assert_eq!(reader.fetch(0, 10).unwrap().len(), 2);
         obs::set_enabled(false);
         // `>=`: other tests in this process may also have recorded. The
         // exact once-per-request count is pinned by `bench/tests/observed_once`.
@@ -633,7 +628,8 @@ mod tests {
         }
         broker.clear_fault_plan();
         // Fail-before errors never touch the log: exactly one copy each.
-        assert_eq!(broker.latest_offset("t", 0).unwrap(), 200);
+        let reader = broker.partition_reader("t", 0).unwrap();
+        assert_eq!(reader.latest_offset().unwrap(), 200);
     }
 
     #[test]
@@ -649,7 +645,8 @@ mod tests {
             writer.produce_batch(batch).unwrap();
         }
         broker.clear_fault_plan();
-        let records = broker.fetch("t", 0, 0, 1_000).unwrap();
+        let reader = broker.partition_reader("t", 0).unwrap();
+        let records = reader.fetch(0, 1_000).unwrap();
         assert_eq!(records.len(), 200, "lost acks must not duplicate");
         for (i, stored) in records.iter().enumerate() {
             assert_eq!(&stored.record.value[..], format!("{i}").as_bytes());
@@ -666,7 +663,8 @@ mod tests {
             writer.produce(Record::from_value(format!("{i}"))).unwrap();
         }
         broker.clear_fault_plan();
-        let records = broker.fetch("t", 0, 0, 10_000).unwrap();
+        let reader = broker.partition_reader("t", 0).unwrap();
+        let records = reader.fetch(0, 10_000).unwrap();
         assert!(records.len() >= 100, "no record may be lost");
         let values: std::collections::HashSet<Vec<u8>> =
             records.iter().map(|r| r.record.value.to_vec()).collect();
@@ -681,6 +679,7 @@ mod tests {
     fn writer_drains_only_a_request_that_succeeded() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
+        let reader = broker.partition_reader("t", 0).unwrap();
         let batch_of_two = || vec![Record::from_value("a"), Record::from_value("b")];
         // Every ack is lost, then a success is forced: the retry of the
         // same sequence number deduplicates, and the buffer drains with
@@ -694,7 +693,7 @@ mod tests {
         assert_eq!(writer.produce_batch_drain(&mut batch), Ok(0));
         assert!(batch.is_empty(), "a deduplicated retry drains");
         assert_eq!(batch.capacity(), capacity, "capacity survives the drain");
-        assert_eq!(broker.latest_offset("t", 0).unwrap(), 2, "applied once");
+        assert_eq!(reader.latest_offset().unwrap(), 2, "applied once");
         // Without retries the lost ack is the caller's error: the append
         // landed, and the batch stays whole for the resend.
         let mut plan = produce_only_plan(14, 1.0, 0.0);
@@ -711,7 +710,7 @@ mod tests {
             Err(Error::RetriesExhausted { attempts: 1, last }) if *last == Error::RequestTimedOut
         ));
         assert_eq!(batch.len(), 2, "a failed request leaves the batch");
-        assert_eq!(broker.latest_offset("t", 0).unwrap(), 4);
+        assert_eq!(reader.latest_offset().unwrap(), 4);
         // A duplicated append lands the borrowed batch twice and drains.
         let mut plan = produce_only_plan(15, 0.0, 0.0);
         plan.duplicate = 1.0;
@@ -720,7 +719,7 @@ mod tests {
         assert_eq!(writer.produce_batch_drain(&mut batch), Ok(4));
         assert!(batch.is_empty());
         broker.clear_fault_plan();
-        let log = broker.fetch("t", 0, 0, 10).unwrap();
+        let log = reader.fetch(0, 10).unwrap();
         let values: Vec<&[u8]> = log.iter().map(|r| &r.record.value[..]).collect();
         assert_eq!(values, [b"a" as &[u8], b"b"].repeat(4));
     }
@@ -729,11 +728,7 @@ mod tests {
     fn reader_retries_through_fetch_faults() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
-        for i in 0..100 {
-            broker
-                .produce("t", 0, Record::from_value(format!("{i}")))
-                .unwrap();
-        }
+        fill(&broker, "t", 100);
         let reader = broker.partition_reader("t", 0).unwrap();
         let mut plan = crate::FaultPlan::seeded(12);
         plan.produce_error = 0.0;
@@ -762,7 +757,7 @@ mod tests {
     fn reader_pays_request_latency() {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
-        broker.produce("t", 0, Record::from_value("x")).unwrap();
+        fill(&broker, "t", 1);
         broker.set_request_latency_micros(2_000);
         let reader = broker.partition_reader("t", 0).unwrap();
         let start = std::time::Instant::now();

@@ -31,17 +31,15 @@
 //!   topic, and nothing coordinates between readers.
 //! * A [`Cluster`] of brokers assigns partition leaders and maintains
 //!   follower replicas according to the topic's replication factor.
-//! * The data plane is **one path**: every produce — a named
-//!   `Broker`/`Cluster` call or a handle, one record (a batch of one) or
-//!   five hundred — runs the same liveness → fault gate → append-under-
-//!   the-partition-lock (round trip, epoch fence, dedup, one
-//!   `LogAppendTime` stamp per batch), and every fetch the same liveness
-//!   → fault gate → round trip → read. **Partition handles**
-//!   ([`PartitionWriter`], [`PartitionReader`]) differ from named calls
-//!   only in naming the partition once: they hold what `(topic,
-//!   partition)` resolved to — on a broker or a cluster — so
-//!   steady-state hot loops skip name hashing, map locking, and key
-//!   allocation entirely, and they retry under a [`RetryPolicy`].
+//! * The data plane is **one path**, and the **partition handles**
+//!   ([`PartitionWriter`], [`PartitionReader`]) are its one client API:
+//!   a handle names its partition once and holds what `(topic,
+//!   partition)` resolved to, on a broker or a cluster. Every produce,
+//!   one record (a batch of one) or five hundred, runs the same liveness
+//!   → fault gate → append under the partition lock (round trip, epoch
+//!   fence, dedup, one `LogAppendTime` stamp per batch), and every fetch
+//!   the same liveness → fault gate → round trip → read, inside the
+//!   handle's [`RetryPolicy`].
 //! * A seeded, deterministic **fault plan** ([`FaultPlan`]) injects
 //!   transient broker errors, lost acks, duplicate appends, and added
 //!   latency; clients retry under a [`RetryPolicy`] and idempotent

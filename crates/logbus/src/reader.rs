@@ -335,9 +335,10 @@ mod tests {
             .create_topic("t", crate::TopicConfig::default().partitions(partitions))
             .unwrap();
         for p in 0..partitions {
+            let writer = broker.partition_writer("t", p).unwrap();
             for i in 0..per_partition {
-                broker
-                    .produce("t", p, crate::Record::from_value(format!("p{p}-{i}")))
+                writer
+                    .produce(crate::Record::from_value(format!("p{p}-{i}")))
                     .unwrap();
             }
         }
@@ -349,9 +350,8 @@ mod tests {
         let broker = loaded(3, 7);
         // A record produced after the start is outside the finish line.
         let mut reader = TopicReader::bounded(broker.clone(), "t", 0, 1).unwrap();
-        broker
-            .produce("t", 0, crate::Record::from_value("late"))
-            .unwrap();
+        let writer = broker.partition_writer("t", 0).unwrap();
+        writer.produce(crate::Record::from_value("late")).unwrap();
         assert_eq!(reader.cursors.len(), 3, "a sole reader owns the topic");
         let mut seen = Vec::new();
         while reader

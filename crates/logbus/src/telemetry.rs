@@ -1,7 +1,7 @@
 //! Cached broker-path instruments.
 //!
-//! Every produce request — a named `Broker`/`Cluster` call or a cached
-//! partition handle — is observed by [`observed_produce`], every fetch
+//! Every produce request — through a partition handle, the one-shot
+//! `Bus` verbs included — is observed by [`observed_produce`], every fetch
 //! by [`observed_fetch`]: one site each, wrapped around the whole
 //! request (retries and replication included), so a request costs the
 //! same telemetry and is counted exactly once whichever door it came in

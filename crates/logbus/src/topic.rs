@@ -180,9 +180,9 @@ impl Topic {
         Ok(records)
     }
 
-    /// The one client append: every produce request — a named call or a
-    /// cached handle, a single record (a batch of one) or five hundred,
-    /// plain, sequenced or fenced — lands here.
+    /// The one client append: every produce request — from any writer,
+    /// a single record (a batch of one) or five hundred, plain,
+    /// sequenced or fenced — lands here.
     ///
     /// In order, all under the partition's append lock: pay `delay` (the
     /// broker's simulated network round trip — a partition has one

@@ -22,6 +22,12 @@ fn record(value: u64) -> Record {
     Record::from_value(value.to_le_bytes().to_vec())
 }
 
+/// Everything appended to `t`.
+fn log(broker: &Broker) -> Vec<StoredRecord> {
+    let reader = broker.partition_reader("t", 0).unwrap();
+    reader.fetch(0, usize::MAX).unwrap()
+}
+
 fn value(stored: &StoredRecord) -> u64 {
     let mut bytes = [0u8; 8];
     bytes.copy_from_slice(&stored.record.value);
@@ -98,7 +104,7 @@ fn concurrent_senders_and_flusher_keep_order_and_count() {
             .collect();
         let flusher = {
             let (producer, sent, finished) = (producer.clone(), sent.clone(), finished.clone());
-            let (broker, start) = (broker.clone(), start.clone());
+            let (reader, start) = (broker.partition_reader("t", 0).unwrap(), start.clone());
             std::thread::spawn(move || {
                 while !start.load(Ordering::SeqCst) {
                     std::hint::spin_loop();
@@ -107,7 +113,7 @@ fn concurrent_senders_and_flusher_keep_order_and_count() {
                 while !finished.load(Ordering::SeqCst) {
                     let before = sent.load(Ordering::SeqCst);
                     producer.flush();
-                    let appended = broker.latest_offset("t", 0).unwrap();
+                    let appended = reader.latest_offset().unwrap();
                     assert!(
                         appended >= before,
                         "flush returned with {appended} appended, {before} sent before it"
@@ -120,7 +126,7 @@ fn concurrent_senders_and_flusher_keep_order_and_count() {
         // Bundles of 0..=40 records under id `SENDERS`, each committed.
         let committer = {
             let (producer, sent, finished) = (producer.clone(), sent.clone(), finished.clone());
-            let (broker, start) = (broker.clone(), start.clone());
+            let (reader, start) = (broker.partition_reader("t", 0).unwrap(), start.clone());
             std::thread::spawn(move || {
                 while !start.load(Ordering::SeqCst) {
                     std::hint::spin_loop();
@@ -136,7 +142,7 @@ fn concurrent_senders_and_flusher_keep_order_and_count() {
                     assert!(bundle.is_empty(), "commit drains its argument");
                     committed += size;
                     round += 1;
-                    let appended = broker.latest_offset("t", 0).unwrap();
+                    let appended = reader.latest_offset().unwrap();
                     assert!(
                         appended >= before + committed,
                         "commit returned with {appended} appended, {before} sent and \
@@ -158,7 +164,7 @@ fn concurrent_senders_and_flusher_keep_order_and_count() {
         assert_eq!(producer.dropped_records(), 0);
 
         let total = SENDERS * PER_SENDER + committed;
-        let log = broker.fetch("t", 0, 0, total as usize + 1).unwrap();
+        let log = log(&broker);
         assert_eq!(log.len() as u64, total, "exactly once");
         let mut expected = [0u64; SENDERS as usize + 1];
         for stored in &log {
@@ -189,6 +195,7 @@ fn commit_behind_a_busy_token_is_shipped() {
         broker.set_request_latency_micros(5_000);
         // No merging: the first commit's batch is its own record.
         let producer = AsyncProducer::with_max_batch(broker.clone(), "t", 0, 1);
+        let reader = broker.partition_reader("t", 0).unwrap();
         // Rounds the second thread is ready for, and rounds whose first
         // commit has returned. Both threads spin: a sleeping one would
         // wake after the window.
@@ -213,11 +220,11 @@ fn commit_behind_a_busy_token_is_shipped() {
                         std::hint::spin_loop();
                     }
                     producer.commit(&mut vec![record(2 * round + 1)]);
-                    assert_eq!(broker.latest_offset("t", 0).unwrap(), 2 * round + 2);
+                    assert_eq!(reader.latest_offset().unwrap(), 2 * round + 2);
                 }
             });
         });
-        let log = broker.fetch("t", 0, 0, 2 * ROUNDS as usize + 1).unwrap();
+        let log = log(&broker);
         let values: Vec<u64> = log.iter().map(value).collect();
         assert_eq!(values, (0..2 * ROUNDS).collect::<Vec<_>>());
     });
@@ -301,13 +308,13 @@ proptest! {
             // An empty commit is a flush; both are a barrier.
             if matches!(op, Op::Flush | Op::Commit(_)) {
                 prop_assert_eq!(producer.in_flight(), 0);
-                prop_assert_eq!(broker.latest_offset("t", 0).unwrap(), model.len() as u64);
+                prop_assert_eq!(log(&broker).len(), model.len());
                 flushed_at.push(model.len());
             }
         }
         producer.close();
 
-        let log = broker.fetch("t", 0, 0, model.len() + 1).unwrap();
+        let log = log(&broker);
         let values: Vec<u64> = log.iter().map(value).collect();
         prop_assert_eq!(&values, &model, "send order, exactly once");
 
@@ -339,7 +346,7 @@ proptest! {
             producer.send(record(i as u64));
             producer.flush();
         }
-        let log = broker.fetch("t", 0, 0, records + 1).unwrap();
+        let log = log(&broker);
         prop_assert_eq!(append_sizes(&log), vec![1; records]);
     }
 
@@ -354,7 +361,7 @@ proptest! {
             bundle.push(record(i as u64));
             producer.commit(&mut bundle);
         }
-        let log = broker.fetch("t", 0, 0, records + 1).unwrap();
+        let log = log(&broker);
         prop_assert_eq!(append_sizes(&log), vec![1; records]);
     }
 }

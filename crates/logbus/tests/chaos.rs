@@ -87,9 +87,9 @@ proptest! {
     fn plain_writer_is_at_least_once_with_bounded_duplicates(plan in arb_plan(), values in arb_values()) {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
-        // Resolve the handle fault-free (named resolution deliberately
-        // does not retry — clients own that); the produce loop below
-        // runs entirely under the plan.
+        // Resolve the handle fault-free (resolution deliberately does
+        // not retry — clients own that); the produce loop below runs
+        // entirely under the plan.
         let writer = broker.partition_writer("t", 0).unwrap();
         broker.install_fault_plan(plan.clone());
         for v in &values {
@@ -97,7 +97,8 @@ proptest! {
         }
         broker.clear_fault_plan();
 
-        let stored = broker.fetch("t", 0, 0, values.len() * 4 + 64).unwrap();
+        let reader = broker.partition_reader("t", 0).unwrap();
+        let stored = reader.fetch(0, values.len() * 4 + 64).unwrap();
         prop_assert!(stored.len() >= values.len(), "at-least-once: nothing lost");
 
         // Each produce makes at most `max_consecutive` lost-ack resends,
@@ -164,7 +165,8 @@ proptest! {
         broker.clear_fault_plan();
         logbus::pool::recycle_record_vec(buffer);
 
-        let stored = broker.fetch("t", 0, 0, values.len() + 64).unwrap();
+        let reader = broker.partition_reader("t", 0).unwrap();
+        let stored = reader.fetch(0, values.len() + 64).unwrap();
         prop_assert_eq!(stored.len(), values.len(), "exactly-once");
         for (i, (s, v)) in stored.iter().zip(&values).enumerate() {
             prop_assert_eq!(s.offset, i as u64);

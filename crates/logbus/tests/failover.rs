@@ -93,6 +93,11 @@ fn seeded_random_kills_never_lose_acked_records_or_surface_zombies() {
             .idempotent()
             .with_acks(Acks::All)
             .with_retry(RetryPolicy::default());
+        // One-shot committed reads, as checks between schedule steps.
+        let reader = cluster
+            .partition_reader("t", 0)
+            .unwrap()
+            .with_retry(RetryPolicy::none());
 
         let mut alive = [true; 3];
         let mut sent: Vec<Sent> = Vec::new();
@@ -133,7 +138,7 @@ fn seeded_random_kills_never_lose_acked_records_or_surface_zombies() {
                 // elected yet) — skip the check then; the final
                 // quiescent read below never skips.
                 _ => {
-                    if let Ok(records) = cluster.fetch("t", 0, 0, sent.len() + 16) {
+                    if let Ok(records) = reader.fetch(0, sent.len() + 16) {
                         let hw = cluster.high_watermark_of("t", 0).unwrap();
                         let committed: Vec<u64> =
                             records.iter().map(|s| decode(&s.record.value)).collect();
@@ -161,8 +166,8 @@ fn seeded_random_kills_never_lose_acked_records_or_surface_zombies() {
             .unwrap();
         sent.push(Sent { value, acked: true });
 
-        let committed: Vec<u64> = cluster
-            .fetch("t", 0, 0, sent.len() + 16)
+        let committed: Vec<u64> = reader
+            .fetch(0, sent.len() + 16)
             .unwrap()
             .iter()
             .map(|s| decode(&s.record.value))
@@ -233,7 +238,8 @@ fn retry_wall_budget_exhausts_while_the_whole_cluster_is_down() {
     cluster.restart_broker(0);
     cluster.restart_broker(1);
     writer.produce(Record::from_value("back")).unwrap();
-    assert_eq!(cluster.latest_offset("t", 0).unwrap(), 2);
+    let reader = cluster.partition_reader("t", 0).unwrap();
+    assert_eq!(reader.latest_offset().unwrap(), 2);
 }
 
 /// Kill-the-leader chaos phase: an idempotent producer and a committed
@@ -282,7 +288,8 @@ fn producer_consumer_pipeline_rides_through_repeated_leader_kills() {
         cluster.leader_epoch("t", 0).unwrap() > 0,
         "the kills must have forced elections"
     );
-    let stored = cluster.fetch("t", 0, 0, RECORDS as usize + 16).unwrap();
+    let reader = cluster.partition_reader("t", 0).unwrap();
+    let stored = reader.fetch(0, RECORDS as usize + 16).unwrap();
     assert_eq!(stored.len() as u64, RECORDS, "exactly-once");
     for (i, s) in stored.iter().enumerate() {
         assert_eq!(s.offset, i as u64);

@@ -1,13 +1,15 @@
 //! Integration tests for the cached partition handles: equivalence with
-//! the named lookup path, and correctness under concurrent use.
+//! the one-shot `Bus::produce_batch` and with the log itself, and
+//! correctness under concurrent use.
 //!
-//! The produce doors run under generated fault plans (ack loss and
-//! duplicates included), and four writers share one partition lock, so
+//! The one-shot `Bus::produce_batch` and an idempotent `PartitionWriter`
+//! run under generated fault plans (ack loss and duplicates included),
+//! and four writers share one partition lock, so
 //! under `--features check-sync` the `zzz_` gate additionally asserts
 //! the lock-order graph stayed acyclic and no offset or append-time
 //! witness tripped; CI runs this file with `--test-threads=1` there.
 
-use logbus::{with_retry, Broker, FaultPlan, Record, RetryPolicy, TopicConfig};
+use logbus::{with_retry, Broker, Bus, FaultPlan, Record, RetryPolicy, TopicConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -45,21 +47,39 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
 }
 
 fn payload_log(broker: &Broker) -> Vec<Vec<u8>> {
-    broker
-        .fetch("t", 0, 0, usize::MAX)
+    let reader = broker.partition_reader("t", 0).unwrap();
+    reader
+        .fetch(0, usize::MAX)
         .unwrap()
         .into_iter()
         .map(|stored| stored.record.value.to_vec())
         .collect()
 }
 
+/// What `payloads` leave in partition 0 of `t`, one request each.
+fn log_of(payloads: &[Vec<u8>]) -> (Broker, Vec<logbus::StoredRecord>) {
+    let broker = Broker::new();
+    broker.create_topic("t", TopicConfig::default()).unwrap();
+    let writer = broker.partition_writer("t", 0).unwrap();
+    for p in payloads {
+        writer.produce(Record::from_value(p.clone())).unwrap();
+    }
+    let mut log = Vec::new();
+    let topic = broker.topic("t").unwrap();
+    topic.read_into(0, 0, usize::MAX, &mut log).unwrap();
+    (broker, log)
+}
+
 proptest! {
     /// Same log whichever door you use: the same batches through the
-    /// named `Broker::produce_batch` (retried by the caller) and through
+    /// one-shot `Bus::produce_batch` (retried by the caller) and through
     /// an idempotent `PartitionWriter` meet the same seeded fault plan
-    /// attempt for attempt — the named door draws one produce decision
-    /// per attempt and no metadata decision — so neither loses a
-    /// payload, and the sequenced door ends exactly-once and in order.
+    /// attempt for attempt. Each attempt of either door that reaches the
+    /// broker draws one produce decision; the one-shot door also
+    /// resolves a writer per attempt, a metadata decision whose faults
+    /// the caller retries before any produce decision is drawn. So
+    /// neither door loses a payload, and the sequenced one ends
+    /// exactly-once and in order.
     #[test]
     fn named_and_handle_doors_build_the_same_log(
         plan in arb_plan(),
@@ -70,13 +90,21 @@ proptest! {
         for broker in [&named, &handled] {
             broker.create_topic("t", TopicConfig::default()).unwrap();
         }
-        // Resolved before the plan goes in: a writer costs one metadata
-        // decision, the named door must cost none.
+        // Resolved before the plan goes in, so that only the one-shot
+        // door draws metadata decisions.
         let writer = handled.partition_writer("t", 0).unwrap().idempotent();
+        let probes = [&named, &handled].map(|broker| {
+            let writer = broker.partition_writer("t", 0).unwrap();
+            writer.with_retry(RetryPolicy::none())
+        });
         named.install_fault_plan(plan.clone());
         handled.install_fault_plan(plan);
 
-        let policy = RetryPolicy::default();
+        // Room for a metadata fault run before each produce attempt.
+        let policy = RetryPolicy {
+            max_retries: 32,
+            ..RetryPolicy::default()
+        };
         let mut sent: Vec<Vec<u8>> = Vec::new();
         for (b, batch) in batches.iter().enumerate() {
             let records = || -> Vec<Record> {
@@ -90,20 +118,15 @@ proptest! {
             writer.produce_batch(records()).unwrap();
         }
 
-        // Both brokers drew the same number of decisions per stream iff
-        // their next draws agree: probe each stream with one-shot named
-        // requests (a desynchronised stream diverges within a few draws).
+        // Both brokers drew the same number of produce decisions iff
+        // their next draws agree: probe the stream with one-shot writers
+        // (a desynchronised stream diverges within a few draws).
         for probe in 0..24 {
             let record = || Record::from_value(format!("probe{probe}"));
             prop_assert_eq!(
-                named.produce("t", 0, record()).map(drop),
-                handled.produce("t", 0, record()).map(drop),
+                probes[0].produce(record()).map(drop),
+                probes[1].produce(record()).map(drop),
                 "produce streams diverged at probe {}", probe
-            );
-            prop_assert_eq!(
-                named.latest_offset("t", 0).map(drop),
-                handled.latest_offset("t", 0).map(drop),
-                "metadata streams diverged at probe {}", probe
             );
         }
         named.clear_fault_plan();
@@ -125,56 +148,42 @@ proptest! {
         prop_assert_eq!(next, None, "named door lost a payload");
     }
 
-    /// The handle-based read path (`PartitionReader::fetch` /
-    /// `fetch_into`) and broker-level `fetch_into` return byte-identical
-    /// results to the named `Broker::fetch`, for arbitrary payloads,
-    /// offsets, and fetch sizes.
+    /// The handle read path (`PartitionReader::fetch` / `fetch_into`)
+    /// returns exactly the records the log holds from `offset`, for
+    /// arbitrary payloads, offsets, and fetch sizes.
     #[test]
-    fn handle_reads_match_named_fetch(
+    fn handle_reads_match_the_log(
         payloads in arb_payloads(),
         read_offset in 0u64..250,
         max in 1usize..300,
     ) {
-        let broker = Broker::new();
-        broker.create_topic("t", TopicConfig::default()).unwrap();
-        for p in &payloads {
-            broker.produce("t", 0, Record::from_value(p.clone())).unwrap();
-        }
+        let (broker, log) = log_of(&payloads);
         let offset = read_offset.min(payloads.len() as u64);
-        let named = broker.fetch("t", 0, offset, max).unwrap();
+        let expected = &log[offset as usize..][..max.min(log.len() - offset as usize)];
 
         let reader = broker.partition_reader("t", 0).unwrap();
-        prop_assert_eq!(&reader.fetch(offset, max).unwrap(), &named);
+        prop_assert_eq!(&reader.fetch(offset, max).unwrap()[..], expected);
 
         let mut via_handle = Vec::new();
         let appended = reader.fetch_into(offset, max, &mut via_handle).unwrap();
-        prop_assert_eq!(appended, named.len());
-        prop_assert_eq!(&via_handle, &named);
-
-        let mut via_broker = Vec::new();
-        let appended = broker.fetch_into("t", 0, offset, max, &mut via_broker).unwrap();
-        prop_assert_eq!(appended, named.len());
-        prop_assert_eq!(&via_broker, &named);
+        prop_assert_eq!(appended, expected.len());
+        prop_assert_eq!(&via_handle[..], expected);
     }
 
     /// `fetch_into` appends without clearing: pre-existing buffer contents
-    /// survive and the suffix equals the named fetch.
+    /// survive and the suffix equals the log's first `max` records.
     #[test]
     fn fetch_into_appends_after_existing_records(
         payloads in arb_payloads(),
         max in 1usize..300,
     ) {
-        let broker = Broker::new();
-        broker.create_topic("t", TopicConfig::default()).unwrap();
-        for p in &payloads {
-            broker.produce("t", 0, Record::from_value(p.clone())).unwrap();
-        }
+        let (broker, log) = log_of(&payloads);
         let reader = broker.partition_reader("t", 0).unwrap();
         let mut buffer = reader.fetch(0, 3).unwrap();
         let prefix = buffer.clone();
         let appended = reader.fetch_into(0, max, &mut buffer).unwrap();
         prop_assert_eq!(&buffer[..prefix.len()], &prefix[..]);
-        prop_assert_eq!(&buffer[prefix.len()..], &broker.fetch("t", 0, 0, max).unwrap()[..]);
+        prop_assert_eq!(&buffer[prefix.len()..], &log[..max.min(log.len())]);
         prop_assert_eq!(buffer.len(), prefix.len() + appended);
     }
 }
@@ -250,33 +259,31 @@ fn concurrent_handle_producers_and_reader() {
     }
 }
 
-/// Handle-based and named produces interleaved from different threads
-/// still yield dense offsets and a totally ordered log.
+/// Two separately resolved writers (not clones: each holds its own
+/// resolution of the partition) producing from different threads still
+/// yield dense offsets and a totally ordered log.
 #[test]
-fn mixed_named_and_handle_producers() {
+fn separately_resolved_writers_interleave() {
     const PER_SIDE: u64 = 3_000;
 
     let broker = Broker::new();
     broker.create_topic("t", TopicConfig::default()).unwrap();
-    let writer = broker.partition_writer("t", 0).unwrap();
-
-    let named_broker = broker.clone();
-    let named = std::thread::spawn(move || {
-        for i in 0..PER_SIDE {
-            named_broker
-                .produce("t", 0, Record::from_value(format!("n{i}")))
-                .unwrap();
-        }
+    let sides = ["n", "h"].map(|side| {
+        let writer = broker.partition_writer("t", 0).unwrap();
+        std::thread::spawn(move || {
+            for i in 0..PER_SIDE {
+                writer
+                    .produce(Record::from_value(format!("{side}{i}")))
+                    .unwrap();
+            }
+        })
     });
-    let handled = std::thread::spawn(move || {
-        for i in 0..PER_SIDE {
-            writer.produce(Record::from_value(format!("h{i}"))).unwrap();
-        }
-    });
-    named.join().unwrap();
-    handled.join().unwrap();
+    for side in sides {
+        side.join().unwrap();
+    }
 
-    let all = broker.fetch("t", 0, 0, (2 * PER_SIDE) as usize).unwrap();
+    let reader = broker.partition_reader("t", 0).unwrap();
+    let all = reader.fetch(0, (2 * PER_SIDE) as usize).unwrap();
     assert_eq!(all.len() as u64, 2 * PER_SIDE);
     for (i, stored) in all.iter().enumerate() {
         assert_eq!(stored.offset, i as u64);
@@ -285,8 +292,8 @@ fn mixed_named_and_handle_producers() {
 }
 
 /// End-of-suite gate for the `check-sync` build: every test above wrote
-/// through the named and handle doors — faulted arms, concurrent writers
-/// and a reader included. The lock-order graph must be acyclic and no
+/// through the one-shot verb and the handles — faulted arms, concurrent
+/// writers and a reader included. The lock-order graph must be acyclic and no
 /// witness may have tripped. Named `zzz_` so libtest's alphabetical
 /// order runs it last (CI passes `--test-threads=1`).
 #[cfg(feature = "check-sync")]

@@ -1,11 +1,17 @@
 //! Property-based tests for the broker's core invariants.
 
-use logbus::{Broker, Cluster, ClusterConfig, ManualClock, Record, TopicConfig};
+use logbus::{Broker, Cluster, ClusterConfig, ManualClock, Record, StoredRecord, TopicConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 fn arb_payloads() -> impl Strategy<Value = Vec<Vec<u8>>> {
     prop::collection::vec(prop::collection::vec(any::<u8>(), 0..64), 1..200)
+}
+
+/// Everything broker `broker` holds of `t`, committed or not.
+fn log(broker: &Broker) -> Vec<StoredRecord> {
+    let reader = broker.partition_reader("t", 0).unwrap();
+    reader.fetch(0, usize::MAX).unwrap()
 }
 
 proptest! {
@@ -31,7 +37,7 @@ proptest! {
             rest = tail;
         }
 
-        let fetched = broker.fetch("t", 0, 0, payloads.len() + 10).unwrap();
+        let fetched = log(&broker);
         prop_assert_eq!(fetched.len(), payloads.len());
         for (i, (stored, sent)) in fetched.iter().zip(&payloads).enumerate() {
             prop_assert_eq!(stored.offset, i as u64);
@@ -44,10 +50,11 @@ proptest! {
     fn append_time_is_monotone(payloads in arb_payloads()) {
         let broker = Broker::with_clock(Arc::new(ManualClock::new(0)));
         broker.create_topic("t", TopicConfig::default()).unwrap();
+        let writer = broker.partition_writer("t", 0).unwrap();
         for p in &payloads {
-            broker.produce("t", 0, Record::from_value(p.clone())).unwrap();
+            writer.produce(Record::from_value(p.clone())).unwrap();
         }
-        let fetched = broker.fetch("t", 0, 0, payloads.len()).unwrap();
+        let fetched = log(&broker);
         prop_assert!(fetched.windows(2).all(|w| w[0].timestamp <= w[1].timestamp));
     }
 
@@ -60,8 +67,9 @@ proptest! {
     ) {
         let broker = Broker::new();
         broker.create_topic("t", TopicConfig::default()).unwrap();
+        let writer = broker.partition_writer("t", 0).unwrap();
         for p in &payloads {
-            broker.produce("t", 0, Record::from_value(p.clone())).unwrap();
+            writer.produce(Record::from_value(p.clone())).unwrap();
         }
         let reader = broker.partition_reader("t", 0).unwrap();
         let mut seen = Vec::new();
@@ -88,13 +96,14 @@ proptest! {
         cluster
             .create_topic("t", TopicConfig::default().replication_factor(brokers))
             .unwrap();
+        let writer = cluster.partition_writer("t", 0).unwrap();
         for p in &payloads {
-            cluster.produce("t", 0, Record::from_value(p.clone())).unwrap();
+            writer.produce(Record::from_value(p.clone())).unwrap();
         }
         let leader = cluster.leader_of("t", 0).unwrap();
-        let reference = cluster.broker(leader).fetch("t", 0, 0, payloads.len()).unwrap();
+        let reference = log(cluster.broker(leader));
         for b in 0..brokers as usize {
-            let replica = cluster.broker(b).fetch("t", 0, 0, payloads.len()).unwrap();
+            let replica = log(cluster.broker(b));
             prop_assert_eq!(replica.len(), reference.len());
             for (x, y) in replica.iter().zip(&reference) {
                 prop_assert_eq!(x.offset, y.offset);

@@ -24,8 +24,8 @@
 
 use bytes::Bytes;
 use logbus::{
-    Acks, Clock, Cluster, ClusterConfig, Error, FaultPlan, ManualClock, Record, StoredRecord,
-    Topic, TopicConfig,
+    Acks, Clock, Cluster, ClusterConfig, Error, FaultPlan, ManualClock, Record, RetryPolicy,
+    StoredRecord, Topic, TopicConfig,
 };
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -263,7 +263,10 @@ fn batch(round: u64, records: u64) -> Vec<Record> {
 /// Every broker's copy of `t`, which must equal the first's.
 fn assert_replicas_agree(cluster: &Cluster, records: usize) {
     let logs: Vec<Vec<StoredRecord>> = (0..3)
-        .map(|b| cluster.broker(b).fetch("t", 0, 0, usize::MAX).unwrap())
+        .map(|b| {
+            let replica = cluster.broker(b).partition_reader("t", 0).unwrap();
+            replica.fetch(0, usize::MAX).unwrap()
+        })
         .collect();
     assert_eq!(logs[0].len(), records);
     for (b, log) in logs.iter().enumerate() {
@@ -281,10 +284,11 @@ fn a_killed_follower_catches_up_in_one_range() {
     let cluster = cluster();
     let leader = cluster.leader_of("t", 0).unwrap();
     let follower = (leader + 1) % 3;
-    cluster.produce_batch("t", 0, batch(0, 100)).unwrap();
+    let writer = cluster.partition_writer("t", 0).unwrap();
+    writer.produce_batch(batch(0, 100)).unwrap();
     cluster.kill_broker(follower);
     for round in 1..=20 {
-        cluster.produce_batch("t", 0, batch(round, 100)).unwrap();
+        writer.produce_batch(batch(round, 100)).unwrap();
     }
     assert_eq!(
         cluster
@@ -298,7 +302,7 @@ fn a_killed_follower_catches_up_in_one_range() {
     cluster.restart_broker(follower);
     // One produce later it holds the twenty rounds it missed and the new
     // one.
-    cluster.produce_batch("t", 0, batch(21, 100)).unwrap();
+    writer.produce_batch(batch(21, 100)).unwrap();
     assert_replicas_agree(&cluster, 2_200);
 }
 
@@ -328,7 +332,8 @@ fn a_lagging_follower_holds_the_watermark_then_catches_up() {
     assert_eq!(cluster.high_watermark_of("t", 0), Ok(0));
     cluster.broker(follower).clear_fault_plan();
     // Read repair copies the whole backlog as one range.
-    assert_eq!(cluster.latest_offset("t", 0), Ok(1_000));
+    let reader = cluster.partition_reader("t", 0).unwrap();
+    assert_eq!(reader.latest_offset(), Ok(1_000));
     assert_replicas_agree(&cluster, 1_000);
 }
 
@@ -337,7 +342,11 @@ fn a_follower_out_of_step_lags_instead_of_panicking() {
     let cluster = cluster();
     let leader = cluster.leader_of("t", 0).unwrap();
     let follower = (leader + 1) % 3;
-    cluster.produce_batch("t", 0, batch(0, 10)).unwrap();
+    let once = cluster
+        .partition_writer("t", 0)
+        .unwrap()
+        .with_retry(RetryPolicy::none());
+    once.produce_batch(batch(0, 10)).unwrap();
     // Behind the cluster's back the follower loses its tail: the next
     // range starts past its end. The per-record path asserted here.
     cluster
@@ -347,8 +356,8 @@ fn a_follower_out_of_step_lags_instead_of_panicking() {
         .truncate_to(0, 5)
         .unwrap();
     assert!(matches!(
-        cluster.produce_batch("t", 0, batch(1, 10)),
-        Err(Error::RequestTimedOut)
+        once.produce_batch(batch(1, 10)),
+        Err(Error::RetriesExhausted { attempts: 1, last }) if *last == Error::RequestTimedOut
     ));
     assert_eq!(
         cluster.high_watermark_of("t", 0),
@@ -357,14 +366,9 @@ fn a_follower_out_of_step_lags_instead_of_panicking() {
     );
     // And the same with a record it should not have.
     let other = (leader + 2) % 3;
-    cluster
-        .broker(other)
-        .produce("t", 0, Record::from_value("stray"))
-        .unwrap();
-    cluster
-        .broker(other)
-        .produce("t", 0, Record::from_value("stray"))
-        .unwrap();
+    let stray = cluster.broker(other).partition_writer("t", 0).unwrap();
+    stray.produce(Record::from_value("stray")).unwrap();
+    stray.produce(Record::from_value("stray")).unwrap();
     let other_end = cluster.broker(other).topic("t").unwrap().latest_offset(0);
     let writer = cluster
         .partition_writer("t", 0)

@@ -43,10 +43,11 @@ fn fastest_produce(cluster: &Cluster, floor: Duration, ceiling: Duration) -> (Du
     let deadline = Instant::now() + PATIENCE;
     let mut fastest = Duration::MAX;
     let mut produced = 0;
+    let writer = cluster.partition_writer("t", 0).unwrap();
     while produced < PRODUCES || (fastest >= ceiling && Instant::now() < deadline) {
         let started = Instant::now();
-        cluster
-            .produce("t", 0, Record::from_value(format!("r{produced}")))
+        writer
+            .produce(Record::from_value(format!("r{produced}")))
             .unwrap();
         let took = started.elapsed();
         assert!(

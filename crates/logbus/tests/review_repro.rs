@@ -12,8 +12,10 @@ fn committed_reads_diverge_after_stale_synced_rejoin() {
         .create_topic("t", TopicConfig::default().replication_factor(3))
         .unwrap();
 
+    let acks_all = cluster.partition_writer("t", 0).unwrap();
+    let reader = cluster.partition_reader("t", 0).unwrap();
     // Record 0 fully replicated.
-    cluster.produce("t", 0, Record::from_value("a")).unwrap();
+    acks_all.produce(Record::from_value("a")).unwrap();
 
     let leader = cluster.leader_of("t", 0).unwrap();
     // Replica positions are (leader, leader+1, leader+2) mod 3.
@@ -47,8 +49,8 @@ fn committed_reads_diverge_after_stale_synced_rejoin() {
     cluster.kill_broker(b);
 
     // New record 1 = "x" on C's timeline.
-    cluster.produce("t", 0, Record::from_value("x")).unwrap();
-    let committed = cluster.fetch("t", 0, 0, 10).unwrap();
+    acks_all.produce(Record::from_value("x")).unwrap();
+    let committed = reader.fetch(0, 10).unwrap();
     assert_eq!(&committed[1].record.value[..], b"x");
     let hw = cluster.high_watermark_of("t", 0).unwrap();
     assert_eq!(hw, 2);
@@ -56,12 +58,12 @@ fn committed_reads_diverge_after_stale_synced_rejoin() {
     // B restarts: truncated only to its stale synced (=2), keeping "b".
     cluster.restart_broker(b);
     // Next produce "catches B up" starting from its stale synced.
-    cluster.produce("t", 0, Record::from_value("y")).unwrap();
+    acks_all.produce(Record::from_value("y")).unwrap();
 
     // C dies; B gets elected.
     cluster.kill_broker(c);
 
-    let reread = cluster.fetch("t", 0, 0, 10).unwrap();
+    let reread = reader.fetch(0, 10).unwrap();
     // Offset 1 was committed-read as "x"; a correct log never changes it.
     assert_eq!(
         &reread[1].record.value[..],

@@ -93,12 +93,11 @@ impl History {
 
     fn append(&mut self, partition: u32, count: u64) {
         let partition = partition % self.log.len() as u32;
+        let writer = self.bus.partition_writer("t", partition).unwrap();
         for _ in 0..count {
             let value = self.appended();
             let record = Record::from_value(value.to_le_bytes().to_vec());
-            self.bus
-                .produce_batch("t", partition, vec![record])
-                .unwrap();
+            writer.produce(record).unwrap();
             self.log[partition as usize].push(value);
         }
     }

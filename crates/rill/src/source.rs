@@ -217,7 +217,8 @@ mod tests {
         let broker = Broker::new();
         broker.create_topic("in", TopicConfig::default()).unwrap();
         let records = (0..100).map(|i| Record::from_value(format!("r{i}")));
-        broker.produce_batch("in", 0, records.collect()).unwrap();
+        let writer = broker.partition_writer("in", 0).unwrap();
+        writer.produce_batch(records.collect()).unwrap();
 
         let source = BrokerSource::new(broker.clone(), "in").fetch_size(7);
         let parts = collect_all(&source, 1);
@@ -229,7 +230,8 @@ mod tests {
     fn broker_source_single_partition_leaves_subtask_idle() {
         let broker = Broker::new();
         broker.create_topic("in", TopicConfig::default()).unwrap();
-        broker.produce("in", 0, Record::from_value("only")).unwrap();
+        let writer = broker.partition_writer("in", 0).unwrap();
+        writer.produce(Record::from_value("only")).unwrap();
         let source = BrokerSource::new(broker, "in");
         let parts = collect_all(&source, 2);
         assert_eq!(parts[0].len(), 1, "subtask 0 owns the single partition");
@@ -242,9 +244,10 @@ mod tests {
             .create_topic("in", TopicConfig::default().partitions(partitions))
             .unwrap();
         for p in 0..partitions {
+            let writer = broker.partition_writer("in", p).unwrap();
             for i in 0..per_partition {
-                broker
-                    .produce("in", p, Record::from_value(format!("p{p}-{i}")))
+                writer
+                    .produce(Record::from_value(format!("p{p}-{i}")))
                     .unwrap();
             }
         }
@@ -330,12 +333,10 @@ mod tests {
     fn follow_source_gets_all_records_from_slow_producer() {
         let broker = Broker::new();
         broker.create_topic("in", TopicConfig::default()).unwrap();
-        let producer_broker = broker.clone();
+        let writer = broker.partition_writer("in", 0).unwrap();
         let producer = std::thread::spawn(move || {
             for i in 0..40 {
-                producer_broker
-                    .produce("in", 0, Record::from_value(format!("r{i}")))
-                    .unwrap();
+                writer.produce(Record::from_value(format!("r{i}"))).unwrap();
                 if i % 8 == 0 {
                     // Leave the source caught up so it has to back off.
                     std::thread::sleep(std::time::Duration::from_millis(3));

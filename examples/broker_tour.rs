@@ -55,13 +55,17 @@ fn main() -> Result<(), Box<dyn Error>> {
     // --- A replicated cluster, like the paper's three Kafka nodes. ---
     let cluster = Cluster::new(ClusterConfig { brokers: 3 });
     cluster.create_topic("replicated", TopicConfig::default().replication_factor(3))?;
+    let writer = cluster.partition_writer("replicated", 0)?;
     for i in 0..5 {
-        cluster.produce("replicated", 0, Record::from_value(format!("r{i}")))?;
+        writer.produce(Record::from_value(format!("r{i}")))?;
     }
     let leader = cluster.leader_of("replicated", 0)?;
     println!("cluster: leader of replicated/0 is broker {leader}");
     for b in 0..3 {
-        let n = cluster.broker(b).latest_offset("replicated", 0)?;
+        let n = cluster
+            .broker(b)
+            .partition_reader("replicated", 0)?
+            .latest_offset()?;
         println!("  broker {b} holds {n} replica records");
     }
     Ok(())

@@ -53,9 +53,10 @@ fn main() -> Result<(), Box<dyn Error>> {
         let output_topic = format!("errors-{}", runner.name());
         broker.create_topic(&output_topic, TopicConfig::default())?;
         let result = runner.run(&build_pipeline(&output_topic))?;
-        let n = broker.latest_offset(&output_topic, 0)?;
+        let reader = broker.partition_reader(&output_topic, 0)?;
+        let n = reader.latest_offset()?;
         println!("{label}: {n} error lines in {:?}", result.duration);
-        for stored in broker.fetch(&output_topic, 0, 0, n as usize)? {
+        for stored in reader.fetch(0, n as usize)? {
             println!("  {}", String::from_utf8_lossy(&stored.record.value));
         }
     }

@@ -58,9 +58,8 @@ fn assert_all_equal(query: Query) {
     DirectRunner::new()
         .run(&beam_pipeline(&broker, query, "input", "out-direct"))
         .unwrap();
-    let direct = broker
-        .fetch("out-direct", 0, 0, RECORDS as usize + 1)
-        .unwrap();
+    let reader = broker.partition_reader("out-direct", 0).unwrap();
+    let direct = reader.fetch(0, RECORDS as usize + 1).unwrap();
     assert_eq!(
         values(&direct),
         values(&reference),

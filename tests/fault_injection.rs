@@ -11,9 +11,10 @@ fn broker_with_records(n: usize) -> Broker {
     let broker = Broker::new();
     broker.create_topic("in", TopicConfig::default()).unwrap();
     broker.create_topic("out", TopicConfig::default()).unwrap();
+    let writer = broker.partition_writer("in", 0).unwrap();
     for i in 0..n {
-        broker
-            .produce("in", 0, logbus::Record::from_value(format!("r{i}")))
+        writer
+            .produce(logbus::Record::from_value(format!("r{i}")))
             .unwrap();
     }
     broker
